@@ -13,14 +13,6 @@ class DomainError(MvflowError, ValueError):
     """An evaluation point lies outside the operation's domain."""
 
 
-class QuadratureError(MvflowError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, msg: str, achieved: float | None = None):
-        super().__init__(msg)
-        self.achieved = achieved
-
-
 class InsufficientGridError(MvflowError, ValueError):
     """Certification grid too sparse or too narrow for the requested range."""
 

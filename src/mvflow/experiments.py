@@ -248,6 +248,13 @@ def presets() -> dict[str, dict[str, str]]:
         "name": "weak-strong-bump", "grid.n": "128",
         "law.bump.q1": "1.0", "law.bump.q2": "2.0", "law.bump.A": "0.05",
     })
+    # h = rho^2 + 0.1 rho sampled at 9 points on [0, 4]
+    tabulated = {k: v for k, v in monotone.items() if k != "law.a"}
+    tabulated.update({
+        "name": "weak-strong-tabulated", "law.kind": "tabulated",
+        "law.rho": "0.0,0.5,1.0,1.5,2.0,2.5,3.0,3.5,4.0",
+        "law.h": "0.0,0.3,1.1,2.4,4.2,6.5,9.3,12.6,16.4",
+    })
     deltas = dict(base, **{
         "name": "delta-sequence", "grid.n": "96", "solver.T": "0.1",
         "solver.n_samples": "17", "solver.Gamma": "2.0",
@@ -263,7 +270,7 @@ def presets() -> dict[str, dict[str, str]]:
         "convergence.levels": "64,128,256",
     })
     return {cfg["name"]: cfg for cfg in
-            (constant, monotone, bump, deltas, convergence)}
+            (constant, monotone, bump, tabulated, deltas, convergence)}
 
 
 # -- experiment execution ----------------------------------------------------------

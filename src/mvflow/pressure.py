@@ -6,23 +6,30 @@ pressure potential splits the same way, P = H + Q, with
 
     H(rho) = rho * int_1^rho h(z)/z^2 dz,     Q likewise from q,
 
-so that rho*H' - H = h and rho*H'' = h'.  The Bregman divergence of H is
-the distance notion used by the stability machinery; the two certificates
-below bound it from below by (rho - r)^2 / (1 + rho^gamma) and from above
-against the h-increment, on user-supplied grids.
+so that rho*H' - H = h and rho*H'' = h'.  Every potential is evaluated in
+closed form: the power law directly, the bump and each cubic piece of a
+tabulated law through the exact antiderivative of a polynomial over z^2,
+and a tabulated law's power-law tail likewise.  Adaptive quadrature appears
+only in the test suite, as the oracle these closed forms are checked against.
+
+The Bregman divergence of H is the distance notion used by the stability
+machinery; the two certificates below bound it from below by
+(rho - r)^2 / (1 + rho^gamma) and from above against the h-increment, on
+user-supplied grids.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+# unused here: perfbench/tracer.py counts quadrature calls through this name
+from scipy.integrate import quad  # noqa: F401
 
-from .errors import DomainError, InsufficientGridError, InvalidLawError, QuadratureError
+from .errors import DomainError, InsufficientGridError, InvalidLawError
 
-# Quadrature tolerances for potential evaluation.
-QUAD_ABSTOL = 1e-10
-QUAD_RELTOL = 1e-8
+# A PCHIP end slope below this share of the mean slope h_max / rho_max is
+# rounding noise of the one-sided end formula; the tail then matches value only.
+TAIL_SLOPE_RTOL = 1e-9
 
 # Exclusion half-width around rho = r where the h-ratio is 0/0 to second order.
 H_BOUND_EXCLUSION = 1e-6
@@ -43,12 +50,17 @@ class CompactBump:
     q1: float
     q2: float
     amp: float
+    # degree 0..4 coefficients of q(z) in powers of z, built once
+    _coef: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not (self.q1 > 0.0 and self.q2 > self.q1):
             raise InvalidLawError(
                 f"bump support must satisfy 0 < q1 < q2, got [{self.q1}, {self.q2}]"
             )
+        # q(z) = 16 amp / w^4 * [(z - q1)(q2 - z)]^2, expanded in powers of z
+        p2 = np.polynomial.Polynomial([-self.q1 * self.q2, self.q1 + self.q2, -1.0])
+        object.__setattr__(self, "_coef", (16.0 * self.amp / self.width**4) * (p2 * p2).coef)
 
     @property
     def width(self) -> float:
@@ -70,14 +82,9 @@ class CompactBump:
         dpsi = 32.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
         return np.where(inside, self.amp * dpsi / self.width, 0.0)
 
-    def _poly_coeffs(self) -> np.ndarray:
-        # q(z) = 16 amp / w^4 * [(z - q1)(q2 - z)]^2, expanded in powers of z.
-        p2 = np.polynomial.Polynomial([-self.q1 * self.q2, self.q1 + self.q2, -1.0])
-        return (16.0 * self.amp / self.width**4) * (p2 * p2).coef
-
     def integral_over_z2(self, rho) -> np.ndarray:
         """Exact antiderivative evaluation of int_1^rho q(z)/z^2 dz."""
-        d = self._poly_coeffs()  # degree 0..4 coefficients of q(z)
+        d = self._coef
 
         def phi(z):
             # antiderivative of q(z)/z^2 on the support
@@ -138,17 +145,37 @@ class PowerLawH:
 
 @dataclass(frozen=True)
 class TabulatedH:
-    """Monotone part from strictly increasing C^1 samples (PCHIP interpolant).
+    """Monotone part from strictly increasing samples, with a power-law tail.
 
-    gamma_tail declares the growth exponent used by certificates and by the
-    sound-speed floor; samples must start at (0, 0) or interpolation is
-    rejected, since h(0) = 0 is part of the admissibility conditions.
+    On [0, rho_max] h is the PCHIP interpolant of the samples (Fritsch and
+    Carlson's monotone cubic, C^1).  Beyond the last sample it continues as
+    the monotone tail a * rho^gamma_tail + b.  The tail matches the last
+    sample's value, and also the PCHIP end slope when that slope is positive
+    (a zero end slope gives the pure power h_max * (rho / rho_max)^gamma_tail).
+    So h stays strictly increasing on [0, oo), and gamma_tail is the growth
+    exponent the certificates and the sound-speed floor assume.  Samples must
+    start at (0, 0), since h(0) = 0 is part of the admissibility conditions.
+
+    The potential uses closed forms only: each cubic piece
+    A0 + A1 z + A2 z^2 + A3 z^3 integrates against 1/z^2 exactly, and so does
+    the tail; the integrals from 1 to every piece's anchor are built once.
     """
 
     rho_samples: tuple
     h_samples: tuple
     gamma_tail: float = 2.0
     _spline: object = field(init=False, repr=False, compare=False, default=None)
+    _dspline: object = field(init=False, repr=False, compare=False, default=None)
+    _d2spline: object = field(init=False, repr=False, compare=False, default=None)
+    # tail h = _tail_a * rho^gamma_tail + _tail_b beyond rho_max
+    _tail_a: float = field(init=False, repr=False, compare=False, default=0.0)
+    _tail_b: float = field(init=False, repr=False, compare=False, default=0.0)
+    # per piece (the tail is the last): global cubic coefficients A0..A3 as
+    # rows, the anchor point, int_1^anchor h/z^2, and the tail's power term
+    _coef: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _anchor: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _cum: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _pow: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         from scipy.interpolate import PchipInterpolator
@@ -163,48 +190,120 @@ class TabulatedH:
             raise InvalidLawError("tabulated samples must be strictly increasing")
         if not (self.gamma_tail >= 1.0):
             raise InvalidLawError("gamma_tail must be >= 1")
-        object.__setattr__(self, "_spline", PchipInterpolator(r, h, extrapolate=True))
+        spline = PchipInterpolator(r, h, extrapolate=True)
+        dspline = spline.derivative()
+        g = float(self.gamma_tail)
+        r_max, h_max = float(r[-1]), float(h[-1])
+        s_max = float(dspline(r_max))
+        if s_max > TAIL_SLOPE_RTOL * h_max / r_max:
+            a = s_max / (g * r_max ** (g - 1.0))
+            b = h_max - a * r_max**g
+        else:
+            a, b = h_max / r_max**g, 0.0
+
+        # local Taylor coefficients d_k about the left knot x, re-expanded in
+        # powers of z; piece 0 has x = 0, so its A0 = h(0) = 0 exactly
+        x = r[:-1]
+        d3, d2, d1, d0 = spline.c
+        coef = np.vstack([d0 - d1 * x + d2 * x * x - d3 * x**3,
+                          d1 - 2.0 * d2 * x + 3.0 * d3 * x * x,
+                          d2 - 3.0 * d3 * x,
+                          d3])
+        # tail: b enters as A0; a z^gamma_tail as A1 when gamma_tail = 1,
+        # else through the separate power term
+        tail = np.array([b, a if g == 1.0 else 0.0, 0.0, 0.0])
+        coef = np.hstack([coef, tail[:, None]])
+        pow_coef = np.zeros(r.size)
+        if g != 1.0:
+            pow_coef[-1] = a
+        # piece 0 is anchored at its right knot, so no ln 0 arises
+        anchor = np.concatenate([[r[1]], r[1:]])
+
+        for name, val in (("_spline", spline), ("_dspline", dspline),
+                          ("_d2spline", spline.derivative(2)), ("_tail_a", a),
+                          ("_tail_b", b), ("_coef", coef), ("_anchor", anchor),
+                          ("_pow", pow_coef)):
+            object.__setattr__(self, name, val)
+
+        # integrals from r[1] to each anchor, then from 1 (which lies on piece j)
+        steps = self._piece_integral(np.arange(1, r.size - 1), r[2:])
+        from_r1 = np.concatenate([[0.0, 0.0], np.cumsum(steps)])
+        j = int(np.searchsorted(r[1:], 1.0, side="right"))
+        one = from_r1[j] + float(self._piece_integral(j, np.asarray(1.0)))
+        object.__setattr__(self, "_cum", from_r1 - one)
 
     @property
     def a(self) -> float:
-        # tail coefficient estimated from the last sample
-        return float(self.h_samples[-1] / self.rho_samples[-1] ** self.gamma_tail)
+        """Leading coefficient of the tail a * rho^gamma_tail + b."""
+        return float(self._tail_a)
 
     @property
     def gamma(self) -> float:
         return self.gamma_tail
 
+    @property
+    def rho_max(self) -> float:
+        return float(self.rho_samples[-1])
+
+    def _with_tail(self, rho: np.ndarray, inside: np.ndarray, tail) -> np.ndarray:
+        far = rho > self.rho_max
+        if np.any(far):
+            return np.where(far, tail(np.maximum(rho, self.rho_max)), inside)
+        return inside
+
     def value(self, rho) -> np.ndarray:
-        return np.asarray(self._spline(_as_array(rho)), dtype=float)
+        rho = _as_array(rho)
+        g = self.gamma_tail
+        return self._with_tail(rho, np.asarray(self._spline(rho), dtype=float),
+                               lambda z: self._tail_a * np.power(z, g) + self._tail_b)
 
     def slope(self, rho) -> np.ndarray:
-        return np.asarray(self._spline.derivative()(_as_array(rho)), dtype=float)
+        rho = _as_array(rho)
+        g = self.gamma_tail
+        return self._with_tail(rho, np.asarray(self._dspline(rho), dtype=float),
+                               lambda z: self._tail_a * g * np.power(z, g - 1.0))
 
     def curvature(self, rho) -> np.ndarray:
-        return np.asarray(self._spline.derivative(2)(_as_array(rho)), dtype=float)
+        rho = _as_array(rho)
+        g = self.gamma_tail
+        return self._with_tail(rho, np.asarray(self._d2spline(rho), dtype=float),
+                               lambda z: self._tail_a * g * (g - 1.0) * np.power(z, g - 2.0))
 
-    def _int_over_z2(self, rho: float) -> float:
-        lo, hi = (rho, 1.0) if rho < 1.0 else (1.0, rho)
-        if lo == hi:
-            return 0.0
-        val, err = quad(lambda z: float(self._spline(z)) / z**2, lo, hi,
-                        epsabs=QUAD_ABSTOL, epsrel=QUAD_RELTOL, limit=200)
-        if err > QUAD_ABSTOL + QUAD_RELTOL * abs(val):
-            raise QuadratureError(
-                f"potential quadrature achieved {err:.3g} only", achieved=err)
-        return val if rho >= 1.0 else -val
+    def _piece_integral(self, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """int_c^rho h(z)/z^2 dz on piece k from its anchor c, rho > 0.
+
+        The antiderivative -A0/z + A1 ln z + A2 z + A3 z^2/2 (+ a z^g/g with
+        g = gamma_tail - 1 on the tail) is differenced in cancellation-free
+        form.
+        """
+        A0, A1, A2, A3 = self._coef[:, k]
+        c = self._anchor[k]
+        dz = rho - c
+        log_ratio = np.log(rho / c)
+        out = dz * (A0 / (c * rho) + A2 + 0.5 * A3 * (c + rho)) + A1 * log_ratio
+        if self.gamma_tail != 1.0:
+            g = self.gamma_tail - 1.0
+            out = out + self._pow[k] * np.power(c, g) * np.expm1(g * log_ratio) / g
+        return out
+
+    def integral_over_z2(self, rho) -> np.ndarray:
+        """Exact int_1^rho h(z)/z^2 dz for rho > 0, tail included."""
+        rho = _as_array(rho)
+        # piece k covers [knot k, knot k+1); the tail is k = len(knots) - 1
+        k = np.searchsorted(self._anchor[1:], rho, side="right")
+        return self._cum[k] + self._piece_integral(k, rho)
 
     def potential(self, rho) -> np.ndarray:
+        """H(rho) = rho * int_1^rho h(z)/z^2 dz, with H(0) = 0 as the limit."""
         rho = _as_array(rho)
-        flat = np.atleast_1d(rho)
-        out = np.array([r * self._int_over_z2(r) if r > 0.0 else 0.0 for r in flat])
-        return out.reshape(rho.shape) if rho.shape else out[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = rho * self.integral_over_z2(rho)
+        return np.where(rho > 0.0, out, 0.0)
 
     def potential_slope(self, rho) -> np.ndarray:
         rho = _as_array(rho)
-        flat = np.atleast_1d(rho)
-        out = np.array([self._int_over_z2(r) + float(self._spline(r)) / r for r in flat])
-        return out.reshape(rho.shape) if rho.shape else out[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.integral_over_z2(rho) + self.value(rho) / rho
 
     def potential_curvature(self, rho) -> np.ndarray:
         rho = _as_array(rho)
@@ -301,40 +400,11 @@ def pressure(law: PressureLaw, rho):
 
 
 def potential(law: PressureLaw, rho):
-    """P(rho) = H(rho) + Q(rho) with Q by adaptive quadrature of q(z)/z^2.
-
-    H uses the closed form when available.  The quadrature path is the
-    contract; the exact bump antiderivative is cross-checked against it in
-    the test suite and used internally where speed matters.
-    """
+    """P(rho) = H(rho) + Q(rho) in closed form; rho must be >= 0."""
     rho = _as_array(rho)
     if np.any(rho < 0.0):
         raise DomainError("potential requires rho >= 0")
-    H = law.H(rho)
-    if law.bump is None:
-        return H
-
-    bump = law.bump
-
-    def q_over_z2(z):
-        return float(bump.value(z)) / z**2
-
-    flat = np.atleast_1d(rho)
-    Q = np.zeros_like(flat)
-    for i, r in enumerate(flat):
-        if r <= 0.0:
-            continue
-        lo, hi = (r, 1.0) if r < 1.0 else (1.0, r)
-        a = max(lo, bump.q1)
-        b = min(hi, bump.q2)
-        if a >= b:
-            continue
-        val, err = quad(q_over_z2, a, b, epsabs=QUAD_ABSTOL, epsrel=QUAD_RELTOL, limit=200)
-        if err > QUAD_ABSTOL + QUAD_RELTOL * abs(val):
-            raise QuadratureError(f"bump quadrature achieved {err:.3g} only", achieved=err)
-        Q[i] = r * (val if r >= 1.0 else -val)
-    Q = Q.reshape(rho.shape) if rho.shape else Q[0]
-    return H + Q
+    return law.P(rho)
 
 
 def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (CannotBoundError, DomainError, InvalidBandError,
                      ReferenceInvalidError)
 from .measures import DiscreteYoungMeasure
+# potential stays a module attribute here: perfbench/tracer.py wraps this name
 from .pressure import (HBoundCertificate, LowerBoundCertificate, PressureLaw,
                        bregman_H, h_increment, potential)
 from .solver import StrongSolutionRef

@@ -50,6 +50,16 @@ def test_run_constant_state_exits_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "manifest.txt").exists()
 
 
+def test_run_tabulated_preset_exits_zero(tmp_path, capsys):
+    # a tabulated law runs through every stability check
+    spec = write_preset(tmp_path, "weak-strong-tabulated")
+    rc = cli.main(["run", "--spec", spec, "--out", str(tmp_path / "out"), "--jobs", "1"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    for check in ("energy", "lemmas", "relative-energy", "gronwall"):
+        assert f"check {check}: pass" in out
+
+
 def test_run_failed_check_exits_four(tmp_path, capsys):
     spec = write_preset(tmp_path, "constant-state",
                         **{"tol.residual": "1e-30"})

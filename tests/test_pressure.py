@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
+import mvflow.pressure
 from mvflow.errors import DomainError, InsufficientGridError, InvalidLawError
 from mvflow.pressure import (
     CompactBump,
@@ -31,6 +33,33 @@ def simpson(f, lo, hi, n=20001):
     y = f(x)
     h = (hi - lo) / (n - 1)
     return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+
+
+def quad_over_z2(f, rho, knots=()):
+    """Adaptive-quadrature oracle for int_1^rho f(z)/z^2 dz, one point at a time.
+
+    f's kinks (bump ends, table knots) are passed as breakpoints so that
+    every subinterval is smooth; the tolerance is far below the 1e-9 the
+    closed forms are held to.
+    """
+    lo, hi = min(rho, 1.0), max(rho, 1.0)
+    if lo == hi:
+        return 0.0
+    pts = [k for k in knots if lo < k < hi] or None
+    val, _ = quad(lambda z: float(f(z)) / z**2, lo, hi, points=pts,
+                  epsabs=1e-13, epsrel=1e-13, limit=400)
+    return val if rho >= 1.0 else -val
+
+
+def bench_table():
+    # the tabulated-solve benchmark law: h = rho^2 + 0.1 rho at 9 points on [0, 4]
+    rho = np.linspace(0.0, 4.0, 9)
+    return TabulatedH(tuple(rho), tuple(rho**2 + 0.1 * rho), gamma_tail=2.0)
+
+
+# PCHIP's end slope is zero on these samples, and extrapolating the last
+# cubic piece turned h down to h(5) = -0.2 and h(20) = -576
+REPRODUCER = ((0.0, 0.5, 1.0, 2.0, 3.0), (0.0, 0.2, 1.0, 1.6, 1.8))
 
 
 # -- bump ---------------------------------------------------------------------
@@ -105,8 +134,20 @@ def test_bump_potential_matches_independent_quadrature():
             ref = rho * (ref if rho >= 1.0 else -ref)
         got = potential(law, rho) - law.H(np.asarray(rho))
         assert got == pytest.approx(ref, abs=1e-9)
-        # the closed-form fast path agrees with the quadrature contract
         assert float(law.Q(np.asarray(rho))) == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("amp", [0.1, -0.05])
+def test_bump_closed_form_matches_quadrature_oracle(amp):
+    bump = build_bump_q(0.8, 2.3, amp)
+    law = power_law(bump=bump)
+    rho = np.array([0.05, 0.5, 0.8, 0.9, 1.0, 1.4, 2.3, 3.0, 12.0])
+    ref = np.array([r * quad_over_z2(bump.value, r, (bump.q1, bump.q2)) for r in rho])
+    np.testing.assert_allclose(law.Q(rho), ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(potential(law, rho), law.H(rho) + ref, rtol=0, atol=1e-9)
+    ref_slope = np.array([quad_over_z2(bump.value, r, (bump.q1, bump.q2)) for r in rho])
+    np.testing.assert_allclose(law.dQ(rho), ref_slope + bump.value(rho) / rho,
+                               rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
@@ -129,9 +170,113 @@ def test_tabulated_law_tracks_samples():
     np.testing.assert_allclose(law.h(rho), rho**2, atol=1e-12)
     x = np.linspace(0.1, 3.9, 50)
     assert np.max(np.abs(law.h(x) - x**2)) < 1e-2
-    # potential identity via quadrature path
+    # potential identity through the closed forms
     pts = np.array([0.5, 1.5, 3.0])
     assert np.max(np.abs(pts * law.dH(pts) - law.H(pts) - law.h(pts))) < 1e-7
+
+
+@pytest.mark.parametrize("table", [bench_table(), TabulatedH(*REPRODUCER, gamma_tail=2.0),
+                                   TabulatedH(*REPRODUCER, gamma_tail=1.0),
+                                   TabulatedH((0.0, 0.2, 0.6), (0.0, 0.1, 0.5), 2.5)],
+                         ids=["bench", "reproducer", "gamma1-tail", "short-gamma2.5"])
+def test_tabulated_closed_form_matches_quadrature_oracle(table):
+    # points inside the table, on its knots, around rho = 1 and in the tail
+    rho = np.array([1e-3, 0.1, 0.3, 0.5, 0.77, 1.0, 1.3, 2.0, 2.5, 3.0, 3.5,
+                    4.0, 5.0, 20.0])
+    knots = table.rho_samples
+    ref = np.array([quad_over_z2(table.value, r, knots) for r in rho])
+    np.testing.assert_allclose(table.integral_over_z2(rho), ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(table.potential(rho), rho * ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(table.potential_slope(rho), ref + table.value(rho) / rho,
+                               rtol=0, atol=1e-9)
+
+
+def test_tabulated_reproducer_tail_is_monotone():
+    h = TabulatedH(*REPRODUCER, gamma_tail=2.0)
+    # zero PCHIP end slope: the tail is the pure power through the last sample
+    assert float(h.slope(3.0)) == 0.0
+    assert h.a == pytest.approx(1.8 / 9.0, rel=1e-15)
+    assert float(h.value(5.0)) == pytest.approx(1.8 * 25.0 / 9.0, rel=1e-14)
+    assert float(h.value(20.0)) == pytest.approx(1.8 * 400.0 / 9.0, rel=1e-14)
+    x = np.linspace(0.0, 30.0, 6001)
+    assert np.all(np.diff(h.value(x)) > 0.0)
+    # the certificates, which scan past the table, now hold as well
+    law, grid = PressureLaw(h_part=h), np.linspace(0.0, 10.0, 4001)
+    assert certify_lower_bound(law, (0.5, 2.0), grid).c_min > 0.0
+    assert certify_h_bound(law, (0.5, 2.0), grid).valid
+
+
+def test_tabulated_tail_matches_value_and_slope():
+    # h = rho^2 + 0.1 rho on [0, 4]: positive end slope, so the tail is C^1
+    h = bench_table()
+    end, eps = 4.0, 1e-7
+    s_end = float(h.slope(end))
+    assert s_end > 0.0
+    assert float(h.value(end + eps)) == pytest.approx(float(h.value(end)), abs=1e-6)
+    assert float(h.slope(end + eps)) == pytest.approx(s_end, rel=1e-6)
+    assert h.a == pytest.approx(s_end / (2.0 * end), rel=1e-15)
+    # far out the benign table no longer turns down (plain PCHIP: h(20) = -193)
+    assert float(h.value(20.0)) > float(h.value(4.0))
+    law = PressureLaw(h_part=h)
+    x = np.linspace(4.0 - 0.5, 4.0 + 0.5, 101)
+    assert np.all(np.diff(law.H(x)) > 0.0)
+    assert np.max(np.abs(law.d2H(x) * x - law.dh(x))) < 1e-12
+
+
+@st.composite
+def increasing_tables(draw):
+    n = draw(st.integers(3, 10))
+    dr = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    dh = draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1, max_size=n - 1))
+    rho = np.concatenate([[0.0], np.cumsum(dr)])
+    h = np.concatenate([[0.0], np.cumsum(dh)])
+    return TabulatedH(tuple(rho), tuple(h), gamma_tail=draw(st.floats(1.0, 3.0)))
+
+
+@given(table=increasing_tables())
+@settings(max_examples=60, deadline=None)
+def test_tabulated_law_increasing_with_exact_potential(table):
+    law = PressureLaw(h_part=table)
+    x = np.linspace(0.0, 10.0 * table.rho_max, 4001)
+    assert np.all(np.diff(law.h(x)) > 0.0)
+    xp = x[1:]
+    assert np.max(np.abs(xp * law.dP(xp) - law.P(xp) - law.h(xp))) < 1e-8
+
+
+@pytest.mark.parametrize("law", [bench_table(), PowerLawH(a=1.0, gamma=1.4)],
+                         ids=["tabulated", "power"])
+def test_potential_on_2d_arrays_equals_row_wise(law):
+    law = PressureLaw(h_part=law, bump=build_bump_q(1.0, 2.0, 0.05))
+    rho = np.random.default_rng(3).uniform(0.2, 6.0, size=(5, 7))
+    P, dP = law.P(rho), law.dP(rho)
+    assert P.shape == dP.shape == rho.shape
+    for i, row in enumerate(rho):
+        np.testing.assert_array_equal(P[i], law.P(row))
+        np.testing.assert_array_equal(dP[i], law.dP(row))
+    np.testing.assert_array_equal(potential(law, rho), P)
+
+
+def test_production_paths_make_no_quadrature_calls(monkeypatch):
+    from mvflow.solver import Grid1D, SolverConfig, perturb_density, pulse_flow_init, run
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("scipy quad called from a production path")
+
+    monkeypatch.setattr(mvflow.pressure, "quad", tripwire)
+    tab = PressureLaw(h_part=bench_table())
+    grid = Grid1D(n=48, length=1.0)
+    init = perturb_density(pulse_flow_init(1.0), 1.0, 1e-2, np.random.default_rng(5))
+    traj = run(SolverConfig(law=tab, lam=0.1, T=0.005), init.sample(grid), grid)
+    assert traj.complete and traj.n_steps > 0
+
+    both = PressureLaw(h_part=bench_table(), bump=build_bump_q(1.0, 2.0, 0.05))
+    rho_grid = np.linspace(0.0, 10.0, 4001)
+    assert certify_lower_bound(both, (0.5, 2.0), rho_grid).valid
+    assert certify_h_bound(both, (0.5, 2.0), rho_grid).valid
+
+    bump_law = power_law(bump=build_bump_q(1.0, 2.0, 0.05))
+    assert np.all(np.isfinite(bump_law.P(np.linspace(0.0, 5.0, 11))))
+    assert np.isfinite(potential(bump_law, 1.5))
 
 
 def test_tabulated_rejects_nonmonotone():
