@@ -33,14 +33,16 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the spec seed")
     run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for ensemble members and checks")
+                       help="accepted and ignored: the ensemble runs as one "
+                            "stacked solve")
 
     conv_p = sub.add_parser("convergence",
                             help="refinement table across mesh or delta levels")
     conv_p.add_argument("--spec", required=True)
     conv_p.add_argument("--out", default=None)
     conv_p.add_argument("--seed", type=int, default=None)
-    conv_p.add_argument("--jobs", type=int, default=1)
+    conv_p.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored")
     conv_p.add_argument("--levels", default=None,
                         help="comma-separated mesh sizes, e.g. 64,128,256")
 

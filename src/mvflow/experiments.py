@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,8 @@ from .pressure import (PressureLaw, certificate_rows, certify_h_bound,
 from .relative_energy import (EstimatorConfig, gronwall_verdict,
                               relative_energy_series, remainder_terms)
 from .solver import (Grid1D, InitialData, SolverConfig, Trajectory,
-                     make_reference, perturb_density, pulse_flow_init, run,
-                     total_energy)
+                     make_reference, perturb_density, pulse_flow_init,
+                     reference_from_run, run, run_stack, total_energy)
 from .testfuncs import compatibility_family, density_family, momentum_family
 
 CHECK_NAMES = ("energy", "continuity", "renorm", "momentum", "compatibility",
@@ -324,30 +323,38 @@ def _initial_data(spec: ExperimentSpec) -> InitialData:
                            center_frac=spec.init_center_frac)
 
 
-def _build_ensemble(spec: ExperimentSpec, jobs: int
-                    ) -> tuple[Grid1D, InitialData, list[Trajectory]]:
+def _weak_strong_requested(spec: ExperimentSpec) -> bool:
+    return "gronwall" in spec.checks or "relative-energy" in spec.checks
+
+
+def _build_ensemble(spec: ExperimentSpec
+                    ) -> tuple[Grid1D, InitialData, list[Trajectory],
+                               Trajectory | None]:
+    """Run the members; also the unperturbed base when it is the reference.
+
+    Members sharing the spec's solver config advance as one stack, with the
+    base state as one more row when a weak-strong check asks for a ref.factor
+    = 1 reference.  delta-sequence members differ in config and run one by
+    one.
+    """
     grid = Grid1D(n=spec.grid_n, length=spec.length)
     base = _initial_data(spec)
-    rng = np.random.default_rng(spec.seed)
-
-    tasks: list[tuple[SolverConfig, InitialData]] = []
     if spec.mode == "delta-sequence":
-        for d in spec.deltas:
-            tasks.append((_solver_config(spec, delta=d), base))
-    else:
-        for _ in range(spec.members):
-            ini = base
-            if spec.mode == "density-noise":
-                # draw all perturbations before dispatch: the generator state
-                # must not depend on thread scheduling
-                ini = perturb_density(base, spec.length, spec.eps, rng)
-            tasks.append((_solver_config(spec), ini))
+        members = [run(_solver_config(spec, delta=d), base.sample(grid), grid)
+                   for d in spec.deltas]
+        return grid, base, members, None
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as ex:
-        futures = [ex.submit(run, cfg, ini.sample(grid), grid)
-                   for cfg, ini in tasks]
-        members = [f.result() for f in futures]
-    return grid, base, members
+    rng = np.random.default_rng(spec.seed)
+    inits = [perturb_density(base, spec.length, spec.eps, rng)
+             if spec.mode == "density-noise" else base
+             for _ in range(spec.members)]
+    base_row = spec.ref_factor == 1 and _weak_strong_requested(spec)
+    if base_row:
+        inits.append(base)
+    members = run_stack(_solver_config(spec), [ini.sample(grid) for ini in inits],
+                        grid)
+    base_run = members.pop() if base_row else None
+    return grid, base, members, base_run
 
 
 @dataclass
@@ -360,13 +367,14 @@ class _Context:
     defect: object
     e0: float
     cum_dis: np.ndarray
+    base_run: Trajectory | None = None
     ref: object = None
     remainders: object = None
     verdict: object = None
 
 
-def _make_context(spec: ExperimentSpec, jobs: int) -> _Context:
-    grid, base, members = _build_ensemble(spec, jobs)
+def _make_context(spec: ExperimentSpec) -> _Context:
+    grid, base, members, base_run = _build_ensemble(spec)
     measure = assemble(members)
     if len(members) >= 2:
         # tail spans the full generating ensemble: the tail means then equal
@@ -381,15 +389,19 @@ def _make_context(spec: ExperimentSpec, jobs: int) -> _Context:
                         for m in members]))
     cum_dis = np.mean([m.cum_dissipation for m in members], axis=0)
     return _Context(spec=spec, grid=grid, base=base, members=members,
-                    measure=measure, defect=defect, e0=e0, cum_dis=cum_dis)
+                    measure=measure, defect=defect, e0=e0, cum_dis=cum_dis,
+                    base_run=base_run)
 
 
 def _ensure_weak_strong(ctx: _Context) -> None:
     if ctx.remainders is not None:
         return
     spec = ctx.spec
-    cfg = _solver_config(spec)
-    ctx.ref = make_reference(cfg, ctx.base, ctx.grid, factor=spec.ref_factor)
+    if ctx.base_run is not None:
+        ctx.ref = reference_from_run(ctx.base_run, ctx.grid)
+    else:
+        ctx.ref = make_reference(_solver_config(spec), ctx.base, ctx.grid,
+                                 factor=spec.ref_factor)
     r_lo, r_hi = float(np.min(ctx.ref.r)), float(np.max(ctx.ref.r))
     s_top = max(10.0, 5.0 * r_hi, 1.2 * float(np.max(ctx.measure.S)))
     rho_grid = np.linspace(0.0, s_top, 4001)
@@ -573,28 +585,30 @@ def resolve_out_dir(spec: ExperimentSpec, flag_out: str | None) -> str:
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
                    jobs: int = 1) -> RunManifest:
-    """Execute the ensemble and every requested check; write all reports."""
+    """Execute the ensemble and every requested check; write all reports.
+
+    jobs is accepted and ignored: the ensemble runs as one stacked solve and
+    the checks run in order.
+    """
     out_dir = resolve_out_dir(spec, out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
     resolved = spec_to_config(spec)
     spec_hash = config_hash(resolved)
 
-    ctx = _make_context(spec, jobs)
-    if "gronwall" in spec.checks or "relative-energy" in spec.checks:
+    ctx = _make_context(spec)
+    if _weak_strong_requested(spec):
         _ensure_weak_strong(ctx)
 
     results: list[CheckResult] = []
     payloads: list[tuple[str, str]] = [("spec.resolved", format_kv(resolved))]
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as ex:
-        futures = [(name, ex.submit(_CHECKS[name], ctx)) for name in spec.checks]
-        for name, fut in futures:
-            try:
-                result, files = fut.result()
-            except MvflowError as e:
-                result, files = CheckResult(name, False, math.nan, str(e)), []
-            results.append(result)
-            payloads.extend(files)
+    for name in spec.checks:
+        try:
+            result, files = _CHECKS[name](ctx)
+        except MvflowError as e:
+            result, files = CheckResult(name, False, math.nan, str(e)), []
+        results.append(result)
+        payloads.extend(files)
 
     # every write funnels through here, in deterministic order
     file_entries: list[tuple[str, str]] = []
@@ -663,7 +677,12 @@ def _library_maxima(spec: ExperimentSpec, measure, defect) -> dict[str, float]:
 def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
                     out: str | None = None, seed: int | None = None,
                     jobs: int = 1) -> tuple[str, list[str], list[tuple]]:
-    """Refinement table: residual/defect/energy-gap values and log2 orders."""
+    """Refinement table: residual/defect/energy-gap values and log2 orders.
+
+    Every mesh level is compared against a run on 2 * max(levels) cells,
+    rounded down to a multiple of the level; each fine size runs once.  jobs
+    is accepted and ignored.
+    """
     cfg = read_spec(spec_path)
     spec = spec_from_config(cfg)
     if seed is not None:
@@ -696,18 +715,22 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
                   "compatibility", "E_mv"]
         fine_n = 2 * max(levels)
         base = _initial_data(spec)
+        solver_cfg = _solver_config(spec)
+        fine_runs: dict[int, Trajectory] = {}
         per_level = []
         for n in levels:
             lspec = dataclasses.replace(spec, grid_n=int(n), members=1,
                                         mode="none", deltas=())
             grid = Grid1D(n=int(n), length=spec.length)
-            traj = run(_solver_config(lspec), base.sample(grid), grid)
+            traj = run(solver_cfg, base.sample(grid), grid)
             measure = assemble([traj])
             defect = estimate_defect([traj, traj], measure, spec.law,
                                      spec.lam, tail=1)
             lib = _library_maxima(lspec, measure, defect)
-            ref = make_reference(_solver_config(lspec), base, grid,
-                                 factor=max(1, fine_n // int(n)))
+            fine = Grid1D(n=max(1, fine_n // int(n)) * int(n), length=spec.length)
+            if fine.n not in fine_runs:
+                fine_runs[fine.n] = run(solver_cfg, base.sample(fine), fine)
+            ref = reference_from_run(fine_runs[fine.n], grid)
             e_gap = float(relative_energy_series(measure, spec.law, ref)[-1])
             per_level.append((int(n), grid.dx, lib["continuity"], lib["renorm"],
                               lib["momentum"], lib["compatibility"], e_gap))

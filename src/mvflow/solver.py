@@ -15,14 +15,23 @@ Density ghosts are zero-gradient.  The per-step energy budget
 
 is tracked during a run; for smooth data the slack stays at rounding scale
 because upwinding only adds dissipation.
+
+States stack: K states on one grid and config are the rows of (K, n)
+arrays, each row with its own time and time step.  The kernels act row by
+row (reductions run along the last axis), the K viscous systems form one
+block-diagonal tridiagonal solve, and run_stack drives all rows through one
+loop, with run as its one-row case.  Each row of a stacked run equals the
+run of that state alone, bit for bit.  A non-finite density or momentum
+stops a run with a SolverFailure naming its row and cell.
 """
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     DomainError,
@@ -92,15 +101,19 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FluidState:
-    """Cell averages of density and momentum at time t."""
+    """Cell averages of density and momentum at time t.
+
+    A stacked state holds K states on one grid as rows: rho and m are (K, n)
+    arrays and t is a (K,) array.
+    """
 
     rho: np.ndarray
     m: np.ndarray
-    t: float = 0.0
+    t: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.rho.shape != self.m.shape or self.rho.ndim != 1:
-            raise DomainError("rho and m must be matching 1D arrays")
+        if self.rho.shape != self.m.shape or self.rho.ndim not in (1, 2):
+            raise DomainError("rho and m must be matching 1D or (K, n) arrays")
 
 
 def velocity(state: FluidState, rho_floor: float) -> np.ndarray:
@@ -109,11 +122,12 @@ def velocity(state: FluidState, rho_floor: float) -> np.ndarray:
 
 
 def gradient_1d(u: np.ndarray, dx: float) -> np.ndarray:
-    """Cell-centered du/dx: central differences, one-sided at the walls."""
+    """Cell-centered du/dx along the last axis: central differences,
+    one-sided at the walls."""
     g = np.empty_like(u)
-    g[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    g[0] = (u[1] - u[0]) / dx
-    g[-1] = (u[-1] - u[-2]) / dx
+    g[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    g[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    g[..., -1] = (u[..., -1] - u[..., -2]) / dx
     return g
 
 
@@ -132,76 +146,121 @@ def sound_speed(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(slope, grid.dx))
 
 
-def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D) -> float:
+def _per_row(x: np.ndarray):
+    """A float for a single state, the (K,) array for a stacked one."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _first_cell(mask: np.ndarray, rows=None) -> str:
+    """Where the first True entry of a (n,) or (K, n) mask sits.
+
+    rows maps the rows of a stacked mask to the row numbers reported.
+    """
+    r, c = np.argwhere(np.atleast_2d(mask))[0]
+    return f"row {r if rows is None else rows[r]}, cell {c}"
+
+
+def _require_finite(what: str, arr: np.ndarray, rows=None) -> None:
+    if not np.isfinite(arr).all():
+        raise SolverFailure(f"non-finite {what} at {_first_cell(~np.isfinite(arr), rows)}")
+
+
+def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D):
+    """The CFL bound: a float, or a (K,) array for a stacked state."""
     u = velocity(state, cfg.rho_floor)
     c = sound_speed(cfg, grid, state.rho)
-    return cfg.cfl * grid.dx / float(np.max(np.abs(u) + c))
+    return _per_row(cfg.cfl * grid.dx / (np.abs(u) + c).max(axis=-1))
 
 
-def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt: float) -> FluidState:
-    """One explicit-transport / implicit-viscosity step of size dt."""
-    dt_max = admissible_dt(state, cfg, grid)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise StepRejected(dt, dt_max)
+def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
+         rows=None, dt_max=None) -> FluidState:
+    """One explicit-transport / implicit-viscosity step of size dt.
 
-    dx = grid.dx
+    A stacked state takes a (K,) dt and advances row k by dt[k]; rows names
+    the members in error messages (default: the row numbers).  dt_max is
+    admissible_dt(state, cfg, grid) when the caller already holds it.
+    """
+    if dt_max is None:
+        dt_max = admissible_dt(state, cfg, grid)
+    over = dt > dt_max * (1.0 + 1e-12)
+    if np.any(over):
+        i = int(np.argmax(over))
+        dt_b, dt_max_b = np.broadcast_arrays(dt, dt_max)
+        raise StepRejected(float(dt_b.flat[i]), float(dt_max_b.flat[i]))
+
+    dx, n = grid.dx, grid.n
     rho, m = state.rho, state.m
+    dtc = np.asarray(dt, dtype=float)[..., None]  # per-row dt as a column
     u = velocity(state, cfg.rho_floor)
+    faces = rho.shape[:-1] + (n + 1,)
 
     # interior face velocities; wall faces carry u = 0 (no-slip)
-    u_face = np.zeros(grid.n + 1)
-    u_face[1:-1] = 0.5 * (u[:-1] + u[1:])
+    u_face = np.zeros(faces)
+    u_face[..., 1:-1] = 0.5 * (u[..., :-1] + u[..., 1:])
 
     # donor-cell mass flux
-    donor_hi = u_face[1:-1] > 0.0
-    F = np.zeros(grid.n + 1)
-    F[1:-1] = np.where(donor_hi, rho[:-1], rho[1:]) * u_face[1:-1]
+    donor_hi = u_face[..., 1:-1] > 0.0
+    F = np.zeros(faces)
+    F[..., 1:-1] = np.where(donor_hi, rho[..., :-1], rho[..., 1:]) * u_face[..., 1:-1]
 
     # positivity limiter: scale each cell's outgoing fluxes so the update
     # cannot overdraw the cell; inactive for CFL-compliant smooth runs
-    outflow = np.maximum(F[1:], 0.0) - np.minimum(F[:-1], 0.0)
+    outflow = np.maximum(F[..., 1:], 0.0) - np.minimum(F[..., :-1], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(outflow > 0.0, np.minimum(1.0, rho * dx / (dt * outflow)), 1.0)
-    donor_idx = np.where(F[1:-1] > 0.0, np.arange(grid.n - 1), np.arange(1, grid.n))
-    F[1:-1] *= theta[donor_idx]
+        theta = np.where(outflow > 0.0, np.minimum(1.0, rho * dx / (dtc * outflow)), 1.0)
+    F[..., 1:-1] *= np.where(F[..., 1:-1] > 0.0, theta[..., :-1], theta[..., 1:])
 
-    rho_new = rho - dt / dx * np.diff(F)
-    if np.any(rho_new < -1e-13 * max(1.0, float(np.max(rho)))):
-        raise SolverFailure(f"negative density {float(np.min(rho_new)):.3e} after limiting")
+    rho_new = rho - dtc / dx * (F[..., 1:] - F[..., :-1])
+    _require_finite("density", rho_new, rows)
+    negative = rho_new < -1e-13 * np.maximum(1.0, rho.max(axis=-1, keepdims=True))
+    if negative.any():
+        raise SolverFailure(f"negative density {float(np.min(rho_new)):.3e} after "
+                            f"limiting at {_first_cell(negative, rows)}")
     rho_new = np.maximum(rho_new, 0.0)
 
     # convective momentum flux rides the (limited) mass flux with donor velocity
-    G = np.zeros(grid.n + 1)
-    G[1:-1] = F[1:-1] * np.where(donor_hi, u[:-1], u[1:])
+    G = np.zeros(faces)
+    G[..., 1:-1] = F[..., 1:-1] * np.where(donor_hi, u[..., :-1], u[..., 1:])
 
     # central total pressure at faces; zero-gradient ghosts at the walls
     pi = total_pressure(cfg, rho)
-    pi_face = np.empty(grid.n + 1)
-    pi_face[1:-1] = 0.5 * (pi[:-1] + pi[1:])
-    pi_face[0] = pi[0]
-    pi_face[-1] = pi[-1]
+    pi_face = np.empty(faces)
+    pi_face[..., 1:-1] = 0.5 * (pi[..., :-1] + pi[..., 1:])
+    pi_face[..., 0] = pi[..., 0]
+    pi_face[..., -1] = pi[..., -1]
 
-    m_star = m - dt / dx * np.diff(G) - dt / dx * np.diff(pi_face)
+    m_star = (m - dtc / dx * (G[..., 1:] - G[..., :-1])
+              - dtc / dx * (pi_face[..., 1:] - pi_face[..., :-1]))
+    _require_finite("momentum", m_star, rows)
 
     # implicit viscosity: (rho_new - lam dt Dxx) u_new = m_star with mirrored
-    # ghost velocities enforcing u = 0 at the wall faces
-    kappa = cfg.lam * dt / dx**2
-    ab = np.zeros((3, grid.n))
-    ab[1, :] = rho_new + 2.0 * kappa
-    ab[1, 0] += kappa
-    ab[1, -1] += kappa
-    ab[0, 1:] = -kappa
-    ab[2, :-1] = -kappa
-    u_new = solve_banded((1, 1), ab, m_star)
-    u_new = np.where(rho_new > cfg.rho_floor, u_new, 0.0)
+    # ghost velocities enforcing u = 0 at the wall faces.  The rows' systems
+    # are the blocks of one tridiagonal system (LAPACK gtsv, which
+    # scipy.linalg.solve_banded calls for one band each side); the
+    # off-diagonal entries between one row's last cell and the next row's
+    # first are zero.
+    kappa = cfg.lam * dtc / dx**2
+    diag = rho_new + 2.0 * kappa
+    diag[..., 0] += kappa[..., 0]
+    diag[..., -1] += kappa[..., 0]
+    off = np.empty(rho.shape)
+    off[...] = -kappa
+    off[..., -1] = 0.0
+    off = off.reshape(-1)[:-1]
+    *_, u_new, info = dgtsv(off, diag.reshape(-1), off.copy(), m_star.reshape(-1),
+                            True, True, True, True)
+    if info != 0:
+        raise SolverFailure(f"viscous solve failed: LAPACK gtsv info {info}")
+    u_new = np.where(rho_new > cfg.rho_floor, u_new.reshape(rho.shape), 0.0)
 
     return FluidState(rho=rho_new, m=rho_new * u_new, t=state.t + dt)
 
 
-def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D) -> float:
+def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     """sum dx (m^2/(2 rho) + P(rho) + delta rho^Gamma / (Gamma - 1)).
 
-    Kinetic energy of near-vacuum cells is taken as zero.
+    Kinetic energy of near-vacuum cells is taken as zero.  A stacked state
+    gets one energy per row.
     """
     rho = state.rho
     kin = np.where(rho > cfg.rho_floor,
@@ -209,14 +268,16 @@ def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D) -> float:
     e = kin + cfg.law.P(rho)
     if cfg.delta > 0.0:
         e = e + cfg.delta * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0)
-    return float(np.sum(e) * grid.dx)
+    return _per_row(e.sum(axis=-1) * grid.dx)
 
 
-def dissipation_increment(state: FluidState, cfg: SolverConfig, grid: Grid1D,
-                          dt: float) -> float:
-    """dt * sum dx lam (du/dx)^2 with one-sided differences at the walls."""
+def dissipation_increment(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
+    """dt * sum dx lam (du/dx)^2 with one-sided differences at the walls.
+
+    A stacked state takes a (K,) dt and gets one increment per row.
+    """
     g = gradient_1d(velocity(state, cfg.rho_floor), grid.dx)
-    return dt * cfg.lam * float(np.sum(g * g)) * grid.dx
+    return _per_row(dt * cfg.lam * (g * g).sum(axis=-1) * grid.dx)
 
 
 @dataclass(frozen=True)
@@ -233,13 +294,14 @@ class Trajectory:
     min_step_slack: float
     n_steps: int
     complete: bool = True
+    n_trials: int = 0            # trial steps, accepted plus rejected
 
     def state_at(self, k: int) -> FluidState:
         return FluidState(rho=self.rho[k].copy(), m=(self.rho[k] * self.u[k]),
                           t=float(self.times[k]))
 
 
-def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D) -> float:
+def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     """Positive magnitude of the initial energy used to size slack budgets.
 
     Matches total_energy except the pressure potential enters in absolute
@@ -252,99 +314,160 @@ def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D) -> float:
     e = kin + np.abs(cfg.law.P(rho))
     if cfg.delta > 0.0:
         e = e + cfg.delta * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0)
-    return max(float(np.sum(e) * grid.dx), 1e-15)
+    return _per_row(np.maximum(e.sum(axis=-1) * grid.dx, 1e-15))
 
 
 def run(cfg: SolverConfig, init_state: FluidState, grid: Grid1D) -> Trajectory:
-    """Advance init_state to T with adaptive steps, sampling uniformly.
+    """Advance init_state to T with adaptive steps: run_stack on one row."""
+    return run_stack(cfg, [init_state], grid)[0]
 
-    dt is capped by the CFL bound and additionally controlled so that every
-    accepted step satisfies the energy budget
+
+@dataclass(slots=True)
+class _RowControl:
+    """One row's step controller state in run_stack."""
+
+    e_prev: float                # energy after the last accepted step
+    t: float = 0.0
+    k: int = 1                   # index of the next sample time
+    dt: float = 0.0              # current trial dt
+    dt_cfl: float = 0.0          # CFL bound of the current state
+    dt_prev: float | None = None
+    clipped: bool = False        # dt was cut to reach the sample time
+    halved: bool = False         # dt was halved after a rejected trial
+    retry: bool = False          # the last trial was rejected
+    dis_acc: float = 0.0
+    min_slack: float = np.inf
+    n_steps: int = 0
+    n_trials: int = 0
+
+
+def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
+              grid: Grid1D) -> list[Trajectory]:
+    """Advance K initial states to T as one (K, n) stack, sampling uniformly.
+
+    Each row keeps its own t and dt.  dt is capped by the CFL bound and
+    additionally controlled so that every accepted step satisfies the energy
+    budget
 
         E(t) - E(t+dt) - dt sum dx lam (du/dx)^2 >= -step_slack_tol * E_scale:
 
     a trial step violating it is halved and retried (the explicit pressure
     force injects kinetic energy at O(dt^2), so halving always converges),
-    and dt regrows by 1.5x after accepted steps.
+    and dt regrows by 1.5x after accepted steps.  Every trial advances the
+    rows still short of their next sample time together; a row records its
+    sample when it reaches that time.  The controller runs row by row on
+    Python floats, so row k of the result is bit for bit the trajectory a
+    one-row stack of states[k] gives.
     """
     times = np.linspace(0.0, cfg.T, cfg.n_samples)
     nt, n = times.size, grid.n
-    rho_out = np.empty((nt, n))
-    u_out = np.empty((nt, n))
-    energy = np.empty(nt)
-    cum_dis = np.empty(nt)
+    rho = np.array([s.rho for s in states], dtype=float)
+    m = np.array([s.m for s in states], dtype=float)
+    if rho.ndim != 2 or rho.shape[1] != n or m.shape != rho.shape:
+        raise DomainError(f"run_stack needs one or more 1D states of {n} cells")
+    _require_finite("initial density", rho)
+    _require_finite("initial momentum", m)
+    K = rho.shape[0]
+    rho_out = np.empty((K, nt, n))
+    u_out = np.empty((K, nt, n))
+    energy = np.empty((K, nt))
+    cum_dis = np.empty((K, nt))
 
-    state = FluidState(rho=init_state.rho.copy(), m=init_state.m.copy(), t=0.0)
-    rho_out[0] = state.rho
-    u_out[0] = velocity(state, cfg.rho_floor)
-    energy[0] = total_energy(state, cfg, grid)
-    cum_dis[0] = 0.0
+    state = FluidState(rho=rho, m=m, t=np.zeros(K))
+    rho_out[:, 0] = rho
+    u_out[:, 0] = velocity(state, cfg.rho_floor)
+    energy[:, 0] = total_energy(state, cfg, grid)
+    cum_dis[:, 0] = 0.0
 
-    slack_budget = cfg.step_slack_tol * energy_scale(state, cfg, grid)
-    dt_floor = 1e-12 * cfg.T
-    e_prev = energy[0]
-    dis_acc = 0.0
-    min_slack = np.inf
-    n_steps = 0
-    dt_prev = None
+    slack_budget = (cfg.step_slack_tol * energy_scale(state, cfg, grid)).tolist()
+    tol = 1e-12 * cfg.T  # sample-time tolerance, also the dt floor
+    t_sample = times.tolist()
+    ctl = [_RowControl(e_prev=e) for e in energy[:, 0].tolist()]
+    live = list(range(K))  # rows with samples left to record
     started = _time.monotonic()
     complete = True
-    k_recorded = 0
 
-    for k in range(1, nt):
-        t_target = times[k]
-        while state.t < t_target - 1e-12 * cfg.T:
-            if cfg.max_wall_s is not None and _time.monotonic() - started > cfg.max_wall_s:
+    while live:
+        arrived = [r for r in live if not ctl[r].t < t_sample[ctl[r].k] - tol]
+        if arrived:
+            for r in arrived:
+                c = ctl[r]
+                rho_out[r, c.k] = rho[r]
+                u_out[r, c.k] = velocity(FluidState(rho=rho[r], m=m[r]), cfg.rho_floor)
+                energy[r, c.k] = c.e_prev
+                cum_dis[r, c.k] = c.dis_acc
+                c.k += 1
+            live = [r for r in live if ctl[r].k < nt]
+            continue
+
+        # a full slice while every row is live, so no copies are made
+        sel = slice(None) if len(live) == K else live
+        cur = FluidState(rho=rho[sel], m=m[sel], t=np.array([ctl[r].t for r in live]))
+
+        # rows that are not retrying a rejected trial start a new step
+        fresh = [r for r in live if not ctl[r].retry]
+        if fresh:
+            if cfg.max_wall_s is not None and \
+                    _time.monotonic() - started > cfg.max_wall_s:
                 complete = False
                 break
-            cand = admissible_dt(state, cfg, grid)
-            if dt_prev is not None:
-                cand = min(cand, 1.5 * dt_prev)
-            remaining = t_target - state.t
-            dt = min(cand, remaining)
-            clipped = dt < cand
-            halved = False
-            while True:
-                trial = step(state, cfg, grid, dt)
-                dI = dissipation_increment(trial, cfg, grid, dt)
-                e_new = total_energy(trial, cfg, grid)
-                slack = e_prev - e_new - dI
-                if slack >= -slack_budget:
-                    break
-                if dt <= dt_floor:
-                    raise SolverFailure(
-                        f"energy budget unattainable: slack {slack:.3e} at dt {dt:.3e}")
-                dt = max(0.5 * dt, dt_floor)
-                halved = True
-            state = trial
-            if halved or not clipped:
-                dt_prev = dt
-            if abs(state.t - t_target) < 1e-12 * cfg.T:
-                state = replace(state, t=t_target)
-            min_slack = min(min_slack, slack)
-            dis_acc += dI
-            e_prev = e_new
-            n_steps += 1
-        if not complete:
-            break
-        rho_out[k] = state.rho
-        u_out[k] = velocity(state, cfg.rho_floor)
-        energy[k] = e_prev
-        cum_dis[k] = dis_acc
-        k_recorded = k
+            fstate = cur if len(fresh) == len(live) else \
+                FluidState(rho=rho[fresh], m=m[fresh])
+            for r, cand in zip(fresh, admissible_dt(fstate, cfg, grid).tolist()):
+                c = ctl[r]
+                c.dt_cfl = cand
+                if c.dt_prev is not None:
+                    cand = min(cand, 1.5 * c.dt_prev)
+                c.dt = min(cand, t_sample[c.k] - c.t)
+                c.clipped = c.dt < cand
+                c.halved = False
 
-    if not complete:
-        # truncate to what was actually sampled
-        last = k_recorded + 1
-        times, rho_out, u_out = times[:last], rho_out[:last], u_out[:last]
-        energy, cum_dis = energy[:last], cum_dis[:last]
+        # a rejected row retries from the state its bound was computed for
+        d = np.array([ctl[r].dt for r in live])
+        trial = step(cur, cfg, grid, d, rows=live,
+                     dt_max=np.array([ctl[r].dt_cfl for r in live]))
+        dI = dissipation_increment(trial, cfg, grid, d).tolist()
+        e_new = total_energy(trial, cfg, grid).tolist()
+        t_new = trial.t.tolist()
 
-    if n_steps == 0:
-        min_slack = 0.0
-    return Trajectory(grid=grid, cfg=cfg, times=times, rho=rho_out, u=u_out,
-                      energy=energy, cum_dissipation=cum_dis,
-                      min_step_slack=float(min_slack), n_steps=n_steps,
-                      complete=complete)
+        accepted = []
+        for j, r in enumerate(live):
+            c = ctl[r]
+            c.n_trials += 1
+            slack = c.e_prev - e_new[j] - dI[j]
+            if not slack >= -slack_budget[r]:
+                if c.dt <= tol:
+                    raise SolverFailure(f"energy budget unattainable in row {r}: "
+                                        f"slack {slack:.3e} at dt {c.dt:.3e}")
+                c.dt = max(0.5 * c.dt, tol)
+                c.halved = c.retry = True
+                continue
+            accepted.append(j)
+            if c.halved or not c.clipped:
+                c.dt_prev = c.dt
+            target = t_sample[c.k]
+            c.t = target if abs(t_new[j] - target) < tol else t_new[j]
+            c.min_slack = min(c.min_slack, slack)
+            c.dis_acc += dI[j]
+            c.e_prev = e_new[j]
+            c.n_steps += 1
+            c.retry = False
+        if len(accepted) == len(live):
+            rho[sel], m[sel] = trial.rho, trial.m
+        elif accepted:
+            rows = [live[j] for j in accepted]
+            rho[rows], m[rows] = trial.rho[accepted], trial.m[accepted]
+
+    out = []
+    for r, c in enumerate(ctl):
+        last = c.k  # samples 0..last-1 were recorded
+        out.append(Trajectory(
+            grid=grid, cfg=cfg, times=times[:last].copy(), rho=rho_out[r, :last],
+            u=u_out[r, :last], energy=energy[r, :last],
+            cum_dissipation=cum_dis[r, :last],
+            min_step_slack=float(c.min_slack) if c.n_steps else 0.0,
+            n_steps=c.n_steps, complete=complete, n_trials=c.n_trials))
+    return out
 
 
 # -- initial data --------------------------------------------------------------
@@ -489,23 +612,37 @@ def make_reference(cfg: SolverConfig, init: InitialData, grid: Grid1D,
     """Run on a factor-refined grid and restrict to the coarse sampling.
 
     factor = 1 reuses the coarse resolution: the deterministic unperturbed
-    run itself serves as the comparison solution.  The result is rejected if
-    the refined run approaches vacuum (min rho < 10 * rho_floor).
+    run itself serves as the comparison solution.  The checks are those of
+    reference_from_run.
     """
     if factor < 1:
         raise DomainError(f"refinement factor must be >= 1, got {factor}")
     fine = Grid1D(n=factor * grid.n, length=grid.length)
-    traj = run(cfg, init.sample(fine), fine)
+    return reference_from_run(run(cfg, init.sample(fine), fine), grid)
+
+
+def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
+    """Restrict a finished run on a refinement of grid to grid's cells.
+
+    Derivative fields are differenced on the run's own grid before
+    restriction.  The result is rejected if the run stopped early or
+    approaches vacuum (min rho < 10 * rho_floor).
+    """
+    fine = traj.grid
+    factor, rest = divmod(fine.n, grid.n)
+    if factor < 1 or rest or fine.length != grid.length:
+        raise DomainError(f"a run on {fine.n} cells does not refine "
+                          f"a grid of {grid.n} cells")
     if not traj.complete:
         raise ReferenceInvalidError("reference run exhausted its wall-clock budget")
 
     min_r = float(np.min(traj.rho))
-    if min_r < 10.0 * cfg.rho_floor:
+    if min_r < 10.0 * traj.cfg.rho_floor:
         raise ReferenceInvalidError(
             f"reference reached near-vacuum density {min_r:.3e}")
 
-    dr_f = np.stack([gradient_1d(traj.rho[k], fine.dx) for k in range(traj.times.size)])
-    dU_f = np.stack([gradient_1d(traj.u[k], fine.dx) for k in range(traj.times.size)])
+    dr_f = gradient_1d(traj.rho, fine.dx)
+    dU_f = gradient_1d(traj.u, fine.dx)
     d2U_f = _laplacian_no_slip(traj.u, fine.dx)
 
     r = _restrict(traj.rho, factor)

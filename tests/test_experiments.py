@@ -6,12 +6,14 @@ import os
 import numpy as np
 import pytest
 
+import mvflow.experiments
 from mvflow.configio import format_kv, read_csv, read_spec
 from mvflow.errors import SpecParseError
-from mvflow.experiments import (CHECK_NAMES, cmd_certify, cmd_convergence,
-                                cmd_run, presets, resolve_out_dir,
-                                run_experiment, spec_from_config,
-                                spec_to_config)
+from mvflow.experiments import (CHECK_NAMES, _build_ensemble, _solver_config,
+                                cmd_certify, cmd_convergence, cmd_run, presets,
+                                resolve_out_dir, run_experiment,
+                                spec_from_config, spec_to_config)
+from mvflow.solver import make_reference, perturb_density, reference_from_run, run
 
 
 def minimal_cfg(**over):
@@ -198,6 +200,54 @@ def test_weak_strong_monotone_preset_passes(tmp_path):
     assert hdr2[0] == "tau" and len(rows2) == spec.n_samples
 
 
+def _small_weak_strong(**over):
+    cfg = dict(presets()["weak-strong-bump"],
+               **{"grid.n": "32", "solver.T": "0.02", "solver.n_samples": "5"})
+    cfg.update(over)
+    return spec_from_config(cfg)
+
+
+def test_ensemble_members_equal_single_runs():
+    spec = _small_weak_strong()
+    grid, base, members, base_run = _build_ensemble(spec)
+    rng = np.random.default_rng(spec.seed)
+    cfg = _solver_config(spec)
+    assert len(members) == spec.members
+    for traj in members:
+        ini = perturb_density(base, spec.length, spec.eps, rng)
+        single = run(cfg, ini.sample(grid), grid)
+        for name in ("rho", "u", "energy", "cum_dissipation"):
+            assert np.array_equal(getattr(traj, name), getattr(single, name))
+        assert (traj.n_steps, traj.n_trials, traj.min_step_slack) == \
+            (single.n_steps, single.n_trials, single.min_step_slack)
+
+
+def test_base_row_reference_equals_factor_one_reference():
+    spec = _small_weak_strong()
+    grid, base, _, base_run = _build_ensemble(spec)
+    got = reference_from_run(base_run, grid)
+    want = make_reference(_solver_config(spec), base, grid, factor=1)
+    for name in ("times", "x", "r", "U", "dr_dx", "dU_dx", "dU_dt", "d2U_dx2"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.norms == want.norms and got.min_r == want.min_r
+
+
+def test_base_row_only_when_a_factor_one_reference_is_needed():
+    assert _build_ensemble(_small_weak_strong())[3] is not None
+    assert _build_ensemble(_small_weak_strong(**{"ref.factor": "2"}))[3] is None
+    assert _build_ensemble(_small_weak_strong(checks="energy,lemmas"))[3] is None
+
+
+def test_factor_one_reference_runs_no_extra_solve(tmp_path, monkeypatch):
+    def no_reference_run(*args, **kwargs):
+        raise AssertionError("the base row already holds the reference")
+
+    monkeypatch.setattr(mvflow.experiments, "make_reference", no_reference_run)
+    man = run_experiment(_small_weak_strong(), out_dir=str(tmp_path))
+    assert [r.name for r in man.results] == \
+        ["energy", "lemmas", "relative-energy", "gronwall"]
+
+
 def test_delta_sequence_preset_passes(tmp_path):
     spec = spec_from_config(presets()["delta-sequence"])
     man = run_experiment(spec, out_dir=str(tmp_path), jobs=3)
@@ -259,6 +309,20 @@ def test_convergence_mesh_mode(tmp_path):
     assert e_mv[0] > e_mv[1] > e_mv[2] > 0.0
     hdr2, back = read_csv(path)
     assert hdr2 == header and len(back) == len(rows)
+
+
+def test_convergence_runs_the_fine_grid_once(tmp_path, monkeypatch):
+    sizes = []
+    real_run = mvflow.experiments.run
+
+    def recording_run(cfg, state, grid):
+        sizes.append(grid.n)
+        return real_run(cfg, state, grid)
+
+    monkeypatch.setattr(mvflow.experiments, "run", recording_run)
+    cmd_convergence(conv_spec(tmp_path), levels=(16, 32, 64),
+                    out=str(tmp_path / "out"))
+    assert sizes == [16, 128, 32, 64]
 
 
 def test_convergence_needs_three_levels(tmp_path):

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvflow.errors import DomainError, ReferenceInvalidError, StepRejected
-from mvflow.pressure import PowerLawH, PressureLaw, build_bump_q
+import mvflow.solver
+from mvflow.errors import (DomainError, ReferenceInvalidError, SolverFailure,
+                           StepRejected)
+from mvflow.pressure import PowerLawH, PressureLaw, TabulatedH, build_bump_q
 from mvflow.solver import (
     FluidState,
     Grid1D,
@@ -13,12 +15,15 @@ from mvflow.solver import (
     admissible_dt,
     constant_init,
     dissipation_increment,
+    energy_scale,
     gradient_1d,
     init_from_arrays,
     make_reference,
     perturb_density,
     pulse_flow_init,
+    reference_from_run,
     run,
+    run_stack,
     smooth_pulse_init,
     step,
     total_energy,
@@ -186,6 +191,11 @@ def test_oversized_step_rejected():
     with pytest.raises(StepRejected) as exc:
         step(state, cfg, grid, 2.0 * dt_max)
     assert exc.value.dt_max == pytest.approx(dt_max)
+    # a bound the caller already holds is checked the same way
+    with pytest.raises(StepRejected):
+        step(state, cfg, grid, 2.0 * dt_max, dt_max=dt_max)
+    held = step(state, cfg, grid, 0.5 * dt_max, dt_max=dt_max)
+    assert np.array_equal(held.m, step(state, cfg, grid, 0.5 * dt_max).m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -393,3 +403,246 @@ def test_gradient_exact_for_linear():
     u = 3.0 * x + 1.0
     g = gradient_1d(u, dx)
     assert np.allclose(g, 3.0, atol=1e-13)
+
+
+def test_gradient_rows_match_single_rows():
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=(3, 10))
+    g = gradient_1d(u, 0.1)
+    for k in range(3):
+        assert np.array_equal(g[k], gradient_1d(u[k], 0.1))
+
+
+# -- stacked runs -------------------------------------------------------------------
+
+def tabulated_law():
+    rho = np.linspace(0.0, 4.0, 9)
+    return PressureLaw(h_part=TabulatedH(rho_samples=tuple(rho),
+                                         h_samples=tuple(rho**2 + 0.1 * rho)))
+
+
+def _scalar_run_oracle(cfg, init_state, grid):
+    """One state at a time: the controller as a plain Python loop over floats.
+
+    Same halving retry, 1.5 dt_prev growth cap, clipping to the sample time
+    and snap to it as run_stack, without the wall-clock budget.
+    """
+    times = np.linspace(0.0, cfg.T, cfg.n_samples)
+    state = FluidState(rho=init_state.rho.copy(), m=init_state.m.copy(), t=0.0)
+    rho_out, u_out = [state.rho], [velocity(state, cfg.rho_floor)]
+    energy, cum_dis = [total_energy(state, cfg, grid)], [0.0]
+    slack_budget = cfg.step_slack_tol * energy_scale(state, cfg, grid)
+    dt_floor = 1e-12 * cfg.T
+    e_prev, dis_acc, min_slack = energy[0], 0.0, np.inf
+    n_steps = n_trials = 0
+    dt_prev = None
+    for t_target in times[1:]:
+        while state.t < t_target - 1e-12 * cfg.T:
+            cand = admissible_dt(state, cfg, grid)
+            if dt_prev is not None:
+                cand = min(cand, 1.5 * dt_prev)
+            dt = min(cand, t_target - state.t)
+            clipped = dt < cand
+            halved = False
+            while True:
+                trial = step(state, cfg, grid, dt)
+                n_trials += 1
+                dI = dissipation_increment(trial, cfg, grid, dt)
+                e_new = total_energy(trial, cfg, grid)
+                slack = e_prev - e_new - dI
+                if slack >= -slack_budget:
+                    break
+                assert dt > dt_floor
+                dt = max(0.5 * dt, dt_floor)
+                halved = True
+            state = trial
+            if halved or not clipped:
+                dt_prev = dt
+            if abs(state.t - t_target) < 1e-12 * cfg.T:
+                state = FluidState(rho=state.rho, m=state.m, t=t_target)
+            min_slack = min(min_slack, slack)
+            dis_acc += dI
+            e_prev = e_new
+            n_steps += 1
+        rho_out.append(state.rho)
+        u_out.append(velocity(state, cfg.rho_floor))
+        energy.append(e_prev)
+        cum_dis.append(dis_acc)
+    return (np.array(rho_out), np.array(u_out), np.array(energy),
+            np.array(cum_dis), float(min_slack) if n_steps else 0.0, n_steps,
+            n_trials)
+
+
+def _assert_same_run(a, b):
+    for name in ("times", "rho", "u", "energy", "cum_dissipation"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.min_step_slack == b.min_step_slack
+    assert (a.n_steps, a.n_trials, a.complete) == (b.n_steps, b.n_trials, b.complete)
+
+
+_LAWS = {"power": gamma2_law, "bump": bump_law, "tabulated": tabulated_law}
+
+
+@settings(max_examples=20, deadline=None)
+@given(law=st.sampled_from(sorted(_LAWS)), K=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_rows_equal_single_runs(law, K, seed):
+    # noisy members take different step counts between sample times, so the
+    # rows run out of step and reach each sample time at different trials
+    grid = Grid1D(n=24, length=1.0)
+    cfg = SolverConfig(law=_LAWS[law](), lam=0.1, T=0.02, n_samples=4)
+    rng = np.random.default_rng(seed)
+    base = pulse_flow_init(1.0, base=1.1, u_amp=0.3)
+    states = [perturb_density(base, 1.0, 0.2, rng).sample(grid) for _ in range(K)]
+    stacked = run_stack(cfg, states, grid)
+    assert len(stacked) == K
+    for state, row in zip(states, stacked):
+        single = run(cfg, state, grid)
+        _assert_same_run(row, single)
+        rho, u, energy, cum_dis, min_slack, n_steps, n_trials = \
+            _scalar_run_oracle(cfg, state, grid)
+        assert np.array_equal(single.rho, rho)
+        assert np.array_equal(single.u, u)
+        assert np.array_equal(single.energy, energy)
+        assert np.array_equal(single.cum_dissipation, cum_dis)
+        assert (single.min_step_slack, single.n_steps, single.n_trials) == \
+            (min_slack, n_steps, n_trials)
+
+
+def test_stacked_rows_step_apart_between_samples():
+    # a fixed case where the rows' step counts differ and some trials are
+    # rejected, so the stack runs rows out of phase and through retries
+    grid = Grid1D(n=32, length=1.0)
+    cfg = SolverConfig(law=bump_law(), lam=0.1, T=0.03, n_samples=4)
+    rng = np.random.default_rng(11)
+    base = pulse_flow_init(1.0, base=1.1, u_amp=0.3)
+    states = [perturb_density(base, 1.0, eps, rng).sample(grid)
+              for eps in (0.0, 0.1, 0.3)]
+    rows = run_stack(cfg, states, grid)
+    assert len({r.n_steps for r in rows}) == 3
+    assert any(r.n_trials > r.n_steps for r in rows)
+    for state, row in zip(states, rows):
+        _assert_same_run(row, run(cfg, state, grid))
+
+
+def test_stacked_step_equals_row_steps():
+    grid = Grid1D(n=40, length=1.0)
+    cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(0.5, 2.0, size=(3, 40))
+    m = rho * rng.uniform(-0.5, 0.5, size=(3, 40))
+    stacked = FluidState(rho=rho, m=m, t=np.zeros(3))
+    dt = 0.7 * admissible_dt(stacked, cfg, grid) * np.array([1.0, 0.5, 0.25])
+    out = step(stacked, cfg, grid, dt)
+    for k in range(3):
+        one = step(FluidState(rho=rho[k], m=m[k]), cfg, grid, float(dt[k]))
+        assert np.array_equal(out.rho[k], one.rho)
+        assert np.array_equal(out.m[k], one.m)
+        assert out.t[k] == one.t
+
+
+def test_n_trials_counts_every_step_call(monkeypatch):
+    grid = Grid1D(n=32, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.05, n_samples=4)
+    calls = []
+    real_step = mvflow.solver.step
+
+    def counting_step(state, *args, **kwargs):
+        calls.append(state.rho.shape[0])
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(mvflow.solver, "step", counting_step)
+    traj = run(cfg, pulse_flow_init(1.0).sample(grid), grid)
+    assert traj.n_trials == len(calls)
+    assert traj.n_trials > traj.n_steps > 0
+
+
+def test_run_stack_rejects_mismatched_grid():
+    state = smooth_pulse_init(1.0).sample(Grid1D(n=16))
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.01, n_samples=2)
+    with pytest.raises(DomainError):
+        run_stack(cfg, [state], Grid1D(n=32))
+    with pytest.raises(DomainError):
+        run_stack(cfg, [], Grid1D(n=16))
+
+
+# -- non-finite states ----------------------------------------------------------------
+
+def test_nan_initial_momentum_names_the_cell():
+    grid = Grid1D(n=16, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.01, n_samples=2)
+    good = smooth_pulse_init(1.0).sample(grid)
+    bad_m = good.m.copy()
+    bad_m[7] = np.nan
+    bad = FluidState(rho=good.rho, m=bad_m)
+    with pytest.raises(SolverFailure, match=r"non-finite initial momentum at row 0, cell 7"):
+        run(cfg, bad, grid)
+    with pytest.raises(SolverFailure, match=r"row 2, cell 7"):
+        run_stack(cfg, [good, good, bad], grid)
+
+
+def test_step_names_the_first_non_finite_cell():
+    # a NaN momentum in cell 5 of row 1 spoils the mass fluxes on both faces
+    # of that cell, so the density goes non-finite from cell 4 on
+    grid = Grid1D(n=12, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=1.0)
+    rho = np.ones((2, 12))
+    m = np.full((2, 12), 0.1)
+    m[1, 5] = np.nan
+    state = FluidState(rho=rho, m=m, t=np.zeros(2))
+    with pytest.raises(SolverFailure, match=r"non-finite density at row 1, cell 4"):
+        step(state, cfg, grid, np.array([1e-3, 1e-3]))
+    with pytest.raises(SolverFailure, match=r"row 7, cell 4"):
+        step(state, cfg, grid, np.array([1e-3, 1e-3]), rows=np.array([3, 7]))
+
+
+def test_nan_momentum_on_a_vacuum_cell_names_the_momentum_cell():
+    # the velocity there is taken as zero, so the density stays finite and
+    # the NaN surfaces only in the momentum update
+    grid = Grid1D(n=8, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=1.0)
+    rho = np.ones(8)
+    rho[3] = 0.0
+    m = np.zeros(8)
+    m[3] = np.nan
+    with pytest.raises(SolverFailure, match=r"non-finite momentum at row 0, cell 3"):
+        step(FluidState(rho=rho, m=m), cfg, grid, 1e-3)
+
+
+# -- reference from a finished run -------------------------------------------------------
+
+def _assert_same_reference(a, b):
+    for name in ("times", "x", "r", "U", "dr_dx", "dU_dx", "dU_dt", "d2U_dx2"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.dx, a.norms, a.refinement, a.min_r) == \
+        (b.dx, b.norms, b.refinement, b.min_r)
+
+
+def test_shared_fine_run_equals_per_level_references():
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.02, n_samples=5)
+    init = pulse_flow_init(1.0, u_amp=0.3)
+    fine = Grid1D(n=128, length=1.0)
+    fine_run = run(cfg, init.sample(fine), fine)
+    for n in (16, 32, 64):
+        grid = Grid1D(n=n, length=1.0)
+        _assert_same_reference(reference_from_run(fine_run, grid),
+                               make_reference(cfg, init, grid, factor=128 // n))
+
+
+def test_reference_from_run_rejects_a_grid_it_does_not_refine():
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.01, n_samples=2)
+    coarse = Grid1D(n=24, length=1.0)
+    traj = run(cfg, smooth_pulse_init(1.0).sample(coarse), coarse)
+    for grid in (Grid1D(n=16, length=1.0), Grid1D(n=48, length=1.0),
+                 Grid1D(n=12, length=2.0)):
+        with pytest.raises(DomainError):
+            reference_from_run(traj, grid)
+
+
+def test_reference_from_incomplete_run_rejected():
+    grid = Grid1D(n=16, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.05, n_samples=4,
+                       max_wall_s=0.0)
+    traj = run(cfg, smooth_pulse_init(1.0).sample(grid), grid)
+    with pytest.raises(ReferenceInvalidError):
+        reference_from_run(traj, grid)
