@@ -334,8 +334,9 @@ def _build_ensemble(spec: ExperimentSpec
 
     Members sharing the spec's solver config advance as one stack, with the
     base state as one more row when a weak-strong check asks for a ref.factor
-    = 1 reference.  delta-sequence members differ in config and run one by
-    one.
+    = 1 reference.  With ensemble.mode = none every member is the base state,
+    so one run serves all of them and the reference.  delta-sequence members
+    differ in config and run one by one.
     """
     grid = Grid1D(n=spec.grid_n, length=spec.length)
     base = _initial_data(spec)
@@ -344,11 +345,14 @@ def _build_ensemble(spec: ExperimentSpec
                    for d in spec.deltas]
         return grid, base, members, None
 
+    base_row = spec.ref_factor == 1 and _weak_strong_requested(spec)
+    if spec.mode == "none":
+        traj = run(_solver_config(spec), base.sample(grid), grid)
+        return grid, base, [traj] * spec.members, traj if base_row else None
+
     rng = np.random.default_rng(spec.seed)
     inits = [perturb_density(base, spec.length, spec.eps, rng)
-             if spec.mode == "density-noise" else base
              for _ in range(spec.members)]
-    base_row = spec.ref_factor == 1 and _weak_strong_requested(spec)
     if base_row:
         inits.append(base)
     members = run_stack(_solver_config(spec), [ini.sample(grid) for ini in inits],

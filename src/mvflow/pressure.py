@@ -52,6 +52,7 @@ class CompactBump:
     amp: float
     # degree 0..4 coefficients of q(z) in powers of z, built once
     _coef: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _phi_one: float = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not (self.q1 > 0.0 and self.q2 > self.q1):
@@ -61,40 +62,37 @@ class CompactBump:
         # q(z) = 16 amp / w^4 * [(z - q1)(q2 - z)]^2, expanded in powers of z
         p2 = np.polynomial.Polynomial([-self.q1 * self.q2, self.q1 + self.q2, -1.0])
         object.__setattr__(self, "_coef", (16.0 * self.amp / self.width**4) * (p2 * p2).coef)
+        # the antiderivative at the lower limit 1, clipped to the support, on
+        # an array as the calls evaluate it
+        one = np.minimum(np.maximum(np.ones(1), self.q1), self.q2)
+        object.__setattr__(self, "_phi_one", self._phi(one)[0])
 
     @property
     def width(self) -> float:
         return self.q2 - self.q1
 
+    # Outside the support t leaves [0, 1]; np.where then discards what the
+    # profile gives there, so t needs no clipping.
     def value(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
-        t = (rho - self.q1) / self.width
-        inside = (t >= 0.0) & (t <= 1.0)
-        t = np.clip(t, 0.0, 1.0)
+        t = (_as_array(rho) - self.q1) / self.width
         out = self.amp * 16.0 * t * t * (1.0 - t) * (1.0 - t)
-        return np.where(inside, out, 0.0)
+        return np.where((t >= 0.0) & (t <= 1.0), out, 0.0)
 
     def slope(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
-        t = (rho - self.q1) / self.width
-        inside = (t >= 0.0) & (t <= 1.0)
-        t = np.clip(t, 0.0, 1.0)
+        t = (_as_array(rho) - self.q1) / self.width
         dpsi = 32.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-        return np.where(inside, self.amp * dpsi / self.width, 0.0)
+        return np.where((t >= 0.0) & (t <= 1.0), self.amp * dpsi / self.width, 0.0)
+
+    def _phi(self, z: np.ndarray) -> np.ndarray:
+        """The antiderivative of q(z)/z^2 on the support."""
+        d = self._coef
+        return (-d[0] / z + d[1] * np.log(z) + d[2] * z
+                + d[3] * z * z / 2.0 + d[4] * z**3 / 3.0)
 
     def integral_over_z2(self, rho) -> np.ndarray:
         """Exact antiderivative evaluation of int_1^rho q(z)/z^2 dz."""
-        d = self._coef
-
-        def phi(z):
-            # antiderivative of q(z)/z^2 on the support
-            return (-d[0] / z + d[1] * np.log(z) + d[2] * z
-                    + d[3] * z * z / 2.0 + d[4] * z**3 / 3.0)
-
-        rho = _as_array(rho)
-        hi = np.clip(rho, self.q1, self.q2)
-        lo = np.clip(np.ones_like(rho), self.q1, self.q2)
-        return phi(hi) - phi(lo)
+        hi = np.minimum(np.maximum(_as_array(rho), self.q1), self.q2)
+        return self._phi(hi) - self._phi_one
 
 
 @dataclass(frozen=True)
@@ -337,11 +335,16 @@ class PressureLaw:
             return np.zeros_like(_as_array(rho))
         return self.bump.slope(rho)
 
+    # p, dp and P skip adding the zero bump of a bump-free law
     def p(self, rho):
-        return self.h(rho) + self.q(rho)
+        if self.bump is None:
+            return self.h(rho)
+        return self.h(rho) + self.bump.value(rho)
 
     def dp(self, rho):
-        return self.dh(rho) + self.dq(rho)
+        if self.bump is None:
+            return self.dh(rho)
+        return self.dh(rho) + self.bump.slope(rho)
 
     # -- potential ----------------------------------------------------------
     def H(self, rho):
@@ -369,6 +372,8 @@ class PressureLaw:
         return self.bump.integral_over_z2(rho) + tail
 
     def P(self, rho):
+        if self.bump is None:
+            return self.H(rho)
         return self.H(rho) + self.Q(rho)
 
     def dP(self, rho):

@@ -23,12 +23,18 @@ block-diagonal tridiagonal solve, and run_stack drives all rows through one
 loop, with run as its one-row case.  Each row of a stacked run equals the
 run of that state alone, bit for bit.  A non-finite density or momentum
 stops a run with a SolverFailure naming its row and cell.
+
+A step splits in two: step_start holds what depends on the state alone
+(fluxes, pressure differences, the CFL bound), and step does per trial dt
+only the rest.  run_stack takes a row's step_start once per step and reuses
+it when the energy budget rejects a trial and the halved dt is retried.
 """
 from __future__ import annotations
 
+import math
 import time as _time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -116,9 +122,15 @@ class FluidState:
             raise DomainError("rho and m must be matching 1D or (K, n) arrays")
 
 
+def _vacuum(rho: np.ndarray, rho_floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of cells above the vacuum floor, and the floored density."""
+    return rho > rho_floor, np.maximum(rho, rho_floor)
+
+
 def velocity(state: FluidState, rho_floor: float) -> np.ndarray:
     """u = m / rho with u = 0 on near-vacuum cells."""
-    return np.where(state.rho > rho_floor, state.m / np.maximum(state.rho, rho_floor), 0.0)
+    solid, rho_f = _vacuum(state.rho, rho_floor)
+    return np.where(solid, state.m / rho_f, 0.0)
 
 
 def gradient_1d(u: np.ndarray, dx: float) -> np.ndarray:
@@ -161,66 +173,76 @@ def _first_cell(mask: np.ndarray, rows=None) -> str:
 
 
 def _require_finite(what: str, arr: np.ndarray, rows=None) -> None:
-    if not np.isfinite(arr).all():
+    # a finite sum implies finite entries; an overflowing one is looked into
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise SolverFailure(f"non-finite {what} at {_first_cell(~np.isfinite(arr), rows)}")
 
 
-def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D):
-    """The CFL bound: a float, or a (K,) array for a stacked state."""
-    u = velocity(state, cfg.rho_floor)
+def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D, u=None):
+    """The CFL bound: a float, or a (K,) array for a stacked state.
+
+    u is velocity(state, cfg.rho_floor) when the caller already holds it.
+    """
+    if u is None:
+        u = velocity(state, cfg.rho_floor)
     c = sound_speed(cfg, grid, state.rho)
     return _per_row(cfg.cfl * grid.dx / (np.abs(u) + c).max(axis=-1))
 
 
-def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
-         rows=None, dt_max=None) -> FluidState:
-    """One explicit-transport / implicit-viscosity step of size dt.
+@dataclass(frozen=True)
+class StepStart:
+    """The part of a step that depends on the state alone, not on dt.
 
-    A stacked state takes a (K,) dt and advances row k by dt[k]; rows names
-    the members in error messages (default: the row numbers).  dt_max is
-    admissible_dt(state, cfg, grid) when the caller already holds it.
+    Face arrays hold the n + 1 faces, cell arrays the n cells, along the
+    last axis.  A stacked state has a (K,) dt_max and (K, ...) arrays.
     """
-    if dt_max is None:
-        dt_max = admissible_dt(state, cfg, grid)
-    over = dt > dt_max * (1.0 + 1e-12)
-    if np.any(over):
-        i = int(np.argmax(over))
-        dt_b, dt_max_b = np.broadcast_arrays(dt, dt_max)
-        raise StepRejected(float(dt_b.flat[i]), float(dt_max_b.flat[i]))
 
-    dx, n = grid.dx, grid.n
-    rho, m = state.rho, state.m
-    dtc = np.asarray(dt, dtype=float)[..., None]  # per-row dt as a column
-    u = velocity(state, cfg.rho_floor)
-    faces = rho.shape[:-1] + (n + 1,)
+    dt_max: float | np.ndarray  # the CFL bound admissible_dt
+    F: np.ndarray               # donor-cell mass flux on the faces, unlimited
+    donor_u: np.ndarray         # donor velocity on the interior faces
+    outflow: np.ndarray         # a cell's outgoing mass flux
+    rho_dx: np.ndarray          # a cell's mass
+    dF: np.ndarray              # F[i + 1/2] - F[i - 1/2]
+    dG: np.ndarray              # the same for the convective momentum flux
+    dPi: np.ndarray             # the same for the central total pressure
+
+    def take(self, rows) -> StepStart:
+        """The rows of a stacked state's start."""
+        return StepStart(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def put(self, rows, part: StepStart) -> None:
+        """Overwrite the rows of a stacked state's start with part's."""
+        for f in fields(self):
+            getattr(self, f.name)[rows] = getattr(part, f.name)
+
+
+def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D,
+               dt_max=None, u=None) -> StepStart:
+    """The state-only half of step, shared by every trial dt from state.
+
+    dt_max and u are the CFL bound and velocity(state, cfg.rho_floor) when
+    the caller already holds them.
+    """
+    rho = state.rho
+    if u is None:
+        u = velocity(state, cfg.rho_floor)
+    if dt_max is None:
+        dt_max = admissible_dt(state, cfg, grid, u=u)
+    faces = rho.shape[:-1] + (grid.n + 1,)
 
     # interior face velocities; wall faces carry u = 0 (no-slip)
-    u_face = np.zeros(faces)
-    u_face[..., 1:-1] = 0.5 * (u[..., :-1] + u[..., 1:])
+    u_face = 0.5 * (u[..., :-1] + u[..., 1:])
 
-    # donor-cell mass flux
-    donor_hi = u_face[..., 1:-1] > 0.0
+    # donor-cell mass flux, and the outflow the positivity limiter caps
+    donor_hi = u_face > 0.0
     F = np.zeros(faces)
-    F[..., 1:-1] = np.where(donor_hi, rho[..., :-1], rho[..., 1:]) * u_face[..., 1:-1]
-
-    # positivity limiter: scale each cell's outgoing fluxes so the update
-    # cannot overdraw the cell; inactive for CFL-compliant smooth runs
+    F[..., 1:-1] = np.where(donor_hi, rho[..., :-1], rho[..., 1:]) * u_face
     outflow = np.maximum(F[..., 1:], 0.0) - np.minimum(F[..., :-1], 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(outflow > 0.0, np.minimum(1.0, rho * dx / (dtc * outflow)), 1.0)
-    F[..., 1:-1] *= np.where(F[..., 1:-1] > 0.0, theta[..., :-1], theta[..., 1:])
 
-    rho_new = rho - dtc / dx * (F[..., 1:] - F[..., :-1])
-    _require_finite("density", rho_new, rows)
-    negative = rho_new < -1e-13 * np.maximum(1.0, rho.max(axis=-1, keepdims=True))
-    if negative.any():
-        raise SolverFailure(f"negative density {float(np.min(rho_new)):.3e} after "
-                            f"limiting at {_first_cell(negative, rows)}")
-    rho_new = np.maximum(rho_new, 0.0)
-
-    # convective momentum flux rides the (limited) mass flux with donor velocity
+    # convective momentum flux rides the mass flux with donor velocity
+    donor_u = np.where(donor_hi, u[..., :-1], u[..., 1:])
     G = np.zeros(faces)
-    G[..., 1:-1] = F[..., 1:-1] * np.where(donor_hi, u[..., :-1], u[..., 1:])
+    G[..., 1:-1] = F[..., 1:-1] * donor_u
 
     # central total pressure at faces; zero-gradient ghosts at the walls
     pi = total_pressure(cfg, rho)
@@ -229,8 +251,68 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     pi_face[..., 0] = pi[..., 0]
     pi_face[..., -1] = pi[..., -1]
 
-    m_star = (m - dtc / dx * (G[..., 1:] - G[..., :-1])
-              - dtc / dx * (pi_face[..., 1:] - pi_face[..., :-1]))
+    return StepStart(dt_max=dt_max, F=F, donor_u=donor_u, outflow=outflow,
+                     rho_dx=rho * grid.dx, dF=F[..., 1:] - F[..., :-1],
+                     dG=G[..., 1:] - G[..., :-1],
+                     dPi=pi_face[..., 1:] - pi_face[..., :-1])
+
+
+def _limited_fluxes(start: StepStart, dtc: np.ndarray):
+    """dF and dG after the positivity limiter, which scales each cell's
+    outgoing fluxes so the update cannot overdraw the cell."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(start.outflow > 0.0,
+                         np.minimum(1.0, start.rho_dx / (dtc * start.outflow)), 1.0)
+    F = start.F.copy()
+    F[..., 1:-1] *= np.where(F[..., 1:-1] > 0.0, theta[..., :-1], theta[..., 1:])
+    G = np.zeros(F.shape)
+    G[..., 1:-1] = F[..., 1:-1] * start.donor_u
+    return F[..., 1:] - F[..., :-1], G[..., 1:] - G[..., :-1]
+
+
+def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
+         rows=None, dt_max=None) -> FluidState:
+    """One explicit-transport / implicit-viscosity step of size dt.
+
+    A stacked state takes a (K,) dt and advances row k by dt[k]; rows names
+    the members in error messages (default: the row numbers).  dt_max is
+    what the caller already holds of the state: its CFL bound
+    admissible_dt(state, cfg, grid), or the whole step_start(state, cfg,
+    grid), which carries that bound.  A trial then does only the work that
+    depends on dt.
+    """
+    start = dt_max if isinstance(dt_max, StepStart) else \
+        step_start(state, cfg, grid, dt_max=dt_max)
+    over = np.greater(dt, start.dt_max * (1.0 + 1e-12))
+    if over.any():
+        i = int(np.argmax(over))
+        dt_b, dt_max_b = np.broadcast_arrays(dt, start.dt_max)
+        raise StepRejected(float(dt_b.flat[i]), float(dt_max_b.flat[i]))
+
+    dx = grid.dx
+    rho, m = state.rho, state.m
+    dtc = np.asarray(dt, dtype=float)[..., None]  # per-row dt as a column
+    dt_dx = dtc / dx
+
+    # the limiter leaves every flux as it is (theta = 1) unless a cell's
+    # outflow over dt exceeds its mass; at a CFL-compliant dt it does not
+    if (dtc * start.outflow <= start.rho_dx).all():
+        dF, dG = start.dF, start.dG
+    else:
+        dF, dG = _limited_fluxes(start, dtc)
+
+    rho_new = rho - dt_dx * dF
+    _require_finite("density", rho_new, rows)
+    lowest = rho_new.min()
+    if lowest < 0.0:
+        negative = rho_new < -1e-13 * np.maximum(1.0, rho.max(axis=-1, keepdims=True))
+        if negative.any():
+            raise SolverFailure(f"negative density {float(lowest):.3e} after "
+                                f"limiting at {_first_cell(negative, rows)}")
+    if not lowest > 0.0:
+        rho_new = np.maximum(rho_new, 0.0)
+
+    m_star = m - dt_dx * dG - dt_dx * start.dPi
     _require_finite("momentum", m_star, rows)
 
     # implicit viscosity: (rho_new - lam dt Dxx) u_new = m_star with mirrored
@@ -241,8 +323,7 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     # first are zero.
     kappa = cfg.lam * dtc / dx**2
     diag = rho_new + 2.0 * kappa
-    diag[..., 0] += kappa[..., 0]
-    diag[..., -1] += kappa[..., 0]
+    diag[..., ::grid.n - 1] += kappa  # the first and last cell of each row
     off = np.empty(rho.shape)
     off[...] = -kappa
     off[..., -1] = 0.0
@@ -256,19 +337,27 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     return FluidState(rho=rho_new, m=rho_new * u_new, t=state.t + dt)
 
 
+def _energy(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray, m: np.ndarray,
+            solid: np.ndarray, rho_f: np.ndarray):
+    kin = np.where(solid, 0.5 * m**2 / rho_f, 0.0)
+    e = kin + cfg.law.P(rho)
+    if cfg.delta > 0.0:
+        e = e + cfg.delta * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0)
+    return _per_row(e.sum(axis=-1) * grid.dx)
+
+
 def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     """sum dx (m^2/(2 rho) + P(rho) + delta rho^Gamma / (Gamma - 1)).
 
     Kinetic energy of near-vacuum cells is taken as zero.  A stacked state
     gets one energy per row.
     """
-    rho = state.rho
-    kin = np.where(rho > cfg.rho_floor,
-                   0.5 * state.m**2 / np.maximum(rho, cfg.rho_floor), 0.0)
-    e = kin + cfg.law.P(rho)
-    if cfg.delta > 0.0:
-        e = e + cfg.delta * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0)
-    return _per_row(e.sum(axis=-1) * grid.dx)
+    return _energy(cfg, grid, state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor))
+
+
+def _dissipation(cfg: SolverConfig, grid: Grid1D, u: np.ndarray, dt):
+    g = gradient_1d(u, grid.dx)
+    return _per_row(dt * cfg.lam * (g * g).sum(axis=-1) * grid.dx)
 
 
 def dissipation_increment(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
@@ -276,8 +365,16 @@ def dissipation_increment(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt
 
     A stacked state takes a (K,) dt and gets one increment per row.
     """
-    g = gradient_1d(velocity(state, cfg.rho_floor), grid.dx)
-    return _per_row(dt * cfg.lam * (g * g).sum(axis=-1) * grid.dx)
+    return _dissipation(cfg, grid, velocity(state, cfg.rho_floor), dt)
+
+
+def _budget_terms(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
+    """velocity, total_energy and dissipation_increment of a trial state,
+    sharing its vacuum mask and floored density."""
+    solid, rho_f = _vacuum(state.rho, cfg.rho_floor)
+    u = np.where(solid, state.m / rho_f, 0.0)
+    return (u, _energy(cfg, grid, state.rho, state.m, solid, rho_f),
+            _dissipation(cfg, grid, u, dt))
 
 
 @dataclass(frozen=True)
@@ -330,7 +427,6 @@ class _RowControl:
     t: float = 0.0
     k: int = 1                   # index of the next sample time
     dt: float = 0.0              # current trial dt
-    dt_cfl: float = 0.0          # CFL bound of the current state
     dt_prev: float | None = None
     clipped: bool = False        # dt was cut to reach the sample time
     halved: bool = False         # dt was halved after a rejected trial
@@ -358,6 +454,10 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
     sample when it reaches that time.  The controller runs row by row on
     Python floats, so row k of the result is bit for bit the trajectory a
     one-row stack of states[k] gives.
+
+    A row's step_start is taken once when it starts a step and reused by its
+    retries, and each state's velocity once: the accepted trial's carries
+    into the next step_start and into the recorded sample.
     """
     times = np.linspace(0.0, cfg.T, cfg.n_samples)
     nt, n = times.size, grid.n
@@ -374,8 +474,9 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
     cum_dis = np.empty((K, nt))
 
     state = FluidState(rho=rho, m=m, t=np.zeros(K))
+    u = velocity(state, cfg.rho_floor)
     rho_out[:, 0] = rho
-    u_out[:, 0] = velocity(state, cfg.rho_floor)
+    u_out[:, 0] = u
     energy[:, 0] = total_energy(state, cfg, grid)
     cum_dis[:, 0] = 0.0
 
@@ -384,6 +485,7 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
     t_sample = times.tolist()
     ctl = [_RowControl(e_prev=e) for e in energy[:, 0].tolist()]
     live = list(range(K))  # rows with samples left to record
+    start = None  # the step_start of every row's current state
     started = _time.monotonic()
     complete = True
 
@@ -393,7 +495,7 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
             for r in arrived:
                 c = ctl[r]
                 rho_out[r, c.k] = rho[r]
-                u_out[r, c.k] = velocity(FluidState(rho=rho[r], m=m[r]), cfg.rho_floor)
+                u_out[r, c.k] = u[r]
                 energy[r, c.k] = c.e_prev
                 cum_dis[r, c.k] = c.dis_acc
                 c.k += 1
@@ -411,24 +513,26 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
                     _time.monotonic() - started > cfg.max_wall_s:
                 complete = False
                 break
-            fstate = cur if len(fresh) == len(live) else \
-                FluidState(rho=rho[fresh], m=m[fresh])
-            for r, cand in zip(fresh, admissible_dt(fstate, cfg, grid).tolist()):
+            if len(fresh) == K:
+                start = part = step_start(state, cfg, grid, u=u)
+            else:
+                part = step_start(FluidState(rho=rho[fresh], m=m[fresh]), cfg,
+                                  grid, u=u[fresh])
+                start.put(fresh, part)
+            for r, cand in zip(fresh, part.dt_max.tolist()):
                 c = ctl[r]
-                c.dt_cfl = cand
                 if c.dt_prev is not None:
                     cand = min(cand, 1.5 * c.dt_prev)
                 c.dt = min(cand, t_sample[c.k] - c.t)
                 c.clipped = c.dt < cand
                 c.halved = False
 
-        # a rejected row retries from the state its bound was computed for
+        # a rejected row retries from the state its step_start was taken for
         d = np.array([ctl[r].dt for r in live])
         trial = step(cur, cfg, grid, d, rows=live,
-                     dt_max=np.array([ctl[r].dt_cfl for r in live]))
-        dI = dissipation_increment(trial, cfg, grid, d).tolist()
-        e_new = total_energy(trial, cfg, grid).tolist()
-        t_new = trial.t.tolist()
+                     dt_max=start if len(live) == K else start.take(live))
+        u_trial, e_new, dI = _budget_terms(trial, cfg, grid, d)
+        e_new, dI, t_new = e_new.tolist(), dI.tolist(), trial.t.tolist()
 
         accepted = []
         for j, r in enumerate(live):
@@ -453,10 +557,11 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
             c.n_steps += 1
             c.retry = False
         if len(accepted) == len(live):
-            rho[sel], m[sel] = trial.rho, trial.m
+            rho[sel], m[sel], u[sel] = trial.rho, trial.m, u_trial
         elif accepted:
             rows = [live[j] for j in accepted]
-            rho[rows], m[rows] = trial.rho[accepted], trial.m[accepted]
+            rho[rows], m[rows], u[rows] = \
+                trial.rho[accepted], trial.m[accepted], u_trial[accepted]
 
     out = []
     for r, c in enumerate(ctl):

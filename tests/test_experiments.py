@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mvflow.experiments
+import mvflow.solver
 from mvflow.configio import format_kv, read_csv, read_spec
 from mvflow.errors import SpecParseError
 from mvflow.experiments import (CHECK_NAMES, _build_ensemble, _solver_config,
@@ -236,6 +237,27 @@ def test_base_row_only_when_a_factor_one_reference_is_needed():
     assert _build_ensemble(_small_weak_strong())[3] is not None
     assert _build_ensemble(_small_weak_strong(**{"ref.factor": "2"}))[3] is None
     assert _build_ensemble(_small_weak_strong(checks="energy,lemmas"))[3] is None
+
+
+def test_none_mode_runs_one_row_for_every_member(monkeypatch):
+    # every member and the factor-1 reference start from the base state
+    spec = _small_weak_strong(**{"ensemble.mode": "none", "ensemble.k": "3"})
+    rows = []
+    real_run_stack = mvflow.solver.run_stack
+
+    def counting_run_stack(cfg, states, grid):
+        rows.append(len(states))
+        return real_run_stack(cfg, states, grid)
+
+    monkeypatch.setattr(mvflow.solver, "run_stack", counting_run_stack)
+    monkeypatch.setattr(mvflow.experiments, "run_stack", counting_run_stack)
+    grid, base, members, base_run = _build_ensemble(spec)
+    assert rows == [1]
+    assert len(members) == 3
+    assert all(traj is base_run for traj in members)
+    single = run(_solver_config(spec), base.sample(grid), grid)
+    for name in ("rho", "u", "energy", "cum_dissipation"):
+        assert np.array_equal(getattr(base_run, name), getattr(single, name))
 
 
 def test_factor_one_reference_runs_no_extra_solve(tmp_path, monkeypatch):

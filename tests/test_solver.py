@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dgtsv
 
 import mvflow.solver
 from mvflow.errors import (DomainError, ReferenceInvalidError, SolverFailure,
@@ -26,7 +27,9 @@ from mvflow.solver import (
     run_stack,
     smooth_pulse_init,
     step,
+    step_start,
     total_energy,
+    total_pressure,
     velocity,
 )
 
@@ -646,3 +649,235 @@ def test_reference_from_incomplete_run_rejected():
     traj = run(cfg, smooth_pulse_init(1.0).sample(grid), grid)
     with pytest.raises(ReferenceInvalidError):
         reference_from_run(traj, grid)
+
+
+# -- the step before its split, as an oracle ------------------------------------------
+
+# The body of step and of its two error helpers before step was split into
+# step_start and the dt-dependent trial, copied unchanged apart from the names.
+
+def _reference_first_cell(mask: np.ndarray, rows=None) -> str:
+    """Where the first True entry of a (n,) or (K, n) mask sits.
+
+    rows maps the rows of a stacked mask to the row numbers reported.
+    """
+    r, c = np.argwhere(np.atleast_2d(mask))[0]
+    return f"row {r if rows is None else rows[r]}, cell {c}"
+
+
+def _reference_require_finite(what: str, arr: np.ndarray, rows=None) -> None:
+    if not np.isfinite(arr).all():
+        raise SolverFailure(f"non-finite {what} at {_reference_first_cell(~np.isfinite(arr), rows)}")
+
+
+def _reference_step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
+                    rows=None, dt_max=None) -> FluidState:
+    """One explicit-transport / implicit-viscosity step of size dt.
+
+    A stacked state takes a (K,) dt and advances row k by dt[k]; rows names
+    the members in error messages (default: the row numbers).  dt_max is
+    admissible_dt(state, cfg, grid) when the caller already holds it.
+    """
+    if dt_max is None:
+        dt_max = admissible_dt(state, cfg, grid)
+    over = dt > dt_max * (1.0 + 1e-12)
+    if np.any(over):
+        i = int(np.argmax(over))
+        dt_b, dt_max_b = np.broadcast_arrays(dt, dt_max)
+        raise StepRejected(float(dt_b.flat[i]), float(dt_max_b.flat[i]))
+
+    dx, n = grid.dx, grid.n
+    rho, m = state.rho, state.m
+    dtc = np.asarray(dt, dtype=float)[..., None]  # per-row dt as a column
+    u = velocity(state, cfg.rho_floor)
+    faces = rho.shape[:-1] + (n + 1,)
+
+    # interior face velocities; wall faces carry u = 0 (no-slip)
+    u_face = np.zeros(faces)
+    u_face[..., 1:-1] = 0.5 * (u[..., :-1] + u[..., 1:])
+
+    # donor-cell mass flux
+    donor_hi = u_face[..., 1:-1] > 0.0
+    F = np.zeros(faces)
+    F[..., 1:-1] = np.where(donor_hi, rho[..., :-1], rho[..., 1:]) * u_face[..., 1:-1]
+
+    # positivity limiter: scale each cell's outgoing fluxes so the update
+    # cannot overdraw the cell; inactive for CFL-compliant smooth runs
+    outflow = np.maximum(F[..., 1:], 0.0) - np.minimum(F[..., :-1], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(outflow > 0.0, np.minimum(1.0, rho * dx / (dtc * outflow)), 1.0)
+    F[..., 1:-1] *= np.where(F[..., 1:-1] > 0.0, theta[..., :-1], theta[..., 1:])
+
+    rho_new = rho - dtc / dx * (F[..., 1:] - F[..., :-1])
+    _reference_require_finite("density", rho_new, rows)
+    negative = rho_new < -1e-13 * np.maximum(1.0, rho.max(axis=-1, keepdims=True))
+    if negative.any():
+        raise SolverFailure(f"negative density {float(np.min(rho_new)):.3e} after "
+                            f"limiting at {_reference_first_cell(negative, rows)}")
+    rho_new = np.maximum(rho_new, 0.0)
+
+    # convective momentum flux rides the (limited) mass flux with donor velocity
+    G = np.zeros(faces)
+    G[..., 1:-1] = F[..., 1:-1] * np.where(donor_hi, u[..., :-1], u[..., 1:])
+
+    # central total pressure at faces; zero-gradient ghosts at the walls
+    pi = total_pressure(cfg, rho)
+    pi_face = np.empty(faces)
+    pi_face[..., 1:-1] = 0.5 * (pi[..., :-1] + pi[..., 1:])
+    pi_face[..., 0] = pi[..., 0]
+    pi_face[..., -1] = pi[..., -1]
+
+    m_star = (m - dtc / dx * (G[..., 1:] - G[..., :-1])
+              - dtc / dx * (pi_face[..., 1:] - pi_face[..., :-1]))
+    _reference_require_finite("momentum", m_star, rows)
+
+    # implicit viscosity: (rho_new - lam dt Dxx) u_new = m_star with mirrored
+    # ghost velocities enforcing u = 0 at the wall faces.  The rows' systems
+    # are the blocks of one tridiagonal system (LAPACK gtsv, which
+    # scipy.linalg.solve_banded calls for one band each side); the
+    # off-diagonal entries between one row's last cell and the next row's
+    # first are zero.
+    kappa = cfg.lam * dtc / dx**2
+    diag = rho_new + 2.0 * kappa
+    diag[..., 0] += kappa[..., 0]
+    diag[..., -1] += kappa[..., 0]
+    off = np.empty(rho.shape)
+    off[...] = -kappa
+    off[..., -1] = 0.0
+    off = off.reshape(-1)[:-1]
+    *_, u_new, info = dgtsv(off, diag.reshape(-1), off.copy(), m_star.reshape(-1),
+                            True, True, True, True)
+    if info != 0:
+        raise SolverFailure(f"viscous solve failed: LAPACK gtsv info {info}")
+    u_new = np.where(rho_new > cfg.rho_floor, u_new.reshape(rho.shape), 0.0)
+
+    return FluidState(rho=rho_new, m=rho_new * u_new, t=state.t + dt)
+
+
+def _step_outcome(fn, *args, **kwargs):
+    """The state a step returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (SolverFailure, StepRejected) as e:
+        return type(e), str(e)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, FluidState):
+        assert isinstance(got, FluidState), got
+        for name in ("rho", "m", "t"):
+            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert a.shape == b.shape and np.array_equal(a, b), name
+    else:
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(sorted(_LAWS)), K=st.integers(1, 5),
+       held=st.sampled_from(["none", "bound", "start"]), limited=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_step_equals_reference_step(law, K, held, limited, seed):
+    # held is what the caller hands step of the state: nothing, its CFL
+    # bound, or its whole step_start.  A CFL-compliant dt never activates the
+    # positivity limiter (a cell's outflow is at most rho max|u|), so the
+    # limited case hands both steps an unbounded dt_max and takes 1.5 times
+    # the largest dt the limiter lets through, which cuts theta to 2/3 in
+    # the cell that sets it.
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(n=20, length=1.0)
+    cfg = SolverConfig(law=_LAWS[law](), lam=0.2, T=1.0)
+    rho = rng.uniform(0.05, 2.5, size=(K, 20))
+    m = rho * rng.uniform(-1.0, 1.0, size=(K, 20))
+    if K == 1 and rng.random() < 0.5:
+        state = FluidState(rho=rho[0], m=m[0])  # a single unstacked state
+    else:
+        state = FluidState(rho=rho, m=m, t=rng.uniform(0.0, 0.1, size=K))
+    if limited:
+        bound = np.inf
+        start = step_start(state, cfg, grid, dt_max=bound)
+        with np.errstate(divide="ignore"):
+            dt = 1.5 * np.min(start.rho_dx / start.outflow, axis=-1)
+            theta = np.minimum(1.0, start.rho_dx / (np.asarray(dt)[..., None]
+                                                    * start.outflow))
+        assert np.all(np.min(theta, axis=-1) < 1.0)
+    else:
+        bound = admissible_dt(state, cfg, grid)
+        start = step_start(state, cfg, grid)
+        dt = bound * rng.uniform(0.05, 1.0, size=np.shape(bound))
+    ref_held = bound if limited or held != "none" else None
+    want = _step_outcome(_reference_step, state, cfg, grid, dt, dt_max=ref_held)
+    got = _step_outcome(step, state, cfg, grid, dt,
+                        dt_max=start if held == "start" else ref_held)
+    _assert_same_outcome(got, want)
+
+
+def test_step_equals_reference_step_on_non_finite_and_oversized_steps():
+    grid = Grid1D(n=12, length=1.0)
+    cfg = SolverConfig(law=bump_law(), lam=0.1, T=1.0)
+    rho = np.ones((2, 12))
+    m = np.full((2, 12), 0.1)
+    m[1, 5] = np.nan
+    nan_state = FluidState(rho=rho, m=m, t=np.zeros(2))
+    dt = np.array([1e-3, 1e-3])
+    for kwargs in ({}, {"rows": np.array([3, 7])}):
+        want = _step_outcome(_reference_step, nan_state, cfg, grid, dt, **kwargs)
+        assert want[0] is SolverFailure
+        _assert_same_outcome(_step_outcome(step, nan_state, cfg, grid, dt, **kwargs),
+                             want)
+    state = pulse_flow_init(1.0).sample(grid)
+    dt_max = admissible_dt(state, cfg, grid)
+    want = _step_outcome(_reference_step, state, cfg, grid, 2.0 * dt_max)
+    assert want[0] is StepRejected
+    for held in (None, dt_max, step_start(state, cfg, grid)):
+        _assert_same_outcome(
+            _step_outcome(step, state, cfg, grid, 2.0 * dt_max, dt_max=held), want)
+
+
+@pytest.mark.parametrize("limited", [False, True])
+def test_retried_trial_equals_a_fresh_step(limited):
+    # a retry reuses the step_start its rejected trial used; neither trial,
+    # limited or not, may change it
+    grid = Grid1D(n=40, length=1.0)
+    cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
+    rng = np.random.default_rng(9)
+    rho = rng.uniform(0.5, 2.0, size=(3, 40))
+    m = rho * rng.uniform(-0.5, 0.5, size=(3, 40))
+    state = FluidState(rho=rho, m=m, t=np.zeros(3))
+    bound = np.inf if limited else admissible_dt(state, cfg, grid)
+    start = step_start(state, cfg, grid, dt_max=bound)
+    if limited:
+        # the halved dt is still 1.5 times the largest the limiter lets through
+        with np.errstate(divide="ignore"):
+            dt = 3.0 * np.min(start.rho_dx / start.outflow, axis=-1)
+    else:
+        dt = 0.9 * bound
+    step(state, cfg, grid, dt, dt_max=start)
+    retried = step(state, cfg, grid, 0.5 * dt, dt_max=start)
+    _assert_same_outcome(retried, step(state, cfg, grid, 0.5 * dt, dt_max=bound))
+    _assert_same_outcome(retried, _reference_step(state, cfg, grid, 0.5 * dt,
+                                                  dt_max=bound))
+
+
+def test_run_snaps_t_to_the_sample_time():
+    # The first trial, at a CFL bound above half the first sample interval h,
+    # breaks the loose budget and is halved.  The next step starts below h/2
+    # and is clipped to h; t + (h - t) then misses h by an ulp (the
+    # difference is not exact below h/2).  Without the snap to h, every later
+    # step clipped to a sample time is an ulp off the oracle's.
+    grid = Grid1D(n=16, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.0466, n_samples=4,
+                       step_slack_tol=5e-4)
+    state = pulse_flow_init(1.0).sample(grid)
+    h = cfg.T / 3.0
+    t1 = 0.5 * admissible_dt(state, cfg, grid)
+    assert t1 < 0.5 * h < 1.5 * t1 and t1 + (h - t1) != h
+    traj = run(cfg, state, grid)
+    rho, u, energy, cum_dis, min_slack, n_steps, n_trials = \
+        _scalar_run_oracle(cfg, state, grid)
+    assert traj.n_trials > traj.n_steps
+    assert np.array_equal(traj.rho, rho)
+    assert np.array_equal(traj.u, u)
+    assert np.array_equal(traj.energy, energy)
+    assert np.array_equal(traj.cum_dissipation, cum_dis)
+    assert (traj.min_step_slack, traj.n_steps, traj.n_trials) == \
+        (min_slack, n_steps, n_trials)
