@@ -8,8 +8,8 @@ import sys
 
 from . import __version__
 from .configio import format_kv
-from .errors import (CannotBoundError, CannotEstimateError, CheckFailure,
-                     MvflowError, ReferenceInvalidError, SolverFailure)
+from .errors import (CannotBoundError, CannotEstimateError, MvflowError,
+                     ReferenceInvalidError, SolverFailure)
 from .experiments import cmd_certify, cmd_convergence, cmd_run, presets
 
 EXIT_OK = 0
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     except (SolverFailure, ReferenceInvalidError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    except (CannotBoundError, CannotEstimateError, CheckFailure) as e:
+    except (CannotBoundError, CannotEstimateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHECK
     except (MvflowError, OSError, ValueError) as e:

@@ -67,10 +67,3 @@ class InvalidBandError(MvflowError, ValueError):
 class SpecParseError(MvflowError, ValueError):
     """An experiment spec file could not be parsed or validated."""
 
-
-class CheckFailure(MvflowError, RuntimeError):
-    """An experiment check failed; carries the offending check's name."""
-
-    def __init__(self, check: str, msg: str):
-        super().__init__(f"check '{check}' failed: {msg}")
-        self.check = check

@@ -10,6 +10,7 @@ the same spec and seed produce the identical hash.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -29,8 +30,9 @@ from .pressure import (PressureLaw, certificate_rows, certify_h_bound,
 from .relative_energy import (EstimatorConfig, gronwall_verdict,
                               relative_energy_series, remainder_terms)
 from .solver import (Grid1D, InitialData, SolverConfig, Trajectory,
-                     make_reference, perturb_density, pulse_flow_init,
-                     reference_from_run, run, run_stack, total_energy)
+                     constant_init, make_reference, perturb_density,
+                     pulse_flow_init, reference_from_run, run, run_stack,
+                     total_energy)
 from .testfuncs import compatibility_family, density_family, momentum_family
 
 CHECK_NAMES = ("energy", "continuity", "renorm", "momentum", "compatibility",
@@ -307,16 +309,7 @@ def _solver_config(spec: ExperimentSpec, delta: float | None = None) -> SolverCo
 
 def _initial_data(spec: ExperimentSpec) -> InitialData:
     if spec.init_kind == "constant":
-        base = spec.init_base
-
-        def rho_fn(x):
-            return np.full_like(np.asarray(x, dtype=float), base)
-
-        def u_fn(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        return InitialData(name="constant", rho_fn=rho_fn, u_fn=u_fn,
-                           params={"base": base})
+        return constant_init(spec.init_base)
     return pulse_flow_init(spec.length, base=spec.init_base, amp=spec.init_amp,
                            u_amp=spec.init_u_amp,
                            width_frac=spec.init_width_frac,
@@ -364,20 +357,18 @@ def _build_ensemble(spec: ExperimentSpec
 @dataclass
 class _Context:
     spec: ExperimentSpec
-    grid: Grid1D
-    base: InitialData
     members: list[Trajectory]
     measure: object
     defect: object
     e0: float
     cum_dis: np.ndarray
-    base_run: Trajectory | None = None
-    ref: object = None
     remainders: object = None
     verdict: object = None
 
 
 def _make_context(spec: ExperimentSpec) -> _Context:
+    """The ensemble, its measure and defect, and, when a weak-strong check
+    asks for them, the remainder report and the growth verdict."""
     grid, base, members, base_run = _build_ensemble(spec)
     measure = assemble(members)
     if len(members) >= 2:
@@ -392,30 +383,27 @@ def _make_context(spec: ExperimentSpec) -> _Context:
     e0 = float(np.mean([total_energy(m.state_at(0), m.cfg, grid)
                         for m in members]))
     cum_dis = np.mean([m.cum_dissipation for m in members], axis=0)
-    return _Context(spec=spec, grid=grid, base=base, members=members,
-                    measure=measure, defect=defect, e0=e0, cum_dis=cum_dis,
-                    base_run=base_run)
+    ctx = _Context(spec=spec, members=members, measure=measure, defect=defect,
+                   e0=e0, cum_dis=cum_dis)
+    if not _weak_strong_requested(spec):
+        return ctx
 
-
-def _ensure_weak_strong(ctx: _Context) -> None:
-    if ctx.remainders is not None:
-        return
-    spec = ctx.spec
-    if ctx.base_run is not None:
-        ctx.ref = reference_from_run(ctx.base_run, ctx.grid)
+    if base_run is not None:
+        ref = reference_from_run(base_run, grid)
     else:
-        ctx.ref = make_reference(_solver_config(spec), ctx.base, ctx.grid,
-                                 factor=spec.ref_factor)
-    r_lo, r_hi = float(np.min(ctx.ref.r)), float(np.max(ctx.ref.r))
-    s_top = max(10.0, 5.0 * r_hi, 1.2 * float(np.max(ctx.measure.S)))
+        ref = make_reference(_solver_config(spec), base, grid,
+                             factor=spec.ref_factor)
+    r_lo, r_hi = float(np.min(ref.r)), float(np.max(ref.r))
+    s_top = max(10.0, 5.0 * r_hi, 1.2 * float(np.max(measure.S)))
     rho_grid = np.linspace(0.0, s_top, 4001)
     lower = certify_lower_bound(spec.law, (r_lo, r_hi), rho_grid)
     hbound = certify_h_bound(spec.law, (r_lo, r_hi), rho_grid)
-    ctx.remainders = remainder_terms(ctx.measure, spec.law, spec.lam, ctx.ref,
+    ctx.remainders = remainder_terms(measure, spec.law, spec.lam, ref,
                                      lower, hbound, EstimatorConfig())
-    ctx.verdict = gronwall_verdict(
-        ctx.measure.times, ctx.remainders.E_mv, ctx.defect.D_total,
-        ctx.remainders, ctx.ref, spec.law, xi=ctx.defect.xi)
+    ctx.verdict = gronwall_verdict(measure.times, ctx.remainders.E_mv,
+                                   defect.D_total, ctx.remainders, ref,
+                                   spec.law, xi=defect.xi)
+    return ctx
 
 
 def _check_energy(ctx: _Context):
@@ -435,58 +423,62 @@ def _check_energy(ctx: _Context):
             [("energy.csv", format_csv(["tau", "slack"], rows))])
 
 
-def _check_continuity(ctx: _Context):
-    spec, measure = ctx.spec, ctx.measure
-    tau = float(measure.times[-1])
+# -- the residual library -----------------------------------------------------------
+#
+# Per residual check, the rows (test function id, residual) at the last sample
+# time tau, one per function of its test family, and a note for the check's
+# detail line; the momentum rows add the defect-pairing slack.  The residual
+# checks and cmd_convergence both read it.
+
+def _continuity_rows(spec, measure, defect, tau):
     rows = [(f.id, continuity_residual(measure, f, tau))
             for f in density_family(spec.length)]
-    worst = max(abs(v) for _, v in rows)
-    ok = worst <= spec.residual_tol
-    return (CheckResult("continuity", ok, worst,
-                        f"max |residual| {worst:.3e} over {len(rows)} tests"),
-            [("continuity.csv", format_csv(["psi", "residual"], rows))])
+    return rows, f" over {len(rows)} tests"
 
 
-def _check_renorm(ctx: _Context):
-    spec, measure = ctx.spec, ctx.measure
-    tau = float(measure.times[-1])
+def _renorm_rows(spec, measure, defect, tau):
     r_b = 0.75 * float(np.max(measure.S))
     b = renorm_identity_truncated(r_b=r_b, width=0.25 * r_b)
-    rows = [(f.id, renorm_continuity_residual(measure, b, f, tau))
-            for f in density_family(spec.length)]
-    worst = max(abs(v) for _, v in rows)
-    ok = worst <= spec.residual_tol
-    return (CheckResult("renorm", ok, worst,
-                        f"max |residual| {worst:.3e} with {b.name}"),
-            [("renorm.csv", format_csv(["psi", "residual"], rows))])
+    return ([(f.id, renorm_continuity_residual(measure, b, f, tau))
+             for f in density_family(spec.length)], f" with {b.name}")
 
 
-def _check_momentum(ctx: _Context):
-    spec, measure = ctx.spec, ctx.measure
-    tau = float(measure.times[-1])
-    rows = []
-    for f in momentum_family(spec.length):
-        res, slack = momentum_residual(measure, spec.law, spec.lam, f, tau,
-                                       defect=ctx.defect)
-        rows.append((f.id, res, slack))
-    worst = max(abs(v) for _, v, _ in rows)
-    worst_slack = min(s for _, _, s in rows)
-    ok = worst <= spec.residual_tol and worst_slack >= -1e-8 * max(1.0, ctx.e0)
-    return (CheckResult("momentum", ok, worst,
-                        f"max |residual| {worst:.3e}, min slack {worst_slack:.3e}"),
-            [("momentum.csv", format_csv(["phi", "residual", "slack"], rows))])
+def _momentum_rows(spec, measure, defect, tau):
+    return ([(f.id, *momentum_residual(measure, spec.law, spec.lam, f, tau,
+                                       defect=defect))
+             for f in momentum_family(spec.length)], "")
 
 
-def _check_compatibility(ctx: _Context):
-    spec, measure = ctx.spec, ctx.measure
-    tau = float(measure.times[-1])
+def _compatibility_rows(spec, measure, defect, tau):
     rows = [(f.id, compatibility_residual(measure, f, tau))
             for f in compatibility_family(spec.length)]
-    worst = max(abs(v) for _, v in rows)
-    ok = worst <= spec.residual_tol
-    return (CheckResult("compatibility", ok, worst,
-                        f"max |residual| {worst:.3e} over {len(rows)} tests"),
-            [("compatibility.csv", format_csv(["M", "residual"], rows))])
+    return rows, f" over {len(rows)} tests"
+
+
+_RESIDUALS = {
+    "continuity": (["psi", "residual"], _continuity_rows),
+    "renorm": (["psi", "residual"], _renorm_rows),
+    "momentum": (["phi", "residual", "slack"], _momentum_rows),
+    "compatibility": (["M", "residual"], _compatibility_rows),
+}
+
+
+def _worst_residual(rows) -> float:
+    return max(abs(row[1]) for row in rows)
+
+
+def _check_residual(name: str, ctx: _Context):
+    header, rows_of = _RESIDUALS[name]
+    rows, note = rows_of(ctx.spec, ctx.measure, ctx.defect,
+                         float(ctx.measure.times[-1]))
+    worst = _worst_residual(rows)
+    ok = worst <= ctx.spec.residual_tol
+    if name == "momentum":
+        worst_slack = min(row[2] for row in rows)
+        ok = ok and worst_slack >= -1e-8 * max(1.0, ctx.e0)
+        note = f", min slack {worst_slack:.3e}"
+    return (CheckResult(name, ok, worst, f"max |residual| {worst:.3e}{note}"),
+            [(f"{name}.csv", format_csv(header, rows))])
 
 
 def _korn_fields(length: float, n: int):
@@ -532,7 +524,6 @@ def _check_lemmas(ctx: _Context):
 
 
 def _check_relative_energy(ctx: _Context):
-    _ensure_weak_strong(ctx)
     rep = ctx.remainders
     worst = min(float(np.min(getattr(rep, f"slack{i}") +
                              1e-8 * (1.0 + getattr(rep, f"bound{i}"))))
@@ -553,7 +544,6 @@ def _check_relative_energy(ctx: _Context):
 
 
 def _check_gronwall(ctx: _Context):
-    _ensure_weak_strong(ctx)
     ver = ctx.verdict
     hdr, rows = ver.rows()
     return (CheckResult("gronwall", ver.passed, ver.lambda_emp,
@@ -564,10 +554,7 @@ def _check_gronwall(ctx: _Context):
 
 _CHECKS = {
     "energy": _check_energy,
-    "continuity": _check_continuity,
-    "renorm": _check_renorm,
-    "momentum": _check_momentum,
-    "compatibility": _check_compatibility,
+    **{name: functools.partial(_check_residual, name) for name in _RESIDUALS},
     "korn": _check_korn,
     "lemmas": _check_lemmas,
     "relative-energy": _check_relative_energy,
@@ -575,16 +562,10 @@ _CHECKS = {
 }
 
 
-def resolve_out_dir(spec: ExperimentSpec, flag_out: str | None) -> str:
+def resolve_out_dir(flag_out: str | None, spec_out: str | None, name: str) -> str:
     """Precedence: --out flag, then MVFLOW_OUT, then the spec, then runs/<name>."""
-    if flag_out:
-        return flag_out
-    env = os.environ.get("MVFLOW_OUT")
-    if env:
-        return env
-    if spec.out:
-        return spec.out
-    return os.path.join("runs", spec.name)
+    return flag_out or os.environ.get("MVFLOW_OUT") or spec_out \
+        or os.path.join("runs", name)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
@@ -594,15 +575,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
     jobs is accepted and ignored: the ensemble runs as one stacked solve and
     the checks run in order.
     """
-    out_dir = resolve_out_dir(spec, out_dir)
+    out_dir = resolve_out_dir(out_dir, spec.out, spec.name)
     os.makedirs(out_dir, exist_ok=True)
 
     resolved = spec_to_config(spec)
     spec_hash = config_hash(resolved)
 
     ctx = _make_context(spec)
-    if _weak_strong_requested(spec):
-        _ensure_weak_strong(ctx)
 
     results: list[CheckResult] = []
     payloads: list[tuple[str, str]] = [("spec.resolved", format_kv(resolved))]
@@ -661,23 +640,6 @@ def _order_cell(a: float, b: float) -> object:
     return math.log2(abs(a) / abs(b))
 
 
-def _library_maxima(spec: ExperimentSpec, measure, defect) -> dict[str, float]:
-    tau = float(measure.times[-1])
-    cont = max(abs(continuity_residual(measure, f, tau))
-               for f in density_family(spec.length))
-    r_b = 0.75 * float(np.max(measure.S))
-    b = renorm_identity_truncated(r_b=r_b, width=0.25 * r_b)
-    ren = max(abs(renorm_continuity_residual(measure, b, f, tau))
-              for f in density_family(spec.length))
-    mom = max(abs(momentum_residual(measure, spec.law, spec.lam, f, tau,
-                                    defect=defect)[0])
-              for f in momentum_family(spec.length))
-    comp = max(abs(compatibility_residual(measure, f, tau))
-               for f in compatibility_family(spec.length))
-    return {"continuity": cont, "renorm": ren, "momentum": mom,
-            "compatibility": comp}
-
-
 def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
                     out: str | None = None, seed: int | None = None,
                     jobs: int = 1) -> tuple[str, list[str], list[tuple]]:
@@ -691,7 +653,7 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
     spec = spec_from_config(cfg)
     if seed is not None:
         spec = dataclasses.replace(spec, seed=seed)
-    out_dir = resolve_out_dir(spec, out)
+    out_dir = resolve_out_dir(out, spec.out, spec.name)
     os.makedirs(out_dir, exist_ok=True)
 
     if spec.mode == "delta-sequence":
@@ -715,29 +677,27 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
         levels = tuple(levels) if levels else spec.convergence_levels
         if len(levels) < 3:
             raise SpecParseError("convergence needs at least 3 levels")
-        header = ["n", "dx", "continuity", "renorm", "momentum",
-                  "compatibility", "E_mv"]
+        header = ["n", "dx", *_RESIDUALS, "E_mv"]
         fine_n = 2 * max(levels)
         base = _initial_data(spec)
         solver_cfg = _solver_config(spec)
         fine_runs: dict[int, Trajectory] = {}
         per_level = []
         for n in levels:
-            lspec = dataclasses.replace(spec, grid_n=int(n), members=1,
-                                        mode="none", deltas=())
             grid = Grid1D(n=int(n), length=spec.length)
             traj = run(solver_cfg, base.sample(grid), grid)
             measure = assemble([traj])
             defect = estimate_defect([traj, traj], measure, spec.law,
                                      spec.lam, tail=1)
-            lib = _library_maxima(lspec, measure, defect)
+            tau = float(measure.times[-1])
+            lib = [_worst_residual(rows_of(spec, measure, defect, tau)[0])
+                   for _, rows_of in _RESIDUALS.values()]
             fine = Grid1D(n=max(1, fine_n // int(n)) * int(n), length=spec.length)
             if fine.n not in fine_runs:
                 fine_runs[fine.n] = run(solver_cfg, base.sample(fine), fine)
             ref = reference_from_run(fine_runs[fine.n], grid)
             e_gap = float(relative_energy_series(measure, spec.law, ref)[-1])
-            per_level.append((int(n), grid.dx, lib["continuity"], lib["renorm"],
-                              lib["momentum"], lib["compatibility"], e_gap))
+            per_level.append((int(n), grid.dx, *lib, e_gap))
         rows = list(per_level)
         for i in range(len(per_level) - 1):
             a, b = per_level[i], per_level[i + 1]
@@ -761,9 +721,7 @@ def cmd_certify(spec_path: str, out: str | None = None
     except KeyError as e:
         raise SpecParseError(f"field {e} is required for certify") from e
     points = int(cfg.get("certify.points", "4001"))
-    name = cfg.get("name", "certify")
-    out_dir = out or os.environ.get("MVFLOW_OUT") or cfg.get("out") \
-        or os.path.join("runs", name)
+    out_dir = resolve_out_dir(out, cfg.get("out"), cfg.get("name", "certify"))
     os.makedirs(out_dir, exist_ok=True)
 
     top = max(10.0, 4.4 * r_max)

@@ -30,20 +30,6 @@ from .tensors import traceless
 
 
 @dataclass(frozen=True)
-class PhaseAtom:
-    s: float
-    v: float
-    D: float
-    w: float
-
-    def __post_init__(self):
-        if self.s < 0.0:
-            raise DomainError(f"atom density must be nonnegative, got {self.s}")
-        if not (0.0 < self.w <= 1.0):
-            raise DomainError(f"atom weight must lie in (0, 1], got {self.w}")
-
-
-@dataclass(frozen=True)
 class DiscreteYoungMeasure:
     """Equal-weight empirical measure; arrays indexed (member, time, cell)."""
 
@@ -72,12 +58,6 @@ class DiscreteYoungMeasure:
     @property
     def weights(self) -> np.ndarray:
         return np.full(self.n_members, 1.0 / self.n_members)
-
-    def atoms_at(self, k_t: int, k_x: int) -> list[PhaseAtom]:
-        w = 1.0 / self.n_members
-        return [PhaseAtom(s=float(self.S[j, k_t, k_x]), v=float(self.V[j, k_t, k_x]),
-                          D=float(self.D[j, k_t, k_x]), w=w)
-                for j in range(self.n_members)]
 
     def time_index(self, tau: float) -> int:
         idx = int(np.argmin(np.abs(self.times - tau)))
@@ -496,47 +476,3 @@ def korn_poincare_check(v: np.ndarray, u_tilde: np.ndarray, lengths: list[float]
     passes = lhs <= c_p_config * rhs if c_p_config is not None else True
     return {"lhs": lhs, "rhs": rhs, "c_P": ratio, "passes": passes}
 
-
-# -- serialization ------------------------------------------------------------------
-
-def save_measure(measure: DiscreteYoungMeasure, path: str) -> None:
-    """Columnar text format: one header line, then one row per atom."""
-    k, nt, nx = measure.S.shape
-    with open(path, "w") as fh:
-        fh.write(f"# young-measure K={k} nt={nt} nx={nx} "
-                 f"L={float(measure.length)!r}\n")
-        fh.write("# times: " + ",".join(repr(float(t)) for t in measure.times) + "\n")
-        fh.write("member,t_index,x_index,s,v,D,w\n")
-        w = 1.0 / k
-        for j in range(k):
-            for kt in range(nt):
-                for kx in range(nx):
-                    fh.write(f"{j},{kt},{kx},{float(measure.S[j, kt, kx])!r},"
-                             f"{float(measure.V[j, kt, kx])!r},"
-                             f"{float(measure.D[j, kt, kx])!r},{w!r}\n")
-
-
-def load_measure(path: str) -> DiscreteYoungMeasure:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# young-measure"):
-            raise DomainError(f"not a measure file: {path}")
-        meta = dict(tok.split("=") for tok in header.split()[2:])
-        k, nt, nx = int(meta["K"]), int(meta["nt"]), int(meta["nx"])
-        length = float(meta["L"])
-        times_line = fh.readline().strip()
-        times = np.array([float(tok) for tok in
-                          times_line.split(":", 1)[1].split(",")])
-        fh.readline()  # column header
-        S = np.empty((k, nt, nx))
-        V = np.empty((k, nt, nx))
-        D = np.empty((k, nt, nx))
-        for line in fh:
-            j, kt, kx, s, vv, dd, _w = line.strip().split(",")
-            S[int(j), int(kt), int(kx)] = float(s)
-            V[int(j), int(kt), int(kx)] = float(vv)
-            D[int(j), int(kt), int(kx)] = float(dd)
-    dx = length / nx
-    x = (np.arange(nx) + 0.5) * dx
-    return DiscreteYoungMeasure(times=times, x=x, dx=dx, length=length,
-                                S=S, V=V, D=D, member_ids=tuple(range(k)))

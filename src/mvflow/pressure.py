@@ -116,11 +116,6 @@ class PowerLawH:
         rho = _as_array(rho)
         return self.a * self.gamma * np.power(rho, self.gamma - 1.0)
 
-    def curvature(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
-        g = self.gamma
-        return self.a * g * (g - 1.0) * np.power(rho, g - 2.0)
-
     def potential(self, rho) -> np.ndarray:
         """H(rho); closed form, with H(0) = 0 taken as the limit value."""
         rho = _as_array(rho)
@@ -164,7 +159,6 @@ class TabulatedH:
     gamma_tail: float = 2.0
     _spline: object = field(init=False, repr=False, compare=False, default=None)
     _dspline: object = field(init=False, repr=False, compare=False, default=None)
-    _d2spline: object = field(init=False, repr=False, compare=False, default=None)
     # tail h = _tail_a * rho^gamma_tail + _tail_b beyond rho_max
     _tail_a: float = field(init=False, repr=False, compare=False, default=0.0)
     _tail_b: float = field(init=False, repr=False, compare=False, default=0.0)
@@ -218,9 +212,8 @@ class TabulatedH:
         anchor = np.concatenate([[r[1]], r[1:]])
 
         for name, val in (("_spline", spline), ("_dspline", dspline),
-                          ("_d2spline", spline.derivative(2)), ("_tail_a", a),
-                          ("_tail_b", b), ("_coef", coef), ("_anchor", anchor),
-                          ("_pow", pow_coef)):
+                          ("_tail_a", a), ("_tail_b", b), ("_coef", coef),
+                          ("_anchor", anchor), ("_pow", pow_coef)):
             object.__setattr__(self, name, val)
 
         # integrals from r[1] to each anchor, then from 1 (which lies on piece j)
@@ -260,12 +253,6 @@ class TabulatedH:
         g = self.gamma_tail
         return self._with_tail(rho, np.asarray(self._dspline(rho), dtype=float),
                                lambda z: self._tail_a * g * np.power(z, g - 1.0))
-
-    def curvature(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
-        g = self.gamma_tail
-        return self._with_tail(rho, np.asarray(self._d2spline(rho), dtype=float),
-                               lambda z: self._tail_a * g * (g - 1.0) * np.power(z, g - 2.0))
 
     def _piece_integral(self, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """int_c^rho h(z)/z^2 dz on piece k from its anchor c, rho > 0.
@@ -321,9 +308,6 @@ class PressureLaw:
 
     def dh(self, rho):
         return self.h_part.slope(rho)
-
-    def d2h(self, rho):
-        return self.h_part.curvature(rho)
 
     def q(self, rho):
         if self.bump is None:
@@ -388,20 +372,9 @@ class PressureLaw:
         return self.h_part.a
 
 
-ZERO_BUMP = None
-
-
 def build_bump_q(q1: float, q2: float, amp: float) -> CompactBump:
     """Construct the compactly supported C^1 pressure bump."""
     return CompactBump(q1=q1, q2=q2, amp=amp)
-
-
-def pressure(law: PressureLaw, rho):
-    """p(rho) = h(rho) + q(rho); rho must be >= 0."""
-    rho = _as_array(rho)
-    if np.any(rho < 0.0):
-        raise DomainError("pressure requires rho >= 0")
-    return law.p(rho)
 
 
 def potential(law: PressureLaw, rho):

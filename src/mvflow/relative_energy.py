@@ -51,14 +51,6 @@ def relative_energy_series(measure: DiscreteYoungMeasure, law: PressureLaw,
     return np.sum(integrand, axis=1) * measure.dx
 
 
-def relative_energy(measure: DiscreteYoungMeasure, law: PressureLaw,
-                    ref: StrongSolutionRef, tau: float) -> float:
-    """Modulated energy distance to (r, U) at a single sample time."""
-    k = measure.time_index(tau)
-    series = relative_energy_series(measure, law, ref)
-    return float(series[k])
-
-
 # -- estimator configuration -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -215,16 +207,6 @@ class RemainderReport:
     slack5: np.ndarray
     constants: dict
     cutoff: CutoffBand
-
-    def at(self, tau: float) -> dict:
-        k = int(np.argmin(np.abs(self.times - tau)))
-        if abs(self.times[k] - tau) > 1e-9 * max(1.0, float(self.times[-1])):
-            raise DomainError(f"tau {tau} is not a sample time")
-        out = {}
-        for name in ("I2", "I3", "I4", "I5", "bound2", "bound3", "bound4",
-                     "bound5", "slack2", "slack3", "slack4", "slack5"):
-            out[name] = float(getattr(self, name)[k])
-        return out
 
 
 def _cumtrapz(f: np.ndarray, t: np.ndarray) -> np.ndarray:

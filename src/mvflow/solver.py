@@ -24,10 +24,18 @@ loop, with run as its one-row case.  Each row of a stacked run equals the
 run of that state alone, bit for bit.  A non-finite density or momentum
 stops a run with a SolverFailure naming its row and cell.
 
-A step splits in two: step_start holds what depends on the state alone
-(fluxes, pressure differences, the CFL bound), and step does per trial dt
-only the rest.  run_stack takes a row's step_start once per step and reuses
-it when the energy budget rejects a trial and the halved dt is retried.
+A step splits in two: step_start returns a StepStart, which holds what
+depends on the state alone: the CFL bound dt_max and the face differences
+dF, dG and dPi of the mass flux, the convective momentum flux and the
+central total pressure.  step does per trial dt only the rest.  run_stack
+takes a row's step_start once per step and reuses it when the energy budget
+rejects a trial and the halved dt is retried.
+
+The donor-cell update needs no positivity limiter.  A cell's outflow is at
+most rho_i max|u| (each face velocity is the mean of two cell velocities),
+so at any dt step admits, up to (1 + 1e-12) cfl dx / max(|u| + c),
+dt * outflow < rho_i dx as long as 1e-12 max|u| < c (c >= sqrt(dx)), and
+the new density stays nonnegative.
 """
 from __future__ import annotations
 
@@ -75,7 +83,6 @@ class SolverConfig:
     law: PressureLaw
     lam: float                 # bulk viscosity coefficient, > 0
     T: float
-    mu: float = 0.0            # shear viscosity; inert in 1D but kept for the stress
     delta: float = 0.0         # strength of the extra pressure delta * rho^Gamma
     Gamma: float = 2.0
     cfl: float = 0.4
@@ -87,8 +94,6 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.lam > 0.0):
             raise DomainError(f"lam must be positive, got {self.lam}")
-        if self.mu < 0.0:
-            raise DomainError(f"mu must be nonnegative, got {self.mu}")
         if self.delta < 0.0:
             raise DomainError(f"delta must be nonnegative, got {self.delta}")
         if not (self.Gamma > 1.0):
@@ -193,16 +198,12 @@ def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D, u=None):
 class StepStart:
     """The part of a step that depends on the state alone, not on dt.
 
-    Face arrays hold the n + 1 faces, cell arrays the n cells, along the
-    last axis.  A stacked state has a (K,) dt_max and (K, ...) arrays.
+    The differences span the n cells along the last axis.  A stacked state
+    has a (K,) dt_max and (K, n) arrays.
     """
 
     dt_max: float | np.ndarray  # the CFL bound admissible_dt
-    F: np.ndarray               # donor-cell mass flux on the faces, unlimited
-    donor_u: np.ndarray         # donor velocity on the interior faces
-    outflow: np.ndarray         # a cell's outgoing mass flux
-    rho_dx: np.ndarray          # a cell's mass
-    dF: np.ndarray              # F[i + 1/2] - F[i - 1/2]
+    dF: np.ndarray              # F[i + 1/2] - F[i - 1/2], donor-cell mass flux F
     dG: np.ndarray              # the same for the convective momentum flux
     dPi: np.ndarray             # the same for the central total pressure
 
@@ -217,32 +218,26 @@ class StepStart:
 
 
 def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D,
-               dt_max=None, u=None) -> StepStart:
+               u=None) -> StepStart:
     """The state-only half of step, shared by every trial dt from state.
 
-    dt_max and u are the CFL bound and velocity(state, cfg.rho_floor) when
-    the caller already holds them.
+    u is velocity(state, cfg.rho_floor) when the caller already holds it.
     """
     rho = state.rho
     if u is None:
         u = velocity(state, cfg.rho_floor)
-    if dt_max is None:
-        dt_max = admissible_dt(state, cfg, grid, u=u)
     faces = rho.shape[:-1] + (grid.n + 1,)
 
     # interior face velocities; wall faces carry u = 0 (no-slip)
     u_face = 0.5 * (u[..., :-1] + u[..., 1:])
 
-    # donor-cell mass flux, and the outflow the positivity limiter caps
+    # donor-cell mass flux; the convective momentum flux rides it with the
+    # donor velocity
     donor_hi = u_face > 0.0
     F = np.zeros(faces)
     F[..., 1:-1] = np.where(donor_hi, rho[..., :-1], rho[..., 1:]) * u_face
-    outflow = np.maximum(F[..., 1:], 0.0) - np.minimum(F[..., :-1], 0.0)
-
-    # convective momentum flux rides the mass flux with donor velocity
-    donor_u = np.where(donor_hi, u[..., :-1], u[..., 1:])
     G = np.zeros(faces)
-    G[..., 1:-1] = F[..., 1:-1] * donor_u
+    G[..., 1:-1] = F[..., 1:-1] * np.where(donor_hi, u[..., :-1], u[..., 1:])
 
     # central total pressure at faces; zero-gradient ghosts at the walls
     pi = total_pressure(cfg, rho)
@@ -251,23 +246,9 @@ def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D,
     pi_face[..., 0] = pi[..., 0]
     pi_face[..., -1] = pi[..., -1]
 
-    return StepStart(dt_max=dt_max, F=F, donor_u=donor_u, outflow=outflow,
-                     rho_dx=rho * grid.dx, dF=F[..., 1:] - F[..., :-1],
-                     dG=G[..., 1:] - G[..., :-1],
+    return StepStart(dt_max=admissible_dt(state, cfg, grid, u=u),
+                     dF=F[..., 1:] - F[..., :-1], dG=G[..., 1:] - G[..., :-1],
                      dPi=pi_face[..., 1:] - pi_face[..., :-1])
-
-
-def _limited_fluxes(start: StepStart, dtc: np.ndarray):
-    """dF and dG after the positivity limiter, which scales each cell's
-    outgoing fluxes so the update cannot overdraw the cell."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(start.outflow > 0.0,
-                         np.minimum(1.0, start.rho_dx / (dtc * start.outflow)), 1.0)
-    F = start.F.copy()
-    F[..., 1:-1] *= np.where(F[..., 1:-1] > 0.0, theta[..., :-1], theta[..., 1:])
-    G = np.zeros(F.shape)
-    G[..., 1:-1] = F[..., 1:-1] * start.donor_u
-    return F[..., 1:] - F[..., :-1], G[..., 1:] - G[..., :-1]
 
 
 def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
@@ -276,13 +257,12 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
 
     A stacked state takes a (K,) dt and advances row k by dt[k]; rows names
     the members in error messages (default: the row numbers).  dt_max is
-    what the caller already holds of the state: its CFL bound
-    admissible_dt(state, cfg, grid), or the whole step_start(state, cfg,
-    grid), which carries that bound.  A trial then does only the work that
-    depends on dt.
+    step_start(state, cfg, grid) when the caller already holds it; its CFL
+    bound caps dt, and a trial then does only the work that depends on dt.
     """
-    start = dt_max if isinstance(dt_max, StepStart) else \
-        step_start(state, cfg, grid, dt_max=dt_max)
+    start = step_start(state, cfg, grid) if dt_max is None else dt_max
+    if not isinstance(start, StepStart):
+        raise TypeError(f"dt_max must be None or a StepStart, got {type(start).__name__}")
     over = np.greater(dt, start.dt_max * (1.0 + 1e-12))
     if over.any():
         i = int(np.argmax(over))
@@ -294,25 +274,18 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     dtc = np.asarray(dt, dtype=float)[..., None]  # per-row dt as a column
     dt_dx = dtc / dx
 
-    # the limiter leaves every flux as it is (theta = 1) unless a cell's
-    # outflow over dt exceeds its mass; at a CFL-compliant dt it does not
-    if (dtc * start.outflow <= start.rho_dx).all():
-        dF, dG = start.dF, start.dG
-    else:
-        dF, dG = _limited_fluxes(start, dtc)
-
-    rho_new = rho - dt_dx * dF
+    rho_new = rho - dt_dx * start.dF
     _require_finite("density", rho_new, rows)
     lowest = rho_new.min()
     if lowest < 0.0:
         negative = rho_new < -1e-13 * np.maximum(1.0, rho.max(axis=-1, keepdims=True))
         if negative.any():
-            raise SolverFailure(f"negative density {float(lowest):.3e} after "
-                                f"limiting at {_first_cell(negative, rows)}")
+            raise SolverFailure(f"negative density {float(lowest):.3e} "
+                                f"at {_first_cell(negative, rows)}")
     if not lowest > 0.0:
         rho_new = np.maximum(rho_new, 0.0)
 
-    m_star = m - dt_dx * dG - dt_dx * start.dPi
+    m_star = m - dt_dx * start.dG - dt_dx * start.dPi
     _require_finite("momentum", m_star, rows)
 
     # implicit viscosity: (rho_new - lam dt Dxx) u_new = m_star with mirrored
@@ -630,18 +603,6 @@ def pulse_flow_init(length: float, base: float = 1.0, amp: float = 0.1,
 
     params = dict(pulse.params, u_amp=u_amp)
     return InitialData(name="pulse-flow", rho_fn=pulse.rho_fn, u_fn=u_fn, params=params)
-
-
-def init_from_arrays(x: np.ndarray, rho: np.ndarray, u: np.ndarray,
-                     name: str = "from-arrays") -> InitialData:
-    x = np.asarray(x, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u, dtype=float)
-
-    return InitialData(name=name,
-                       rho_fn=lambda xs: np.interp(np.asarray(xs, dtype=float), x, rho),
-                       u_fn=lambda xs: np.interp(np.asarray(xs, dtype=float), x, u),
-                       params={"n_points": int(x.size)})
 
 
 def perturb_density(init: InitialData, length: float, eps: float,

@@ -1,4 +1,4 @@
-"""Small tensor algebra used by the stress and stability machinery.
+"""Small tensor algebra used by the Korn-Poincare check.
 
 Matrices are numpy arrays whose LAST two axes are the tensor indices, so a
 field of d x d matrices over a grid has shape (..., d, d) and every routine
@@ -42,18 +42,3 @@ def frobenius(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     return np.sum(A * B, axis=(-2, -1))
 
-
-def stress(D: np.ndarray, mu: float, lam: float) -> np.ndarray:
-    """Newtonian stress S(D) = mu (D - tr(D)/d I) + lam tr(D) I for symmetric D."""
-    D = np.asarray(D, dtype=float)
-    d = _dim(D)
-    if mu < 0.0 or lam <= 0.0:
-        raise DomainError(f"viscosities must satisfy mu >= 0, lam > 0, got mu={mu}, lam={lam}")
-    eye = np.eye(d)
-    tr = trace(D)[..., None, None]
-    return mu * (D - tr * eye / d) + lam * tr * eye
-
-
-def stress_power(D: np.ndarray, mu: float, lam: float) -> np.ndarray:
-    """S(D):D = mu |D - tr(D)/d I|^2 + lam tr(D)^2 >= 0."""
-    return frobenius(stress(D, mu, lam), np.asarray(D, dtype=float))

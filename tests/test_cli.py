@@ -148,6 +148,19 @@ def test_certify_exits_zero_and_writes_csv(tmp_path, capsys):
     assert (tmp_path / "out" / "certificates.csv").exists()
 
 
+def test_certify_env_var_routes_output(tmp_path, monkeypatch, capsys):
+    # with no --out, MVFLOW_OUT beats the spec's out, as for run
+    p = tmp_path / "c.spec"
+    p.write_text(format_kv({"schema": "1", "name": "c", "law.kind": "power",
+                            "law.a": "1.0", "law.gamma": "2.0",
+                            "certify.r_min": "0.5", "certify.r_max": "2.0",
+                            "out": str(tmp_path / "spec-out")}))
+    monkeypatch.setenv("MVFLOW_OUT", str(tmp_path / "env-out"))
+    assert cli.main(["certify", "--spec", str(p)]) == 0
+    assert (tmp_path / "env-out" / "certificates.csv").exists()
+    assert not (tmp_path / "spec-out").exists()
+
+
 def test_certify_nonpositive_r_min_exits_two(tmp_path, capsys):
     p = tmp_path / "c.spec"
     p.write_text(format_kv({"schema": "1", "name": "c", "law.kind": "power",

@@ -133,14 +133,14 @@ def test_presets_all_parse():
 def test_out_dir_precedence(monkeypatch):
     spec = spec_from_config(minimal_cfg(out="from-spec"))
     monkeypatch.delenv("MVFLOW_OUT", raising=False)
-    assert resolve_out_dir(spec, "from-flag") == "from-flag"
-    assert resolve_out_dir(spec, None) == "from-spec"
+    assert resolve_out_dir("from-flag", spec.out, spec.name) == "from-flag"
+    assert resolve_out_dir(None, spec.out, spec.name) == "from-spec"
     monkeypatch.setenv("MVFLOW_OUT", "from-env")
-    assert resolve_out_dir(spec, None) == "from-env"
-    assert resolve_out_dir(spec, "from-flag") == "from-flag"
+    assert resolve_out_dir(None, spec.out, spec.name) == "from-env"
+    assert resolve_out_dir("from-flag", spec.out, spec.name) == "from-flag"
     monkeypatch.delenv("MVFLOW_OUT")
     bare = spec_from_config(minimal_cfg())
-    assert resolve_out_dir(bare, None) == os.path.join("runs", "t")
+    assert resolve_out_dir(None, bare.out, bare.name) == os.path.join("runs", "t")
 
 
 # -- full runs --------------------------------------------------------------------

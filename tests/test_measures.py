@@ -14,20 +14,17 @@ from mvflow.errors import (
 )
 from mvflow.measures import (
     DiscreteYoungMeasure,
-    PhaseAtom,
     assemble,
     compatibility_residual,
     continuity_residual,
     energy_inequality_slack,
     estimate_defect,
     korn_poincare_check,
-    load_measure,
     moment,
     momentum_residual,
     renorm_constant,
     renorm_continuity_residual,
     renorm_identity_truncated,
-    save_measure,
 )
 from mvflow.pressure import PowerLawH, PressureLaw
 from mvflow.solver import (
@@ -99,11 +96,6 @@ def test_assemble_single_member_is_dirac():
     assert V.n_members == 1
     assert V.S.shape == (1, 5, grid.n)
     np.testing.assert_array_equal(moment(V, lambda s, v, D: s), traj.rho)
-    atoms = V.atoms_at(2, 7)
-    assert len(atoms) == 1
-    assert atoms[0].w == 1.0
-    assert atoms[0].s == traj.rho[2, 7]
-    assert atoms[0].v == traj.u[2, 7]
 
 
 def test_assemble_duplicate_members_keep_moments():
@@ -120,8 +112,6 @@ def test_assemble_perturbed_ensemble_counts():
     members = [small_run(n=24, T=0.02, seed=k)[0] for k in range(8)]
     V = assemble(members)
     assert V.n_members == 8
-    assert len(V.atoms_at(0, 0)) == 8
-    assert all(abs(a.w - 0.125) < 1e-15 for a in V.atoms_at(3, 11))
 
 
 def test_assemble_rejects_mismatched_grids():
@@ -141,13 +131,6 @@ def test_assemble_rejects_mismatched_times():
 def test_assemble_rejects_empty():
     with pytest.raises(IncompatibleEnsembleError):
         assemble([])
-
-
-def test_phase_atom_validation():
-    with pytest.raises(DomainError):
-        PhaseAtom(s=-0.1, v=0.0, D=0.0, w=1.0)
-    with pytest.raises(DomainError):
-        PhaseAtom(s=1.0, v=0.0, D=0.0, w=0.0)
 
 
 # -- moments ----------------------------------------------------------------------
@@ -575,26 +558,3 @@ def test_korn_3d_runs():
     out = korn_poincare_check(v, np.zeros_like(v), [1.0, 1.0, 1.0])
     assert out["c_P"] > 0.0 and np.isfinite(out["c_P"])
 
-
-# -- serialization ------------------------------------------------------------------
-
-def test_measure_file_round_trip(tmp_path):
-    a, _, _ = small_run(n=16, T=0.02, seed=1)
-    b, _, _ = small_run(n=16, T=0.02, seed=2)
-    V = assemble([a, b])
-    path = tmp_path / "measure.txt"
-    save_measure(V, str(path))
-    back = load_measure(str(path))
-    np.testing.assert_array_equal(back.S, V.S)
-    np.testing.assert_array_equal(back.V, V.V)
-    np.testing.assert_array_equal(back.D, V.D)
-    np.testing.assert_array_equal(back.times, V.times)
-    assert back.length == V.length
-    assert back.n_members == V.n_members
-
-
-def test_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("not a measure\n")
-    with pytest.raises(DomainError):
-        load_measure(str(path))

@@ -19,7 +19,6 @@ from mvflow.pressure import (
     law_from_config,
     law_to_config,
     potential,
-    pressure,
 )
 
 
@@ -96,18 +95,13 @@ def test_bump_is_c1_at_endpoints(q1, width, amp):
 
 def test_pressure_power_law_values():
     law = power_law(a=1.0, gamma=2.0)
-    assert pressure(law, 2.0) == pytest.approx(4.0)
-    assert pressure(law, 0.0) == 0.0
+    assert law.p(2.0) == pytest.approx(4.0)
+    assert law.p(0.0) == 0.0
 
 
 def test_pressure_with_bump():
     law = power_law(bump=build_bump_q(1.0, 2.0, 0.1))
-    assert pressure(law, 1.5) == pytest.approx(2.35)
-
-
-def test_pressure_rejects_negative_density():
-    with pytest.raises(DomainError):
-        pressure(power_law(), -1.0)
+    assert law.p(1.5) == pytest.approx(2.35)
 
 
 def test_potential_closed_forms():

@@ -97,15 +97,15 @@ class TestRelativeEnergyValue:
         # 1/2 * 2 * 1^2 + (H(2) - H(1) - H'(1)*(2-1)) = 1 + (4 - 1 - 2) = 2
         measure = single_atom_measure(2.0, 1.0)
         ref = constant_ref(measure.x, measure.dx, measure.times, 1.0)
-        assert rel.relative_energy(measure, LAW_MONO, ref, 0.0) == pytest.approx(
-            2.0, abs=1e-12)
+        assert rel.relative_energy_series(measure, LAW_MONO, ref)[
+            measure.time_index(0.0)] == pytest.approx(2.0, abs=1e-12)
 
     def test_kinetic_part_quadratic_in_velocity_offset(self):
         m1 = single_atom_measure(2.0, 1.0)
         m2 = single_atom_measure(2.0, 2.0)
         ref = constant_ref(m1.x, m1.dx, m1.times, 1.0)
-        e1 = rel.relative_energy(m1, LAW_MONO, ref, 0.0)
-        e2 = rel.relative_energy(m2, LAW_MONO, ref, 0.0)
+        e1 = rel.relative_energy_series(m1, LAW_MONO, ref)[m1.time_index(0.0)]
+        e2 = rel.relative_energy_series(m2, LAW_MONO, ref)[m2.time_index(0.0)]
         # doubling v - U quadruples the kinetic share (1.0 here) exactly
         assert e2 - e1 == pytest.approx(3.0, abs=1e-12)
 
@@ -117,7 +117,8 @@ class TestRelativeEnergyValue:
     def test_density_offset_is_detected(self):
         measure = single_atom_measure(1.1, 0.0)
         ref = constant_ref(measure.x, measure.dx, measure.times, 1.0)
-        assert rel.relative_energy(measure, LAW_MONO, ref, 0.0) > 1e-4
+        assert rel.relative_energy_series(measure, LAW_MONO, ref)[
+            measure.time_index(0.0)] > 1e-4
 
     def test_series_nonnegative_on_perturbed_family(self, bump_family):
         _, measure, ref, _ = bump_family
@@ -141,7 +142,7 @@ class TestRelativeEnergyValue:
         measure = single_atom_measure(1.0, 0.0)
         ref = constant_ref(measure.x, measure.dx, measure.times, 1.0)
         with pytest.raises(DomainError, match="sample"):
-            rel.relative_energy(measure, LAW_MONO, ref, 0.123)
+            measure.time_index(0.123)
 
 
 # -- estimator configuration ------------------------------------------------------
@@ -267,14 +268,6 @@ class TestRemainderTerms:
         with pytest.raises(DomainError, match="viscosity"):
             rel.remainder_terms(measure, LAW_BUMP, 0.0, ref, lower, hb)
 
-    def test_per_time_accessor_matches_arrays(self, bump_remainders):
-        rep = bump_remainders
-        k = rep.times.size // 2
-        at = rep.at(float(rep.times[k]))
-        assert at["I3"] == float(rep.I3[k])
-        assert at["slack5"] == float(rep.slack5[k])
-        with pytest.raises(DomainError):
-            rep.at(float(rep.times[k]) + 1e-3)
 
 
 # -- growth verdict ---------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Traceless map and Newtonian stress."""
+"""Traceless map and Frobenius contraction."""
 import numpy as np
 import pytest
 
 from mvflow.errors import DomainError
-from mvflow.tensors import frobenius, stress, stress_power, traceless
+from mvflow.tensors import frobenius, traceless
 
 
 def test_traceless_2d_example():
@@ -26,28 +26,6 @@ def test_traceless_contraction_identity(d):
     lhs = frobenius(T, T)
     rhs = 2.0 * frobenius(T, A)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, float(np.max(np.abs(lhs))))
-
-
-def test_stress_2d_identity_matrix():
-    D = np.eye(2)
-    np.testing.assert_allclose(stress(D, mu=2.0, lam=1.0), 2.0 * np.eye(2))
-
-
-def test_stress_zero_input():
-    np.testing.assert_allclose(stress(np.zeros((3, 3)), mu=1.0, lam=0.5), 0.0)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_stress_power_nonnegative(d):
-    rng = np.random.default_rng(99)
-    A = rng.normal(size=(1000, d, d))
-    D = 0.5 * (A + np.swapaxes(A, -1, -2))
-    assert np.min(stress_power(D, mu=1.3, lam=0.7)) >= -1e-13
-
-
-def test_stress_rejects_nonpositive_lambda():
-    with pytest.raises(DomainError):
-        stress(np.eye(2), mu=1.0, lam=0.0)
 
 
 def test_traceless_rejects_nonsquare():
