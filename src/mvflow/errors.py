@@ -17,7 +17,11 @@ class InsufficientGridError(MvflowError, ValueError):
     """Certification grid too sparse or too narrow for the requested range."""
 
 
-class StepRejected(MvflowError, RuntimeError):
+class SolverFailure(MvflowError, RuntimeError):
+    """The scheme produced an inadmissible state (e.g. negative density)."""
+
+
+class StepRejected(SolverFailure):
     """Requested time step exceeds the stability limit.
 
     Carries the largest admissible dt so callers can retry.
@@ -26,10 +30,6 @@ class StepRejected(MvflowError, RuntimeError):
     def __init__(self, dt: float, dt_max: float):
         super().__init__(f"dt = {dt:.6g} exceeds admissible dt_max = {dt_max:.6g}")
         self.dt_max = dt_max
-
-
-class SolverFailure(MvflowError, RuntimeError):
-    """The scheme produced an inadmissible state (e.g. negative density)."""
 
 
 class ReferenceInvalidError(MvflowError, RuntimeError):

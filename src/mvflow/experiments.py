@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .configio import config_hash, format_csv, format_kv, read_spec
+from .configio import config_hash, format_csv, format_kv, read_spec, write_csv
 from .errors import MvflowError, SpecParseError
 from .measures import (assemble, compatibility_residual, continuity_residual,
                        energy_inequality_slack, estimate_defect,
@@ -88,9 +88,17 @@ def _get(cfg: dict, key: str, default, cast):
             raise SpecParseError(f"field '{key}' is required")
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError) as e:
         raise SpecParseError(f"field '{key}': {e}") from e
+    if cast is float and not math.isfinite(value):
+        raise SpecParseError(f"field '{key}': must be finite, got {raw}")
+    return value
+
+
+def _tuple_of(cast):
+    """Parse a comma-separated list of cast values."""
+    return lambda raw: tuple(cast(v) for v in raw.split(","))
 
 
 def spec_from_config(cfg: dict) -> ExperimentSpec:
@@ -123,20 +131,15 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
     if mode == "density-noise" and eps <= 0.0:
         raise SpecParseError("field 'ensemble.eps': density-noise needs eps > 0")
 
-    deltas: tuple[float, ...] = ()
-    if "ensemble.deltas" in cfg:
-        try:
-            deltas = tuple(float(v) for v in cfg["ensemble.deltas"].split(","))
-        except ValueError as e:
-            raise SpecParseError(f"field 'ensemble.deltas': {e}") from e
+    deltas = _get(cfg, "ensemble.deltas", (), _tuple_of(float))
     if mode == "delta-sequence":
         if len(deltas) < 2:
             raise SpecParseError(
                 "field 'ensemble.deltas': delta-sequence needs >= 2 values")
-        if any(d <= 0.0 for d in deltas) or \
+        if not all(math.inf > d > 0.0 for d in deltas) or \
                 any(a >= b for a, b in zip(deltas[1:], deltas[:-1])):
             raise SpecParseError(
-                "field 'ensemble.deltas': values must be positive and "
+                "field 'ensemble.deltas': values must be positive, finite and "
                 "strictly decreasing (finest last)")
         if "ensemble.k" in cfg and members != len(deltas):
             raise SpecParseError(
@@ -152,11 +155,7 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
                 f"field 'checks': unknown check '{c}' "
                 f"(expected a subset of {', '.join(CHECK_NAMES)})")
 
-    levels_raw = cfg.get("convergence.levels", "64,128,256")
-    try:
-        levels = tuple(int(v) for v in levels_raw.split(","))
-    except ValueError as e:
-        raise SpecParseError(f"field 'convergence.levels': {e}") from e
+    levels = _get(cfg, "convergence.levels", (64, 128, 256), _tuple_of(int))
 
     init_kind = _get(cfg, "init.kind", "pulse-flow", str)
     if init_kind not in ("pulse-flow", "constant"):
@@ -189,6 +188,10 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
             seed=_get(cfg, "seed", 0, int),
             out=cfg.get("out"), residual_tol=residual_tol,
             convergence_levels=levels)
+        if not 0.0 <= spec.init_center_frac <= 1.0:
+            raise SpecParseError("field 'init.center_frac': must lie in [0, 1]")
+        if not 0.0 < spec.init_width_frac <= 1.0:
+            raise SpecParseError("field 'init.width_frac': must lie in (0, 1]")
         _solver_config(spec)  # validates the numeric ranges up front
     except MvflowError as e:
         if isinstance(e, SpecParseError):
@@ -300,11 +303,9 @@ class RunManifest:
         return all(r.passed for r in self.results)
 
 
-def _solver_config(spec: ExperimentSpec, delta: float | None = None) -> SolverConfig:
-    return SolverConfig(law=spec.law, lam=spec.lam, T=spec.T,
-                        delta=spec.delta if delta is None else delta,
-                        Gamma=spec.Gamma, cfl=spec.cfl,
-                        n_samples=spec.n_samples)
+def _solver_config(spec: ExperimentSpec) -> SolverConfig:
+    return SolverConfig(law=spec.law, lam=spec.lam, T=spec.T, delta=spec.delta,
+                        Gamma=spec.Gamma, cfl=spec.cfl, n_samples=spec.n_samples)
 
 
 def _initial_data(spec: ExperimentSpec) -> InitialData:
@@ -325,33 +326,32 @@ def _build_ensemble(spec: ExperimentSpec
                                Trajectory | None]:
     """Run the members; also the unperturbed base when it is the reference.
 
-    Members sharing the spec's solver config advance as one stack, with the
-    base state as one more row when a weak-strong check asks for a ref.factor
-    = 1 reference.  With ensemble.mode = none every member is the base state,
-    so one run serves all of them and the reference.  delta-sequence members
-    differ in config and run one by one.
+    Every mode is one run_stack call over (state, config) rows: a noisy
+    state per density-noise member, the base state under each delta of a
+    delta-sequence, and then the base state under the spec's config when a
+    weak-strong check asks for a ref.factor = 1 reference.  With
+    ensemble.mode = none every member is that base row, so it runs once,
+    whether or not it is also the reference.
     """
     grid = Grid1D(n=spec.grid_n, length=spec.length)
     base = _initial_data(spec)
+    cfg = _solver_config(spec)
+    rows = []
     if spec.mode == "delta-sequence":
-        members = [run(_solver_config(spec, delta=d), base.sample(grid), grid)
-                   for d in spec.deltas]
-        return grid, base, members, None
-
-    base_row = spec.ref_factor == 1 and _weak_strong_requested(spec)
-    if spec.mode == "none":
-        traj = run(_solver_config(spec), base.sample(grid), grid)
-        return grid, base, [traj] * spec.members, traj if base_row else None
-
-    rng = np.random.default_rng(spec.seed)
-    inits = [perturb_density(base, spec.length, spec.eps, rng)
-             for _ in range(spec.members)]
+        rows = [(base, dataclasses.replace(cfg, delta=d)) for d in spec.deltas]
+    elif spec.mode == "density-noise":
+        rng = np.random.default_rng(spec.seed)
+        rows = [(perturb_density(base, spec.length, spec.eps, rng), cfg)
+                for _ in range(spec.members)]
+    want_ref = spec.ref_factor == 1 and _weak_strong_requested(spec)
+    base_row = want_ref or spec.mode == "none"
     if base_row:
-        inits.append(base)
-    members = run_stack(_solver_config(spec), [ini.sample(grid) for ini in inits],
-                        grid)
-    base_run = members.pop() if base_row else None
-    return grid, base, members, base_run
+        rows.append((base, cfg))
+    runs = run_stack([c for _, c in rows], [ini.sample(grid) for ini, _ in rows],
+                     grid)
+    base_run = runs.pop() if base_row else None
+    members = [base_run] * spec.members if spec.mode == "none" else runs
+    return grid, base, members, base_run if want_ref else None
 
 
 @dataclass
@@ -371,15 +371,12 @@ def _make_context(spec: ExperimentSpec) -> _Context:
     asks for them, the remainder report and the growth verdict."""
     grid, base, members, base_run = _build_ensemble(spec)
     measure = assemble(members)
-    if len(members) >= 2:
-        # tail spans the full generating ensemble: the tail means then equal
-        # the measure moments, so rM collapses to the delta term alone and
-        # the rM <= E_inf + zeta and energy-budget identities close exactly
-        defect = estimate_defect(members, measure, spec.law, spec.lam,
-                                 tail=len(members))
-    else:
-        defect = estimate_defect([members[0], members[0]], measure,
-                                 spec.law, spec.lam, tail=1)
+    # tail spans the full generating ensemble: the tail means then equal the
+    # measure moments, so rM collapses to the delta term alone and the
+    # rM <= E_inf + zeta and energy-budget identities close exactly; a single
+    # member is paired with itself
+    defect = estimate_defect(members if len(members) >= 2 else members * 2,
+                             measure, spec.law, spec.lam, tail=len(members))
     e0 = float(np.mean([total_energy(m.state_at(0), m.cfg, grid)
                         for m in members]))
     cum_dis = np.mean([m.cum_dissipation for m in members], axis=0)
@@ -505,22 +502,25 @@ def _check_korn(ctx: _Context):
             [("korn.csv", format_csv(["length", "lhs", "rhs", "c_P"], rows))])
 
 
+def _certificate_table(law: PressureLaw, r_lo: float, r_hi: float, points: int):
+    """Both lemma certificates over r in [r_lo, r_hi], on points densities
+    from 0 to max(10, 4.4 r_hi), with their CSV header and rows."""
+    rho_grid = np.linspace(0.0, max(10.0, 4.4 * r_hi), points)
+    lower = certify_lower_bound(law, (r_lo, r_hi), rho_grid)
+    hbound = certify_h_bound(law, (r_lo, r_hi), rho_grid)
+    return (lower, hbound, ["r", "c_middle", "c_outer", "C_ratio", "valid"],
+            certificate_rows(lower, hbound))
+
+
 def _check_lemmas(ctx: _Context):
-    spec, measure = ctx.spec, ctx.measure
-    rho_bar = np.mean(measure.S, axis=0)
+    rho_bar = np.mean(ctx.measure.S, axis=0)
     r_lo = 0.95 * float(np.min(rho_bar))
     r_hi = 1.05 * float(np.max(rho_bar))
-    top = max(10.0, 4.4 * r_hi)
-    rho_grid = np.linspace(0.0, top, 4001)
-    lower = certify_lower_bound(spec.law, (r_lo, r_hi), rho_grid)
-    hbound = certify_h_bound(spec.law, (r_lo, r_hi), rho_grid)
-    rows = certificate_rows(lower, hbound)
-    ok = lower.valid and hbound.valid
-    return (CheckResult("lemmas", ok, float(lower.c_min),
+    lower, hbound, header, rows = _certificate_table(ctx.spec.law, r_lo, r_hi, 4001)
+    return (CheckResult("lemmas", lower.valid and hbound.valid, float(lower.c_min),
                         f"c_min {lower.c_min:.6g}, C_max {hbound.C_max:.6g} "
                         f"on r in [{r_lo:.4g}, {r_hi:.4g}]"),
-            [("certificates.csv",
-              format_csv(["r", "c_middle", "c_outer", "C_ratio", "valid"], rows))])
+            [("certificates.csv", format_csv(header, rows))])
 
 
 def _check_relative_energy(ctx: _Context):
@@ -529,14 +529,7 @@ def _check_relative_energy(ctx: _Context):
                              1e-8 * (1.0 + getattr(rep, f"bound{i}"))))
                 for i in (2, 3, 4, 5))
     ok = worst >= 0.0
-    hdr = ["tau", "E_mv", "I2", "I3", "I4", "I5",
-           "bound2", "bound3", "bound4", "bound5",
-           "slack2", "slack3", "slack4", "slack5"]
-    rows = [tuple(float(arr[k]) for arr in
-                  (rep.times, rep.E_mv, rep.I2, rep.I3, rep.I4, rep.I5,
-                   rep.bound2, rep.bound3, rep.bound4, rep.bound5,
-                   rep.slack2, rep.slack3, rep.slack4, rep.slack5))
-            for k in range(rep.times.size)]
+    hdr, rows = rep.rows()
     return (CheckResult("relative-energy", ok, worst,
                         "every remainder within its certified bound" if ok
                         else "a remainder exceeded its certified bound"),
@@ -625,13 +618,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
 
 # -- command-layer operations -------------------------------------------------------
 
+def _load_spec(spec_path: str, seed: int | None) -> ExperimentSpec:
+    spec = spec_from_config(read_spec(spec_path))
+    return spec if seed is None else dataclasses.replace(spec, seed=seed)
+
+
 def cmd_run(spec_path: str, out: str | None = None, seed: int | None = None,
             jobs: int = 1) -> RunManifest:
-    cfg = read_spec(spec_path)
-    spec = spec_from_config(cfg)
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
-    return run_experiment(spec, out_dir=out, jobs=jobs)
+    return run_experiment(_load_spec(spec_path, seed), out_dir=out, jobs=jobs)
 
 
 def _order_cell(a: float, b: float) -> object:
@@ -649,10 +643,7 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
     rounded down to a multiple of the level; each fine size runs once.  jobs
     is accepted and ignored.
     """
-    cfg = read_spec(spec_path)
-    spec = spec_from_config(cfg)
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
+    spec = _load_spec(spec_path, seed)
     out_dir = resolve_out_dir(out, spec.out, spec.name)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -660,14 +651,11 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
         if len(spec.deltas) < 3:
             raise SpecParseError("convergence needs at least 3 levels")
         header = ["delta", "zeta", "energy", "dissipation"]
-        grid = Grid1D(n=spec.grid_n, length=spec.length)
-        base = _initial_data(spec)
-        values = []
-        for d in spec.deltas:
-            traj = run(_solver_config(spec, delta=d), base.sample(grid), grid)
-            zeta = float(np.sum(d * traj.rho[-1] ** spec.Gamma) * grid.dx)
-            values.append((d, zeta, float(traj.energy[-1]),
-                           float(traj.cum_dissipation[-1])))
+        # the members only: with no checks to run, no reference row is added
+        grid, _, members, _ = _build_ensemble(dataclasses.replace(spec, checks=()))
+        values = [(d, float(np.sum(d * traj.rho[-1] ** spec.Gamma) * grid.dx),
+                   float(traj.energy[-1]), float(traj.cum_dissipation[-1]))
+                  for d, traj in zip(spec.deltas, members)]
         rows: list[tuple] = list(values)
         for i in range(len(values) - 1):
             rows.append((f"order:{values[i][0]:g}->{values[i + 1][0]:g}",
@@ -705,8 +693,7 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
                          *[_order_cell(a[j], b[j]) for j in range(2, 7)]))
 
     path = os.path.join(out_dir, "convergence.csv")
-    with open(path, "w") as fh:
-        fh.write(format_csv(header, rows))
+    write_csv(path, header, rows)
     return path, header, rows
 
 
@@ -715,22 +702,13 @@ def cmd_certify(spec_path: str, out: str | None = None
     """Certify the lemma constants for the law described by the spec file."""
     cfg = read_spec(spec_path)
     law = law_from_config(cfg)
-    try:
-        r_min = float(cfg["certify.r_min"])
-        r_max = float(cfg["certify.r_max"])
-    except KeyError as e:
-        raise SpecParseError(f"field {e} is required for certify") from e
-    points = int(cfg.get("certify.points", "4001"))
+    r_min = _get(cfg, "certify.r_min", None, float)
+    r_max = _get(cfg, "certify.r_max", None, float)
+    points = _get(cfg, "certify.points", 4001, int)
     out_dir = resolve_out_dir(out, cfg.get("out"), cfg.get("name", "certify"))
     os.makedirs(out_dir, exist_ok=True)
 
-    top = max(10.0, 4.4 * r_max)
-    rho_grid = np.linspace(0.0, top, points)
-    lower = certify_lower_bound(law, (r_min, r_max), rho_grid)
-    hbound = certify_h_bound(law, (r_min, r_max), rho_grid)
-    rows = certificate_rows(lower, hbound)
-    header = ["r", "c_middle", "c_outer", "C_ratio", "valid"]
+    _, _, header, rows = _certificate_table(law, r_min, r_max, points)
     path = os.path.join(out_dir, "certificates.csv")
-    with open(path, "w") as fh:
-        fh.write(format_csv(header, rows))
+    write_csv(path, header, rows)
     return path, header, rows

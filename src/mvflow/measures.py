@@ -87,8 +87,7 @@ def assemble(ensemble: list[Trajectory]) -> DiscreteYoungMeasure:
     for j, traj in enumerate(ensemble):
         S[j] = traj.rho
         V[j] = traj.u
-        for kt in range(nt):
-            D[j, kt] = gradient_1d(traj.u[kt], traj.grid.dx)
+        D[j] = gradient_1d(traj.u, traj.grid.dx)
     return DiscreteYoungMeasure(times=first.times.copy(), x=first.grid.centers,
                                 dx=first.grid.dx, length=first.grid.length,
                                 S=S, V=V, D=D,
@@ -323,10 +322,6 @@ class DefectReport:
     clip_log: dict = field(default_factory=dict)
 
 
-def _trajectory_deltas(trajectories: list[Trajectory]) -> list[float]:
-    return [traj.cfg.delta for traj in trajectories]
-
-
 def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure,
                     law: PressureLaw, lam: float, tail: int = 1,
                     C: float = 1.0, xi_floor: float = 1e-14) -> DefectReport:
@@ -345,7 +340,7 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
 
     times, x, dx = finest.times, finest.x, finest.dx
     nt = times.size
-    deltas = _trajectory_deltas(trajectories)
+    deltas = [traj.cfg.delta for traj in trajectories]
 
     def field_energy(traj):
         kin = 0.5 * traj.rho * traj.u**2

@@ -55,10 +55,9 @@ class CompactBump:
     _phi_one: float = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if not (self.q1 > 0.0 and self.q2 > self.q1):
-            raise InvalidLawError(
-                f"bump support must satisfy 0 < q1 < q2, got [{self.q1}, {self.q2}]"
-            )
+        if not (self.q1 > 0.0 and np.inf > self.q2 > self.q1 and np.isfinite(self.amp)):
+            raise InvalidLawError(f"bump needs 0 < q1 < q2 < inf and a finite amp, "
+                                  f"got [{self.q1}, {self.q2}] and {self.amp}")
         # q(z) = 16 amp / w^4 * [(z - q1)(q2 - z)]^2, expanded in powers of z
         p2 = np.polynomial.Polynomial([-self.q1 * self.q2, self.q1 + self.q2, -1.0])
         object.__setattr__(self, "_coef", (16.0 * self.amp / self.width**4) * (p2 * p2).coef)
@@ -103,10 +102,10 @@ class PowerLawH:
     gamma: float
 
     def __post_init__(self):
-        if not (self.a > 0.0):
-            raise InvalidLawError(f"power-law coefficient must be positive, got a = {self.a}")
-        if not (self.gamma >= 1.0):
-            raise InvalidLawError(f"power-law exponent must satisfy gamma >= 1, got {self.gamma}")
+        if not (np.inf > self.a > 0.0):
+            raise InvalidLawError(f"power-law a must be finite and > 0, got {self.a}")
+        if not (np.inf > self.gamma >= 1.0):
+            raise InvalidLawError(f"power-law gamma must be finite and >= 1, got {self.gamma}")
 
     def value(self, rho) -> np.ndarray:
         rho = _as_array(rho)
@@ -176,12 +175,14 @@ class TabulatedH:
         h = np.asarray(self.h_samples, dtype=float)
         if r.ndim != 1 or r.shape != h.shape or r.size < 3:
             raise InvalidLawError("tabulated law needs >= 3 matching (rho, h) samples")
+        if not (np.isfinite(r).all() and np.isfinite(h).all()):
+            raise InvalidLawError("tabulated samples must be finite")
         if r[0] != 0.0 or h[0] != 0.0:
             raise InvalidLawError("tabulated law must start at (0, 0)")
         if np.any(np.diff(r) <= 0.0) or np.any(np.diff(h) <= 0.0):
             raise InvalidLawError("tabulated samples must be strictly increasing")
-        if not (self.gamma_tail >= 1.0):
-            raise InvalidLawError("gamma_tail must be >= 1")
+        if not (np.inf > self.gamma_tail >= 1.0):
+            raise InvalidLawError("gamma_tail must be finite and >= 1")
         spline = PchipInterpolator(r, h, extrapolate=True)
         dspline = spline.derivative()
         g = float(self.gamma_tail)
@@ -486,12 +487,9 @@ class LowerBoundCertificate:
     grid_step: float
     valid: bool
 
-    def c_of_r(self) -> np.ndarray:
-        return np.minimum(self.c_middle, self.c_outer)
-
     @property
     def c_min(self) -> float:
-        return float(np.min(self.c_of_r()))
+        return float(np.min(np.minimum(self.c_middle, self.c_outer)))
 
 
 @dataclass(frozen=True)

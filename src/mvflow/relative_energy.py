@@ -208,6 +208,19 @@ class RemainderReport:
     constants: dict
     cutoff: CutoffBand
 
+    def rows(self):
+        """CSV header and rows (tau, E_mv, I2..I5, bound2..5, slack2..5)."""
+        return _table({"tau": self.times, "E_mv": self.E_mv}, self)
+
+
+def _table(lead: dict, rem: RemainderReport):
+    """The lead columns, then rem's I2..I5, bound2..5 and slack2..5, as a CSV
+    header and rows."""
+    names = [f"{p}{i}" for p in ("I", "bound", "slack") for i in (2, 3, 4, 5)]
+    cols = dict(lead, **{name: getattr(rem, name) for name in names})
+    return list(cols), [tuple(float(c[k]) for c in cols.values())
+                        for k in range(rem.times.size)]
+
 
 def _cumtrapz(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(f)
@@ -378,23 +391,9 @@ class RelativeEnergyReport:
     passed: bool
 
     def rows(self):
-        """CSV rows (tau, E, D, I2..I5, bound2..5, slack2..5)."""
-        hdr = ["tau", "E_mv", "D",
-               "I2", "I3", "I4", "I5",
-               "bound2", "bound3", "bound4", "bound5",
-               "slack2", "slack3", "slack4", "slack5"]
-        rem = self.remainders
-        rows = []
-        for k in range(self.times.size):
-            rows.append((float(self.times[k]), float(self.E_mv[k]),
-                         float(self.D[k]),
-                         float(rem.I2[k]), float(rem.I3[k]),
-                         float(rem.I4[k]), float(rem.I5[k]),
-                         float(rem.bound2[k]), float(rem.bound3[k]),
-                         float(rem.bound4[k]), float(rem.bound5[k]),
-                         float(rem.slack2[k]), float(rem.slack3[k]),
-                         float(rem.slack4[k]), float(rem.slack5[k])))
-        return hdr, rows
+        """CSV header and rows (tau, E_mv, D, I2..I5, bound2..5, slack2..5)."""
+        return _table({"tau": self.times, "E_mv": self.E_mv, "D": self.D},
+                      self.remainders)
 
     def verdict_line(self) -> str:
         mode = "uniqueness" if self.uniqueness_mode else "growth"

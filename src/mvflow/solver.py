@@ -16,13 +16,14 @@ Density ghosts are zero-gradient.  The per-step energy budget
 is tracked during a run; for smooth data the slack stays at rounding scale
 because upwinding only adds dissipation.
 
-States stack: K states on one grid and config are the rows of (K, n)
-arrays, each row with its own time and time step.  The kernels act row by
-row (reductions run along the last axis), the K viscous systems form one
-block-diagonal tridiagonal solve, and run_stack drives all rows through one
-loop, with run as its one-row case.  Each row of a stacked run equals the
-run of that state alone, bit for bit.  A non-finite density or momentum
-stops a run with a SolverFailure naming its row and cell.
+States stack: K states on one grid are the rows of (K, n) arrays, each
+with its own time, time step and config; the configs differ at most in
+delta, a float or a (K, 1) column in the kernels, which act row by row.
+The K viscous systems form one block-diagonal tridiagonal solve, and
+run_stack drives all rows through one loop, with run as its one-row case.
+Each row of a stacked run equals the run of that state alone, bit for bit.
+A non-finite density or momentum, or a non-positive viscous diagonal, stops
+a run with a SolverFailure naming its row and cell.
 
 A step splits in two: step_start returns a StepStart, which holds what
 depends on the state alone: the CFL bound dt_max and the face differences
@@ -39,10 +40,11 @@ the new density stays nonnegative.
 """
 from __future__ import annotations
 
+import copy
 import math
 import time as _time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -148,18 +150,23 @@ def gradient_1d(u: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
+def _plus_delta(x: np.ndarray, delta, term) -> np.ndarray:
+    """x + term(delta), delta a float or a stack's (K, 1) column; rows with
+    delta = 0 keep x as it is (adding 0.0 would turn a -0.0 into 0.0)."""
+    if isinstance(delta, np.ndarray):
+        return np.where(delta > 0.0, x + term(delta), x)
+    return x + term(delta) if delta > 0.0 else x
+
+
 def total_pressure(cfg: SolverConfig, rho: np.ndarray) -> np.ndarray:
-    pi = cfg.law.p(rho)
-    if cfg.delta > 0.0:
-        pi = pi + cfg.delta * np.power(rho, cfg.Gamma)
-    return pi
+    return _plus_delta(cfg.law.p(rho), cfg.delta,
+                       lambda d: d * np.power(rho, cfg.Gamma))
 
 
 def sound_speed(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray) -> np.ndarray:
     """sqrt of the total-pressure slope, floored by dx where the law dips."""
-    slope = cfg.law.dp(rho)
-    if cfg.delta > 0.0:
-        slope = slope + cfg.delta * cfg.Gamma * np.power(rho, cfg.Gamma - 1.0)
+    slope = _plus_delta(cfg.law.dp(rho), cfg.delta,
+                        lambda d: d * cfg.Gamma * np.power(rho, cfg.Gamma - 1.0))
     return np.sqrt(np.maximum(slope, grid.dx))
 
 
@@ -304,18 +311,21 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     *_, u_new, info = dgtsv(off, diag.reshape(-1), off.copy(), m_star.reshape(-1),
                             True, True, True, True)
     if info != 0:
-        raise SolverFailure(f"viscous solve failed: LAPACK gtsv info {info}")
+        # gtsv overwrote diag; it was not positive where rho_new + kappa is not
+        raise SolverFailure("viscous solve failed: non-positive diagonal at "
+                            f"{_first_cell(~(rho_new + kappa > 0.0), rows)} "
+                            f"(LAPACK gtsv info {info})")
     u_new = np.where(rho_new > cfg.rho_floor, u_new.reshape(rho.shape), 0.0)
 
     return FluidState(rho=rho_new, m=rho_new * u_new, t=state.t + dt)
 
 
 def _energy(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray, m: np.ndarray,
-            solid: np.ndarray, rho_f: np.ndarray):
+            solid: np.ndarray, rho_f: np.ndarray, potential: np.ndarray):
+    """Per row sum dx (m^2/(2 rho) + potential + delta rho^Gamma / (Gamma - 1))."""
     kin = np.where(solid, 0.5 * m**2 / rho_f, 0.0)
-    e = kin + cfg.law.P(rho)
-    if cfg.delta > 0.0:
-        e = e + cfg.delta * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0)
+    e = _plus_delta(kin + potential, cfg.delta,
+                    lambda d: d * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0))
     return _per_row(e.sum(axis=-1) * grid.dx)
 
 
@@ -325,7 +335,20 @@ def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     Kinetic energy of near-vacuum cells is taken as zero.  A stacked state
     gets one energy per row.
     """
-    return _energy(cfg, grid, state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor))
+    return _energy(cfg, grid, state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor),
+                   cfg.law.P(state.rho))
+
+
+def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
+    """Positive magnitude of the initial energy used to size slack budgets.
+
+    Matches total_energy except the pressure potential enters in absolute
+    value, so data dipping below the reference density still yields a
+    positive scale.
+    """
+    e = _energy(cfg, grid, state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor),
+                np.abs(cfg.law.P(state.rho)))
+    return _per_row(np.maximum(e, 1e-15))
 
 
 def _dissipation(cfg: SolverConfig, grid: Grid1D, u: np.ndarray, dt):
@@ -346,7 +369,8 @@ def _budget_terms(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
     sharing its vacuum mask and floored density."""
     solid, rho_f = _vacuum(state.rho, cfg.rho_floor)
     u = np.where(solid, state.m / rho_f, 0.0)
-    return (u, _energy(cfg, grid, state.rho, state.m, solid, rho_f),
+    return (u, _energy(cfg, grid, state.rho, state.m, solid, rho_f,
+                       cfg.law.P(state.rho)),
             _dissipation(cfg, grid, u, dt))
 
 
@@ -371,25 +395,17 @@ class Trajectory:
                           t=float(self.times[k]))
 
 
-def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
-    """Positive magnitude of the initial energy used to size slack budgets.
-
-    Matches total_energy except the pressure potential enters in absolute
-    value, so data dipping below the reference density still yields a
-    positive scale.
-    """
-    rho = state.rho
-    kin = np.where(rho > cfg.rho_floor,
-                   0.5 * state.m**2 / np.maximum(rho, cfg.rho_floor), 0.0)
-    e = kin + np.abs(cfg.law.P(rho))
-    if cfg.delta > 0.0:
-        e = e + cfg.delta * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0)
-    return _per_row(np.maximum(e.sum(axis=-1) * grid.dx, 1e-15))
-
-
 def run(cfg: SolverConfig, init_state: FluidState, grid: Grid1D) -> Trajectory:
     """Advance init_state to T with adaptive steps: run_stack on one row."""
-    return run_stack(cfg, [init_state], grid)[0]
+    return run_stack([cfg], [init_state], grid)[0]
+
+
+def _with_delta(cfg: SolverConfig, delta) -> SolverConfig:
+    """cfg holding a stack's (K, 1) column of per-row deltas, unchecked; only
+    run_stack's kernels see such a copy."""
+    out = copy.copy(cfg)
+    object.__setattr__(out, "delta", delta)
+    return out
 
 
 @dataclass(slots=True)
@@ -410,13 +426,15 @@ class _RowControl:
     n_trials: int = 0
 
 
-def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
+def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
               grid: Grid1D) -> list[Trajectory]:
     """Advance K initial states to T as one (K, n) stack, sampling uniformly.
 
-    Each row keeps its own t and dt.  dt is capped by the CFL bound and
-    additionally controlled so that every accepted step satisfies the energy
-    budget
+    Row k runs under cfgs[k]; the configs may differ only in delta, which
+    the kernels take as a float if all rows share it, else as a (K, 1)
+    column.  Each row keeps its own t and dt.  dt is capped by the CFL
+    bound and additionally controlled so that every accepted step satisfies
+    the energy budget
 
         E(t) - E(t+dt) - dt sum dx lam (du/dx)^2 >= -step_slack_tol * E_scale:
 
@@ -425,21 +443,30 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
     and dt regrows by 1.5x after accepted steps.  Every trial advances the
     rows still short of their next sample time together; a row records its
     sample when it reaches that time.  The controller runs row by row on
-    Python floats, so row k of the result is bit for bit the trajectory a
-    one-row stack of states[k] gives.
+    Python floats, so row k of the result, whose cfg is cfgs[k], is bit for
+    bit the trajectory run(cfgs[k], states[k], grid) gives.
 
     A row's step_start is taken once when it starts a step and reused by its
     retries, and each state's velocity once: the accepted trial's carries
     into the next step_start and into the recorded sample.
     """
-    times = np.linspace(0.0, cfg.T, cfg.n_samples)
-    nt, n = times.size, grid.n
+    n = grid.n
     rho = np.array([s.rho for s in states], dtype=float)
     m = np.array([s.m for s in states], dtype=float)
     if rho.ndim != 2 or rho.shape[1] != n or m.shape != rho.shape:
         raise DomainError(f"run_stack needs one or more 1D states of {n} cells")
+    cfg = cfgs[0]
+    if len(cfgs) != len(states) or \
+            any(replace(c, delta=cfg.delta) != cfg for c in cfgs):
+        raise DomainError("run_stack needs one config per state, differing only in delta")
+    deltas = np.array([[c.delta] for c in cfgs])
+    mixed = bool((deltas != cfg.delta).any())
+    if mixed:
+        cfg = _with_delta(cfg, deltas)
     _require_finite("initial density", rho)
     _require_finite("initial momentum", m)
+    times = np.linspace(0.0, cfg.T, cfg.n_samples)
+    nt = times.size
     K = rho.shape[0]
     rho_out = np.empty((K, nt, n))
     u_out = np.empty((K, nt, n))
@@ -489,7 +516,8 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
             if len(fresh) == K:
                 start = part = step_start(state, cfg, grid, u=u)
             else:
-                part = step_start(FluidState(rho=rho[fresh], m=m[fresh]), cfg,
+                part = step_start(FluidState(rho=rho[fresh], m=m[fresh]),
+                                  _with_delta(cfg, deltas[fresh]) if mixed else cfg,
                                   grid, u=u[fresh])
                 start.put(fresh, part)
             for r, cand in zip(fresh, part.dt_max.tolist()):
@@ -504,7 +532,8 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
         d = np.array([ctl[r].dt for r in live])
         trial = step(cur, cfg, grid, d, rows=live,
                      dt_max=start if len(live) == K else start.take(live))
-        u_trial, e_new, dI = _budget_terms(trial, cfg, grid, d)
+        part_cfg = _with_delta(cfg, deltas[live]) if mixed and len(live) < K else cfg
+        u_trial, e_new, dI = _budget_terms(trial, part_cfg, grid, d)
         e_new, dI, t_new = e_new.tolist(), dI.tolist(), trial.t.tolist()
 
         accepted = []
@@ -540,7 +569,7 @@ def run_stack(cfg: SolverConfig, states: Sequence[FluidState],
     for r, c in enumerate(ctl):
         last = c.k  # samples 0..last-1 were recorded
         out.append(Trajectory(
-            grid=grid, cfg=cfg, times=times[:last].copy(), rho=rho_out[r, :last],
+            grid=grid, cfg=cfgs[r], times=times[:last].copy(), rho=rho_out[r, :last],
             u=u_out[r, :last], energy=energy[r, :last],
             cum_dissipation=cum_dis[r, :last],
             min_step_slack=float(c.min_slack) if c.n_steps else 0.0,

@@ -6,7 +6,7 @@ import pytest
 
 from mvflow import cli
 from mvflow.configio import format_kv, read_spec
-from mvflow.errors import CannotBoundError, SolverFailure
+from mvflow.errors import CannotBoundError, SolverFailure, StepRejected
 from mvflow.experiments import presets
 
 
@@ -177,6 +177,39 @@ def test_solver_failure_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     rc = cli.main(["run", "--spec", "whatever.spec"])
     assert rc == 3
     assert "collapsed" in capsys.readouterr().err
+
+
+def test_step_rejected_maps_to_exit_three(tmp_path, monkeypatch, capsys):
+    def boom(*a, **k):
+        raise StepRejected(2.0e-3, 1.0e-3)
+    monkeypatch.setattr(cli, "cmd_run", boom)
+    rc = cli.main(["run", "--spec", "whatever.spec"])
+    assert rc == 3
+    assert "exceeds admissible dt_max" in capsys.readouterr().err
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+_BUMP_NUMERIC_KEYS = sorted(k for k, v in presets()["weak-strong-bump"].items()
+                            if k != "schema" and _is_number(v))
+
+
+@pytest.mark.parametrize("key", _BUMP_NUMERIC_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_spec_value_exits_two(tmp_path, capsys, recwarn, key, value):
+    spec = write_preset(tmp_path, "weak-strong-bump", **{key: value})
+    rc = cli.main(["run", "--spec", spec, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    # a law parameter is named through the law's own message
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err or (key.startswith("law.") and "'law.*'" in err)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unbounded_estimate_maps_to_exit_four(tmp_path, monkeypatch, capsys):

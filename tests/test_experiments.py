@@ -1,5 +1,6 @@
 """Experiment driver: spec validation, presets, checks, manifest determinism."""
 
+import dataclasses
 import hashlib
 import os
 
@@ -97,6 +98,33 @@ def test_bad_solver_number_is_a_parse_error():
 def test_non_numeric_field_names_the_field():
     with pytest.raises(SpecParseError, match="grid.n"):
         spec_from_config(minimal_cfg(**{"grid.n": "many"}))
+
+
+@pytest.mark.parametrize("key", ["solver.delta", "solver.cfl", "init.base",
+                                 "init.width_frac", "tol.residual"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_names_the_field(key, value):
+    with pytest.raises(SpecParseError, match=rf"'{key}': must be finite"):
+        spec_from_config(minimal_cfg(**{key: value}))
+
+
+def test_delta_sequence_rejects_non_finite_deltas():
+    for deltas in ("1e-2,nan", "inf,1e-3"):
+        bad = minimal_cfg(**{"ensemble.mode": "delta-sequence",
+                             "ensemble.deltas": deltas})
+        with pytest.raises(SpecParseError, match="finite"):
+            spec_from_config(bad)
+
+
+@pytest.mark.parametrize("key,value", [("init.center_frac", "-0.1"),
+                                       ("init.center_frac", "1.5"),
+                                       ("init.width_frac", "0.0"),
+                                       ("init.width_frac", "1.01")])
+def test_init_fractions_are_bounded(key, value):
+    with pytest.raises(SpecParseError, match=key):
+        spec_from_config(minimal_cfg(**{key: value}))
+    for ok in ("0.0", "1.0") if key == "init.center_frac" else ("1e-3", "1.0"):
+        spec_from_config(minimal_cfg(**{key: ok}))
 
 
 def test_bad_law_is_a_parse_error():
@@ -245,9 +273,9 @@ def test_none_mode_runs_one_row_for_every_member(monkeypatch):
     rows = []
     real_run_stack = mvflow.solver.run_stack
 
-    def counting_run_stack(cfg, states, grid):
+    def counting_run_stack(cfgs, states, grid):
         rows.append(len(states))
-        return real_run_stack(cfg, states, grid)
+        return real_run_stack(cfgs, states, grid)
 
     monkeypatch.setattr(mvflow.solver, "run_stack", counting_run_stack)
     monkeypatch.setattr(mvflow.experiments, "run_stack", counting_run_stack)
@@ -258,6 +286,22 @@ def test_none_mode_runs_one_row_for_every_member(monkeypatch):
     single = run(_solver_config(spec), base.sample(grid), grid)
     for name in ("rho", "u", "energy", "cum_dissipation"):
         assert np.array_equal(getattr(base_run, name), getattr(single, name))
+
+    # a delta sequence is one stack too, one row per delta under its own
+    # config, each row equal to the run of that delta alone
+    rows.clear()
+    spec = spec_from_config(dict(presets()["delta-sequence"],
+                                 **{"grid.n": "32", "solver.T": "0.02"}))
+    grid, base, members, base_run = _build_ensemble(spec)
+    assert rows == [3] and base_run is None
+    for d, traj in zip(spec.deltas, members):
+        cfg = dataclasses.replace(_solver_config(spec), delta=d)
+        assert traj.cfg == cfg
+        single = run(cfg, base.sample(grid), grid)
+        for name in ("rho", "u", "energy", "cum_dissipation"):
+            assert np.array_equal(getattr(traj, name), getattr(single, name))
+        assert (traj.n_steps, traj.n_trials, traj.min_step_slack) == \
+            (single.n_steps, single.n_trials, single.min_step_slack)
 
 
 def test_factor_one_reference_runs_no_extra_solve(tmp_path, monkeypatch):
@@ -366,6 +410,26 @@ def test_convergence_delta_mode(tmp_path):
     orders = [r for r in rows if isinstance(r[0], str)]
     # zeta scales linearly with delta, so each decade is a log2(10) step
     assert all(abs(r[1] - np.log2(10.0)) < 0.2 for r in orders)
+
+
+def test_convergence_delta_mode_solves_one_stack_of_members(tmp_path, monkeypatch):
+    # a weak-strong check in the spec adds no reference row: the table reads
+    # only the members
+    stacks = []
+    real_run_stack = mvflow.solver.run_stack
+
+    def counting_run_stack(cfgs, states, grid):
+        stacks.append([c.delta for c in cfgs])
+        return real_run_stack(cfgs, states, grid)
+
+    monkeypatch.setattr(mvflow.experiments, "run_stack", counting_run_stack)
+    cfg = dict(presets()["delta-sequence"], checks="energy,gronwall",
+               **{"solver.n_samples": "5", "grid.n": "48"})
+    p = tmp_path / "d.spec"
+    p.write_text(format_kv(cfg))
+    _, _, rows = cmd_convergence(str(p), out=str(tmp_path / "out"))
+    assert stacks == [[1e-2, 1e-3, 1e-4]]
+    assert [r[0] for r in rows[:3]] == [1e-2, 1e-3, 1e-4]
 
 
 def test_certify_command(tmp_path):

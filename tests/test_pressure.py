@@ -280,6 +280,36 @@ def test_tabulated_rejects_nonmonotone():
         TabulatedH((0.5, 1.0, 2.0), (0.5, 1.0, 2.0))  # must start at (0, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tabulated_rejects_non_finite_samples(bad, monkeypatch):
+    # rejected before scipy builds the interpolant, which would raise a bare
+    # ValueError
+    def no_spline(*args, **kwargs):
+        raise AssertionError("the interpolant was built")
+
+    monkeypatch.setattr("scipy.interpolate.PchipInterpolator", no_spline)
+    for rho, h in (((0.0, 1.0, bad), (0.0, 1.0, 2.0)), ((0.0, 1.0, 2.0), (0.0, bad, 2.0))):
+        with pytest.raises(InvalidLawError, match="finite"):
+            TabulatedH(rho, h)
+    with pytest.raises(InvalidLawError, match="finite"):
+        TabulatedH((0.0, 1.0, 2.0), (0.0, 1.0, 2.0), gamma_tail=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bump_rejects_non_finite_parameters(bad):
+    for q1, q2, amp in ((1.0, 2.0, bad), (bad, 2.0, 0.1), (1.0, bad, 0.1)):
+        with pytest.raises(InvalidLawError, match="finite"):
+            build_bump_q(q1, q2, amp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_power_law_rejects_non_finite_parameters(bad):
+    with pytest.raises(InvalidLawError, match="finite"):
+        PowerLawH(a=bad, gamma=2.0)
+    with pytest.raises(InvalidLawError, match="finite"):
+        PowerLawH(a=1.0, gamma=bad)
+
+
 # -- Bregman ------------------------------------------------------------------
 
 def test_bregman_frozen_values():

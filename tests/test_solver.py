@@ -1,4 +1,6 @@
 """Solver tests: oracles for energy and dissipation, conservation, convergence."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,6 +204,22 @@ def test_step_refuses_a_bare_cfl_bound():
     start = step_start(state, cfg, grid)
     with pytest.raises(TypeError):
         step(state, cfg, grid, 0.5 * start.dt_max, dt_max=start.dt_max)
+
+
+def test_viscous_solve_failure_names_the_vacuum_cell():
+    # at the smallest subnormal dt, kappa = lam dt / dx^2 underflows to 0, so
+    # a vacuum cell's diagonal rho_new + 2 kappa is 0 and gtsv stops there
+    grid = Grid1D(n=12, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=1.0)
+    rho = np.ones((2, 12))
+    rho[1, 6] = 0.0
+    state = FluidState(rho=rho, m=np.zeros((2, 12)), t=np.zeros(2))
+    dt = np.full(2, 5e-324)
+    with pytest.raises(SolverFailure, match=r"non-positive diagonal at row 1, cell 6 "
+                                            r"\(LAPACK gtsv info 19\)"):
+        step(state, cfg, grid, dt)
+    with pytest.raises(SolverFailure, match=r"at row 7, cell 6"):
+        step(state, cfg, grid, dt, rows=[3, 7])
 
 
 @settings(max_examples=60, deadline=None)
@@ -500,7 +518,7 @@ def test_stacked_rows_equal_single_runs(law, K, seed):
     rng = np.random.default_rng(seed)
     base = pulse_flow_init(1.0, base=1.1, u_amp=0.3)
     states = [perturb_density(base, 1.0, 0.2, rng).sample(grid) for _ in range(K)]
-    stacked = run_stack(cfg, states, grid)
+    stacked = run_stack([cfg] * K, states, grid)
     assert len(stacked) == K
     for state, row in zip(states, stacked):
         single = run(cfg, state, grid)
@@ -524,7 +542,7 @@ def test_stacked_rows_step_apart_between_samples():
     base = pulse_flow_init(1.0, base=1.1, u_amp=0.3)
     states = [perturb_density(base, 1.0, eps, rng).sample(grid)
               for eps in (0.0, 0.1, 0.3)]
-    rows = run_stack(cfg, states, grid)
+    rows = run_stack([cfg] * 3, states, grid)
     assert len({r.n_steps for r in rows}) == 3
     assert any(r.n_trials > r.n_steps for r in rows)
     for state, row in zip(states, rows):
@@ -567,9 +585,82 @@ def test_run_stack_rejects_mismatched_grid():
     state = smooth_pulse_init(1.0).sample(Grid1D(n=16))
     cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.01, n_samples=2)
     with pytest.raises(DomainError):
-        run_stack(cfg, [state], Grid1D(n=32))
+        run_stack([cfg], [state], Grid1D(n=32))
     with pytest.raises(DomainError):
-        run_stack(cfg, [], Grid1D(n=16))
+        run_stack([], [], Grid1D(n=16))
+
+
+@settings(max_examples=20, deadline=None)
+@given(law=st.sampled_from(sorted(_LAWS)),
+       positive=st.lists(st.sampled_from([1e-4, 1e-2, 0.1]), min_size=1, max_size=3),
+       zero_at=st.integers(0, 3), Gamma=st.sampled_from([2.0, 3.0]),
+       eps=st.sampled_from([0.0, 0.2]), seed=st.integers(0, 2**32 - 1))
+def test_mixed_delta_rows_equal_single_runs(law, positive, zero_at, Gamma, eps, seed):
+    # a stack whose rows differ in delta, one of them 0: every row is byte
+    # for byte the run of its state under its own config, which it carries
+    deltas = list(positive)
+    deltas.insert(zero_at % (len(deltas) + 1), 0.0)
+    grid = Grid1D(n=24, length=1.0)
+    base = SolverConfig(law=_LAWS[law](), lam=0.1, T=0.02, n_samples=4, Gamma=Gamma)
+    cfgs = [replace(base, delta=d) for d in deltas]
+    rng = np.random.default_rng(seed)
+    init = pulse_flow_init(1.0, base=1.1, u_amp=0.3)
+    states = [perturb_density(init, 1.0, eps, rng).sample(grid) for _ in deltas]
+    rows = run_stack(cfgs, states, grid)
+    assert len(rows) == len(cfgs)
+    for cfg, state, row in zip(cfgs, states, rows):
+        single = run(cfg, state, grid)
+        assert row.cfg is cfg and single.cfg is cfg
+        _assert_same_run(row, single)
+        for name in ("rho", "u", "energy", "cum_dissipation"):
+            assert getattr(row, name).tobytes() == getattr(single, name).tobytes(), name
+
+
+def test_delta_free_rows_keep_their_bytes():
+    # a row with delta = 0 adds nothing, not +0.0, which would turn the
+    # pressure -0.0 of a -0.0 density under gamma = 3 into 0.0
+    grid = Grid1D(n=4, length=1.0)
+    cfg = SolverConfig(law=PressureLaw(h_part=PowerLawH(a=1.0, gamma=3.0)),
+                       lam=0.1, T=1.0)
+    rho = np.array([[-0.0, 1.0, 2.0, 0.5]] * 2)
+    state = FluidState(rho=rho, m=0.3 * rho, t=np.zeros(2))
+    stack = mvflow.solver._with_delta(cfg, np.array([[0.0], [0.1]]))
+    pi, e = total_pressure(stack, rho), total_energy(state, stack, grid)
+    assert np.signbit(pi[0, 0])
+    for k, d in enumerate((0.0, 0.1)):
+        row = replace(cfg, delta=d)
+        assert pi[k].tobytes() == total_pressure(row, rho[k]).tobytes()
+        assert e[k] == total_energy(FluidState(rho=rho[k], m=state.m[k]), row, grid)
+
+
+def test_delta_rows_step_apart():
+    # the same data under three deltas: the rows take different step counts,
+    # so later trials advance only some of them, each with its own delta
+    grid = Grid1D(n=32, length=1.0)
+    base = SolverConfig(law=bump_law(), lam=0.1, T=0.03, n_samples=4)
+    cfgs = [replace(base, delta=d) for d in (0.5, 0.0, 0.05)]
+    state = pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(grid)
+    rows = run_stack(cfgs, [state] * 3, grid)
+    assert len({r.n_steps for r in rows}) == 3
+    for cfg, row in zip(cfgs, rows):
+        _assert_same_run(row, run(cfg, state, grid))
+
+
+def test_run_stack_rejects_configs_differing_beyond_delta():
+    grid = Grid1D(n=16, length=1.0)
+    state = smooth_pulse_init(1.0).sample(grid)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.01, n_samples=2)
+    for other in (replace(cfg, lam=0.2), replace(cfg, Gamma=3.0),
+                  replace(cfg, law=bump_law()), replace(cfg, cfl=0.3),
+                  replace(cfg, n_samples=3), replace(cfg, delta=0.1, T=0.02)):
+        with pytest.raises(DomainError, match="differing only in delta"):
+            run_stack([cfg, other], [state, state], grid)
+    with pytest.raises(DomainError):
+        run_stack([cfg], [state, state], grid)
+    # an equal law built anew, and a different delta, stack
+    rows = run_stack([cfg, replace(cfg, law=gamma2_law(), delta=0.1)],
+                     [state, state], grid)
+    assert [r.cfg.delta for r in rows] == [0.0, 0.1]
 
 
 # -- non-finite states ----------------------------------------------------------------
@@ -584,7 +675,7 @@ def test_nan_initial_momentum_names_the_cell():
     with pytest.raises(SolverFailure, match=r"non-finite initial momentum at row 0, cell 7"):
         run(cfg, bad, grid)
     with pytest.raises(SolverFailure, match=r"row 2, cell 7"):
-        run_stack(cfg, [good, good, bad], grid)
+        run_stack([cfg] * 3, [good, good, bad], grid)
 
 
 def test_step_names_the_first_non_finite_cell():
@@ -657,8 +748,9 @@ def test_reference_from_incomplete_run_rejected():
 # -- the step before its split, as an oracle ------------------------------------------
 
 # The body of step and of its two error helpers before step was split into
-# step_start and the dt-dependent trial, copied unchanged apart from the names.
-# It keeps the positivity limiter that step no longer has.
+# step_start and the dt-dependent trial, copied unchanged apart from the names
+# and the message of a failed viscous solve, which now names the cell as
+# step's does.  It keeps the positivity limiter that step no longer has.
 
 def _reference_first_cell(mask: np.ndarray, rows=None) -> str:
     """Where the first True entry of a (n,) or (K, n) mask sits.
@@ -752,7 +844,9 @@ def _reference_step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     *_, u_new, info = dgtsv(off, diag.reshape(-1), off.copy(), m_star.reshape(-1),
                             True, True, True, True)
     if info != 0:
-        raise SolverFailure(f"viscous solve failed: LAPACK gtsv info {info}")
+        raise SolverFailure("viscous solve failed: non-positive diagonal at "
+                            f"{_reference_first_cell(~(rho_new + kappa > 0.0), rows)} "
+                            f"(LAPACK gtsv info {info})")
     u_new = np.where(rho_new > cfg.rho_floor, u_new.reshape(rho.shape), 0.0)
 
     return FluidState(rho=rho_new, m=rho_new * u_new, t=state.t + dt)
