@@ -427,29 +427,34 @@ def _check_energy(ctx: _Context):
 # detail line; the momentum rows add the defect-pairing slack.  The residual
 # checks and cmd_convergence both read it.
 
+def _rows(family, *columns) -> list[tuple]:
+    return list(zip((f.id for f in family), *(c.tolist() for c in columns)))
+
+
 def _continuity_rows(spec, measure, defect, tau):
-    rows = [(f.id, continuity_residual(measure, f, tau))
-            for f in density_family(spec.length)]
-    return rows, f" over {len(rows)} tests"
+    fam = density_family(spec.length)
+    return (_rows(fam, continuity_residual(measure, fam, tau)),
+            f" over {len(fam)} tests")
 
 
 def _renorm_rows(spec, measure, defect, tau):
     r_b = 0.75 * float(np.max(measure.S))
     b = renorm_identity_truncated(r_b=r_b, width=0.25 * r_b)
-    return ([(f.id, renorm_continuity_residual(measure, b, f, tau))
-             for f in density_family(spec.length)], f" with {b.name}")
+    fam = density_family(spec.length)
+    return (_rows(fam, renorm_continuity_residual(measure, b, fam, tau)),
+            f" with {b.name}")
 
 
 def _momentum_rows(spec, measure, defect, tau):
-    return ([(f.id, *momentum_residual(measure, spec.law, spec.lam, f, tau,
-                                       defect=defect))
-             for f in momentum_family(spec.length)], "")
+    fam = momentum_family(spec.length)
+    return _rows(fam, *momentum_residual(measure, spec.law, spec.lam, fam, tau,
+                                         defect=defect)), ""
 
 
 def _compatibility_rows(spec, measure, defect, tau):
-    rows = [(f.id, compatibility_residual(measure, f, tau))
-            for f in compatibility_family(spec.length)]
-    return rows, f" over {len(rows)} tests"
+    fam = compatibility_family(spec.length)
+    return (_rows(fam, compatibility_residual(measure, fam, tau)),
+            f" over {len(fam)} tests")
 
 
 _RESIDUALS = {
@@ -569,8 +574,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
     the checks run in order.
     """
     out_dir = resolve_out_dir(out_dir, spec.out, spec.name)
-    os.makedirs(out_dir, exist_ok=True)
-
     resolved = spec_to_config(spec)
     spec_hash = config_hash(resolved)
 
@@ -587,6 +590,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
         payloads.extend(files)
 
     # every write funnels through here, in deterministic order
+    os.makedirs(out_dir, exist_ok=True)
     file_entries: list[tuple[str, str]] = []
     for fname, text in payloads:
         with open(os.path.join(out_dir, fname), "w") as fh:
@@ -644,9 +648,6 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
     is accepted and ignored.
     """
     spec = _load_spec(spec_path, seed)
-    out_dir = resolve_out_dir(out, spec.out, spec.name)
-    os.makedirs(out_dir, exist_ok=True)
-
     if spec.mode == "delta-sequence":
         if len(spec.deltas) < 3:
             raise SpecParseError("convergence needs at least 3 levels")
@@ -692,6 +693,8 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
             rows.append((f"order:{a[0]}->{b[0]}", "n/a",
                          *[_order_cell(a[j], b[j]) for j in range(2, 7)]))
 
+    out_dir = resolve_out_dir(out, spec.out, spec.name)
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "convergence.csv")
     write_csv(path, header, rows)
     return path, header, rows
@@ -705,10 +708,9 @@ def cmd_certify(spec_path: str, out: str | None = None
     r_min = _get(cfg, "certify.r_min", None, float)
     r_max = _get(cfg, "certify.r_max", None, float)
     points = _get(cfg, "certify.points", 4001, int)
+    _, _, header, rows = _certificate_table(law, r_min, r_max, points)
     out_dir = resolve_out_dir(out, cfg.get("out"), cfg.get("name", "certify"))
     os.makedirs(out_dir, exist_ok=True)
-
-    _, _, header, rows = _certificate_table(law, r_min, r_max, points)
     path = os.path.join(out_dir, "certificates.csv")
     write_csv(path, header, rows)
     return path, header, rows

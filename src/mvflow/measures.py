@@ -6,9 +6,12 @@ atom per member, with the gradient surrogate taken by the same
 finite-difference operator the solver uses for its dissipation bookkeeping.
 
 The weak-form residual evaluators integrate with midpoint sums in space and
-the trapezoid rule in time.  Defects are estimated as tail differences along
-an explicit refinement or regularization sequence, clipped at zero with the
-pre-clip values logged; they are estimators of limit objects, not limits.
+the trapezoid rule in time.  Each takes one test function or a whole family:
+a family is one array program over its tables of values and derivatives,
+and one function is its one-row case.  Defects are estimated as tail
+differences along an explicit refinement or regularization sequence,
+clipped at zero with the pre-clip values logged; they are estimators of
+limit objects, not limits.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .errors import (
 from .pressure import PressureLaw
 from .solver import Trajectory, gradient_1d
 from .tensors import traceless
+from .testfuncs import SpaceTimeFunction, tables
 
 
 @dataclass(frozen=True)
@@ -80,18 +84,12 @@ def assemble(ensemble: list[Trajectory]) -> DiscreteYoungMeasure:
                 traj.times, first.times, rtol=0.0, atol=1e-12):
             raise IncompatibleEnsembleError(f"member {j} sample times differ")
 
-    k, nt, nx = len(ensemble), first.times.size, first.grid.n
-    S = np.empty((k, nt, nx))
-    V = np.empty((k, nt, nx))
-    D = np.empty((k, nt, nx))
-    for j, traj in enumerate(ensemble):
-        S[j] = traj.rho
-        V[j] = traj.u
-        D[j] = gradient_1d(traj.u, traj.grid.dx)
+    V = np.array([traj.u for traj in ensemble])
     return DiscreteYoungMeasure(times=first.times.copy(), x=first.grid.centers,
                                 dx=first.grid.dx, length=first.grid.length,
-                                S=S, V=V, D=D,
-                                member_ids=tuple(range(k)))
+                                S=np.array([traj.rho for traj in ensemble]), V=V,
+                                D=gradient_1d(V, first.grid.dx),
+                                member_ids=tuple(range(len(ensemble))))
 
 
 def moment(measure: DiscreteYoungMeasure, g) -> np.ndarray:
@@ -163,112 +161,111 @@ def renorm_identity_truncated(r_b: float, width: float) -> RenormFunction:
 
 
 # -- weak-form residuals -----------------------------------------------------------
+#
+# Each residual takes one test function or a sequence of them (a family); a
+# family gets one value per function as an (n_f,) array, one function its
+# float, through the same code.  A call takes its moments once, forms their
+# products with the family's (n_f, n_t, n) tables over the sample times up to
+# tau, sums over space along the last axis and integrates each function's
+# (n_t,) series with the trapezoid rule.
 
-def _space_sum(field_1d: np.ndarray, dx: float) -> float:
-    return float(np.sum(field_1d) * dx)
+def _forms(measure: DiscreteYoungMeasure, fns, tau):
+    """fns as a list, whether it was one function, the index i of tau (the
+    last sample for None), the sample times up to it and fns' tables there."""
+    one = isinstance(fns, SpaceTimeFunction)
+    fns = [fns] if one else list(fns)
+    i = measure.times.size - 1 if tau is None else measure.time_index(tau)
+    times = measure.times[: i + 1]
+    return fns, one, i, times, tables(fns, times, measure.x)
 
 
-def _time_trapz(series: np.ndarray, times: np.ndarray) -> float:
-    return float(np.trapezoid(series, times))
+def _per_function(x: np.ndarray, one: bool):
+    """The float for one test function, the (n_f,) array for a family."""
+    return float(x[0]) if one else x
 
 
-def _require_wall_zero(fn, length: float):
-    walls = np.array([0.0, length])
-    for t in (0.0, 0.5, 1.0):
-        if np.max(np.abs(fn.value(t, walls))) > 1e-12:
-            raise InvalidTestFunctionError(
-                f"test function {fn.id} does not vanish at the walls")
+def _require_wall_zero(fns, length: float):
+    value = tables(fns, np.array([0.0, 0.5, 1.0]), np.array([0.0, length]))[0]
+    bad = np.max(np.abs(value), axis=(1, 2)) > 1e-12
+    if bad.any():
+        raise InvalidTestFunctionError(
+            f"test function {fns[int(np.argmax(bad))].id} does not vanish at the walls")
 
 
-def continuity_residual(measure: DiscreteYoungMeasure, psi, tau: float) -> float:
-    """Mass form: [integral <s> psi]_0^tau - iint (<s> dpsi/dt + <s v> dpsi/dx)."""
-    i = measure.time_index(tau)
-    x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
-    s_mom = moment(measure, lambda s, v, D: s)
-    sv_mom = moment(measure, lambda s, v, D: s * v)
-    boundary = (_space_sum(s_mom[i] * psi.value(tau, x), dx)
-                - _space_sum(s_mom[0] * psi.value(times[0], x), dx))
-    interior = np.array([
-        _space_sum(s_mom[k] * psi.dt(times[k], x)
-                   + sv_mom[k] * psi.dx(times[k], x), dx)
-        for k in range(i + 1)])
-    return boundary - _time_trapz(interior, times)
+def continuity_residual(measure: DiscreteYoungMeasure, psi, tau: float):
+    """Mass form: [integral <s> psi]_0^tau - iint (<s> dpsi/dt + <s v> dpsi/dx).
+
+    psi is one test function or a sequence of them, for a float or an array.
+    """
+    _, one, i, times, (value, d_t, d_x) = _forms(measure, psi, tau)
+    s_mom = moment(measure, lambda s, v, D: s)[: i + 1]
+    sv_mom = moment(measure, lambda s, v, D: s * v)[: i + 1]
+    mass = np.sum(s_mom * value, axis=-1) * measure.dx
+    interior = np.sum(s_mom * d_t + sv_mom * d_x, axis=-1) * measure.dx
+    return _per_function(
+        mass[:, i] - mass[:, 0] - np.trapezoid(interior, times, axis=-1), one)
 
 
 def renorm_continuity_residual(measure: DiscreteYoungMeasure, b: RenormFunction,
-                               psi, tau: float) -> float:
-    """Renormalized mass form, including the <(s b' - b) tr D> psi source."""
-    i = measure.time_index(tau)
-    x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
-    b_mom = moment(measure, lambda s, v, D: b.b(s))
-    bv_mom = moment(measure, lambda s, v, D: b.b(s) * v)
-    src_mom = moment(measure, lambda s, v, D: (s * b.db(s) - b.b(s)) * D)
-    boundary = (_space_sum(b_mom[i] * psi.value(tau, x), dx)
-                - _space_sum(b_mom[0] * psi.value(times[0], x), dx))
-    interior = np.array([
-        _space_sum(b_mom[k] * psi.dt(times[k], x)
-                   + bv_mom[k] * psi.dx(times[k], x), dx)
-        for k in range(i + 1)])
-    source = np.array([
-        _space_sum(src_mom[k] * psi.value(times[k], x), dx)
-        for k in range(i + 1)])
-    return boundary - _time_trapz(interior, times) + _time_trapz(source, times)
+                               psi, tau: float):
+    """Renormalized mass form, including the <(s b' - b) tr D> psi source.
+
+    psi is one test function or a sequence of them, for a float or an array.
+    """
+    _, one, i, times, (value, d_t, d_x) = _forms(measure, psi, tau)
+    b_mom = moment(measure, lambda s, v, D: b.b(s))[: i + 1]
+    bv_mom = moment(measure, lambda s, v, D: b.b(s) * v)[: i + 1]
+    src_mom = moment(measure, lambda s, v, D: (s * b.db(s) - b.b(s)) * D)[: i + 1]
+    mass = np.sum(b_mom * value, axis=-1) * measure.dx
+    interior = np.sum(b_mom * d_t + bv_mom * d_x, axis=-1) * measure.dx
+    source = np.sum(src_mom * value, axis=-1) * measure.dx
+    return _per_function(mass[:, i] - mass[:, 0]
+                         - np.trapezoid(interior, times, axis=-1)
+                         + np.trapezoid(source, times, axis=-1), one)
 
 
 def momentum_residual(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
-                      phi, tau: float, defect=None) -> tuple[float, float]:
+                      phi, tau: float, defect=None):
     """Momentum form residual and the defect-pairing inequality slack.
 
     Returns (residual, slack) where slack = xi(tau) D(tau) |phi|_C1 minus the
     actual |<rM; dphi/dx>| at tau; slack must be nonnegative for a valid
     defect report.  With defect=None the concentration term is zero and the
-    slack is reported as 0.
+    slack is reported as 0.  phi is one test function, for two floats, or a
+    sequence of them, for two arrays.
     """
-    _require_wall_zero(phi, measure.length)
-    i = measure.time_index(tau)
-    x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
-    sv_mom = moment(measure, lambda s, v, D: s * v)
-    svv_mom = moment(measure, lambda s, v, D: s * v * v)
-    p_mom = moment(measure, lambda s, v, D: law.p(s))
-    stress_mom = moment(measure, lambda s, v, D: lam * D)
+    fns, one, i, times, (value, d_t, d_x) = _forms(measure, phi, tau)
+    _require_wall_zero(fns, measure.length)
+    sv_mom = moment(measure, lambda s, v, D: s * v)[: i + 1]
+    svv_mom = moment(measure, lambda s, v, D: s * v * v)[: i + 1]
+    p_mom = moment(measure, lambda s, v, D: law.p(s))[: i + 1]
+    stress_mom = moment(measure, lambda s, v, D: lam * D)[: i + 1]
 
-    boundary = (_space_sum(sv_mom[i] * phi.value(tau, x), dx)
-                - _space_sum(sv_mom[0] * phi.value(times[0], x), dx))
-    interior = np.array([
-        _space_sum(sv_mom[k] * phi.dt(times[k], x)
-                   + svv_mom[k] * phi.dx(times[k], x)
-                   + p_mom[k] * phi.dx(times[k], x)
-                   - stress_mom[k] * phi.dx(times[k], x), dx)
-        for k in range(i + 1)])
-    residual = boundary - _time_trapz(interior, times)
+    momentum = np.sum(sv_mom * value, axis=-1) * measure.dx
+    interior = np.sum(sv_mom * d_t + svv_mom * d_x + p_mom * d_x - stress_mom * d_x,
+                      axis=-1) * measure.dx
+    residual = momentum[:, i] - momentum[:, 0] - np.trapezoid(interior, times, axis=-1)
 
-    slack = 0.0
+    slack = np.zeros(len(fns))
     if defect is not None:
-        pairing = np.array([
-            _space_sum(defect.rM_field[k] * phi.dx(times[k], x), dx)
-            for k in range(i + 1)])
-        residual -= _time_trapz(pairing, times)
-        phi_c1 = max(
-            float(np.max(np.abs(phi.value(t, x))
-                         + np.abs(phi.dt(t, x)) + np.abs(phi.dx(t, x))))
-            for t in times)
-        slack = float(defect.xi[i] * defect.D_total[i] * phi_c1
-                      - abs(pairing[i]))
-    return residual, slack
+        pairing = np.sum(defect.rM_field[: i + 1] * d_x, axis=-1) * measure.dx
+        residual = residual - np.trapezoid(pairing, times, axis=-1)
+        phi_c1 = np.max(np.abs(value) + np.abs(d_t) + np.abs(d_x), axis=(1, 2))
+        slack = defect.xi[i] * defect.D_total[i] * phi_c1 - np.abs(pairing[:, i])
+    return _per_function(residual, one), _per_function(slack, one)
 
 
-def compatibility_residual(measure: DiscreteYoungMeasure, M, tau: float | None = None
-                           ) -> float:
-    """Gradient compatibility: -iint <v> dM/dx - iint <D> M."""
-    i = measure.time_index(tau) if tau is not None else measure.times.size - 1
-    x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
-    v_mom = moment(measure, lambda s, v, D: v)
-    d_mom = moment(measure, lambda s, v, D: D)
-    series = np.array([
-        -_space_sum(v_mom[k] * M.dx(times[k], x), dx)
-        - _space_sum(d_mom[k] * M.value(times[k], x), dx)
-        for k in range(i + 1)])
-    return _time_trapz(series, times)
+def compatibility_residual(measure: DiscreteYoungMeasure, M, tau: float | None = None):
+    """Gradient compatibility: -iint <v> dM/dx - iint <D> M.
+
+    M is one test field or a sequence of them, for a float or an array.
+    """
+    _, one, i, times, (value, _, d_x) = _forms(measure, M, tau)
+    v_mom = moment(measure, lambda s, v, D: v)[: i + 1]
+    d_mom = moment(measure, lambda s, v, D: D)[: i + 1]
+    series = (-np.sum(v_mom * d_x, axis=-1) * measure.dx
+              - np.sum(d_mom * value, axis=-1) * measure.dx)
+    return _per_function(np.trapezoid(series, times, axis=-1), one)
 
 
 def energy_inequality_slack(measure: DiscreteYoungMeasure, law: PressureLaw,
@@ -282,16 +279,15 @@ def energy_inequality_slack(measure: DiscreteYoungMeasure, law: PressureLaw,
     the trapezoid integral of the measure moment lam <(tr D)^2>.
     """
     i = measure.time_index(tau)
-    x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
     energy_mom = moment(
         measure, lambda s, v, D: 0.5 * s * v * v + law.P(s))
-    e_tau = _space_sum(energy_mom[i], dx)
+    e_tau = float(np.sum(energy_mom[i]) * measure.dx)
     if cum_dissipation is not None:
         dis = float(cum_dissipation[i])
     else:
-        dis_mom = moment(measure, lambda s, v, D: lam * D * D)
-        series = np.array([_space_sum(dis_mom[k], dx) for k in range(i + 1)])
-        dis = _time_trapz(series, times)
+        dis_mom = moment(measure, lambda s, v, D: lam * D * D)[: i + 1]
+        dis = float(np.trapezoid(np.sum(dis_mom, axis=1) * measure.dx,
+                                 measure.times[: i + 1]))
     d_tau = float(defect.D_total[i]) if defect is not None else 0.0
     return float(e_initial - e_tau - dis - d_tau)
 
@@ -322,6 +318,13 @@ class DefectReport:
     clip_log: dict = field(default_factory=dict)
 
 
+def _prefix_trapezoid(series: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The trapezoid integral of series over [times[0], times[k]] for every k,
+    each its own np.trapezoid call (a cumulative sum rounds differently)."""
+    return np.array([np.trapezoid(series[: k + 1], times[: k + 1])
+                     for k in range(times.size)])
+
+
 def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure,
                     law: PressureLaw, lam: float, tail: int = 1,
                     C: float = 1.0, xi_floor: float = 1e-14) -> DefectReport:
@@ -347,14 +350,8 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
         return np.sum(kin + law.P(traj.rho), axis=1) * traj.grid.dx
 
     def field_dissipation_cum(traj):
-        series = np.empty(nt)
-        for k in range(nt):
-            g = gradient_1d(traj.u[k], traj.grid.dx)
-            series[k] = np.sum(lam * g * g) * traj.grid.dx
-        out = np.empty(nt)
-        for k in range(nt):
-            out[k] = np.trapezoid(series[: k + 1], times[: k + 1])
-        return out
+        g = gradient_1d(traj.u, traj.grid.dx)
+        return _prefix_trapezoid(np.sum(lam * g * g, axis=1) * traj.grid.dx, times)
 
     def field_flux(traj, delta):
         # momentum-flux scalar rho u^2 + p + delta rho^Gamma on traj's grid,
@@ -368,19 +365,14 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
         return flux
 
     tail_members = trajectories[-tail:]
-    tail_deltas = deltas[-tail:]
 
     e_field = np.mean([field_energy(t) for t in tail_members], axis=0)
     energy_mom = moment(finest, lambda s, v, D: 0.5 * s * v * v + law.P(s))
-    e_meas = np.sum(energy_mom, axis=1) * dx
-    E_inf_raw = e_field - e_meas
+    E_inf_raw = e_field - np.sum(energy_mom, axis=1) * dx
 
     sig_field = np.mean([field_dissipation_cum(t) for t in tail_members], axis=0)
     dis_mom = moment(finest, lambda s, v, D: lam * D * D)
-    dis_series = np.sum(dis_mom, axis=1) * dx
-    sig_meas = np.array([
-        np.trapezoid(dis_series[: k + 1], times[: k + 1]) for k in range(nt)])
-    sigma_raw = sig_field - sig_meas
+    sigma_raw = sig_field - _prefix_trapezoid(np.sum(dis_mom, axis=1) * dx, times)
 
     zeta_by_member = np.array([
         np.sum(d * np.power(t.rho, t.cfg.Gamma), axis=1) * t.grid.dx
@@ -388,7 +380,7 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
     zeta_raw = np.mean(zeta_by_member[-tail:], axis=0)
 
     flux_field = np.mean(
-        [field_flux(t, d) for t, d in zip(tail_members, tail_deltas)], axis=0)
+        [field_flux(t, d) for t, d in zip(tail_members, deltas[-tail:])], axis=0)
     flux_mom = moment(finest, lambda s, v, D: s * v * v + law.p(s))
     rM_field = flux_field - flux_mom
 

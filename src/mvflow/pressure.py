@@ -22,10 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused here: perfbench/tracer.py counts quadrature calls through this name
-from scipy.integrate import quad  # noqa: F401
 
 from .errors import DomainError, InsufficientGridError, InvalidLawError
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported at the first call.  Nothing here calls
+    it; perfbench/tracer.py counts quadrature calls through this name."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
+
 
 # A PCHIP end slope below this share of the mean slope h_max / rho_max is
 # rounding noise of the one-sided end formula; the tail then matches value only.

@@ -94,8 +94,12 @@ class SolverConfig:
     step_slack_tol: float = 1e-10  # per-step energy budget, relative to E(0) scale
 
     def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise DomainError(f"lam must be positive, got {self.lam}")
+        for name in ("lam", "T", "delta", "Gamma", "step_slack_tol", "rho_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("lam", "T", "rho_floor"):
+            if not (getattr(self, name) > 0.0):
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if self.delta < 0.0:
             raise DomainError(f"delta must be nonnegative, got {self.delta}")
         if not (self.Gamma > 1.0):
@@ -104,8 +108,6 @@ class SolverConfig:
             raise DomainError("delta > 0 requires Gamma >= 2")
         if not (0.0 < self.cfl <= 1.0):
             raise DomainError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not (self.T > 0.0):
-            raise DomainError(f"horizon T must be positive, got {self.T}")
         if self.n_samples < 2:
             raise DomainError("need at least 2 sample times")
         if not (self.step_slack_tol >= 0.0):

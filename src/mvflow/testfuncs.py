@@ -2,9 +2,10 @@
 
 Families are tensor products of a spatial factor and a time factor.  Spatial
 factors for momentum tests vanish at both walls; the generic family used for
-the density equations does not need to.  Every function carries evaluators
-for its value, time derivative, and space derivative, so residual quadrature
-never differentiates numerically.
+the density equations does not need to.  A family is evaluated as a whole:
+tables gives the (n_f, n_t, n) arrays of the value and of both derivatives
+over sample times and points, so residual quadrature never differentiates
+numerically.
 """
 from __future__ import annotations
 
@@ -15,7 +16,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SpaceTimeFunction:
-    """Scalar test function psi(t, x) = f(x) * g(t) with analytic derivatives."""
+    """Scalar test function psi(t, x) = f(x) * g(t) with analytic derivatives.
+
+    f and df take an array of points, g and dg an array of times.
+    """
 
     id: str
     f: object
@@ -25,20 +29,26 @@ class SpaceTimeFunction:
     vanishes_at_walls: bool
     length: float
 
-    def value(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(x), dtype=float) * float(self.g(t))
 
-    def dt(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(x), dtype=float) * float(self.dg(t))
+def tables(family, times, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi, dpsi/dt and dpsi/dx of every function of family at the times
+    and points, as (n_f, n_t, n) arrays: the products F G, F G' and F' G."""
+    times = np.asarray(times, dtype=float)
+    x = np.asarray(x, dtype=float)
 
-    def dx(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.df(x), dtype=float) * float(self.g(t))
+    def factors(name, at):
+        return np.stack([np.broadcast_to(np.asarray(getattr(fn, name)(at), dtype=float),
+                                         at.shape) for fn in family])
+
+    F, dF = factors("f", x)[:, None, :], factors("df", x)[:, None, :]
+    G, dG = factors("g", times)[:, :, None], factors("dg", times)[:, :, None]
+    return F * G, F * dG, dF * G
 
 
 _TIME_FACTORS = (
-    ("1", lambda t: 1.0, lambda t: 0.0),
-    ("t", lambda t: t, lambda t: 1.0),
-    ("1+t", lambda t: 1.0 + t, lambda t: 1.0),
+    ("1", np.ones_like, np.zeros_like),
+    ("t", lambda t: t, np.ones_like),
+    ("1+t", lambda t: 1.0 + t, np.ones_like),
 )
 
 
@@ -53,44 +63,31 @@ def _combine(space_factors, length, vanishes):
 
 def density_family(length: float, k_max: int = 2) -> list[SpaceTimeFunction]:
     """Test functions for the density equations; free values at the walls."""
-    space = [
-        ("1", lambda x: np.ones_like(np.asarray(x, dtype=float)),
-         lambda x: np.zeros_like(np.asarray(x, dtype=float))),
-        ("x/L", lambda x, L=length: np.asarray(x, dtype=float) / L,
-         lambda x, L=length: np.full_like(np.asarray(x, dtype=float), 1.0 / L)),
-    ]
+    space = [("1", np.ones_like, np.zeros_like),
+             ("x/L", lambda x, L=length: x / L,
+              lambda x, L=length: np.full_like(x, 1.0 / L))]
     for k in range(1, k_max + 1):
         w = k * np.pi / length
-        space.append((f"cos({k}pi x/L)",
-                      lambda x, w=w: np.cos(w * np.asarray(x, dtype=float)),
-                      lambda x, w=w: -w * np.sin(w * np.asarray(x, dtype=float))))
+        space.append((f"cos({k}pi x/L)", lambda x, w=w: np.cos(w * x),
+                      lambda x, w=w: -w * np.sin(w * x)))
     return _combine(space, length, vanishes=False)
 
 
 def momentum_family(length: float, k_max: int = 2) -> list[SpaceTimeFunction]:
     """Test functions vanishing at both walls, for the momentum equation."""
-    space = [
-        ("x/L(1-x/L)",
-         lambda x, L=length: (np.asarray(x, dtype=float) / L)
-         * (1.0 - np.asarray(x, dtype=float) / L),
-         lambda x, L=length: (1.0 - 2.0 * np.asarray(x, dtype=float) / L) / L),
-    ]
+    space = [("x/L(1-x/L)", lambda x, L=length: (x / L) * (1.0 - x / L),
+              lambda x, L=length: (1.0 - 2.0 * x / L) / L)]
     for k in range(1, k_max + 1):
         w = k * np.pi / length
-        space.append((f"sin({k}pi x/L)",
-                      lambda x, w=w: np.sin(w * np.asarray(x, dtype=float)),
-                      lambda x, w=w: w * np.cos(w * np.asarray(x, dtype=float))))
+        space.append((f"sin({k}pi x/L)", lambda x, w=w: np.sin(w * x),
+                      lambda x, w=w: w * np.cos(w * x)))
     return _combine(space, length, vanishes=True)
 
 
 def compatibility_family(length: float) -> list[SpaceTimeFunction]:
     """Symmetric matrix test fields (scalars in 1D), constant member included."""
     w = np.pi / length
-    space = [
-        ("1", lambda x: np.ones_like(np.asarray(x, dtype=float)),
-         lambda x: np.zeros_like(np.asarray(x, dtype=float))),
-        ("sin(pi x/L)",
-         lambda x, w=w: np.sin(w * np.asarray(x, dtype=float)),
-         lambda x, w=w: w * np.cos(w * np.asarray(x, dtype=float))),
-    ]
+    space = [("1", np.ones_like, np.zeros_like),
+             ("sin(pi x/L)", lambda x, w=w: np.sin(w * x),
+              lambda x, w=w: w * np.cos(w * x))]
     return _combine(space, length, vanishes=False)

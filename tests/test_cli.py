@@ -6,7 +6,7 @@ import pytest
 
 from mvflow import cli
 from mvflow.configio import format_kv, read_spec
-from mvflow.errors import CannotBoundError, SolverFailure, StepRejected
+from mvflow.errors import CannotBoundError, MvflowError, SolverFailure, StepRejected
 from mvflow.experiments import presets
 
 
@@ -170,6 +170,22 @@ def test_certify_nonpositive_r_min_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("case", ["certify", "convergence"])
+def test_failed_command_leaves_no_output_directory(tmp_path, capsys, case):
+    if case == "certify":
+        p = tmp_path / "c.spec"
+        p.write_text(format_kv({"schema": "1", "name": "c", "law.kind": "power",
+                                "law.a": "1.0", "law.gamma": "2.0",
+                                "certify.r_min": "-0.5", "certify.r_max": "2.0"}))
+        argv = ["certify", "--spec", str(p)]
+    else:
+        spec = write_preset(tmp_path, "convergence-pulse")
+        argv = ["convergence", "--spec", spec, "--levels", "64,128"]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_solver_failure_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     def boom(*a, **k):
         raise SolverFailure("time step collapsed")
@@ -186,6 +202,30 @@ def test_step_rejected_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     rc = cli.main(["run", "--spec", "whatever.spec"])
     assert rc == 3
     assert "exceeds admissible dt_max" in capsys.readouterr().err
+
+
+# README's exit-code table, one entry per MvflowError class
+_EXIT_CODES = {
+    "MvflowError": 2, "InvalidLawError": 2, "DomainError": 2,
+    "InsufficientGridError": 2, "IncompatibleEnsembleError": 2,
+    "ObservableDomainError": 2, "InvalidTestFunctionError": 2,
+    "UnsupportedDimensionError": 2, "InvalidBandError": 2, "SpecParseError": 2,
+    "SolverFailure": 3, "StepRejected": 3, "ReferenceInvalidError": 3,
+    "CannotBoundError": 4, "CannotEstimateError": 4,
+}
+
+
+def _error_classes(cls=MvflowError):
+    return [cls, *(sub for c in cls.__subclasses__() for sub in _error_classes(c))]
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda c: c.__name__)
+def test_every_error_exits_with_its_table_code(monkeypatch, capsys, error):
+    assert error.__name__ in _EXIT_CODES, f"{error.__name__} is missing from the table"
+    def boom(*a, **k):
+        raise error(2.0e-3, 1.0e-3) if error is StepRejected else error("boom")
+    monkeypatch.setattr(cli, "cmd_run", boom)
+    assert cli.main(["run", "--spec", "whatever.spec"]) == _EXIT_CODES[error.__name__]
 
 
 def _is_number(text):

@@ -13,7 +13,9 @@ from mvflow.errors import (
     UnsupportedDimensionError,
 )
 from mvflow.measures import (
+    DefectReport,
     DiscreteYoungMeasure,
+    RenormFunction,
     assemble,
     compatibility_residual,
     continuity_residual,
@@ -395,6 +397,218 @@ def test_momentum_single_member_refinement(refinement_levels):
     assert vals[0] > vals[1] > vals[2]
     for a, b in zip(vals, vals[1:]):
         assert 2.2 < a / b < 4.4, vals
+
+
+# -- family residuals against the per-function loops, as oracles --------------------
+
+# The bodies of the four residuals and of their helpers from before a family
+# became one array program: a Python loop over the sample times, one test
+# function per call, copied unchanged apart from the names.  _Pointwise gives
+# them the per-time evaluators that test functions no longer carry.
+
+@dataclasses.dataclass(frozen=True)
+class _Pointwise:
+    fn: SpaceTimeFunction
+
+    @property
+    def id(self) -> str:
+        return self.fn.id
+
+    def value(self, t: float, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn.f(x), dtype=float) * float(self.fn.g(t))
+
+    def dt(self, t: float, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn.f(x), dtype=float) * float(self.fn.dg(t))
+
+    def dx(self, t: float, x: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn.df(x), dtype=float) * float(self.fn.g(t))
+
+
+def _reference_space_sum(field_1d: np.ndarray, dx: float) -> float:
+    return float(np.sum(field_1d) * dx)
+
+
+def _reference_time_trapz(series: np.ndarray, times: np.ndarray) -> float:
+    return float(np.trapezoid(series, times))
+
+
+def _reference_require_wall_zero(fn, length: float):
+    walls = np.array([0.0, length])
+    for t in (0.0, 0.5, 1.0):
+        if np.max(np.abs(fn.value(t, walls))) > 1e-12:
+            raise InvalidTestFunctionError(
+                f"test function {fn.id} does not vanish at the walls")
+
+
+def _reference_continuity_residual(measure: DiscreteYoungMeasure, psi, tau: float) -> float:
+    """Mass form: [integral <s> psi]_0^tau - iint (<s> dpsi/dt + <s v> dpsi/dx)."""
+    i = measure.time_index(tau)
+    x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
+    s_mom = moment(measure, lambda s, v, D: s)
+    sv_mom = moment(measure, lambda s, v, D: s * v)
+    boundary = (_reference_space_sum(s_mom[i] * psi.value(tau, x), dx)
+                - _reference_space_sum(s_mom[0] * psi.value(times[0], x), dx))
+    interior = np.array([
+        _reference_space_sum(s_mom[k] * psi.dt(times[k], x)
+                             + sv_mom[k] * psi.dx(times[k], x), dx)
+        for k in range(i + 1)])
+    return boundary - _reference_time_trapz(interior, times)
+
+
+def _reference_renorm_continuity_residual(measure: DiscreteYoungMeasure,
+                                          b: RenormFunction, psi, tau: float) -> float:
+    """Renormalized mass form, including the <(s b' - b) tr D> psi source."""
+    i = measure.time_index(tau)
+    x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
+    b_mom = moment(measure, lambda s, v, D: b.b(s))
+    bv_mom = moment(measure, lambda s, v, D: b.b(s) * v)
+    src_mom = moment(measure, lambda s, v, D: (s * b.db(s) - b.b(s)) * D)
+    boundary = (_reference_space_sum(b_mom[i] * psi.value(tau, x), dx)
+                - _reference_space_sum(b_mom[0] * psi.value(times[0], x), dx))
+    interior = np.array([
+        _reference_space_sum(b_mom[k] * psi.dt(times[k], x)
+                             + bv_mom[k] * psi.dx(times[k], x), dx)
+        for k in range(i + 1)])
+    source = np.array([
+        _reference_space_sum(src_mom[k] * psi.value(times[k], x), dx)
+        for k in range(i + 1)])
+    return (boundary - _reference_time_trapz(interior, times)
+            + _reference_time_trapz(source, times))
+
+
+def _reference_momentum_residual(measure: DiscreteYoungMeasure, law: PressureLaw,
+                                 lam: float, phi, tau: float,
+                                 defect=None) -> tuple[float, float]:
+    """Momentum form residual and the defect-pairing inequality slack.
+
+    Returns (residual, slack) where slack = xi(tau) D(tau) |phi|_C1 minus the
+    actual |<rM; dphi/dx>| at tau; slack must be nonnegative for a valid
+    defect report.  With defect=None the concentration term is zero and the
+    slack is reported as 0.
+    """
+    _reference_require_wall_zero(phi, measure.length)
+    i = measure.time_index(tau)
+    x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
+    sv_mom = moment(measure, lambda s, v, D: s * v)
+    svv_mom = moment(measure, lambda s, v, D: s * v * v)
+    p_mom = moment(measure, lambda s, v, D: law.p(s))
+    stress_mom = moment(measure, lambda s, v, D: lam * D)
+
+    boundary = (_reference_space_sum(sv_mom[i] * phi.value(tau, x), dx)
+                - _reference_space_sum(sv_mom[0] * phi.value(times[0], x), dx))
+    interior = np.array([
+        _reference_space_sum(sv_mom[k] * phi.dt(times[k], x)
+                             + svv_mom[k] * phi.dx(times[k], x)
+                             + p_mom[k] * phi.dx(times[k], x)
+                             - stress_mom[k] * phi.dx(times[k], x), dx)
+        for k in range(i + 1)])
+    residual = boundary - _reference_time_trapz(interior, times)
+
+    slack = 0.0
+    if defect is not None:
+        pairing = np.array([
+            _reference_space_sum(defect.rM_field[k] * phi.dx(times[k], x), dx)
+            for k in range(i + 1)])
+        residual -= _reference_time_trapz(pairing, times)
+        phi_c1 = max(
+            float(np.max(np.abs(phi.value(t, x))
+                         + np.abs(phi.dt(t, x)) + np.abs(phi.dx(t, x))))
+            for t in times)
+        slack = float(defect.xi[i] * defect.D_total[i] * phi_c1
+                      - abs(pairing[i]))
+    return residual, slack
+
+
+def _reference_compatibility_residual(measure: DiscreteYoungMeasure, M,
+                                      tau: float | None = None) -> float:
+    """Gradient compatibility: -iint <v> dM/dx - iint <D> M."""
+    i = measure.time_index(tau) if tau is not None else measure.times.size - 1
+    x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
+    v_mom = moment(measure, lambda s, v, D: v)
+    d_mom = moment(measure, lambda s, v, D: D)
+    series = np.array([
+        -_reference_space_sum(v_mom[k] * M.dx(times[k], x), dx)
+        - _reference_space_sum(d_mom[k] * M.value(times[k], x), dx)
+        for k in range(i + 1)])
+    return _reference_time_trapz(series, times)
+
+
+def _random_measure(rng, K, n, nt):
+    length = rng.uniform(0.5, 2.0)
+    shape = (K, nt, n)
+    times = np.cumsum(np.r_[0.0, rng.uniform(0.01, 0.3, nt - 1)])
+    return DiscreteYoungMeasure(
+        times=times, x=(np.arange(n) + 0.5) * (length / n), dx=length / n,
+        length=length, S=rng.uniform(0.05, 3.0, shape), V=rng.normal(size=shape),
+        D=rng.normal(size=shape), member_ids=tuple(range(K)))
+
+
+def _random_defect(rng, measure):
+    nt, n = measure.times.size, measure.x.size
+    D_total = rng.uniform(0.0, 1.0, nt)
+    return DefectReport(
+        times=measure.times, x=measure.x, E_inf=D_total, sigma_inf=np.zeros(nt),
+        zeta=np.zeros(nt), D_total=D_total, rM_field=rng.normal(size=(nt, n)),
+        rM_abs=np.zeros(nt), xi=rng.uniform(0.0, 2.0, nt),
+        xi_meaningful=np.ones(nt, dtype=bool), zeta_by_member=np.zeros((1, nt)),
+        C=1.0, tail=1)
+
+
+@given(K=st.integers(1, 4), n=st.integers(8, 48), nt=st.integers(2, 9),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_family_residuals_equal_the_per_function_loops(K, n, nt, seed):
+    rng = np.random.default_rng(seed)
+    V = _random_measure(rng, K, n, nt)
+    b = renorm_identity_truncated(r_b=rng.uniform(0.5, 3.0), width=0.4)
+    defect = _random_defect(rng, V)
+    dens, mom, comp = (density_family(V.length), momentum_family(V.length),
+                       compatibility_family(V.length))
+    dens_p, mom_p, comp_p = ([_Pointwise(f) for f in fam] for fam in (dens, mom, comp))
+
+    for tau in V.times.tolist():
+        assert np.array_equal(
+            continuity_residual(V, dens, tau),
+            [_reference_continuity_residual(V, f, tau) for f in dens_p])
+        assert np.array_equal(
+            renorm_continuity_residual(V, b, dens, tau),
+            [_reference_renorm_continuity_residual(V, b, f, tau) for f in dens_p])
+        assert np.array_equal(
+            compatibility_residual(V, comp, tau),
+            [_reference_compatibility_residual(V, f, tau) for f in comp_p])
+        for rep in (None, defect):
+            got = momentum_residual(V, LAW, LAM, mom, tau, defect=rep)
+            want = np.array([_reference_momentum_residual(V, LAW, LAM, f, tau, defect=rep)
+                             for f in mom_p])
+            assert np.array_equal(got[0], want[:, 0])
+            assert np.array_equal(got[1], want[:, 1])
+    assert np.array_equal(compatibility_residual(V, comp),
+                          [_reference_compatibility_residual(V, f) for f in comp_p])
+
+
+def test_one_function_is_the_one_row_family():
+    traj, _, _ = small_run(n=64, T=0.08, delta=1e-2, n_samples=9)
+    V = assemble([traj])
+    rep = estimate_defect([traj, traj], V, LAW, LAM)
+    tau = float(V.times[-1])
+    mom = momentum_family(1.0)
+    res, slack = momentum_residual(V, LAW, LAM, mom, tau, defect=rep)
+    assert res.shape == slack.shape == (len(mom),)
+    for j, phi in enumerate(mom):
+        one = momentum_residual(V, LAW, LAM, phi, tau, defect=rep)
+        assert type(one[0]) is float and type(one[1]) is float
+        assert one == (res[j], slack[j])
+    dens = density_family(1.0)
+    assert continuity_residual(V, dens[3:4], tau).shape == (1,)
+    assert continuity_residual(V, dens[3], tau) == continuity_residual(V, dens, tau)[3]
+
+
+def test_momentum_family_names_the_function_not_vanishing_at_the_walls():
+    traj, _, _ = small_run()
+    V = assemble([traj])
+    fam = momentum_family(1.0) + [family_member(density_family(1.0), "x/L*t")]
+    with pytest.raises(InvalidTestFunctionError, match=r"x/L\*t does not vanish"):
+        momentum_residual(V, LAW, LAM, fam, float(V.times[-1]))
 
 
 # -- energy inequality ------------------------------------------------------------

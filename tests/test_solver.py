@@ -77,6 +77,20 @@ def test_config_rejects_bad_cfl_and_horizon():
         SolverConfig(law=gamma2_law(), lam=1.0, T=-1.0)
 
 
+@pytest.mark.parametrize("name", ["lam", "T", "delta", "Gamma", "step_slack_tol",
+                                  "rho_floor"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_non_finite_numbers(name, value):
+    with pytest.raises(DomainError, match=name):
+        SolverConfig(law=gamma2_law(), **{"lam": 1.0, "T": 1.0, name: value})
+
+
+@pytest.mark.parametrize("rho_floor", [0.0, -1.0])
+def test_config_rejects_nonpositive_rho_floor(rho_floor):
+    with pytest.raises(DomainError, match="rho_floor"):
+        SolverConfig(law=gamma2_law(), lam=1.0, T=1.0, rho_floor=rho_floor)
+
+
 def test_negative_initial_density_rejected():
     grid = Grid1D(n=8)
     bad = InitialData(name="dip", rho_fn=lambda x: 1.0 - 4.0 * x,
@@ -531,6 +545,31 @@ def test_stacked_rows_equal_single_runs(law, K, seed):
         assert np.array_equal(single.cum_dissipation, cum_dis)
         assert (single.min_step_slack, single.n_steps, single.n_trials) == \
             (min_slack, n_steps, n_trials)
+
+
+@settings(max_examples=100, deadline=None)
+@given(law=st.sampled_from(sorted(_LAWS)), K=st.integers(1, 4), n=st.integers(8, 64),
+       n_vacuum=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_run_stack_keeps_the_scheme_invariants(law, K, n, n_vacuum, seed):
+    # rough data with near-vacuum cells, down to exact vacuum and at the
+    # vacuum floor: mass, positivity and the per-step energy budget per row
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(n=n, length=1.0)
+    cfg = SolverConfig(law=_LAWS[law](), lam=0.1, T=0.1, n_samples=5)
+    states = []
+    for _ in range(K):
+        rho = rng.uniform(0.3, 2.5, n)
+        vac = rng.choice(n, size=min(n_vacuum, n), replace=False)
+        rho[vac] = rng.choice([0.0, cfg.rho_floor, 1e-6], size=vac.size)
+        states.append(FluidState(rho=rho, m=rho * rng.uniform(-1.0, 1.0, n)))
+    for state, row in zip(states, run_stack([cfg] * K, states, grid)):
+        budget = cfg.step_slack_tol * energy_scale(state, cfg, grid)
+        mass = row.rho.sum(axis=1) * grid.dx
+        assert np.all(np.abs(mass - mass[0]) <= 1e-12 * mass[0])
+        assert np.all(row.rho >= 0.0)
+        assert row.min_step_slack >= -budget
+        assert np.all(row.energy + row.cum_dissipation - row.energy[0]
+                      <= row.n_steps * budget)
 
 
 def test_stacked_rows_step_apart_between_samples():
