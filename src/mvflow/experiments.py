@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .configio import config_hash, format_csv, format_kv, read_spec, write_csv
+from .configio import (SCHEMA_VERSION, config_hash, format_csv, format_kv,
+                       read_spec, write_csv)
 from .errors import MvflowError, SpecParseError
 from .measures import (assemble, compatibility_residual, continuity_residual,
                        energy_inequality_slack, estimate_defect,
@@ -27,8 +28,8 @@ from .measures import (assemble, compatibility_residual, continuity_residual,
                        renorm_continuity_residual, renorm_identity_truncated)
 from .pressure import (PressureLaw, certificate_rows, certify_h_bound,
                        certify_lower_bound, law_from_config, law_to_config)
-from .relative_energy import (EstimatorConfig, gronwall_verdict,
-                              relative_energy_series, remainder_terms)
+from .relative_energy import (gronwall_verdict, relative_energy_series,
+                              remainder_terms)
 from .solver import (Grid1D, InitialData, SolverConfig, Trajectory,
                      constant_init, make_reference, perturb_density,
                      pulse_flow_init, reference_from_run, run, run_stack,
@@ -39,16 +40,49 @@ CHECK_NAMES = ("energy", "continuity", "renorm", "momentum", "compatibility",
                "korn", "lemmas", "relative-energy", "gronwall")
 ENSEMBLE_MODES = ("none", "density-noise", "delta-sequence")
 
-_KNOWN_KEYS = {
-    "schema", "name", "grid.n", "grid.length",
-    "solver.lam", "solver.T", "solver.delta", "solver.Gamma", "solver.cfl",
-    "solver.n_samples",
-    "init.kind", "init.base", "init.amp", "init.u_amp", "init.width_frac",
-    "init.center_frac",
-    "ensemble.k", "ensemble.mode", "ensemble.eps", "ensemble.deltas",
-    "ref.factor", "checks", "seed", "out", "tol.residual",
-    "convergence.levels",
-}
+
+def _names(raw: str) -> tuple[str, ...]:
+    """Parse a comma-separated list of names, blanks dropped."""
+    return tuple(c.strip() for c in raw.split(",") if c.strip())
+
+
+def _tuple_of(cast):
+    """Parse a comma-separated list of cast values."""
+    return lambda raw: tuple(cast(v) for v in raw.split(","))
+
+
+# The settings of a spec, in the order spec_to_config writes them after the
+# head (schema, name and the law.* keys): (key, ExperimentSpec field,
+# default, parse).  spec_from_config reads every key with its default, and
+# spec_to_config writes every field back; an empty list writes no line.
+_SETTINGS = (
+    ("grid.n", "grid_n", 96, int),
+    ("grid.length", "length", 1.0, float),
+    ("solver.lam", "lam", 0.1, float),
+    ("solver.T", "T", 0.1, float),
+    ("solver.delta", "delta", 0.0, float),
+    ("solver.Gamma", "Gamma", 2.0, float),
+    ("solver.cfl", "cfl", 0.4, float),
+    ("solver.n_samples", "n_samples", 17, int),
+    ("init.kind", "init_kind", "pulse-flow", str),
+    ("init.base", "init_base", 1.0, float),
+    ("init.amp", "init_amp", 0.1, float),
+    ("init.u_amp", "init_u_amp", 0.3, float),
+    ("init.width_frac", "init_width_frac", 0.1, float),
+    ("init.center_frac", "init_center_frac", 0.35, float),
+    ("ensemble.k", "members", 1, int),
+    ("ensemble.mode", "mode", "none", str),
+    ("ensemble.eps", "eps", 0.0, float),
+    ("ref.factor", "ref_factor", 1, int),
+    ("checks", "checks", (), _names),
+    ("seed", "seed", 0, int),
+    ("tol.residual", "residual_tol", 1e-10, float),
+    ("convergence.levels", "convergence_levels", (64, 128, 256), _tuple_of(int)),
+    ("ensemble.deltas", "deltas", (), _tuple_of(float)),
+)
+
+# out is read but never written: where a run writes is not part of its spec
+_KNOWN_KEYS = frozenset({"schema", "name", "out"} | {key for key, *_ in _SETTINGS})
 
 
 @dataclass(frozen=True)
@@ -96,9 +130,11 @@ def _get(cfg: dict, key: str, default, cast):
     return value
 
 
-def _tuple_of(cast):
-    """Parse a comma-separated list of cast values."""
-    return lambda raw: tuple(cast(v) for v in raw.split(","))
+def _text(value) -> str:
+    """A spec value as written: a float by repr, a list comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(_text(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def spec_from_config(cfg: dict) -> ExperimentSpec:
@@ -113,26 +149,24 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
     except MvflowError as e:
         raise SpecParseError(f"field 'law.*': {e}") from e
 
-    name = _get(cfg, "name", None, str)
-    grid_n = _get(cfg, "grid.n", 96, int)
-    length = _get(cfg, "grid.length", 1.0, float)
-    if grid_n < 4 or length <= 0.0:
-        raise SpecParseError("field 'grid.*': need n >= 4 and length > 0")
+    spec = ExperimentSpec(
+        name=_get(cfg, "name", None, str), law=law, out=cfg.get("out"),
+        **{field: _get(cfg, key, default, parse)
+           for key, field, default, parse in _SETTINGS})
 
-    members = _get(cfg, "ensemble.k", 1, int)
-    if members < 1:
-        raise SpecParseError(f"field 'ensemble.k': must be >= 1, got {members}")
-    mode = _get(cfg, "ensemble.mode", "none", str)
-    if mode not in ENSEMBLE_MODES:
+    if spec.grid_n < 4 or spec.length <= 0.0:
+        raise SpecParseError("field 'grid.*': need n >= 4 and length > 0")
+    if spec.members < 1:
+        raise SpecParseError(f"field 'ensemble.k': must be >= 1, got {spec.members}")
+    if spec.mode not in ENSEMBLE_MODES:
         raise SpecParseError(
-            f"field 'ensemble.mode': unknown mode '{mode}' "
+            f"field 'ensemble.mode': unknown mode '{spec.mode}' "
             f"(expected one of {', '.join(ENSEMBLE_MODES)})")
-    eps = _get(cfg, "ensemble.eps", 0.0, float)
-    if mode == "density-noise" and eps <= 0.0:
+    if spec.mode == "density-noise" and spec.eps <= 0.0:
         raise SpecParseError("field 'ensemble.eps': density-noise needs eps > 0")
 
-    deltas = _get(cfg, "ensemble.deltas", (), _tuple_of(float))
-    if mode == "delta-sequence":
+    deltas = spec.deltas
+    if spec.mode == "delta-sequence":
         if len(deltas) < 2:
             raise SpecParseError(
                 "field 'ensemble.deltas': delta-sequence needs >= 2 values")
@@ -141,87 +175,42 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
             raise SpecParseError(
                 "field 'ensemble.deltas': values must be positive, finite and "
                 "strictly decreasing (finest last)")
-        if "ensemble.k" in cfg and members != len(deltas):
+        if "ensemble.k" in cfg and spec.members != len(deltas):
             raise SpecParseError(
-                f"field 'ensemble.k': {members} disagrees with "
+                f"field 'ensemble.k': {spec.members} disagrees with "
                 f"{len(deltas)} delta values")
-        members = len(deltas)
+        spec = dataclasses.replace(spec, members=len(deltas))
 
-    checks_raw = _get(cfg, "checks", "", str)
-    checks = tuple(c.strip() for c in checks_raw.split(",") if c.strip())
-    for c in checks:
+    for c in spec.checks:
         if c not in CHECK_NAMES:
             raise SpecParseError(
                 f"field 'checks': unknown check '{c}' "
                 f"(expected a subset of {', '.join(CHECK_NAMES)})")
-
-    levels = _get(cfg, "convergence.levels", (64, 128, 256), _tuple_of(int))
-
-    init_kind = _get(cfg, "init.kind", "pulse-flow", str)
-    if init_kind not in ("pulse-flow", "constant"):
-        raise SpecParseError(f"field 'init.kind': unknown kind '{init_kind}'")
-
-    residual_tol = _get(cfg, "tol.residual", 1e-10, float)
-    if residual_tol <= 0.0:
+    if spec.init_kind not in ("pulse-flow", "constant"):
+        raise SpecParseError(f"field 'init.kind': unknown kind '{spec.init_kind}'")
+    if spec.residual_tol <= 0.0:
         raise SpecParseError("field 'tol.residual': must be > 0")
-    ref_factor = _get(cfg, "ref.factor", 1, int)
-    if ref_factor < 1:
+    if spec.ref_factor < 1:
         raise SpecParseError("field 'ref.factor': must be >= 1")
-
+    if not 0.0 <= spec.init_center_frac <= 1.0:
+        raise SpecParseError("field 'init.center_frac': must lie in [0, 1]")
+    if not 0.0 < spec.init_width_frac <= 1.0:
+        raise SpecParseError("field 'init.width_frac': must lie in (0, 1]")
     try:
-        spec = ExperimentSpec(
-            name=name, law=law, grid_n=grid_n, length=length,
-            lam=_get(cfg, "solver.lam", 0.1, float),
-            T=_get(cfg, "solver.T", 0.1, float),
-            delta=_get(cfg, "solver.delta", 0.0, float),
-            Gamma=_get(cfg, "solver.Gamma", 2.0, float),
-            cfl=_get(cfg, "solver.cfl", 0.4, float),
-            n_samples=_get(cfg, "solver.n_samples", 17, int),
-            init_kind=init_kind,
-            init_base=_get(cfg, "init.base", 1.0, float),
-            init_amp=_get(cfg, "init.amp", 0.1, float),
-            init_u_amp=_get(cfg, "init.u_amp", 0.3, float),
-            init_width_frac=_get(cfg, "init.width_frac", 0.1, float),
-            init_center_frac=_get(cfg, "init.center_frac", 0.35, float),
-            members=members, mode=mode, eps=eps, deltas=deltas,
-            ref_factor=ref_factor, checks=checks,
-            seed=_get(cfg, "seed", 0, int),
-            out=cfg.get("out"), residual_tol=residual_tol,
-            convergence_levels=levels)
-        if not 0.0 <= spec.init_center_frac <= 1.0:
-            raise SpecParseError("field 'init.center_frac': must lie in [0, 1]")
-        if not 0.0 < spec.init_width_frac <= 1.0:
-            raise SpecParseError("field 'init.width_frac': must lie in (0, 1]")
         _solver_config(spec)  # validates the numeric ranges up front
     except MvflowError as e:
-        if isinstance(e, SpecParseError):
-            raise
         raise SpecParseError(f"solver configuration invalid: {e}") from e
     return spec
 
 
 def spec_to_config(spec: ExperimentSpec) -> dict[str, str]:
     """Canonical resolved form of a spec; inverse of spec_from_config."""
-    cfg: dict[str, str] = {"schema": "1", "name": spec.name}
-    cfg.update(law_to_config(spec.law))
-    cfg.update({
-        "grid.n": str(spec.grid_n), "grid.length": repr(spec.length),
-        "solver.lam": repr(spec.lam), "solver.T": repr(spec.T),
-        "solver.delta": repr(spec.delta), "solver.Gamma": repr(spec.Gamma),
-        "solver.cfl": repr(spec.cfl), "solver.n_samples": str(spec.n_samples),
-        "init.kind": spec.init_kind, "init.base": repr(spec.init_base),
-        "init.amp": repr(spec.init_amp), "init.u_amp": repr(spec.init_u_amp),
-        "init.width_frac": repr(spec.init_width_frac),
-        "init.center_frac": repr(spec.init_center_frac),
-        "ensemble.k": str(spec.members), "ensemble.mode": spec.mode,
-        "ensemble.eps": repr(spec.eps),
-        "ref.factor": str(spec.ref_factor),
-        "checks": ",".join(spec.checks), "seed": str(spec.seed),
-        "tol.residual": repr(spec.residual_tol),
-        "convergence.levels": ",".join(str(v) for v in spec.convergence_levels),
-    })
-    if spec.deltas:
-        cfg["ensemble.deltas"] = ",".join(repr(d) for d in spec.deltas)
+    cfg = {"schema": str(SCHEMA_VERSION), "name": spec.name,
+           **law_to_config(spec.law)}
+    for key, field, _, _ in _SETTINGS:
+        value = getattr(spec, field)
+        if value != ():  # an empty list writes no line
+            cfg[key] = _text(value)
     return cfg
 
 
@@ -396,7 +385,7 @@ def _make_context(spec: ExperimentSpec) -> _Context:
     lower = certify_lower_bound(spec.law, (r_lo, r_hi), rho_grid)
     hbound = certify_h_bound(spec.law, (r_lo, r_hi), rho_grid)
     ctx.remainders = remainder_terms(measure, spec.law, spec.lam, ref,
-                                     lower, hbound, EstimatorConfig())
+                                     lower, hbound)
     ctx.verdict = gronwall_verdict(measure.times, ctx.remainders.E_mv,
                                    defect.D_total, ctx.remainders, ref,
                                    spec.law, xi=defect.xi)

@@ -44,7 +44,6 @@ class DiscreteYoungMeasure:
     S: np.ndarray
     V: np.ndarray
     D: np.ndarray
-    member_ids: tuple
 
     def __post_init__(self):
         k, nt, nx = self.S.shape
@@ -52,16 +51,10 @@ class DiscreteYoungMeasure:
             raise IncompatibleEnsembleError("field arrays disagree in shape")
         if self.times.shape != (nt,) or self.x.shape != (nx,):
             raise IncompatibleEnsembleError("grid arrays disagree with fields")
-        if len(self.member_ids) != k:
-            raise IncompatibleEnsembleError("member id count mismatch")
 
     @property
     def n_members(self) -> int:
         return self.S.shape[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.n_members, 1.0 / self.n_members)
 
     def time_index(self, tau: float) -> int:
         idx = int(np.argmin(np.abs(self.times - tau)))
@@ -88,8 +81,7 @@ def assemble(ensemble: list[Trajectory]) -> DiscreteYoungMeasure:
     return DiscreteYoungMeasure(times=first.times.copy(), x=first.grid.centers,
                                 dx=first.grid.dx, length=first.grid.length,
                                 S=np.array([traj.rho for traj in ensemble]), V=V,
-                                D=gradient_1d(V, first.grid.dx),
-                                member_ids=tuple(range(len(ensemble))))
+                                D=gradient_1d(V, first.grid.dx))
 
 
 def moment(measure: DiscreteYoungMeasure, g) -> np.ndarray:
@@ -313,9 +305,12 @@ class DefectReport:
     xi: np.ndarray               # (nt,)
     xi_meaningful: np.ndarray    # (nt,) bool, False where D_total < 1e-12
     zeta_by_member: np.ndarray   # (n_members, nt)
-    C: float
     tail: int
     clip_log: dict = field(default_factory=dict)
+
+
+# Below this total defect D the ratio xi = |rM| / D is meaningless.
+DEFECT_FLOOR = 1e-14
 
 
 def _prefix_trapezoid(series: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -326,8 +321,7 @@ def _prefix_trapezoid(series: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure,
-                    law: PressureLaw, lam: float, tail: int = 1,
-                    C: float = 1.0, xi_floor: float = 1e-14) -> DefectReport:
+                    law: PressureLaw, lam: float, tail: int = 1) -> DefectReport:
     """Estimate concentration defects from a refinement/regularization sequence.
 
     trajectories are ordered with the finest (smallest delta or finest mesh)
@@ -394,18 +388,18 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
     E_inf = clip("E_inf", E_inf_raw)
     sigma_inf = clip("sigma_inf", sigma_raw)
     zeta = clip("zeta", zeta_raw)
-    D_total = E_inf + C * zeta + sigma_inf
+    D_total = E_inf + zeta + sigma_inf
     # below the floor the ratio xi is meaningless; zero the pairing field
     # there so the concentration term drops out instead of amplifying noise
-    dead = D_total < xi_floor
+    dead = D_total < DEFECT_FLOOR
     rM_field = np.where(dead[:, None], 0.0, rM_field)
     rM_abs = np.sum(np.abs(rM_field), axis=1) * dx
-    xi = rM_abs / np.maximum(D_total, xi_floor)
+    xi = rM_abs / np.maximum(D_total, DEFECT_FLOOR)
     return DefectReport(times=times.copy(), x=x.copy(), E_inf=E_inf,
                         sigma_inf=sigma_inf, zeta=zeta, D_total=D_total,
                         rM_field=rM_field, rM_abs=rM_abs, xi=xi,
                         xi_meaningful=D_total >= 1e-12,
-                        zeta_by_member=zeta_by_member, C=C, tail=tail,
+                        zeta_by_member=zeta_by_member, tail=tail,
                         clip_log=clip_log)
 
 
@@ -421,18 +415,16 @@ def _grad_nd(field: np.ndarray, spacings: list[float]) -> np.ndarray:
     return out
 
 
-def korn_poincare_check(v: np.ndarray, u_tilde: np.ndarray, lengths: list[float],
-                        d: int | None = None,
-                        c_p_config: float | None = None) -> dict:
+def korn_poincare_check(v: np.ndarray, u_tilde: np.ndarray,
+                        lengths: list[float]) -> dict:
     """Empirical two-sided data for the gradient-controls-velocity inequality.
 
     v and u_tilde are (d, n1, ..., nd) arrays on a uniform cell-centered grid
     over a box with the given side lengths; u_tilde must have zero boundary
-    trace for the inequality to make sense.  Returns lhs, rhs, the empirical
-    ratio c_P, and a pass flag (lhs <= c_p_config * rhs when configured).
+    trace for the inequality to make sense.  Returns lhs, rhs and the
+    empirical ratio c_P.
     """
-    if d is None:
-        d = int(np.asarray(v).shape[0])
+    d = int(np.asarray(v).shape[0])
     if d == 1:
         raise UnsupportedDimensionError(
             "d = 1 unsupported: the traceless symmetrized gradient vanishes "
@@ -441,7 +433,7 @@ def korn_poincare_check(v: np.ndarray, u_tilde: np.ndarray, lengths: list[float]
         raise UnsupportedDimensionError(f"d must be 2 or 3, got {d}")
     v = np.asarray(v, dtype=float)
     u_tilde = np.asarray(u_tilde, dtype=float)
-    if v.shape != u_tilde.shape or v.ndim != d + 1 or v.shape[0] != d:
+    if v.shape != u_tilde.shape or v.ndim != d + 1:
         raise DomainError("fields must be matching (d, n1..nd) arrays")
 
     shape = v.shape[1:]
@@ -460,6 +452,5 @@ def korn_poincare_check(v: np.ndarray, u_tilde: np.ndarray, lengths: list[float]
     rhs = float(np.sum(dt_ * dt_) * cell)
 
     ratio = lhs / rhs if rhs > 0.0 else 0.0
-    passes = lhs <= c_p_config * rhs if c_p_config is not None else True
-    return {"lhs": lhs, "rhs": rhs, "c_P": ratio, "passes": passes}
+    return {"lhs": lhs, "rhs": rhs, "c_P": ratio}
 

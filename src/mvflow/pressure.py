@@ -40,6 +40,9 @@ TAIL_SLOPE_RTOL = 1e-9
 # Exclusion half-width around rho = r where the h-ratio is 0/0 to second order.
 H_BOUND_EXCLUSION = 1e-6
 
+# Comparison densities r sampled across [r_min, r_max] by both certificates.
+CERTIFICATE_R_POINTS = 33
+
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
@@ -507,7 +510,6 @@ class HBoundCertificate:
     grid_min: float
     grid_max: float
     grid_step: float
-    exclusion: float
     valid: bool
 
     @property
@@ -531,8 +533,15 @@ def _check_grid(rho_grid: np.ndarray, r_min: float, r_max: float) -> tuple[float
     return r_min / 2.0, r2
 
 
-def certify_lower_bound(law: PressureLaw, r_range: tuple[float, float], rho_grid,
-                        n_r: int = 33) -> LowerBoundCertificate:
+def _r_values(r_min: float, r_max: float) -> np.ndarray:
+    """The comparison densities a certificate is taken at."""
+    if r_max > r_min:
+        return np.linspace(r_min, r_max, CERTIFICATE_R_POINTS)
+    return np.array([r_min])
+
+
+def certify_lower_bound(law: PressureLaw, r_range: tuple[float, float],
+                        rho_grid) -> LowerBoundCertificate:
     """Largest grid-witnessed c(r) in the two-band lower bound for B(., r).
 
     On the middle band [r1, r2] = [r_min/2, 2 r_max] the bound is against
@@ -543,7 +552,7 @@ def certify_lower_bound(law: PressureLaw, r_range: tuple[float, float], rho_grid
     r_min, r_max = float(r_range[0]), float(r_range[1])
     r1, r2 = _check_grid(rho_grid, r_min, r_max)
 
-    r_values = np.linspace(r_min, r_max, n_r) if r_max > r_min else np.array([r_min])
+    r_values = _r_values(r_min, r_max)
     gamma = law.gamma
     c_mid = np.empty(r_values.size)
     c_out = np.empty(r_values.size)
@@ -573,22 +582,22 @@ def certify_lower_bound(law: PressureLaw, r_range: tuple[float, float], rho_grid
                                  grid_max=float(rho_grid[-1]), grid_step=step, valid=valid)
 
 
-def certify_h_bound(law: PressureLaw, r_range: tuple[float, float], rho_grid,
-                    n_r: int = 33, exclusion: float = H_BOUND_EXCLUSION) -> HBoundCertificate:
+def certify_h_bound(law: PressureLaw, r_range: tuple[float, float],
+                    rho_grid) -> HBoundCertificate:
     """Smallest grid-witnessed C(r) with |h-increment| <= C(r) * B(rho, r).
 
-    A band |rho - r| < exclusion is skipped: both sides vanish to second
-    order there and the ratio is numerically 0/0.
+    A band |rho - r| < H_BOUND_EXCLUSION is skipped: both sides vanish to
+    second order there and the ratio is numerically 0/0.
     """
     rho_grid = _as_array(rho_grid)
     r_min, r_max = float(r_range[0]), float(r_range[1])
     _check_grid(rho_grid, r_min, r_max)
 
-    r_values = np.linspace(r_min, r_max, n_r) if r_max > r_min else np.array([r_min])
+    r_values = _r_values(r_min, r_max)
     C = np.empty(r_values.size)
     valid = True
     for i, r in enumerate(r_values):
-        mask = np.abs(rho_grid - r) >= exclusion
+        mask = np.abs(rho_grid - r) >= H_BOUND_EXCLUSION
         breg = bregman_H(law, rho_grid[mask], r)
         hinc = np.abs(h_increment(law, rho_grid[mask], r))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -599,8 +608,7 @@ def certify_h_bound(law: PressureLaw, r_range: tuple[float, float], rho_grid,
 
     step = float(np.median(np.diff(rho_grid)))
     return HBoundCertificate(r_values=r_values, C_of_r=C, grid_min=float(rho_grid[0]),
-                             grid_max=float(rho_grid[-1]), grid_step=step,
-                             exclusion=exclusion, valid=valid)
+                             grid_max=float(rho_grid[-1]), grid_step=step, valid=valid)
 
 
 def certificate_rows(lower: LowerBoundCertificate, hbound: HBoundCertificate):

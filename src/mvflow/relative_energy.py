@@ -51,43 +51,26 @@ def relative_energy_series(measure: DiscreteYoungMeasure, law: PressureLaw,
     return np.sum(integrand, axis=1) * measure.dx
 
 
-# -- estimator configuration -----------------------------------------------------
+# -- estimator constants -----------------------------------------------------------
+#
+# The relative energy argument fixes these once.  The cutoff band sits
+# BAND_MARGIN outside the densities it must bracket, with smoothing width
+# WIDTH_FRAC * r1.  Ratio scans take SCAN_POINTS densities against
+# SCAN_R_POINTS comparison densities, and every witnessed constant is
+# inflated by GUARD.  The verdict forgives VERDICT_TOL of growth; an initial
+# relative energy below FLOOR_IN is graded by the uniqueness clause, whose
+# ceiling is FLOOR_OUT_SCALE * (1 + reference energy).  The Young split
+# weights are not constants but fractions of the viscosity lam:
+# eps = lam/2 and delta_split = lam/(8 c_tr), which absorb 5/8 of lam.
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Split parameters and scan controls for the remainder bounds.
-
-    eps is the Young split weight on the bump mismatch term; delta_split the
-    weight on the low-density tail of the density-velocity cross term.  Both
-    default to fractions of the viscosity so the absorbed trace terms stay
-    strictly below the dissipation block that must swallow them (None means
-    resolve at evaluation time).
-    """
-
-    eps: float | None = None
-    delta_split: float | None = None
-    band_margin: float = 0.05
-    width_frac: float = 0.1
-    scan_points: int = 2001
-    scan_r_points: int = 41
-    guard: float = 1.01
-    verdict_tol: float = 1e-9
-    floor_in: float = 1e-12
-    floor_out_scale: float = 1e-8
-
-    def __post_init__(self):
-        if self.eps is not None and not self.eps > 0.0:
-            raise DomainError(f"eps must be > 0, got {self.eps}")
-        if self.delta_split is not None and not self.delta_split > 0.0:
-            raise DomainError(f"delta_split must be > 0, got {self.delta_split}")
-        if not 0.0 < self.band_margin < 1.0:
-            raise DomainError("band_margin must lie in (0, 1)")
-        if not 0.0 < self.width_frac <= 0.5:
-            raise DomainError("width_frac must lie in (0, 0.5]")
-        if self.scan_points < 64 or self.scan_r_points < 3:
-            raise DomainError("scan grids too coarse to witness anything")
-        if self.guard < 1.0:
-            raise DomainError("guard factor must be >= 1")
+BAND_MARGIN = 0.05
+WIDTH_FRAC = 0.1
+SCAN_POINTS = 2001
+SCAN_R_POINTS = 41
+GUARD = 1.01
+VERDICT_TOL = 1e-9
+FLOOR_IN = 1e-12
+FLOOR_OUT_SCALE = 1e-8
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -119,8 +102,7 @@ class CutoffBand:
         return 1.0 - self.w1(s) - self.w2(s)
 
 
-def build_cutoff(law: PressureLaw, ref: StrongSolutionRef,
-                 cfg: EstimatorConfig = EstimatorConfig()) -> CutoffBand:
+def build_cutoff(law: PressureLaw, ref: StrongSolutionRef) -> CutoffBand:
     """Density band that strictly brackets the comparison range and the bump.
 
     The lower edge sits below half the smaller of (bump onset / 2, inf r / 2);
@@ -133,9 +115,9 @@ def build_cutoff(law: PressureLaw, ref: StrongSolutionRef,
     if law.bump is not None:
         lo.append(law.bump.q1 / 2.0)
         hi.append(2.0 * law.bump.q2)
-    r1 = (1.0 - cfg.band_margin) * min(lo)
-    r2 = (1.0 + cfg.band_margin) * max(hi)
-    width = cfg.width_frac * r1
+    r1 = (1.0 - BAND_MARGIN) * min(lo)
+    r2 = (1.0 + BAND_MARGIN) * max(hi)
+    width = WIDTH_FRAC * r1
     if r1 <= 0.0 or r1 - width <= 0.0:
         raise InvalidBandError(f"cutoff lower edge {r1} leaves no room above zero")
     if r2 <= r1 + width:
@@ -167,7 +149,7 @@ def _scan_max(law: PressureLaw, s_grid: np.ndarray, r_grid: np.ndarray,
 
 
 def _trace_poincare_constant(measure: DiscreteYoungMeasure,
-                             ref: StrongSolutionRef, guard: float) -> float:
+                             ref: StrongSolutionRef) -> float:
     """Witnessed constant with int <(v-U)^2> <= c * int <(D - dU/dx)^2> per time.
 
     Falls back to the closed-form (L/pi)^2 of zero-boundary profiles when the
@@ -182,7 +164,7 @@ def _trace_poincare_constant(measure: DiscreteYoungMeasure,
             "trace quotient is unbounded on this data")
     if not np.any(usable):
         return (measure.length / math.pi) ** 2
-    return guard * float(np.max(num[usable] / den[usable]))
+    return GUARD * float(np.max(num[usable] / den[usable]))
 
 
 @dataclass(frozen=True)
@@ -251,15 +233,14 @@ def _require_certificates(lower: LowerBoundCertificate, hbound: HBoundCertificat
 
 def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
                     ref: StrongSolutionRef, lower: LowerBoundCertificate,
-                    hbound: HBoundCertificate,
-                    cfg: EstimatorConfig = EstimatorConfig()) -> RemainderReport:
+                    hbound: HBoundCertificate) -> RemainderReport:
     """Evaluate the four growth integrals and their witnessed bounds.
 
     Each bound has the shape K * int_0^tau E dt plus, for the split terms, an
     absorbable multiple of the viscous trace block int int <(D - dU/dx)^2>.
     The absorbed multiples must sum below lam, the coefficient the energy
-    balance actually provides; eps and delta_split default to lam/2 and
-    lam/(8 c_tr) so the total stays at 5/8 of it.
+    balance actually provides; eps = lam/2 and delta_split = lam/(8 c_tr)
+    put the total at 5/8 of it.
     """
     _check_alignment(measure, ref)
     if lam <= 0.0:
@@ -268,44 +249,39 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     r_sup = float(np.max(ref.r))
     s_max = float(np.max(measure.S))
     _require_certificates(lower, hbound, r_inf, r_sup, s_max)
-    cutoff = build_cutoff(law, ref, cfg)
+    cutoff = build_cutoff(law, ref)
 
     # witnessed constants ---------------------------------------------------
-    c_tr = _trace_poincare_constant(measure, ref, cfg.guard)
-    eps = cfg.eps if cfg.eps is not None else lam / 2.0
-    delta_split = cfg.delta_split if cfg.delta_split is not None \
-        else lam / (8.0 * c_tr)
+    c_tr = _trace_poincare_constant(measure, ref)
+    eps = lam / 2.0
+    delta_split = lam / (8.0 * c_tr)
     absorbed = eps + delta_split * c_tr
-    if absorbed >= lam:
-        raise DomainError(
-            f"split weights absorb {absorbed:.6g} of trace dissipation "
-            f"but the balance only provides {lam:.6g}")
 
-    r_grid = np.linspace(r_inf, r_sup, cfg.scan_r_points)
+    r_grid = np.linspace(r_inf, r_sup, SCAN_R_POINTS)
     s_cap = max(2.0 * (cutoff.r2 + cutoff.width), 1.2 * s_max)
     s_lo = cutoff.r1 - cutoff.width
 
-    s_psi = np.linspace(s_lo, cutoff.r2 + cutoff.width, cfg.scan_points)
-    alpha_psi = cfg.guard * _scan_max(
+    s_psi = np.linspace(s_lo, cutoff.r2 + cutoff.width, SCAN_POINTS)
+    alpha_psi = GUARD * _scan_max(
         law, s_psi, r_grid,
         lambda s, r: cutoff.psi(s) * (s - r) ** 2 / np.sqrt(s),
         extra_candidates=[
             cutoff.psi(r) * 2.0 / (math.sqrt(r) * float(law.d2H(np.asarray(r))))
             for r in r_grid])
 
-    s_low = np.linspace(0.0, cutoff.r1, cfg.scan_points)
-    A_w1 = cfg.guard * _scan_max(
+    s_low = np.linspace(0.0, cutoff.r1, SCAN_POINTS)
+    A_w1 = GUARD * _scan_max(
         law, s_low, r_grid, lambda s, r: cutoff.w1(s) ** 2 * (s - r) ** 2)
 
-    s_high = np.linspace(cutoff.r2, s_cap, cfg.scan_points)
-    A_w2 = cfg.guard * _scan_max(law, s_high, r_grid,
+    s_high = np.linspace(cutoff.r2, s_cap, SCAN_POINTS)
+    A_w2 = GUARD * _scan_max(law, s_high, r_grid,
                                  lambda s, r: cutoff.w2(s) * s)
 
     if law.bump is None:
         Cq = 0.0
     else:
-        s_all = np.linspace(0.0, s_cap, 2 * cfg.scan_points)
-        Cq = cfg.guard * _scan_max(
+        s_all = np.linspace(0.0, s_cap, 2 * SCAN_POINTS)
+        Cq = GUARD * _scan_max(
             law, s_all, r_grid,
             lambda s, r: (law.q(s) - law.q(r)) ** 2,
             extra_candidates=[
@@ -406,14 +382,14 @@ class RelativeEnergyReport:
 
 def gronwall_verdict(times: np.ndarray, E_mv: np.ndarray, D: np.ndarray,
                      remainders: RemainderReport, ref: StrongSolutionRef,
-                     law: PressureLaw, xi: np.ndarray | None = None,
-                     cfg: EstimatorConfig = EstimatorConfig()) -> RelativeEnergyReport:
+                     law: PressureLaw,
+                     xi: np.ndarray | None = None) -> RelativeEnergyReport:
     """Compare max (E + D) against exp(C_total T) times the initial energy.
 
     C_total collects the coefficients of int E from every remainder bound plus
     sup(xi) * |U|_C1 for the concentration pairing.  When E(0) sits below the
-    input floor the run is graded by the uniqueness clause instead: E + D must
-    stay below floor_out_scale * (1 + reference energy) throughout.
+    input floor FLOOR_IN the run is graded by the uniqueness clause instead:
+    E + D must stay below FLOOR_OUT_SCALE * (1 + reference energy) throughout.
     """
     times = np.asarray(times, dtype=float)
     E_mv = np.asarray(E_mv, dtype=float)
@@ -438,14 +414,14 @@ def gronwall_verdict(times: np.ndarray, E_mv: np.ndarray, D: np.ndarray,
 
     total = E_mv + D
     E0 = float(E_mv[0])
-    lambda_emp = float(np.max(total)) / max(E0, cfg.floor_in)
+    lambda_emp = float(np.max(total)) / max(E0, FLOOR_IN)
 
-    uniqueness = E0 < cfg.floor_in
+    uniqueness = E0 < FLOOR_IN
     if uniqueness:
-        floor_out = cfg.floor_out_scale * (1.0 + E_ref)
+        floor_out = FLOOR_OUT_SCALE * (1.0 + E_ref)
         passed = bool(np.all(total < floor_out))
     else:
-        passed = bool(lambda_emp <= lambda_cert + cfg.verdict_tol)
+        passed = bool(lambda_emp <= lambda_cert + VERDICT_TOL)
 
     constants = dict(k)
     constants.update({"C_total": C_total, "xi_sup": xi_sup, "T": T,

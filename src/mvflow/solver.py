@@ -261,17 +261,18 @@ def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D,
 
 
 def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
-         rows=None, dt_max=None) -> FluidState:
+         rows=None, start=None) -> FluidState:
     """One explicit-transport / implicit-viscosity step of size dt.
 
     A stacked state takes a (K,) dt and advances row k by dt[k]; rows names
-    the members in error messages (default: the row numbers).  dt_max is
+    the members in error messages (default: the row numbers).  start is
     step_start(state, cfg, grid) when the caller already holds it; its CFL
     bound caps dt, and a trial then does only the work that depends on dt.
     """
-    start = step_start(state, cfg, grid) if dt_max is None else dt_max
-    if not isinstance(start, StepStart):
-        raise TypeError(f"dt_max must be None or a StepStart, got {type(start).__name__}")
+    if start is None:
+        start = step_start(state, cfg, grid)
+    elif not isinstance(start, StepStart):
+        raise TypeError(f"start must be None or a StepStart, got {type(start).__name__}")
     over = np.greater(dt, start.dt_max * (1.0 + 1e-12))
     if over.any():
         i = int(np.argmax(over))
@@ -533,7 +534,7 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         # a rejected row retries from the state its step_start was taken for
         d = np.array([ctl[r].dt for r in live])
         trial = step(cur, cfg, grid, d, rows=live,
-                     dt_max=start if len(live) == K else start.take(live))
+                     start=start if len(live) == K else start.take(live))
         part_cfg = _with_delta(cfg, deltas[live]) if mixed and len(live) < K else cfg
         u_trial, e_new, dI = _budget_terms(trial, part_cfg, grid, d)
         e_new, dI, t_new = e_new.tolist(), dI.tolist(), trial.t.tolist()
@@ -636,15 +637,20 @@ def pulse_flow_init(length: float, base: float = 1.0, amp: float = 0.1,
     return InitialData(name="pulse-flow", rho_fn=pulse.rho_fn, u_fn=u_fn, params=params)
 
 
+# Fourier modes in the density noise of perturb_density.
+NOISE_MODES = 3
+
+
 def perturb_density(init: InitialData, length: float, eps: float,
-                    rng: np.random.Generator, n_modes: int = 3) -> InitialData:
-    """Multiply rho0 by (1 + eps * xi) with smooth low-frequency unit noise."""
-    coeffs = rng.normal(size=(n_modes, 2)) / (1.0 + np.arange(n_modes))[:, None]
+                    rng: np.random.Generator) -> InitialData:
+    """Multiply rho0 by (1 + eps * xi) with smooth unit noise of the lowest
+    NOISE_MODES cosine and sine modes."""
+    coeffs = rng.normal(size=(NOISE_MODES, 2)) / (1.0 + np.arange(NOISE_MODES))[:, None]
 
     def xi(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for j in range(n_modes):
+        for j in range(NOISE_MODES):
             k = (j + 1) * np.pi / length
             out += coeffs[j, 0] * np.cos(k * x) + coeffs[j, 1] * np.sin(k * x)
         return out

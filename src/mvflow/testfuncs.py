@@ -26,8 +26,6 @@ class SpaceTimeFunction:
     df: object
     g: object
     dg: object
-    vanishes_at_walls: bool
-    length: float
 
 
 def tables(family, times, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -52,36 +50,36 @@ _TIME_FACTORS = (
 )
 
 
-def _combine(space_factors, length, vanishes):
-    out = []
-    for sid, f, df in space_factors:
-        for tid, g, dg in _TIME_FACTORS:
-            out.append(SpaceTimeFunction(id=f"{sid}*{tid}", f=f, df=df, g=g, dg=dg,
-                                         vanishes_at_walls=vanishes, length=length))
-    return out
+# Highest Fourier mode k of the density and momentum families' space factors.
+FAMILY_MODES = 2
 
 
-def density_family(length: float, k_max: int = 2) -> list[SpaceTimeFunction]:
+def _combine(space_factors):
+    return [SpaceTimeFunction(id=f"{sid}*{tid}", f=f, df=df, g=g, dg=dg)
+            for sid, f, df in space_factors for tid, g, dg in _TIME_FACTORS]
+
+
+def density_family(length: float) -> list[SpaceTimeFunction]:
     """Test functions for the density equations; free values at the walls."""
     space = [("1", np.ones_like, np.zeros_like),
              ("x/L", lambda x, L=length: x / L,
               lambda x, L=length: np.full_like(x, 1.0 / L))]
-    for k in range(1, k_max + 1):
+    for k in range(1, FAMILY_MODES + 1):
         w = k * np.pi / length
         space.append((f"cos({k}pi x/L)", lambda x, w=w: np.cos(w * x),
                       lambda x, w=w: -w * np.sin(w * x)))
-    return _combine(space, length, vanishes=False)
+    return _combine(space)
 
 
-def momentum_family(length: float, k_max: int = 2) -> list[SpaceTimeFunction]:
+def momentum_family(length: float) -> list[SpaceTimeFunction]:
     """Test functions vanishing at both walls, for the momentum equation."""
     space = [("x/L(1-x/L)", lambda x, L=length: (x / L) * (1.0 - x / L),
               lambda x, L=length: (1.0 - 2.0 * x / L) / L)]
-    for k in range(1, k_max + 1):
+    for k in range(1, FAMILY_MODES + 1):
         w = k * np.pi / length
         space.append((f"sin({k}pi x/L)", lambda x, w=w: np.sin(w * x),
                       lambda x, w=w: w * np.cos(w * x)))
-    return _combine(space, length, vanishes=True)
+    return _combine(space)
 
 
 def compatibility_family(length: float) -> list[SpaceTimeFunction]:
@@ -90,4 +88,4 @@ def compatibility_family(length: float) -> list[SpaceTimeFunction]:
     space = [("1", np.ones_like, np.zeros_like),
              ("sin(pi x/L)", lambda x, w=w: np.sin(w * x),
               lambda x, w=w: w * np.cos(w * x))]
-    return _combine(space, length, vanishes=False)
+    return _combine(space)

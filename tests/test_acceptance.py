@@ -13,8 +13,7 @@ from mvflow.measures import (assemble, compatibility_residual,
                              renorm_identity_truncated)
 from mvflow.pressure import (PowerLawH, PressureLaw, bregman_H, build_bump_q,
                              certify_h_bound, certify_lower_bound)
-from mvflow.relative_energy import (EstimatorConfig, gronwall_verdict,
-                                    remainder_terms)
+from mvflow.relative_energy import gronwall_verdict, remainder_terms
 from mvflow.solver import (Grid1D, SolverConfig, make_reference,
                            perturb_density, pulse_flow_init, run,
                            smooth_pulse_init, total_energy)
@@ -214,8 +213,7 @@ def _weak_strong_family(eps: float, seed: int = 7):
     rho_grid = np.linspace(0.0, 10.0, 4001)
     lower = certify_lower_bound(law, (r_lo, r_hi), rho_grid)
     hbound = certify_h_bound(law, (r_lo, r_hi), rho_grid)
-    rem = remainder_terms(measure, law, cfg.lam, ref, lower, hbound,
-                          EstimatorConfig())
+    rem = remainder_terms(measure, law, cfg.lam, ref, lower, hbound)
     return gronwall_verdict(measure.times, rem.E_mv, defect.D_total, rem,
                             ref, law, xi=defect.xi)
 

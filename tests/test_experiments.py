@@ -11,8 +11,9 @@ import mvflow.experiments
 import mvflow.solver
 from mvflow.configio import format_kv, read_csv, read_spec
 from mvflow.errors import SpecParseError
-from mvflow.experiments import (CHECK_NAMES, _build_ensemble, _solver_config,
-                                cmd_certify, cmd_convergence, cmd_run, presets,
+from mvflow.experiments import (CHECK_NAMES, _SETTINGS, _build_ensemble,
+                                _solver_config, _text, cmd_certify,
+                                cmd_convergence, cmd_run, presets,
                                 resolve_out_dir, run_experiment,
                                 spec_from_config, spec_to_config)
 from mvflow.solver import make_reference, perturb_density, reference_from_run, run
@@ -154,6 +155,58 @@ def test_presets_all_parse():
         spec = spec_from_config(cfg)
         assert spec.name == name
         assert set(spec.checks) <= set(CHECK_NAMES)
+
+
+# sha256 of each preset's resolved spec text: a key, order or format slip in
+# the schema table changes one of them
+RESOLVED_PRESET_SHA256 = {
+    "constant-state": "b70ec880e886878512127c1be0f768f2af08666df42dc69e17c0f506da23b962",
+    "convergence-pulse": "a8903778a49724723dac1dd4e8680d35a6298f6fbd5ebc59337bac1485f6b1c3",
+    "delta-sequence": "8c6b6a3e97cd3f69a0017109dc3d1982d1edcc5b23ab634b03a91b66c02bb978",
+    "weak-strong-bump": "b04bbf8acae12953813e36dffdf90a6798824ad863e051f1e1907e3648527566",
+    "weak-strong-monotone": "35c5d8efa732c2f0b71c8428ed7c55915bd58cb6d94c2da85b6fc42d5ac30cba",
+    "weak-strong-tabulated": "d382f39a0c2bdd48181f9f67c26699b424e11e9003d8b93d328db39331e429a9",
+}
+
+
+def test_resolved_presets_keep_their_bytes():
+    got = {name: hashlib.sha256(
+               format_kv(spec_to_config(spec_from_config(cfg))).encode()).hexdigest()
+           for name, cfg in presets().items()}
+    assert got == RESOLVED_PRESET_SHA256
+
+
+def test_spec_without_checks_reads_back_from_its_resolved_file(tmp_path):
+    # an empty list writes no line, so spec.resolved parses back
+    spec = spec_from_config(minimal_cfg(**{"grid.n": "16", "solver.T": "0.01",
+                                           "solver.n_samples": "3"}))
+    assert spec.checks == ()
+    run_experiment(spec, out_dir=str(tmp_path))
+    resolved = read_spec(str(tmp_path / "spec.resolved"))
+    assert "checks" not in resolved
+    assert spec_to_config(spec_from_config(resolved)) == spec_to_config(spec)
+
+
+def _readme_spec_keys():
+    """(key, default) of each row of README's spec-key table."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "README.md")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default = (c.strip() for c in line.strip("|").split("|")[:2])
+        rows.append((key, default))
+    return rows
+
+
+def test_readme_spec_key_table_matches_the_schema():
+    want = [(f"`{key}`", f"`{_text(default)}`" if default != () else "empty")
+            for key, _, default, _ in _SETTINGS]
+    assert _readme_spec_keys() == want
 
 
 # -- output directory resolution --------------------------------------------------

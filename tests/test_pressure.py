@@ -446,10 +446,10 @@ def test_h_bound_certificate_finite_for_other_exponents(gamma):
 def test_certificate_rows_shape():
     law = power_law()
     grid = np.arange(0.0, 8.0 + 1e-12, 0.01)
-    low = certify_lower_bound(law, (0.5, 2.0), grid, n_r=9)
-    hb = certify_h_bound(law, (0.5, 2.0), grid, n_r=9)
+    low = certify_lower_bound(law, (0.5, 2.0), grid)
+    hb = certify_h_bound(law, (0.5, 2.0), grid)
     rows = certificate_rows(low, hb)
-    assert len(rows) == 9
+    assert len(rows) == 33
     assert all(len(r) == 5 for r in rows)
     assert all(r[4] for r in rows)
 

@@ -42,7 +42,7 @@ def single_atom_measure(s_val, v_val, n=8):
     return DiscreteYoungMeasure(
         times=times, x=x, dx=1.0 / n, length=1.0,
         S=np.full(shape, float(s_val)), V=np.full(shape, float(v_val)),
-        D=np.zeros(shape), member_ids=["atom"])
+        D=np.zeros(shape))
 
 
 def build_family(eps, law=LAW_BUMP, K=4, n=96, T=0.1, seed=7):
@@ -145,22 +145,7 @@ class TestRelativeEnergyValue:
             measure.time_index(0.123)
 
 
-# -- estimator configuration ------------------------------------------------------
-
-
-class TestEstimatorConfig:
-    def test_defaults_construct(self):
-        cfg = rel.EstimatorConfig()
-        assert cfg.eps is None and cfg.delta_split is None
-
-    @pytest.mark.parametrize("kwargs", [
-        {"eps": 0.0}, {"eps": -1.0}, {"delta_split": 0.0},
-        {"band_margin": 1.0}, {"band_margin": 0.0}, {"width_frac": 0.0},
-        {"width_frac": 0.6}, {"scan_points": 8}, {"guard": 0.99},
-    ])
-    def test_bad_parameters_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            rel.EstimatorConfig(**kwargs)
+# -- cutoff band -------------------------------------------------------------------
 
 
 class TestCutoffBand:
@@ -253,14 +238,6 @@ class TestRemainderTerms:
         hb = certify_h_bound(LAW_BUMP, (1.5, 1.6), rho_grid)
         with pytest.raises(InvalidBandError, match="covers"):
             rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, lower, hb)
-
-    def test_oversized_split_weight_rejected(self, bump_family, bump_certs):
-        cfg, measure, ref, _ = bump_family
-        lower, hb = bump_certs
-        cfg_est = rel.EstimatorConfig(eps=2.0 * cfg.lam)
-        with pytest.raises(DomainError, match="absorb"):
-            rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, lower, hb,
-                                cfg_est)
 
     def test_nonpositive_viscosity_rejected(self, bump_family, bump_certs):
         _, measure, ref, _ = bump_family

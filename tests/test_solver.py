@@ -211,13 +211,13 @@ def test_oversized_step_rejected():
 
 
 def test_step_refuses_a_bare_cfl_bound():
-    # dt_max is the state's whole step_start or None
+    # start is the state's whole step_start or None
     grid = Grid1D(n=32, length=1.0)
     cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=1.0)
     state = pulse_flow_init(1.0).sample(grid)
     start = step_start(state, cfg, grid)
     with pytest.raises(TypeError):
-        step(state, cfg, grid, 0.5 * start.dt_max, dt_max=start.dt_max)
+        step(state, cfg, grid, 0.5 * start.dt_max, start=start.dt_max)
 
 
 def test_viscous_solve_failure_names_the_vacuum_cell():
@@ -947,7 +947,7 @@ def test_step_equals_reference_step(law, K, held, cfl, at, speed, seed):
     dt = {"inside": bound * rng.uniform(0.05, 1.0, size=np.shape(bound)),
           "bound": bound, "bound+tol": bound * (1.0 + 1e-12)}[at]
     want = _step_outcome(_reference_step, state, cfg, grid, dt)
-    got = _step_outcome(step, state, cfg, grid, dt, dt_max=start if held else None)
+    got = _step_outcome(step, state, cfg, grid, dt, start=start if held else None)
     _assert_same_outcome(got, want)
 
 
@@ -970,7 +970,7 @@ def test_step_equals_reference_step_on_non_finite_and_oversized_steps():
     assert want[0] is StepRejected
     for held in (None, step_start(state, cfg, grid)):
         _assert_same_outcome(
-            _step_outcome(step, state, cfg, grid, 2.0 * dt_max, dt_max=held), want)
+            _step_outcome(step, state, cfg, grid, 2.0 * dt_max, start=held), want)
 
 
 def test_retried_trial_equals_a_fresh_step():
@@ -984,8 +984,8 @@ def test_retried_trial_equals_a_fresh_step():
     state = FluidState(rho=rho, m=m, t=np.zeros(3))
     start = step_start(state, cfg, grid)
     dt = 0.9 * start.dt_max
-    step(state, cfg, grid, dt, dt_max=start)
-    retried = step(state, cfg, grid, 0.5 * dt, dt_max=start)
+    step(state, cfg, grid, dt, start=start)
+    retried = step(state, cfg, grid, 0.5 * dt, start=start)
     _assert_same_outcome(retried, step(state, cfg, grid, 0.5 * dt))
     _assert_same_outcome(retried, _reference_step(state, cfg, grid, 0.5 * dt))
 
