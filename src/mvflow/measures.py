@@ -305,7 +305,6 @@ class DefectReport:
     xi: np.ndarray               # (nt,)
     xi_meaningful: np.ndarray    # (nt,) bool, False where D_total < 1e-12
     zeta_by_member: np.ndarray   # (n_members, nt)
-    tail: int
     clip_log: dict = field(default_factory=dict)
 
 
@@ -399,7 +398,7 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
                         sigma_inf=sigma_inf, zeta=zeta, D_total=D_total,
                         rM_field=rM_field, rM_abs=rM_abs, xi=xi,
                         xi_meaningful=D_total >= 1e-12,
-                        zeta_by_member=zeta_by_member, tail=tail,
+                        zeta_by_member=zeta_by_member,
                         clip_log=clip_log)
 
 

@@ -48,6 +48,43 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """PCHIP's one-sided three-point end slope, kept shape-preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(4, len(x) - 1) cubic Hermite coefficients of the PCHIP interpolant.
+
+    Row j multiplies (z - x[k])^(3 - j) on piece k.  The knot slopes are
+    Fritsch and Carlson's weighted harmonic means of the secant slopes
+    (SIAM J. Numer. Anal. 17, 1980), with the one-sided ends of Moler's
+    pchiptx.  Every operation is the one scipy's PchipInterpolator and
+    CubicHermiteSpline perform, in the same order, so the coefficients are
+    bit-identical to theirs.
+    """
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    # increasing samples give secant slopes >= 0 (0 where the quotient
+    # underflows), so two neighbours differ in sign only where one is 0
+    flat = (mk[1:] == 0.0) | (mk[:-1] == 0.0)
+    w1 = 2.0 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2.0 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
+    d[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    t = (d[:-1] + d[1:] - 2.0 * mk) / hk
+    return np.stack((t / hk, (mk - d[:-1]) / hk - t, d[:-1], y[:-1]))
+
+
 @dataclass(frozen=True)
 class CompactBump:
     """C^1 bump q(rho) = amp * 16 t^2 (1-t)^2, t = (rho-q1)/(q2-q1), on [q1, q2].
@@ -67,9 +104,10 @@ class CompactBump:
         if not (self.q1 > 0.0 and np.inf > self.q2 > self.q1 and np.isfinite(self.amp)):
             raise InvalidLawError(f"bump needs 0 < q1 < q2 < inf and a finite amp, "
                                   f"got [{self.q1}, {self.q2}] and {self.amp}")
-        # q(z) = 16 amp / w^4 * [(z - q1)(q2 - z)]^2, expanded in powers of z
-        p2 = np.polynomial.Polynomial([-self.q1 * self.q2, self.q1 + self.q2, -1.0])
-        object.__setattr__(self, "_coef", (16.0 * self.amp / self.width**4) * (p2 * p2).coef)
+        # q(z) = 16 amp / w^4 * [(z - q1)(q2 - z)]^2, expanded in powers of z;
+        # squaring the quadratic's coefficients is their convolution
+        p2 = np.array([-self.q1 * self.q2, self.q1 + self.q2, -1.0])
+        object.__setattr__(self, "_coef", (16.0 * self.amp / self.width**4) * np.convolve(p2, p2))
         # the antiderivative at the lower limit 1, clipped to the support, on
         # an array as the calls evaluate it
         one = np.minimum(np.maximum(np.ones(1), self.q1), self.q2)
@@ -157,6 +195,12 @@ class TabulatedH:
     exponent the certificates and the sound-speed floor assume.  Samples must
     start at (0, 0), since h(0) = 0 is part of the admissibility conditions.
 
+    The interpolant is built and evaluated in numpy, bit for bit as scipy's
+    PchipInterpolator and its derivative would give it (scipy serves as the
+    test oracle only): importing scipy.interpolate costs a fresh process
+    about 0.3 s.  Value and slope evaluate the local cubic in s = rho - knot
+    as scipy's PPoly does, from the lowest power up.
+
     The potential uses closed forms only: each cubic piece
     A0 + A1 z + A2 z^2 + A3 z^3 integrates against 1/z^2 exactly, and so does
     the tail; the integrals from 1 to every piece's anchor are built once.
@@ -165,8 +209,13 @@ class TabulatedH:
     rho_samples: tuple
     h_samples: tuple
     gamma_tail: float = 2.0
-    _spline: object = field(init=False, repr=False, compare=False, default=None)
-    _dspline: object = field(init=False, repr=False, compare=False, default=None)
+    # the interior knots (to find a point's piece), each piece's left knot,
+    # and the local coefficients of h and of h' in s = rho - left knot, one
+    # contiguous row per power, lowest first
+    _inner: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _left: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _h_rows: tuple = field(init=False, repr=False, compare=False, default=None)
+    _dh_rows: tuple = field(init=False, repr=False, compare=False, default=None)
     # tail h = _tail_a * rho^gamma_tail + _tail_b beyond rho_max
     _tail_a: float = field(init=False, repr=False, compare=False, default=0.0)
     _tail_b: float = field(init=False, repr=False, compare=False, default=0.0)
@@ -178,8 +227,6 @@ class TabulatedH:
     _pow: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        from scipy.interpolate import PchipInterpolator
-
         r = np.asarray(self.rho_samples, dtype=float)
         h = np.asarray(self.h_samples, dtype=float)
         if r.ndim != 1 or r.shape != h.shape or r.size < 3:
@@ -192,11 +239,15 @@ class TabulatedH:
             raise InvalidLawError("tabulated samples must be strictly increasing")
         if not (np.inf > self.gamma_tail >= 1.0):
             raise InvalidLawError("gamma_tail must be finite and >= 1")
-        spline = PchipInterpolator(r, h, extrapolate=True)
-        dspline = spline.derivative()
+        c = _pchip_coefficients(r, h)
+        # the derivative's coefficients, as PPoly.derivative scales them
+        dc = c[:-1] * np.array([[3.0], [2.0], [1.0]])
+        for name, val in (("_inner", r[1:-1]), ("_left", r[:-1]),
+                          ("_h_rows", tuple(c[::-1])), ("_dh_rows", tuple(dc[::-1]))):
+            object.__setattr__(self, name, val)
         g = float(self.gamma_tail)
         r_max, h_max = float(r[-1]), float(h[-1])
-        s_max = float(dspline(r_max))
+        s_max = float(self._cubic(self._dh_rows, np.asarray(r_max)))
         if s_max > TAIL_SLOPE_RTOL * h_max / r_max:
             a = s_max / (g * r_max ** (g - 1.0))
             b = h_max - a * r_max**g
@@ -206,7 +257,7 @@ class TabulatedH:
         # local Taylor coefficients d_k about the left knot x, re-expanded in
         # powers of z; piece 0 has x = 0, so its A0 = h(0) = 0 exactly
         x = r[:-1]
-        d3, d2, d1, d0 = spline.c
+        d3, d2, d1, d0 = c
         coef = np.vstack([d0 - d1 * x + d2 * x * x - d3 * x**3,
                           d1 - 2.0 * d2 * x + 3.0 * d3 * x * x,
                           d2 - 3.0 * d3 * x,
@@ -221,8 +272,7 @@ class TabulatedH:
         # piece 0 is anchored at its right knot, so no ln 0 arises
         anchor = np.concatenate([[r[1]], r[1:]])
 
-        for name, val in (("_spline", spline), ("_dspline", dspline),
-                          ("_tail_a", a), ("_tail_b", b), ("_coef", coef),
+        for name, val in (("_tail_a", a), ("_tail_b", b), ("_coef", coef),
                           ("_anchor", anchor), ("_pow", pow_coef)):
             object.__setattr__(self, name, val)
 
@@ -252,16 +302,31 @@ class TabulatedH:
             return np.where(far, tail(np.maximum(rho, self.rho_max)), inside)
         return inside
 
+    def _cubic(self, rows: tuple, rho: np.ndarray) -> np.ndarray:
+        """The piecewise polynomial with local coefficient rows at rho.
+
+        Piece k covers [knot k, knot k+1); the first and last pieces extend
+        beyond the table, and the last knot belongs to the last piece.
+        """
+        k = self._inner.searchsorted(rho, "right")
+        s = rho - self._left[k]
+        out = 0.0 + rows[0][k] + rows[1][k] * s
+        z = s
+        for row in rows[2:]:
+            z = z * s
+            out = out + row[k] * z
+        return out
+
     def value(self, rho) -> np.ndarray:
         rho = _as_array(rho)
         g = self.gamma_tail
-        return self._with_tail(rho, np.asarray(self._spline(rho), dtype=float),
+        return self._with_tail(rho, self._cubic(self._h_rows, rho),
                                lambda z: self._tail_a * np.power(z, g) + self._tail_b)
 
     def slope(self, rho) -> np.ndarray:
         rho = _as_array(rho)
         g = self.gamma_tail
-        return self._with_tail(rho, np.asarray(self._dspline(rho), dtype=float),
+        return self._with_tail(rho, self._cubic(self._dh_rows, rho),
                                lambda z: self._tail_a * g * np.power(z, g - 1.0))
 
     def _piece_integral(self, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -491,9 +556,7 @@ class LowerBoundCertificate:
     r_values: np.ndarray
     c_middle: np.ndarray
     c_outer: np.ndarray
-    grid_min: float
     grid_max: float
-    grid_step: float
     valid: bool
 
     @property
@@ -507,9 +570,7 @@ class HBoundCertificate:
 
     r_values: np.ndarray
     C_of_r: np.ndarray
-    grid_min: float
     grid_max: float
-    grid_step: float
     valid: bool
 
     @property
@@ -575,11 +636,9 @@ def certify_lower_bound(law: PressureLaw, r_range: tuple[float, float],
         else:
             c_out[i] = np.inf
 
-    step = float(np.median(np.diff(rho_grid)))
     valid = bool(np.min(np.minimum(c_mid, c_out)) > 0.0)
     return LowerBoundCertificate(r1=r1, r2=r2, r_values=r_values, c_middle=c_mid,
-                                 c_outer=c_out, grid_min=float(rho_grid[0]),
-                                 grid_max=float(rho_grid[-1]), grid_step=step, valid=valid)
+                                 c_outer=c_out, grid_max=float(rho_grid[-1]), valid=valid)
 
 
 def certify_h_bound(law: PressureLaw, r_range: tuple[float, float],
@@ -606,9 +665,8 @@ def certify_h_bound(law: PressureLaw, r_range: tuple[float, float],
         if not np.isfinite(C[i]):
             valid = False
 
-    step = float(np.median(np.diff(rho_grid)))
-    return HBoundCertificate(r_values=r_values, C_of_r=C, grid_min=float(rho_grid[0]),
-                             grid_max=float(rho_grid[-1]), grid_step=step, valid=valid)
+    return HBoundCertificate(r_values=r_values, C_of_r=C, grid_max=float(rho_grid[-1]),
+                             valid=valid)
 
 
 def certificate_rows(lower: LowerBoundCertificate, hbound: HBoundCertificate):

@@ -41,13 +41,16 @@ the new density stays nonnegative.
 from __future__ import annotations
 
 import copy
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time as _time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     DomainError,
@@ -56,6 +59,36 @@ from .errors import (
     StepRejected,
 )
 from .pressure import PressureLaw
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, without importing scipy.linalg.
+
+    ``import scipy.linalg`` costs about 0.3 s and 20 MB, mostly for its
+    array-API layer; the solver needs one routine.  The extension module is
+    loaded from its file and registered under its own name, so a later
+    ``import scipy.linalg`` reuses this module and its routines.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")  # finds the package, runs nothing
+    if spec is None:
+        raise ImportError("mvflow needs scipy's LAPACK extension; scipy is not installed")
+    base = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension is missing: no file {paths[0]}")
+    ext = importlib.util.spec_from_file_location(
+        name, path, loader=importlib.machinery.ExtensionFileLoader(name, path))
+    module = importlib.util.module_from_spec(ext)
+    ext.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+dgtsv = _load_flapack().dgtsv
 
 
 @dataclass(frozen=True)
@@ -300,10 +333,11 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
 
     # implicit viscosity: (rho_new - lam dt Dxx) u_new = m_star with mirrored
     # ghost velocities enforcing u = 0 at the wall faces.  The rows' systems
-    # are the blocks of one tridiagonal system (LAPACK gtsv, which
-    # scipy.linalg.solve_banded calls for one band each side); the
-    # off-diagonal entries between one row's last cell and the next row's
-    # first are zero.
+    # are the blocks of one tridiagonal system, solved by LAPACK dgtsv from
+    # scipy's compiled _flapack (the routine scipy.linalg.solve_banded calls
+    # for one band each side, loaded without scipy.linalg; see
+    # _load_flapack); the off-diagonal entries between one row's last cell
+    # and the next row's first are zero.
     kappa = cfg.lam * dtc / dx**2
     diag = rho_new + 2.0 * kappa
     diag[..., ::grid.n - 1] += kappa  # the first and last cell of each row

@@ -548,8 +548,7 @@ def _random_defect(rng, measure):
         times=measure.times, x=measure.x, E_inf=D_total, sigma_inf=np.zeros(nt),
         zeta=np.zeros(nt), D_total=D_total, rM_field=rng.normal(size=(nt, n)),
         rM_abs=np.zeros(nt), xi=rng.uniform(0.0, 2.0, nt),
-        xi_meaningful=np.ones(nt, dtype=bool), zeta_by_member=np.zeros((1, nt)),
-        tail=1)
+        xi_meaningful=np.ones(nt, dtype=bool), zeta_by_member=np.zeros((1, nt)))
 
 
 @given(K=st.integers(1, 4), n=st.integers(8, 48), nt=st.integers(2, 9),

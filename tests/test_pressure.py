@@ -282,17 +282,51 @@ def test_tabulated_rejects_nonmonotone():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tabulated_rejects_non_finite_samples(bad, monkeypatch):
-    # rejected before scipy builds the interpolant, which would raise a bare
-    # ValueError
+    # rejected before the interpolant's coefficients are built
     def no_spline(*args, **kwargs):
         raise AssertionError("the interpolant was built")
 
-    monkeypatch.setattr("scipy.interpolate.PchipInterpolator", no_spline)
+    monkeypatch.setattr(mvflow.pressure, "_pchip_coefficients", no_spline)
     for rho, h in (((0.0, 1.0, bad), (0.0, 1.0, 2.0)), ((0.0, 1.0, 2.0), (0.0, bad, 2.0))):
         with pytest.raises(InvalidLawError, match="finite"):
             TabulatedH(rho, h)
     with pytest.raises(InvalidLawError, match="finite"):
         TabulatedH((0.0, 1.0, 2.0), (0.0, 1.0, 2.0), gamma_tail=bad)
+    # a valid table does reach the patched builder
+    with pytest.raises(AssertionError, match="was built"):
+        TabulatedH((0.0, 1.0, 2.0), (0.0, 1.0, 2.0))
+
+
+@st.composite
+def pchip_tables(draw):
+    """3-20 strictly increasing samples from (0, 0)."""
+    n = draw(st.integers(3, 20))
+    steps = st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1)
+    rho = np.concatenate([[0.0], np.cumsum(draw(steps))])
+    h = np.concatenate([[0.0], np.cumsum(draw(steps))])
+    return rho, h
+
+
+@given(table=pchip_tables(), inside=st.lists(st.floats(0.0, 1.0), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_numpy_pchip_matches_scipy_bit_for_bit(table, inside):
+    from scipy.interpolate import PchipInterpolator
+
+    rho, h = table
+    spline = PchipInterpolator(rho, h, extrapolate=True)
+    dspline = spline.derivative()
+    law = TabulatedH(tuple(rho), tuple(h))
+    assert np.array_equal(mvflow.pressure._pchip_coefficients(rho, h), spline.c)
+    assert np.array_equal(np.array(law._dh_rows[::-1]), dspline.c)
+    # 0, the knots (the last one included), points between them, and beyond
+    # the table, where the cubic extrapolates as scipy's does
+    table_pts = np.concatenate([[0.0], rho, rho[-1] * np.asarray(inside, dtype=float)])
+    beyond = rho[-1] * np.array([1.0 + 1e-9, 1.5, 4.0])
+    pts = np.concatenate([table_pts, beyond])
+    assert np.array_equal(law._cubic(law._h_rows, pts), spline(pts))
+    assert np.array_equal(law._cubic(law._dh_rows, pts), dspline(pts))
+    assert np.array_equal(law.value(table_pts), spline(table_pts))
+    assert np.array_equal(law.slope(table_pts), dspline(table_pts))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
