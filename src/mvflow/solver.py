@@ -32,6 +32,23 @@ central total pressure.  step does per trial dt only the rest.  run_stack
 takes a row's step_start once per step and reuses it when the energy budget
 rejects a trial and the halved dt is retried.
 
+step also takes an (R, K) dt: R trial dts per row, broadcast against the
+(K, n) state and StepStart (nothing is copied per rung) and solved as one
+tridiagonal system of R * K blocks.  run_stack uses two such rungs when a
+row's dt was set by the 1.5x growth cap, because that trial often fails
+the budget: on the n = 256 budget-solve benchmark (seed 503) 1965 of 3404
+accepted steps came after exactly one rejection, and the trial after a
+first-try accept was rejected 1407 times out of 1437 (1400 of the 1410 set
+by the growth cap; 1958 of all 3364 grown trials).  Rung 1 then holds the
+halved dt that a rejection of rung 0 retries, and is read only if rung 0 is
+rejected; so the trials, the accepted steps and every result are those of
+one trial per call, in fewer step calls.  A dt set by the CFL bound or cut
+to a sample time keeps one rung: such trials are rarely rejected, and a
+second rung on them made the tabulated-law benchmark, which never rejects,
+11-17% slower.
+Without a near-vacuum cell in a trial, step and the budget terms skip the
+vacuum masks, which would keep every entry.
+
 The donor-cell update needs no positivity limiter.  A cell's outflow is at
 most rho_i max|u| (each face velocity is the mean of two cell velocities),
 so at any dt step admits, up to (1 + 1e-12) cfl dx / max(|u| + c),
@@ -211,11 +228,11 @@ def _per_row(x: np.ndarray):
 
 
 def _first_cell(mask: np.ndarray, rows=None) -> str:
-    """Where the first True entry of a (n,) or (K, n) mask sits.
+    """Where the first True entry of a (n,), (K, n) or (R, K, n) mask sits.
 
     rows maps the rows of a stacked mask to the row numbers reported.
     """
-    r, c = np.argwhere(np.atleast_2d(mask))[0]
+    *_, r, c = np.argwhere(np.atleast_2d(mask))[0]  # a rung index comes first
     return f"row {r if rows is None else rows[r]}, cell {c}"
 
 
@@ -298,16 +315,19 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     """One explicit-transport / implicit-viscosity step of size dt.
 
     A stacked state takes a (K,) dt and advances row k by dt[k]; rows names
-    the members in error messages (default: the row numbers).  start is
-    step_start(state, cfg, grid) when the caller already holds it; its CFL
-    bound caps dt, and a trial then does only the work that depends on dt.
+    the members in error messages (default: the row numbers).  An (R, K) dt
+    tries R step sizes per row in one call, by broadcasting: the result has
+    R * K rows, rung by rung, row r * K + k being row k advanced by dt[r, k].
+    start is step_start(state, cfg, grid) when the caller already holds it;
+    its CFL bound caps dt, and a trial then does only the work that depends
+    on dt.
     """
     if start is None:
         start = step_start(state, cfg, grid)
     elif not isinstance(start, StepStart):
         raise TypeError(f"start must be None or a StepStart, got {type(start).__name__}")
     over = np.greater(dt, start.dt_max * (1.0 + 1e-12))
-    if over.any():
+    if np.logical_or.reduce(over, axis=None):
         i = int(np.argmax(over))
         dt_b, dt_max_b = np.broadcast_arrays(dt, start.dt_max)
         raise StepRejected(float(dt_b.flat[i]), float(dt_max_b.flat[i]))
@@ -319,7 +339,7 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
 
     rho_new = rho - dt_dx * start.dF
     _require_finite("density", rho_new, rows)
-    lowest = rho_new.min()
+    lowest = np.minimum.reduce(rho_new, axis=None)
     if lowest < 0.0:
         negative = rho_new < -1e-13 * np.maximum(1.0, rho.max(axis=-1, keepdims=True))
         if negative.any():
@@ -341,7 +361,7 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     kappa = cfg.lam * dtc / dx**2
     diag = rho_new + 2.0 * kappa
     diag[..., ::grid.n - 1] += kappa  # the first and last cell of each row
-    off = np.empty(rho.shape)
+    off = np.empty(rho_new.shape)
     off[...] = -kappa
     off[..., -1] = 0.0
     off = off.reshape(-1)[:-1]
@@ -352,18 +372,29 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
         raise SolverFailure("viscous solve failed: non-positive diagonal at "
                             f"{_first_cell(~(rho_new + kappa > 0.0), rows)} "
                             f"(LAPACK gtsv info {info})")
-    u_new = np.where(rho_new > cfg.rho_floor, u_new.reshape(rho.shape), 0.0)
+    u_new = u_new.reshape(rho_new.shape)
+    if not lowest > cfg.rho_floor:  # else the vacuum mask would keep every entry
+        u_new = np.where(rho_new > cfg.rho_floor, u_new, 0.0)
 
-    return FluidState(rho=rho_new, m=rho_new * u_new, t=state.t + dt)
+    t_new = state.t + dt
+    if rho_new.ndim > 2:  # rungs: R * K rows
+        rho_new, u_new, t_new = rho_new.reshape(-1, grid.n), \
+            u_new.reshape(-1, grid.n), t_new.reshape(-1)
+    return FluidState(rho=rho_new, m=rho_new * u_new, t=t_new)
 
 
-def _energy(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray, m: np.ndarray,
-            solid: np.ndarray, rho_f: np.ndarray, potential: np.ndarray):
-    """Per row sum dx (m^2/(2 rho) + potential + delta rho^Gamma / (Gamma - 1))."""
-    kin = np.where(solid, 0.5 * m**2 / rho_f, 0.0)
+def _kinetic(rho: np.ndarray, m: np.ndarray, solid: np.ndarray,
+             rho_f: np.ndarray) -> np.ndarray:
+    """m^2/(2 rho), zero on near-vacuum cells."""
+    return np.where(solid, 0.5 * m**2 / rho_f, 0.0)
+
+
+def _energy(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray, kin: np.ndarray,
+            potential: np.ndarray):
+    """Per row sum dx (kin + potential + delta rho^Gamma / (Gamma - 1))."""
     e = _plus_delta(kin + potential, cfg.delta,
                     lambda d: d * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0))
-    return _per_row(e.sum(axis=-1) * grid.dx)
+    return _per_row(np.add.reduce(e, axis=-1) * grid.dx)
 
 
 def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
@@ -372,8 +403,8 @@ def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     Kinetic energy of near-vacuum cells is taken as zero.  A stacked state
     gets one energy per row.
     """
-    return _energy(cfg, grid, state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor),
-                   cfg.law.P(state.rho))
+    kin = _kinetic(state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor))
+    return _energy(cfg, grid, state.rho, kin, cfg.law.P(state.rho))
 
 
 def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
@@ -383,14 +414,14 @@ def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     value, so data dipping below the reference density still yields a
     positive scale.
     """
-    e = _energy(cfg, grid, state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor),
-                np.abs(cfg.law.P(state.rho)))
+    kin = _kinetic(state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor))
+    e = _energy(cfg, grid, state.rho, kin, np.abs(cfg.law.P(state.rho)))
     return _per_row(np.maximum(e, 1e-15))
 
 
 def _dissipation(cfg: SolverConfig, grid: Grid1D, u: np.ndarray, dt):
     g = gradient_1d(u, grid.dx)
-    return _per_row(dt * cfg.lam * (g * g).sum(axis=-1) * grid.dx)
+    return _per_row(dt * cfg.lam * np.add.reduce(g * g, axis=-1) * grid.dx)
 
 
 def dissipation_increment(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
@@ -403,12 +434,16 @@ def dissipation_increment(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt
 
 def _budget_terms(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
     """velocity, total_energy and dissipation_increment of a trial state,
-    sharing its vacuum mask and floored density."""
-    solid, rho_f = _vacuum(state.rho, cfg.rho_floor)
-    u = np.where(solid, state.m / rho_f, 0.0)
-    return (u, _energy(cfg, grid, state.rho, state.m, solid, rho_f,
-                       cfg.law.P(state.rho)),
-            _dissipation(cfg, grid, u, dt))
+    sharing its vacuum mask and floored density.  Without a near-vacuum
+    cell the mask keeps every entry and the floored density is the density,
+    so both are skipped."""
+    rho, m = state.rho, state.m
+    if np.minimum.reduce(rho, axis=None) > cfg.rho_floor:
+        u, kin = m / rho, 0.5 * m**2 / rho
+    else:
+        solid, rho_f = _vacuum(rho, cfg.rho_floor)
+        u, kin = np.where(solid, m / rho_f, 0.0), _kinetic(rho, m, solid, rho_f)
+    return u, _energy(cfg, grid, rho, kin, cfg.law.P(rho)), _dissipation(cfg, grid, u, dt)
 
 
 @dataclass(frozen=True)
@@ -486,6 +521,15 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     A row's step_start is taken once when it starts a step and reused by its
     retries, and each state's velocity once: the accepted trial's carries
     into the next step_start and into the recorded sample.
+
+    When a fresh row's dt is set by the 1.5x growth cap (not the CFL bound,
+    not cut to the sample time), the step call holds two rungs: every live
+    row at its dt and at max(dt/2, tol), the dt a rejection retries.  Each
+    row reads its rungs in order.  Rung 0 accepted is a step as before.
+    Rung 0 rejected is handled as any rejection (raise at the dt floor,
+    halve, count the trial), and then rung 1 is read as the retry; if it is
+    rejected too, the row retries in the next call.  n_trials counts the
+    rungs read, not the step calls.
     """
     n = grid.n
     rho = np.array([s.rho for s in states], dtype=float)
@@ -545,6 +589,7 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
 
         # rows that are not retrying a rejected trial start a new step
         fresh = [r for r in live if not ctl[r].retry]
+        grown = False  # a fresh row's dt is set by the 1.5x growth cap
         if fresh:
             if cfg.max_wall_s is not None and \
                     _time.monotonic() - started > cfg.max_wall_s:
@@ -559,48 +604,63 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
                 start.put(fresh, part)
             for r, cand in zip(fresh, part.dt_max.tolist()):
                 c = ctl[r]
-                if c.dt_prev is not None:
-                    cand = min(cand, 1.5 * c.dt_prev)
+                capped = c.dt_prev is not None and 1.5 * c.dt_prev < cand
+                if capped:
+                    cand = 1.5 * c.dt_prev
                 c.dt = min(cand, t_sample[c.k] - c.t)
                 c.clipped = c.dt < cand
+                grown = grown or (capped and not c.clipped)
                 c.halved = False
 
-        # a rejected row retries from the state its step_start was taken for
-        d = np.array([ctl[r].dt for r in live])
+        # A rejected row retries from the state its step_start was taken for.
+        # A grown dt is often rejected, so then every row also tries, as
+        # rung 1 of the same step call, the dt that a rejection of rung 0
+        # retries (a dt at the floor has no retry).
+        L = len(live)
+        dts = [ctl[r].dt for r in live]
+        rungs = 2 if grown else 1
+        if grown:
+            d = np.array([dts, [max(0.5 * x, tol) if x > tol else x for x in dts]])
+        else:
+            d = np.array(dts)
         trial = step(cur, cfg, grid, d, rows=live,
-                     start=start if len(live) == K else start.take(live))
-        part_cfg = _with_delta(cfg, deltas[live]) if mixed and len(live) < K else cfg
-        u_trial, e_new, dI = _budget_terms(trial, part_cfg, grid, d)
+                     start=start if L == K else start.take(live))
+        part_cfg = _with_delta(cfg, deltas[live * rungs]) \
+            if mixed and (L < K or rungs > 1) else cfg
+        u_trial, e_new, dI = _budget_terms(trial, part_cfg, grid, d.reshape(-1))
         e_new, dI, t_new = e_new.tolist(), dI.tolist(), trial.t.tolist()
 
-        accepted = []
+        accepted, taken = [], []  # rows that step, and their trial rows
         for j, r in enumerate(live):
             c = ctl[r]
-            c.n_trials += 1
-            slack = c.e_prev - e_new[j] - dI[j]
-            if not slack >= -slack_budget[r]:
+            for i in range(j, rungs * L, L):  # row j of each rung in turn
+                c.n_trials += 1
+                slack = c.e_prev - e_new[i] - dI[i]
+                if slack >= -slack_budget[r]:
+                    break
                 if c.dt <= tol:
                     raise SolverFailure(f"energy budget unattainable in row {r}: "
                                         f"slack {slack:.3e} at dt {c.dt:.3e}")
                 c.dt = max(0.5 * c.dt, tol)
                 c.halved = c.retry = True
-                continue
-            accepted.append(j)
+            else:
+                continue  # every rung rejected: retry at the halved dt
+            accepted.append(r)
+            taken.append(i)
             if c.halved or not c.clipped:
                 c.dt_prev = c.dt
             target = t_sample[c.k]
-            c.t = target if abs(t_new[j] - target) < tol else t_new[j]
+            c.t = target if abs(t_new[i] - target) < tol else t_new[i]
             c.min_slack = min(c.min_slack, slack)
-            c.dis_acc += dI[j]
-            c.e_prev = e_new[j]
+            c.dis_acc += dI[i]
+            c.e_prev = e_new[i]
             c.n_steps += 1
             c.retry = False
-        if len(accepted) == len(live):
-            rho[sel], m[sel], u[sel] = trial.rho, trial.m, u_trial
-        elif accepted:
-            rows = [live[j] for j in accepted]
-            rho[rows], m[rows], u[rows] = \
-                trial.rho[accepted], trial.m[accepted], u_trial[accepted]
+        if taken == list(range(L)):  # every row at rung 0
+            rho[sel], m[sel], u[sel] = trial.rho[:L], trial.m[:L], u_trial[:L]
+        elif taken:
+            rho[accepted], m[accepted], u[accepted] = \
+                trial.rho[taken], trial.m[taken], u_trial[taken]
 
     out = []
     for r, c in enumerate(ctl):

@@ -459,11 +459,14 @@ def tabulated_law():
                                          h_samples=tuple(rho**2 + 0.1 * rho)))
 
 
-def _scalar_run_oracle(cfg, init_state, grid):
+def _scalar_run_oracle(cfg, init_state, grid, log=None):
     """One state at a time: the controller as a plain Python loop over floats.
 
     Same halving retry, 1.5 dt_prev growth cap, clipping to the sample time
-    and snap to it as run_stack, without the wall-clock budget.
+    and snap to it as run_stack, without the wall-clock budget, and one step
+    call per trial.  log, if given, gets one (dt, accepted, source) entry per
+    trial, source naming what set dt: "cfl", "grown" (the 1.5 dt_prev cap),
+    "clipped" (the sample time) or "halved" (a retry).
     """
     times = np.linspace(0.0, cfg.T, cfg.n_samples)
     state = FluidState(rho=init_state.rho.copy(), m=init_state.m.copy(), t=0.0)
@@ -477,10 +480,15 @@ def _scalar_run_oracle(cfg, init_state, grid):
     for t_target in times[1:]:
         while state.t < t_target - 1e-12 * cfg.T:
             cand = admissible_dt(state, cfg, grid)
+            source = "cfl"
             if dt_prev is not None:
+                if 1.5 * dt_prev < cand:
+                    source = "grown"
                 cand = min(cand, 1.5 * dt_prev)
             dt = min(cand, t_target - state.t)
             clipped = dt < cand
+            if clipped:
+                source = "clipped"
             halved = False
             while True:
                 trial = step(state, cfg, grid, dt)
@@ -488,11 +496,14 @@ def _scalar_run_oracle(cfg, init_state, grid):
                 dI = dissipation_increment(trial, cfg, grid, dt)
                 e_new = total_energy(trial, cfg, grid)
                 slack = e_prev - e_new - dI
+                if log is not None:
+                    log.append((dt, slack >= -slack_budget, source))
                 if slack >= -slack_budget:
                     break
                 assert dt > dt_floor
                 dt = max(0.5 * dt, dt_floor)
                 halved = True
+                source = "halved"
             state = trial
             if halved or not clipped:
                 dt_prev = dt
@@ -516,6 +527,70 @@ def _assert_same_run(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.min_step_slack == b.min_step_slack
     assert (a.n_steps, a.n_trials, a.complete) == (b.n_steps, b.n_trials, b.complete)
+
+
+def _record_step_calls(monkeypatch) -> list:
+    """Wrap run_stack's step; each call appends its live rows, its (R, L)
+    trial dts (R = 1 or 2 rungs) and the lowest density of its trial states."""
+    calls = []
+    real_step = mvflow.solver.step
+
+    def recording_step(state, cfg, grid, dt, rows=None, start=None):
+        out = real_step(state, cfg, grid, dt, rows=rows, start=start)
+        calls.append({"rows": list(rows), "dt": np.atleast_2d(dt).copy(),
+                      "lowest": float(out.rho.min())})
+        return out
+
+    monkeypatch.setattr(mvflow.solver, "step", recording_step)
+    return calls
+
+
+def _replay(calls, logs) -> list:
+    """Read the recorded step calls against the oracle's trial logs.
+
+    Each row of a call consumes its row's next oracle trials, one per rung,
+    up to the first accepted one: so the rungs' dts, the trials read and
+    their order are the oracle's.  Returns per call the rung count and, per
+    row, the source of its rung-0 dt and the accepted rung (None: every rung
+    was rejected).
+    """
+    pos = [0] * len(logs)
+    out = []
+    for call in calls:
+        d = call["dt"]
+        cols = []
+        for j, r in enumerate(call["rows"]):
+            source, took = logs[r][pos[r]][2], None
+            for rung in range(d.shape[0]):
+                dt, ok, _ = logs[r][pos[r]]
+                assert dt == d[rung, j], (r, rung)
+                pos[r] += 1
+                if ok:
+                    took = rung
+                    break
+            cols.append((source, took))
+        out.append((d.shape[0], cols))
+    assert pos == [len(log) for log in logs]
+    return out
+
+
+def _run_against_oracle(monkeypatch, cfgs, states, grid):
+    """run_stack's rows, each asserted equal to its oracle run bit for bit,
+    n_trials included, and the replay of the step calls it made."""
+    calls = _record_step_calls(monkeypatch)
+    rows = run_stack(cfgs, states, grid)
+    monkeypatch.undo()
+    logs = []
+    for cfg, state, row in zip(cfgs, states, rows):
+        logs.append([])
+        rho, u, energy, cum_dis, min_slack, n_steps, n_trials = \
+            _scalar_run_oracle(cfg, state, grid, log=logs[-1])
+        for name, want in (("rho", rho), ("u", u), ("energy", energy),
+                           ("cum_dissipation", cum_dis)):
+            assert getattr(row, name).tobytes() == want.tobytes(), name
+        assert (row.min_step_slack, row.n_steps, row.n_trials) == \
+            (min_slack, n_steps, n_trials)
+    return rows, calls, _replay(calls, logs)
 
 
 _LAWS = {"power": gamma2_law, "bump": bump_law, "tabulated": tabulated_law}
@@ -604,20 +679,111 @@ def test_stacked_step_equals_row_steps():
         assert out.t[k] == one.t
 
 
-def test_n_trials_counts_every_step_call(monkeypatch):
+def test_rung_step_equals_row_steps():
+    # an (R, K) dt: row r * K + k of the result is row k stepped by dt[r, k]
+    grid = Grid1D(n=40, length=1.0)
+    cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(0.5, 2.0, size=(3, 40))
+    m = rho * rng.uniform(-0.5, 0.5, size=(3, 40))
+    stacked = FluidState(rho=rho, m=m, t=np.array([0.0, 0.1, 0.2]))
+    start = step_start(stacked, cfg, grid)
+    dt = np.array([0.9 * start.dt_max, 0.45 * start.dt_max])
+    out = step(stacked, cfg, grid, dt, start=start)
+    assert out.rho.shape == (6, 40) and out.t.shape == (6,)
+    for r in range(2):
+        for k in range(3):
+            one = step(FluidState(rho=rho[k], m=m[k], t=float(stacked.t[k])), cfg,
+                       grid, float(dt[r, k]))
+            assert np.array_equal(out.rho[3 * r + k], one.rho)
+            assert np.array_equal(out.m[3 * r + k], one.m)
+            assert out.t[3 * r + k] == one.t
+    dt[1, 2] = 2.0 * start.dt_max[2]
+    with pytest.raises(StepRejected):
+        step(stacked, cfg, grid, dt, start=start)
+
+
+def test_n_trials_counts_the_trials_read_not_the_step_calls(monkeypatch):
+    # a step call may hold two rungs, and rung 1 is read only when rung 0 is
+    # rejected: n_trials is the oracle's count of trials, one step call
+    # each, while the rejections make run_stack's step calls fewer
     grid = Grid1D(n=32, length=1.0)
     cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.05, n_samples=4)
-    calls = []
-    real_step = mvflow.solver.step
-
-    def counting_step(state, *args, **kwargs):
-        calls.append(state.rho.shape[0])
-        return real_step(state, *args, **kwargs)
-
-    monkeypatch.setattr(mvflow.solver, "step", counting_step)
-    traj = run(cfg, pulse_flow_init(1.0).sample(grid), grid)
-    assert traj.n_trials == len(calls)
+    (traj,), calls, _ = _run_against_oracle(
+        monkeypatch, [cfg], [pulse_flow_init(1.0).sample(grid)], grid)
     assert traj.n_trials > traj.n_steps > 0
+    assert len(calls) < traj.n_trials
+
+
+def test_grown_trial_accepts_rung_one(monkeypatch):
+    # after an accepted step the dt grows 1.5x and is mostly rejected; the
+    # halved dt then rides in the same step call and is accepted there
+    grid = Grid1D(n=32, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.05, n_samples=4)
+    _, _, replay = _run_against_oracle(
+        monkeypatch, [cfg], [pulse_flow_init(1.0).sample(grid)], grid)
+    reads = [(R, source, took) for R, cols in replay for source, took in cols]
+    assert (2, "grown", 1) in reads and (2, "grown", 0) in reads
+    # the gate: two rungs exactly when a row's dt is set by the growth cap
+    assert all((R == 2) == any(s == "grown" for s, _ in cols) for R, cols in replay)
+    assert (1, "clipped", 0) in reads and (1, "cfl", None) in reads
+
+
+def test_both_rungs_rejected_row_retries(monkeypatch):
+    # row 0 grows its dt while row 1 still halves its first CFL-sized trial:
+    # row 1 rides the two-rung calls at its halved and quarter dt, is
+    # rejected at both and retries in a later call
+    grid = Grid1D(n=16, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.02, n_samples=3)
+    states = [pulse_flow_init(1.0, base=1.1, amp=0.02, u_amp=0.01).sample(grid),
+              pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(grid)]
+    _, _, replay = _run_against_oracle(monkeypatch, [cfg] * 2, states, grid)
+    assert any(R == 2 and took is None for R, cols in replay for _, took in cols)
+
+
+def test_rungs_mix_grown_cfl_and_clipped_rows(monkeypatch):
+    # a state at rest steps at its CFL bound, and a loose budget lets the
+    # pulses grow their dt: one two-rung call holds a grown row, a row at
+    # its CFL bound and a row clipped to a sample time
+    grid = Grid1D(n=16, length=1.0)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.2, n_samples=5,
+                       step_slack_tol=5e-4)
+    states = [constant_init(1.0).sample(grid),
+              pulse_flow_init(1.0, base=1.1, amp=0.02, u_amp=0.01).sample(grid),
+              pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(grid)]
+    _, _, replay = _run_against_oracle(monkeypatch, [cfg] * 3, states, grid)
+    assert any(R == 2 and {"grown", "cfl", "clipped"} <= {s for s, _ in cols}
+               for R, cols in replay)
+
+
+def test_rungs_on_a_mixed_delta_stack(monkeypatch):
+    # each rung's rows take their own delta, with every row live and with
+    # some rows done
+    grid = Grid1D(n=32, length=1.0)
+    base = SolverConfig(law=bump_law(), lam=0.1, T=0.03, n_samples=4)
+    cfgs = [replace(base, delta=d) for d in (0.5, 0.0, 0.05)]
+    state = pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(grid)
+    _, _, replay = _run_against_oracle(monkeypatch, cfgs, [state] * 3, grid)
+    assert any(R == 2 and len(cols) == 3 for R, cols in replay)
+    assert any(R == 2 and len(cols) < 3 for R, cols in replay)
+
+
+def test_rungs_with_a_near_vacuum_row(monkeypatch):
+    # a vacuum cell in one row sends the stack's two-rung calls through the
+    # masked velocity and kinetic energy; the other row alone takes the
+    # unmasked path throughout.  Both equal the oracle, which always masks.
+    grid = Grid1D(n=16, length=1.0)
+    cfg = SolverConfig(law=bump_law(), lam=0.1, T=0.02, n_samples=3)
+    pulse = pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(grid)
+    rho = np.ones(16)
+    rho[0] = 0.0
+    vacuum = FluidState(rho=rho, m=0.5 * rho)
+    _, calls, replay = _run_against_oracle(monkeypatch, [cfg] * 2, [pulse, vacuum], grid)
+    assert any(R == 2 and call["lowest"] <= cfg.rho_floor
+               for (R, _), call in zip(replay, calls))
+    _, calls, replay = _run_against_oracle(monkeypatch, [cfg], [pulse], grid)
+    assert all(call["lowest"] > cfg.rho_floor for call in calls)
+    assert any(R == 2 for R, _ in replay)
 
 
 def test_run_stack_rejects_mismatched_grid():

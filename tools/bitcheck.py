@@ -8,6 +8,10 @@ Each line is ``<key> <value>``:
   ``run_experiment`` with its own seed;
 - ``ensemble-bump.seed<S>.manifest_hash``: the weak-strong-bump preset at the
   benchmark seeds 501-510;
+- ``preset.<name>.row<k>.*`` and ``ensemble-bump.seed<S>.row<k>.*`` for
+  S in 501 and 502: ``n_steps``, ``n_trials`` and ``min_step_slack`` of each
+  row of the experiment's ``run_stack`` call (manifests do not hold
+  ``n_trials``, so a miscount by the stacked controller shows only here);
 - ``convergence.<case>.csv_sha256``: ``convergence.csv`` of the
   convergence-pulse preset at levels 64,128,256, as shipped and with the
   benchmark's seeded ``init.center_frac`` at seeds 501 and 502;
@@ -56,10 +60,27 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+    import mvflow.experiments
     from mvflow.configio import format_kv
     from mvflow.experiments import (cmd_convergence, presets, run_experiment,
                                     spec_from_config)
     from workloads import WORKLOADS
+
+    stacked = []  # the rows of every run_stack call an experiment makes
+    real_run_stack = mvflow.experiments.run_stack
+
+    def recording_run_stack(*args, **kwargs):
+        rows = real_run_stack(*args, **kwargs)
+        stacked.extend(rows)
+        return rows
+
+    mvflow.experiments.run_stack = recording_run_stack
+
+    def print_counters(key: str, rows) -> None:
+        for k, traj in enumerate(rows):
+            print(f"{key}.row{k}.n_steps {traj.n_steps}")
+            print(f"{key}.row{k}.n_trials {traj.n_trials}")
+            print(f"{key}.row{k}.min_step_slack {traj.min_step_slack!r}")
 
     with tempfile.TemporaryDirectory() as tmp:
         counter = itertools.count()
@@ -68,14 +89,19 @@ def main(argv=None) -> int:
             return os.path.join(tmp, str(next(counter)))
 
         for name, cfg in sorted(presets().items()):
+            stacked.clear()
             m = run_experiment(spec_from_config(cfg), out_dir=fresh_dir())
             print(f"preset.{name}.manifest_hash {m.manifest_hash}")
+            print_counters(f"preset.{name}", stacked)
 
         bump = spec_from_config(presets()["weak-strong-bump"])
         for seed in BUMP_SEEDS:
+            stacked.clear()
             m = run_experiment(dataclasses.replace(bump, seed=seed),
                                out_dir=fresh_dir())
             print(f"ensemble-bump.seed{seed}.manifest_hash {m.manifest_hash}")
+            if seed in SEEDS:
+                print_counters(f"ensemble-bump.seed{seed}", stacked)
 
         conv = WORKLOADS["convergence-pulse"]()
         cases = [("preset", presets()["convergence-pulse"])]
