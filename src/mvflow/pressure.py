@@ -155,16 +155,16 @@ class PowerLawH:
             raise InvalidLawError(f"power-law gamma must be finite and >= 1, got {self.gamma}")
 
     def value(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
+        rho = np.asarray(rho, dtype=float)
         return self.a * np.power(rho, self.gamma)
 
     def slope(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
+        rho = np.asarray(rho, dtype=float)
         return self.a * self.gamma * np.power(rho, self.gamma - 1.0)
 
     def potential(self, rho) -> np.ndarray:
         """H(rho); closed form, with H(0) = 0 taken as the limit value."""
-        rho = _as_array(rho)
+        rho = np.asarray(rho, dtype=float)
         if self.gamma == 1.0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = self.a * rho * np.log(rho)
@@ -172,13 +172,13 @@ class PowerLawH:
         return self.a * (np.power(rho, self.gamma) - rho) / (self.gamma - 1.0)
 
     def potential_slope(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
+        rho = np.asarray(rho, dtype=float)
         if self.gamma == 1.0:
             return self.a * (np.log(rho) + 1.0)
         return self.a * (self.gamma * np.power(rho, self.gamma - 1.0) - 1.0) / (self.gamma - 1.0)
 
     def potential_curvature(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
+        rho = np.asarray(rho, dtype=float)
         return self.a * self.gamma * np.power(rho, self.gamma - 2.0)
 
 
@@ -397,13 +397,13 @@ class PressureLaw:
     # p, dp and P skip adding the zero bump of a bump-free law
     def p(self, rho):
         if self.bump is None:
-            return self.h(rho)
-        return self.h(rho) + self.bump.value(rho)
+            return self.h_part.value(rho)
+        return self.h_part.value(rho) + self.bump.value(rho)
 
     def dp(self, rho):
         if self.bump is None:
-            return self.dh(rho)
-        return self.dh(rho) + self.bump.slope(rho)
+            return self.h_part.slope(rho)
+        return self.h_part.slope(rho) + self.bump.slope(rho)
 
     # -- potential ----------------------------------------------------------
     def H(self, rho):
@@ -432,11 +432,8 @@ class PressureLaw:
 
     def P(self, rho):
         if self.bump is None:
-            return self.H(rho)
-        return self.H(rho) + self.Q(rho)
-
-    def dP(self, rho):
-        return self.dH(rho) + self.dQ(rho)
+            return self.h_part.potential(rho)
+        return self.h_part.potential(rho) + self.Q(rho)
 
     @property
     def gamma(self) -> float:
@@ -445,11 +442,6 @@ class PressureLaw:
     @property
     def a(self) -> float:
         return self.h_part.a
-
-
-def build_bump_q(q1: float, q2: float, amp: float) -> CompactBump:
-    """Construct the compactly supported C^1 pressure bump."""
-    return CompactBump(q1=q1, q2=q2, amp=amp)
 
 
 def potential(law: PressureLaw, rho):

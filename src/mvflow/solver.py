@@ -17,37 +17,36 @@ is tracked during a run; for smooth data the slack stays at rounding scale
 because upwinding only adds dissipation.
 
 States stack: K states on one grid are the rows of (K, n) arrays, each
-with its own time, time step and config; the configs differ at most in
-delta, a float or a (K, 1) column in the kernels, which act row by row.
-The K viscous systems form one block-diagonal tridiagonal solve, and
-run_stack drives all rows through one loop, with run as its one-row case.
-Each row of a stacked run equals the run of that state alone, bit for bit.
-A non-finite density or momentum, or a non-positive viscous diagonal, stops
-a run with a SolverFailure naming its row and cell.
+with its own time, time step and config (the configs differ at most in
+delta), and run_stack drives all rows through one loop, with run as its
+one-row case; each row equals the run of that state alone, bit for bit.  A
+non-finite density or momentum, or a non-positive viscous diagonal, stops a
+run with a SolverFailure naming its row and cell.
 
 A step splits in two: step_start returns a StepStart, which holds what
 depends on the state alone: the CFL bound dt_max and the face differences
-dF, dG and dPi of the mass flux, the convective momentum flux and the
-central total pressure.  step does per trial dt only the rest.  run_stack
-takes a row's step_start once per step and reuses it when the energy budget
-rejects a trial and the halved dt is retried.
+of the mass flux, the convective momentum flux and the central total
+pressure.  step does per trial dt only the rest, and run_stack reuses a
+row's start when the energy budget rejects a trial.  step also takes an
+(R, K) dt: R trial dts per row, broadcast against the (K, n) state and start
+and solved as one tridiagonal system of R * K blocks.  When a row's dt is
+set by the 1.5x growth cap, a trial that mostly fails the budget (1407 of
+the 1437 trials after a first-try accept on budget-solve, seed 503),
+run_stack tries the halved dt as rung 1 of the same call and reads it only
+if rung 0 is rejected: the trials and results are those of one trial per
+call, in fewer calls.  A dt set by the CFL bound or a sample time keeps one
+rung; a second made the never-rejecting tabulated-law benchmark 11-17%
+slower.
 
-step also takes an (R, K) dt: R trial dts per row, broadcast against the
-(K, n) state and StepStart (nothing is copied per rung) and solved as one
-tridiagonal system of R * K blocks.  run_stack uses two such rungs when a
-row's dt was set by the 1.5x growth cap, because that trial often fails
-the budget: on the n = 256 budget-solve benchmark (seed 503) 1965 of 3404
-accepted steps came after exactly one rejection, and the trial after a
-first-try accept was rejected 1407 times out of 1437 (1400 of the 1410 set
-by the growth cap; 1958 of all 3364 grown trials).  Rung 1 then holds the
-halved dt that a rejection of rung 0 retries, and is read only if rung 0 is
-rejected; so the trials, the accepted steps and every result are those of
-one trial per call, in fewer step calls.  A dt set by the CFL bound or cut
-to a sample time keeps one rung: such trials are rarely rejected, and a
-second rung on them made the tabulated-law benchmark, which never rejects,
-11-17% slower.
-Without a near-vacuum cell in a trial, step and the budget terms skip the
-vacuum masks, which would keep every entry.
+A trial's cost is numpy call overhead on small arrays, not arithmetic, so
+the kernels make few calls: the three face quantities share one buffer and
+one difference, dt/dx scales all three in one multiply, the energy density
+and the squared gradient share one reduction, per-row scalars the
+controller reads stay Python floats, and run_stack binds its state to views
+of the accepted trial rows.  Without a near-vacuum cell in a trial, step
+and the budget terms skip the vacuum masks.  On budget-solve (n = 256, seed
+501) an accepted step went from 215 us (step_start 56, step 73, budget 48,
+loop 36) to 173 us (48, 63, 42, 20); tools/bitcheck.py prints the same bytes.
 
 The donor-cell update needs no positivity limiter.  A cell's outflow is at
 most rho_i max|u| (each face velocity is the mean of two cell velocities),
@@ -58,6 +57,7 @@ the new density stays nonnegative.
 from __future__ import annotations
 
 import copy
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -65,16 +65,11 @@ import os
 import sys
 import time as _time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ReferenceInvalidError,
-    SolverFailure,
-    StepRejected,
-)
+from .errors import DomainError, ReferenceInvalidError, SolverFailure, StepRejected
 from .pressure import PressureLaw
 
 
@@ -121,7 +116,7 @@ class Grid1D:
         if not (self.length > 0.0):
             raise DomainError(f"grid length must be positive, got {self.length}")
 
-    @property
+    @functools.cached_property
     def dx(self) -> float:
         return self.length / self.n
 
@@ -193,21 +188,25 @@ def velocity(state: FluidState, rho_floor: float) -> np.ndarray:
 
 
 def gradient_1d(u: np.ndarray, dx: float) -> np.ndarray:
-    """Cell-centered du/dx along the last axis: central differences,
-    one-sided at the walls."""
-    g = np.empty_like(u)
-    g[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
-    g[..., 0] = (u[..., 1] - u[..., 0]) / dx
-    g[..., -1] = (u[..., -1] - u[..., -2]) / dx
+    """Cell-centered du/dx along the last axis of n >= 3 cells: central
+    differences, one-sided at the walls.  The central differences are taken
+    over the rows laid end to end, one subtraction, and the end cells of
+    each row, which straddled two rows, are then overwritten."""
+    n = u.shape[-1]
+    g = np.empty(u.shape)
+    flat = u.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=g.reshape(-1)[1:-1])
+    np.divide(g, 2.0 * dx, out=g)
+    np.divide(u[..., 1::n - 2] - u[..., :-1:n - 2], dx, out=g[..., ::n - 1])
     return g
 
 
 def _plus_delta(x: np.ndarray, delta, term) -> np.ndarray:
-    """x + term(delta), delta a float or a stack's (K, 1) column; rows with
-    delta = 0 keep x as it is (adding 0.0 would turn a -0.0 into 0.0)."""
-    if isinstance(delta, np.ndarray):
-        return np.where(delta > 0.0, x + term(delta), x)
-    return x + term(delta) if delta > 0.0 else x
+    """x, a fresh array, plus term(delta) in place; delta is a float or a (K, 1)
+    column, and rows with delta = 0 keep x (adding 0.0 would turn -0.0 into 0.0)."""
+    if isinstance(delta, np.ndarray) or delta > 0.0:
+        x = np.add(x, term(delta), out=np.asarray(x), where=delta > 0.0)
+    return x
 
 
 def total_pressure(cfg: SolverConfig, rho: np.ndarray) -> np.ndarray:
@@ -228,10 +227,8 @@ def _per_row(x: np.ndarray):
 
 
 def _first_cell(mask: np.ndarray, rows=None) -> str:
-    """Where the first True entry of a (n,), (K, n) or (R, K, n) mask sits.
-
-    rows maps the rows of a stacked mask to the row numbers reported.
-    """
+    """Where the first True entry of a (n,), (K, n) or (R, K, n) mask sits;
+    rows maps the rows of a stacked mask to the row numbers reported."""
     *_, r, c = np.argwhere(np.atleast_2d(mask))[0]  # a rung index comes first
     return f"row {r if rows is None else rows[r]}, cell {c}"
 
@@ -250,30 +247,28 @@ def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D, u=None):
     if u is None:
         u = velocity(state, cfg.rho_floor)
     c = sound_speed(cfg, grid, state.rho)
-    return _per_row(cfg.cfl * grid.dx / (np.abs(u) + c).max(axis=-1))
+    dt_max = cfg.cfl * grid.dx / np.maximum.reduce(np.abs(u) + c, axis=-1)
+    return float(dt_max) if dt_max.ndim == 0 else dt_max
 
 
 @dataclass(frozen=True)
 class StepStart:
-    """The part of a step that depends on the state alone, not on dt.
-
-    The differences span the n cells along the last axis.  A stacked state
-    has a (K,) dt_max and (K, n) arrays.
-    """
+    """The part of a step that depends on the state alone, not on dt: the
+    CFL bound, and d, the differences F[i + 1/2] - F[i - 1/2] over the n cells
+    of the donor-cell mass flux, the convective momentum flux and the central
+    total pressure, in that order: (3, n), or (3, K, n) with a (K,) dt_max."""
 
     dt_max: float | np.ndarray  # the CFL bound admissible_dt
-    dF: np.ndarray              # F[i + 1/2] - F[i - 1/2], donor-cell mass flux F
-    dG: np.ndarray              # the same for the convective momentum flux
-    dPi: np.ndarray             # the same for the central total pressure
+    d: np.ndarray
 
     def take(self, rows) -> StepStart:
         """The rows of a stacked state's start."""
-        return StepStart(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return StepStart(self.dt_max[rows], self.d[:, rows])
 
     def put(self, rows, part: StepStart) -> None:
         """Overwrite the rows of a stacked state's start with part's."""
-        for f in fields(self):
-            getattr(self, f.name)[rows] = getattr(part, f.name)
+        self.dt_max[rows] = part.dt_max
+        self.d[:, rows] = part.d
 
 
 def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D,
@@ -285,29 +280,25 @@ def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D,
     rho = state.rho
     if u is None:
         u = velocity(state, cfg.rho_floor)
-    faces = rho.shape[:-1] + (grid.n + 1,)
-
-    # interior face velocities; wall faces carry u = 0 (no-slip)
+    n = grid.n
+    # F, G and the total pressure at the n + 1 faces in one buffer; a wall
+    # face carries F = G = 0 (no-slip) and its cell's pressure (a
+    # zero-gradient ghost)
+    faces = np.zeros((3,) + rho.shape[:-1] + (n + 1,))
+    inner = faces[..., 1:-1]
     u_face = 0.5 * (u[..., :-1] + u[..., 1:])
-
-    # donor-cell mass flux; the convective momentum flux rides it with the
-    # donor velocity
+    # donor-cell mass flux; the momentum flux rides it with the donor velocity
     donor_hi = u_face > 0.0
-    F = np.zeros(faces)
-    F[..., 1:-1] = np.where(donor_hi, rho[..., :-1], rho[..., 1:]) * u_face
-    G = np.zeros(faces)
-    G[..., 1:-1] = F[..., 1:-1] * np.where(donor_hi, u[..., :-1], u[..., 1:])
-
-    # central total pressure at faces; zero-gradient ghosts at the walls
+    F = np.multiply(np.where(donor_hi, rho[..., :-1], rho[..., 1:]), u_face, out=inner[0])
+    np.multiply(F, np.where(donor_hi, u[..., :-1], u[..., 1:]), out=inner[1])
     pi = total_pressure(cfg, rho)
-    pi_face = np.empty(faces)
-    pi_face[..., 1:-1] = 0.5 * (pi[..., :-1] + pi[..., 1:])
-    pi_face[..., 0] = pi[..., 0]
-    pi_face[..., -1] = pi[..., -1]
-
-    return StepStart(dt_max=admissible_dt(state, cfg, grid, u=u),
-                     dF=F[..., 1:] - F[..., :-1], dG=G[..., 1:] - G[..., :-1],
-                     dPi=pi_face[..., 1:] - pi_face[..., :-1])
+    np.multiply(pi[..., :-1] + pi[..., 1:], 0.5, out=inner[2])
+    faces[2, ..., ::n] = pi[..., ::n - 1]
+    # one contiguous difference; the one across each row's end is dropped
+    flat = faces.reshape(-1)
+    d = np.empty_like(flat)
+    np.subtract(flat[1:], flat[:-1], out=d[:-1])
+    return StepStart(admissible_dt(state, cfg, grid, u=u), d.reshape(faces.shape)[..., :n])
 
 
 def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
@@ -326,61 +317,70 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
         start = step_start(state, cfg, grid)
     elif not isinstance(start, StepStart):
         raise TypeError(f"start must be None or a StepStart, got {type(start).__name__}")
-    over = np.greater(dt, start.dt_max * (1.0 + 1e-12))
-    if np.logical_or.reduce(over, axis=None):
-        i = int(np.argmax(over))
-        dt_b, dt_max_b = np.broadcast_arrays(dt, start.dt_max)
-        raise StepRejected(float(dt_b.flat[i]), float(dt_max_b.flat[i]))
-
-    dx = grid.dx
-    rho, m = state.rho, state.m
     dtc = np.asarray(dt, dtype=float)[..., None]  # per-row dt as a column
-    dt_dx = dtc / dx
+    # no dt above the smallest bound is above its own: only then compare rows
+    if max(dtc.ravel().tolist()) > min(np.asarray(start.dt_max).ravel().tolist()) * (1.0 + 1e-12):
+        over = np.greater(dt, start.dt_max * (1.0 + 1e-12))
+        if np.logical_or.reduce(over, axis=None):
+            i = int(np.argmax(over))
+            dt_b, dt_max_b = np.broadcast_arrays(dt, start.dt_max)
+            raise StepRejected(float(dt_b.flat[i]), float(dt_max_b.flat[i]))
+    n, dx = grid.n, grid.dx
 
-    rho_new = rho - dt_dx * start.dF
-    _require_finite("density", rho_new, rows)
+    # dt/dx times the three face differences in one multiply, (R, K) rungs
+    # (or several dts for one state) broadcasting against the start; then
+    # the new density and the momentum before viscosity take their place in
+    # the same buffer
+    d = start.d
+    new = (dtc / dx) * (d[:, None] if dtc.ndim >= d.ndim else d)
+    rho_new, m_star, dpi = new[0], new[1], new[2]
+    np.subtract(state.rho, rho_new, out=rho_new)
+    np.subtract(state.m, m_star, out=m_star)
+    np.subtract(m_star, dpi, out=m_star)
+    # a finite sum implies finite entries; an overflowing one is looked into
+    finite = math.isfinite(np.add.reduce(new[:2], axis=None))
+    if not finite:
+        _require_finite("density", rho_new, rows)
     lowest = np.minimum.reduce(rho_new, axis=None)
     if lowest < 0.0:
-        negative = rho_new < -1e-13 * np.maximum(1.0, rho.max(axis=-1, keepdims=True))
+        negative = rho_new < -1e-13 * np.maximum(1.0, state.rho.max(axis=-1, keepdims=True))
         if negative.any():
             raise SolverFailure(f"negative density {float(lowest):.3e} "
                                 f"at {_first_cell(negative, rows)}")
     if not lowest > 0.0:
-        rho_new = np.maximum(rho_new, 0.0)
-
-    m_star = m - dt_dx * start.dG - dt_dx * start.dPi
-    _require_finite("momentum", m_star, rows)
+        np.maximum(rho_new, 0.0, out=rho_new)
+    if not finite:
+        _require_finite("momentum", m_star, rows)
 
     # implicit viscosity: (rho_new - lam dt Dxx) u_new = m_star with mirrored
-    # ghost velocities enforcing u = 0 at the wall faces.  The rows' systems
-    # are the blocks of one tridiagonal system, solved by LAPACK dgtsv from
-    # scipy's compiled _flapack (the routine scipy.linalg.solve_banded calls
-    # for one band each side, loaded without scipy.linalg; see
-    # _load_flapack); the off-diagonal entries between one row's last cell
-    # and the next row's first are zero.
-    kappa = cfg.lam * dtc / dx**2
+    # ghost velocities (u = 0 at the wall faces), one row per trial: the
+    # uncoupled blocks of one tridiagonal system for LAPACK dgtsv (see
+    # _load_flapack).  The wrapper copies dl (overwrite_dl off) before dgtsv
+    # writes du, so one array serves as both off-diagonals.
+    kappa = cfg.lam * dtc.reshape(-1, 1) / dx**2
+    rho_new, m_star = rho_new.reshape(-1, n), m_star.reshape(-1, n)
     diag = rho_new + 2.0 * kappa
-    diag[..., ::grid.n - 1] += kappa  # the first and last cell of each row
-    off = np.empty(rho_new.shape)
-    off[...] = -kappa
-    off[..., -1] = 0.0
+    diag[:, ::n - 1] += kappa  # the first and last cell of each row
+    off = np.zeros(rho_new.shape)  # a row's last entry couples no rows
+    np.negative(kappa, out=off[:, :-1])
     off = off.reshape(-1)[:-1]
-    *_, u_new, info = dgtsv(off, diag.reshape(-1), off.copy(), m_star.reshape(-1),
-                            True, True, True, True)
+    *_, u_new, info = dgtsv(off, diag.reshape(-1), off, m_star.reshape(-1),
+                            False, True, True, True)
     if info != 0:
         # gtsv overwrote diag; it was not positive where rho_new + kappa is not
+        bad = ~(rho_new + kappa > 0.0)
         raise SolverFailure("viscous solve failed: non-positive diagonal at "
-                            f"{_first_cell(~(rho_new + kappa > 0.0), rows)} "
+                            f"{_first_cell(bad.reshape(new.shape[1:]), rows)} "
                             f"(LAPACK gtsv info {info})")
     u_new = u_new.reshape(rho_new.shape)
     if not lowest > cfg.rho_floor:  # else the vacuum mask would keep every entry
         u_new = np.where(rho_new > cfg.rho_floor, u_new, 0.0)
+    m_new = np.multiply(rho_new, u_new, out=dpi.reshape(-1, n))  # dpi is spent
 
     t_new = state.t + dt
-    if rho_new.ndim > 2:  # rungs: R * K rows
-        rho_new, u_new, t_new = rho_new.reshape(-1, grid.n), \
-            u_new.reshape(-1, grid.n), t_new.reshape(-1)
-    return FluidState(rho=rho_new, m=rho_new * u_new, t=t_new)
+    if new.ndim == 2:  # one state, one dt
+        return FluidState(rho=rho_new[0], m=m_new[0], t=t_new)
+    return FluidState(rho=rho_new, m=m_new, t=t_new.reshape(-1))
 
 
 def _kinetic(rho: np.ndarray, m: np.ndarray, solid: np.ndarray,
@@ -389,12 +389,17 @@ def _kinetic(rho: np.ndarray, m: np.ndarray, solid: np.ndarray,
     return np.where(solid, 0.5 * m**2 / rho_f, 0.0)
 
 
+def _energy_density(cfg: SolverConfig, rho: np.ndarray, kin: np.ndarray,
+                    potential: np.ndarray, out=None) -> np.ndarray:
+    """kin + potential + delta rho^Gamma / (Gamma - 1) per cell, into out if given."""
+    return _plus_delta(np.add(kin, potential, out=out), cfg.delta,
+                       lambda d: d * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0))
+
+
 def _energy(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray, kin: np.ndarray,
             potential: np.ndarray):
     """Per row sum dx (kin + potential + delta rho^Gamma / (Gamma - 1))."""
-    e = _plus_delta(kin + potential, cfg.delta,
-                    lambda d: d * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0))
-    return _per_row(np.add.reduce(e, axis=-1) * grid.dx)
+    return _per_row(np.add.reduce(_energy_density(cfg, rho, kin, potential), axis=-1) * grid.dx)
 
 
 def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
@@ -419,31 +424,37 @@ def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     return _per_row(np.maximum(e, 1e-15))
 
 
-def _dissipation(cfg: SolverConfig, grid: Grid1D, u: np.ndarray, dt):
-    g = gradient_1d(u, grid.dx)
-    return _per_row(dt * cfg.lam * np.add.reduce(g * g, axis=-1) * grid.dx)
-
-
 def dissipation_increment(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
     """dt * sum dx lam (du/dx)^2 with one-sided differences at the walls.
 
     A stacked state takes a (K,) dt and gets one increment per row.
     """
-    return _dissipation(cfg, grid, velocity(state, cfg.rho_floor), dt)
+    g = gradient_1d(velocity(state, cfg.rho_floor), grid.dx)
+    return _per_row(dt * cfg.lam * np.add.reduce(g * g, axis=-1) * grid.dx)
 
 
 def _budget_terms(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
     """velocity, total_energy and dissipation_increment of a trial state,
-    sharing its vacuum mask and floored density.  Without a near-vacuum
-    cell the mask keeps every entry and the floored density is the density,
-    so both are skipped."""
+    sharing the vacuum mask and one per-row reduction of the energy density
+    and the squared gradient, each row summed as alone.  A stacked state
+    takes one dt per row and gets its energies and dissipations as lists of
+    Python floats, which the controller reads.  Without a near-vacuum cell
+    the mask would keep every entry and is skipped."""
     rho, m = state.rho, state.m
     if np.minimum.reduce(rho, axis=None) > cfg.rho_floor:
         u, kin = m / rho, 0.5 * m**2 / rho
     else:
         solid, rho_f = _vacuum(rho, cfg.rho_floor)
         u, kin = np.where(solid, m / rho_f, 0.0), _kinetic(rho, m, solid, rho_f)
-    return u, _energy(cfg, grid, rho, kin, cfg.law.P(rho)), _dissipation(cfg, grid, u, dt)
+    dens = np.empty((2,) + rho.shape)
+    _energy_density(cfg, rho, kin, cfg.law.P(rho), out=dens[0])
+    g = gradient_1d(u, grid.dx)
+    np.multiply(g, g, out=dens[1])
+    e, g2 = np.add.reduce(dens, axis=-1).tolist()
+    dx, lam = grid.dx, cfg.lam
+    if rho.ndim == 1:
+        return u, e * dx, float(dt * lam * g2 * dx)
+    return u, [x * dx for x in e], [d * lam * x * dx for d, x in zip(dt, g2)]
 
 
 @dataclass(frozen=True)
@@ -515,21 +526,15 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     and dt regrows by 1.5x after accepted steps.  Every trial advances the
     rows still short of their next sample time together; a row records its
     sample when it reaches that time.  The controller runs row by row on
-    Python floats, so row k of the result, whose cfg is cfgs[k], is bit for
-    bit the trajectory run(cfgs[k], states[k], grid) gives.
+    Python floats, so row k of the result is bit for bit run(cfgs[k],
+    states[k], grid).  A row's step_start is reused by its retries.
 
-    A row's step_start is taken once when it starts a step and reused by its
-    retries, and each state's velocity once: the accepted trial's carries
-    into the next step_start and into the recorded sample.
-
-    When a fresh row's dt is set by the 1.5x growth cap (not the CFL bound,
-    not cut to the sample time), the step call holds two rungs: every live
-    row at its dt and at max(dt/2, tol), the dt a rejection retries.  Each
-    row reads its rungs in order.  Rung 0 accepted is a step as before.
-    Rung 0 rejected is handled as any rejection (raise at the dt floor,
-    halve, count the trial), and then rung 1 is read as the retry; if it is
-    rejected too, the row retries in the next call.  n_trials counts the
-    rungs read, not the step calls.
+    When a fresh row's dt is set by the 1.5x growth cap, the step call holds
+    two rungs: every live row at its dt and at max(dt/2, tol), the dt a
+    rejection retries.  Rung 0 rejected is handled as any rejection (raise
+    at the dt floor, halve, count the trial), and then rung 1 is read as the
+    retry; if it is rejected too, the row retries in the next call.
+    n_trials counts the rungs read, not the step calls.
     """
     n = grid.n
     rho = np.array([s.rho for s in states], dtype=float)
@@ -549,10 +554,8 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     times = np.linspace(0.0, cfg.T, cfg.n_samples)
     nt = times.size
     K = rho.shape[0]
-    rho_out = np.empty((K, nt, n))
-    u_out = np.empty((K, nt, n))
-    energy = np.empty((K, nt))
-    cum_dis = np.empty((K, nt))
+    rho_out, u_out = np.empty((K, nt, n)), np.empty((K, nt, n))
+    energy, cum_dis = np.empty((K, nt)), np.empty((K, nt))
 
     state = FluidState(rho=rho, m=m, t=np.zeros(K))
     u = velocity(state, cfg.rho_floor)
@@ -565,45 +568,34 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     tol = 1e-12 * cfg.T  # sample-time tolerance, also the dt floor
     t_sample = times.tolist()
     ctl = [_RowControl(e_prev=e) for e in energy[:, 0].tolist()]
-    live = list(range(K))  # rows with samples left to record
-    start = None  # the step_start of every row's current state
+    live = list(range(K))  # rows with samples left; row j of rho, m, u is live[j]
+    live_cfg = cfg  # cfg with the live rows' deltas
+    start = None  # the step_start of every live row's current state
+    t_live = np.zeros(K)  # the live rows' times
     started = _time.monotonic()
     complete = True
 
     while live:
-        arrived = [r for r in live if not ctl[r].t < t_sample[ctl[r].k] - tol]
-        if arrived:
-            for r in arrived:
-                c = ctl[r]
-                rho_out[r, c.k] = rho[r]
-                u_out[r, c.k] = u[r]
-                energy[r, c.k] = c.e_prev
-                cum_dis[r, c.k] = c.dis_acc
-                c.k += 1
-            live = [r for r in live if ctl[r].k < nt]
-            continue
-
-        # a full slice while every row is live, so no copies are made
-        sel = slice(None) if len(live) == K else live
-        cur = FluidState(rho=rho[sel], m=m[sel], t=np.array([ctl[r].t for r in live]))
+        L = len(live)
+        cur = FluidState(rho=rho, m=m, t=t_live)
 
         # rows that are not retrying a rejected trial start a new step
-        fresh = [r for r in live if not ctl[r].retry]
+        fresh = [j for j, r in enumerate(live) if not ctl[r].retry]
         grown = False  # a fresh row's dt is set by the 1.5x growth cap
         if fresh:
             if cfg.max_wall_s is not None and \
                     _time.monotonic() - started > cfg.max_wall_s:
                 complete = False
                 break
-            if len(fresh) == K:
-                start = part = step_start(state, cfg, grid, u=u)
+            if len(fresh) == L:
+                start = part = step_start(cur, live_cfg, grid, u=u)
             else:
                 part = step_start(FluidState(rho=rho[fresh], m=m[fresh]),
-                                  _with_delta(cfg, deltas[fresh]) if mixed else cfg,
+                                  _with_delta(cfg, live_cfg.delta[fresh]) if mixed else cfg,
                                   grid, u=u[fresh])
                 start.put(fresh, part)
-            for r, cand in zip(fresh, part.dt_max.tolist()):
-                c = ctl[r]
+            for j, cand in zip(fresh, part.dt_max.tolist()):
+                c = ctl[live[j]]
                 capped = c.dt_prev is not None and 1.5 * c.dt_prev < cand
                 if capped:
                     cand = 1.5 * c.dt_prev
@@ -616,21 +608,17 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         # A grown dt is often rejected, so then every row also tries, as
         # rung 1 of the same step call, the dt that a rejection of rung 0
         # retries (a dt at the floor has no retry).
-        L = len(live)
-        dts = [ctl[r].dt for r in live]
-        rungs = 2 if grown else 1
+        flat = [ctl[r].dt for r in live]  # the trial dts, rung by rung
         if grown:
-            d = np.array([dts, [max(0.5 * x, tol) if x > tol else x for x in dts]])
-        else:
-            d = np.array(dts)
-        trial = step(cur, cfg, grid, d, rows=live,
-                     start=start if L == K else start.take(live))
-        part_cfg = _with_delta(cfg, deltas[live * rungs]) \
-            if mixed and (L < K or rungs > 1) else cfg
-        u_trial, e_new, dI = _budget_terms(trial, part_cfg, grid, d.reshape(-1))
-        e_new, dI, t_new = e_new.tolist(), dI.tolist(), trial.t.tolist()
+            flat += [max(0.5 * x, tol) if x > tol else x for x in flat]
+        rungs = 2 if grown else 1
+        trial = step(cur, live_cfg, grid, np.array(flat).reshape((rungs, L) if grown else L),
+                     rows=live, start=start)
+        trial_cfg = _with_delta(cfg, np.tile(live_cfg.delta, (rungs, 1))) \
+            if mixed and rungs > 1 else live_cfg
+        u_trial, e_new, dI = _budget_terms(trial, trial_cfg, grid, flat)
 
-        accepted, taken = [], []  # rows that step, and their trial rows
+        pos, taken = [], []  # the rows that step, and their trial rows
         for j, r in enumerate(live):
             c = ctl[r]
             for i in range(j, rungs * L, L):  # row j of each rung in turn
@@ -645,22 +633,42 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
                 c.halved = c.retry = True
             else:
                 continue  # every rung rejected: retry at the halved dt
-            accepted.append(r)
+            pos.append(j)
             taken.append(i)
             if c.halved or not c.clipped:
                 c.dt_prev = c.dt
+            t_new = c.t + c.dt  # the trial's t: the accepted rung's dt is c.dt
             target = t_sample[c.k]
-            c.t = target if abs(t_new[i] - target) < tol else t_new[i]
+            c.t = t_live[j] = target if abs(t_new - target) < tol else t_new
             c.min_slack = min(c.min_slack, slack)
             c.dis_acc += dI[i]
             c.e_prev = e_new[i]
             c.n_steps += 1
             c.retry = False
-        if taken == list(range(L)):  # every row at rung 0
-            rho[sel], m[sel], u[sel] = trial.rho[:L], trial.m[:L], u_trial[:L]
-        elif taken:
-            rho[accepted], m[accepted], u[accepted] = \
-                trial.rho[taken], trial.m[taken], u_trial[taken]
+        if not taken:
+            continue
+        i = taken[0]
+        if len(taken) == L and taken == list(range(i, i + L)):  # all at one rung
+            rho, m, u = trial.rho[i:i + L], trial.m[i:i + L], u_trial[i:i + L]
+        else:
+            rho[pos], m[pos], u[pos] = trial.rho[taken], trial.m[taken], u_trial[taken]
+
+        # a row records its sample when it reaches that time
+        done = False  # a row recorded its last sample
+        for j in pos:
+            r, c = live[j], ctl[live[j]]
+            while c.k < nt and not c.t < t_sample[c.k] - tol:
+                rho_out[r, c.k], u_out[r, c.k] = rho[j], u[j]
+                energy[r, c.k], cum_dis[r, c.k] = c.e_prev, c.dis_acc
+                c.k += 1
+            done = done or c.k == nt
+        if done:
+            keep = [j for j, r in enumerate(live) if ctl[r].k < nt]
+            live = [live[j] for j in keep]
+            rho, m, u, t_live = rho[keep], m[keep], u[keep], t_live[keep]
+            start = start.take(keep)
+            if mixed:
+                live_cfg = _with_delta(cfg, live_cfg.delta[keep])
 
     out = []
     for r, c in enumerate(ctl):

@@ -11,7 +11,7 @@ from mvflow.measures import (assemble, compatibility_residual,
                              korn_poincare_check, momentum_residual,
                              renorm_continuity_residual,
                              renorm_identity_truncated)
-from mvflow.pressure import (PowerLawH, PressureLaw, bregman_H, build_bump_q,
+from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw, bregman_H,
                              certify_h_bound, certify_lower_bound)
 from mvflow.relative_energy import gronwall_verdict, remainder_terms
 from mvflow.solver import (Grid1D, SolverConfig, make_reference,
@@ -28,7 +28,7 @@ def verdict(name: str, limit_s: float, t0: float, cond: bool, detail: str):
 
 
 def power_law(gamma: float, amp: float = 0.0) -> PressureLaw:
-    bump = build_bump_q(1.0, 2.0, amp) if amp != 0.0 else None
+    bump = CompactBump(q1=1.0, q2=2.0, amp=amp) if amp != 0.0 else None
     return PressureLaw(h_part=PowerLawH(a=1.0, gamma=gamma), bump=bump)
 
 

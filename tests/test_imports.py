@@ -19,11 +19,11 @@ SCENARIO = """
 import sys
 import numpy as np
 import mvflow.cli
-from mvflow.pressure import (PowerLawH, PressureLaw, TabulatedH, build_bump_q,
+from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw, TabulatedH,
                              certify_h_bound, certify_lower_bound)
 from mvflow.solver import Grid1D, SolverConfig, pulse_flow_init, run
 
-law = PressureLaw(PowerLawH(1.0, 2.0), build_bump_q(0.9, 1.3, -0.2))
+law = PressureLaw(PowerLawH(1.0, 2.0), CompactBump(q1=0.9, q2=1.3, amp=-0.2))
 grid = Grid1D(16)
 traj = run(SolverConfig(law=law, lam=0.1, T=0.02), pulse_flow_init(grid.length).sample(grid),
            grid)

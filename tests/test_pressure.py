@@ -12,7 +12,6 @@ from mvflow.pressure import (
     PressureLaw,
     TabulatedH,
     bregman_H,
-    build_bump_q,
     certificate_rows,
     certify_h_bound,
     certify_lower_bound,
@@ -64,7 +63,7 @@ REPRODUCER = ((0.0, 0.5, 1.0, 2.0, 3.0), (0.0, 0.2, 1.0, 1.6, 1.8))
 # -- bump ---------------------------------------------------------------------
 
 def test_bump_peak_and_support():
-    q = build_bump_q(1.0, 2.0, 0.1)
+    q = CompactBump(q1=1.0, q2=2.0, amp=0.1)
     assert q.value(1.5) == pytest.approx(0.1, abs=1e-15)   # peak value is amp
     assert q.value(0.5) == 0.0
     assert q.value(2.5) == 0.0
@@ -74,16 +73,16 @@ def test_bump_peak_and_support():
 
 def test_bump_rejects_bad_support():
     with pytest.raises(InvalidLawError):
-        build_bump_q(0.0, 2.0, 0.1)
+        CompactBump(q1=0.0, q2=2.0, amp=0.1)
     with pytest.raises(InvalidLawError):
-        build_bump_q(2.0, 1.0, 0.1)
+        CompactBump(q1=2.0, q2=1.0, amp=0.1)
 
 
 @given(q1=st.floats(0.05, 3.0), width=st.floats(0.05, 3.0),
        amp=st.floats(-0.5, 0.5))
 @settings(max_examples=60, deadline=None)
 def test_bump_is_c1_at_endpoints(q1, width, amp):
-    q = build_bump_q(q1, q1 + width, amp)
+    q = CompactBump(q1=q1, q2=q1 + width, amp=amp)
     eps = 1e-7 * width
     for edge in (q.q1, q.q2):
         fd = (q.value(edge + eps) - q.value(edge - eps)) / (2.0 * eps)
@@ -100,7 +99,7 @@ def test_pressure_power_law_values():
 
 
 def test_pressure_with_bump():
-    law = power_law(bump=build_bump_q(1.0, 2.0, 0.1))
+    law = power_law(bump=CompactBump(q1=1.0, q2=2.0, amp=0.1))
     assert law.p(1.5) == pytest.approx(2.35)
 
 
@@ -117,7 +116,7 @@ def test_potential_zero_density_limit():
 
 
 def test_bump_potential_matches_independent_quadrature():
-    bump = build_bump_q(1.0, 2.0, 0.1)
+    bump = CompactBump(q1=1.0, q2=2.0, amp=0.1)
     law = power_law(bump=bump)
     for rho in (0.5, 1.3, 1.7, 3.0, 8.0):
         lo, hi = min(rho, 1.0), max(rho, 1.0)
@@ -133,7 +132,7 @@ def test_bump_potential_matches_independent_quadrature():
 
 @pytest.mark.parametrize("amp", [0.1, -0.05])
 def test_bump_closed_form_matches_quadrature_oracle(amp):
-    bump = build_bump_q(0.8, 2.3, amp)
+    bump = CompactBump(q1=0.8, q2=2.3, amp=amp)
     law = power_law(bump=bump)
     rho = np.array([0.05, 0.5, 0.8, 0.9, 1.0, 1.4, 2.3, 3.0, 12.0])
     ref = np.array([r * quad_over_z2(bump.value, r, (bump.q1, bump.q2)) for r in rho])
@@ -148,7 +147,7 @@ def test_bump_closed_form_matches_quadrature_oracle(amp):
 @pytest.mark.parametrize("with_bump", [False, True])
 def test_potential_identities(gamma, with_bump):
     # rho H' - H = h and rho Q' - Q = q on (0, 10]
-    bump = build_bump_q(1.0, 2.0, 0.1) if with_bump else None
+    bump = CompactBump(q1=1.0, q2=2.0, amp=0.1) if with_bump else None
     law = power_law(a=1.0, gamma=gamma, bump=bump)
     rho = np.linspace(0.01, 10.0, 400)
     assert np.max(np.abs(rho * law.dH(rho) - law.H(rho) - law.h(rho))) < 1e-8
@@ -234,19 +233,20 @@ def test_tabulated_law_increasing_with_exact_potential(table):
     x = np.linspace(0.0, 10.0 * table.rho_max, 4001)
     assert np.all(np.diff(law.h(x)) > 0.0)
     xp = x[1:]
-    assert np.max(np.abs(xp * law.dP(xp) - law.P(xp) - law.h(xp))) < 1e-8
+    dP = law.dH(xp) + law.dQ(xp)
+    assert np.max(np.abs(xp * dP - law.P(xp) - law.h(xp))) < 1e-8
 
 
 @pytest.mark.parametrize("law", [bench_table(), PowerLawH(a=1.0, gamma=1.4)],
                          ids=["tabulated", "power"])
 def test_potential_on_2d_arrays_equals_row_wise(law):
-    law = PressureLaw(h_part=law, bump=build_bump_q(1.0, 2.0, 0.05))
+    law = PressureLaw(h_part=law, bump=CompactBump(q1=1.0, q2=2.0, amp=0.05))
     rho = np.random.default_rng(3).uniform(0.2, 6.0, size=(5, 7))
-    P, dP = law.P(rho), law.dP(rho)
+    P, dP = law.P(rho), law.dH(rho) + law.dQ(rho)
     assert P.shape == dP.shape == rho.shape
     for i, row in enumerate(rho):
         np.testing.assert_array_equal(P[i], law.P(row))
-        np.testing.assert_array_equal(dP[i], law.dP(row))
+        np.testing.assert_array_equal(dP[i], law.dH(row) + law.dQ(row))
     np.testing.assert_array_equal(potential(law, rho), P)
 
 
@@ -263,12 +263,12 @@ def test_production_paths_make_no_quadrature_calls(monkeypatch):
     traj = run(SolverConfig(law=tab, lam=0.1, T=0.005), init.sample(grid), grid)
     assert traj.complete and traj.n_steps > 0
 
-    both = PressureLaw(h_part=bench_table(), bump=build_bump_q(1.0, 2.0, 0.05))
+    both = PressureLaw(h_part=bench_table(), bump=CompactBump(q1=1.0, q2=2.0, amp=0.05))
     rho_grid = np.linspace(0.0, 10.0, 4001)
     assert certify_lower_bound(both, (0.5, 2.0), rho_grid).valid
     assert certify_h_bound(both, (0.5, 2.0), rho_grid).valid
 
-    bump_law = power_law(bump=build_bump_q(1.0, 2.0, 0.05))
+    bump_law = power_law(bump=CompactBump(q1=1.0, q2=2.0, amp=0.05))
     assert np.all(np.isfinite(bump_law.P(np.linspace(0.0, 5.0, 11))))
     assert np.isfinite(potential(bump_law, 1.5))
 
@@ -333,7 +333,7 @@ def test_numpy_pchip_matches_scipy_bit_for_bit(table, inside):
 def test_bump_rejects_non_finite_parameters(bad):
     for q1, q2, amp in ((1.0, 2.0, bad), (bad, 2.0, 0.1), (1.0, bad, 0.1)):
         with pytest.raises(InvalidLawError, match="finite"):
-            build_bump_q(q1, q2, amp)
+            CompactBump(q1=q1, q2=q2, amp=amp)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -436,7 +436,7 @@ def test_lower_bound_certificate_gamma2_middle_band_is_one():
 @pytest.mark.parametrize("amp_sign", [1.0, -1.0])
 def test_lower_bound_certificate_small_bumps(gamma, amp_sign):
     law = power_law(a=1.0, gamma=gamma,
-                    bump=build_bump_q(1.0, 2.0, amp_sign * 0.1))
+                    bump=CompactBump(q1=1.0, q2=2.0, amp=amp_sign * 0.1))
     grid = np.arange(0.0, 10.0 + 1e-12, 0.01)
     cert = certify_lower_bound(law, (0.5, 2.0), grid)
     assert cert.valid
@@ -491,7 +491,7 @@ def test_certificate_rows_shape():
 # -- config round-trip --------------------------------------------------------
 
 def test_law_config_round_trip_power():
-    law = power_law(a=1.7, gamma=1.4, bump=build_bump_q(0.8, 2.2, -0.05))
+    law = power_law(a=1.7, gamma=1.4, bump=CompactBump(q1=0.8, q2=2.2, amp=-0.05))
     cfg = law_to_config(law)
     law2 = law_from_config(cfg)
     x = np.linspace(0.0, 5.0, 101)

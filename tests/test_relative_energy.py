@@ -10,14 +10,14 @@ from mvflow import relative_energy as rel
 from mvflow.errors import (CannotBoundError, DomainError, InvalidBandError,
                            ReferenceInvalidError)
 from mvflow.measures import DiscreteYoungMeasure, assemble, estimate_defect
-from mvflow.pressure import (PowerLawH, PressureLaw, build_bump_q,
+from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw,
                              certify_h_bound, certify_lower_bound)
 from mvflow.solver import (Grid1D, SolverConfig, StrongSolutionRef,
                            make_reference, perturb_density, pulse_flow_init,
                            run)
 
 LAW_BUMP = PressureLaw(h_part=PowerLawH(a=1.0, gamma=2.0),
-                       bump=build_bump_q(1.0, 2.0, 0.05))
+                       bump=CompactBump(q1=1.0, q2=2.0, amp=0.05))
 LAW_MONO = PressureLaw(h_part=PowerLawH(a=1.0, gamma=2.0), bump=None)
 LENGTH = 1.0
 

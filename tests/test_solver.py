@@ -9,7 +9,7 @@ from scipy.linalg.lapack import dgtsv
 import mvflow.solver
 from mvflow.errors import (DomainError, ReferenceInvalidError, SolverFailure,
                            StepRejected)
-from mvflow.pressure import PowerLawH, PressureLaw, TabulatedH, build_bump_q
+from mvflow.pressure import CompactBump, PowerLawH, PressureLaw, TabulatedH
 from mvflow.solver import (
     FluidState,
     Grid1D,
@@ -42,7 +42,7 @@ def gamma2_law(a=1.0):
 
 def bump_law():
     return PressureLaw(h_part=PowerLawH(a=1.0, gamma=2.0),
-                       bump=build_bump_q(0.9, 1.3, 0.5))
+                       bump=CompactBump(q1=0.9, q2=1.3, amp=0.5))
 
 
 # -- grid and config validation -------------------------------------------------
@@ -249,6 +249,64 @@ def test_step_keeps_density_nonnegative_and_mass(seed):
     out = step(state, cfg, grid, dt)
     assert np.all(out.rho >= 0.0)
     assert np.sum(out.rho) * grid.dx == pytest.approx(np.sum(rho) * grid.dx, rel=1e-13)
+
+
+# -- the step's kernels against the public functions ---------------------------
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _kernel_stack(K=3, n=40, seed=11):
+    rng = np.random.default_rng(seed)
+    rho = rng.uniform(0.5, 2.0, size=(K, n))
+    return rho, rho * rng.uniform(-0.5, 0.5, size=(K, n))
+
+
+@pytest.mark.parametrize("case", ["single", "stack", "rungs", "near-vacuum", "mixed-delta"])
+def test_budget_terms_equal_the_public_functions(case):
+    # run_stack reads a trial's velocity, energy and dissipation from one
+    # fused pass; each is what the public function gives, bit for bit
+    grid = Grid1D(n=40, length=1.0)
+    cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
+    rho, m = _kernel_stack()
+    dt = np.array([2e-3, 1e-3, 5e-4])
+    if case == "near-vacuum":  # exact vacuum, below and at the floor, with stray momentum
+        rho[1, [0, 6, 39]] = [0.0, 0.5 * cfg.rho_floor, cfg.rho_floor]
+    elif case == "mixed-delta":
+        cfg = mvflow.solver._with_delta(replace(cfg, Gamma=3.0),
+                                        np.array([[0.0], [0.2], [0.05]]))
+    trial = FluidState(rho=rho, m=m, t=np.zeros(3))
+    if case == "single":
+        trial, dt = FluidState(rho=rho[0], m=m[0]), 2e-3
+    elif case == "rungs":  # a two-rung step's (2K, n) trial
+        state = FluidState(rho=rho, m=m, t=np.zeros(3))
+        start = step_start(state, cfg, grid)
+        dt = np.array([0.9 * start.dt_max, 0.45 * start.dt_max])
+        trial = step(state, cfg, grid, dt, start=start)
+        dt = dt.reshape(-1)
+    u, energy, dis = mvflow.solver._budget_terms(trial, cfg, grid, dt)
+    assert _same_bits(u, velocity(trial, cfg.rho_floor))
+    assert _same_bits(energy, total_energy(trial, cfg, grid))
+    assert _same_bits(dis, dissipation_increment(trial, cfg, grid, dt))
+
+
+def test_step_start_rows_put_and_taken_equal_their_own_starts():
+    # a stack's start assembled row by row from single states' starts is the
+    # whole stack's, and the rows taken from it are those rows' own start
+    grid = Grid1D(n=40, length=1.0)
+    cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
+    rho, m = _kernel_stack(K=4)
+    rho[2, 7] = 0.5 * cfg.rho_floor
+    whole = step_start(FluidState(rho=rho, m=m, t=np.zeros(4)), cfg, grid)
+    built = mvflow.solver.StepStart(dt_max=np.zeros(4), d=np.zeros_like(whole.d))
+    for k in range(4):
+        built.put(k, step_start(FluidState(rho=rho[k], m=m[k]), cfg, grid))
+    assert _same_bits(built.dt_max, whole.dt_max) and _same_bits(built.d, whole.d)
+    rows = [3, 0, 2]
+    taken, alone = whole.take(rows), step_start(FluidState(rho=rho[rows], m=m[rows]), cfg, grid)
+    assert _same_bits(taken.dt_max, alone.dt_max) and _same_bits(taken.d, alone.d)
 
 
 # -- full runs -------------------------------------------------------------------
@@ -1005,7 +1063,7 @@ def _reference_step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     # positivity limiter: scale each cell's outgoing fluxes so the update
     # cannot overdraw the cell; inactive for CFL-compliant smooth runs
     outflow = np.maximum(F[..., 1:], 0.0) - np.minimum(F[..., :-1], 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         theta = np.where(outflow > 0.0, np.minimum(1.0, rho * dx / (dtc * outflow)), 1.0)
     F[..., 1:-1] *= np.where(F[..., 1:-1] > 0.0, theta[..., :-1], theta[..., 1:])
 
