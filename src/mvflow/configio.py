@@ -103,36 +103,3 @@ def write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(format_csv(header, rows))
 
-
-_INT_RE = re.compile(r"^-?\d+$")
-
-
-def _parse_cell(s: str):
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    if _INT_RE.match(s):
-        return int(s)
-    try:
-        return float(s)
-    except ValueError:
-        return s
-
-
-def read_csv(path: str) -> tuple[list[str], list[tuple]]:
-    """Inverse of write_csv: numeric cells come back as int/float exactly."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise SpecParseError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    width = len(header)
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != width:
-            raise SpecParseError(
-                f"{path} line {lineno}: expected {width} cells, got {len(cells)}")
-        rows.append(tuple(_parse_cell(c) for c in cells))
-    return header, rows

@@ -30,6 +30,7 @@ from .pressure import (PressureLaw, certificate_rows, certify_h_bound,
                        certify_lower_bound, law_from_config, law_to_config)
 from .relative_energy import (gronwall_verdict, relative_energy_series,
                               remainder_terms)
+# run stays a module attribute here: perfbench/tracer.py wraps this name
 from .solver import (Grid1D, InitialData, SolverConfig, Trajectory,
                      constant_init, make_reference, perturb_density,
                      pulse_flow_init, reference_from_run, run, run_stack,
@@ -337,7 +338,7 @@ def _build_ensemble(spec: ExperimentSpec
     if base_row:
         rows.append((base, cfg))
     runs = run_stack([c for _, c in rows], [ini.sample(grid) for ini, _ in rows],
-                     grid)
+                     [grid] * len(rows))
     base_run = runs.pop() if base_row else None
     members = [base_run] * spec.members if spec.mode == "none" else runs
     return grid, base, members, base_run if want_ref else None
@@ -633,8 +634,9 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
     """Refinement table: residual/defect/energy-gap values and log2 orders.
 
     Every mesh level is compared against a run on 2 * max(levels) cells,
-    rounded down to a multiple of the level; each fine size runs once.  jobs
-    is accepted and ignored.
+    rounded down to a multiple of the level.  Every level and each distinct
+    fine size is one row of a single run_stack call; the table is read from
+    the rows afterwards.  jobs is accepted and ignored.
     """
     spec = _load_spec(spec_path, seed)
     if spec.mode == "delta-sequence":
@@ -658,22 +660,23 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
         header = ["n", "dx", *_RESIDUALS, "E_mv"]
         fine_n = 2 * max(levels)
         base = _initial_data(spec)
-        solver_cfg = _solver_config(spec)
-        fine_runs: dict[int, Trajectory] = {}
+        grids = {int(n): Grid1D(n=int(n), length=spec.length) for n in levels}
+        fine = {n: max(1, fine_n // n) * n for n in grids}
+        for n in fine.values():
+            grids.setdefault(n, Grid1D(n=n, length=spec.length))
+        stack = list(grids.values())
+        runs = dict(zip(grids, run_stack([_solver_config(spec)] * len(stack),
+                                         [base.sample(g) for g in stack], stack)))
         per_level = []
         for n in levels:
-            grid = Grid1D(n=int(n), length=spec.length)
-            traj = run(solver_cfg, base.sample(grid), grid)
+            traj, grid = runs[int(n)], grids[int(n)]
             measure = assemble([traj])
             defect = estimate_defect([traj, traj], measure, spec.law,
                                      spec.lam, tail=1)
             tau = float(measure.times[-1])
             lib = [_worst_residual(rows_of(spec, measure, defect, tau)[0])
                    for _, rows_of in _RESIDUALS.values()]
-            fine = Grid1D(n=max(1, fine_n // int(n)) * int(n), length=spec.length)
-            if fine.n not in fine_runs:
-                fine_runs[fine.n] = run(solver_cfg, base.sample(fine), fine)
-            ref = reference_from_run(fine_runs[fine.n], grid)
+            ref = reference_from_run(runs[fine[int(n)]], grid)
             e_gap = float(relative_energy_series(measure, spec.law, ref)[-1])
             per_level.append((int(n), grid.dx, *lib, e_gap))
         rows = list(per_level)

@@ -121,13 +121,6 @@ class RenormFunction:
                 f"max |b'| = {np.max(np.abs(slopes)):.3e}")
 
 
-def renorm_constant(c: float = 1.0) -> RenormFunction:
-    return RenormFunction(
-        b=lambda s: np.full_like(np.asarray(s, dtype=float), c),
-        db=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        r_b=1.0, name=f"const({c})")
-
-
 def renorm_identity_truncated(r_b: float, width: float) -> RenormFunction:
     """b(s) = s below r_b - width, constant r_b - width/2 above r_b.
 

@@ -16,20 +16,30 @@ Density ghosts are zero-gradient.  The per-step energy budget
 is tracked during a run; for smooth data the slack stays at rounding scale
 because upwinding only adds dissipation.
 
-States stack: K states on one grid are the rows of (K, n) arrays, each
-with its own time, time step and config (the configs differ at most in
-delta), and run_stack drives all rows through one loop, with run as its
-one-row case; each row equals the run of that state alone, bit for bit.  A
-non-finite density or momentum, or a non-positive viscous diagonal, stops a
-run with a SolverFailure naming its row and cell.
+States stack: run_stack drives K states through one loop, each on its own
+grid and with its own time, time step and config (the configs differ at
+most in delta), with run as its one-row case; each row equals the run of
+that state alone, bit for bit.  Rows on one grid are the rows of (K, n)
+arrays.  Rows of different n lie end to end in flat (1, N) arrays (RaggedRows):
+first- and last-cell index arrays do the wall fix-ups that strides do for
+(K, n) rows, and each row's dt/dx, lam dt/dx^2 and deltas are spread over
+its own cells, so the kernels serve both through the same code.  A row's
+energy and dissipation are np.add.reduce over its own contiguous cells, as
+the row alone is summed (rows of one n together as a (k, n) view; never
+reduceat, which sums sequentially); maxima and minima hold under any
+grouping.  mvflow convergence runs its levels and fine sizes as one such
+stack: on convergence-pulse (seed 501) 975 step calls, where four runs made
+1895.  A non-finite density or momentum, a negative density, or a
+non-positive viscous diagonal, stops a run with a SolverFailure naming the
+row and that row's own cell.
 
 A step splits in two: step_start returns a StepStart, which holds what
 depends on the state alone: the CFL bound dt_max and the face differences
 of the mass flux, the convective momentum flux and the central total
-pressure.  step does per trial dt only the rest, and run_stack reuses a
-row's start when the energy budget rejects a trial.  step also takes an
-(R, K) dt: R trial dts per row, broadcast against the (K, n) state and start
-and solved as one tridiagonal system of R * K blocks.  When a row's dt is
+pressure.  step does per trial dt only the rest, and run_stack reuses the
+start while every row retries a rejected trial.  step also takes an (R, K)
+dt: R trial dts per row, broadcast against the state and start and solved
+as one tridiagonal system of R * K blocks.  When a row's dt is
 set by the 1.5x growth cap, a trial that mostly fails the budget (1407 of
 the 1437 trials after a first-try accept on budget-solve, seed 503),
 run_stack tries the halved dt as rung 1 of the same call and reads it only
@@ -69,6 +79,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._rows import RaggedRows, Rows, UniformRows
 from .errors import DomainError, ReferenceInvalidError, SolverFailure, StepRejected
 from .pressure import PressureLaw
 
@@ -124,6 +135,11 @@ class Grid1D:
     def centers(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.dx
 
+    @functools.cached_property
+    def _rows(self) -> UniformRows:
+        """The kernels' view of rows on this grid (see Rows)."""
+        return UniformRows(self.n, self.dx)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -163,8 +179,9 @@ class SolverConfig:
 class FluidState:
     """Cell averages of density and momentum at time t.
 
-    A stacked state holds K states on one grid as rows: rho and m are (K, n)
-    arrays and t is a (K,) array.
+    A stacked state holds K states as rows: rho and m are (K, n) arrays for
+    states on one grid, (1, N) arrays for states of different n laid end to
+    end (see mvflow._rows), and t is a (K,) array.
     """
 
     rho: np.ndarray
@@ -187,18 +204,20 @@ def velocity(state: FluidState, rho_floor: float) -> np.ndarray:
     return np.where(solid, state.m / rho_f, 0.0)
 
 
+def _cells(grid) -> Rows:
+    """The rows a kernel's grid argument stands for."""
+    return grid if isinstance(grid, Rows) else grid._rows
+
+
+def _layout(grids: Sequence[Grid1D]) -> Rows:
+    """The rows of a stack with one grid per row: uniform when they share it."""
+    return grids[0]._rows if all(g == grids[0] for g in grids) else RaggedRows(grids)
+
+
 def gradient_1d(u: np.ndarray, dx: float) -> np.ndarray:
     """Cell-centered du/dx along the last axis of n >= 3 cells: central
-    differences, one-sided at the walls.  The central differences are taken
-    over the rows laid end to end, one subtraction, and the end cells of
-    each row, which straddled two rows, are then overwritten."""
-    n = u.shape[-1]
-    g = np.empty(u.shape)
-    flat = u.reshape(-1)
-    np.subtract(flat[2:], flat[:-2], out=g.reshape(-1)[1:-1])
-    np.divide(g, 2.0 * dx, out=g)
-    np.divide(u[..., 1::n - 2] - u[..., :-1:n - 2], dx, out=g[..., ::n - 1])
-    return g
+    differences, one-sided at the walls."""
+    return UniformRows(u.shape[-1], dx).gradient(u)
 
 
 def _plus_delta(x: np.ndarray, delta, term) -> np.ndarray:
@@ -218,7 +237,7 @@ def sound_speed(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray) -> np.ndarray:
     """sqrt of the total-pressure slope, floored by dx where the law dips."""
     slope = _plus_delta(cfg.law.dp(rho), cfg.delta,
                         lambda d: d * cfg.Gamma * np.power(rho, cfg.Gamma - 1.0))
-    return np.sqrt(np.maximum(slope, grid.dx))
+    return np.sqrt(np.maximum(slope, _cells(grid).cell_dx))
 
 
 def _per_row(x: np.ndarray):
@@ -226,17 +245,19 @@ def _per_row(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-def _first_cell(mask: np.ndarray, rows=None) -> str:
-    """Where the first True entry of a (n,), (K, n) or (R, K, n) mask sits;
-    rows maps the rows of a stacked mask to the row numbers reported."""
+def _first_cell(mask: np.ndarray, cells: Rows, rows=None) -> str:
+    """Where the first True entry of a (n,), (M, C) or (R, M, C) mask sits,
+    as a row and that row's own cell (cells maps the last axis to rows); rows
+    maps the rows of a stacked mask to the row numbers reported."""
     *_, r, c = np.argwhere(np.atleast_2d(mask))[0]  # a rung index comes first
+    r, c = cells.locate(r, c)
     return f"row {r if rows is None else rows[r]}, cell {c}"
 
 
-def _require_finite(what: str, arr: np.ndarray, rows=None) -> None:
+def _require_finite(what: str, arr: np.ndarray, cells: Rows, rows=None) -> None:
     # a finite sum implies finite entries; an overflowing one is looked into
     if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
-        raise SolverFailure(f"non-finite {what} at {_first_cell(~np.isfinite(arr), rows)}")
+        raise SolverFailure(f"non-finite {what} at {_first_cell(~np.isfinite(arr), cells, rows)}")
 
 
 def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D, u=None):
@@ -246,32 +267,25 @@ def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D, u=None):
     """
     if u is None:
         u = velocity(state, cfg.rho_floor)
-    c = sound_speed(cfg, grid, state.rho)
-    dt_max = cfg.cfl * grid.dx / np.maximum.reduce(np.abs(u) + c, axis=-1)
+    cells = _cells(grid)
+    c = sound_speed(cfg, cells, state.rho)
+    dt_max = cfg.cfl * cells.dx / cells.row_max(np.abs(u) + c)
     return float(dt_max) if dt_max.ndim == 0 else dt_max
 
 
 @dataclass(frozen=True)
 class StepStart:
     """The part of a step that depends on the state alone, not on dt: the
-    CFL bound, and d, the differences F[i + 1/2] - F[i - 1/2] over the n cells
+    CFL bound, and d, the differences F[i + 1/2] - F[i - 1/2] over the cells
     of the donor-cell mass flux, the convective momentum flux and the central
-    total pressure, in that order: (3, n), or (3, K, n) with a (K,) dt_max."""
+    total pressure, in that order: (3,) + the state's shape, with a (K,)
+    dt_max for a stack."""
 
     dt_max: float | np.ndarray  # the CFL bound admissible_dt
     d: np.ndarray
 
-    def take(self, rows) -> StepStart:
-        """The rows of a stacked state's start."""
-        return StepStart(self.dt_max[rows], self.d[:, rows])
 
-    def put(self, rows, part: StepStart) -> None:
-        """Overwrite the rows of a stacked state's start with part's."""
-        self.dt_max[rows] = part.dt_max
-        self.d[:, rows] = part.d
-
-
-def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D,
+def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D | Rows,
                u=None) -> StepStart:
     """The state-only half of step, shared by every trial dt from state.
 
@@ -280,11 +294,14 @@ def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D,
     rho = state.rho
     if u is None:
         u = velocity(state, cfg.rho_floor)
-    n = grid.n
-    # F, G and the total pressure at the n + 1 faces in one buffer; a wall
-    # face carries F = G = 0 (no-slip) and its cell's pressure (a
-    # zero-gradient ghost)
-    faces = np.zeros((3,) + rho.shape[:-1] + (n + 1,))
+    cells = _cells(grid)
+    C = rho.shape[-1]
+    # F, G and the total pressure at the C + 1 faces of each array row in one
+    # buffer; a wall face carries F = G = 0 (no-slip) and its cell's pressure
+    # (a zero-gradient ghost).  Ragged rows meet inside an array row, where
+    # one face serves as both walls: it takes the right row's pressure, and
+    # the left row's last cell is mended after the difference.
+    faces = np.zeros((3,) + rho.shape[:-1] + (C + 1,))
     inner = faces[..., 1:-1]
     u_face = 0.5 * (u[..., :-1] + u[..., 1:])
     # donor-cell mass flux; the momentum flux rides it with the donor velocity
@@ -293,46 +310,55 @@ def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D,
     np.multiply(F, np.where(donor_hi, u[..., :-1], u[..., 1:]), out=inner[1])
     pi = total_pressure(cfg, rho)
     np.multiply(pi[..., :-1] + pi[..., 1:], 0.5, out=inner[2])
-    faces[2, ..., ::n] = pi[..., ::n - 1]
-    # one contiguous difference; the one across each row's end is dropped
+    faces[2, ..., ::C] = pi[..., ::C - 1]
+    joints = cells.joints
+    if joints is not None:
+        faces[:2, ..., joints] = 0.0
+        faces[2][..., joints] = pi[..., joints]
+    # one contiguous difference; the one across each array row's end is dropped
     flat = faces.reshape(-1)
     d = np.empty_like(flat)
     np.subtract(flat[1:], flat[:-1], out=d[:-1])
-    return StepStart(admissible_dt(state, cfg, grid, u=u), d.reshape(faces.shape)[..., :n])
+    d = d.reshape(faces.shape)[..., :C]
+    if joints is not None:
+        d[2][..., joints - 1] = pi[..., joints - 1] - faces[2][..., joints - 1]
+    return StepStart(admissible_dt(state, cfg, cells, u=u), d)
 
 
-def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
+def step(state: FluidState, cfg: SolverConfig, grid: Grid1D | Rows, dt,
          rows=None, start=None) -> FluidState:
     """One explicit-transport / implicit-viscosity step of size dt.
 
     A stacked state takes a (K,) dt and advances row k by dt[k]; rows names
     the members in error messages (default: the row numbers).  An (R, K) dt
     tries R step sizes per row in one call, by broadcasting: the result has
-    R * K rows, rung by rung, row r * K + k being row k advanced by dt[r, k].
+    R * K rows, rung by rung, row r * K + k being row k advanced by dt[r, k]
+    (a ragged stack's (1, N) state gives (R, N) arrays, one per rung).
     start is step_start(state, cfg, grid) when the caller already holds it;
     its CFL bound caps dt, and a trial then does only the work that depends
     on dt.
     """
+    cells = _cells(grid)
     if start is None:
-        start = step_start(state, cfg, grid)
+        start = step_start(state, cfg, cells)
     elif not isinstance(start, StepStart):
         raise TypeError(f"start must be None or a StepStart, got {type(start).__name__}")
-    dtc = np.asarray(dt, dtype=float)[..., None]  # per-row dt as a column
+    dt = np.asarray(dt, dtype=float)
     # no dt above the smallest bound is above its own: only then compare rows
-    if max(dtc.ravel().tolist()) > min(np.asarray(start.dt_max).ravel().tolist()) * (1.0 + 1e-12):
+    if max(dt.ravel().tolist()) > min(np.asarray(start.dt_max).ravel().tolist()) * (1.0 + 1e-12):
         over = np.greater(dt, start.dt_max * (1.0 + 1e-12))
         if np.logical_or.reduce(over, axis=None):
             i = int(np.argmax(over))
             dt_b, dt_max_b = np.broadcast_arrays(dt, start.dt_max)
             raise StepRejected(float(dt_b.flat[i]), float(dt_max_b.flat[i]))
-    n, dx = grid.n, grid.dx
 
-    # dt/dx times the three face differences in one multiply, (R, K) rungs
-    # (or several dts for one state) broadcasting against the start; then
-    # the new density and the momentum before viscosity take their place in
-    # the same buffer
+    # dt/dx over each row's cells times the three face differences in one
+    # multiply, (R, K) rungs (or several dts for one state) broadcasting
+    # against the start; then the new density and the momentum before
+    # viscosity take their place in the same buffer
     d = start.d
-    new = (dtc / dx) * (d[:, None] if dtc.ndim >= d.ndim else d)
+    scale = cells.spread(dt / cells.dx)
+    new = scale * (d[:, None] if scale.ndim >= d.ndim else d)
     rho_new, m_star, dpi = new[0], new[1], new[2]
     np.subtract(state.rho, rho_new, out=rho_new)
     np.subtract(state.m, m_star, out=m_star)
@@ -340,42 +366,43 @@ def step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     # a finite sum implies finite entries; an overflowing one is looked into
     finite = math.isfinite(np.add.reduce(new[:2], axis=None))
     if not finite:
-        _require_finite("density", rho_new, rows)
+        _require_finite("density", rho_new, cells, rows)
     lowest = np.minimum.reduce(rho_new, axis=None)
     if lowest < 0.0:
-        negative = rho_new < -1e-13 * np.maximum(1.0, state.rho.max(axis=-1, keepdims=True))
+        top = cells.spread(cells.row_max(state.rho))  # each row's highest density
+        negative = rho_new < -1e-13 * np.maximum(1.0, top)
         if negative.any():
             raise SolverFailure(f"negative density {float(lowest):.3e} "
-                                f"at {_first_cell(negative, rows)}")
+                                f"at {_first_cell(negative, cells, rows)}")
     if not lowest > 0.0:
         np.maximum(rho_new, 0.0, out=rho_new)
     if not finite:
-        _require_finite("momentum", m_star, rows)
+        _require_finite("momentum", m_star, cells, rows)
 
     # implicit viscosity: (rho_new - lam dt Dxx) u_new = m_star with mirrored
     # ghost velocities (u = 0 at the wall faces), one row per trial: the
     # uncoupled blocks of one tridiagonal system for LAPACK dgtsv (see
     # _load_flapack).  The wrapper copies dl (overwrite_dl off) before dgtsv
     # writes du, so one array serves as both off-diagonals.
-    kappa = cfg.lam * dtc.reshape(-1, 1) / dx**2
-    rho_new, m_star = rho_new.reshape(-1, n), m_star.reshape(-1, n)
+    kappa = cells.spread(cfg.lam * dt / cells.dx2)
+    C = rho_new.shape[-1]
+    kappa = kappa.reshape(-1, kappa.shape[-1])
+    rho_new, m_star = rho_new.reshape(-1, C), m_star.reshape(-1, C)
     diag = rho_new + 2.0 * kappa
-    diag[:, ::n - 1] += kappa  # the first and last cell of each row
-    off = np.zeros(rho_new.shape)  # a row's last entry couples no rows
-    np.negative(kappa, out=off[:, :-1])
-    off = off.reshape(-1)[:-1]
+    diag[:, cells.ends] += kappa[:, cells.ends]  # the first and last cell of each row
+    off = np.multiply(kappa, cells.coupling).reshape(-1)[:-1]
     *_, u_new, info = dgtsv(off, diag.reshape(-1), off, m_star.reshape(-1),
                             False, True, True, True)
     if info != 0:
         # gtsv overwrote diag; it was not positive where rho_new + kappa is not
         bad = ~(rho_new + kappa > 0.0)
         raise SolverFailure("viscous solve failed: non-positive diagonal at "
-                            f"{_first_cell(bad.reshape(new.shape[1:]), rows)} "
+                            f"{_first_cell(bad.reshape(new.shape[1:]), cells, rows)} "
                             f"(LAPACK gtsv info {info})")
     u_new = u_new.reshape(rho_new.shape)
     if not lowest > cfg.rho_floor:  # else the vacuum mask would keep every entry
         u_new = np.where(rho_new > cfg.rho_floor, u_new, 0.0)
-    m_new = np.multiply(rho_new, u_new, out=dpi.reshape(-1, n))  # dpi is spent
+    m_new = np.multiply(rho_new, u_new, out=dpi.reshape(-1, C))  # dpi is spent
 
     t_new = state.t + dt
     if new.ndim == 2:  # one state, one dt
@@ -396,10 +423,11 @@ def _energy_density(cfg: SolverConfig, rho: np.ndarray, kin: np.ndarray,
                        lambda d: d * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0))
 
 
-def _energy(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray, kin: np.ndarray,
+def _energy(cfg: SolverConfig, grid, rho: np.ndarray, kin: np.ndarray,
             potential: np.ndarray):
     """Per row sum dx (kin + potential + delta rho^Gamma / (Gamma - 1))."""
-    return _per_row(np.add.reduce(_energy_density(cfg, rho, kin, potential), axis=-1) * grid.dx)
+    cells = _cells(grid)
+    return _per_row(cells.row_sum(_energy_density(cfg, rho, kin, potential)) * cells.dx)
 
 
 def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
@@ -429,17 +457,19 @@ def dissipation_increment(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt
 
     A stacked state takes a (K,) dt and gets one increment per row.
     """
-    g = gradient_1d(velocity(state, cfg.rho_floor), grid.dx)
-    return _per_row(dt * cfg.lam * np.add.reduce(g * g, axis=-1) * grid.dx)
+    cells = _cells(grid)
+    g = cells.gradient(velocity(state, cfg.rho_floor))
+    return _per_row(dt * cfg.lam * cells.row_sum(g * g) * cells.dx)
 
 
-def _budget_terms(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
+def _budget_terms(state: FluidState, cfg: SolverConfig, grid, dt):
     """velocity, total_energy and dissipation_increment of a trial state,
     sharing the vacuum mask and one per-row reduction of the energy density
     and the squared gradient, each row summed as alone.  A stacked state
     takes one dt per row and gets its energies and dissipations as lists of
     Python floats, which the controller reads.  Without a near-vacuum cell
     the mask would keep every entry and is skipped."""
+    cells = _cells(grid)
     rho, m = state.rho, state.m
     if np.minimum.reduce(rho, axis=None) > cfg.rho_floor:
         u, kin = m / rho, 0.5 * m**2 / rho
@@ -448,13 +478,15 @@ def _budget_terms(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
         u, kin = np.where(solid, m / rho_f, 0.0), _kinetic(rho, m, solid, rho_f)
     dens = np.empty((2,) + rho.shape)
     _energy_density(cfg, rho, kin, cfg.law.P(rho), out=dens[0])
-    g = gradient_1d(u, grid.dx)
+    g = cells.gradient(u)
     np.multiply(g, g, out=dens[1])
-    e, g2 = np.add.reduce(dens, axis=-1).tolist()
-    dx, lam = grid.dx, cfg.lam
+    e, g2 = cells.row_sum(dens).tolist()
+    lam = cfg.lam
     if rho.ndim == 1:
-        return u, e * dx, float(dt * lam * g2 * dx)
-    return u, [x * dx for x in e], [d * lam * x * dx for d, x in zip(dt, g2)]
+        return u, e * cells.dx, float(dt * lam * g2 * cells.dx)
+    dxs = cells.row_dx(len(e))
+    return u, [x * dx for x, dx in zip(e, dxs)], \
+        [d * lam * x * dx for d, x, dx in zip(dt, g2, dxs)]
 
 
 @dataclass(frozen=True)
@@ -480,11 +512,12 @@ class Trajectory:
 
 def run(cfg: SolverConfig, init_state: FluidState, grid: Grid1D) -> Trajectory:
     """Advance init_state to T with adaptive steps: run_stack on one row."""
-    return run_stack([cfg], [init_state], grid)[0]
+    return run_stack([cfg], [init_state], [grid])[0]
 
 
 def _with_delta(cfg: SolverConfig, delta) -> SolverConfig:
-    """cfg holding a stack's (K, 1) column of per-row deltas, unchecked; only
+    """cfg holding a stack's per-row deltas spread over its cells (a (K, 1)
+    column, or one value per cell of a ragged stack), unchecked; only
     run_stack's kernels see such a copy."""
     out = copy.copy(cfg)
     object.__setattr__(out, "delta", delta)
@@ -510,14 +543,17 @@ class _RowControl:
 
 
 def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
-              grid: Grid1D) -> list[Trajectory]:
-    """Advance K initial states to T as one (K, n) stack, sampling uniformly.
+              grids: Grid1D | Sequence[Grid1D]) -> list[Trajectory]:
+    """Advance K initial states to T as one stack, sampling uniformly.
 
-    Row k runs under cfgs[k]; the configs may differ only in delta, which
-    the kernels take as a float if all rows share it, else as a (K, 1)
-    column.  Each row keeps its own t and dt.  dt is capped by the CFL
-    bound and additionally controlled so that every accepted step satisfies
-    the energy budget
+    Row k runs on grids[k] (one Grid1D serves every row) under cfgs[k]; the
+    configs may differ only in delta, which the kernels take as a float if
+    all rows share it, else spread over the rows' cells.  Rows on one grid
+    are the rows of (K, n) arrays; rows of different n lie end to end in
+    (1, N) arrays (see RaggedRows), and when the rows still running come to
+    share one grid, they are (K, n) rows again.  Each row keeps its own t
+    and dt.  dt is capped by the CFL bound and additionally controlled so
+    that every accepted step satisfies the energy budget
 
         E(t) - E(t+dt) - dt sum dx lam (du/dx)^2 >= -step_slack_tol * E_scale:
 
@@ -526,8 +562,9 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     and dt regrows by 1.5x after accepted steps.  Every trial advances the
     rows still short of their next sample time together; a row records its
     sample when it reaches that time.  The controller runs row by row on
-    Python floats, so row k of the result is bit for bit run(cfgs[k],
-    states[k], grid).  A row's step_start is reused by its retries.
+    Python floats, and a row's sums are taken over its own cells, so row k
+    of the result is bit for bit run(cfgs[k], states[k], grids[k]).  The
+    stack's step_start is reused while every row retries.
 
     When a fresh row's dt is set by the 1.5x growth cap, the step call holds
     two rungs: every live row at its dt and at max(dt/2, tol), the dt a
@@ -536,40 +573,47 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     retry; if it is rejected too, the row retries in the next call.
     n_trials counts the rungs read, not the step calls.
     """
-    n = grid.n
-    rho = np.array([s.rho for s in states], dtype=float)
-    m = np.array([s.m for s in states], dtype=float)
-    if rho.ndim != 2 or rho.shape[1] != n or m.shape != rho.shape:
-        raise DomainError(f"run_stack needs one or more 1D states of {n} cells")
+    K = len(states)
+    grids = [grids] * K if isinstance(grids, Grid1D) else list(grids)
+    if not K or len(grids) != K or any(
+            np.shape(s.rho) != (g.n,) or np.shape(s.m) != (g.n,) for s, g in zip(states, grids)):
+        raise DomainError("run_stack needs one or more 1D states, each on its grid's cells")
     cfg = cfgs[0]
-    if len(cfgs) != len(states) or \
-            any(replace(c, delta=cfg.delta) != cfg for c in cfgs):
+    if len(cfgs) != K or any(replace(c, delta=cfg.delta) != cfg for c in cfgs):
         raise DomainError("run_stack needs one config per state, differing only in delta")
-    deltas = np.array([[c.delta] for c in cfgs])
+    deltas = np.array([c.delta for c in cfgs])
     mixed = bool((deltas != cfg.delta).any())
-    if mixed:
-        cfg = _with_delta(cfg, deltas)
-    _require_finite("initial density", rho)
-    _require_finite("initial momentum", m)
+    cells = _layout(grids)
+    rho, m = cells.join([s.rho for s in states]), cells.join([s.m for s in states])
+    _require_finite("initial density", rho, cells)
+    _require_finite("initial momentum", m, cells)
     times = np.linspace(0.0, cfg.T, cfg.n_samples)
     nt = times.size
-    K = rho.shape[0]
-    rho_out, u_out = np.empty((K, nt, n)), np.empty((K, nt, n))
+    rho_out, u_out = [np.empty((nt, g.n)) for g in grids], [np.empty((nt, g.n)) for g in grids]
     energy, cum_dis = np.empty((K, nt)), np.empty((K, nt))
 
+    def with_deltas(rows: Rows, rungs: int) -> SolverConfig:
+        """cfg with the live rows' deltas over a trial of rungs rungs."""
+        if not mixed:
+            return cfg
+        col = rows.spread(np.tile(live_deltas, (rungs, 1)))
+        return _with_delta(cfg, col.reshape(-1, col.shape[-1]))
+
+    live = list(range(K))  # rows with samples left; row j of rho, m, u is live[j]
+    live_deltas = deltas
+    live_cfg = with_deltas(cells, 1)  # cfg with the live rows' deltas
     state = FluidState(rho=rho, m=m, t=np.zeros(K))
     u = velocity(state, cfg.rho_floor)
-    rho_out[:, 0] = rho
-    u_out[:, 0] = u
-    energy[:, 0] = total_energy(state, cfg, grid)
+    for r in live:
+        rho_out[r][0], u_out[r][0] = rho[cells.at(r)], u[cells.at(r)]
+    energy[:, 0] = total_energy(state, live_cfg, cells)
     cum_dis[:, 0] = 0.0
 
-    slack_budget = (cfg.step_slack_tol * energy_scale(state, cfg, grid)).tolist()
+    slack_budget = (cfg.step_slack_tol * energy_scale(state, live_cfg, cells)).tolist()
     tol = 1e-12 * cfg.T  # sample-time tolerance, also the dt floor
     t_sample = times.tolist()
     ctl = [_RowControl(e_prev=e) for e in energy[:, 0].tolist()]
-    live = list(range(K))  # rows with samples left; row j of rho, m, u is live[j]
-    live_cfg = cfg  # cfg with the live rows' deltas
+    rung_cfg = with_deltas(cells, 2)  # and over a two-rung trial
     start = None  # the step_start of every live row's current state
     t_live = np.zeros(K)  # the live rows' times
     started = _time.monotonic()
@@ -579,7 +623,8 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         L = len(live)
         cur = FluidState(rho=rho, m=m, t=t_live)
 
-        # rows that are not retrying a rejected trial start a new step
+        # rows that are not retrying a rejected trial start a new step; the
+        # retrying rows' states are unchanged, and so are their starts
         fresh = [j for j, r in enumerate(live) if not ctl[r].retry]
         grown = False  # a fresh row's dt is set by the 1.5x growth cap
         if fresh:
@@ -587,15 +632,13 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
                     _time.monotonic() - started > cfg.max_wall_s:
                 complete = False
                 break
-            if len(fresh) == L:
-                start = part = step_start(cur, live_cfg, grid, u=u)
-            else:
-                part = step_start(FluidState(rho=rho[fresh], m=m[fresh]),
-                                  _with_delta(cfg, live_cfg.delta[fresh]) if mixed else cfg,
-                                  grid, u=u[fresh])
-                start.put(fresh, part)
-            for j, cand in zip(fresh, part.dt_max.tolist()):
-                c = ctl[live[j]]
+            start = None
+        if start is None:
+            start = step_start(cur, live_cfg, cells, u=u)
+        if fresh:
+            dt_max = start.dt_max.tolist()
+            for j in fresh:
+                c, cand = ctl[live[j]], dt_max[j]
                 capped = c.dt_prev is not None and 1.5 * c.dt_prev < cand
                 if capped:
                     cand = 1.5 * c.dt_prev
@@ -612,11 +655,9 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         if grown:
             flat += [max(0.5 * x, tol) if x > tol else x for x in flat]
         rungs = 2 if grown else 1
-        trial = step(cur, live_cfg, grid, np.array(flat).reshape((rungs, L) if grown else L),
+        trial = step(cur, live_cfg, cells, np.array(flat).reshape((rungs, L) if grown else L),
                      rows=live, start=start)
-        trial_cfg = _with_delta(cfg, np.tile(live_cfg.delta, (rungs, 1))) \
-            if mixed and rungs > 1 else live_cfg
-        u_trial, e_new, dI = _budget_terms(trial, trial_cfg, grid, flat)
+        u_trial, e_new, dI = _budget_terms(trial, rung_cfg if grown else live_cfg, cells, flat)
 
         pos, taken = [], []  # the rows that step, and their trial rows
         for j, r in enumerate(live):
@@ -647,35 +688,41 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
             c.retry = False
         if not taken:
             continue
-        i = taken[0]
-        if len(taken) == L and taken == list(range(i, i + L)):  # all at one rung
-            rho, m, u = trial.rho[i:i + L], trial.m[i:i + L], u_trial[i:i + L]
+        rung = taken[0] // L
+        if taken == list(range(rung * L, rung * L + L)):  # all at one rung: its rows
+            M = len(trial.rho) // rungs  # array rows per rung: L, or 1 if ragged
+            rows = slice(rung * M, rung * M + M)
+            rho, m, u = trial.rho[rows], trial.m[rows], u_trial[rows]
         else:
-            rho[pos], m[pos], u[pos] = trial.rho[taken], trial.m[taken], u_trial[taken]
+            for j, i in zip(pos, taken):
+                a, b = cells.at(j), cells.at(i)
+                rho[a], m[a], u[a] = trial.rho[b], trial.m[b], u_trial[b]
 
         # a row records its sample when it reaches that time
         done = False  # a row recorded its last sample
         for j in pos:
             r, c = live[j], ctl[live[j]]
             while c.k < nt and not c.t < t_sample[c.k] - tol:
-                rho_out[r, c.k], u_out[r, c.k] = rho[j], u[j]
+                rho_out[r][c.k], u_out[r][c.k] = rho[cells.at(j)], u[cells.at(j)]
                 energy[r, c.k], cum_dis[r, c.k] = c.e_prev, c.dis_acc
                 c.k += 1
             done = done or c.k == nt
         if done:
             keep = [j for j, r in enumerate(live) if ctl[r].k < nt]
             live = [live[j] for j in keep]
-            rho, m, u, t_live = rho[keep], m[keep], u[keep], t_live[keep]
-            start = start.take(keep)
-            if mixed:
-                live_cfg = _with_delta(cfg, live_cfg.delta[keep])
+            if not live:
+                break
+            kept = _layout([grids[r] for r in live])
+            rho, m, u = (kept.join([a[cells.at(j)] for j in keep]) for a in (rho, m, u))
+            cells, t_live, live_deltas, start = kept, t_live[keep], live_deltas[keep], None
+            live_cfg, rung_cfg = with_deltas(cells, 1), with_deltas(cells, 2)
 
     out = []
     for r, c in enumerate(ctl):
         last = c.k  # samples 0..last-1 were recorded
         out.append(Trajectory(
-            grid=grid, cfg=cfgs[r], times=times[:last].copy(), rho=rho_out[r, :last],
-            u=u_out[r, :last], energy=energy[r, :last],
+            grid=grids[r], cfg=cfgs[r], times=times[:last].copy(), rho=rho_out[r][:last],
+            u=u_out[r][:last], energy=energy[r, :last],
             cum_dissipation=cum_dis[r, :last],
             min_step_slack=float(c.min_slack) if c.n_steps else 0.0,
             n_steps=c.n_steps, complete=complete, n_trials=c.n_trials))

@@ -35,10 +35,3 @@ def traceless(A: np.ndarray) -> np.ndarray:
     tr = trace(A)
     return A + np.swapaxes(A, -1, -2) - (2.0 / d) * tr[..., None, None] * eye
 
-
-def frobenius(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Componentwise contraction A:B summed over the matrix axes."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return np.sum(A * B, axis=(-2, -1))
-

@@ -4,7 +4,8 @@ import time
 
 import numpy as np
 
-from mvflow.configio import format_kv, read_csv
+from helpers import frobenius, read_csv
+from mvflow.configio import format_kv
 from mvflow.experiments import cmd_run, presets, run_experiment, spec_from_config
 from mvflow.measures import (assemble, compatibility_residual,
                              continuity_residual, estimate_defect,
@@ -17,7 +18,7 @@ from mvflow.relative_energy import gronwall_verdict, remainder_terms
 from mvflow.solver import (Grid1D, SolverConfig, make_reference,
                            perturb_density, pulse_flow_init, run,
                            smooth_pulse_init, total_energy)
-from mvflow.tensors import frobenius, trace, traceless
+from mvflow.tensors import trace, traceless
 
 
 def verdict(name: str, limit_s: float, t0: float, cond: bool, detail: str):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import mvflow.solver
 from mvflow import cli
 from mvflow.configio import format_kv, read_spec
 from mvflow.errors import CannotBoundError, MvflowError, SolverFailure, StepRejected
@@ -183,6 +184,30 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys, case):
         argv = ["convergence", "--spec", spec, "--levels", "64,128"]
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["solver", "reference"])
+def test_failing_stacked_convergence_exits_three(tmp_path, monkeypatch, capsys, case):
+    # every level and fine size run as one stack: a row's solver failure,
+    # or a fine run at the vacuum floor, still ends the command with exit 3
+    over = {"solver.n_samples": "5", "solver.T": "0.02"}
+    if case == "solver":
+        real_step = mvflow.solver.step
+
+        def failing_step(state, cfg, grid, dt, rows=None, start=None):
+            if len(rows) < 4:  # once the first row is done
+                raise SolverFailure(f"rows {rows} stopped")
+            return real_step(state, cfg, grid, dt, rows=rows, start=start)
+
+        monkeypatch.setattr(mvflow.solver, "step", failing_step)
+    else:
+        over["init.base"] = "1e-10"  # the fine run's density is below 10 * rho_floor
+    spec = write_preset(tmp_path, "convergence-pulse", **over)
+    out = tmp_path / "out"
+    assert cli.main(["convergence", "--spec", spec, "--levels", "8,16,32",
+                     "--out", str(out)]) == 3
+    assert ("stopped" if case == "solver" else "near-vacuum") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import read_csv
 from mvflow.configio import (config_hash, format_csv, format_kv, parse_kv,
-                             read_csv, read_spec, write_csv)
+                             read_spec, write_csv)
 from mvflow.errors import DomainError, SpecParseError
 
 

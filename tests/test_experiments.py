@@ -9,7 +9,8 @@ import pytest
 
 import mvflow.experiments
 import mvflow.solver
-from mvflow.configio import format_kv, read_csv, read_spec
+from helpers import read_csv
+from mvflow.configio import format_kv, read_spec
 from mvflow.errors import SpecParseError
 from mvflow.experiments import (CHECK_NAMES, _SETTINGS, _build_ensemble,
                                 _solver_config, _text, cmd_certify,
@@ -431,17 +432,71 @@ def test_convergence_mesh_mode(tmp_path):
 
 
 def test_convergence_runs_the_fine_grid_once(tmp_path, monkeypatch):
-    sizes = []
-    real_run = mvflow.experiments.run
+    # every level and the one fine size are rows of a single stacked solve
+    stacks = []
+    real_run_stack = mvflow.experiments.run_stack
 
-    def recording_run(cfg, state, grid):
-        sizes.append(grid.n)
-        return real_run(cfg, state, grid)
+    def recording_run_stack(cfgs, states, grids):
+        stacks.append([g.n for g in grids])
+        return real_run_stack(cfgs, states, grids)
 
-    monkeypatch.setattr(mvflow.experiments, "run", recording_run)
+    monkeypatch.setattr(mvflow.experiments, "run_stack", recording_run_stack)
     cmd_convergence(conv_spec(tmp_path), levels=(16, 32, 64),
                     out=str(tmp_path / "out"))
-    assert sizes == [16, 128, 32, 64]
+    assert len(stacks) == 1 and sorted(stacks[0]) == [16, 32, 64, 128]
+
+
+def _per_level_convergence_csv(spec_path, levels) -> str:
+    """The refinement table as one run per level and per fine size: the
+    oracle of the stacked cmd_convergence."""
+    from mvflow.configio import format_csv
+    from mvflow.experiments import (_RESIDUALS, _initial_data, _order_cell,
+                                    _worst_residual)
+    from mvflow.measures import assemble, estimate_defect
+    from mvflow.relative_energy import relative_energy_series
+    from mvflow.solver import Grid1D
+
+    spec = spec_from_config(read_spec(spec_path))
+    base, cfg = _initial_data(spec), _solver_config(spec)
+    fine_runs, per_level = {}, []
+    for n in levels:
+        grid = Grid1D(n=n, length=spec.length)
+        traj = run(cfg, base.sample(grid), grid)
+        measure = assemble([traj])
+        defect = estimate_defect([traj, traj], measure, spec.law, spec.lam, tail=1)
+        tau = float(measure.times[-1])
+        lib = [_worst_residual(rows_of(spec, measure, defect, tau)[0])
+               for _, rows_of in _RESIDUALS.values()]
+        fine = Grid1D(n=(2 * max(levels) // n) * n, length=spec.length)
+        if fine.n not in fine_runs:
+            fine_runs[fine.n] = run(cfg, base.sample(fine), fine)
+        ref = reference_from_run(fine_runs[fine.n], grid)
+        e_gap = float(relative_energy_series(measure, spec.law, ref)[-1])
+        per_level.append((n, grid.dx, *lib, e_gap))
+    rows = list(per_level)
+    for a, b in zip(per_level, per_level[1:]):
+        rows.append((f"order:{a[0]}->{b[0]}", "n/a",
+                     *[_order_cell(a[j], b[j]) for j in range(2, 7)]))
+    return format_csv(["n", "dx", *_RESIDUALS, "E_mv"], rows)
+
+
+def test_convergence_with_two_fine_sizes_equals_per_level_runs(tmp_path, monkeypatch):
+    # levels 40, 64, 96 compare against runs on 160 and 192 cells: five rows
+    # of one stack, and the table is byte for byte the per-level runs'
+    stacks = []
+    real_run_stack = mvflow.experiments.run_stack
+
+    def recording_run_stack(cfgs, states, grids):
+        stacks.append([g.n for g in grids])
+        return real_run_stack(cfgs, states, grids)
+
+    monkeypatch.setattr(mvflow.experiments, "run_stack", recording_run_stack)
+    spec = conv_spec(tmp_path)
+    path, _, _ = cmd_convergence(spec, levels=(40, 64, 96), out=str(tmp_path / "out"))
+    assert len(stacks) == 1 and sorted(stacks[0]) == [40, 64, 96, 160, 192]
+    monkeypatch.undo()
+    with open(path) as fh:
+        assert fh.read() == _per_level_convergence_csv(spec, (40, 64, 96))
 
 
 def test_convergence_needs_three_levels(tmp_path):

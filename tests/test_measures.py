@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import renorm_constant
 from mvflow.errors import (
     CannotEstimateError,
     DomainError,
@@ -24,7 +25,6 @@ from mvflow.measures import (
     korn_poincare_check,
     moment,
     momentum_residual,
-    renorm_constant,
     renorm_continuity_residual,
     renorm_identity_truncated,
 )

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from helpers import frobenius
 from mvflow.errors import DomainError
-from mvflow.tensors import frobenius, traceless
+from mvflow.tensors import traceless
 
 
 def test_traceless_2d_example():
