@@ -7,11 +7,11 @@ finite-difference operator the solver uses for its dissipation bookkeeping.
 
 The weak-form residual evaluators integrate with midpoint sums in space and
 the trapezoid rule in time.  Each takes one test function or a whole family:
-a family is one array program over its tables of values and derivatives,
-and one function is its one-row case.  Defects are estimated as tail
-differences along an explicit refinement or regularization sequence,
-clipped at zero with the pre-clip values logged; they are estimators of
-limit objects, not limits.
+a family is one array program over blocks of its tables of values and
+derivatives, and one function is its one-row case.  Defects are estimated
+as tail differences along an explicit refinement or regularization
+sequence, clipped at zero with the pre-clip values logged; they are
+estimators of limit objects, not limits.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .errors import (
     ObservableDomainError,
     UnsupportedDimensionError,
 )
-from .pressure import PressureLaw
+from .pressure import PressureLaw, row_blocks
 from .solver import Trajectory, gradient_1d
 from .tensors import traceless
 from .testfuncs import SpaceTimeFunction, tables
@@ -149,19 +149,27 @@ def renorm_identity_truncated(r_b: float, width: float) -> RenormFunction:
 #
 # Each residual takes one test function or a sequence of them (a family); a
 # family gets one value per function as an (n_f,) array, one function its
-# float, through the same code.  A call takes its moments once, forms their
-# products with the family's (n_f, n_t, n) tables over the sample times up to
-# tau, sums over space along the last axis and integrates each function's
-# (n_t,) series with the trapezoid rule.
+# float, through the same code.  A call takes each moment once over the
+# sample times up to tau, then walks the family in blocks of functions
+# (row_blocks, about TABLE_BLOCK table cells each, at least one function):
+# it forms the moments' products with the block's (n_block, n_t, n) tables,
+# sums over space along the last axis, integrates each function's (n_t,)
+# series with the trapezoid rule and writes the block's slice of the
+# (n_f,) result.  Every function's value is the one a whole-family table
+# gives, so the working set is a block, not n_f * n_t * n cells.
 
 def _forms(measure: DiscreteYoungMeasure, fns, tau):
     """fns as a list, whether it was one function, the index i of tau (the
-    last sample for None), the sample times up to it and fns' tables there."""
+    last sample for None), the sample times up to it, and the blocks of fns:
+    (slice of fns, their tables at those times) pairs, each built when the
+    loop reaches it."""
     one = isinstance(fns, SpaceTimeFunction)
     fns = [fns] if one else list(fns)
     i = measure.times.size - 1 if tau is None else measure.time_index(tau)
     times = measure.times[: i + 1]
-    return fns, one, i, times, tables(fns, times, measure.x)
+    blocks = ((rows, tables(fns[rows], times, measure.x))
+              for rows in row_blocks(len(fns), times.size * measure.x.size))
+    return fns, one, i, times, blocks
 
 
 def _per_function(x: np.ndarray, one: bool):
@@ -182,13 +190,15 @@ def continuity_residual(measure: DiscreteYoungMeasure, psi, tau: float):
 
     psi is one test function or a sequence of them, for a float or an array.
     """
-    _, one, i, times, (value, d_t, d_x) = _forms(measure, psi, tau)
+    fns, one, i, times, blocks = _forms(measure, psi, tau)
     s_mom = moment(measure, lambda s, v, D: s)[: i + 1]
     sv_mom = moment(measure, lambda s, v, D: s * v)[: i + 1]
-    mass = np.sum(s_mom * value, axis=-1) * measure.dx
-    interior = np.sum(s_mom * d_t + sv_mom * d_x, axis=-1) * measure.dx
-    return _per_function(
-        mass[:, i] - mass[:, 0] - np.trapezoid(interior, times, axis=-1), one)
+    out = np.empty(len(fns))
+    for rows, (value, d_t, d_x) in blocks:
+        mass = np.sum(s_mom * value, axis=-1) * measure.dx
+        interior = np.sum(s_mom * d_t + sv_mom * d_x, axis=-1) * measure.dx
+        out[rows] = mass[:, i] - mass[:, 0] - np.trapezoid(interior, times, axis=-1)
+    return _per_function(out, one)
 
 
 def renorm_continuity_residual(measure: DiscreteYoungMeasure, b: RenormFunction,
@@ -197,16 +207,19 @@ def renorm_continuity_residual(measure: DiscreteYoungMeasure, b: RenormFunction,
 
     psi is one test function or a sequence of them, for a float or an array.
     """
-    _, one, i, times, (value, d_t, d_x) = _forms(measure, psi, tau)
+    fns, one, i, times, blocks = _forms(measure, psi, tau)
     b_mom = moment(measure, lambda s, v, D: b.b(s))[: i + 1]
     bv_mom = moment(measure, lambda s, v, D: b.b(s) * v)[: i + 1]
     src_mom = moment(measure, lambda s, v, D: (s * b.db(s) - b.b(s)) * D)[: i + 1]
-    mass = np.sum(b_mom * value, axis=-1) * measure.dx
-    interior = np.sum(b_mom * d_t + bv_mom * d_x, axis=-1) * measure.dx
-    source = np.sum(src_mom * value, axis=-1) * measure.dx
-    return _per_function(mass[:, i] - mass[:, 0]
-                         - np.trapezoid(interior, times, axis=-1)
-                         + np.trapezoid(source, times, axis=-1), one)
+    out = np.empty(len(fns))
+    for rows, (value, d_t, d_x) in blocks:
+        mass = np.sum(b_mom * value, axis=-1) * measure.dx
+        interior = np.sum(b_mom * d_t + bv_mom * d_x, axis=-1) * measure.dx
+        source = np.sum(src_mom * value, axis=-1) * measure.dx
+        out[rows] = (mass[:, i] - mass[:, 0]
+                     - np.trapezoid(interior, times, axis=-1)
+                     + np.trapezoid(source, times, axis=-1))
+    return _per_function(out, one)
 
 
 def momentum_residual(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
@@ -219,24 +232,26 @@ def momentum_residual(measure: DiscreteYoungMeasure, law: PressureLaw, lam: floa
     slack is reported as 0.  phi is one test function, for two floats, or a
     sequence of them, for two arrays.
     """
-    fns, one, i, times, (value, d_t, d_x) = _forms(measure, phi, tau)
+    fns, one, i, times, blocks = _forms(measure, phi, tau)
     _require_wall_zero(fns, measure.length)
     sv_mom = moment(measure, lambda s, v, D: s * v)[: i + 1]
     svv_mom = moment(measure, lambda s, v, D: s * v * v)[: i + 1]
     p_mom = moment(measure, lambda s, v, D: law.p(s))[: i + 1]
     stress_mom = moment(measure, lambda s, v, D: lam * D)[: i + 1]
 
-    momentum = np.sum(sv_mom * value, axis=-1) * measure.dx
-    interior = np.sum(sv_mom * d_t + svv_mom * d_x + p_mom * d_x - stress_mom * d_x,
-                      axis=-1) * measure.dx
-    residual = momentum[:, i] - momentum[:, 0] - np.trapezoid(interior, times, axis=-1)
-
+    residual = np.empty(len(fns))
     slack = np.zeros(len(fns))
-    if defect is not None:
-        pairing = np.sum(defect.rM_field[: i + 1] * d_x, axis=-1) * measure.dx
-        residual = residual - np.trapezoid(pairing, times, axis=-1)
-        phi_c1 = np.max(np.abs(value) + np.abs(d_t) + np.abs(d_x), axis=(1, 2))
-        slack = defect.xi[i] * defect.D_total[i] * phi_c1 - np.abs(pairing[:, i])
+    for rows, (value, d_t, d_x) in blocks:
+        momentum = np.sum(sv_mom * value, axis=-1) * measure.dx
+        interior = np.sum(sv_mom * d_t + svv_mom * d_x + p_mom * d_x - stress_mom * d_x,
+                          axis=-1) * measure.dx
+        res = momentum[:, i] - momentum[:, 0] - np.trapezoid(interior, times, axis=-1)
+        if defect is not None:
+            pairing = np.sum(defect.rM_field[: i + 1] * d_x, axis=-1) * measure.dx
+            res = res - np.trapezoid(pairing, times, axis=-1)
+            phi_c1 = np.max(np.abs(value) + np.abs(d_t) + np.abs(d_x), axis=(1, 2))
+            slack[rows] = defect.xi[i] * defect.D_total[i] * phi_c1 - np.abs(pairing[:, i])
+        residual[rows] = res
     return _per_function(residual, one), _per_function(slack, one)
 
 
@@ -245,12 +260,15 @@ def compatibility_residual(measure: DiscreteYoungMeasure, M, tau: float | None =
 
     M is one test field or a sequence of them, for a float or an array.
     """
-    _, one, i, times, (value, _, d_x) = _forms(measure, M, tau)
+    fns, one, i, times, blocks = _forms(measure, M, tau)
     v_mom = moment(measure, lambda s, v, D: v)[: i + 1]
     d_mom = moment(measure, lambda s, v, D: D)[: i + 1]
-    series = (-np.sum(v_mom * d_x, axis=-1) * measure.dx
-              - np.sum(d_mom * value, axis=-1) * measure.dx)
-    return _per_function(np.trapezoid(series, times, axis=-1), one)
+    out = np.empty(len(fns))
+    for rows, (value, _, d_x) in blocks:
+        series = (-np.sum(v_mom * d_x, axis=-1) * measure.dx
+                  - np.sum(d_mom * value, axis=-1) * measure.dx)
+        out[rows] = np.trapezoid(series, times, axis=-1)
+    return _per_function(out, one)
 
 
 def energy_inequality_slack(measure: DiscreteYoungMeasure, law: PressureLaw,

@@ -15,7 +15,9 @@ only in the test suite, as the oracle these closed forms are checked against.
 The Bregman divergence of H is the distance notion used by the stability
 machinery; the two certificates below bound it from below by
 (rho - r)^2 / (1 + rho^gamma) and from above against the h-increment, on
-user-supplied grids.
+user-supplied grids.  Their (r, rho) tables, the relative-energy ratio scans
+and the residual families' test-function tables are all taken in blocks of
+TABLE_BLOCK cells.
 """
 from __future__ import annotations
 
@@ -42,6 +44,21 @@ H_BOUND_EXCLUSION = 1e-6
 
 # Comparison densities r sampled across [r_min, r_max] by both certificates.
 CERTIFICATE_R_POINTS = 33
+
+# Cells per block of every wide (rho, r) or test-function table: the
+# certificates and ratio scans take B over blocks of r rows, the residual
+# families their tables over blocks of functions, so a table's working set
+# stays this size (at least one row) whatever its length.
+TABLE_BLOCK = 2**14
+
+
+def row_blocks(n_rows: int, row_cells: int):
+    """Slices covering range(n_rows) in blocks of about TABLE_BLOCK cells,
+    at least one row each; none when the rows hold no cells."""
+    if not row_cells:
+        return []
+    step = max(1, TABLE_BLOCK // row_cells)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
 def _as_array(x) -> np.ndarray:
@@ -422,14 +439,6 @@ class PressureLaw:
             return np.zeros_like(rho)
         return rho * self.bump.integral_over_z2(rho)
 
-    def dQ(self, rho):
-        rho = _as_array(rho)
-        if self.bump is None:
-            return np.zeros_like(rho)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(rho > 0.0, self.bump.value(rho) / rho, 0.0)
-        return self.bump.integral_over_z2(rho) + tail
-
     def P(self, rho):
         if self.bump is None:
             return self.h_part.potential(rho)
@@ -459,24 +468,33 @@ def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np
     series of g for x near 1; the direct formula is safe elsewhere.  For
     gamma = 2 the series terminates after one term, so B = a (rho - r)^2 to
     rounding accuracy even when rho is within one grid cell of r.
+
+    rho and r keep their own shapes; only the arithmetic broadcasts.  The
+    series runs on the window of the last axis that holds every entry near
+    the diagonal (a narrow band of a sorted rho grid against nearby r), with
+    the other increments in it set to 0: their terms are exactly 0 and pass
+    the stopping test, so the loop stops at the term it would stop at on the
+    near entries alone.  np.where then picks each entry's branch.
     """
     x = rho / r
     # (rho - r) is exact for rho within [r/2, 2r] (Sterbenz), so forming the
     # increment before dividing keeps d fully accurate in the series branch
     d = (rho - r) / r
-    out = np.empty_like(x)
-
     near = np.abs(d) <= 0.5
+    acc = None
     if np.any(near):
-        dn = d[near]
-        beta = np.full_like(dn, gamma / 2.0)
-        term = beta * dn * dn
-        acc = term.copy()
+        win = ()
+        if near.ndim:
+            cols = np.flatnonzero(near.any(axis=tuple(range(near.ndim - 1))))
+            win = (..., slice(cols[0], cols[-1] + 1))
+        dn = np.where(near[win], d[win], 0.0)
+        beta = gamma / 2.0
+        acc = beta * dn * dn
         dk = dn * dn
         k = 2
         while True:
             beta = beta * (gamma - k) / (k + 1.0)
-            if not np.any(beta):
+            if beta == 0.0:
                 break
             dk = dk * dn
             term = beta * dk
@@ -484,17 +502,17 @@ def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np
             k += 1
             if k > 200 or np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)):
                 break
-        out[near] = acc
 
-    far = ~near
-    if np.any(far):
-        xf = x[far]
+    if acc is not None and np.all(near):
+        out = acc
+    else:
         if gamma == 1.0:
             with np.errstate(divide="ignore", invalid="ignore"):
-                g = np.where(xf > 0.0, xf * np.log(xf), 0.0) - (xf - 1.0)
+                out = np.where(x > 0.0, x * np.log(x), 0.0) - (x - 1.0)
         else:
-            g = (np.power(xf, gamma) - 1.0 - gamma * (xf - 1.0)) / (gamma - 1.0)
-        out[far] = g
+            out = (np.power(x, gamma) - 1.0 - gamma * (x - 1.0)) / (gamma - 1.0)
+        if acc is not None:
+            out[win] = np.where(near[win], acc, out[win])
 
     return a * np.power(r, gamma) * out
 
@@ -508,13 +526,12 @@ def h_increment(law: PressureLaw, rho, r):
     """
     rho = np.asarray(rho, dtype=float)
     r = np.asarray(r, dtype=float)
-    rho_b, r_b = np.broadcast_arrays(rho, r)
     if isinstance(law.h_part, PowerLawH):
         g = law.gamma
         if g == 1.0:
-            return np.zeros_like(rho_b)
-        return (g - 1.0) * _power_bregman(law.a, g, rho_b.astype(float), r_b.astype(float))
-    return law.h(rho_b) - law.h(r_b) - law.dh(r_b) * (rho_b - r_b)
+            return np.zeros(np.broadcast_shapes(rho.shape, r.shape))
+        return (g - 1.0) * _power_bregman(law.a, g, rho, r)
+    return law.h(rho) - law.h(r) - law.dh(r) * (rho - r)
 
 
 def bregman_H(law: PressureLaw, rho, r):
@@ -529,11 +546,10 @@ def bregman_H(law: PressureLaw, rho, r):
         raise DomainError("bregman_H requires r > 0")
     if np.any(rho < 0.0):
         raise DomainError("bregman_H requires rho >= 0")
-    rho_b, r_b = np.broadcast_arrays(rho, r)
     if isinstance(law.h_part, PowerLawH):
-        out = _power_bregman(law.a, law.gamma, rho_b.astype(float), r_b.astype(float))
+        out = _power_bregman(law.a, law.gamma, rho, r)
     else:
-        out = law.H(rho_b) - law.H(r_b) - law.dH(r_b) * (rho_b - r_b)
+        out = law.H(rho) - law.H(r) - law.dH(r) * (rho - r)
     return out if out.shape else float(out)
 
 
@@ -599,34 +615,34 @@ def certify_lower_bound(law: PressureLaw, r_range: tuple[float, float],
 
     On the middle band [r1, r2] = [r_min/2, 2 r_max] the bound is against
     (rho - r)^2; outside it is against 1 + rho^gamma.  Valid iff the minimum
-    over the r sample set is strictly positive.
+    over the r sample set is strictly positive.  B is taken on blocks of r
+    rows against the whole grid (row_blocks), each row's minima read off its
+    block.
     """
     rho_grid = _as_array(rho_grid)
     r_min, r_max = float(r_range[0]), float(r_range[1])
     r1, r2 = _check_grid(rho_grid, r_min, r_max)
 
     r_values = _r_values(r_min, r_max)
-    gamma = law.gamma
     c_mid = np.empty(r_values.size)
     c_out = np.empty(r_values.size)
 
     middle = (rho_grid >= r1) & (rho_grid <= r2)
-    outer = ~middle
-    for i, r in enumerate(r_values):
+    outer_den = 1.0 + rho_grid ** law.gamma
+    for rows in row_blocks(r_values.size, rho_grid.size):
+        r = r_values[rows, None]
         breg = bregman_H(law, rho_grid, r)
-        sep = np.abs(rho_grid - r) > 1e-9 * max(1.0, r)
-        mid_mask = middle & sep
-        if not np.any(mid_mask):
+        gap = rho_grid - r
+        mid = middle & (np.abs(gap) > 1e-9 * np.maximum(1.0, r))
+        empty = ~mid.any(axis=1)
+        if empty.any():
             raise InsufficientGridError(
-                f"no middle-band grid points distinct from r = {r}; refine the grid")
-        ratios = breg[mid_mask] / (rho_grid[mid_mask] - r) ** 2
+                f"no middle-band grid points distinct from r = {r[np.argmax(empty), 0]}; "
+                "refine the grid")
+        ratios = np.where(mid, breg / np.where(mid, gap * gap, 1.0), np.inf)
         # the rho -> r limit B/(rho-r)^2 -> H''(r)/2 is a legitimate candidate
-        limit = float(law.d2H(np.asarray(r))) / 2.0
-        c_mid[i] = min(float(np.min(ratios)), limit)
-        if np.any(outer):
-            c_out[i] = float(np.min(breg[outer] / (1.0 + rho_grid[outer] ** gamma)))
-        else:
-            c_out[i] = np.inf
+        c_mid[rows] = np.minimum(np.min(ratios, axis=1), law.d2H(r[:, 0]) / 2.0)
+        c_out[rows] = np.min(np.where(middle, np.inf, breg / outer_den), axis=1)
 
     valid = bool(np.min(np.minimum(c_mid, c_out)) > 0.0)
     return LowerBoundCertificate(r1=r1, r2=r2, r_values=r_values, c_middle=c_mid,
@@ -638,7 +654,9 @@ def certify_h_bound(law: PressureLaw, r_range: tuple[float, float],
     """Smallest grid-witnessed C(r) with |h-increment| <= C(r) * B(rho, r).
 
     A band |rho - r| < H_BOUND_EXCLUSION is skipped: both sides vanish to
-    second order there and the ratio is numerically 0/0.
+    second order there and the ratio is numerically 0/0.  B is taken on
+    blocks of r rows against the whole grid (row_blocks); a power law's
+    increment is |(gamma - 1) B| from the same B.
     """
     rho_grid = _as_array(rho_grid)
     r_min, r_max = float(r_range[0]), float(r_range[1])
@@ -646,16 +664,24 @@ def certify_h_bound(law: PressureLaw, r_range: tuple[float, float],
 
     r_values = _r_values(r_min, r_max)
     C = np.empty(r_values.size)
-    valid = True
-    for i, r in enumerate(r_values):
-        mask = np.abs(rho_grid - r) >= H_BOUND_EXCLUSION
-        breg = bregman_H(law, rho_grid[mask], r)
-        hinc = np.abs(h_increment(law, rho_grid[mask], r))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(breg > 0.0, hinc / breg, np.inf)
-        C[i] = float(np.max(ratios))
-        if not np.isfinite(C[i]):
-            valid = False
+    power = isinstance(law.h_part, PowerLawH) and law.gamma != 1.0
+    for rows in row_blocks(r_values.size, rho_grid.size):
+        r = r_values[rows, None]
+        keep = np.abs(rho_grid - r) >= H_BOUND_EXCLUSION
+        empty = ~keep.any(axis=1)
+        if empty.any():
+            raise InsufficientGridError(
+                f"no grid points outside the exclusion band around r = "
+                f"{r[np.argmax(empty), 0]}; refine the grid")
+        breg = bregman_H(law, rho_grid, r)
+        if power:
+            hinc = np.abs((law.gamma - 1.0) * breg)
+        else:
+            hinc = np.abs(h_increment(law, rho_grid, r))
+        pos = breg > 0.0
+        ratios = np.where(pos, hinc / np.where(pos, breg, 1.0), np.inf)
+        C[rows] = np.max(np.where(keep, ratios, -np.inf), axis=1)
+    valid = bool(np.all(np.isfinite(C)))
 
     return HBoundCertificate(r_values=r_values, C_of_r=C, grid_max=float(rho_grid[-1]),
                              valid=valid)

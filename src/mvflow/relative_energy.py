@@ -18,7 +18,7 @@ from .errors import (CannotBoundError, DomainError, InvalidBandError,
 from .measures import DiscreteYoungMeasure
 # potential stays a module attribute here: perfbench/tracer.py wraps this name
 from .pressure import (HBoundCertificate, LowerBoundCertificate, PressureLaw,
-                       bregman_H, h_increment, potential)
+                       bregman_H, h_increment, potential, row_blocks)
 from .solver import StrongSolutionRef
 
 # Half-width of the band around s = r excluded from ratio scans; both sides
@@ -131,16 +131,20 @@ def _scan_max(law: PressureLaw, s_grid: np.ndarray, r_grid: np.ndarray,
               num_fn, extra_candidates=()) -> float:
     """max over the scan grid of num(s, r) / B(s, r), diagonal excluded.
 
-    extra_candidates supplies analytic s -> r limit values where the ratio
-    has a removable singularity.
+    The (r, s) table is taken in blocks of r rows (row_blocks), so its
+    working set stays about TABLE_BLOCK cells; the max of the block maxima
+    is the table's.  extra_candidates supplies analytic s -> r limit values
+    where the ratio has a removable singularity.
     """
-    B = bregman_H(law, s_grid[None, :], r_grid[:, None])
-    num = num_fn(s_grid[None, :], r_grid[:, None])
-    sep = np.abs(s_grid[None, :] - r_grid[:, None]) > \
-        SCAN_EXCLUSION * np.maximum(1.0, r_grid[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(sep & (B > 0.0), num / B, 0.0)
-    best = float(np.max(ratios)) if ratios.size else 0.0
+    s = s_grid[None, :]
+    maxima = []
+    for rows in row_blocks(r_grid.size, s_grid.size):
+        r = r_grid[rows, None]
+        B = bregman_H(law, s, r)
+        keep = (np.abs(s - r) > SCAN_EXCLUSION * np.maximum(1.0, r)) & (B > 0.0)
+        ratios = np.where(keep, num_fn(s, r) / np.where(keep, B, 1.0), 0.0)
+        maxima.append(np.max(ratios))
+    best = float(np.max(maxima)) if maxima else 0.0
     for c in extra_candidates:
         best = max(best, float(c))
     if not np.isfinite(best):

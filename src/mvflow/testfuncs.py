@@ -2,10 +2,10 @@
 
 Families are tensor products of a spatial factor and a time factor.  Spatial
 factors for momentum tests vanish at both walls; the generic family used for
-the density equations does not need to.  A family is evaluated as a whole:
-tables gives the (n_f, n_t, n) arrays of the value and of both derivatives
-over sample times and points, so residual quadrature never differentiates
-numerically.
+the density equations does not need to.  tables gives the (n_f, n_t, n) arrays
+of the value and of both derivatives of a run of a family's functions over
+sample times and points, so residual quadrature never differentiates
+numerically; the residuals ask for them one block of functions at a time.
 """
 from __future__ import annotations
 
@@ -30,7 +30,11 @@ class SpaceTimeFunction:
 
 def tables(family, times, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi, dpsi/dt and dpsi/dx of every function of family at the times
-    and points, as (n_f, n_t, n) arrays: the products F G, F G' and F' G."""
+    and points, as (n_f, n_t, n) arrays: the products F G, F G' and F' G.
+
+    The residuals in mvflow.measures pass one block of a family at a time
+    (about TABLE_BLOCK cells, at least one function), so n_f is the block's
+    length; each function's rows are the same whatever the block holds."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
 

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 
-from helpers import frobenius, read_csv
+from helpers import dQ, frobenius, read_csv
 from mvflow.configio import format_kv
 from mvflow.experiments import cmd_run, presets, run_experiment, spec_from_config
 from mvflow.measures import (assemble, compatibility_residual,
@@ -41,7 +41,7 @@ def test_01_potential_identities():
         for amp in (0.0, 0.05):
             law = power_law(gamma, amp)
             h_gap = np.max(np.abs(rho * law.dH(rho) - law.H(rho) - law.h(rho)))
-            q_gap = np.max(np.abs(rho * law.dQ(rho) - law.Q(rho) - law.q(rho)))
+            q_gap = np.max(np.abs(rho * dQ(law, rho) - law.Q(rho) - law.q(rho)))
             worst = max(worst, float(h_gap), float(q_gap))
     verdict("potential identities", 1.0, t0, worst <= 1e-8,
             f"max |rho*P' - P - p| = {worst:.3e} <= 1e-8 over gamma grid")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import mvflow.pressure
+from helpers import broadcast_bregman_H, broadcast_h_increment, dQ
 from mvflow.errors import DomainError, InsufficientGridError, InvalidLawError
 from mvflow.pressure import (
     CompactBump,
@@ -15,6 +16,7 @@ from mvflow.pressure import (
     certificate_rows,
     certify_h_bound,
     certify_lower_bound,
+    h_increment,
     law_from_config,
     law_to_config,
     potential,
@@ -139,7 +141,7 @@ def test_bump_closed_form_matches_quadrature_oracle(amp):
     np.testing.assert_allclose(law.Q(rho), ref, rtol=0, atol=1e-9)
     np.testing.assert_allclose(potential(law, rho), law.H(rho) + ref, rtol=0, atol=1e-9)
     ref_slope = np.array([quad_over_z2(bump.value, r, (bump.q1, bump.q2)) for r in rho])
-    np.testing.assert_allclose(law.dQ(rho), ref_slope + bump.value(rho) / rho,
+    np.testing.assert_allclose(dQ(law, rho), ref_slope + bump.value(rho) / rho,
                                rtol=0, atol=1e-9)
 
 
@@ -151,7 +153,7 @@ def test_potential_identities(gamma, with_bump):
     law = power_law(a=1.0, gamma=gamma, bump=bump)
     rho = np.linspace(0.01, 10.0, 400)
     assert np.max(np.abs(rho * law.dH(rho) - law.H(rho) - law.h(rho))) < 1e-8
-    assert np.max(np.abs(rho * law.dQ(rho) - law.Q(rho) - law.q(rho))) < 1e-8
+    assert np.max(np.abs(rho * dQ(law, rho) - law.Q(rho) - law.q(rho))) < 1e-8
     # rho H'' = h' away from the endpoint kinks of the bump
     assert np.max(np.abs(rho * law.d2H(rho) - law.dh(rho))) < 1e-8
 
@@ -233,7 +235,7 @@ def test_tabulated_law_increasing_with_exact_potential(table):
     x = np.linspace(0.0, 10.0 * table.rho_max, 4001)
     assert np.all(np.diff(law.h(x)) > 0.0)
     xp = x[1:]
-    dP = law.dH(xp) + law.dQ(xp)
+    dP = law.dH(xp) + dQ(law, xp)
     assert np.max(np.abs(xp * dP - law.P(xp) - law.h(xp))) < 1e-8
 
 
@@ -242,11 +244,11 @@ def test_tabulated_law_increasing_with_exact_potential(table):
 def test_potential_on_2d_arrays_equals_row_wise(law):
     law = PressureLaw(h_part=law, bump=CompactBump(q1=1.0, q2=2.0, amp=0.05))
     rho = np.random.default_rng(3).uniform(0.2, 6.0, size=(5, 7))
-    P, dP = law.P(rho), law.dH(rho) + law.dQ(rho)
+    P, dP = law.P(rho), law.dH(rho) + dQ(law, rho)
     assert P.shape == dP.shape == rho.shape
     for i, row in enumerate(rho):
         np.testing.assert_array_equal(P[i], law.P(row))
-        np.testing.assert_array_equal(dP[i], law.dH(row) + law.dQ(row))
+        np.testing.assert_array_equal(dP[i], law.dH(row) + dQ(law, row))
     np.testing.assert_array_equal(potential(law, rho), P)
 
 
@@ -400,6 +402,59 @@ def test_bregman_series_matches_direct_formula():
     direct = (rho**1.4 - r**1.4 - 1.4 * r**0.4 * (rho - r)) / 0.4
     got = bregman_H(law, rho, r)
     assert np.max(np.abs(got - direct)) < 1e-11
+
+
+# rho at 0, at |rho - r| / r = 1/2 exactly on both sides of r = 2 (1 and 3),
+# on and next to the diagonal, and far on either side
+_KERNEL_RHO = np.array([0.0, 0.25, 1.0, 1.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-9,
+                        2.5, 3.0, 3.0 + 1e-12, 7.0, 40.0])
+_KERNEL_R = np.array([0.5, 1.0, 2.0, 3.5])
+
+
+def _kernel_shapes():
+    """(name, rho, r) pairs: scalar, row, column, (R, S) table and a
+    measure-like (K, R, S) array against an (R, S) reference."""
+    rho, r = _KERNEL_RHO, _KERNEL_R
+    grid = np.linspace(0.0, 10.0, 301)
+    yield "scalar-near", 3.0, 2.0
+    yield "scalar-far", 40.0, 2.0
+    yield "scalar-zero", 0.0, 2.0
+    yield "row", rho, 2.0
+    yield "column", 1.0, r[:, None]
+    yield "table", rho[None, :], r[:, None]
+    yield "grid-table", grid, np.linspace(0.9, 1.2, 7)[:, None]
+    yield "measure", np.stack([rho[None, :] * f for f in (0.9, 1.0, 1.1)]) * \
+        np.ones((len(r), 1)), np.broadcast_to(r[:, None], (len(r), rho.size))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.5])
+@pytest.mark.parametrize("with_bump", [False, True], ids=["plain", "bump"])
+def test_bregman_kernel_equals_gather_scatter_oracle(gamma, with_bump):
+    # the gather-free kernel gives the bytes of the old broadcast, gather and
+    # scatter one, and the same type and shape, for every argument shape
+    bump = CompactBump(q1=1.0, q2=2.0, amp=0.05) if with_bump else None
+    law = power_law(a=1.7, gamma=gamma, bump=bump)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for name, rho, r in _kernel_shapes():
+            for got, want in ((bregman_H(law, rho, r), broadcast_bregman_H(law, rho, r)),
+                              (h_increment(law, rho, r), broadcast_h_increment(law, rho, r))):
+                assert type(got) is type(want), name
+                assert np.shape(got) == np.shape(want), name
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+@pytest.mark.parametrize("table", [bench_table(), TabulatedH(*REPRODUCER)],
+                         ids=["bench", "reproducer"])
+def test_tabulated_bregman_equals_broadcast_form(table):
+    # H, H' and h are taken on each argument's own shape, not on broadcast
+    # copies; the values are the same bits
+    law = PressureLaw(h_part=table, bump=CompactBump(q1=1.0, q2=2.0, amp=0.05))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for name, rho, r in _kernel_shapes():
+            for got, want in ((bregman_H(law, rho, r), broadcast_bregman_H(law, rho, r)),
+                              (h_increment(law, rho, r), broadcast_h_increment(law, rho, r))):
+                assert type(got) is type(want), name
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
 
 
 # -- certificates -------------------------------------------------------------

@@ -12,6 +12,12 @@ Each line is ``<key> <value>``:
   S in 501 and 502: ``n_steps``, ``n_trials`` and ``min_step_slack`` of each
   row of the experiment's ``run_stack`` call (manifests do not hold
   ``n_trials``, so a miscount by the stacked controller shows only here);
+- ``ensemble-bump.gamma1.4.manifest_hash``: the weak-strong-bump preset
+  with ``law.gamma = 1.4``, whose certificates and remainder scans sum the
+  Bregman series (gamma = 2 stops after its first term);
+- ``certify.<case>.csv_sha256``: ``certificates.csv`` written by
+  ``cmd_certify`` for the weak-strong-bump law with ``law.gamma = 1.4`` and
+  for the weak-strong-tabulated law, on r in [0.5, 2];
 - ``convergence.<case>.csv_sha256``: ``convergence.csv`` of the
   convergence-pulse preset at levels 64,128,256, as shipped and with the
   benchmark's seeded ``init.center_frac`` at seeds 501 and 502;
@@ -62,8 +68,8 @@ def main(argv=None) -> int:
 
     import mvflow.experiments
     from mvflow.configio import format_kv
-    from mvflow.experiments import (cmd_convergence, presets, run_experiment,
-                                    spec_from_config)
+    from mvflow.experiments import (cmd_certify, cmd_convergence, presets,
+                                    run_experiment, spec_from_config)
     from workloads import WORKLOADS
 
     stacked = []  # the rows of every run_stack call an experiment makes
@@ -102,6 +108,19 @@ def main(argv=None) -> int:
             print(f"ensemble-bump.seed{seed}.manifest_hash {m.manifest_hash}")
             if seed in SEEDS:
                 print_counters(f"ensemble-bump.seed{seed}", stacked)
+
+        bump14 = dict(presets()["weak-strong-bump"], **{"law.gamma": "1.4"})
+        m = run_experiment(spec_from_config(bump14), out_dir=fresh_dir())
+        print(f"ensemble-bump.gamma1.4.manifest_hash {m.manifest_hash}")
+
+        certify = {"certify.r_min": "0.5", "certify.r_max": "2.0"}
+        for case, cfg in (("bump-gamma1.4", bump14),
+                          ("tabulated", presets()["weak-strong-tabulated"])):
+            path = os.path.join(tmp, f"certify-{case}.spec")
+            with open(path, "w") as fh:
+                fh.write(format_kv(dict(cfg, **certify)))
+            csv, _, _ = cmd_certify(path, out=fresh_dir())
+            print(f"certify.{case}.csv_sha256 {_sha256_file(csv)}")
 
         conv = WORKLOADS["convergence-pulse"]()
         cases = [("preset", presets()["convergence-pulse"])]
