@@ -26,7 +26,9 @@ from .measures import (assemble, compatibility_residual, continuity_residual,
                        energy_inequality_slack, estimate_defect,
                        korn_poincare_check, momentum_residual,
                        renorm_continuity_residual, renorm_identity_truncated)
-from .pressure import (PressureLaw, certificate_rows, certify_h_bound,
+# certify_lower_bound and certify_h_bound, the halves of certify, stay module
+# attributes here: perfbench/tracer.py wraps these names
+from .pressure import (PressureLaw, certificate_rows, certify, certify_h_bound,
                        certify_lower_bound, law_from_config, law_to_config)
 from .relative_energy import (gronwall_verdict, relative_energy_series,
                               remainder_terms)
@@ -383,8 +385,7 @@ def _make_context(spec: ExperimentSpec) -> _Context:
     r_lo, r_hi = float(np.min(ref.r)), float(np.max(ref.r))
     s_top = max(10.0, 5.0 * r_hi, 1.2 * float(np.max(measure.S)))
     rho_grid = np.linspace(0.0, s_top, 4001)
-    lower = certify_lower_bound(spec.law, (r_lo, r_hi), rho_grid)
-    hbound = certify_h_bound(spec.law, (r_lo, r_hi), rho_grid)
+    lower, hbound = certify(spec.law, (r_lo, r_hi), rho_grid)
     ctx.remainders = remainder_terms(measure, spec.law, spec.lam, ref,
                                      lower, hbound)
     ctx.verdict = gronwall_verdict(measure.times, ctx.remainders.E_mv,
@@ -395,12 +396,10 @@ def _make_context(spec: ExperimentSpec) -> _Context:
 
 def _check_energy(ctx: _Context):
     spec, measure = ctx.spec, ctx.measure
-    rows = []
-    for tau in measure.times:
-        slack = energy_inequality_slack(measure, spec.law, spec.lam, ctx.defect,
-                                        ctx.e0, float(tau),
-                                        cum_dissipation=ctx.cum_dis)
-        rows.append((float(tau), slack))
+    slack = energy_inequality_slack(measure, spec.law, spec.lam, ctx.defect,
+                                    ctx.e0, measure.times,
+                                    cum_dissipation=ctx.cum_dis)
+    rows = list(zip(measure.times.tolist(), slack.tolist()))
     worst = min(s for _, s in rows)
     step_worst = min(m.min_step_slack for m in ctx.members)
     ok = worst >= -1e-8 * max(1.0, ctx.e0)
@@ -501,8 +500,7 @@ def _certificate_table(law: PressureLaw, r_lo: float, r_hi: float, points: int):
     """Both lemma certificates over r in [r_lo, r_hi], on points densities
     from 0 to max(10, 4.4 r_hi), with their CSV header and rows."""
     rho_grid = np.linspace(0.0, max(10.0, 4.4 * r_hi), points)
-    lower = certify_lower_bound(law, (r_lo, r_hi), rho_grid)
-    hbound = certify_h_bound(law, (r_lo, r_hi), rho_grid)
+    lower, hbound = certify(law, (r_lo, r_hi), rho_grid)
     return (lower, hbound, ["r", "c_middle", "c_outer", "C_ratio", "valid"],
             certificate_rows(lower, hbound))
 

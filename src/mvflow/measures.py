@@ -272,27 +272,33 @@ def compatibility_residual(measure: DiscreteYoungMeasure, M, tau: float | None =
 
 
 def energy_inequality_slack(measure: DiscreteYoungMeasure, law: PressureLaw,
-                            lam: float, defect, e_initial: float, tau: float,
-                            cum_dissipation: np.ndarray | None = None) -> float:
+                            lam: float, defect, e_initial: float, tau,
+                            cum_dissipation: np.ndarray | None = None):
     """Energy form slack: e_initial - <energy>(tau) - dissipation - D(tau).
 
     Nonnegative for valid data.  cum_dissipation, when given, is the
     per-member average of the solver's accumulated per-step dissipation
     series (length matching the sample times); otherwise the dissipation is
-    the trapezoid integral of the measure moment lam <(tr D)^2>.
+    the trapezoid integral of the measure moment lam <(tr D)^2>.  tau is one
+    sample time, for a float, or a sequence of them, for an array; a call
+    takes each moment once, and each tau's slack is the one a call for it
+    alone gives.
     """
-    i = measure.time_index(tau)
+    one = np.ndim(tau) == 0
+    idx = [measure.time_index(float(t)) for t in np.atleast_1d(tau)]
     energy_mom = moment(
         measure, lambda s, v, D: 0.5 * s * v * v + law.P(s))
-    e_tau = float(np.sum(energy_mom[i]) * measure.dx)
+    # each row is summed along its own contiguous cells, as one row alone
+    e_tau = np.sum(energy_mom[idx], axis=-1) * measure.dx
     if cum_dissipation is not None:
-        dis = float(cum_dissipation[i])
+        dis = np.asarray(cum_dissipation, dtype=float)[idx]
     else:
-        dis_mom = moment(measure, lambda s, v, D: lam * D * D)[: i + 1]
-        dis = float(np.trapezoid(np.sum(dis_mom, axis=1) * measure.dx,
-                                 measure.times[: i + 1]))
-    d_tau = float(defect.D_total[i]) if defect is not None else 0.0
-    return float(e_initial - e_tau - dis - d_tau)
+        dis_mom = moment(measure, lambda s, v, D: lam * D * D)
+        series = np.sum(dis_mom, axis=1) * measure.dx
+        dis = np.array([np.trapezoid(series[: i + 1], measure.times[: i + 1])
+                        for i in idx])
+    d_tau = defect.D_total[idx] if defect is not None else 0.0
+    return _per_function(e_initial - e_tau - dis - d_tau, one)
 
 
 # -- defect estimation ---------------------------------------------------------------

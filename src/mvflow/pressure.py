@@ -15,8 +15,9 @@ only in the test suite, as the oracle these closed forms are checked against.
 The Bregman divergence of H is the distance notion used by the stability
 machinery; the two certificates below bound it from below by
 (rho - r)^2 / (1 + rho^gamma) and from above against the h-increment, on
-user-supplied grids.  Their (r, rho) tables, the relative-energy ratio scans
-and the residual families' test-function tables are all taken in blocks of
+user-supplied grids; certify takes both from one pass, one B table per
+block.  Their (r, rho) tables, the relative-energy ratio scans and the
+residual families' test-function tables are all taken in blocks of
 TABLE_BLOCK cells.
 """
 from __future__ import annotations
@@ -136,15 +137,28 @@ class CompactBump:
 
     # Outside the support t leaves [0, 1]; np.where then discards what the
     # profile gives there, so t needs no clipping.
-    def value(self, rho) -> np.ndarray:
+    def _profile(self, rho):
+        """t, 1 - t and the support mask t in [0, 1] at rho."""
         t = (_as_array(rho) - self.q1) / self.width
-        out = self.amp * 16.0 * t * t * (1.0 - t) * (1.0 - t)
-        return np.where((t >= 0.0) & (t <= 1.0), out, 0.0)
+        return t, 1.0 - t, (t >= 0.0) & (t <= 1.0)
+
+    def _value(self, t, omt, inside) -> np.ndarray:
+        return np.where(inside, self.amp * 16.0 * t * t * omt * omt, 0.0)
+
+    def _slope(self, t, omt, inside) -> np.ndarray:
+        dpsi = 32.0 * t * omt * (1.0 - 2.0 * t)
+        return np.where(inside, self.amp * dpsi / self.width, 0.0)
+
+    def value(self, rho) -> np.ndarray:
+        return self._value(*self._profile(rho))
 
     def slope(self, rho) -> np.ndarray:
-        t = (_as_array(rho) - self.q1) / self.width
-        dpsi = 32.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-        return np.where((t >= 0.0) & (t <= 1.0), self.amp * dpsi / self.width, 0.0)
+        return self._slope(*self._profile(rho))
+
+    def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
+        """value(rho) and slope(rho) from one profile."""
+        prof = self._profile(rho)
+        return self._value(*prof), self._slope(*prof)
 
     def _phi(self, z: np.ndarray) -> np.ndarray:
         """The antiderivative of q(z)/z^2 on the support."""
@@ -178,6 +192,10 @@ class PowerLawH:
     def slope(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
         return self.a * self.gamma * np.power(rho, self.gamma - 1.0)
+
+    def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
+        # the two powers share no work
+        return self.value(rho), self.slope(rho)
 
     def potential(self, rho) -> np.ndarray:
         """H(rho); closed form, with H(0) = 0 taken as the limit value."""
@@ -226,11 +244,12 @@ class TabulatedH:
     rho_samples: tuple
     h_samples: tuple
     gamma_tail: float = 2.0
-    # the interior knots (to find a point's piece), each piece's left knot,
-    # and the local coefficients of h and of h' in s = rho - left knot, one
-    # contiguous row per power, lowest first
+    # the interior knots (to find a point's piece), and one (8, pieces)
+    # table, gathered in one step: each piece's left knot, then the local
+    # coefficients of h and of h' in s = rho - left knot, lowest power first,
+    # whose rows _h_rows and _dh_rows view
     _inner: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _left: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _local: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _h_rows: tuple = field(init=False, repr=False, compare=False, default=None)
     _dh_rows: tuple = field(init=False, repr=False, compare=False, default=None)
     # tail h = _tail_a * rho^gamma_tail + _tail_b beyond rho_max
@@ -259,8 +278,9 @@ class TabulatedH:
         c = _pchip_coefficients(r, h)
         # the derivative's coefficients, as PPoly.derivative scales them
         dc = c[:-1] * np.array([[3.0], [2.0], [1.0]])
-        for name, val in (("_inner", r[1:-1]), ("_left", r[:-1]),
-                          ("_h_rows", tuple(c[::-1])), ("_dh_rows", tuple(dc[::-1]))):
+        local = np.vstack([r[:-1], c[::-1], dc[::-1]])
+        for name, val in (("_inner", r[1:-1]), ("_local", local),
+                          ("_h_rows", tuple(local[1:5])), ("_dh_rows", tuple(local[5:]))):
             object.__setattr__(self, name, val)
         g = float(self.gamma_tail)
         r_max, h_max = float(r[-1]), float(h[-1])
@@ -313,12 +333,6 @@ class TabulatedH:
     def rho_max(self) -> float:
         return float(self.rho_samples[-1])
 
-    def _with_tail(self, rho: np.ndarray, inside: np.ndarray, tail) -> np.ndarray:
-        far = rho > self.rho_max
-        if np.any(far):
-            return np.where(far, tail(np.maximum(rho, self.rho_max)), inside)
-        return inside
-
     def _cubic(self, rows: tuple, rho: np.ndarray) -> np.ndarray:
         """The piecewise polynomial with local coefficient rows at rho.
 
@@ -326,7 +340,7 @@ class TabulatedH:
         beyond the table, and the last knot belongs to the last piece.
         """
         k = self._inner.searchsorted(rho, "right")
-        s = rho - self._left[k]
+        s = rho - self._local[0, k]
         out = 0.0 + rows[0][k] + rows[1][k] * s
         z = s
         for row in rows[2:]:
@@ -334,17 +348,28 @@ class TabulatedH:
             out = out + row[k] * z
         return out
 
-    def value(self, rho) -> np.ndarray:
+    def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
+        """h(rho) and h'(rho): the cubics of _h_rows and _dh_rows as _cubic
+        takes them, from one piece search and one gather, and the tails."""
         rho = _as_array(rho)
-        g = self.gamma_tail
-        return self._with_tail(rho, self._cubic(self._h_rows, rho),
-                               lambda z: self._tail_a * np.power(z, g) + self._tail_b)
+        k = self._inner.searchsorted(rho, "right")
+        left, h0, h1, h2, h3, d0, d1, d2 = self._local[:, k]
+        s = rho - left
+        s2 = s * s
+        h = 0.0 + h0 + h1 * s + h2 * s2 + h3 * (s2 * s)
+        dh = 0.0 + d0 + d1 * s + d2 * s2
+        far = rho > self.rho_max
+        if np.any(far):
+            z, g = np.maximum(rho, self.rho_max), self.gamma_tail
+            h = np.where(far, self._tail_a * np.power(z, g) + self._tail_b, h)
+            dh = np.where(far, self._tail_a * g * np.power(z, g - 1.0), dh)
+        return h, dh
+
+    def value(self, rho) -> np.ndarray:
+        return self.value_and_slope(rho)[0]
 
     def slope(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
-        g = self.gamma_tail
-        return self._with_tail(rho, self._cubic(self._dh_rows, rho),
-                               lambda z: self._tail_a * g * np.power(z, g - 1.0))
+        return self.value_and_slope(rho)[1]
 
     def _piece_integral(self, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """int_c^rho h(z)/z^2 dz on piece k from its anchor c, rho > 0.
@@ -422,6 +447,15 @@ class PressureLaw:
             return self.h_part.slope(rho)
         return self.h_part.slope(rho) + self.bump.slope(rho)
 
+    def p_and_dp(self, rho):
+        """(p(rho), dp(rho)) in one pass: each part's value and slope share
+        their intermediates."""
+        h, dh = self.h_part.value_and_slope(rho)
+        if self.bump is None:
+            return h, dh
+        q, dq = self.bump.value_and_slope(rho)
+        return h + q, dh + dq
+
     # -- potential ----------------------------------------------------------
     def H(self, rho):
         return self.h_part.potential(rho)
@@ -482,7 +516,7 @@ def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np
     d = (rho - r) / r
     near = np.abs(d) <= 0.5
     acc = None
-    if np.any(near):
+    if np.logical_or.reduce(near, axis=None):
         win = ()
         if near.ndim:
             cols = np.flatnonzero(near.any(axis=tuple(range(near.ndim - 1))))
@@ -500,17 +534,20 @@ def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np
             term = beta * dk
             acc += term
             k += 1
-            if k > 200 or np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300)):
+            if k > 200 or np.logical_and.reduce(
+                    np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300), axis=None):
                 break
 
-    if acc is not None and np.all(near):
+    if acc is not None and np.logical_and.reduce(near, axis=None):
         out = acc
     else:
         if gamma == 1.0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = np.where(x > 0.0, x * np.log(x), 0.0) - (x - 1.0)
         else:
-            out = (np.power(x, gamma) - 1.0 - gamma * (x - 1.0)) / (gamma - 1.0)
+            out = np.power(x, gamma) - 1.0 - gamma * (x - 1.0)
+            if gamma != 2.0:  # dividing by 1 changes no bit
+                out /= gamma - 1.0
         if acc is not None:
             out[win] = np.where(near[win], acc, out[win])
 
@@ -609,44 +646,96 @@ def _r_values(r_min: float, r_max: float) -> np.ndarray:
     return np.array([r_min])
 
 
+def _lower_block(law: PressureLaw, rho_grid: np.ndarray, middle: np.ndarray,
+                 outer_den: np.ndarray, r: np.ndarray, breg: np.ndarray):
+    """c_middle and c_outer of a block of r rows (an (m, 1) column) from
+    their B table; its temporaries go when it returns."""
+    gap = rho_grid - r
+    mid = middle & (np.abs(gap) > 1e-9 * np.maximum(1.0, r))
+    empty = ~mid.any(axis=1)
+    if empty.any():
+        raise InsufficientGridError(
+            f"no middle-band grid points distinct from r = {r[np.argmax(empty), 0]}; "
+            "refine the grid")
+    ratios = np.where(mid, breg / np.where(mid, gap * gap, 1.0), np.inf)
+    # the rho -> r limit B/(rho-r)^2 -> H''(r)/2 is a legitimate candidate
+    return (np.minimum(np.min(ratios, axis=1), law.d2H(r[:, 0]) / 2.0),
+            np.min(np.where(middle, np.inf, breg / outer_den), axis=1))
+
+
+def _h_block(law: PressureLaw, rho_grid: np.ndarray, r: np.ndarray,
+             breg: np.ndarray) -> np.ndarray:
+    """C(r) of a block of r rows (an (m, 1) column) from their B table, -inf
+    where every grid point is excluded; a power law's increment is
+    |(gamma - 1) B| from the same B."""
+    keep = np.abs(rho_grid - r) >= H_BOUND_EXCLUSION
+    if isinstance(law.h_part, PowerLawH) and law.gamma != 1.0:
+        hinc = np.abs((law.gamma - 1.0) * breg)
+    else:
+        hinc = np.abs(h_increment(law, rho_grid, r))
+    pos = breg > 0.0
+    ratios = np.where(pos, hinc / np.where(pos, breg, 1.0), np.inf)
+    return np.max(np.where(keep, ratios, -np.inf), axis=1)
+
+
+def _certify(law: PressureLaw, r_range: tuple[float, float], rho_grid,
+             lower: bool, upper: bool):
+    """The lower-bound and h-bound certificates asked for (None for the
+    other), from one pass over blocks of r rows against the whole grid
+    (row_blocks) with one B table per block."""
+    rho_grid = _as_array(rho_grid)
+    r_min, r_max = float(r_range[0]), float(r_range[1])
+    r1, r2 = _check_grid(rho_grid, r_min, r_max)
+
+    r_values = _r_values(r_min, r_max)
+    c_mid, c_out, C = (np.empty(r_values.size) for _ in range(3))
+    middle = (rho_grid >= r1) & (rho_grid <= r2)
+    outer_den = 1.0 + rho_grid ** law.gamma
+    for rows in row_blocks(r_values.size, rho_grid.size):
+        r = r_values[rows, None]
+        breg = bregman_H(law, rho_grid, r)
+        if lower:
+            c_mid[rows], c_out[rows] = _lower_block(law, rho_grid, middle, outer_den,
+                                                    r, breg)
+        if upper:
+            C[rows] = _h_block(law, rho_grid, r, breg)
+
+    grid_max = float(rho_grid[-1])
+    low = hb = None
+    if lower:
+        low = LowerBoundCertificate(
+            r1=r1, r2=r2, r_values=r_values, c_middle=c_mid, c_outer=c_out,
+            grid_max=grid_max, valid=bool(np.min(np.minimum(c_mid, c_out)) > 0.0))
+    if upper:
+        # raised after the pass, so that the lower bound's error comes first
+        empty = C == -np.inf
+        if empty.any():
+            raise InsufficientGridError(
+                f"no grid points outside the exclusion band around r = "
+                f"{r_values[np.argmax(empty)]}; refine the grid")
+        hb = HBoundCertificate(r_values=r_values, C_of_r=C, grid_max=grid_max,
+                               valid=bool(np.all(np.isfinite(C))))
+    return low, hb
+
+
+def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid
+            ) -> tuple[LowerBoundCertificate, HBoundCertificate]:
+    """Both certificates of (law, r_range, rho_grid) from one pass: each
+    block of r rows takes B once for both.  The certificates, and the error
+    a bad grid raises, are those of certify_lower_bound and then
+    certify_h_bound."""
+    return _certify(law, r_range, rho_grid, lower=True, upper=True)
+
+
 def certify_lower_bound(law: PressureLaw, r_range: tuple[float, float],
                         rho_grid) -> LowerBoundCertificate:
     """Largest grid-witnessed c(r) in the two-band lower bound for B(., r).
 
     On the middle band [r1, r2] = [r_min/2, 2 r_max] the bound is against
     (rho - r)^2; outside it is against 1 + rho^gamma.  Valid iff the minimum
-    over the r sample set is strictly positive.  B is taken on blocks of r
-    rows against the whole grid (row_blocks), each row's minima read off its
-    block.
+    over the r sample set is strictly positive.  The lower half of certify.
     """
-    rho_grid = _as_array(rho_grid)
-    r_min, r_max = float(r_range[0]), float(r_range[1])
-    r1, r2 = _check_grid(rho_grid, r_min, r_max)
-
-    r_values = _r_values(r_min, r_max)
-    c_mid = np.empty(r_values.size)
-    c_out = np.empty(r_values.size)
-
-    middle = (rho_grid >= r1) & (rho_grid <= r2)
-    outer_den = 1.0 + rho_grid ** law.gamma
-    for rows in row_blocks(r_values.size, rho_grid.size):
-        r = r_values[rows, None]
-        breg = bregman_H(law, rho_grid, r)
-        gap = rho_grid - r
-        mid = middle & (np.abs(gap) > 1e-9 * np.maximum(1.0, r))
-        empty = ~mid.any(axis=1)
-        if empty.any():
-            raise InsufficientGridError(
-                f"no middle-band grid points distinct from r = {r[np.argmax(empty), 0]}; "
-                "refine the grid")
-        ratios = np.where(mid, breg / np.where(mid, gap * gap, 1.0), np.inf)
-        # the rho -> r limit B/(rho-r)^2 -> H''(r)/2 is a legitimate candidate
-        c_mid[rows] = np.minimum(np.min(ratios, axis=1), law.d2H(r[:, 0]) / 2.0)
-        c_out[rows] = np.min(np.where(middle, np.inf, breg / outer_den), axis=1)
-
-    valid = bool(np.min(np.minimum(c_mid, c_out)) > 0.0)
-    return LowerBoundCertificate(r1=r1, r2=r2, r_values=r_values, c_middle=c_mid,
-                                 c_outer=c_out, grid_max=float(rho_grid[-1]), valid=valid)
+    return _certify(law, r_range, rho_grid, lower=True, upper=False)[0]
 
 
 def certify_h_bound(law: PressureLaw, r_range: tuple[float, float],
@@ -654,37 +743,10 @@ def certify_h_bound(law: PressureLaw, r_range: tuple[float, float],
     """Smallest grid-witnessed C(r) with |h-increment| <= C(r) * B(rho, r).
 
     A band |rho - r| < H_BOUND_EXCLUSION is skipped: both sides vanish to
-    second order there and the ratio is numerically 0/0.  B is taken on
-    blocks of r rows against the whole grid (row_blocks); a power law's
-    increment is |(gamma - 1) B| from the same B.
+    second order there and the ratio is numerically 0/0.  The upper half of
+    certify.
     """
-    rho_grid = _as_array(rho_grid)
-    r_min, r_max = float(r_range[0]), float(r_range[1])
-    _check_grid(rho_grid, r_min, r_max)
-
-    r_values = _r_values(r_min, r_max)
-    C = np.empty(r_values.size)
-    power = isinstance(law.h_part, PowerLawH) and law.gamma != 1.0
-    for rows in row_blocks(r_values.size, rho_grid.size):
-        r = r_values[rows, None]
-        keep = np.abs(rho_grid - r) >= H_BOUND_EXCLUSION
-        empty = ~keep.any(axis=1)
-        if empty.any():
-            raise InsufficientGridError(
-                f"no grid points outside the exclusion band around r = "
-                f"{r[np.argmax(empty), 0]}; refine the grid")
-        breg = bregman_H(law, rho_grid, r)
-        if power:
-            hinc = np.abs((law.gamma - 1.0) * breg)
-        else:
-            hinc = np.abs(h_increment(law, rho_grid, r))
-        pos = breg > 0.0
-        ratios = np.where(pos, hinc / np.where(pos, breg, 1.0), np.inf)
-        C[rows] = np.max(np.where(keep, ratios, -np.inf), axis=1)
-    valid = bool(np.all(np.isfinite(C)))
-
-    return HBoundCertificate(r_values=r_values, C_of_r=C, grid_max=float(rho_grid[-1]),
-                             valid=valid)
+    return _certify(law, r_range, rho_grid, lower=False, upper=True)[1]
 
 
 def certificate_rows(lower: LowerBoundCertificate, hbound: HBoundCertificate):

@@ -269,9 +269,7 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     alpha_psi = GUARD * _scan_max(
         law, s_psi, r_grid,
         lambda s, r: cutoff.psi(s) * (s - r) ** 2 / np.sqrt(s),
-        extra_candidates=[
-            cutoff.psi(r) * 2.0 / (math.sqrt(r) * float(law.d2H(np.asarray(r))))
-            for r in r_grid])
+        extra_candidates=cutoff.psi(r_grid) * 2.0 / (np.sqrt(r_grid) * law.d2H(r_grid)))
 
     s_low = np.linspace(0.0, cutoff.r1, SCAN_POINTS)
     A_w1 = GUARD * _scan_max(
@@ -288,9 +286,7 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
         Cq = GUARD * _scan_max(
             law, s_all, r_grid,
             lambda s, r: (law.q(s) - law.q(r)) ** 2,
-            extra_candidates=[
-                2.0 * float(law.dq(np.asarray(r))) ** 2
-                / float(law.d2H(np.asarray(r))) for r in r_grid])
+            extra_candidates=2.0 * law.dq(r_grid) ** 2 / law.d2H(r_grid))
 
     w3 = (lam * ref.d2U_dx2 - law.dq(ref.r) * ref.dr_dx) / ref.r
     w3_sup = float(np.max(np.abs(w3)))

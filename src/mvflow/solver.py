@@ -228,16 +228,12 @@ def _plus_delta(x: np.ndarray, delta, term) -> np.ndarray:
     return x
 
 
-def total_pressure(cfg: SolverConfig, rho: np.ndarray) -> np.ndarray:
-    return _plus_delta(cfg.law.p(rho), cfg.delta,
-                       lambda d: d * np.power(rho, cfg.Gamma))
-
-
-def sound_speed(cfg: SolverConfig, grid: Grid1D, rho: np.ndarray) -> np.ndarray:
-    """sqrt of the total-pressure slope, floored by dx where the law dips."""
-    slope = _plus_delta(cfg.law.dp(rho), cfg.delta,
-                        lambda d: d * cfg.Gamma * np.power(rho, cfg.Gamma - 1.0))
-    return np.sqrt(np.maximum(slope, _cells(grid).cell_dx))
+def total_pressure(cfg: SolverConfig, rho: np.ndarray, p=None) -> np.ndarray:
+    """p + delta rho^Gamma; p is cfg.law.p(rho), a fresh array the delta term
+    is added to, when the caller already holds it."""
+    if p is None:
+        p = cfg.law.p(rho)
+    return _plus_delta(p, cfg.delta, lambda d: d * np.power(rho, cfg.Gamma))
 
 
 def _per_row(x: np.ndarray):
@@ -260,15 +256,24 @@ def _require_finite(what: str, arr: np.ndarray, cells: Rows, rows=None) -> None:
         raise SolverFailure(f"non-finite {what} at {_first_cell(~np.isfinite(arr), cells, rows)}")
 
 
-def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D, u=None):
+def admissible_dt(state: FluidState, cfg: SolverConfig, grid: Grid1D, u=None,
+                  dp=None):
     """The CFL bound: a float, or a (K,) array for a stacked state.
 
-    u is velocity(state, cfg.rho_floor) when the caller already holds it.
+    The sound speed is the sqrt of the total-pressure slope, floored by dx
+    where the law dips.  u is velocity(state, cfg.rho_floor), and dp is
+    cfg.law.dp(state.rho), a fresh array the delta term is added to, when
+    the caller already holds them.
     """
+    rho = state.rho
     if u is None:
         u = velocity(state, cfg.rho_floor)
+    if dp is None:
+        dp = cfg.law.dp(rho)
     cells = _cells(grid)
-    c = sound_speed(cfg, cells, state.rho)
+    slope = _plus_delta(dp, cfg.delta,
+                        lambda d: d * cfg.Gamma * np.power(rho, cfg.Gamma - 1.0))
+    c = np.sqrt(np.maximum(slope, cells.cell_dx))
     dt_max = cfg.cfl * cells.dx / cells.row_max(np.abs(u) + c)
     return float(dt_max) if dt_max.ndim == 0 else dt_max
 
@@ -308,7 +313,8 @@ def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D | Rows,
     donor_hi = u_face > 0.0
     F = np.multiply(np.where(donor_hi, rho[..., :-1], rho[..., 1:]), u_face, out=inner[0])
     np.multiply(F, np.where(donor_hi, u[..., :-1], u[..., 1:]), out=inner[1])
-    pi = total_pressure(cfg, rho)
+    p, dp = cfg.law.p_and_dp(rho)  # one law pass for the pressure and the CFL bound
+    pi = total_pressure(cfg, rho, p)
     np.multiply(pi[..., :-1] + pi[..., 1:], 0.5, out=inner[2])
     faces[2, ..., ::C] = pi[..., ::C - 1]
     joints = cells.joints
@@ -322,7 +328,7 @@ def step_start(state: FluidState, cfg: SolverConfig, grid: Grid1D | Rows,
     d = d.reshape(faces.shape)[..., :C]
     if joints is not None:
         d[2][..., joints - 1] = pi[..., joints - 1] - faces[2][..., joints - 1]
-    return StepStart(admissible_dt(state, cfg, cells, u=u), d)
+    return StepStart(admissible_dt(state, cfg, cells, u=u, dp=dp), d)
 
 
 def step(state: FluidState, cfg: SolverConfig, grid: Grid1D | Rows, dt,

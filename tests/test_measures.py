@@ -644,6 +644,15 @@ def test_energy_slack_delta_run_with_defect():
                                         cum_dissipation=traj.cum_dissipation)
         assert slack >= -1e-8 * e0
         assert rep.zeta[k] > 1e-3
+    # every sample time in one call: each slack the bytes of its own call
+    for dis in (traj.cum_dissipation, None):
+        every = energy_inequality_slack(V, LAW, LAM, rep, e0, V.times,
+                                        cum_dissipation=dis)
+        alone = [energy_inequality_slack(V, LAW, LAM, rep, e0, float(tau),
+                                         cum_dissipation=dis) for tau in V.times]
+        assert every.shape == V.times.shape
+        assert all(type(x) is float for x in alone)
+        assert every.tobytes() == np.array(alone).tobytes()
 
 
 def test_energy_slack_defect_inflation_linearity():

@@ -239,6 +239,26 @@ def test_tabulated_law_increasing_with_exact_potential(table):
     assert np.max(np.abs(xp * dP - law.P(xp) - law.h(xp))) < 1e-8
 
 
+@given(table=increasing_tables(), gamma=st.floats(1.0, 3.5),
+       q1=st.floats(0.05, 3.0), width=st.floats(0.05, 3.0), amp=st.floats(-0.2, 0.2))
+@settings(max_examples=60, deadline=None)
+def test_p_and_dp_is_p_and_dp_bit_for_bit(table, gamma, q1, width, amp):
+    bump = CompactBump(q1=q1, q2=q1 + width, amp=amp)
+    knots = np.asarray(table.rho_samples)
+    edges = np.array([bump.q1, bump.q2])
+    rho = np.concatenate([
+        [0.0], knots, np.nextafter(knots, np.inf), knots[-1] * np.array([1.5, 4.0]),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        np.linspace(0.0, 2.0 * max(knots[-1], bump.q2), 37)])
+    for h_part in (table, PowerLawH(a=1.3, gamma=gamma)):
+        for law in (PressureLaw(h_part=h_part), PressureLaw(h_part=h_part, bump=bump)):
+            # one cell, a row and a stack of rows, as the solver passes them
+            for x in (np.asarray(0.0), rho, rho.reshape(2, -1)):
+                p, dp = law.p_and_dp(x)
+                assert np.asarray(p).tobytes() == np.asarray(law.p(x)).tobytes()
+                assert np.asarray(dp).tobytes() == np.asarray(law.dp(x)).tobytes()
+
+
 @pytest.mark.parametrize("law", [bench_table(), PowerLawH(a=1.0, gamma=1.4)],
                          ids=["tabulated", "power"])
 def test_potential_on_2d_arrays_equals_row_wise(law):

@@ -312,11 +312,14 @@ def test_step_start_rows_equal_their_own_starts():
     rho, m = _kernel_stack(K=4)
     rho[2, 7] = 0.5 * cfg.rho_floor
     whole = step_start(FluidState(rho=rho, m=m, t=np.zeros(4)), cfg, grid)
+    # the start's CFL bound, from its one law pass, is admissible_dt's
+    assert _same_bits(whole.dt_max, admissible_dt(FluidState(rho=rho, m=m), cfg, grid))
     for k in range(4):
         alone = step_start(FluidState(rho=rho[k], m=m[k]), cfg, grid)
         assert _same_bits(whole.dt_max[k], alone.dt_max) and _same_bits(whole.d[:, k], alone.d)
     grids, cells, states, stack = _ragged_stack((12, 40, 5, 40))
     ragged = step_start(stack, cfg, cells)
+    assert _same_bits(ragged.dt_max, admissible_dt(stack, cfg, cells))
     for k, (g, state) in enumerate(zip(grids, states)):
         alone = step_start(state, cfg, g)
         assert _same_bits(ragged.dt_max[k], alone.dt_max)
@@ -330,12 +333,13 @@ def test_ragged_kernels_equal_each_row_alone():
     stack.rho[0, cells.at(1)[1]][6] = 0.5e-10
     cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0, Gamma=3.0)
     deltas = np.array([0.0, 0.2, 0.05, 0.0])
-    start = step_start(stack, mvflow.solver._with_delta(cfg, cells.spread(deltas)), cells)
+    stack_cfg = mvflow.solver._with_delta(cfg, cells.spread(deltas))
+    start = step_start(stack, stack_cfg, cells)
+    assert _same_bits(start.dt_max, admissible_dt(stack, stack_cfg, cells))
     for rungs in (1, 2):
         dt = np.array([0.9 * start.dt_max, 0.45 * start.dt_max])[:rungs]
         col = cells.spread(np.tile(deltas, (rungs, 1)))
         trial_cfg = mvflow.solver._with_delta(cfg, col.reshape(-1, col.shape[-1]))
-        stack_cfg = mvflow.solver._with_delta(cfg, cells.spread(deltas))
         trial = step(stack, stack_cfg, cells, dt if rungs == 2 else dt[0], start=start)
         u, energy, dis = mvflow.solver._budget_terms(trial, trial_cfg, cells, dt.reshape(-1).tolist())
         for r in range(rungs):

@@ -1,10 +1,12 @@
 """Wide tables in blocks of TABLE_BLOCK cells: same bytes, bounded memory.
 
-The ratio scans and both certificates take B over blocks of r rows, and the
+The ratio scans and the certificates take B over blocks of r rows, and the
 residual families take their tables over blocks of test functions.  Every
 result must be the bytes of the one-block (whole table) evaluation, whatever
 the block size, and a table's traced peak must not grow with its length.
+certify's shared pass must give the bytes, and the errors, of its halves.
 """
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,14 +19,16 @@ from mvflow.measures import (DefectReport, DiscreteYoungMeasure,
                              momentum_residual, renorm_continuity_residual,
                              renorm_identity_truncated)
 from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw, TabulatedH,
-                             certify_h_bound, certify_lower_bound)
+                             certify, certify_h_bound, certify_lower_bound)
 from mvflow.relative_energy import CutoffBand, _scan_max
 from mvflow.testfuncs import (compatibility_family, density_family,
                               momentum_family)
 
 BUMP = CompactBump(q1=1.0, q2=2.0, amp=0.05)
 LAWS = {
+    "power-1": PressureLaw(h_part=PowerLawH(a=1.0, gamma=1.0)),
     "power-1.4": PressureLaw(h_part=PowerLawH(a=1.0, gamma=1.4)),
+    "power-2": PressureLaw(h_part=PowerLawH(a=1.0, gamma=2.0)),
     "bump-2": PressureLaw(h_part=PowerLawH(a=1.0, gamma=2.0), bump=BUMP),
     "bump-3.5": PressureLaw(h_part=PowerLawH(a=0.7, gamma=3.5), bump=BUMP),
     "tabulated": PressureLaw(
@@ -84,32 +88,49 @@ def test_certificates_are_the_same_in_every_block_size(monkeypatch, law, r_range
     lower = _under_each_block(monkeypatch,
                               lambda: certify_lower_bound(law, r_range, grid))
     hbound = _under_each_block(monkeypatch, lambda: certify_h_bound(law, r_range, grid))
+    pair = _under_each_block(monkeypatch, lambda: certify(law, r_range, grid))
     assert _same_bytes({k: c.c_middle for k, c in lower.items()})
     assert _same_bytes({k: c.c_outer for k, c in lower.items()})
     assert _same_bytes({k: c.C_of_r for k, c in hbound.items()})
     assert {c.valid for c in lower.values()} == {True}
     assert {c.valid for c in hbound.values()} == {True}
+    # the shared pass gives its halves' certificates, field for field
+    for name, (low, hb) in pair.items():
+        for got, want in ((low, lower[name]), (hb, hbound[name])):
+            for f in dataclasses.fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, f.name)
 
 
 def test_lower_bound_names_the_r_without_middle_points(monkeypatch):
-    # the middle band [0.5, 2.4] holds one grid point, which is r_values[16];
-    # every other r sees it as distinct
+    # the middle band [r_min/2, 2 r_max] holds one grid point, which is
+    # r_values[16]; every other r sees it as distinct.  On the second, tiny
+    # range every grid point also lies within H_BOUND_EXCLUSION of every r,
+    # so the h bound fails from the first block on, and certify still raises
+    # the lower bound's error, as the two halves called in turn do
     law = LAWS["bump-2"]
-    r_bad = np.linspace(1.0, 1.2, 33)[16]
-    grid = np.array([0.0, 0.1, 0.2, 0.3, 0.4, r_bad, 2.5, 3.0, 4.0, 5.0])
-    messages = set()
+    for r_range, below, above in (((1.0, 1.2), [0.1, 0.2, 0.3, 0.4], [2.5, 3.0, 4.0, 5.0]),
+                                  ((2e-8, 1.2e-7), [2e-9, 4e-9, 6e-9, 8e-9],
+                                   [2.5e-7, 3e-7, 5e-7, 1e-6])):
+        r_bad = np.linspace(*r_range, 33)[16]
+        grid = np.array([0.0, *below, r_bad, *above])
+        messages = set()
+        for cells in BLOCKS.values():
+            monkeypatch.setattr(mvflow.pressure, "TABLE_BLOCK", cells)
+            for call in (certify_lower_bound, certify):
+                with pytest.raises(InsufficientGridError, match=f"r = {r_bad}") as err:
+                    call(law, r_range, grid)
+                messages.add(str(err.value))
+        assert len(messages) == 1
+
+
+def test_h_bound_names_the_r_with_every_point_excluded(monkeypatch):
+    # every grid point lies within H_BOUND_EXCLUSION of r
     for cells in BLOCKS.values():
         monkeypatch.setattr(mvflow.pressure, "TABLE_BLOCK", cells)
-        with pytest.raises(InsufficientGridError, match=f"r = {r_bad}") as err:
-            certify_lower_bound(law, (1.0, 1.2), grid)
-        messages.add(str(err.value))
-    assert len(messages) == 1
-
-
-def test_h_bound_names_the_r_with_every_point_excluded():
-    # every grid point lies within H_BOUND_EXCLUSION of r
-    with pytest.raises(InsufficientGridError, match="r = 1e-08"):
-        certify_h_bound(LAWS["power-1.4"], (1e-8, 1e-8), np.linspace(0.0, 4e-8, 8))
+        for call in (certify_h_bound, certify):
+            with pytest.raises(InsufficientGridError, match="r = 1e-08"):
+                call(LAWS["power-1.4"], (1e-8, 1e-8), np.linspace(0.0, 4e-8, 8))
 
 
 def _measure(rng, K, n, nt):
@@ -180,3 +201,21 @@ def test_scan_max_peak_does_not_grow_with_the_r_grid():
     assert long <= 1.05 * short
     # a few blocks' temporaries, not the (512, 2001) table
     assert long < 512 * s.size * 8 / 4
+
+
+def test_certify_peak_does_not_grow_with_the_r_grid(monkeypatch):
+    law = LAWS["bump-2"]
+    grid = np.linspace(0.0, 10.0, 4001)
+
+    def pair(n_r):
+        monkeypatch.setattr(mvflow.pressure, "CERTIFICATE_R_POINTS", n_r)
+        return _peak_bytes(lambda: certify(law, (0.9, 1.15), grid))
+
+    short, long = pair(16), pair(512)
+    assert long <= 1.05 * short
+    # a few blocks' temporaries, not the (512, 4001) table
+    assert long < 512 * grid.size * 8 / 4
+    # the lower bound's temporaries are gone before the h bound's exist
+    lower = _peak_bytes(lambda: certify_lower_bound(law, (0.9, 1.15), grid))
+    upper = _peak_bytes(lambda: certify_h_bound(law, (0.9, 1.15), grid))
+    assert long <= 1.05 * max(lower, upper)
