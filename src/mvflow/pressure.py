@@ -217,6 +217,15 @@ class PowerLawH:
         return self.a * self.gamma * np.power(rho, self.gamma - 2.0)
 
 
+def _local_cubic(c, s, s2) -> np.ndarray:
+    """c[0] + c[1] s + c[2] s^2 (+ c[3] s^3) summed from the lowest power up,
+    as scipy's PPoly sums it; s2 = s * s."""
+    out = 0.0 + c[0] + c[1] * s + c[2] * s2
+    if len(c) > 3:
+        out = out + c[3] * (s2 * s)
+    return out
+
+
 @dataclass(frozen=True)
 class TabulatedH:
     """Monotone part from strictly increasing samples, with a power-law tail.
@@ -245,13 +254,14 @@ class TabulatedH:
     h_samples: tuple
     gamma_tail: float = 2.0
     # the interior knots (to find a point's piece), and one (8, pieces)
-    # table, gathered in one step: each piece's left knot, then the local
-    # coefficients of h and of h' in s = rho - left knot, lowest power first,
-    # whose rows _h_rows and _dh_rows view
+    # table: the local coefficients of h in s = rho - left knot, lowest power
+    # first, each piece's left knot, then those of h'; _rows views its rows.
+    # value gathers rows 0-4 and slope rows 4-7 row by row (one gather per
+    # row is the fastest on wide tables), value_and_slope all eight in one
+    # take (the fastest on a solver's rows)
     _inner: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _local: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _h_rows: tuple = field(init=False, repr=False, compare=False, default=None)
-    _dh_rows: tuple = field(init=False, repr=False, compare=False, default=None)
+    _rows: tuple = field(init=False, repr=False, compare=False, default=None)
     # tail h = _tail_a * rho^gamma_tail + _tail_b beyond rho_max
     _tail_a: float = field(init=False, repr=False, compare=False, default=0.0)
     _tail_b: float = field(init=False, repr=False, compare=False, default=0.0)
@@ -278,13 +288,12 @@ class TabulatedH:
         c = _pchip_coefficients(r, h)
         # the derivative's coefficients, as PPoly.derivative scales them
         dc = c[:-1] * np.array([[3.0], [2.0], [1.0]])
-        local = np.vstack([r[:-1], c[::-1], dc[::-1]])
-        for name, val in (("_inner", r[1:-1]), ("_local", local),
-                          ("_h_rows", tuple(local[1:5])), ("_dh_rows", tuple(local[5:]))):
+        local = np.vstack([c[::-1], r[:-1], dc[::-1]])
+        for name, val in (("_inner", r[1:-1]), ("_local", local), ("_rows", tuple(local))):
             object.__setattr__(self, name, val)
         g = float(self.gamma_tail)
         r_max, h_max = float(r[-1]), float(h[-1])
-        s_max = float(self._cubic(self._dh_rows, np.asarray(r_max)))
+        s_max = float(self.slope(r_max))  # r_max lies on the last piece
         if s_max > TAIL_SLOPE_RTOL * h_max / r_max:
             a = s_max / (g * r_max ** (g - 1.0))
             b = h_max - a * r_max**g
@@ -333,43 +342,50 @@ class TabulatedH:
     def rho_max(self) -> float:
         return float(self.rho_samples[-1])
 
-    def _cubic(self, rows: tuple, rho: np.ndarray) -> np.ndarray:
-        """The piecewise polynomial with local coefficient rows at rho.
+    # Piece k covers [knot k, knot k+1); the first and last pieces extend
+    # beyond the table, and the last knot belongs to the last piece.
+    def _piece(self, rho: np.ndarray) -> np.ndarray:
+        return self._inner.searchsorted(rho, "right")
 
-        Piece k covers [knot k, knot k+1); the first and last pieces extend
-        beyond the table, and the last knot belongs to the last piece.
-        """
-        k = self._inner.searchsorted(rho, "right")
-        s = rho - self._local[0, k]
-        out = 0.0 + rows[0][k] + rows[1][k] * s
-        z = s
-        for row in rows[2:]:
-            z = z * s
-            out = out + row[k] * z
-        return out
+    def _h_tail(self, z: np.ndarray) -> np.ndarray:
+        return self._tail_a * np.power(z, self.gamma_tail) + self._tail_b
 
-    def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
-        """h(rho) and h'(rho): the cubics of _h_rows and _dh_rows as _cubic
-        takes them, from one piece search and one gather, and the tails."""
-        rho = _as_array(rho)
-        k = self._inner.searchsorted(rho, "right")
-        left, h0, h1, h2, h3, d0, d1, d2 = self._local[:, k]
-        s = rho - left
-        s2 = s * s
-        h = 0.0 + h0 + h1 * s + h2 * s2 + h3 * (s2 * s)
-        dh = 0.0 + d0 + d1 * s + d2 * s2
+    def _dh_tail(self, z: np.ndarray) -> np.ndarray:
+        g = self.gamma_tail
+        return self._tail_a * g * np.power(z, g - 1.0)
+
+    def _with_tails(self, rho: np.ndarray, *parts) -> list:
+        """Each (inside, tail) pair's inside values, tail(rho) past rho_max."""
         far = rho > self.rho_max
-        if np.any(far):
-            z, g = np.maximum(rho, self.rho_max), self.gamma_tail
-            h = np.where(far, self._tail_a * np.power(z, g) + self._tail_b, h)
-            dh = np.where(far, self._tail_a * g * np.power(z, g - 1.0), dh)
-        return h, dh
+        if not np.any(far):
+            return [inside for inside, _ in parts]
+        z = np.maximum(rho, self.rho_max)
+        return [np.where(far, tail(z), inside) for inside, tail in parts]
 
     def value(self, rho) -> np.ndarray:
-        return self.value_and_slope(rho)[0]
+        rho = _as_array(rho)
+        k = self._piece(rho)
+        *c, left = (row[k] for row in self._rows[:5])
+        s = rho - left
+        return self._with_tails(rho, (_local_cubic(c, s, s * s), self._h_tail))[0]
 
     def slope(self, rho) -> np.ndarray:
-        return self.value_and_slope(rho)[1]
+        rho = _as_array(rho)
+        k = self._piece(rho)
+        left, *c = (row[k] for row in self._rows[4:])
+        s = rho - left
+        return self._with_tails(rho, (_local_cubic(c, s, s * s), self._dh_tail))[0]
+
+    def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
+        """value(rho) and slope(rho) from one piece search, one gather, one
+        s^2 and one tail mask."""
+        rho = _as_array(rho)
+        c = self._local.take(self._piece(rho), axis=1)
+        s = rho - c[4]
+        s2 = s * s
+        h, dh = self._with_tails(rho, (_local_cubic(c[:4], s, s2), self._h_tail),
+                                 (_local_cubic(c[5:], s, s2), self._dh_tail))
+        return h, dh
 
     def _piece_integral(self, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """int_c^rho h(z)/z^2 dz on piece k from its anchor c, rho > 0.

@@ -1,13 +1,14 @@
 """Helpers only the tests use: reading a written CSV back, a constant
 renormalization function, the Frobenius contraction, the bump potential's
-slope, and the gather/scatter Bregman kernel the production one replaced."""
+slope, the gather/scatter Bregman kernel the production one replaced, and
+a tabulated law's h and h' evaluated row by row."""
 import re
 
 import numpy as np
 
 from mvflow.errors import SpecParseError
 from mvflow.measures import RenormFunction
-from mvflow.pressure import PowerLawH
+from mvflow.pressure import TAIL_SLOPE_RTOL, PowerLawH, _pchip_coefficients
 
 _INT_RE = re.compile(r"^-?\d+$")
 
@@ -130,3 +131,46 @@ def broadcast_h_increment(law, rho, r):
             return np.zeros_like(rho)
         return (law.gamma - 1.0) * gather_power_bregman(law.a, law.gamma, rho, r)
     return law.h(rho) - law.h(r) - law.dh(r) * (rho - r)
+
+
+def _row_cubic(inner, left, rows, rho):
+    """The piecewise polynomial with local coefficient rows at rho, one
+    gather per row, summed from the lowest power up; both end pieces
+    extrapolate."""
+    k = inner.searchsorted(rho, "right")
+    s = rho - left[k]
+    out = 0.0 + rows[0][k] + rows[1][k] * s
+    z = s
+    for row in rows[2:]:
+        z = z * s
+        out = out + row[k] * z
+    return out
+
+
+def table_value_and_slope(table, rho, tail=True):
+    """(h, h') of a TabulatedH rebuilt from its samples and taken in separate
+    passes: each cubic from its own coefficient rows and, with tail=True,
+    each tail past rho_max on its own mask."""
+    r = np.asarray(table.rho_samples, dtype=float)
+    hs = np.asarray(table.h_samples, dtype=float)
+    c = _pchip_coefficients(r, hs)
+    dc = c[:-1] * np.array([[3.0], [2.0], [1.0]])
+    rho = np.asarray(rho, dtype=float)
+    h = _row_cubic(r[1:-1], r[:-1], tuple(c[::-1]), rho)
+    dh = _row_cubic(r[1:-1], r[:-1], tuple(dc[::-1]), rho)
+    if not tail:
+        return h, dh
+    g, r_max, h_max = table.gamma_tail, float(r[-1]), float(hs[-1])
+    s_max = float(_row_cubic(r[1:-1], r[:-1], tuple(dc[::-1]), np.asarray(r_max)))
+    if s_max > TAIL_SLOPE_RTOL * h_max / r_max:
+        a = s_max / (g * r_max ** (g - 1.0))
+        b = h_max - a * r_max**g
+    else:
+        a, b = h_max / r_max**g, 0.0
+    far = rho > r_max
+    if np.any(far):
+        h = np.where(far, a * np.power(np.maximum(rho, r_max), g) + b, h)
+    far = rho > r_max
+    if np.any(far):
+        dh = np.where(far, a * g * np.power(np.maximum(rho, r_max), g - 1.0), dh)
+    return h, dh

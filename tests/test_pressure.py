@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import mvflow.pressure
-from helpers import broadcast_bregman_H, broadcast_h_increment, dQ
+from helpers import broadcast_bregman_H, broadcast_h_increment, dQ, table_value_and_slope
 from mvflow.errors import DomainError, InsufficientGridError, InvalidLawError
 from mvflow.pressure import (
     CompactBump,
@@ -250,6 +250,12 @@ def test_p_and_dp_is_p_and_dp_bit_for_bit(table, gamma, q1, width, amp):
         [0.0], knots, np.nextafter(knots, np.inf), knots[-1] * np.array([1.5, 4.0]),
         edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
         np.linspace(0.0, 2.0 * max(knots[-1], bump.q2), 37)])
+    # the table's one-gather evaluations against the rows taken one by one,
+    # inside the table and past it
+    for x in (np.asarray(0.0), rho, rho.reshape(2, -1)):
+        want = [np.asarray(v).tobytes() for v in table_value_and_slope(table, x)]
+        for got in (table.value_and_slope(x), (table.value(x), table.slope(x))):
+            assert [np.asarray(v).tobytes() for v in got] == want
     for h_part in (table, PowerLawH(a=1.3, gamma=gamma)):
         for law in (PressureLaw(h_part=h_part), PressureLaw(h_part=h_part, bump=bump)):
             # one cell, a row and a stack of rows, as the solver passes them
@@ -339,14 +345,15 @@ def test_numpy_pchip_matches_scipy_bit_for_bit(table, inside):
     dspline = spline.derivative()
     law = TabulatedH(tuple(rho), tuple(h))
     assert np.array_equal(mvflow.pressure._pchip_coefficients(rho, h), spline.c)
-    assert np.array_equal(np.array(law._dh_rows[::-1]), dspline.c)
+    assert np.array_equal(law._local[5:][::-1], dspline.c)
     # 0, the knots (the last one included), points between them, and beyond
     # the table, where the cubic extrapolates as scipy's does
     table_pts = np.concatenate([[0.0], rho, rho[-1] * np.asarray(inside, dtype=float)])
     beyond = rho[-1] * np.array([1.0 + 1e-9, 1.5, 4.0])
     pts = np.concatenate([table_pts, beyond])
-    assert np.array_equal(law._cubic(law._h_rows, pts), spline(pts))
-    assert np.array_equal(law._cubic(law._dh_rows, pts), dspline(pts))
+    cubic, dcubic = table_value_and_slope(law, pts, tail=False)
+    assert np.array_equal(cubic, spline(pts))
+    assert np.array_equal(dcubic, dspline(pts))
     assert np.array_equal(law.value(table_pts), spline(table_pts))
     assert np.array_equal(law.slope(table_pts), dspline(table_pts))
 
