@@ -1,14 +1,18 @@
 """Helpers only the tests use: reading a written CSV back, a constant
 renormalization function, the Frobenius contraction, the bump potential's
-slope, the gather/scatter Bregman kernel the production one replaced, and
-a tabulated law's h and h' evaluated row by row."""
+slope, the gather/scatter Bregman kernel the production one replaced, a
+tabulated law's h and h' evaluated row by row, and the solver's step on a
+FluidState."""
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
+from mvflow import solver
 from mvflow.errors import SpecParseError
 from mvflow.measures import RenormFunction
 from mvflow.pressure import TAIL_SLOPE_RTOL, PowerLawH, _pchip_coefficients
+from mvflow.solver import FluidState
 
 _INT_RE = re.compile(r"^-?\d+$")
 
@@ -174,3 +178,55 @@ def table_value_and_slope(table, rho, tail=True):
     if np.any(far):
         dh = np.where(far, a * g * np.power(np.maximum(rho, r_max), g - 1.0), dh)
     return h, dh
+
+
+@dataclass(frozen=True)
+class StepStart:
+    """solver.step_start of a state: the CFL bound dt_max, a float for one
+    state and a (K,) array for a stack, and the face differences d, (3,) +
+    the state's shape."""
+
+    dt_max: float | np.ndarray
+    d: np.ndarray
+
+
+def step_start(state: FluidState, cfg, grid, u=None) -> StepStart:
+    """solver.step_start on one state or a stack; u is velocity(state,
+    cfg.rho_floor) when the caller already holds it."""
+    if u is None:
+        u = solver.velocity(state, cfg.rho_floor)
+    dt_max, d = solver.step_start(np.atleast_2d(state.rho), np.atleast_2d(u), cfg,
+                                  solver._cells(grid))
+    if state.rho.ndim == 1:
+        return StepStart(dt_max[0], d[:, 0])
+    return StepStart(np.array(dt_max), d)
+
+
+def step_with_terms(state: FluidState, cfg, grid, dt, rows=None, start=None):
+    """solver.step on a FluidState: the trial state of step below, and the
+    kernel's velocity, total energies and dissipation increments of it (a
+    float each for one state and one dt)."""
+    cells = solver._cells(grid)
+    if start is None:
+        start = step_start(state, cfg, cells)
+    elif not isinstance(start, StepStart):
+        raise TypeError(f"start must be None or a StepStart, got {type(start).__name__}")
+    dt = np.asarray(dt, dtype=float)
+    dt_max = np.atleast_1d(start.dt_max).tolist()
+    dts = np.broadcast_to(dt, np.broadcast_shapes(dt.shape, (len(dt_max),))).ravel().tolist()
+    one = state.rho.ndim == 1
+    rho, m, u, energy, dis = solver.step(
+        np.atleast_2d(state.rho), np.atleast_2d(state.m),
+        (dt_max, start.d[:, None] if one else start.d), dts, cfg, cells, rows)
+    t = state.t + dt
+    if one and dt.ndim == 0:
+        return FluidState(rho=rho[0], m=m[0], t=t), u[0], energy[0], dis[0]
+    return FluidState(rho=rho, m=m, t=t.reshape(-1)), u, energy, dis
+
+
+def step(state: FluidState, cfg, grid, dt, rows=None, start=None) -> FluidState:
+    """One step of a state by dt, or of a stack by a (K,) dt or an (R, K)
+    dt of R rungs (row r * K + k of the result is row k advanced by
+    dt[r, k]); start is step_start(state, cfg, grid) when the caller already
+    holds it."""
+    return step_with_terms(state, cfg, grid, dt, rows, start)[0]

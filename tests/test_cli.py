@@ -195,10 +195,10 @@ def test_failing_stacked_convergence_exits_three(tmp_path, monkeypatch, capsys, 
     if case == "solver":
         real_step = mvflow.solver.step
 
-        def failing_step(state, cfg, grid, dt, rows=None, start=None):
+        def failing_step(rho, m, start, dts, cfg, cells, rows=None):
             if len(rows) < 4:  # once the first row is done
                 raise SolverFailure(f"rows {rows} stopped")
-            return real_step(state, cfg, grid, dt, rows=rows, start=start)
+            return real_step(rho, m, start, dts, cfg, cells, rows)
 
         monkeypatch.setattr(mvflow.solver, "step", failing_step)
     else:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dgtsv
 
 import mvflow.solver
+from helpers import StepStart, step, step_start, step_with_terms
 from mvflow.errors import (DomainError, ReferenceInvalidError, SolverFailure,
                            StepRejected)
 from mvflow.pressure import CompactBump, PowerLawH, PressureLaw, TabulatedH
@@ -28,8 +29,6 @@ from mvflow.solver import (
     run,
     run_stack,
     smooth_pulse_init,
-    step,
-    step_start,
     total_energy,
     total_pressure,
     velocity,
@@ -264,29 +263,42 @@ def _kernel_stack(K=3, n=40, seed=11):
     return rho, rho * rng.uniform(-0.5, 0.5, size=(K, n))
 
 
-@pytest.mark.parametrize("case", ["single", "stack", "rungs", "near-vacuum", "mixed-delta"])
+@pytest.mark.parametrize("case", ["single", "stack", "rungs", "near-vacuum", "mixed-delta",
+                                  "min-zero", "min-floor", "min-above-floor"])
 def test_budget_terms_equal_the_public_functions(case):
-    # run_stack reads a trial's velocity, energy and dissipation from one
-    # fused pass; each is what the public function gives, bit for bit
+    # step returns a trial's velocity, energy and dissipation from the arrays
+    # of the step itself; each is what the public function gives of the
+    # trial state, bit for bit.  The vacuum branch is chosen from the step's
+    # own minimum, taken before the clamp to 0: the min- cases put the trial
+    # minimum exactly at 0, exactly at rho_floor and one ulp above it.
     grid = Grid1D(n=40, length=1.0)
     cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
+    floor = cfg.rho_floor
     rho, m = _kernel_stack()
-    dt = np.array([2e-3, 1e-3, 5e-4])
-    if case == "near-vacuum":  # exact vacuum, below and at the floor, with stray momentum
-        rho[1, [0, 6, 39]] = [0.0, 0.5 * cfg.rho_floor, cfg.rho_floor]
+    lowest = {"min-zero": 0.0, "min-floor": floor,
+              "min-above-floor": np.nextafter(floor, 1.0)}.get(case)
+    if case == "near-vacuum":  # stepped from vacuum, below and at the floor, stray momentum
+        rho[1, [0, 6, 39]] = [0.0, 0.5 * floor, floor]
+    elif lowest is not None:  # a cell at rest between cells at rest keeps its density
+        rho[1, 6] = lowest
+        m[1, 5:8] = 0.0
     elif case == "mixed-delta":
         cfg = mvflow.solver._with_delta(replace(cfg, Gamma=3.0),
                                         np.array([[0.0], [0.2], [0.05]]))
-    trial = FluidState(rho=rho, m=m, t=np.zeros(3))
+    state = FluidState(rho=rho, m=m, t=np.zeros(3))
     if case == "single":
-        trial, dt = FluidState(rho=rho[0], m=m[0]), 2e-3
-    elif case == "rungs":  # a two-rung step's (2K, n) trial
-        state = FluidState(rho=rho, m=m, t=np.zeros(3))
-        start = step_start(state, cfg, grid)
+        state = FluidState(rho=rho[0], m=m[0])
+    start = step_start(state, cfg, grid)
+    dt = 0.5 * start.dt_max
+    if case == "rungs":  # a two-rung step's (2K, n) trial
         dt = np.array([0.9 * start.dt_max, 0.45 * start.dt_max])
-        trial = step(state, cfg, grid, dt, start=start)
+    trial, u, energy, dis = step_with_terms(state, cfg, grid, dt, start=start)
+    if case == "rungs":
         dt = dt.reshape(-1)
-    u, energy, dis = mvflow.solver._budget_terms(trial, cfg, grid, dt)
+    if case == "near-vacuum":
+        assert trial.rho.min() <= floor
+    elif lowest is not None:
+        assert trial.rho.min() == lowest
     assert _same_bits(u, velocity(trial, cfg.rho_floor))
     assert _same_bits(energy, total_energy(trial, cfg, grid))
     assert _same_bits(dis, dissipation_increment(trial, cfg, grid, dt))
@@ -340,8 +352,8 @@ def test_ragged_kernels_equal_each_row_alone():
         dt = np.array([0.9 * start.dt_max, 0.45 * start.dt_max])[:rungs]
         col = cells.spread(np.tile(deltas, (rungs, 1)))
         trial_cfg = mvflow.solver._with_delta(cfg, col.reshape(-1, col.shape[-1]))
-        trial = step(stack, stack_cfg, cells, dt if rungs == 2 else dt[0], start=start)
-        u, energy, dis = mvflow.solver._budget_terms(trial, trial_cfg, cells, dt.reshape(-1).tolist())
+        trial, u, energy, dis = step_with_terms(stack, trial_cfg, cells,
+                                                dt if rungs == 2 else dt[0], start=start)
         for r in range(rungs):
             for k, (g, state) in enumerate(zip(grids, states)):
                 row_cfg = replace(cfg, delta=float(deltas[k]))
@@ -412,15 +424,6 @@ def test_run_is_deterministic():
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.energy, b.energy)
     assert a.n_steps == b.n_steps
-
-
-def test_run_wall_clock_budget_truncates():
-    grid = Grid1D(n=32, length=1.0)
-    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.05, n_samples=6,
-                       max_wall_s=0.0)
-    traj = run(cfg, smooth_pulse_init(1.0).sample(grid), grid)
-    assert not traj.complete
-    assert traj.times.size < 6
 
 
 def test_state_at_round_trip():
@@ -639,10 +642,10 @@ def _record_step_calls(monkeypatch) -> list:
     calls = []
     real_step = mvflow.solver.step
 
-    def recording_step(state, cfg, grid, dt, rows=None, start=None):
-        out = real_step(state, cfg, grid, dt, rows=rows, start=start)
-        calls.append({"rows": list(rows), "dt": np.atleast_2d(dt).copy(),
-                      "lowest": float(out.rho.min())})
+    def recording_step(rho, m, start, dts, cfg, cells, rows=None):
+        out = real_step(rho, m, start, dts, cfg, cells, rows)
+        calls.append({"rows": list(rows), "dt": np.reshape(dts, (-1, len(rows))),
+                      "lowest": float(out[0].min())})
         return out
 
     monkeypatch.setattr(mvflow.solver, "step", recording_step)
@@ -948,9 +951,9 @@ def test_ragged_stack_rows_equal_single_runs(law, ns, deltas, vacuum, seed):
     live = []
     real_step = mvflow.solver.step
 
-    def recording_step(state, cfg, grid, dt, rows=None, start=None):
+    def recording_step(rho, m, start, dts, cfg, cells, rows=None):
         live.append(len(rows))
-        return real_step(state, cfg, grid, dt, rows=rows, start=start)
+        return real_step(rho, m, start, dts, cfg, cells, rows)
 
     mvflow.solver.step = recording_step
     try:
@@ -1006,13 +1009,13 @@ def test_ragged_stack_failures_name_the_row_and_its_own_cell():
     # a dt far above row 1's CFL bound (the start is told otherwise) drains a
     # cell of row 1 below zero: the message is that of row 1 stepped alone
     start = step_start(stack, cfg, cells)
-    lax = mvflow.solver.StepStart(dt_max=np.full(3, np.inf), d=start.d)
+    lax = StepStart(dt_max=np.full(3, np.inf), d=start.d)
     dt = 0.5 * start.dt_max
     dt[1] *= 40.0
     with pytest.raises(SolverFailure, match="negative density") as alone:
         one = step_start(states[1], cfg, grids[1])
         step(states[1], cfg, grids[1], float(dt[1]),
-             start=mvflow.solver.StepStart(dt_max=np.inf, d=one.d))
+             start=StepStart(dt_max=np.inf, d=one.d))
     with pytest.raises(SolverFailure) as stacked:
         step(stack, cfg, cells, dt, rows=[5, 7, 9], start=lax)
     assert str(stacked.value) == str(alone.value).replace("row 0,", "row 7,")
@@ -1146,9 +1149,8 @@ def test_reference_from_run_rejects_a_grid_it_does_not_refine():
 
 def test_reference_from_incomplete_run_rejected():
     grid = Grid1D(n=16, length=1.0)
-    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.05, n_samples=4,
-                       max_wall_s=0.0)
-    traj = run(cfg, smooth_pulse_init(1.0).sample(grid), grid)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.05, n_samples=4)
+    traj = replace(run(cfg, smooth_pulse_init(1.0).sample(grid), grid), complete=False)
     with pytest.raises(ReferenceInvalidError):
         reference_from_run(traj, grid)
 
