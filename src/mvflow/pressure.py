@@ -247,7 +247,9 @@ class TabulatedH:
 
     The potential uses closed forms only: each cubic piece
     A0 + A1 z + A2 z^2 + A3 z^3 integrates against 1/z^2 exactly, and so does
-    the tail; the integrals from 1 to every piece's anchor are built once.
+    the tail.  Whatever a piece's integral reads that depends on the piece
+    alone is folded into one table at construction, so a potential takes
+    its pieces' constants in one gather.
     """
 
     rho_samples: tuple
@@ -265,12 +267,10 @@ class TabulatedH:
     # tail h = _tail_a * rho^gamma_tail + _tail_b beyond rho_max
     _tail_a: float = field(init=False, repr=False, compare=False, default=0.0)
     _tail_b: float = field(init=False, repr=False, compare=False, default=0.0)
-    # per piece (the tail is the last): global cubic coefficients A0..A3 as
-    # rows, the anchor point, int_1^anchor h/z^2, and the tail's power term
-    _coef: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _anchor: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _cum: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _pow: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    # one (7, pieces) table, the tail the last piece: the global cubic
+    # coefficients A0, A1, A2 and A3/2, the anchor c, the tail's power term
+    # a * c^(gamma_tail - 1) (0 on the cubics) and int_1^c h(z)/z^2 dz
+    _pieces: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         r = np.asarray(self.rho_samples, dtype=float)
@@ -309,25 +309,24 @@ class TabulatedH:
                           d2 - 3.0 * d3 * x,
                           d3])
         # tail: b enters as A0; a z^gamma_tail as A1 when gamma_tail = 1,
-        # else through the separate power term
-        tail = np.array([b, a if g == 1.0 else 0.0, 0.0, 0.0])
-        coef = np.hstack([coef, tail[:, None]])
-        pow_coef = np.zeros(r.size)
-        if g != 1.0:
-            pow_coef[-1] = a
-        # piece 0 is anchored at its right knot, so no ln 0 arises
+        # else through the power term; piece 0 is anchored at its right knot,
+        # so no ln 0 arises
+        coef = np.hstack([coef, [[b], [a if g == 1.0 else 0.0], [0.0], [0.0]]])
         anchor = np.concatenate([[r[1]], r[1:]])
-
-        for name, val in (("_tail_a", a), ("_tail_b", b), ("_coef", coef),
-                          ("_anchor", anchor), ("_pow", pow_coef)):
+        power = np.zeros(r.size)
+        if g != 1.0:
+            power[-1] = a
+        pieces = np.vstack([coef[:3], 0.5 * coef[3], anchor,
+                            power * np.power(anchor, g - 1.0), np.zeros(r.size)])
+        for name, val in (("_tail_a", a), ("_tail_b", b), ("_pieces", pieces)):
             object.__setattr__(self, name, val)
 
         # integrals from r[1] to each anchor, then from 1 (which lies on piece j)
-        steps = self._piece_integral(np.arange(1, r.size - 1), r[2:])
+        steps = self._piece_integral(pieces[:, 1:-1], r[2:])
         from_r1 = np.concatenate([[0.0, 0.0], np.cumsum(steps)])
         j = int(np.searchsorted(r[1:], 1.0, side="right"))
-        one = from_r1[j] + float(self._piece_integral(j, np.asarray(1.0)))
-        object.__setattr__(self, "_cum", from_r1 - one)
+        one = from_r1[j] + float(self._piece_integral(pieces[:, j], np.asarray(1.0)))
+        pieces[6] = from_r1 - one
 
     @property
     def a(self) -> float:
@@ -357,7 +356,7 @@ class TabulatedH:
     def _with_tails(self, rho: np.ndarray, *parts) -> list:
         """Each (inside, tail) pair's inside values, tail(rho) past rho_max."""
         far = rho > self.rho_max
-        if not np.any(far):
+        if not far.any():
             return [inside for inside, _ in parts]
         z = np.maximum(rho, self.rho_max)
         return [np.where(far, tail(z), inside) for inside, tail in parts]
@@ -387,29 +386,29 @@ class TabulatedH:
                                  (_local_cubic(c[5:], s, s2), self._dh_tail))
         return h, dh
 
-    def _piece_integral(self, k: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """int_c^rho h(z)/z^2 dz on piece k from its anchor c, rho > 0.
+    def _piece_integral(self, cols: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """int_c^rho h(z)/z^2 dz from each piece's anchor c, rho > 0, where
+        cols holds the pieces' columns of the piece table.
 
         The antiderivative -A0/z + A1 ln z + A2 z + A3 z^2/2 (+ a z^g/g with
         g = gamma_tail - 1 on the tail) is differenced in cancellation-free
         form.
         """
-        A0, A1, A2, A3 = self._coef[:, k]
-        c = self._anchor[k]
+        A0, A1, A2, half_A3, c, power, _ = cols
         dz = rho - c
         log_ratio = np.log(rho / c)
-        out = dz * (A0 / (c * rho) + A2 + 0.5 * A3 * (c + rho)) + A1 * log_ratio
+        out = dz * (A0 / (c * rho) + A2 + half_A3 * (c + rho)) + A1 * log_ratio
         if self.gamma_tail != 1.0:
             g = self.gamma_tail - 1.0
-            out = out + self._pow[k] * np.power(c, g) * np.expm1(g * log_ratio) / g
+            out = out + power * np.expm1(g * log_ratio) / g
         return out
 
     def integral_over_z2(self, rho) -> np.ndarray:
         """Exact int_1^rho h(z)/z^2 dz for rho > 0, tail included."""
         rho = _as_array(rho)
         # piece k covers [knot k, knot k+1); the tail is k = len(knots) - 1
-        k = np.searchsorted(self._anchor[1:], rho, side="right")
-        return self._cum[k] + self._piece_integral(k, rho)
+        cols = self._pieces.take(self._pieces[4, 1:].searchsorted(rho, "right"), axis=1)
+        return cols[6] + self._piece_integral(cols, rho)
 
     def potential(self, rho) -> np.ndarray:
         """H(rho) = rho * int_1^rho h(z)/z^2 dz, with H(0) = 0 as the limit."""

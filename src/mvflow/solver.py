@@ -334,7 +334,8 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     rows in error messages (default: their numbers).  Returns the trials'
     density, momentum and velocity, and their total energies and
     dissipation increments as lists of floats: each bit for bit what
-    velocity, total_energy and dissipation_increment give of the trial.
+    velocity, total_energy and tests/helpers.py's dissipation_increment
+    give of the trial.
     """
     dt_max, d = start
     L = len(dt_max)
@@ -455,16 +456,6 @@ def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     kin = _kinetic(state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor))
     e = _energy(cfg, grid, state.rho, kin, np.abs(cfg.law.P(state.rho)))
     return _per_row(np.maximum(e, 1e-15))
-
-
-def dissipation_increment(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt):
-    """dt * sum dx lam (du/dx)^2 with one-sided differences at the walls.
-
-    A stacked state takes a (K,) dt and gets one increment per row.
-    """
-    cells = _cells(grid)
-    g = cells.gradient(velocity(state, cfg.rho_floor))
-    return _per_row(dt * cfg.lam * cells.row_sum(g * g) * cells.dx)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Helpers only the tests use: reading a written CSV back, a constant
 renormalization function, the Frobenius contraction, the bump potential's
 slope, the gather/scatter Bregman kernel the production one replaced, a
-tabulated law's h and h' evaluated row by row, and the solver's step on a
-FluidState."""
+tabulated law's h and h' evaluated row by row and its h/z^2 integral from
+per-cell gathers, the solver's step on a FluidState, and a state's
+dissipation increment."""
 import re
 from dataclasses import dataclass
 
@@ -151,6 +152,20 @@ def _row_cubic(inner, left, rows, rho):
     return out
 
 
+def _table_tail(table):
+    """(a, b) of a TabulatedH's tail a * rho^gamma_tail + b, rebuilt from its
+    samples."""
+    r = np.asarray(table.rho_samples, dtype=float)
+    c = _pchip_coefficients(r, np.asarray(table.h_samples, dtype=float))
+    dc = c[:-1] * np.array([[3.0], [2.0], [1.0]])
+    g, r_max, h_max = table.gamma_tail, float(r[-1]), float(table.h_samples[-1])
+    s_max = float(_row_cubic(r[1:-1], r[:-1], tuple(dc[::-1]), np.asarray(r_max)))
+    if s_max > TAIL_SLOPE_RTOL * h_max / r_max:
+        a = s_max / (g * r_max ** (g - 1.0))
+        return a, h_max - a * r_max**g
+    return h_max / r_max**g, 0.0
+
+
 def table_value_and_slope(table, rho, tail=True):
     """(h, h') of a TabulatedH rebuilt from its samples and taken in separate
     passes: each cubic from its own coefficient rows and, with tail=True,
@@ -164,13 +179,8 @@ def table_value_and_slope(table, rho, tail=True):
     dh = _row_cubic(r[1:-1], r[:-1], tuple(dc[::-1]), rho)
     if not tail:
         return h, dh
-    g, r_max, h_max = table.gamma_tail, float(r[-1]), float(hs[-1])
-    s_max = float(_row_cubic(r[1:-1], r[:-1], tuple(dc[::-1]), np.asarray(r_max)))
-    if s_max > TAIL_SLOPE_RTOL * h_max / r_max:
-        a = s_max / (g * r_max ** (g - 1.0))
-        b = h_max - a * r_max**g
-    else:
-        a, b = h_max / r_max**g, 0.0
+    g, r_max = table.gamma_tail, float(r[-1])
+    a, b = _table_tail(table)
     far = rho > r_max
     if np.any(far):
         h = np.where(far, a * np.power(np.maximum(rho, r_max), g) + b, h)
@@ -178,6 +188,46 @@ def table_value_and_slope(table, rho, tail=True):
     if np.any(far):
         dh = np.where(far, a * g * np.power(np.maximum(rho, r_max), g - 1.0), dh)
     return h, dh
+
+
+def gathered_integral_over_z2(table, rho):
+    """TabulatedH.integral_over_z2 for rho > 0 rebuilt from the table's
+    samples, with separate coefficient, anchor, power and integral arrays
+    gathered one at a time per cell, and 0.5 * A3 and c^(gamma_tail - 1)
+    formed per cell."""
+    r = np.asarray(table.rho_samples, dtype=float)
+    d3, d2, d1, d0 = _pchip_coefficients(r, np.asarray(table.h_samples, dtype=float))
+    g = float(table.gamma_tail)
+    a, b = _table_tail(table)
+    x = r[:-1]
+    coef = np.hstack([np.vstack([d0 - d1 * x + d2 * x * x - d3 * x**3,
+                                 d1 - 2.0 * d2 * x + 3.0 * d3 * x * x,
+                                 d2 - 3.0 * d3 * x,
+                                 d3]),
+                      [[b], [a if g == 1.0 else 0.0], [0.0], [0.0]]])
+    anchor = np.concatenate([[r[1]], r[1:]])
+    pow_coef = np.zeros(r.size)
+    if g != 1.0:
+        pow_coef[-1] = a
+
+    def piece(k, rho):
+        """int_c^rho h(z)/z^2 dz on piece k from its anchor c."""
+        A0, A1, A2, A3 = coef[:, k]
+        c = anchor[k]
+        dz = rho - c
+        log_ratio = np.log(rho / c)
+        out = dz * (A0 / (c * rho) + A2 + 0.5 * A3 * (c + rho)) + A1 * log_ratio
+        if table.gamma_tail != 1.0:
+            g = table.gamma_tail - 1.0
+            out = out + pow_coef[k] * np.power(c, g) * np.expm1(g * log_ratio) / g
+        return out
+
+    from_r1 = np.concatenate([[0.0, 0.0], np.cumsum(piece(np.arange(1, r.size - 1), r[2:]))])
+    j = int(np.searchsorted(r[1:], 1.0, side="right"))
+    cum = from_r1 - (from_r1[j] + float(piece(j, np.asarray(1.0))))
+    rho = np.asarray(rho, dtype=float)
+    k = np.searchsorted(anchor[1:], rho, side="right")
+    return cum[k] + piece(k, rho)
 
 
 @dataclass(frozen=True)
@@ -230,3 +280,13 @@ def step(state: FluidState, cfg, grid, dt, rows=None, start=None) -> FluidState:
     dt[r, k]); start is step_start(state, cfg, grid) when the caller already
     holds it."""
     return step_with_terms(state, cfg, grid, dt, rows, start)[0]
+
+
+def dissipation_increment(state: FluidState, cfg, grid, dt):
+    """dt * sum dx lam (du/dx)^2 with one-sided differences at the walls.
+
+    A stacked state takes a (K,) dt and gets one increment per row.
+    """
+    cells = solver._cells(grid)
+    g = cells.gradient(solver.velocity(state, cfg.rho_floor))
+    return solver._per_row(dt * cfg.lam * cells.row_sum(g * g) * cells.dx)

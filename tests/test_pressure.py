@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import mvflow.pressure
-from helpers import broadcast_bregman_H, broadcast_h_increment, dQ, table_value_and_slope
+from helpers import (broadcast_bregman_H, broadcast_h_increment, dQ,
+                     gathered_integral_over_z2, table_value_and_slope)
 from mvflow.errors import DomainError, InsufficientGridError, InvalidLawError
 from mvflow.pressure import (
     CompactBump,
@@ -263,6 +264,32 @@ def test_p_and_dp_is_p_and_dp_bit_for_bit(table, gamma, q1, width, amp):
                 p, dp = law.p_and_dp(x)
                 assert np.asarray(p).tobytes() == np.asarray(law.p(x)).tobytes()
                 assert np.asarray(dp).tobytes() == np.asarray(law.dp(x)).tobytes()
+
+
+@pytest.mark.parametrize("gamma_tail", [1.0, 1.3, 1.5, 2.0, 2.5, 3.3])
+def test_tabulated_potential_equals_per_cell_gathers_bit_for_bit(gamma_tail):
+    # the piece table's constants, folded at construction (c^(gamma_tail - 1)
+    # over the anchors), against each formed per cell from gathered rows:
+    # numpy picks its float64 power loop by CPU and layout, so compare bytes
+    bump = CompactBump(q1=1.0, q2=2.0, amp=0.05)
+    for base in bench_table(), TabulatedH(*REPRODUCER):
+        table = TabulatedH(base.rho_samples, base.h_samples, gamma_tail=gamma_tail)
+        knots = table.rho_samples[1:]
+        x = np.concatenate([[1e-300], knots, [np.nextafter(knots[-1], np.inf), 100.0]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for rho in (x, np.concatenate([[0.0], x])):
+                shapes = [rho, np.stack([rho, rho[::-1]]), rho[:, None], *rho]
+                for v in map(np.asarray, shapes):
+                    want = gathered_integral_over_z2(table, v)
+                    if rho[0] > 0.0:
+                        assert np.asarray(table.integral_over_z2(v)).tobytes() == want.tobytes()
+                    H = np.where(v > 0.0, v * want, 0.0)
+                    dH = want + table_value_and_slope(table, v)[0] / v
+                    assert np.asarray(table.potential(v)).tobytes() == H.tobytes()
+                    for law in PressureLaw(h_part=table), PressureLaw(h_part=table, bump=bump):
+                        P = H if law.bump is None else H + law.Q(v)
+                        assert np.asarray(law.P(v)).tobytes() == P.tobytes()
+                    assert np.asarray(table.potential_slope(v)).tobytes() == dH.tobytes()
 
 
 @pytest.mark.parametrize("law", [bench_table(), PowerLawH(a=1.0, gamma=1.4)],

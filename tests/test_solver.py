@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dgtsv
 
 import mvflow.solver
-from helpers import StepStart, step, step_start, step_with_terms
+from helpers import (StepStart, dissipation_increment, step, step_start,
+                     step_with_terms)
 from mvflow.errors import (DomainError, ReferenceInvalidError, SolverFailure,
                            StepRejected)
 from mvflow.pressure import CompactBump, PowerLawH, PressureLaw, TabulatedH
@@ -19,7 +20,6 @@ from mvflow.solver import (
     StrongSolutionRef,
     admissible_dt,
     constant_init,
-    dissipation_increment,
     energy_scale,
     gradient_1d,
     make_reference,

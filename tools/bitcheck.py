@@ -15,10 +15,15 @@ Each line is ``<key> <value>``:
 - ``ensemble-bump.gamma1.4.manifest_hash``: the weak-strong-bump preset
   with ``law.gamma = 1.4``, whose certificates and remainder scans sum the
   Bregman series (gamma = 2 stops after its first term);
+- ``weak-strong-tabulated.gamma1.4.manifest_hash``: the weak-strong-tabulated
+  preset with ``law.gamma = 1.4``, a tail exponent whose potential takes the
+  tail's power term c^(gamma - 1) at a power other than 1;
 - ``certify.<case>.csv_sha256``: ``certificates.csv`` written by
   ``cmd_certify`` for the weak-strong-bump law with ``law.gamma = 1.4``, for
-  the weak-strong-monotone power law with ``law.gamma = 1`` (B's x log x
-  branch, and the h bound's general increment path) and for the
+  the weak-strong-tabulated law with ``law.gamma = 1.4`` (its grid reaches
+  rho = 10, past the table's last sample at 4, so through the tail's power
+  term), for the weak-strong-monotone power law with ``law.gamma = 1`` (B's
+  x log x branch, and the h bound's general increment path) and for the
   weak-strong-tabulated law, on r in [0.5, 2];
 - ``convergence.<case>.csv_sha256``: ``convergence.csv`` of the
   convergence-pulse preset at levels 64,128,256, as shipped and with the
@@ -31,7 +36,7 @@ Each line is ``<key> <value>``:
 mvflow is imported from ``--src`` (default: ``src/`` next to this script's
 directory), so running it on two checkouts and diffing the outputs compares
 them; the inputs come from ``perfbench/workloads.py`` next to this script.
-It takes about 5 s on a 2-core x86-64 machine.
+It takes about 4 s on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -112,12 +117,15 @@ def main(argv=None) -> int:
                 print_counters(f"ensemble-bump.seed{seed}", stacked)
 
         bump14 = dict(presets()["weak-strong-bump"], **{"law.gamma": "1.4"})
-        m = run_experiment(spec_from_config(bump14), out_dir=fresh_dir())
-        print(f"ensemble-bump.gamma1.4.manifest_hash {m.manifest_hash}")
+        tab14 = dict(presets()["weak-strong-tabulated"], **{"law.gamma": "1.4"})
+        for name, cfg in (("ensemble-bump", bump14), ("weak-strong-tabulated", tab14)):
+            m = run_experiment(spec_from_config(cfg), out_dir=fresh_dir())
+            print(f"{name}.gamma1.4.manifest_hash {m.manifest_hash}")
 
         certify = {"certify.r_min": "0.5", "certify.r_max": "2.0"}
         power1 = dict(presets()["weak-strong-monotone"], **{"law.gamma": "1.0"})
-        for case, cfg in (("bump-gamma1.4", bump14), ("power-gamma1", power1),
+        for case, cfg in (("bump-gamma1.4", bump14), ("tabulated-gamma1.4", tab14),
+                          ("power-gamma1", power1),
                           ("tabulated", presets()["weak-strong-tabulated"])):
             path = os.path.join(tmp, f"certify-{case}.spec")
             with open(path, "w") as fh:
