@@ -22,16 +22,17 @@ most in delta), with run as its one-row case; each row equals the run of
 that state alone, bit for bit.  Rows on one grid are the rows of (K, n)
 arrays.  Rows of different n lie end to end in flat (1, N) arrays (RaggedRows):
 first- and last-cell index arrays do the wall fix-ups that strides do for
-(K, n) rows, and each row's dt/dx, lam dt/dx^2 and deltas are spread over
-its own cells, so the kernels serve both through the same code.  A row's
-energy and dissipation are np.add.reduce over its own contiguous cells, as
-the row alone is summed (rows of one n together as a (k, n) view; never
-reduceat, which sums sequentially); maxima and minima hold under any
-grouping.  mvflow convergence runs its levels and fine sizes as one such
-stack: on convergence-pulse (seed 501) 975 step calls, where four runs made
-1895.  A non-finite density or momentum, a negative density, or a
-non-positive viscous diagonal, stops a run with a SolverFailure naming the
-row and that row's own cell.
+(K, n) rows, and each row's dt/dx and lam dt/dx^2 are spread over its own
+cells, so the kernels serve both through the same code.  The kernels take
+delta as an argument: cfg.delta when the rows share it, else the rows'
+deltas spread over their cells.  A row's energy and dissipation are
+np.add.reduce over its own contiguous cells, as the row alone is summed
+(rows of one n together as a (k, n) view; never reduceat, which sums
+sequentially); maxima and minima hold under any grouping.  mvflow
+convergence runs its levels and fine sizes as one such stack.  A
+non-finite density or momentum, a negative density, or a non-positive
+viscous diagonal, stops a run with a SolverFailure naming the row and
+that row's own cell.
 
 A step splits in two.  step_start takes what depends on the state alone:
 each row's CFL bound, from admissible_dt, and the face differences of the
@@ -60,11 +61,7 @@ in a trial, step skips the vacuum masks; it reads that from its own minimum
 before the clamp to 0.  step, admissible_dt, total_energy and
 PressureLaw.P are looked up at call time, the seams where perfbench's
 tracer counts and times a run: one solver.step span per stack trial, one
-solver.admissible_dt span per fresh step.  On budget-solve (n = 256, seed
-501) an accepted step went from 182 us (step_start 51, step 67, budget
-terms 43, loop 23) to 152 us (step_start 45, step with its budget terms 93,
-loop 14), timed per call in one process with both versions alternating;
-tools/bitcheck.py prints the same bytes.
+solver.admissible_dt span per fresh step.
 
 The donor-cell update needs no positivity limiter.  A cell's outflow is at
 most rho_i max|u| (each face velocity is the mean of two cell velocities),
@@ -74,7 +71,6 @@ the new density stays nonnegative.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import importlib.machinery
 import importlib.util
@@ -234,12 +230,16 @@ def _plus_delta(x: np.ndarray, delta, term) -> np.ndarray:
     return x
 
 
-def total_pressure(cfg: SolverConfig, rho: np.ndarray, p=None) -> np.ndarray:
+def total_pressure(cfg: SolverConfig, rho: np.ndarray, p: np.ndarray, delta) -> np.ndarray:
     """p + delta rho^Gamma; p is cfg.law.p(rho), a fresh array the delta term
-    is added to, when the caller already holds it."""
-    if p is None:
-        p = cfg.law.p(rho)
-    return _plus_delta(p, cfg.delta, lambda d: d * np.power(rho, cfg.Gamma))
+    is added to."""
+    return _plus_delta(p, delta, lambda d: d * np.power(rho, cfg.Gamma))
+
+
+def _slope(cfg: SolverConfig, rho: np.ndarray, dp: np.ndarray, delta) -> np.ndarray:
+    """The total-pressure slope dp + delta Gamma rho^(Gamma - 1); dp is
+    cfg.law.dp(rho), a fresh array the delta term is added to."""
+    return _plus_delta(dp, delta, lambda d: d * cfg.Gamma * np.power(rho, cfg.Gamma - 1.0))
 
 
 def _per_row(x: np.ndarray):
@@ -263,33 +263,32 @@ def _require_finite(what: str, arr: np.ndarray, cells: Rows, rows=None) -> None:
 
 
 def admissible_dt(state: FluidState | np.ndarray, cfg: SolverConfig, grid: Grid1D,
-                  u=None, dp=None):
+                  u=None, slope=None):
     """The CFL bound: a float, or a (K,) array for a stacked state.
 
     The sound speed is the sqrt of the total-pressure slope, floored by dx
-    where the law dips.  u is velocity(state, cfg.rho_floor), and dp is
-    cfg.law.dp(state.rho), a fresh array the delta term is added to, when
-    the caller already holds them; given u, state may be the density alone.
+    where the law dips.  u is velocity(state, cfg.rho_floor) and slope is
+    _slope(cfg, rho, cfg.law.dp(rho), delta) when the caller holds them
+    (given both, state may be the density alone); else delta is cfg.delta.
     """
     rho = state if isinstance(state, np.ndarray) else state.rho
     if u is None:
         u = velocity(state, cfg.rho_floor)
-    if dp is None:
-        dp = cfg.law.dp(rho)
+    if slope is None:
+        slope = _slope(cfg, rho, cfg.law.dp(rho), cfg.delta)
     cells = _cells(grid)
-    slope = _plus_delta(dp, cfg.delta,
-                        lambda d: d * cfg.Gamma * np.power(rho, cfg.Gamma - 1.0))
     c = np.sqrt(np.maximum(slope, cells.cell_dx))
     dt_max = cfg.cfl * cells.dx / cells.row_max(np.abs(u) + c)
     return float(dt_max) if dt_max.ndim == 0 else dt_max
 
 
-def step_start(rho: np.ndarray, u: np.ndarray, cfg: SolverConfig, cells: Rows):
+def step_start(rho: np.ndarray, u: np.ndarray, cfg: SolverConfig, cells: Rows, delta):
     """The state-only half of step, shared by every trial dt from the rows
-    of density rho and velocity u: the CFL bound admissible_dt of each row,
-    a list of floats, and d, the differences F[i + 1/2] - F[i - 1/2] over
-    the cells of the donor-cell mass flux, the convective momentum flux and
-    the central total pressure, in that order, as (3,) + rho.shape."""
+    of density rho and velocity u under delta (a float, or the rows' deltas
+    spread over their cells): the CFL bound admissible_dt of each row, a
+    list of floats, and d, the differences F[i + 1/2] - F[i - 1/2] over the
+    cells of the donor-cell mass flux, the convective momentum flux and the
+    central total pressure, in that order, as (3,) + rho.shape."""
     C = rho.shape[-1]
     # F, G and the total pressure at the C + 1 faces of each array row in one
     # buffer; a wall face carries F = G = 0 (no-slip) and its cell's pressure
@@ -304,7 +303,7 @@ def step_start(rho: np.ndarray, u: np.ndarray, cfg: SolverConfig, cells: Rows):
     F = np.multiply(np.where(donor_hi, rho[..., :-1], rho[..., 1:]), u_face, out=inner[0])
     np.multiply(F, np.where(donor_hi, u[..., :-1], u[..., 1:]), out=inner[1])
     p, dp = cfg.law.p_and_dp(rho)  # one law pass for the pressure and the CFL bound
-    pi = total_pressure(cfg, rho, p)
+    pi = total_pressure(cfg, rho, p, delta)
     np.multiply(pi[..., :-1] + pi[..., 1:], 0.5, out=inner[2])
     faces[2, ..., ::C] = pi[..., ::C - 1]
     joints = cells.joints
@@ -318,11 +317,11 @@ def step_start(rho: np.ndarray, u: np.ndarray, cfg: SolverConfig, cells: Rows):
     d = d.reshape(faces.shape)[..., :C]
     if joints is not None:
         d[2][..., joints - 1] = pi[..., joints - 1] - faces[2][..., joints - 1]
-    return admissible_dt(rho, cfg, cells, u=u, dp=dp).tolist(), d
+    return admissible_dt(rho, cfg, cells, u=u, slope=_slope(cfg, rho, dp, delta)).tolist(), d
 
 
 def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
-         cells: Rows, rows=None):
+         cells: Rows, delta, rows=None):
     """One explicit-transport / implicit-viscosity trial per dt, with the
     terms of its energy budget.
 
@@ -330,12 +329,12 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     whose CFL bound caps each dt.  dts lists R * L trial dts as Python
     floats, rung by rung: trial i = r * L + j advances row j by dts[i], and
     cells.at(i) finds it in the trials' (R L, n) arrays, or (R, N) ones for
-    a ragged stack.  cfg's delta is over the trials' rows.  rows names the
-    rows in error messages (default: their numbers).  Returns the trials'
-    density, momentum and velocity, and their total energies and
-    dissipation increments as lists of floats: each bit for bit what
-    velocity, total_energy and tests/helpers.py's dissipation_increment
-    give of the trial.
+    a ragged stack.  delta is step_start's; an array delta is repeated
+    over the rungs.  rows names the rows in error messages (default: their
+    numbers).  Returns the trials' density, momentum and velocity, and
+    their total energies and dissipation increments as lists of floats:
+    each bit for bit what velocity, total_energy and tests/helpers.py's
+    dissipation_increment give of the trial.
     """
     dt_max, d = start
     L = len(dt_max)
@@ -408,7 +407,9 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     # the energy density and the squared gradient in one per-row reduction,
     # each row summed as alone
     dens = np.empty((2,) + rho_new.shape)
-    _energy_density(cfg, rho_new, kin, cfg.law.P(rho_new), out=dens[0])
+    if isinstance(delta, np.ndarray):
+        delta = np.tile(delta, (len(dts) // L, 1))
+    _energy_density(cfg, rho_new, kin, cfg.law.P(rho_new), delta, out=dens[0])
     g = cells.gradient(u)
     np.multiply(g, g, out=dens[1])
     e, g2 = cells.row_sum(dens).tolist()
@@ -423,17 +424,17 @@ def _kinetic(rho: np.ndarray, m: np.ndarray, solid: np.ndarray,
 
 
 def _energy_density(cfg: SolverConfig, rho: np.ndarray, kin: np.ndarray,
-                    potential: np.ndarray, out=None) -> np.ndarray:
+                    potential: np.ndarray, delta, out=None) -> np.ndarray:
     """kin + potential + delta rho^Gamma / (Gamma - 1) per cell, into out if given."""
-    return _plus_delta(np.add(kin, potential, out=out), cfg.delta,
+    return _plus_delta(np.add(kin, potential, out=out), delta,
                        lambda d: d * np.power(rho, cfg.Gamma) / (cfg.Gamma - 1.0))
 
 
 def _energy(cfg: SolverConfig, grid, rho: np.ndarray, kin: np.ndarray,
-            potential: np.ndarray):
+            potential: np.ndarray, delta):
     """Per row sum dx (kin + potential + delta rho^Gamma / (Gamma - 1))."""
     cells = _cells(grid)
-    return _per_row(cells.row_sum(_energy_density(cfg, rho, kin, potential)) * cells.dx)
+    return _per_row(cells.row_sum(_energy_density(cfg, rho, kin, potential, delta)) * cells.dx)
 
 
 def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
@@ -443,7 +444,7 @@ def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     gets one energy per row.
     """
     kin = _kinetic(state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor))
-    return _energy(cfg, grid, state.rho, kin, cfg.law.P(state.rho))
+    return _energy(cfg, grid, state.rho, kin, cfg.law.P(state.rho), cfg.delta)
 
 
 def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
@@ -454,7 +455,7 @@ def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     positive scale.
     """
     kin = _kinetic(state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor))
-    e = _energy(cfg, grid, state.rho, kin, np.abs(cfg.law.P(state.rho)))
+    e = _energy(cfg, grid, state.rho, kin, np.abs(cfg.law.P(state.rho)), cfg.delta)
     return _per_row(np.maximum(e, 1e-15))
 
 
@@ -484,22 +485,16 @@ def run(cfg: SolverConfig, init_state: FluidState, grid: Grid1D) -> Trajectory:
     return run_stack([cfg], [init_state], [grid])[0]
 
 
-def _with_delta(cfg: SolverConfig, delta) -> SolverConfig:
-    """cfg holding a stack's per-row deltas spread over its cells (a (K, 1)
-    column, or one value per cell of a ragged stack), unchecked; only
-    run_stack's kernels see such a copy."""
-    out = copy.copy(cfg)
-    object.__setattr__(out, "delta", delta)
-    return out
-
-
 @dataclass(slots=True)
 class _RowControl:
-    """One row's step controller state in run_stack."""
+    """One row's step controller in run_stack, and the samples it keeps, one
+    per sample time reached: plan picks a fresh step's dt, judge accepts a
+    trial or halves dt for a retry, record keeps the samples, and
+    trajectory assembles them.  Each decision is taken on Python floats, as
+    for the row alone."""
 
     e_prev: float                # energy after the last accepted step
     t: float = 0.0
-    k: int = 1                   # index of the next sample time
     dt: float = 0.0              # current trial dt
     dt_prev: float | None = None
     clipped: bool = False        # dt was cut to reach the sample time
@@ -509,6 +504,62 @@ class _RowControl:
     min_slack: float = np.inf
     n_steps: int = 0
     n_trials: int = 0
+    samples: list = field(default_factory=list)  # (rho, u, energy, dissipation)
+
+    def plan(self, dt_cfl: float, t_next: float) -> bool:
+        """Pick a fresh step's dt: the CFL bound dt_cfl, capped at 1.5 dt_prev
+        and cut to reach the next sample time t_next.  Returns whether the
+        growth cap set it."""
+        capped = self.dt_prev is not None and 1.5 * self.dt_prev < dt_cfl
+        cand = 1.5 * self.dt_prev if capped else dt_cfl
+        self.dt = min(cand, t_next - self.t)
+        self.clipped = self.dt < cand
+        self.halved = False
+        return capped and not self.clipped
+
+    def judge(self, e: float, dI: float, budget: float, tol: float, row: int,
+              t_next: float) -> bool:
+        """Count a trial at dt with energy e and dissipation increment dI, and
+        accept it if its slack e_prev - e - dI is at least -budget, snapping t
+        to the sample time t_next within tol; else halve dt for a retry, or
+        raise at the dt floor tol (row names the row).  True if accepted."""
+        self.n_trials += 1
+        slack = self.e_prev - e - dI
+        if not slack >= -budget:
+            if self.dt <= tol:
+                raise SolverFailure(f"energy budget unattainable in row {row}: "
+                                    f"slack {slack:.3e} at dt {self.dt:.3e}")
+            self.dt = max(0.5 * self.dt, tol)
+            self.halved = self.retry = True
+            return False
+        if self.halved or not self.clipped:
+            self.dt_prev = self.dt
+        t = self.t + self.dt
+        self.t = t_next if abs(t - t_next) < tol else t
+        self.min_slack = min(self.min_slack, slack)
+        self.dis_acc += dI
+        self.e_prev = e
+        self.n_steps += 1
+        self.retry = False
+        return True
+
+    def record(self, rho: np.ndarray, u: np.ndarray, at, t_sample: list, tol: float) -> bool:
+        """Keep copies of the row's density and velocity, rho[at] and u[at],
+        with its energy and dissipation, for each sample time t_sample[k]
+        reached within tol, k the samples kept so far.  True once the row
+        has its last sample."""
+        k, nt = len(self.samples), len(t_sample)
+        while k < nt and not self.t < t_sample[k] - tol:
+            self.samples.append((rho[at].copy(), u[at].copy(), self.e_prev, self.dis_acc))
+            k += 1
+        return k == nt
+
+    def trajectory(self, grid: Grid1D, cfg: SolverConfig, times: np.ndarray) -> Trajectory:
+        rho, u, energy, dis = (np.array(x) for x in zip(*self.samples))
+        return Trajectory(grid=grid, cfg=cfg, times=times.copy(), rho=rho, u=u,
+                          energy=energy, cum_dissipation=dis,
+                          min_step_slack=float(self.min_slack) if self.n_steps else 0.0,
+                          n_steps=self.n_steps, n_trials=self.n_trials)
 
 
 def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
@@ -516,24 +567,25 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     """Advance K initial states to T as one stack, sampling uniformly.
 
     Row k runs on grids[k] (one Grid1D serves every row) under cfgs[k]; the
-    configs may differ only in delta, which the kernels take as a float if
-    all rows share it, else spread over the rows' cells.  Rows on one grid
-    are the rows of (K, n) arrays; rows of different n lie end to end in
-    (1, N) arrays (see RaggedRows), and when the rows still running come to
-    share one grid, they are (K, n) rows again.  Each row keeps its own t
-    and dt.  dt is capped by the CFL bound and additionally controlled so
-    that every accepted step satisfies the energy budget
+    configs may differ only in delta, which the kernels take as cfg.delta if
+    all rows share it, else spread over the live rows' cells.  Rows on one
+    grid are the rows of (K, n) arrays; rows of different n lie end to end
+    in (1, N) arrays (see RaggedRows), and when the rows still running come
+    to share one grid, they are (K, n) rows again.  dt is capped by the CFL
+    bound and additionally controlled so that every accepted step satisfies
+    the energy budget
 
         E(t) - E(t+dt) - dt sum dx lam (du/dx)^2 >= -step_slack_tol * E_scale:
 
     a trial step violating it is halved and retried (the explicit pressure
     force injects kinetic energy at O(dt^2), so halving always converges),
-    and dt regrows by 1.5x after accepted steps.  Every trial advances the
-    rows still short of their next sample time together; a row records its
-    sample when it reaches that time.  The controller runs row by row on
-    Python floats, and a row's sums are taken over its own cells, so row k
-    of the result is bit for bit run(cfgs[k], states[k], grids[k]).  The
-    stack's step_start is reused while every row retries.
+    and dt regrows by 1.5x after accepted steps.  Every step call advances
+    the rows short of their last sample time together; each row's
+    _RowControl plans its dt, judges its trials and records its samples.
+    E(0) and E_scale are total_energy and energy_scale of each row alone,
+    and a row's sums are taken over its own cells, so row k of the result
+    is bit for bit run(cfgs[k], states[k], grids[k]).  The stack's
+    step_start is reused while every row retries.
 
     When a fresh row's dt is set by the 1.5x growth cap, the step call holds
     two rungs: every live row at its dt and at max(dt/2, tol), the dt a
@@ -556,54 +608,29 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     rho, m = cells.join([s.rho for s in states]), cells.join([s.m for s in states])
     _require_finite("initial density", rho, cells)
     _require_finite("initial momentum", m, cells)
+    u = velocity(FluidState(rho=rho, m=m), cfg.rho_floor)
     times = np.linspace(0.0, cfg.T, cfg.n_samples)
-    nt = times.size
-    rho_out, u_out = [np.empty((nt, g.n)) for g in grids], [np.empty((nt, g.n)) for g in grids]
-    energy, cum_dis = np.empty((K, nt)), np.empty((K, nt))
-
-    def with_deltas(rows: Rows, rungs: int) -> SolverConfig:
-        """cfg with the live rows' deltas over a trial of rungs rungs."""
-        if not mixed:
-            return cfg
-        col = rows.spread(np.tile(live_deltas, (rungs, 1)))
-        return _with_delta(cfg, col.reshape(-1, col.shape[-1]))
-
+    t_sample, tol = times.tolist(), 1e-12 * cfg.T  # tol: sample-time tolerance, dt floor
+    budget = [cfg.step_slack_tol * energy_scale(*row) for row in zip(states, cfgs, grids)]
+    ctl = [_RowControl(e_prev=total_energy(*row)) for row in zip(states, cfgs, grids)]
+    for r, c in enumerate(ctl):
+        c.record(rho, u, cells.at(r), t_sample, tol)
     live = list(range(K))  # rows with samples left; row j of rho, m, u is live[j]
-    live_deltas = deltas
-    live_cfg = with_deltas(cells, 1)  # cfg with the live rows' deltas
-    state = FluidState(rho=rho, m=m, t=np.zeros(K))
-    u = velocity(state, cfg.rho_floor)
-    for r in live:
-        rho_out[r][0], u_out[r][0] = rho[cells.at(r)], u[cells.at(r)]
-    energy[:, 0] = total_energy(state, live_cfg, cells)
-    cum_dis[:, 0] = 0.0
-
-    slack_budget = (cfg.step_slack_tol * energy_scale(state, live_cfg, cells)).tolist()
-    tol = 1e-12 * cfg.T  # sample-time tolerance, also the dt floor
-    t_sample = times.tolist()
-    ctl = [_RowControl(e_prev=e) for e in energy[:, 0].tolist()]
-    rung_cfg = with_deltas(cells, 2)  # and over a two-rung trial
     start = None  # the step_start of every live row's current state
 
     while live:
         L = len(live)
+        if start is None:  # the first call on this layout
+            delta = cells.spread(deltas[live]) if mixed else cfg.delta
         # rows that are not retrying a rejected trial start a new step; the
         # retrying rows' states are unchanged, and so are their starts
         fresh = [j for j, r in enumerate(live) if not ctl[r].retry]
-        grown = False  # a fresh row's dt is set by the 1.5x growth cap
         if fresh or start is None:
-            start = step_start(rho, u, live_cfg, cells)
-        if fresh:
-            dt_max = start[0]
-            for j in fresh:
-                c, cand = ctl[live[j]], dt_max[j]
-                capped = c.dt_prev is not None and 1.5 * c.dt_prev < cand
-                if capped:
-                    cand = 1.5 * c.dt_prev
-                c.dt = min(cand, t_sample[c.k] - c.t)
-                c.clipped = c.dt < cand
-                grown = grown or (capped and not c.clipped)
-                c.halved = False
+            start = step_start(rho, u, cfg, cells, delta)
+        grown = False  # a fresh row's dt is set by the 1.5x growth cap
+        for j in fresh:
+            c = ctl[live[j]]
+            grown = c.plan(start[0][j], t_sample[len(c.samples)]) or grown
 
         # A rejected row retries from the state its step_start was taken for.
         # A grown dt is often rejected, so then every row also tries, as
@@ -613,77 +640,40 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         if grown:
             flat += [max(0.5 * x, tol) if x > tol else x for x in flat]
         rungs = 2 if grown else 1
-        rho_t, m_t, u_t, e_new, dI = step(rho, m, start, flat, rung_cfg if grown else live_cfg,
-                                          cells, live)
+        rho_t, m_t, u_t, e, dI = step(rho, m, start, flat, cfg, cells, delta, live)
 
         pos, taken = [], []  # the rows that step, and their trial rows
         for j, r in enumerate(live):
             c = ctl[r]
-            for i in range(j, rungs * L, L):  # row j of each rung in turn
-                c.n_trials += 1
-                slack = c.e_prev - e_new[i] - dI[i]
-                if slack >= -slack_budget[r]:
+            for i in range(j, rungs * L, L):  # row j of each rung up to an accepted one
+                if c.judge(e[i], dI[i], budget[r], tol, r, t_sample[len(c.samples)]):
+                    pos.append(j)
+                    taken.append(i)
                     break
-                if c.dt <= tol:
-                    raise SolverFailure(f"energy budget unattainable in row {r}: "
-                                        f"slack {slack:.3e} at dt {c.dt:.3e}")
-                c.dt = max(0.5 * c.dt, tol)
-                c.halved = c.retry = True
-            else:
-                continue  # every rung rejected: retry at the halved dt
-            pos.append(j)
-            taken.append(i)
-            if c.halved or not c.clipped:
-                c.dt_prev = c.dt
-            t_new = c.t + c.dt  # the trial's t: the accepted rung's dt is c.dt
-            target = t_sample[c.k]
-            c.t = target if abs(t_new - target) < tol else t_new
-            c.min_slack = min(c.min_slack, slack)
-            c.dis_acc += dI[i]
-            c.e_prev = e_new[i]
-            c.n_steps += 1
-            c.retry = False
         if not taken:
             continue
         rung = taken[0] // L
         if taken == list(range(rung * L, rung * L + L)):  # all at one rung: its rows
             M = len(rho_t) // rungs  # array rows per rung: L, or 1 if ragged
-            rows = slice(rung * M, rung * M + M)
-            rho, m, u = rho_t[rows], m_t[rows], u_t[rows]
+            rho, m, u = (a[rung * M:rung * M + M] for a in (rho_t, m_t, u_t))
         else:
             for j, i in zip(pos, taken):
                 a, b = cells.at(j), cells.at(i)
                 rho[a], m[a], u[a] = rho_t[b], m_t[b], u_t[b]
 
-        # a row records its sample when it reaches that time
-        done = False  # a row recorded its last sample
+        done = False  # a row has its last sample
         for j in pos:
-            r, c = live[j], ctl[live[j]]
-            while c.k < nt and not c.t < t_sample[c.k] - tol:
-                rho_out[r][c.k], u_out[r][c.k] = rho[cells.at(j)], u[cells.at(j)]
-                energy[r, c.k], cum_dis[r, c.k] = c.e_prev, c.dis_acc
-                c.k += 1
-            done = done or c.k == nt
-        if done:
-            keep = [j for j, r in enumerate(live) if ctl[r].k < nt]
+            done = ctl[live[j]].record(rho, u, cells.at(j), t_sample, tol) or done
+        if done:  # lay out the rest anew
+            keep = [j for j, r in enumerate(live) if len(ctl[r].samples) < times.size]
             live = [live[j] for j in keep]
             if not live:
                 break
             kept = _layout([grids[r] for r in live])
             rho, m, u = (kept.join([a[cells.at(j)] for j in keep]) for a in (rho, m, u))
-            cells, live_deltas, start = kept, live_deltas[keep], None
-            live_cfg, rung_cfg = with_deltas(cells, 1), with_deltas(cells, 2)
+            cells, start = kept, None
 
-    out = []
-    for r, c in enumerate(ctl):
-        last = c.k  # samples 0..last-1 were recorded
-        out.append(Trajectory(
-            grid=grids[r], cfg=cfgs[r], times=times[:last].copy(), rho=rho_out[r][:last],
-            u=u_out[r][:last], energy=energy[r, :last],
-            cum_dissipation=cum_dis[r, :last],
-            min_step_slack=float(c.min_slack) if c.n_steps else 0.0,
-            n_steps=c.n_steps, n_trials=c.n_trials))
-    return out
+    return [c.trajectory(g, f, times) for c, f, g in zip(ctl, cfgs, grids)]
 
 
 # -- initial data --------------------------------------------------------------
@@ -695,7 +685,6 @@ class InitialData:
     name: str
     rho_fn: object
     u_fn: object
-    params: dict = field(default_factory=dict)
 
     def sample(self, grid: Grid1D) -> FluidState:
         x = grid.centers
@@ -709,8 +698,7 @@ class InitialData:
 def constant_init(rho0: float = 1.0) -> InitialData:
     return InitialData(name="constant",
                        rho_fn=lambda x: np.full_like(np.asarray(x, dtype=float), rho0),
-                       u_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                       params={"rho0": rho0})
+                       u_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
 def smooth_pulse_init(length: float, base: float = 1.0, amp: float = 0.1,
@@ -724,9 +712,7 @@ def smooth_pulse_init(length: float, base: float = 1.0, amp: float = 0.1,
         return base + amp * np.exp(-0.5 * ((x - x0) / w) ** 2)
 
     return InitialData(name="smooth-pulse", rho_fn=rho_fn,
-                       u_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                       params={"base": base, "amp": amp, "width_frac": width_frac,
-                               "center_frac": center_frac, "length": length})
+                       u_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
 def pulse_flow_init(length: float, base: float = 1.0, amp: float = 0.1,
@@ -739,8 +725,7 @@ def pulse_flow_init(length: float, base: float = 1.0, amp: float = 0.1,
         x = np.asarray(x, dtype=float)
         return u_amp * np.sin(np.pi * x / length)
 
-    params = dict(pulse.params, u_amp=u_amp)
-    return InitialData(name="pulse-flow", rho_fn=pulse.rho_fn, u_fn=u_fn, params=params)
+    return InitialData(name="pulse-flow", rho_fn=pulse.rho_fn, u_fn=u_fn)
 
 
 # Fourier modes in the density noise of perturb_density.
@@ -770,9 +755,7 @@ def perturb_density(init: InitialData, length: float, eps: float,
     def rho_fn(x):
         return np.asarray(init.rho_fn(x), dtype=float) * (1.0 + eps * xi(x) / scale)
 
-    params = dict(init.params, eps=eps)
-    return InitialData(name=f"{init.name}+noise", rho_fn=rho_fn, u_fn=init.u_fn,
-                       params=params)
+    return InitialData(name=f"{init.name}+noise", rho_fn=rho_fn, u_fn=init.u_fn)
 
 
 # -- refined reference ---------------------------------------------------------

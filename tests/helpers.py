@@ -240,25 +240,28 @@ class StepStart:
     d: np.ndarray
 
 
-def step_start(state: FluidState, cfg, grid, u=None) -> StepStart:
+def step_start(state: FluidState, cfg, grid, u=None, delta=None) -> StepStart:
     """solver.step_start on one state or a stack; u is velocity(state,
-    cfg.rho_floor) when the caller already holds it."""
+    cfg.rho_floor) when the caller already holds it, and delta is cfg.delta
+    unless given (a stack's per-row deltas spread over its cells)."""
     if u is None:
         u = solver.velocity(state, cfg.rho_floor)
     dt_max, d = solver.step_start(np.atleast_2d(state.rho), np.atleast_2d(u), cfg,
-                                  solver._cells(grid))
+                                  solver._cells(grid), cfg.delta if delta is None else delta)
     if state.rho.ndim == 1:
         return StepStart(dt_max[0], d[:, 0])
     return StepStart(np.array(dt_max), d)
 
 
-def step_with_terms(state: FluidState, cfg, grid, dt, rows=None, start=None):
+def step_with_terms(state: FluidState, cfg, grid, dt, rows=None, start=None, delta=None):
     """solver.step on a FluidState: the trial state of step below, and the
     kernel's velocity, total energies and dissipation increments of it (a
-    float each for one state and one dt)."""
+    float each for one state and one dt); delta is as for step_start."""
     cells = solver._cells(grid)
+    if delta is None:
+        delta = cfg.delta
     if start is None:
-        start = step_start(state, cfg, cells)
+        start = step_start(state, cfg, cells, delta=delta)
     elif not isinstance(start, StepStart):
         raise TypeError(f"start must be None or a StepStart, got {type(start).__name__}")
     dt = np.asarray(dt, dtype=float)
@@ -267,19 +270,19 @@ def step_with_terms(state: FluidState, cfg, grid, dt, rows=None, start=None):
     one = state.rho.ndim == 1
     rho, m, u, energy, dis = solver.step(
         np.atleast_2d(state.rho), np.atleast_2d(state.m),
-        (dt_max, start.d[:, None] if one else start.d), dts, cfg, cells, rows)
+        (dt_max, start.d[:, None] if one else start.d), dts, cfg, cells, delta, rows)
     t = state.t + dt
     if one and dt.ndim == 0:
         return FluidState(rho=rho[0], m=m[0], t=t), u[0], energy[0], dis[0]
     return FluidState(rho=rho, m=m, t=t.reshape(-1)), u, energy, dis
 
 
-def step(state: FluidState, cfg, grid, dt, rows=None, start=None) -> FluidState:
+def step(state: FluidState, cfg, grid, dt, rows=None, start=None, delta=None) -> FluidState:
     """One step of a state by dt, or of a stack by a (K,) dt or an (R, K)
     dt of R rungs (row r * K + k of the result is row k advanced by
     dt[r, k]); start is step_start(state, cfg, grid) when the caller already
-    holds it."""
-    return step_with_terms(state, cfg, grid, dt, rows, start)[0]
+    holds it, and delta is as for step_start."""
+    return step_with_terms(state, cfg, grid, dt, rows, start, delta)[0]
 
 
 def dissipation_increment(state: FluidState, cfg, grid, dt):

@@ -282,17 +282,18 @@ def test_budget_terms_equal_the_public_functions(case):
     elif lowest is not None:  # a cell at rest between cells at rest keeps its density
         rho[1, 6] = lowest
         m[1, 5:8] = 0.0
-    elif case == "mixed-delta":
-        cfg = mvflow.solver._with_delta(replace(cfg, Gamma=3.0),
-                                        np.array([[0.0], [0.2], [0.05]]))
+    delta = None  # cfg.delta
+    if case == "mixed-delta":
+        cfg = replace(cfg, Gamma=3.0)
+        delta = np.array([[0.0], [0.2], [0.05]])
     state = FluidState(rho=rho, m=m, t=np.zeros(3))
     if case == "single":
         state = FluidState(rho=rho[0], m=m[0])
-    start = step_start(state, cfg, grid)
+    start = step_start(state, cfg, grid, delta=delta)
     dt = 0.5 * start.dt_max
     if case == "rungs":  # a two-rung step's (2K, n) trial
         dt = np.array([0.9 * start.dt_max, 0.45 * start.dt_max])
-    trial, u, energy, dis = step_with_terms(state, cfg, grid, dt, start=start)
+    trial, u, energy, dis = step_with_terms(state, cfg, grid, dt, start=start, delta=delta)
     if case == "rungs":
         dt = dt.reshape(-1)
     if case == "near-vacuum":
@@ -300,7 +301,12 @@ def test_budget_terms_equal_the_public_functions(case):
     elif lowest is not None:
         assert trial.rho.min() == lowest
     assert _same_bits(u, velocity(trial, cfg.rho_floor))
-    assert _same_bits(energy, total_energy(trial, cfg, grid))
+    if delta is None:
+        assert _same_bits(energy, total_energy(trial, cfg, grid))
+    else:  # each row's energy under that row's own config
+        for k, d in enumerate(delta[:, 0]):
+            row = FluidState(rho=trial.rho[k], m=trial.m[k])
+            assert _same_bits(energy[k], total_energy(row, replace(cfg, delta=d), grid))
     assert _same_bits(dis, dissipation_increment(trial, cfg, grid, dt))
 
 
@@ -345,15 +351,15 @@ def test_ragged_kernels_equal_each_row_alone():
     stack.rho[0, cells.at(1)[1]][6] = 0.5e-10
     cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0, Gamma=3.0)
     deltas = np.array([0.0, 0.2, 0.05, 0.0])
-    stack_cfg = mvflow.solver._with_delta(cfg, cells.spread(deltas))
-    start = step_start(stack, stack_cfg, cells)
-    assert _same_bits(start.dt_max, admissible_dt(stack, stack_cfg, cells))
+    delta = cells.spread(deltas)
+    start = step_start(stack, cfg, cells, delta=delta)
+    for k, g in enumerate(grids):  # each row's CFL bound is that of the row alone
+        alone = FluidState(rho=stack.rho[cells.at(k)], m=stack.m[cells.at(k)])
+        assert start.dt_max[k] == admissible_dt(alone, replace(cfg, delta=float(deltas[k])), g)
     for rungs in (1, 2):
         dt = np.array([0.9 * start.dt_max, 0.45 * start.dt_max])[:rungs]
-        col = cells.spread(np.tile(deltas, (rungs, 1)))
-        trial_cfg = mvflow.solver._with_delta(cfg, col.reshape(-1, col.shape[-1]))
-        trial, u, energy, dis = step_with_terms(stack, trial_cfg, cells,
-                                                dt if rungs == 2 else dt[0], start=start)
+        trial, u, energy, dis = step_with_terms(stack, cfg, cells, dt if rungs == 2 else dt[0],
+                                                start=start, delta=delta)
         for r in range(rungs):
             for k, (g, state) in enumerate(zip(grids, states)):
                 row_cfg = replace(cfg, delta=float(deltas[k]))
@@ -642,8 +648,8 @@ def _record_step_calls(monkeypatch) -> list:
     calls = []
     real_step = mvflow.solver.step
 
-    def recording_step(rho, m, start, dts, cfg, cells, rows=None):
-        out = real_step(rho, m, start, dts, cfg, cells, rows)
+    def recording_step(rho, m, start, dts, cfg, cells, delta, rows=None):
+        out = real_step(rho, m, start, dts, cfg, cells, delta, rows)
         calls.append({"rows": list(rows), "dt": np.reshape(dts, (-1, len(rows))),
                       "lowest": float(out[0].min())})
         return out
@@ -951,9 +957,9 @@ def test_ragged_stack_rows_equal_single_runs(law, ns, deltas, vacuum, seed):
     live = []
     real_step = mvflow.solver.step
 
-    def recording_step(rho, m, start, dts, cfg, cells, rows=None):
+    def recording_step(rho, m, start, dts, cfg, cells, delta, rows=None):
         live.append(len(rows))
-        return real_step(rho, m, start, dts, cfg, cells, rows)
+        return real_step(rho, m, start, dts, cfg, cells, delta, rows)
 
     mvflow.solver.step = recording_step
     try:
@@ -1035,12 +1041,14 @@ def test_delta_free_rows_keep_their_bytes():
                        lam=0.1, T=1.0)
     rho = np.array([[-0.0, 1.0, 2.0, 0.5]] * 2)
     state = FluidState(rho=rho, m=0.3 * rho, t=np.zeros(2))
-    stack = mvflow.solver._with_delta(cfg, np.array([[0.0], [0.1]]))
-    pi, e = total_pressure(stack, rho), total_energy(state, stack, grid)
+    delta = np.array([[0.0], [0.1]])
+    pi = total_pressure(cfg, rho, cfg.law.p(rho), delta)
+    kin = mvflow.solver._kinetic(rho, state.m, *mvflow.solver._vacuum(rho, cfg.rho_floor))
+    e = mvflow.solver._energy(cfg, grid, rho, kin, cfg.law.P(rho), delta)
     assert np.signbit(pi[0, 0])
     for k, d in enumerate((0.0, 0.1)):
         row = replace(cfg, delta=d)
-        assert pi[k].tobytes() == total_pressure(row, rho[k]).tobytes()
+        assert pi[k].tobytes() == total_pressure(row, rho[k], row.law.p(rho[k]), d).tobytes()
         assert e[k] == total_energy(FluidState(rho=rho[k], m=state.m[k]), row, grid)
 
 
@@ -1227,7 +1235,7 @@ def _reference_step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     G[..., 1:-1] = F[..., 1:-1] * np.where(donor_hi, u[..., :-1], u[..., 1:])
 
     # central total pressure at faces; zero-gradient ghosts at the walls
-    pi = total_pressure(cfg, rho)
+    pi = total_pressure(cfg, rho, cfg.law.p(rho), cfg.delta)
     pi_face = np.empty(faces)
     pi_face[..., 1:-1] = 0.5 * (pi[..., :-1] + pi[..., 1:])
     pi_face[..., 0] = pi[..., 0]
@@ -1384,3 +1392,15 @@ def test_run_snaps_t_to_the_sample_time():
     assert np.array_equal(traj.cum_dissipation, cum_dis)
     assert (traj.min_step_slack, traj.n_steps, traj.n_trials) == \
         (min_slack, n_steps, n_trials)
+
+
+def test_plan_grows_dt_only_below_the_cfl_bound():
+    # a fresh dt is set by the growth cap, and so tried with its halved dt as
+    # a second rung, only when 1.5 dt_prev lies strictly below the CFL bound;
+    # at equality the bound sets it.  A fresh step is never a halved one.
+    ctl = mvflow.solver._RowControl(e_prev=1.0, dt_prev=2.0, halved=True)
+    assert ctl.plan(3.0, 10.0) is False
+    assert (ctl.dt, ctl.clipped, ctl.halved) == (3.0, False, False)
+    assert ctl.plan(3.5, 10.0) is True and ctl.dt == 3.0
+    assert ctl.plan(3.5, 2.5) is False  # the sample time cut the grown dt
+    assert (ctl.dt, ctl.clipped) == (2.5, True)

@@ -27,7 +27,9 @@ Each line is ``<key> <value>``:
   weak-strong-tabulated law, on r in [0.5, 2];
 - ``convergence.<case>.csv_sha256``: ``convergence.csv`` of the
   convergence-pulse preset at levels 64,128,256, as shipped and with the
-  benchmark's seeded ``init.center_frac`` at seeds 501 and 502;
+  benchmark's seeded ``init.center_frac`` at seeds 501 and 502, and of the
+  delta-sequence preset (a stack whose rows differ in delta and finish
+  apart, so the live rows' deltas are laid out anew);
 - ``<workload>.seed<S>.*``: ``n_steps``, ``n_trials``, ``min_step_slack``
   and a sha256 over the sampled rho, u, energy and dissipation of the
   ``budget-solve`` and ``tabulated-solve`` benchmark inputs at seeds 501
@@ -140,9 +142,10 @@ def main(argv=None) -> int:
             os.makedirs(d)
             conv.prepare(seed, d)
             cases.append((f"seed{seed}", conv.spec))
+        cases.append(("delta-sequence", presets()["delta-sequence"]))
         for case, spec in cases:
             if isinstance(spec, dict):
-                path = os.path.join(tmp, "convergence-pulse.spec")
+                path = os.path.join(tmp, f"convergence-{case}.spec")
                 with open(path, "w") as fh:
                     fh.write(format_kv(spec))
                 spec = path
