@@ -26,10 +26,8 @@ from .measures import (assemble, compatibility_residual, continuity_residual,
                        energy_inequality_slack, estimate_defect,
                        korn_poincare_check, momentum_residual,
                        renorm_continuity_residual, renorm_identity_truncated)
-# certify_lower_bound and certify_h_bound, the halves of certify, stay module
-# attributes here: perfbench/tracer.py wraps these names
-from .pressure import (PressureLaw, certificate_rows, certify, certify_h_bound,
-                       certify_lower_bound, law_from_config, law_to_config)
+from .pressure import (Certificate, PressureLaw, certify, law_from_config,
+                       law_to_config)
 from .relative_energy import (gronwall_verdict, relative_energy_series,
                               remainder_terms)
 # run stays a module attribute here: perfbench/tracer.py wraps this name
@@ -38,6 +36,9 @@ from .solver import (Grid1D, InitialData, SolverConfig, Trajectory,
                      pulse_flow_init, reference_from_run, run, run_stack,
                      total_energy)
 from .testfuncs import compatibility_family, density_family, momentum_family
+
+# perfbench/tracer.py wraps these two names; nothing calls certify through them
+certify_lower_bound = certify_h_bound = certify
 
 CHECK_NAMES = ("energy", "continuity", "renorm", "momentum", "compatibility",
                "korn", "lemmas", "relative-energy", "gronwall")
@@ -385,12 +386,9 @@ def _make_context(spec: ExperimentSpec) -> _Context:
     r_lo, r_hi = float(np.min(ref.r)), float(np.max(ref.r))
     s_top = max(10.0, 5.0 * r_hi, 1.2 * float(np.max(measure.S)))
     rho_grid = np.linspace(0.0, s_top, 4001)
-    lower, hbound = certify(spec.law, (r_lo, r_hi), rho_grid)
-    ctx.remainders = remainder_terms(measure, spec.law, spec.lam, ref,
-                                     lower, hbound)
-    ctx.verdict = gronwall_verdict(measure.times, ctx.remainders.E_mv,
-                                   defect.D_total, ctx.remainders, ref,
-                                   spec.law, xi=defect.xi)
+    cert = certify(spec.law, (r_lo, r_hi), rho_grid)
+    ctx.remainders = remainder_terms(measure, spec.law, spec.lam, ref, cert)
+    ctx.verdict = gronwall_verdict(ctx.remainders, defect, ref, spec.law)
     return ctx
 
 
@@ -496,24 +494,22 @@ def _check_korn(ctx: _Context):
             [("korn.csv", format_csv(["length", "lhs", "rhs", "c_P"], rows))])
 
 
-def _certificate_table(law: PressureLaw, r_lo: float, r_hi: float, points: int):
-    """Both lemma certificates over r in [r_lo, r_hi], on points densities
-    from 0 to max(10, 4.4 r_hi), with their CSV header and rows."""
-    rho_grid = np.linspace(0.0, max(10.0, 4.4 * r_hi), points)
-    lower, hbound = certify(law, (r_lo, r_hi), rho_grid)
-    return (lower, hbound, ["r", "c_middle", "c_outer", "C_ratio", "valid"],
-            certificate_rows(lower, hbound))
+def _lemma_certificate(law: PressureLaw, r_lo: float, r_hi: float,
+                       points: int) -> Certificate:
+    """The lemma certificate over r in [r_lo, r_hi], on points densities
+    from 0 to max(10, 4.4 r_hi)."""
+    return certify(law, (r_lo, r_hi), np.linspace(0.0, max(10.0, 4.4 * r_hi), points))
 
 
 def _check_lemmas(ctx: _Context):
     rho_bar = np.mean(ctx.measure.S, axis=0)
     r_lo = 0.95 * float(np.min(rho_bar))
     r_hi = 1.05 * float(np.max(rho_bar))
-    lower, hbound, header, rows = _certificate_table(ctx.spec.law, r_lo, r_hi, 4001)
-    return (CheckResult("lemmas", lower.valid and hbound.valid, float(lower.c_min),
-                        f"c_min {lower.c_min:.6g}, C_max {hbound.C_max:.6g} "
+    cert = _lemma_certificate(ctx.spec.law, r_lo, r_hi, 4001)
+    return (CheckResult("lemmas", cert.valid, cert.c_min,
+                        f"c_min {cert.c_min:.6g}, C_max {cert.C_max:.6g} "
                         f"on r in [{r_lo:.4g}, {r_hi:.4g}]"),
-            [("certificates.csv", format_csv(header, rows))])
+            [("certificates.csv", format_csv(*cert.rows()))])
 
 
 def _check_relative_energy(ctx: _Context):
@@ -698,7 +694,7 @@ def cmd_certify(spec_path: str, out: str | None = None
     r_min = _get(cfg, "certify.r_min", None, float)
     r_max = _get(cfg, "certify.r_max", None, float)
     points = _get(cfg, "certify.points", 4001, int)
-    _, _, header, rows = _certificate_table(law, r_min, r_max, points)
+    header, rows = _lemma_certificate(law, r_min, r_max, points).rows()
     out_dir = resolve_out_dir(out, cfg.get("out"), cfg.get("name", "certify"))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "certificates.csv")

@@ -320,7 +320,6 @@ class DefectReport:
     rM_field: np.ndarray         # (nt, nx)
     rM_abs: np.ndarray           # (nt,), L1 size of rM_field
     xi: np.ndarray               # (nt,)
-    xi_meaningful: np.ndarray    # (nt,) bool, False where D_total < 1e-12
     zeta_by_member: np.ndarray   # (n_members, nt)
     clip_log: dict = field(default_factory=dict)
 
@@ -414,7 +413,6 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
     return DefectReport(times=times.copy(), x=x.copy(), E_inf=E_inf,
                         sigma_inf=sigma_inf, zeta=zeta, D_total=D_total,
                         rM_field=rM_field, rM_abs=rM_abs, xi=xi,
-                        xi_meaningful=D_total >= 1e-12,
                         zeta_by_member=zeta_by_member,
                         clip_log=clip_log)
 

@@ -13,12 +13,11 @@ and a tabulated law's power-law tail likewise.  Adaptive quadrature appears
 only in the test suite, as the oracle these closed forms are checked against.
 
 The Bregman divergence of H is the distance notion used by the stability
-machinery; the two certificates below bound it from below by
-(rho - r)^2 / (1 + rho^gamma) and from above against the h-increment, on
-user-supplied grids; certify takes both from one pass, one B table per
-block.  Their (r, rho) tables, the relative-energy ratio scans and the
-residual families' test-function tables are all taken in blocks of
-TABLE_BLOCK cells.
+machinery.  certify witnesses on a user-supplied grid, from one pass with
+one B table per block, a lower bound on it by (rho - r)^2 or 1 + rho^gamma
+and a bound of the h-increment by it.  Its (r, rho) tables, the
+relative-energy ratio scans and the residual families' test-function tables
+are all taken in blocks of TABLE_BLOCK cells.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ TAIL_SLOPE_RTOL = 1e-9
 # Exclusion half-width around rho = r where the h-ratio is 0/0 to second order.
 H_BOUND_EXCLUSION = 1e-6
 
-# Comparison densities r sampled across [r_min, r_max] by both certificates.
+# Comparison densities r sampled across [r_min, r_max] by a certificate.
 CERTIFICATE_R_POINTS = 33
 
 # Cells per block of every wide (rho, r) or test-function table: the
@@ -608,14 +607,18 @@ def bregman_H(law: PressureLaw, rho, r):
 # -- certificates ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LowerBoundCertificate:
-    """Grid witness for B(rho, r) >= c (rho-r)^2 on [r1, r2], >= c (1+rho^gamma) outside."""
+class Certificate:
+    """Grid witnesses of the two lemmas over the r samples r_values:
+    B(rho, r) >= c_middle (rho-r)^2 on the band [r1, r2] and >= c_outer
+    (1+rho^gamma) outside it, and |h(rho)-h(r)-h'(r)(rho-r)| <= C_of_r *
+    B(rho, r).  Valid iff c_min > 0 and every C(r) is finite."""
 
     r1: float
     r2: float
     r_values: np.ndarray
     c_middle: np.ndarray
     c_outer: np.ndarray
+    C_of_r: np.ndarray
     grid_max: float
     valid: bool
 
@@ -623,19 +626,16 @@ class LowerBoundCertificate:
     def c_min(self) -> float:
         return float(np.min(np.minimum(self.c_middle, self.c_outer)))
 
-
-@dataclass(frozen=True)
-class HBoundCertificate:
-    """Grid witness for |h(rho)-h(r)-h'(r)(rho-r)| <= C(r) * B(rho, r)."""
-
-    r_values: np.ndarray
-    C_of_r: np.ndarray
-    grid_max: float
-    valid: bool
-
     @property
     def C_max(self) -> float:
         return float(np.max(self.C_of_r))
+
+    def rows(self):
+        """CSV header and rows (r, c_middle, c_outer, C_ratio, valid)."""
+        return (["r", "c_middle", "c_outer", "C_ratio", "valid"],
+                [(float(r), float(cm), float(co), float(cr), self.valid)
+                 for r, cm, co, cr in zip(self.r_values, self.c_middle,
+                                          self.c_outer, self.C_of_r)])
 
 
 def _check_grid(rho_grid: np.ndarray, r_min: float, r_max: float) -> tuple[float, float]:
@@ -693,11 +693,17 @@ def _h_block(law: PressureLaw, rho_grid: np.ndarray, r: np.ndarray,
     return np.max(np.where(keep, ratios, -np.inf), axis=1)
 
 
-def _certify(law: PressureLaw, r_range: tuple[float, float], rho_grid,
-             lower: bool, upper: bool):
-    """The lower-bound and h-bound certificates asked for (None for the
-    other), from one pass over blocks of r rows against the whole grid
-    (row_blocks) with one B table per block."""
+def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid) -> Certificate:
+    """Both lemma witnesses of law over r in r_range on rho_grid, from one
+    pass over blocks of r rows against the whole grid (row_blocks) with one B
+    table per block.
+
+    The lower bound's band is [r1, r2] = [r_min/2, 2 r_max].  The h bound
+    skips a band |rho - r| < H_BOUND_EXCLUSION, where both sides vanish to
+    second order and the ratio is numerically 0/0.  A grid that leaves a
+    lower-bound row empty raises first; one that leaves an h-bound row empty
+    raises after the pass.
+    """
     rho_grid = _as_array(rho_grid)
     r_min, r_max = float(r_range[0]), float(r_range[1])
     r1, r2 = _check_grid(rho_grid, r_min, r_max)
@@ -709,72 +715,19 @@ def _certify(law: PressureLaw, r_range: tuple[float, float], rho_grid,
     for rows in row_blocks(r_values.size, rho_grid.size):
         r = r_values[rows, None]
         breg = bregman_H(law, rho_grid, r)
-        if lower:
-            c_mid[rows], c_out[rows] = _lower_block(law, rho_grid, middle, outer_den,
-                                                    r, breg)
-        if upper:
-            C[rows] = _h_block(law, rho_grid, r, breg)
+        c_mid[rows], c_out[rows] = _lower_block(law, rho_grid, middle, outer_den,
+                                                r, breg)
+        C[rows] = _h_block(law, rho_grid, r, breg)
 
-    grid_max = float(rho_grid[-1])
-    low = hb = None
-    if lower:
-        low = LowerBoundCertificate(
-            r1=r1, r2=r2, r_values=r_values, c_middle=c_mid, c_outer=c_out,
-            grid_max=grid_max, valid=bool(np.min(np.minimum(c_mid, c_out)) > 0.0))
-    if upper:
-        # raised after the pass, so that the lower bound's error comes first
-        empty = C == -np.inf
-        if empty.any():
-            raise InsufficientGridError(
-                f"no grid points outside the exclusion band around r = "
-                f"{r_values[np.argmax(empty)]}; refine the grid")
-        hb = HBoundCertificate(r_values=r_values, C_of_r=C, grid_max=grid_max,
-                               valid=bool(np.all(np.isfinite(C))))
-    return low, hb
-
-
-def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid
-            ) -> tuple[LowerBoundCertificate, HBoundCertificate]:
-    """Both certificates of (law, r_range, rho_grid) from one pass: each
-    block of r rows takes B once for both.  The certificates, and the error
-    a bad grid raises, are those of certify_lower_bound and then
-    certify_h_bound."""
-    return _certify(law, r_range, rho_grid, lower=True, upper=True)
-
-
-def certify_lower_bound(law: PressureLaw, r_range: tuple[float, float],
-                        rho_grid) -> LowerBoundCertificate:
-    """Largest grid-witnessed c(r) in the two-band lower bound for B(., r).
-
-    On the middle band [r1, r2] = [r_min/2, 2 r_max] the bound is against
-    (rho - r)^2; outside it is against 1 + rho^gamma.  Valid iff the minimum
-    over the r sample set is strictly positive.  The lower half of certify.
-    """
-    return _certify(law, r_range, rho_grid, lower=True, upper=False)[0]
-
-
-def certify_h_bound(law: PressureLaw, r_range: tuple[float, float],
-                    rho_grid) -> HBoundCertificate:
-    """Smallest grid-witnessed C(r) with |h-increment| <= C(r) * B(rho, r).
-
-    A band |rho - r| < H_BOUND_EXCLUSION is skipped: both sides vanish to
-    second order there and the ratio is numerically 0/0.  The upper half of
-    certify.
-    """
-    return _certify(law, r_range, rho_grid, lower=False, upper=True)[1]
-
-
-def certificate_rows(lower: LowerBoundCertificate, hbound: HBoundCertificate):
-    """Rows (r, c_middle, c_outer, C_ratio, valid) for the certificate CSV."""
-    if lower.r_values.shape != hbound.r_values.shape or \
-            not np.allclose(lower.r_values, hbound.r_values):
-        raise DomainError("certificates were built over different r samples")
-    ok = lower.valid and hbound.valid
-    return [
-        (float(r), float(cm), float(co), float(cr), ok)
-        for r, cm, co, cr in zip(lower.r_values, lower.c_middle, lower.c_outer,
-                                 hbound.C_of_r)
-    ]
+    empty = C == -np.inf
+    if empty.any():
+        raise InsufficientGridError(
+            f"no grid points outside the exclusion band around r = "
+            f"{r_values[np.argmax(empty)]}; refine the grid")
+    valid = np.min(np.minimum(c_mid, c_out)) > 0.0 and np.all(np.isfinite(C))
+    return Certificate(r1=r1, r2=r2, r_values=r_values, c_middle=c_mid,
+                       c_outer=c_out, C_of_r=C, grid_max=float(rho_grid[-1]),
+                       valid=bool(valid))
 
 
 # -- serialization ------------------------------------------------------------

@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import (CannotBoundError, DomainError, InvalidBandError,
                      ReferenceInvalidError)
-from .measures import DiscreteYoungMeasure
+from .measures import DefectReport, DiscreteYoungMeasure
 # potential stays a module attribute here: perfbench/tracer.py wraps this name
-from .pressure import (HBoundCertificate, LowerBoundCertificate, PressureLaw,
-                       bregman_H, h_increment, potential, row_blocks)
+from .pressure import (Certificate, PressureLaw, bregman_H, h_increment,
+                       potential, row_blocks)
 from .solver import StrongSolutionRef
 
 # Half-width of the band around s = r excluded from ratio scans; both sides
@@ -215,29 +215,27 @@ def _cumtrapz(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_certificates(lower: LowerBoundCertificate, hbound: HBoundCertificate,
-                          r_inf: float, r_sup: float, s_max: float) -> None:
-    if lower is None or hbound is None:
+def _require_certificate(cert: Certificate, r_inf: float, r_sup: float,
+                         s_max: float) -> None:
+    if cert is None:
         raise CannotBoundError(
-            "both convexity certificates are required to bound the remainders")
-    if not (lower.valid and hbound.valid):
+            "a convexity certificate is required to bound the remainders")
+    if not cert.valid:
         raise CannotBoundError("certificate carries no positive witness")
     tiny = 1e-12
-    for cert, name in ((lower, "lower-bound"), (hbound, "increment-ratio")):
-        if cert.r_values[0] > r_inf + tiny or cert.r_values[-1] < r_sup - tiny:
-            raise InvalidBandError(
-                f"{name} certificate covers r in [{cert.r_values[0]:.6g}, "
-                f"{cert.r_values[-1]:.6g}] but the comparison density spans "
-                f"[{r_inf:.6g}, {r_sup:.6g}]")
-        if cert.grid_max < s_max:
-            raise InvalidBandError(
-                f"{name} certificate grid tops out at {cert.grid_max:.6g} "
-                f"below the observed density {s_max:.6g}")
+    if cert.r_values[0] > r_inf + tiny or cert.r_values[-1] < r_sup - tiny:
+        raise InvalidBandError(
+            f"certificate covers r in [{cert.r_values[0]:.6g}, "
+            f"{cert.r_values[-1]:.6g}] but the comparison density spans "
+            f"[{r_inf:.6g}, {r_sup:.6g}]")
+    if cert.grid_max < s_max:
+        raise InvalidBandError(
+            f"certificate grid tops out at {cert.grid_max:.6g} "
+            f"below the observed density {s_max:.6g}")
 
 
 def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
-                    ref: StrongSolutionRef, lower: LowerBoundCertificate,
-                    hbound: HBoundCertificate) -> RemainderReport:
+                    ref: StrongSolutionRef, cert: Certificate) -> RemainderReport:
     """Evaluate the four growth integrals and their witnessed bounds.
 
     Each bound has the shape K * int_0^tau E dt plus, for the split terms, an
@@ -252,7 +250,7 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     r_inf = float(np.min(ref.r))
     r_sup = float(np.max(ref.r))
     s_max = float(np.max(measure.S))
-    _require_certificates(lower, hbound, r_inf, r_sup, s_max)
+    _require_certificate(cert, r_inf, r_sup, s_max)
     cutoff = build_cutoff(law, ref)
 
     # witnessed constants ---------------------------------------------------
@@ -297,7 +295,7 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     K3 = w3_sup * max(alpha_psi / 2.0, 1.0 / math.sqrt(s_lo)) \
         + w3_sup ** 2 * A_w1 / (4.0 * delta_split) \
         + w3_sup * max(A_w2 / 2.0, 1.0)
-    K4 = dU_sup * float(hbound.C_max)
+    K4 = dU_sup * cert.C_max
     K5 = Cq / (4.0 * eps)
 
     # remainder integrals ---------------------------------------------------
@@ -334,7 +332,7 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
         "K2": K2, "K3": K3, "K4": K4, "K5": K5,
         "w3_sup": w3_sup, "dU_sup": dU_sup, "U_C1": U_C1,
         "alpha_psi": alpha_psi, "A_w1": A_w1, "A_w2": A_w2, "Cq": Cq,
-        "C_max": float(hbound.C_max), "c_lower": float(lower.c_min),
+        "C_max": cert.C_max, "c_lower": cert.c_min,
         "c_trace": c_tr, "eps": eps, "delta_split": delta_split,
         "absorbed_trace": absorbed, "lam": lam,
         "r1_cut": cutoff.r1, "r2_cut": cutoff.r2, "cut_width": cutoff.width,
@@ -354,8 +352,6 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
 class RelativeEnergyReport:
     """Stability verdict: empirical growth factor against the certified one."""
 
-    times: np.ndarray
-    E_mv: np.ndarray
     D: np.ndarray
     remainders: RemainderReport
     constants: dict
@@ -368,8 +364,8 @@ class RelativeEnergyReport:
 
     def rows(self):
         """CSV header and rows (tau, E_mv, D, I2..I5, bound2..5, slack2..5)."""
-        return _table({"tau": self.times, "E_mv": self.E_mv, "D": self.D},
-                      self.remainders)
+        rem = self.remainders
+        return _table({"tau": rem.times, "E_mv": rem.E_mv, "D": self.D}, rem)
 
     def verdict_line(self) -> str:
         mode = "uniqueness" if self.uniqueness_mode else "growth"
@@ -380,30 +376,26 @@ class RelativeEnergyReport:
                 f"lambda_cert={self.lambda_cert:.6g} {consts}")
 
 
-def gronwall_verdict(times: np.ndarray, E_mv: np.ndarray, D: np.ndarray,
-                     remainders: RemainderReport, ref: StrongSolutionRef,
-                     law: PressureLaw,
-                     xi: np.ndarray | None = None) -> RelativeEnergyReport:
-    """Compare max (E + D) against exp(C_total T) times the initial energy.
+def gronwall_verdict(remainders: RemainderReport, defect: DefectReport,
+                     ref: StrongSolutionRef, law: PressureLaw) -> RelativeEnergyReport:
+    """Compare max (E + D) against exp(C_total T) times the initial energy,
+    with E from the remainder report and D and xi from the defect report.
 
     C_total collects the coefficients of int E from every remainder bound plus
     sup(xi) * |U|_C1 for the concentration pairing.  When E(0) sits below the
     input floor FLOOR_IN the run is graded by the uniqueness clause instead:
     E + D must stay below FLOOR_OUT_SCALE * (1 + reference energy) throughout.
     """
-    times = np.asarray(times, dtype=float)
-    E_mv = np.asarray(E_mv, dtype=float)
-    D = np.asarray(D, dtype=float)
-    if not (times.shape == E_mv.shape == D.shape == remainders.times.shape):
-        raise DomainError("verdict series must share one common time grid")
-    if not np.allclose(times, remainders.times, atol=1e-12, rtol=0.0):
-        raise DomainError("verdict series sampled on different times "
+    times, E_mv, D = remainders.times, remainders.E_mv, defect.D_total
+    if defect.times.shape != times.shape or \
+            not np.allclose(defect.times, times, atol=1e-12, rtol=0.0):
+        raise DomainError("defect report sampled on different times "
                           "than the remainder report")
     if E_mv[0] < -1e-15:
         raise DomainError(f"initial relative energy is negative: {E_mv[0]}")
 
     k = remainders.constants
-    xi_sup = float(np.max(xi)) if xi is not None and np.size(xi) else 0.0
+    xi_sup = float(np.max(defect.xi)) if defect.xi.size else 0.0
     C_total = k["K2"] + k["K3"] + k["K4"] + k["K5"] + xi_sup * k["U_C1"]
     T = float(times[-1])
     lambda_cert = math.exp(C_total * T)
@@ -427,7 +419,6 @@ def gronwall_verdict(times: np.ndarray, E_mv: np.ndarray, D: np.ndarray,
     constants.update({"C_total": C_total, "xi_sup": xi_sup, "T": T,
                       "E0": E0, "E_ref": E_ref})
     return RelativeEnergyReport(
-        times=times.copy(), E_mv=E_mv.copy(), D=D.copy(),
-        remainders=remainders, constants=constants,
+        D=D.copy(), remainders=remainders, constants=constants,
         lambda_emp=lambda_emp, lambda_cert=lambda_cert, C_total=C_total,
         E_ref=E_ref, uniqueness_mode=uniqueness, passed=passed)

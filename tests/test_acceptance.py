@@ -13,7 +13,7 @@ from mvflow.measures import (assemble, compatibility_residual,
                              renorm_continuity_residual,
                              renorm_identity_truncated)
 from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw, bregman_H,
-                             certify_h_bound, certify_lower_bound)
+                             certify)
 from mvflow.relative_energy import gronwall_verdict, remainder_terms
 from mvflow.solver import (Grid1D, SolverConfig, make_reference,
                            perturb_density, pulse_flow_init, run,
@@ -73,12 +73,11 @@ def test_03_certificates_over_gamma_and_bump_range():
         h_at_q1 = 1.0  # a * q1^gamma with a = 1, q1 = 1
         for amp in (0.0, 0.1 * h_at_q1, -0.1 * h_at_q1):
             law = power_law(gamma, amp)
-            lower = certify_lower_bound(law, (0.5, 2.0), rho_grid)
-            hbound = certify_h_bound(law, (0.5, 2.0), rho_grid)
-            all_valid &= lower.valid and hbound.valid
-            all_valid &= lower.c_min > 0.0 and np.isfinite(hbound.C_max)
-            c_floor = min(c_floor, lower.c_min)
-            c_ceil = max(c_ceil, hbound.C_max)
+            cert = certify(law, (0.5, 2.0), rho_grid)
+            all_valid &= cert.valid
+            all_valid &= cert.c_min > 0.0 and np.isfinite(cert.C_max)
+            c_floor = min(c_floor, cert.c_min)
+            c_ceil = max(c_ceil, cert.C_max)
     verdict("lemma certificates", 10.0, t0, all_valid,
             f"valid over 9 law variants, c_min >= {c_floor:.3g}, "
             f"C_max <= {c_ceil:.3g}")
@@ -212,18 +211,16 @@ def _weak_strong_family(eps: float, seed: int = 7):
     ref = make_reference(cfg, base, grid, factor=1)
     r_lo, r_hi = float(np.min(ref.r)), float(np.max(ref.r))
     rho_grid = np.linspace(0.0, 10.0, 4001)
-    lower = certify_lower_bound(law, (r_lo, r_hi), rho_grid)
-    hbound = certify_h_bound(law, (r_lo, r_hi), rho_grid)
-    rem = remainder_terms(measure, law, cfg.lam, ref, lower, hbound)
-    return gronwall_verdict(measure.times, rem.E_mv, defect.D_total, rem,
-                            ref, law, xi=defect.xi)
+    rem = remainder_terms(measure, law, cfg.lam, ref,
+                          certify(law, (r_lo, r_hi), rho_grid))
+    return gronwall_verdict(rem, defect, ref, law)
 
 
 def test_08_weak_strong_stability():
     t0 = time.perf_counter()
     ver0 = _weak_strong_family(0.0)
     unique = ver0.uniqueness_mode and ver0.passed
-    peak = float(np.max(ver0.E_mv + ver0.D))
+    peak = float(np.max(ver0.remainders.E_mv + ver0.D))
     floor = 1e-8 * (1.0 + ver0.E_ref)
     unique &= peak < floor
 

@@ -188,12 +188,16 @@ def test_spec_without_checks_reads_back_from_its_resolved_file(tmp_path):
     assert spec_to_config(spec_from_config(resolved)) == spec_to_config(spec)
 
 
-def _readme_spec_keys():
-    """(key, default) of each row of README's spec-key table."""
+def _readme_lines():
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                         "README.md")
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        return fh.read().splitlines()
+
+
+def _readme_spec_keys():
+    """(key, default) of each row of README's spec-key table."""
+    lines = _readme_lines()
     start = lines.index("| key | default | meaning |") + 2
     rows = []
     for line in lines[start:]:
@@ -208,6 +212,14 @@ def test_readme_spec_key_table_matches_the_schema():
     want = [(f"`{key}`", f"`{_text(default)}`" if default != () else "empty")
             for key, _, default, _ in _SETTINGS]
     assert _readme_spec_keys() == want
+
+
+def test_readme_library_quickstart_runs():
+    # the python block under README's "Library quickstart" heading, as written
+    lines = _readme_lines()
+    begin = lines.index("```python", lines.index("## Library quickstart")) + 1
+    end = lines.index("```", begin)
+    exec(compile("\n".join(lines[begin:end]), "README.md", "exec"), {})
 
 
 # -- output directory resolution --------------------------------------------------

@@ -19,8 +19,7 @@ SCENARIO = """
 import sys
 import numpy as np
 import mvflow.cli
-from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw, TabulatedH,
-                             certify_h_bound, certify_lower_bound)
+from mvflow.pressure import CompactBump, PowerLawH, PressureLaw, TabulatedH, certify
 from mvflow.solver import Grid1D, SolverConfig, pulse_flow_init, run
 
 law = PressureLaw(PowerLawH(1.0, 2.0), CompactBump(q1=0.9, q2=1.3, amp=-0.2))
@@ -32,8 +31,7 @@ table = TabulatedH((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 3.0, 6.0))
 rho = np.linspace(0.0, 4.0, 9)
 table.value(rho), table.slope(rho)
 rho_grid = np.linspace(0.0, 8.0, 64)
-assert certify_lower_bound(law, (0.5, 1.5), rho_grid).valid
-certify_h_bound(law, (0.5, 1.5), rho_grid)
+assert certify(law, (0.5, 1.5), rho_grid).c_min > 0.0
 print(" ".join(sorted(sys.modules)))
 """
 

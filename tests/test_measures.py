@@ -14,6 +14,7 @@ from mvflow.errors import (
     UnsupportedDimensionError,
 )
 from mvflow.measures import (
+    DEFECT_FLOOR,
     DefectReport,
     DiscreteYoungMeasure,
     RenormFunction,
@@ -548,7 +549,7 @@ def _random_defect(rng, measure):
         times=measure.times, x=measure.x, E_inf=D_total, sigma_inf=np.zeros(nt),
         zeta=np.zeros(nt), D_total=D_total, rM_field=rng.normal(size=(nt, n)),
         rM_abs=np.zeros(nt), xi=rng.uniform(0.0, 2.0, nt),
-        xi_meaningful=np.ones(nt, dtype=bool), zeta_by_member=np.zeros((1, nt)))
+        zeta_by_member=np.zeros((1, nt)))
 
 
 @given(K=st.integers(1, 4), n=st.integers(8, 48), nt=st.integers(2, 9),
@@ -678,7 +679,7 @@ def test_defect_duplicated_sequence_vanishes():
     np.testing.assert_array_equal(rep.zeta, 0.0)
     np.testing.assert_array_equal(rep.rM_field, 0.0)
     np.testing.assert_array_equal(rep.xi, 0.0)
-    assert not rep.xi_meaningful.any()
+    assert np.all(rep.D_total < DEFECT_FLOOR)
     assert rep.clip_log == {}
 
 
@@ -698,7 +699,7 @@ def test_defect_delta_sequence_trend():
     assert np.all(rep.zeta >= 0.0) and np.all(rep.D_total >= 0.0)
     np.testing.assert_allclose(rep.rM_abs, rep.E_inf + rep.zeta,
                                rtol=0, atol=1e-12)
-    assert rep.xi_meaningful.all()
+    assert np.all(rep.D_total >= DEFECT_FLOOR)
     np.testing.assert_allclose(rep.xi, 1.0, rtol=0, atol=1e-10)
 
 

@@ -14,9 +14,7 @@ from mvflow.pressure import (
     PressureLaw,
     TabulatedH,
     bregman_H,
-    certificate_rows,
-    certify_h_bound,
-    certify_lower_bound,
+    certify,
     h_increment,
     law_from_config,
     law_to_config,
@@ -196,10 +194,11 @@ def test_tabulated_reproducer_tail_is_monotone():
     assert float(h.value(20.0)) == pytest.approx(1.8 * 400.0 / 9.0, rel=1e-14)
     x = np.linspace(0.0, 30.0, 6001)
     assert np.all(np.diff(h.value(x)) > 0.0)
-    # the certificates, which scan past the table, now hold as well
+    # the certificate, which scans past the table, now holds as well
     law, grid = PressureLaw(h_part=h), np.linspace(0.0, 10.0, 4001)
-    assert certify_lower_bound(law, (0.5, 2.0), grid).c_min > 0.0
-    assert certify_h_bound(law, (0.5, 2.0), grid).valid
+    cert = certify(law, (0.5, 2.0), grid)
+    assert cert.c_min > 0.0
+    assert cert.valid
 
 
 def test_tabulated_tail_matches_value_and_slope():
@@ -320,8 +319,7 @@ def test_production_paths_make_no_quadrature_calls(monkeypatch):
 
     both = PressureLaw(h_part=bench_table(), bump=CompactBump(q1=1.0, q2=2.0, amp=0.05))
     rho_grid = np.linspace(0.0, 10.0, 4001)
-    assert certify_lower_bound(both, (0.5, 2.0), rho_grid).valid
-    assert certify_h_bound(both, (0.5, 2.0), rho_grid).valid
+    assert certify(both, (0.5, 2.0), rho_grid).valid
 
     bump_law = power_law(bump=CompactBump(q1=1.0, q2=2.0, amp=0.05))
     assert np.all(np.isfinite(bump_law.P(np.linspace(0.0, 5.0, 11))))
@@ -533,7 +531,7 @@ def _oracle_two_band_c(law, r, grid, r1, r2):
 def test_lower_bound_certificate_gamma2_middle_band_is_one():
     law = power_law(a=1.0, gamma=2.0)
     grid = np.arange(0.0, 8.0 + 1e-12, 0.01)
-    cert = certify_lower_bound(law, (1.0, 1.0), grid)
+    cert = certify(law, (1.0, 1.0), grid)
     assert cert.r1 == 0.5 and cert.r2 == 2.0
     assert cert.c_middle[0] == pytest.approx(1.0, rel=1e-12)
     cm, co = _oracle_two_band_c(law, 1.0, grid, 0.5, 2.0)
@@ -547,7 +545,7 @@ def test_lower_bound_certificate_small_bumps(gamma, amp_sign):
     law = power_law(a=1.0, gamma=gamma,
                     bump=CompactBump(q1=1.0, q2=2.0, amp=amp_sign * 0.1))
     grid = np.arange(0.0, 10.0 + 1e-12, 0.01)
-    cert = certify_lower_bound(law, (0.5, 2.0), grid)
+    cert = certify(law, (0.5, 2.0), grid)
     assert cert.valid
     assert cert.c_min > 0.0
 
@@ -555,17 +553,17 @@ def test_lower_bound_certificate_small_bumps(gamma, amp_sign):
 def test_lower_bound_rejects_degenerate_grid():
     law = power_law()
     with pytest.raises(InsufficientGridError):
-        certify_lower_bound(law, (1.0, 1.0), np.full(12, 1.0))
+        certify(law, (1.0, 1.0), np.full(12, 1.0))
     with pytest.raises(InsufficientGridError):
         # grid too short to witness the outer band
-        certify_lower_bound(law, (1.0, 1.0), np.linspace(0.0, 3.0, 50))
+        certify(law, (1.0, 1.0), np.linspace(0.0, 3.0, 50))
 
 
 def test_h_bound_certificate_gamma2_ratio_is_one():
     # for gamma = 2 both sides equal a (rho - r)^2, so C = 1 on any grid
     law = power_law(a=1.0, gamma=2.0)
     grid = np.arange(0.0, 8.0 + 1e-12, 0.01)
-    cert = certify_h_bound(law, (0.5, 2.0), grid)
+    cert = certify(law, (0.5, 2.0), grid)
     assert cert.valid
     assert cert.C_max == pytest.approx(1.0, rel=1e-10)
 
@@ -574,7 +572,7 @@ def test_h_bound_certificate_gamma2_ratio_is_one():
 def test_h_bound_certificate_finite_for_other_exponents(gamma):
     law = power_law(a=1.0, gamma=gamma)
     grid = np.arange(0.0, 10.0 + 1e-12, 0.01)
-    cert = certify_h_bound(law, (0.5, 2.0), grid)
+    cert = certify(law, (0.5, 2.0), grid)
     assert cert.valid
     assert np.all(np.isfinite(cert.C_of_r))
     # spot-check one r against a long-hand scan (plain formula is noisy near r)
@@ -589,9 +587,8 @@ def test_h_bound_certificate_finite_for_other_exponents(gamma):
 def test_certificate_rows_shape():
     law = power_law()
     grid = np.arange(0.0, 8.0 + 1e-12, 0.01)
-    low = certify_lower_bound(law, (0.5, 2.0), grid)
-    hb = certify_h_bound(law, (0.5, 2.0), grid)
-    rows = certificate_rows(low, hb)
+    header, rows = certify(law, (0.5, 2.0), grid).rows()
+    assert header == ["r", "c_middle", "c_outer", "C_ratio", "valid"]
     assert len(rows) == 33
     assert all(len(r) == 5 for r in rows)
     assert all(r[4] for r in rows)

@@ -10,8 +10,7 @@ from mvflow import relative_energy as rel
 from mvflow.errors import (CannotBoundError, DomainError, InvalidBandError,
                            ReferenceInvalidError)
 from mvflow.measures import DiscreteYoungMeasure, assemble, estimate_defect
-from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw,
-                             certify_h_bound, certify_lower_bound)
+from mvflow.pressure import CompactBump, PowerLawH, PressureLaw, certify
 from mvflow.solver import (Grid1D, SolverConfig, StrongSolutionRef,
                            make_reference, perturb_density, pulse_flow_init,
                            run)
@@ -64,11 +63,9 @@ def build_family(eps, law=LAW_BUMP, K=4, n=96, T=0.1, seed=7):
     return cfg, measure, ref, defect
 
 
-def certs_for(law, ref):
+def cert_for(law, ref):
     r_lo, r_hi = float(np.min(ref.r)), float(np.max(ref.r))
-    rho_grid = np.linspace(0.0, 10.0, 4001)
-    return (certify_lower_bound(law, (r_lo, r_hi), rho_grid),
-            certify_h_bound(law, (r_lo, r_hi), rho_grid))
+    return certify(law, (r_lo, r_hi), np.linspace(0.0, 10.0, 4001))
 
 
 @pytest.fixture(scope="module")
@@ -77,16 +74,15 @@ def bump_family():
 
 
 @pytest.fixture(scope="module")
-def bump_certs(bump_family):
+def bump_cert(bump_family):
     _, _, ref, _ = bump_family
-    return certs_for(LAW_BUMP, ref)
+    return cert_for(LAW_BUMP, ref)
 
 
 @pytest.fixture(scope="module")
-def bump_remainders(bump_family, bump_certs):
+def bump_remainders(bump_family, bump_cert):
     cfg, measure, ref, _ = bump_family
-    lower, hb = bump_certs
-    return rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, lower, hb)
+    return rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, bump_cert)
 
 
 # -- evaluator --------------------------------------------------------------------
@@ -179,10 +175,9 @@ class TestCutoffBand:
 
 
 class TestRemainderTerms:
-    def test_dirac_at_comparison_flow_all_zero(self, bump_certs):
+    def test_dirac_at_comparison_flow_all_zero(self, bump_cert):
         cfg, measure, ref, _ = build_family(0.0, K=1)
-        lower, hb = bump_certs
-        rep = rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, lower, hb)
+        rep = rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, bump_cert)
         for name in ("I2", "I3", "I4", "I5"):
             assert np.max(np.abs(getattr(rep, name))) == 0.0
         for name in ("slack2", "slack3", "slack4", "slack5"):
@@ -202,10 +197,10 @@ class TestRemainderTerms:
             assert np.max(np.abs(getattr(rep, f"I{i}"))) <= \
                 0.5 * float(getattr(rep, f"bound{i}")[-1])
 
-    def test_no_bump_kills_the_mismatch_term(self, bump_certs):
+    def test_no_bump_kills_the_mismatch_term(self, bump_cert):
         cfg, measure, ref, _ = build_family(1e-2, law=LAW_MONO)
-        lower, hb = certs_for(LAW_MONO, ref)
-        rep = rel.remainder_terms(measure, LAW_MONO, cfg.lam, ref, lower, hb)
+        cert = cert_for(LAW_MONO, ref)
+        rep = rel.remainder_terms(measure, LAW_MONO, cfg.lam, ref, cert)
         assert np.all(rep.I5 == 0.0)
         assert rep.constants["Cq"] == 0.0 and rep.constants["K5"] == 0.0
         # the forcing weight reduces to the viscous part alone
@@ -222,28 +217,32 @@ class TestRemainderTerms:
     def test_missing_certificates_rejected(self, bump_family):
         cfg, measure, ref, _ = bump_family
         with pytest.raises(CannotBoundError):
-            rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, None, None)
+            rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, None)
 
-    def test_invalidated_certificate_rejected(self, bump_family, bump_certs):
+    def test_invalidated_certificate_rejected(self, bump_family, bump_cert):
         cfg, measure, ref, _ = bump_family
-        lower, hb = bump_certs
-        broken = dataclasses.replace(lower, valid=False)
+        broken = dataclasses.replace(bump_cert, valid=False)
         with pytest.raises(CannotBoundError):
-            rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, broken, hb)
+            rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, broken)
 
     def test_certificate_range_must_cover_reference(self, bump_family):
         cfg, measure, ref, _ = bump_family
         rho_grid = np.linspace(0.0, 10.0, 2001)
-        lower = certify_lower_bound(LAW_BUMP, (1.5, 1.6), rho_grid)
-        hb = certify_h_bound(LAW_BUMP, (1.5, 1.6), rho_grid)
+        cert = certify(LAW_BUMP, (1.5, 1.6), rho_grid)
         with pytest.raises(InvalidBandError, match="covers"):
-            rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, lower, hb)
+            rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, cert)
 
-    def test_nonpositive_viscosity_rejected(self, bump_family, bump_certs):
+    def test_certificate_grid_must_reach_the_observed_density(self, bump_family,
+                                                              bump_cert):
+        cfg, measure, ref, _ = bump_family
+        short = dataclasses.replace(bump_cert, grid_max=0.5 * float(np.max(measure.S)))
+        with pytest.raises(InvalidBandError, match="tops out"):
+            rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, short)
+
+    def test_nonpositive_viscosity_rejected(self, bump_family, bump_cert):
         _, measure, ref, _ = bump_family
-        lower, hb = bump_certs
         with pytest.raises(DomainError, match="viscosity"):
-            rel.remainder_terms(measure, LAW_BUMP, 0.0, ref, lower, hb)
+            rel.remainder_terms(measure, LAW_BUMP, 0.0, ref, bump_cert)
 
 
 
@@ -251,12 +250,10 @@ class TestRemainderTerms:
 
 
 class TestGronwallVerdict:
-    def test_identically_zero_series_pass_uniqueness(self, bump_certs):
+    def test_identically_zero_series_pass_uniqueness(self, bump_cert):
         cfg, measure, ref, defect = build_family(0.0, K=2)
-        lower, hb = bump_certs
-        rep = rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, lower, hb)
-        ver = rel.gronwall_verdict(measure.times, rep.E_mv, defect.D_total,
-                                   rep, ref, LAW_BUMP, xi=defect.xi)
+        rep = rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, bump_cert)
+        ver = rel.gronwall_verdict(rep, defect, ref, LAW_BUMP)
         assert ver.uniqueness_mode and ver.passed
         assert float(np.max(rep.E_mv + defect.D_total)) < 1e-8 * (1.0 + ver.E_ref)
 
@@ -264,22 +261,19 @@ class TestGronwallVerdict:
                                                      bump_remainders):
         cfg, measure, ref, defect = bump_family
         rep = bump_remainders
-        ver = rel.gronwall_verdict(measure.times, rep.E_mv, defect.D_total,
-                                   rep, ref, LAW_BUMP, xi=defect.xi)
+        ver = rel.gronwall_verdict(rep, defect, ref, LAW_BUMP)
         assert not ver.uniqueness_mode
         assert ver.passed
         assert ver.lambda_emp <= ver.lambda_cert + 1e-9
         assert ver.lambda_cert == pytest.approx(
             math.exp(ver.C_total * float(measure.times[-1])), rel=1e-12)
 
-    def test_growth_factor_stable_across_perturbation_sizes(self, bump_certs):
-        lower, hb = bump_certs
+    def test_growth_factor_stable_across_perturbation_sizes(self, bump_cert):
         lams, e0s = [], []
         for eps in (1e-1, 1e-2, 1e-3):
             cfg, measure, ref, defect = build_family(eps)
-            rep = rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, lower, hb)
-            ver = rel.gronwall_verdict(measure.times, rep.E_mv, defect.D_total,
-                                       rep, ref, LAW_BUMP, xi=defect.xi)
+            rep = rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, bump_cert)
+            ver = rel.gronwall_verdict(rep, defect, ref, LAW_BUMP)
             assert ver.passed and not ver.uniqueness_mode
             lams.append(ver.lambda_emp)
             e0s.append(ver.constants["E0"])
@@ -293,34 +287,32 @@ class TestGronwallVerdict:
         rep = bump_remainders
         spiked = rep.E_mv.copy()
         spiked[-1] = 1e6 * max(spiked[0], 1e-30)
-        ver = rel.gronwall_verdict(measure.times, spiked, defect.D_total,
-                                   rep, ref, LAW_BUMP, xi=defect.xi)
+        ver = rel.gronwall_verdict(dataclasses.replace(rep, E_mv=spiked), defect,
+                                   ref, LAW_BUMP)
         assert not ver.passed
 
     def test_mismatched_series_rejected(self, bump_family, bump_remainders):
         cfg, measure, ref, defect = bump_family
         rep = bump_remainders
-        with pytest.raises(DomainError, match="series"):
-            rel.gronwall_verdict(measure.times[:-1], rep.E_mv[:-1],
-                                 defect.D_total[:-1], rep, ref, LAW_BUMP)
+        for times in (defect.times[:-1], defect.times + 1e-3):
+            other = dataclasses.replace(defect, times=times)
+            with pytest.raises(DomainError, match="different times"):
+                rel.gronwall_verdict(rep, other, ref, LAW_BUMP)
 
     def test_concentration_weight_enters_growth_constant(self, bump_family,
                                                          bump_remainders):
         cfg, measure, ref, defect = bump_family
         rep = bump_remainders
-        v0 = rel.gronwall_verdict(measure.times, rep.E_mv, defect.D_total,
-                                  rep, ref, LAW_BUMP, xi=None)
-        ones = np.ones_like(measure.times)
-        v1 = rel.gronwall_verdict(measure.times, rep.E_mv, defect.D_total,
-                                  rep, ref, LAW_BUMP, xi=ones)
+        v0, v1 = (rel.gronwall_verdict(
+            rep, dataclasses.replace(defect, xi=np.full_like(defect.xi, xi)),
+            ref, LAW_BUMP) for xi in (0.0, 1.0))
         assert v1.C_total - v0.C_total == pytest.approx(
             rep.constants["U_C1"], rel=1e-12)
 
     def test_report_rows_and_verdict_line(self, bump_family, bump_remainders):
         cfg, measure, ref, defect = bump_family
         rep = bump_remainders
-        ver = rel.gronwall_verdict(measure.times, rep.E_mv, defect.D_total,
-                                   rep, ref, LAW_BUMP, xi=defect.xi)
+        ver = rel.gronwall_verdict(rep, defect, ref, LAW_BUMP)
         hdr, rows = ver.rows()
         assert len(hdr) == 15 and len(rows) == measure.times.size
         assert all(len(row) == 15 for row in rows)

@@ -4,7 +4,7 @@ The ratio scans and the certificates take B over blocks of r rows, and the
 residual families take their tables over blocks of test functions.  Every
 result must be the bytes of the one-block (whole table) evaluation, whatever
 the block size, and a table's traced peak must not grow with its length.
-certify's shared pass must give the bytes, and the errors, of its halves.
+certify's one pass raises the lower bound's grid error before the h bound's.
 """
 import dataclasses
 import tracemalloc
@@ -18,8 +18,8 @@ from mvflow.measures import (DefectReport, DiscreteYoungMeasure,
                              compatibility_residual, continuity_residual,
                              momentum_residual, renorm_continuity_residual,
                              renorm_identity_truncated)
-from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw, TabulatedH,
-                             certify, certify_h_bound, certify_lower_bound)
+from mvflow.pressure import (Certificate, CompactBump, PowerLawH, PressureLaw,
+                             TabulatedH, certify)
 from mvflow.relative_energy import CutoffBand, _scan_max
 from mvflow.testfuncs import (compatibility_family, density_family,
                               momentum_family)
@@ -85,21 +85,10 @@ def test_scan_max_is_the_same_in_every_block_size(monkeypatch, law):
 @pytest.mark.parametrize("r_range", [(0.9, 1.15), (0.5, 2.0), (1.0, 1.0)])
 def test_certificates_are_the_same_in_every_block_size(monkeypatch, law, r_range):
     grid = np.linspace(0.0, 10.0, 2001)
-    lower = _under_each_block(monkeypatch,
-                              lambda: certify_lower_bound(law, r_range, grid))
-    hbound = _under_each_block(monkeypatch, lambda: certify_h_bound(law, r_range, grid))
-    pair = _under_each_block(monkeypatch, lambda: certify(law, r_range, grid))
-    assert _same_bytes({k: c.c_middle for k, c in lower.items()})
-    assert _same_bytes({k: c.c_outer for k, c in lower.items()})
-    assert _same_bytes({k: c.C_of_r for k, c in hbound.items()})
-    assert {c.valid for c in lower.values()} == {True}
-    assert {c.valid for c in hbound.values()} == {True}
-    # the shared pass gives its halves' certificates, field for field
-    for name, (low, hb) in pair.items():
-        for got, want in ((low, lower[name]), (hb, hbound[name])):
-            for f in dataclasses.fields(want):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, f.name)
+    certs = _under_each_block(monkeypatch, lambda: certify(law, r_range, grid))
+    for f in dataclasses.fields(Certificate):
+        assert _same_bytes({k: getattr(c, f.name) for k, c in certs.items()}), f.name
+    assert {c.valid for c in certs.values()} == {True}
 
 
 def test_lower_bound_names_the_r_without_middle_points(monkeypatch):
@@ -107,7 +96,7 @@ def test_lower_bound_names_the_r_without_middle_points(monkeypatch):
     # r_values[16]; every other r sees it as distinct.  On the second, tiny
     # range every grid point also lies within H_BOUND_EXCLUSION of every r,
     # so the h bound fails from the first block on, and certify still raises
-    # the lower bound's error, as the two halves called in turn do
+    # the lower bound's error
     law = LAWS["bump-2"]
     for r_range, below, above in (((1.0, 1.2), [0.1, 0.2, 0.3, 0.4], [2.5, 3.0, 4.0, 5.0]),
                                   ((2e-8, 1.2e-7), [2e-9, 4e-9, 6e-9, 8e-9],
@@ -117,10 +106,9 @@ def test_lower_bound_names_the_r_without_middle_points(monkeypatch):
         messages = set()
         for cells in BLOCKS.values():
             monkeypatch.setattr(mvflow.pressure, "TABLE_BLOCK", cells)
-            for call in (certify_lower_bound, certify):
-                with pytest.raises(InsufficientGridError, match=f"r = {r_bad}") as err:
-                    call(law, r_range, grid)
-                messages.add(str(err.value))
+            with pytest.raises(InsufficientGridError, match=f"r = {r_bad}") as err:
+                certify(law, r_range, grid)
+            messages.add(str(err.value))
         assert len(messages) == 1
 
 
@@ -128,9 +116,8 @@ def test_h_bound_names_the_r_with_every_point_excluded(monkeypatch):
     # every grid point lies within H_BOUND_EXCLUSION of r
     for cells in BLOCKS.values():
         monkeypatch.setattr(mvflow.pressure, "TABLE_BLOCK", cells)
-        for call in (certify_h_bound, certify):
-            with pytest.raises(InsufficientGridError, match="r = 1e-08"):
-                call(LAWS["power-1.4"], (1e-8, 1e-8), np.linspace(0.0, 4e-8, 8))
+        with pytest.raises(InsufficientGridError, match="r = 1e-08"):
+            certify(LAWS["power-1.4"], (1e-8, 1e-8), np.linspace(0.0, 4e-8, 8))
 
 
 def _measure(rng, K, n, nt):
@@ -150,7 +137,7 @@ def test_residual_families_are_the_same_in_every_block_size(monkeypatch, law):
         times=V.times, x=V.x, E_inf=np.full(nt, 0.1), sigma_inf=np.zeros(nt),
         zeta=np.zeros(nt), D_total=np.full(nt, 0.1), rM_field=rng.normal(size=(nt, n)),
         rM_abs=np.zeros(nt), xi=rng.uniform(0.0, 2.0, nt),
-        xi_meaningful=np.ones(nt, dtype=bool), zeta_by_member=np.zeros((1, nt)))
+        zeta_by_member=np.zeros((1, nt)))
     b = renorm_identity_truncated(r_b=2.0, width=0.4)
     dens, mom, comp = density_family(1.0), momentum_family(1.0), compatibility_family(1.0)
     for tau in (float(V.times[4]), float(V.times[-1])):
@@ -215,7 +202,16 @@ def test_certify_peak_does_not_grow_with_the_r_grid(monkeypatch):
     assert long <= 1.05 * short
     # a few blocks' temporaries, not the (512, 4001) table
     assert long < 512 * grid.size * 8 / 4
-    # the lower bound's temporaries are gone before the h bound's exist
-    lower = _peak_bytes(lambda: certify_lower_bound(law, (0.9, 1.15), grid))
-    upper = _peak_bytes(lambda: certify_h_bound(law, (0.9, 1.15), grid))
+    # the lower bound's temporaries are gone before the h bound's exist: the
+    # pass peaks no higher than either half with the other one stubbed out
+    real_lower, real_h = mvflow.pressure._lower_block, mvflow.pressure._h_block
+
+    def half(lower_block, h_block):
+        monkeypatch.setattr(mvflow.pressure, "_lower_block", lower_block)
+        monkeypatch.setattr(mvflow.pressure, "_h_block", h_block)
+        return _peak_bytes(lambda: certify(law, (0.9, 1.15), grid))
+
+    lower = half(real_lower, lambda law, rho_grid, r, breg: np.ones(len(r)))
+    upper = half(lambda law, rho_grid, middle, outer_den, r, breg: (np.ones(len(r)),) * 2,
+                 real_h)
     assert long <= 1.05 * max(lower, upper)

@@ -68,3 +68,12 @@ def test_one_run_calls_the_traced_seams(monkeypatch):
     assert calls["admissible_dt"] == traj.n_steps  # one CFL bound per fresh step
     assert traj.n_steps <= calls["step"] <= traj.n_trials  # one call per trial or two
     assert calls["total_energy"] > 0 and calls["P"] > 0
+
+
+def test_the_certificate_names_are_aliases_of_certify():
+    # the tracer wraps these two names; each must stay the one certify pass,
+    # not grow back into a second code path
+    from mvflow import experiments, pressure
+
+    assert experiments.certify_lower_bound is experiments.certify_h_bound \
+        is pressure.certify
