@@ -184,12 +184,18 @@ class PowerLawH:
         if not (np.inf > self.gamma >= 1.0):
             raise InvalidLawError(f"power-law gamma must be finite and >= 1, got {self.gamma}")
 
+    # value, slope and potential skip the operations that change no bit: the
+    # multiply by a = 1, rho^1 at gamma = 2, and the divide by gamma - 1 = 1.
+    # Each returns a fresh array (callers add into it), never rho itself.
     def value(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
-        return self.a * np.power(rho, self.gamma)
+        out = np.power(rho, self.gamma)
+        return out if self.a == 1.0 else self.a * out
 
     def slope(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
+        if self.gamma == 2.0:
+            return self.a * self.gamma * rho
         return self.a * self.gamma * np.power(rho, self.gamma - 1.0)
 
     def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -201,9 +207,12 @@ class PowerLawH:
         rho = np.asarray(rho, dtype=float)
         if self.gamma == 1.0:
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = self.a * rho * np.log(rho)
+                out = (rho if self.a == 1.0 else self.a * rho) * np.log(rho)
             return np.where(rho > 0.0, out, 0.0)
-        return self.a * (np.power(rho, self.gamma) - rho) / (self.gamma - 1.0)
+        out = np.power(rho, self.gamma) - rho
+        if self.a != 1.0:
+            out = self.a * out
+        return out if self.gamma == 2.0 else out / (self.gamma - 1.0)
 
     def potential_slope(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)

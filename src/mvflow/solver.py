@@ -53,15 +53,17 @@ slower.
 
 A trial's cost is numpy call overhead on small arrays, not arithmetic, so
 the kernels make few calls: the three face quantities share one buffer and
-one difference, dt/dx scales all three in one multiply, the energy density
-and the squared gradient share one reduction, the kernels take and return
-arrays and Python floats (no state object per call), and run_stack binds
-its state to views of the accepted trial rows.  Without a near-vacuum cell
-in a trial, step skips the vacuum masks; it reads that from its own minimum
-before the clamp to 0.  step, admissible_dt, total_energy and
-PressureLaw.P are looked up at call time, the seams where perfbench's
-tracer counts and times a run: one solver.step span per stack trial, one
-solver.admissible_dt span per fresh step.
+one difference, dt/dx scales all three in one multiply, the trial buffer is
+reshaped once, the wall cells' diagonal of uniform rows is updated in place
+on its strided view, the energy density and the squared gradient share one
+reduction, the kernels take and return arrays and Python floats (no state
+object per call), and run_stack binds its state to views of the accepted
+trial rows.  A power law skips the operations that change no bit (see
+PowerLawH).  Without a near-vacuum cell in a trial, step skips the vacuum
+masks; it reads that from its own minimum before the clamp to 0.  step,
+admissible_dt, total_energy and PressureLaw.P are looked up at call time,
+the seams where perfbench's tracer counts and times a run: one solver.step
+span per stack trial, one solver.admissible_dt span per fresh step.
 
 The donor-cell update needs no positivity limiter.  A cell's outflow is at
 most rho_i max|u| (each face velocity is the mean of two cell velocities),
@@ -297,11 +299,12 @@ def step_start(rho: np.ndarray, u: np.ndarray, cfg: SolverConfig, cells: Rows, d
     # the left row's last cell is mended after the difference.
     faces = np.zeros((3,) + rho.shape[:-1] + (C + 1,))
     inner = faces[..., 1:-1]
-    u_face = 0.5 * (u[..., :-1] + u[..., 1:])
+    u_lo, u_hi = u[..., :-1], u[..., 1:]
+    u_face = 0.5 * (u_lo + u_hi)
     # donor-cell mass flux; the momentum flux rides it with the donor velocity
     donor_hi = u_face > 0.0
     F = np.multiply(np.where(donor_hi, rho[..., :-1], rho[..., 1:]), u_face, out=inner[0])
-    np.multiply(F, np.where(donor_hi, u[..., :-1], u[..., 1:]), out=inner[1])
+    np.multiply(F, np.where(donor_hi, u_lo, u_hi), out=inner[1])
     p, dp = cfg.law.p_and_dp(rho)  # one law pass for the pressure and the CFL bound
     pi = total_pressure(cfg, rho, p, delta)
     np.multiply(pi[..., :-1] + pi[..., 1:], 0.5, out=inner[2])
@@ -347,12 +350,13 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     # dt/dx and lam dt/dx^2 of every trial in one array, spread over its
     # row's cells; dt/dx times the three face differences in one multiply,
     # the rungs broadcasting against the start; then the new density and the
-    # momentum before viscosity take their place in the same buffer
+    # momentum before viscosity take their place in the same buffer, which
+    # is then taken as (3, R L, n), or (3, R, N), in one reshape
     lam, dxs = cfg.lam, cells.row_dx(len(dts))
-    scale, kappa = cells.spread(np.array(
+    coef = cells.spread(np.array(
         [x / dx for x, dx in zip(dts, dxs)] + [lam * x / dx**2 for x, dx in zip(dts, dxs)]
     ).reshape(2, -1, L))
-    new = scale * d[:, None]
+    new = coef[0] * d[:, None]
     rho_new, m_star, dpi = new[0], new[1], new[2]
     np.subtract(rho, rho_new, out=rho_new)
     np.subtract(m, m_star, out=m_star)
@@ -372,17 +376,24 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
         np.maximum(rho_new, 0.0, out=rho_new)
     if not finite:
         _require_finite("momentum", m_star, cells, rows)
+    C = rho.shape[-1]
+    flat = new.reshape(3, -1, C)
+    rho_new, m_star, dpi = flat[0], flat[1], flat[2]
 
     # implicit viscosity: (rho_new - lam dt Dxx) u_new = m_star with mirrored
     # ghost velocities (u = 0 at the wall faces), one row per trial: the
     # uncoupled blocks of one tridiagonal system for LAPACK dgtsv (see
     # _load_flapack).  The wrapper copies dl (overwrite_dl off) before dgtsv
     # writes du, so one array serves as both off-diagonals.
-    C = rho_new.shape[-1]
-    kappa = kappa.reshape(-1, kappa.shape[-1])
-    rho_new, m_star = rho_new.reshape(-1, C), m_star.reshape(-1, C)
+    kappa = coef[1].reshape(-1, coef.shape[-1])  # (R L, 1), or (R, N)
     diag = rho_new + 2.0 * kappa
-    diag[:, cells.ends] += kappa[:, cells.ends]  # the first and last cell of each row
+    # the first and last cell of each row: a strided view of uniform rows,
+    # updated in place
+    if cells.joints is None:
+        walls = diag[:, cells.ends]
+        np.add(walls, kappa, out=walls)
+    else:
+        diag[:, cells.ends] += kappa[:, cells.ends]
     off = np.multiply(kappa, cells.coupling).reshape(-1)[:-1]
     *_, u_new, info = dgtsv(off, diag.reshape(-1), off, m_star.reshape(-1),
                             False, True, True, True)
@@ -398,11 +409,11 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     # whose side of rho_floor the clamp to 0 keeps; without a near-vacuum
     # cell the masks would keep every entry and are skipped
     if lowest > cfg.rho_floor:
-        m_new = np.multiply(rho_new, u_new, out=dpi.reshape(-1, C))  # dpi is spent
+        m_new = np.multiply(rho_new, u_new, out=dpi)  # dpi is spent
         u, kin = m_new / rho_new, 0.5 * m_new**2 / rho_new
     else:
         solid, rho_f = _vacuum(rho_new, cfg.rho_floor)
-        m_new = np.multiply(rho_new, np.where(solid, u_new, 0.0), out=dpi.reshape(-1, C))
+        m_new = np.multiply(rho_new, np.where(solid, u_new, 0.0), out=dpi)
         u, kin = np.where(solid, m_new / rho_f, 0.0), _kinetic(rho_new, m_new, solid, rho_f)
     # the energy density and the squared gradient in one per-row reduction,
     # each row summed as alone
@@ -653,9 +664,11 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         if not taken:
             continue
         rung = taken[0] // L
-        if taken == list(range(rung * L, rung * L + L)):  # all at one rung: its rows
+        # every row at one rung (taken[j] is j + L times its rung, 0 or 1)
+        if len(taken) == L and sum(taken) == L * (L - 1) // 2 + rung * L * L:
             M = len(rho_t) // rungs  # array rows per rung: L, or 1 if ragged
-            rho, m, u = (a[rung * M:rung * M + M] for a in (rho_t, m_t, u_t))
+            at = slice(rung * M, rung * M + M)
+            rho, m, u = rho_t[at], m_t[at], u_t[at]
         else:
             for j, i in zip(pos, taken):
                 a, b = cells.at(j), cells.at(i)
@@ -813,12 +826,20 @@ def make_reference(cfg: SolverConfig, init: InitialData, grid: Grid1D,
     return reference_from_run(run(cfg, init.sample(fine), fine), grid)
 
 
-def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
+def run_derivatives(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dr/dx, dU/dx and d2U/dx2 of a run's samples on its own grid: the
+    fields reference_from_run restricts."""
+    dx = traj.grid.dx
+    return gradient_1d(traj.rho, dx), gradient_1d(traj.u, dx), _laplacian_no_slip(traj.u, dx)
+
+
+def reference_from_run(traj: Trajectory, grid: Grid1D, derivatives=None) -> StrongSolutionRef:
     """Restrict a finished run on a refinement of grid to grid's cells.
 
     Derivative fields are differenced on the run's own grid before
-    restriction.  The result is rejected if the run stopped early or
-    approaches vacuum (min rho < 10 * rho_floor).
+    restriction; derivatives, if given, is run_derivatives(traj), so a run
+    restricted to several grids is differenced once.  The result is rejected
+    if the run stopped early or approaches vacuum (min rho < 10 * rho_floor).
     """
     fine = traj.grid
     factor, rest = divmod(fine.n, grid.n)
@@ -833,9 +854,7 @@ def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
         raise ReferenceInvalidError(
             f"reference reached near-vacuum density {min_r:.3e}")
 
-    dr_f = gradient_1d(traj.rho, fine.dx)
-    dU_f = gradient_1d(traj.u, fine.dx)
-    d2U_f = _laplacian_no_slip(traj.u, fine.dx)
+    dr_f, dU_f, d2U_f = run_derivatives(traj) if derivatives is None else derivatives
 
     r = _restrict(traj.rho, factor)
     U = _restrict(traj.u, factor)

@@ -28,6 +28,7 @@ from mvflow.measures import (
     momentum_residual,
     renorm_continuity_residual,
     renorm_identity_truncated,
+    _prefix_trapezoid,
 )
 from mvflow.pressure import PowerLawH, PressureLaw
 from mvflow.solver import (
@@ -669,6 +670,18 @@ def test_energy_slack_defect_inflation_linearity():
 
 
 # -- defect estimation --------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+def test_prefix_trapezoid_is_each_prefix_trapezoid(n, seed):
+    # the terms formed once and reduced per prefix are the bytes of one
+    # np.trapezoid call per prefix
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.0, 0.1, size=n))
+    series = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8)
+    want = np.array([np.trapezoid(series[: k + 1], times[: k + 1]) for k in range(n)])
+    assert _prefix_trapezoid(series, times).tobytes() == want.tobytes()
+
 
 def test_defect_duplicated_sequence_vanishes():
     traj, _, _ = small_run()

@@ -99,6 +99,36 @@ def test_pressure_power_law_values():
     assert law.p(0.0) == 0.0
 
 
+def _same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.one_of(st.just(1.0), st.floats(0.1, 10.0)),
+       gamma=st.one_of(st.sampled_from([1.0, 1.4, 2.0, 3.0]), st.floats(1.0, 3.0)),
+       shape=st.sampled_from([(9,), (3, 7)]), seed=st.integers(0, 2**32 - 1))
+def test_power_law_skips_change_no_bit(a, gamma, shape, seed):
+    # value, slope and potential skip the multiply by a = 1, rho^1 at
+    # gamma = 2 and the divide by gamma - 1 = 1; each must keep the bytes of
+    # the textbook expression, and return a fresh array (callers add into it)
+    rho = np.random.default_rng(seed).uniform(0.0, 4.0, size=shape)
+    rho.flat[:2] = [0.0, 1.0]
+    h = PowerLawH(a=a, gamma=gamma)
+    value = a * np.power(rho, gamma)
+    slope = a * gamma * np.power(rho, gamma - 1.0)
+    if gamma == 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pot = np.where(rho > 0.0, a * rho * np.log(rho), 0.0)
+    else:
+        pot = a * (np.power(rho, gamma) - rho) / (gamma - 1.0)
+    pair = h.value_and_slope(rho)
+    for got, want in ((h.value(rho), value), (h.slope(rho), slope), (pair[0], value),
+                      (pair[1], slope), (h.potential(rho), pot)):
+        assert _same_bytes(got, want)
+        assert not np.shares_memory(got, rho)
+
+
 def test_pressure_with_bump():
     law = power_law(bump=CompactBump(q1=1.0, q2=2.0, amp=0.1))
     assert law.p(1.5) == pytest.approx(2.35)

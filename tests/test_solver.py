@@ -373,6 +373,49 @@ def test_ragged_kernels_equal_each_row_alone():
                 assert dis[i] == dissipation_increment(one, row_cfg, g, float(dt[r, k]))
 
 
+def _trial_by_setitem(rho, m, start, dts, cfg, cells):
+    """A trial's density and momentum as step formed them with each array
+    reshaped on its own and the wall cells' diagonal updated through
+    diag[:, ends] += kappa[:, ends], which copies back for uniform rows."""
+    dt_max, d = start
+    L, dxs = len(dt_max), cells.row_dx(len(dts))
+    scale, kappa = cells.spread(np.array(
+        [x / dx for x, dx in zip(dts, dxs)] + [cfg.lam * x / dx**2 for x, dx in zip(dts, dxs)]
+    ).reshape(2, -1, L))
+    new = scale * d[:, None]
+    C = rho.shape[-1]
+    rho_new = (rho - new[0]).reshape(-1, C)
+    m_star = ((m - new[1]) - new[2]).reshape(-1, C)
+    kappa = kappa.reshape(-1, kappa.shape[-1])
+    diag = rho_new + 2.0 * kappa
+    diag[:, cells.ends] += kappa[:, cells.ends]
+    off = np.multiply(kappa, cells.coupling).reshape(-1)[:-1]
+    *_, u_new, info = dgtsv(off, diag.reshape(-1), off, m_star.reshape(-1))
+    assert info == 0
+    return rho_new, rho_new * u_new.reshape(rho_new.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layout=st.sampled_from(["uniform", "ragged"]), rungs=st.sampled_from([1, 2]),
+       frac=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_step_walls_in_place_keep_the_bits(layout, rungs, frac, seed):
+    # one step call on two rows of one grid or of two grids, at one and two
+    # rungs, against the step that reshaped each array and updated the wall
+    # cells by index assignment
+    ns = (24, 24) if layout == "uniform" else (16, 24)
+    grids, cells, _, stack = _ragged_stack(ns, seed=seed)
+    if layout == "uniform":
+        cells, stack = grids[0]._rows, replace(stack, rho=stack.rho.reshape(2, -1),
+                                                m=stack.m.reshape(2, -1))
+    cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
+    u = velocity(stack, cfg.rho_floor)
+    start = mvflow.solver.step_start(stack.rho, u, cfg, cells, cfg.delta)
+    dts = [frac * x / r for r in range(1, rungs + 1) for x in start[0]]
+    rho, m, *_ = mvflow.solver.step(stack.rho, stack.m, start, dts, cfg, cells, cfg.delta)
+    want_rho, want_m = _trial_by_setitem(stack.rho, stack.m, start, dts, cfg, cells)
+    assert _same_bits(rho, want_rho) and _same_bits(m, want_m)
+
+
 # -- full runs -------------------------------------------------------------------
 
 def test_run_samples_and_shapes():

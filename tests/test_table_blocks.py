@@ -202,8 +202,16 @@ def test_certify_peak_does_not_grow_with_the_r_grid(monkeypatch):
     assert long <= 1.05 * short
     # a few blocks' temporaries, not the (512, 4001) table
     assert long < 512 * grid.size * 8 / 4
-    # the lower bound's temporaries are gone before the h bound's exist: the
-    # pass peaks no higher than either half with the other one stubbed out
+    # the lower bound's temporaries are gone before the h bound's exist.
+    # bregman_H hands out each block's B table, made beforehand, so the
+    # pass's peak is set by the lemma blocks and not inside bregman_H
+    monkeypatch.setattr(mvflow.pressure, "CERTIFICATE_R_POINTS", 16)
+    r_values = mvflow.pressure._r_values(0.9, 1.15)
+    blocks = mvflow.pressure.row_blocks(r_values.size, grid.size)
+    tables = {float(r_values[rows][0]): mvflow.pressure.bregman_H(law, grid, r_values[rows, None])
+              for rows in blocks}
+    monkeypatch.setattr(mvflow.pressure, "bregman_H",
+                        lambda law, rho_grid, r: tables[float(r[0, 0])])
     real_lower, real_h = mvflow.pressure._lower_block, mvflow.pressure._h_block
 
     def half(lower_block, h_block):
@@ -211,7 +219,19 @@ def test_certify_peak_does_not_grow_with_the_r_grid(monkeypatch):
         monkeypatch.setattr(mvflow.pressure, "_h_block", h_block)
         return _peak_bytes(lambda: certify(law, (0.9, 1.15), grid))
 
+    both = half(real_lower, real_h)
     lower = half(real_lower, lambda law, rho_grid, r, breg: np.ones(len(r)))
     upper = half(lambda law, rho_grid, middle, outer_den, r, breg: (np.ones(len(r)),) * 2,
                  real_h)
-    assert long <= 1.05 * max(lower, upper)
+    # the pass peaks no higher than either half with the other one stubbed out
+    assert both <= 1.05 * max(lower, upper)
+    # and holds no block-sized table beyond the larger of one lower block's
+    # and one h block's own temporaries (B, the grid's masks and the result
+    # columns stay under half a block)
+    r = r_values[blocks[0], None]
+    breg = tables[float(r[0, 0])]
+    r1, r2 = mvflow.pressure._check_grid(grid, 0.9, 1.15)
+    middle, outer_den = (grid >= r1) & (grid <= r2), 1.0 + grid ** law.gamma
+    own = max(_peak_bytes(lambda: real_lower(law, grid, middle, outer_den, r, breg)),
+              _peak_bytes(lambda: real_h(law, grid, r, breg)))
+    assert both - own < breg.nbytes / 2

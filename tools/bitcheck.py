@@ -33,12 +33,17 @@ Each line is ``<key> <value>``:
 - ``<workload>.seed<S>.*``: ``n_steps``, ``n_trials``, ``min_step_slack``
   and a sha256 over the sampled rho, u, energy and dissipation of the
   ``budget-solve`` and ``tabulated-solve`` benchmark inputs at seeds 501
-  and 502.
+  and 502;
+- ``budget-solve.a1.5-gamma2.seed<S>.*`` and
+  ``budget-solve.a0.7-gamma1.4.seed<S>.*``: the same four lines for the
+  ``budget-solve`` inputs run under ``PowerLawH(a=1.5, gamma=2.0)`` and
+  ``PowerLawH(a=0.7, gamma=1.4)``, the power-law branches with a != 1 that
+  no preset or workload takes.
 
 mvflow is imported from ``--src`` (default: ``src/`` next to this script's
 directory), so running it on two checkouts and diffing the outputs compares
 them; the inputs come from ``perfbench/workloads.py`` next to this script.
-It takes about 4 s on a 2-core x86-64 machine.
+It takes about 5 s on a 2-core x86-64 machine.
 """
 from __future__ import annotations
 
@@ -79,6 +84,7 @@ def main(argv=None) -> int:
     from mvflow.configio import format_kv
     from mvflow.experiments import (cmd_certify, cmd_convergence, presets,
                                     run_experiment, spec_from_config)
+    from mvflow.pressure import PowerLawH, PressureLaw
     from workloads import WORKLOADS
 
     stacked = []  # the rows of every run_stack call an experiment makes
@@ -153,12 +159,21 @@ def main(argv=None) -> int:
                                         out=fresh_dir())
             print(f"convergence.{case}.csv_sha256 {_sha256_file(csv)}")
 
-        for wname in ("budget-solve", "tabulated-solve"):
+        # the budget-solve inputs also run under power laws with a != 1, whose
+        # value, slope and potential take the multiply by a that a = 1 skips
+        # (and at gamma 1.4, the power rho^(gamma - 1) and the divide)
+        cases = [("budget-solve", "budget-solve", None),
+                 ("tabulated-solve", "tabulated-solve", None),
+                 ("budget-solve.a1.5-gamma2", "budget-solve", PowerLawH(a=1.5, gamma=2.0)),
+                 ("budget-solve.a0.7-gamma1.4", "budget-solve", PowerLawH(a=0.7, gamma=1.4))]
+        for name, wname, h_part in cases:
             w = WORKLOADS[wname]()
             for seed in SEEDS:
                 w.prepare(seed, tmp)
+                if h_part is not None:
+                    w.cfg = dataclasses.replace(w.cfg, law=PressureLaw(h_part=h_part))
                 traj = w.op(tmp)
-                key = f"{wname}.seed{seed}"
+                key = f"{name}.seed{seed}"
                 print(f"{key}.n_steps {traj.n_steps}")
                 print(f"{key}.n_trials {traj.n_trials}")
                 print(f"{key}.min_step_slack {traj.min_step_slack!r}")
