@@ -9,7 +9,6 @@ the same spec and seed produce the identical hash.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import hashlib
@@ -34,8 +33,8 @@ from .relative_energy import (gronwall_verdict, relative_energy_series,
 # run stays a module attribute here: perfbench/tracer.py wraps this name
 from .solver import (Grid1D, InitialData, SolverConfig, Trajectory,
                      constant_init, make_reference, perturb_density,
-                     pulse_flow_init, reference_from_run, run, run_derivatives,
-                     run_stack, total_energy)
+                     pulse_flow_init, reference_from_run, run, run_stack,
+                     total_energy)
 from .testfuncs import compatibility_family, density_family, momentum_family
 
 # perfbench/tracer.py wraps these two names; nothing calls certify through them
@@ -662,19 +661,13 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
         stack = list(grids.values())
         runs = dict(zip(grids, run_stack([_solver_config(spec)] * len(stack),
                                          [base.sample(g) for g in stack], stack)))
-        # each fine run is differenced once, and its derivative fields are
-        # dropped after its last level's reference, before that level's
-        # residuals (a level's reference is dropped there too)
-        per_level, derivatives = [], {}
-        uses = collections.Counter(fine[int(n)] for n in levels)
+        # a level's reference is taken and dropped before its residuals run,
+        # so the two are never alive together (they set the op's peak)
+        per_level = []
         for n in levels:
-            traj, grid, f = runs[int(n)], grids[int(n)], fine[int(n)]
+            traj, grid = runs[int(n)], grids[int(n)]
             measure = assemble([traj])
-            if f not in derivatives:
-                derivatives[f] = run_derivatives(runs[f])
-            uses[f] -= 1
-            ref = reference_from_run(runs[f], grid,
-                                     derivatives[f] if uses[f] else derivatives.pop(f))
+            ref = reference_from_run(runs[fine[int(n)]], grid)
             e_gap = float(relative_energy_series(measure, spec.law, ref)[-1])
             del ref
             defect = estimate_defect([traj, traj], measure, spec.law,

@@ -30,7 +30,7 @@ from .errors import (
 from .pressure import PressureLaw, row_blocks
 from .solver import Trajectory, gradient_1d
 from .tensors import traceless
-from .testfuncs import SpaceTimeFunction, factors, tables
+from .testfuncs import SpaceTimeFunction, tables
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,12 @@ def _forms(measure: DiscreteYoungMeasure, fns, tau):
     """fns as a list, whether it was one function, the index i of tau (the
     last sample for None), the sample times up to it, and the blocks of fns:
     (slice of fns, their tables at those times) pairs, each built when the
-    loop reaches it from the factors of every function, taken once."""
+    loop reaches it."""
     one = isinstance(fns, SpaceTimeFunction)
     fns = [fns] if one else list(fns)
     i = measure.times.size - 1 if tau is None else measure.time_index(tau)
     times = measure.times[: i + 1]
-    fac = factors(fns, times, measure.x)
-    blocks = ((rows, tables(fac, rows))
+    blocks = ((rows, tables(fns[rows], times, measure.x))
               for rows in row_blocks(len(fns), times.size * measure.x.size))
     return fns, one, i, times, blocks
 
@@ -179,8 +178,7 @@ def _per_function(x: np.ndarray, one: bool):
 
 
 def _require_wall_zero(fns, length: float):
-    fac = factors(fns, np.array([0.0, 0.5, 1.0]), np.array([0.0, length]))
-    value = tables(fac, slice(None))[0]
+    value = tables(fns, np.array([0.0, 0.5, 1.0]), np.array([0.0, length]))[0]
     bad = np.max(np.abs(value), axis=(1, 2)) > 1e-12
     if bad.any():
         raise InvalidTestFunctionError(

@@ -664,8 +664,7 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         if not taken:
             continue
         rung = taken[0] // L
-        # every row at one rung (taken[j] is j + L times its rung, 0 or 1)
-        if len(taken) == L and sum(taken) == L * (L - 1) // 2 + rung * L * L:
+        if taken == list(range(rung * L, rung * L + L)):  # all at one rung: its rows
             M = len(rho_t) // rungs  # array rows per rung: L, or 1 if ragged
             at = slice(rung * M, rung * M + M)
             rho, m, u = rho_t[at], m_t[at], u_t[at]
@@ -826,20 +825,12 @@ def make_reference(cfg: SolverConfig, init: InitialData, grid: Grid1D,
     return reference_from_run(run(cfg, init.sample(fine), fine), grid)
 
 
-def run_derivatives(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dr/dx, dU/dx and d2U/dx2 of a run's samples on its own grid: the
-    fields reference_from_run restricts."""
-    dx = traj.grid.dx
-    return gradient_1d(traj.rho, dx), gradient_1d(traj.u, dx), _laplacian_no_slip(traj.u, dx)
-
-
-def reference_from_run(traj: Trajectory, grid: Grid1D, derivatives=None) -> StrongSolutionRef:
+def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
     """Restrict a finished run on a refinement of grid to grid's cells.
 
     Derivative fields are differenced on the run's own grid before
-    restriction; derivatives, if given, is run_derivatives(traj), so a run
-    restricted to several grids is differenced once.  The result is rejected
-    if the run stopped early or approaches vacuum (min rho < 10 * rho_floor).
+    restriction.  The result is rejected if the run stopped early or
+    approaches vacuum (min rho < 10 * rho_floor).
     """
     fine = traj.grid
     factor, rest = divmod(fine.n, grid.n)
@@ -854,7 +845,9 @@ def reference_from_run(traj: Trajectory, grid: Grid1D, derivatives=None) -> Stro
         raise ReferenceInvalidError(
             f"reference reached near-vacuum density {min_r:.3e}")
 
-    dr_f, dU_f, d2U_f = run_derivatives(traj) if derivatives is None else derivatives
+    dr_f = gradient_1d(traj.rho, fine.dx)
+    dU_f = gradient_1d(traj.u, fine.dx)
+    d2U_f = _laplacian_no_slip(traj.u, fine.dx)
 
     r = _restrict(traj.rho, factor)
     U = _restrict(traj.u, factor)

@@ -2,12 +2,10 @@
 
 Families are tensor products of a spatial factor and a time factor.  Spatial
 factors for momentum tests vanish at both walls; the generic family used for
-the density equations does not need to.  factors evaluates each function's
-factors and their derivatives once over sample times and points, and tables
-gives from them the (n_f, n_t, n) arrays of the value and of both
-derivatives of a run of a family's functions, so residual quadrature never
-differentiates numerically; the residuals ask for them one block of
-functions at a time.
+the density equations does not need to.  tables gives the (n_f, n_t, n) arrays
+of the value and of both derivatives of a run of a family's functions over
+sample times and points, so residual quadrature never differentiates
+numerically; the residuals ask for them one block of functions at a time.
 """
 from __future__ import annotations
 
@@ -30,29 +28,22 @@ class SpaceTimeFunction:
     dg: object
 
 
-def factors(family, times, x) -> tuple[np.ndarray, ...]:
-    """F, F', G and G' of every function of family, the space factors at the
-    points as (n_f, 1, n) arrays and the time factors at the times as
-    (n_f, n_t, 1) arrays: what tables multiplies."""
+def tables(family, times, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi, dpsi/dt and dpsi/dx of every function of family at the times
+    and points, as (n_f, n_t, n) arrays: the products F G, F G' and F' G.
+
+    The residuals in mvflow.measures pass one block of a family at a time
+    (about TABLE_BLOCK cells, at least one function), so n_f is the block's
+    length; each function's rows are the same whatever the block holds."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
 
-    def values(name, at):
+    def factors(name, at):
         return np.stack([np.broadcast_to(np.asarray(getattr(fn, name)(at), dtype=float),
                                          at.shape) for fn in family])
 
-    return (values("f", x)[:, None, :], values("df", x)[:, None, :],
-            values("g", times)[:, :, None], values("dg", times)[:, :, None])
-
-
-def tables(fac, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi, dpsi/dt and dpsi/dx of the functions rows of a family with
-    factors fac, as (n_rows, n_t, n) arrays: the products F G, F G' and F' G.
-
-    The residuals in mvflow.measures take the factors once and the tables
-    one block of functions at a time (about TABLE_BLOCK cells, at least one
-    function); each function's rows are the same whatever the block holds."""
-    F, dF, G, dG = (a[rows] for a in fac)
+    F, dF = factors("f", x)[:, None, :], factors("df", x)[:, None, :]
+    G, dG = factors("g", times)[:, :, None], factors("dg", times)[:, :, None]
     return F * G, F * dG, dF * G
 
 
