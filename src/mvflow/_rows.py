@@ -48,7 +48,7 @@ class UniformRows(Rows):
     def __init__(self, n: int, dx: float):
         self.coupling = np.append(np.full(n - 1, -1.0), 0.0)
         self.dx = self.cell_dx = self.end_dx = dx
-        self.dx2, self.two_dx = dx**2, 2.0 * dx
+        self.two_dx = 2.0 * dx
         self.ends, self.hi, self.lo = slice(None, None, n - 1), slice(1, None, n - 2), slice(None, -1, n - 2)
 
     def spread(self, x):
@@ -96,7 +96,6 @@ class RaggedRows(Rows):
         self.lo = np.concatenate([self.first, self.last - 1])
         self.dx_list = [g.dx for g in grids]
         self.dx = np.array(self.dx_list)
-        self.dx2 = np.array([d**2 for d in self.dx_list])  # as UniformRows's, by Python's pow
         self.cell_dx, self.two_dx = np.repeat(self.dx, n), np.repeat(2.0 * self.dx, n)
         self.end_dx = np.concatenate([self.dx, self.dx])
         self.coupling = np.full(n.sum(), -1.0)

@@ -394,9 +394,8 @@ def _make_context(spec: ExperimentSpec) -> _Context:
 
 def _check_energy(ctx: _Context):
     spec, measure = ctx.spec, ctx.measure
-    slack = energy_inequality_slack(measure, spec.law, spec.lam, ctx.defect,
-                                    ctx.e0, measure.times,
-                                    cum_dissipation=ctx.cum_dis)
+    slack = energy_inequality_slack(measure, spec.law, ctx.defect, ctx.e0,
+                                    ctx.cum_dis)
     rows = list(zip(measure.times.tolist(), slack.tolist()))
     worst = min(s for _, s in rows)
     step_worst = min(m.min_step_slack for m in ctx.members)
@@ -514,9 +513,8 @@ def _check_lemmas(ctx: _Context):
 
 def _check_relative_energy(ctx: _Context):
     rep = ctx.remainders
-    worst = min(float(np.min(getattr(rep, f"slack{i}") +
-                             1e-8 * (1.0 + getattr(rep, f"bound{i}"))))
-                for i in (2, 3, 4, 5))
+    worst = min(float(np.min(slack + 1e-8 * (1.0 + bound)))
+                for slack, bound in zip(rep.slack, rep.bound))
     ok = worst >= 0.0
     hdr, rows = rep.rows()
     return (CheckResult("relative-energy", ok, worst,

@@ -6,12 +6,11 @@ atom per member, with the gradient surrogate taken by the same
 finite-difference operator the solver uses for its dissipation bookkeeping.
 
 The weak-form residual evaluators integrate with midpoint sums in space and
-the trapezoid rule in time.  Each takes one test function or a whole family:
-a family is one array program over blocks of its tables of values and
-derivatives, and one function is its one-row case.  Defects are estimated
-as tail differences along an explicit refinement or regularization
-sequence, clipped at zero with the pre-clip values logged; they are
-estimators of limit objects, not limits.
+the trapezoid rule in time.  Each takes a family of test functions and is
+one array program over blocks of its tables of values and derivatives.
+Defects are estimated as tail differences along an explicit regularization
+sequence on the measure's grid, clipped at zero with the pre-clip values
+logged; they are estimators of limit objects, not limits.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from .errors import (
 from .pressure import PressureLaw, row_blocks
 from .solver import Trajectory, gradient_1d
 from .tensors import traceless
-from .testfuncs import SpaceTimeFunction, tables
+from .testfuncs import tables
 
 
 @dataclass(frozen=True)
@@ -64,18 +63,24 @@ class DiscreteYoungMeasure:
         return idx
 
 
+def _require_sampling(j: int, traj: Trajectory, n: int, length: float,
+                      times: np.ndarray) -> None:
+    """Raise unless member j has n cells over length and samples at times."""
+    if traj.grid.n != n or traj.grid.length != length:
+        raise IncompatibleEnsembleError(
+            f"member {j} grid ({traj.grid.n}, {traj.grid.length}) differs")
+    if traj.times.shape != times.shape or not np.all(
+            np.abs(traj.times - times) <= 1e-12):
+        raise IncompatibleEnsembleError(f"member {j} sample times differ")
+
+
 def assemble(ensemble: list[Trajectory]) -> DiscreteYoungMeasure:
     """One atom per member per space-time cell, weights 1/K."""
     if len(ensemble) < 1:
         raise IncompatibleEnsembleError("ensemble must hold at least one member")
     first = ensemble[0]
     for j, traj in enumerate(ensemble):
-        if traj.grid.n != first.grid.n or traj.grid.length != first.grid.length:
-            raise IncompatibleEnsembleError(
-                f"member {j} grid ({traj.grid.n}, {traj.grid.length}) differs")
-        if traj.times.shape != first.times.shape or not np.allclose(
-                traj.times, first.times, rtol=0.0, atol=1e-12):
-            raise IncompatibleEnsembleError(f"member {j} sample times differ")
+        _require_sampling(j, traj, first.grid.n, first.grid.length, first.times)
 
     V = np.array([traj.u for traj in ensemble])
     return DiscreteYoungMeasure(times=first.times.copy(), x=first.grid.centers,
@@ -147,10 +152,9 @@ def renorm_identity_truncated(r_b: float, width: float) -> RenormFunction:
 
 # -- weak-form residuals -----------------------------------------------------------
 #
-# Each residual takes one test function or a sequence of them (a family); a
-# family gets one value per function as an (n_f,) array, one function its
-# float, through the same code.  A call takes each moment once over the
-# sample times up to tau, then walks the family in blocks of functions
+# Each residual takes a sequence of test functions (a family) and gives one
+# value per function as an (n_f,) array.  A call takes each moment once over
+# the sample times up to tau, then walks the family in blocks of functions
 # (row_blocks, about TABLE_BLOCK table cells each, at least one function):
 # it forms the moments' products with the block's (n_block, n_t, n) tables,
 # sums over space along the last axis, integrates each function's (n_t,)
@@ -158,23 +162,15 @@ def renorm_identity_truncated(r_b: float, width: float) -> RenormFunction:
 # (n_f,) result.  Every function's value is the one a whole-family table
 # gives, so the working set is a block, not n_f * n_t * n cells.
 
-def _forms(measure: DiscreteYoungMeasure, fns, tau):
-    """fns as a list, whether it was one function, the index i of tau (the
-    last sample for None), the sample times up to it, and the blocks of fns:
-    (slice of fns, their tables at those times) pairs, each built when the
-    loop reaches it."""
-    one = isinstance(fns, SpaceTimeFunction)
-    fns = [fns] if one else list(fns)
-    i = measure.times.size - 1 if tau is None else measure.time_index(tau)
+def _forms(measure: DiscreteYoungMeasure, fns, tau: float):
+    """The index i of tau, the sample times up to it, and the blocks of the
+    family fns: (slice of fns, their tables at those times) pairs, each
+    built when the loop reaches it."""
+    i = measure.time_index(tau)
     times = measure.times[: i + 1]
     blocks = ((rows, tables(fns[rows], times, measure.x))
               for rows in row_blocks(len(fns), times.size * measure.x.size))
-    return fns, one, i, times, blocks
-
-
-def _per_function(x: np.ndarray, one: bool):
-    """The float for one test function, the (n_f,) array for a family."""
-    return float(x[0]) if one else x
+    return i, times, blocks
 
 
 def _require_wall_zero(fns, length: float):
@@ -185,33 +181,29 @@ def _require_wall_zero(fns, length: float):
             f"test function {fns[int(np.argmax(bad))].id} does not vanish at the walls")
 
 
-def continuity_residual(measure: DiscreteYoungMeasure, psi, tau: float):
-    """Mass form: [integral <s> psi]_0^tau - iint (<s> dpsi/dt + <s v> dpsi/dx).
-
-    psi is one test function or a sequence of them, for a float or an array.
-    """
-    fns, one, i, times, blocks = _forms(measure, psi, tau)
+def continuity_residual(measure: DiscreteYoungMeasure, psi, tau: float) -> np.ndarray:
+    """Mass form: [integral <s> psi]_0^tau - iint (<s> dpsi/dt + <s v> dpsi/dx)
+    for each function of the family psi."""
+    i, times, blocks = _forms(measure, psi, tau)
     s_mom = moment(measure, lambda s, v, D: s)[: i + 1]
     sv_mom = moment(measure, lambda s, v, D: s * v)[: i + 1]
-    out = np.empty(len(fns))
+    out = np.empty(len(psi))
     for rows, (value, d_t, d_x) in blocks:
         mass = np.sum(s_mom * value, axis=-1) * measure.dx
         interior = np.sum(s_mom * d_t + sv_mom * d_x, axis=-1) * measure.dx
         out[rows] = mass[:, i] - mass[:, 0] - np.trapezoid(interior, times, axis=-1)
-    return _per_function(out, one)
+    return out
 
 
 def renorm_continuity_residual(measure: DiscreteYoungMeasure, b: RenormFunction,
-                               psi, tau: float):
-    """Renormalized mass form, including the <(s b' - b) tr D> psi source.
-
-    psi is one test function or a sequence of them, for a float or an array.
-    """
-    fns, one, i, times, blocks = _forms(measure, psi, tau)
+                               psi, tau: float) -> np.ndarray:
+    """Renormalized mass form, including the <(s b' - b) tr D> psi source, for
+    each function of the family psi."""
+    i, times, blocks = _forms(measure, psi, tau)
     b_mom = moment(measure, lambda s, v, D: b.b(s))[: i + 1]
     bv_mom = moment(measure, lambda s, v, D: b.b(s) * v)[: i + 1]
     src_mom = moment(measure, lambda s, v, D: (s * b.db(s) - b.b(s)) * D)[: i + 1]
-    out = np.empty(len(fns))
+    out = np.empty(len(psi))
     for rows, (value, d_t, d_x) in blocks:
         mass = np.sum(b_mom * value, axis=-1) * measure.dx
         interior = np.sum(b_mom * d_t + bv_mom * d_x, axis=-1) * measure.dx
@@ -219,86 +211,66 @@ def renorm_continuity_residual(measure: DiscreteYoungMeasure, b: RenormFunction,
         out[rows] = (mass[:, i] - mass[:, 0]
                      - np.trapezoid(interior, times, axis=-1)
                      + np.trapezoid(source, times, axis=-1))
-    return _per_function(out, one)
+    return out
 
 
 def momentum_residual(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
-                      phi, tau: float, defect=None):
+                      phi, tau: float, defect: DefectReport):
     """Momentum form residual and the defect-pairing inequality slack.
 
-    Returns (residual, slack) where slack = xi(tau) D(tau) |phi|_C1 minus the
-    actual |<rM; dphi/dx>| at tau; slack must be nonnegative for a valid
-    defect report.  With defect=None the concentration term is zero and the
-    slack is reported as 0.  phi is one test function, for two floats, or a
-    sequence of them, for two arrays.
+    Returns (residual, slack) arrays over the family phi, where slack =
+    xi(tau) D(tau) |phi|_C1 minus the actual |<rM; dphi/dx>| at tau; slack
+    must be nonnegative for a valid defect report.
     """
-    fns, one, i, times, blocks = _forms(measure, phi, tau)
-    _require_wall_zero(fns, measure.length)
+    i, times, blocks = _forms(measure, phi, tau)
+    _require_wall_zero(phi, measure.length)
     sv_mom = moment(measure, lambda s, v, D: s * v)[: i + 1]
     svv_mom = moment(measure, lambda s, v, D: s * v * v)[: i + 1]
     p_mom = moment(measure, lambda s, v, D: law.p(s))[: i + 1]
     stress_mom = moment(measure, lambda s, v, D: lam * D)[: i + 1]
 
-    residual = np.empty(len(fns))
-    slack = np.zeros(len(fns))
+    residual = np.empty(len(phi))
+    slack = np.empty(len(phi))
     for rows, (value, d_t, d_x) in blocks:
         momentum = np.sum(sv_mom * value, axis=-1) * measure.dx
         interior = np.sum(sv_mom * d_t + svv_mom * d_x + p_mom * d_x - stress_mom * d_x,
                           axis=-1) * measure.dx
-        res = momentum[:, i] - momentum[:, 0] - np.trapezoid(interior, times, axis=-1)
-        if defect is not None:
-            pairing = np.sum(defect.rM_field[: i + 1] * d_x, axis=-1) * measure.dx
-            res = res - np.trapezoid(pairing, times, axis=-1)
-            phi_c1 = np.max(np.abs(value) + np.abs(d_t) + np.abs(d_x), axis=(1, 2))
-            slack[rows] = defect.xi[i] * defect.D_total[i] * phi_c1 - np.abs(pairing[:, i])
-        residual[rows] = res
-    return _per_function(residual, one), _per_function(slack, one)
+        pairing = np.sum(defect.rM_field[: i + 1] * d_x, axis=-1) * measure.dx
+        residual[rows] = (momentum[:, i] - momentum[:, 0]
+                          - np.trapezoid(interior, times, axis=-1)
+                          - np.trapezoid(pairing, times, axis=-1))
+        phi_c1 = np.max(np.abs(value) + np.abs(d_t) + np.abs(d_x), axis=(1, 2))
+        slack[rows] = defect.xi[i] * defect.D_total[i] * phi_c1 - np.abs(pairing[:, i])
+    return residual, slack
 
 
-def compatibility_residual(measure: DiscreteYoungMeasure, M, tau: float | None = None):
-    """Gradient compatibility: -iint <v> dM/dx - iint <D> M.
-
-    M is one test field or a sequence of them, for a float or an array.
-    """
-    fns, one, i, times, blocks = _forms(measure, M, tau)
+def compatibility_residual(measure: DiscreteYoungMeasure, M, tau: float) -> np.ndarray:
+    """Gradient compatibility: -iint <v> dM/dx - iint <D> M for each field of
+    the family M."""
+    i, times, blocks = _forms(measure, M, tau)
     v_mom = moment(measure, lambda s, v, D: v)[: i + 1]
     d_mom = moment(measure, lambda s, v, D: D)[: i + 1]
-    out = np.empty(len(fns))
+    out = np.empty(len(M))
     for rows, (value, _, d_x) in blocks:
         series = (-np.sum(v_mom * d_x, axis=-1) * measure.dx
                   - np.sum(d_mom * value, axis=-1) * measure.dx)
         out[rows] = np.trapezoid(series, times, axis=-1)
-    return _per_function(out, one)
+    return out
 
 
 def energy_inequality_slack(measure: DiscreteYoungMeasure, law: PressureLaw,
-                            lam: float, defect, e_initial: float, tau,
-                            cum_dissipation: np.ndarray | None = None):
-    """Energy form slack: e_initial - <energy>(tau) - dissipation - D(tau).
+                            defect: DefectReport, e_initial: float,
+                            cum_dissipation: np.ndarray) -> np.ndarray:
+    """Energy form slack e_initial - <energy>(tau) - dissipation(tau) - D(tau)
+    at every sample time tau.
 
-    Nonnegative for valid data.  cum_dissipation, when given, is the
-    per-member average of the solver's accumulated per-step dissipation
-    series (length matching the sample times); otherwise the dissipation is
-    the trapezoid integral of the measure moment lam <(tr D)^2>.  tau is one
-    sample time, for a float, or a sequence of them, for an array; a call
-    takes each moment once, and each tau's slack is the one a call for it
-    alone gives.
+    Nonnegative for valid data.  cum_dissipation is the per-member average
+    of the solver's accumulated per-step dissipation at the sample times.
     """
-    one = np.ndim(tau) == 0
-    idx = [measure.time_index(float(t)) for t in np.atleast_1d(tau)]
     energy_mom = moment(
         measure, lambda s, v, D: 0.5 * s * v * v + law.P(s))
-    # each row is summed along its own contiguous cells, as one row alone
-    e_tau = np.sum(energy_mom[idx], axis=-1) * measure.dx
-    if cum_dissipation is not None:
-        dis = np.asarray(cum_dissipation, dtype=float)[idx]
-    else:
-        dis_mom = moment(measure, lambda s, v, D: lam * D * D)
-        series = np.sum(dis_mom, axis=1) * measure.dx
-        dis = np.array([np.trapezoid(series[: i + 1], measure.times[: i + 1])
-                        for i in idx])
-    d_tau = defect.D_total[idx] if defect is not None else 0.0
-    return _per_function(e_initial - e_tau - dis - d_tau, one)
+    e_tau = np.sum(energy_mom, axis=-1) * measure.dx
+    return e_initial - e_tau - cum_dissipation - defect.D_total
 
 
 # -- defect estimation ---------------------------------------------------------------
@@ -339,13 +311,13 @@ def _prefix_trapezoid(series: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure,
-                    law: PressureLaw, lam: float, tail: int = 1) -> DefectReport:
-    """Estimate concentration defects from a refinement/regularization sequence.
+                    law: PressureLaw, lam: float, tail: int) -> DefectReport:
+    """Estimate concentration defects from a regularization sequence.
 
-    trajectories are ordered with the finest (smallest delta or finest mesh)
-    last; the tail average of field-side quantities is compared against the
-    moments of `finest`.  All components are clipped at zero with pre-clip
-    extrema logged.
+    trajectories are ordered with the finest (smallest delta) last, each on
+    the grid and sample times of `finest`; the tail average of field-side
+    quantities is compared against the moments of `finest`.  All components
+    are clipped at zero with pre-clip extrema logged.
     """
     if len(trajectories) < 2:
         raise CannotEstimateError(
@@ -354,7 +326,8 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
         raise CannotEstimateError(f"tail {tail} outside sequence length")
 
     times, x, dx = finest.times, finest.x, finest.dx
-    nt = times.size
+    for j, traj in enumerate(trajectories):
+        _require_sampling(j, traj, x.size, finest.length, times)
     deltas = [traj.cfg.delta for traj in trajectories]
 
     def field_energy(traj):
@@ -366,14 +339,10 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
         return _prefix_trapezoid(np.sum(lam * g * g, axis=1) * traj.grid.dx, times)
 
     def field_flux(traj, delta):
-        # momentum-flux scalar rho u^2 + p + delta rho^Gamma on traj's grid,
-        # restricted to the common grid by cell averaging if finer
+        # momentum-flux scalar rho u^2 + p + delta rho^Gamma
         flux = traj.rho * traj.u**2 + law.p(traj.rho)
         if delta > 0.0:
             flux = flux + delta * np.power(traj.rho, traj.cfg.Gamma)
-        factor = traj.grid.n // x.size
-        if factor > 1:
-            flux = flux.reshape(nt, x.size, factor).mean(axis=2)
         return flux
 
     tail_members = trajectories[-tail:]

@@ -144,7 +144,7 @@ def _scan_max(law: PressureLaw, s_grid: np.ndarray, r_grid: np.ndarray,
         keep = (np.abs(s - r) > SCAN_EXCLUSION * np.maximum(1.0, r)) & (B > 0.0)
         ratios = np.where(keep, num_fn(s, r) / np.where(keep, B, 1.0), 0.0)
         maxima.append(np.max(ratios))
-    best = float(np.max(maxima)) if maxima else 0.0
+    best = float(np.max(maxima))
     for c in extra_candidates:
         best = max(best, float(c))
     if not np.isfinite(best):
@@ -173,24 +173,17 @@ def _trace_poincare_constant(measure: DiscreteYoungMeasure,
 
 @dataclass(frozen=True)
 class RemainderReport:
-    """Remainder integrals, their bounds, slacks, and every constant used."""
+    """Remainder integrals, their bounds, slacks, and every constant used.
+
+    I, bound and slack are (4, nt) arrays: row j is the term I_{j+2}, its
+    bound and bound - |I|, at every sample time.
+    """
 
     times: np.ndarray
     E_mv: np.ndarray
-    E_int: np.ndarray
-    trace_int: np.ndarray
-    I2: np.ndarray
-    I3: np.ndarray
-    I4: np.ndarray
-    I5: np.ndarray
-    bound2: np.ndarray
-    bound3: np.ndarray
-    bound4: np.ndarray
-    bound5: np.ndarray
-    slack2: np.ndarray
-    slack3: np.ndarray
-    slack4: np.ndarray
-    slack5: np.ndarray
+    I: np.ndarray
+    bound: np.ndarray
+    slack: np.ndarray
     constants: dict
     cutoff: CutoffBand
 
@@ -202,16 +195,17 @@ class RemainderReport:
 def _table(lead: dict, rem: RemainderReport):
     """The lead columns, then rem's I2..I5, bound2..5 and slack2..5, as a CSV
     header and rows."""
-    names = [f"{p}{i}" for p in ("I", "bound", "slack") for i in (2, 3, 4, 5)]
-    cols = dict(lead, **{name: getattr(rem, name) for name in names})
+    cols = dict(lead, **{f"{name}{j + 2}": row
+                         for name, rows in (("I", rem.I), ("bound", rem.bound),
+                                            ("slack", rem.slack))
+                         for j, row in enumerate(rows)})
     return list(cols), [tuple(float(c[k]) for c in cols.values())
                         for k in range(rem.times.size)]
 
 
 def _cumtrapz(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(f)
-    if t.size > 1:
-        out[1:] = np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))
+    out[1:] = np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))
     return out
 
 
@@ -289,7 +283,8 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     w3 = (lam * ref.d2U_dx2 - law.dq(ref.r) * ref.dr_dx) / ref.r
     w3_sup = float(np.max(np.abs(w3)))
     dU_sup = float(np.max(np.abs(ref.dU_dx)))
-    U_C1 = float(ref.norms["U_C1"])
+    U_C1 = float(np.max(np.abs(ref.U)) + np.max(np.abs(ref.dU_dx))
+                 + np.max(np.abs(ref.dU_dt)))
 
     K2 = max(U_C1, 2.0 * dU_sup)
     K3 = w3_sup * max(alpha_psi / 2.0, 1.0 / math.sqrt(s_lo)) \
@@ -303,10 +298,10 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     S, V, D = measure.S, measure.V, measure.D
 
     E_mv = relative_energy_series(measure, law, ref)
-    E_int = _cumtrapz(E_mv, times)
+    cum_E = _cumtrapz(E_mv, times)
 
     trace_rate = np.sum(np.mean((D - ref.dU_dx[None]) ** 2, axis=0), axis=1) * dx
-    trace_int = _cumtrapz(trace_rate, times)
+    cum_trace = _cumtrapz(trace_rate, times)
 
     m2 = np.mean(S * (V - ref.U) ** 2, axis=0)
     I2 = _cumtrapz(-np.sum(m2 * ref.dU_dx, axis=1) * dx, times)
@@ -323,10 +318,11 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
         m5 = np.mean((law.q(S) - law.q(ref.r)) * (D - ref.dU_dx[None]), axis=0)
         I5 = _cumtrapz(np.sum(m5, axis=1) * dx, times)
 
-    bound2 = K2 * E_int
-    bound3 = K3 * E_int + delta_split * c_tr * trace_int
-    bound4 = K4 * E_int
-    bound5 = K5 * E_int + eps * trace_int
+    I = np.array([I2, I3, I4, I5])
+    bound = np.array([K2 * cum_E,
+                      K3 * cum_E + delta_split * c_tr * cum_trace,
+                      K4 * cum_E,
+                      K5 * cum_E + eps * cum_trace])
 
     constants = {
         "K2": K2, "K3": K3, "K4": K4, "K5": K5,
@@ -338,11 +334,7 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
         "r1_cut": cutoff.r1, "r2_cut": cutoff.r2, "cut_width": cutoff.width,
     }
     return RemainderReport(
-        times=times.copy(), E_mv=E_mv, E_int=E_int, trace_int=trace_int,
-        I2=I2, I3=I3, I4=I4, I5=I5,
-        bound2=bound2, bound3=bound3, bound4=bound4, bound5=bound5,
-        slack2=bound2 - np.abs(I2), slack3=bound3 - np.abs(I3),
-        slack4=bound4 - np.abs(I4), slack5=bound5 - np.abs(I5),
+        times=times.copy(), E_mv=E_mv, I=I, bound=bound, slack=bound - np.abs(I),
         constants=constants, cutoff=cutoff)
 
 
@@ -357,8 +349,6 @@ class RelativeEnergyReport:
     constants: dict
     lambda_emp: float
     lambda_cert: float
-    C_total: float
-    E_ref: float
     uniqueness_mode: bool
     passed: bool
 
@@ -395,7 +385,7 @@ def gronwall_verdict(remainders: RemainderReport, defect: DefectReport,
         raise DomainError(f"initial relative energy is negative: {E_mv[0]}")
 
     k = remainders.constants
-    xi_sup = float(np.max(defect.xi)) if defect.xi.size else 0.0
+    xi_sup = float(np.max(defect.xi))
     C_total = k["K2"] + k["K3"] + k["K4"] + k["K5"] + xi_sup * k["U_C1"]
     T = float(times[-1])
     lambda_cert = math.exp(C_total * T)
@@ -420,5 +410,5 @@ def gronwall_verdict(remainders: RemainderReport, defect: DefectReport,
                       "E0": E0, "E_ref": E_ref})
     return RelativeEnergyReport(
         D=D.copy(), remainders=remainders, constants=constants,
-        lambda_emp=lambda_emp, lambda_cert=lambda_cert, C_total=C_total,
-        E_ref=E_ref, uniqueness_mode=uniqueness, passed=passed)
+        lambda_emp=lambda_emp, lambda_cert=lambda_cert,
+        uniqueness_mode=uniqueness, passed=passed)

@@ -774,11 +774,10 @@ def perturb_density(init: InitialData, length: float, eps: float,
 
 @dataclass(frozen=True)
 class StrongSolutionRef:
-    """Smooth comparison solution (r, U) with derivative fields and norms.
+    """Smooth comparison solution (r, U) with derivative fields.
 
     Fields live on the coarse sample grid (times x cells); derivative fields
     are finite differences computed on the fine grid before restriction.
-    norms holds the sup-norms the stability estimates consume.
     """
 
     times: np.ndarray
@@ -790,7 +789,6 @@ class StrongSolutionRef:
     dU_dx: np.ndarray
     dU_dt: np.ndarray
     d2U_dx2: np.ndarray
-    norms: dict
     refinement: int
     min_r: float
 
@@ -855,18 +853,6 @@ def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
     dU_dx = _restrict(dU_f, factor)
     d2U_dx2 = _restrict(d2U_f, factor)
     dU_dt = np.gradient(U, traj.times, axis=0)
-
-    norms = {
-        "U_sup": float(np.max(np.abs(U))),
-        "dU_dx_sup": float(np.max(np.abs(dU_dx))),
-        "dU_dt_sup": float(np.max(np.abs(dU_dt))),
-        "U_C1": float(np.max(np.abs(U)) + np.max(np.abs(dU_dx)) + np.max(np.abs(dU_dt))),
-        "r_sup": float(np.max(r)),
-        "r_inf": float(np.min(r)),
-        "dr_dx_sup": float(np.max(np.abs(dr_dx))),
-        "inv_r_sup": float(1.0 / np.min(r)),
-    }
     return StrongSolutionRef(times=traj.times.copy(), x=grid.centers, dx=grid.dx,
                              r=r, U=U, dr_dx=dr_dx, dU_dx=dU_dx, dU_dt=dU_dt,
-                             d2U_dx2=d2U_dx2, norms=norms, refinement=factor,
-                             min_r=min_r)
+                             d2U_dx2=d2U_dx2, refinement=factor, min_r=min_r)

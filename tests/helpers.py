@@ -1,5 +1,5 @@
 """Helpers only the tests use: reading a written CSV back, a constant
-renormalization function, the Frobenius contraction, the bump potential's
+renormalization function, an all-zero defect report, the Frobenius contraction, the bump potential's
 slope, the gather/scatter Bregman kernel the production one replaced, a
 tabulated law's h and h' evaluated row by row and its h/z^2 integral from
 per-cell gathers, the solver's step on a FluidState, and a state's
@@ -11,7 +11,7 @@ import numpy as np
 
 from mvflow import solver
 from mvflow.errors import SpecParseError
-from mvflow.measures import RenormFunction
+from mvflow.measures import DefectReport, RenormFunction
 from mvflow.pressure import TAIL_SLOPE_RTOL, PowerLawH, _pchip_coefficients
 from mvflow.solver import FluidState
 
@@ -55,6 +55,17 @@ def renorm_constant(c: float = 1.0) -> RenormFunction:
         b=lambda s: np.full_like(np.asarray(s, dtype=float), c),
         db=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         r_b=1.0, name=f"const({c})")
+
+
+def zero_defect(measure) -> DefectReport:
+    """A defect report of zeros on measure's grid and sample times: the
+    residuals' pairing term and the energy slack's D then vanish."""
+    nt, n = measure.times.size, measure.x.size
+    zero = np.zeros(nt)
+    return DefectReport(times=measure.times, x=measure.x, E_inf=zero,
+                        sigma_inf=zero, zeta=zero, D_total=zero,
+                        rM_field=np.zeros((nt, n)), rM_abs=zero, xi=zero,
+                        zeta_by_member=np.zeros((measure.n_members, nt)))
 
 
 def frobenius(A: np.ndarray, B: np.ndarray) -> np.ndarray:

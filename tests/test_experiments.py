@@ -324,7 +324,7 @@ def test_base_row_reference_equals_factor_one_reference():
     want = make_reference(_solver_config(spec), base, grid, factor=1)
     for name in ("times", "x", "r", "U", "dr_dx", "dU_dx", "dU_dt", "d2U_dx2"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.norms == want.norms and got.min_r == want.min_r
+    assert got.min_r == want.min_r
 
 
 def test_base_row_only_when_a_factor_one_reference_is_needed():

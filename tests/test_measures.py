@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import renorm_constant
+from helpers import renorm_constant, zero_defect
 from mvflow.errors import (
     CannotEstimateError,
     DomainError,
@@ -250,8 +250,7 @@ def test_continuity_constant_state_zero():
     traj, _, _ = constant_run()
     V = assemble([traj])
     tau = float(V.times[-1])
-    for psi in density_family(1.0):
-        assert abs(continuity_residual(V, psi, tau)) < 1e-12
+    assert np.all(np.abs(continuity_residual(V, density_family(1.0), tau)) < 1e-12)
 
 
 def test_continuity_mass_conservation_psi_one():
@@ -260,8 +259,7 @@ def test_continuity_mass_conservation_psi_one():
     tau = float(V.times[-1])
     psi1 = family_member(density_family(1.0), "1*1")
     psit = family_member(density_family(1.0), "1*t")
-    assert abs(continuity_residual(V, psi1, tau)) < 1e-12
-    assert abs(continuity_residual(V, psit, tau)) < 1e-12
+    assert np.all(np.abs(continuity_residual(V, [psi1, psit], tau)) < 1e-12)
 
 
 def test_continuity_off_sample_tau_raises():
@@ -269,7 +267,7 @@ def test_continuity_off_sample_tau_raises():
     V = assemble([traj])
     psi = density_family(1.0)[0]
     with pytest.raises(DomainError):
-        continuity_residual(V, psi, 0.5 * float(V.times[1] + V.times[0]))
+        continuity_residual(V, [psi], 0.5 * float(V.times[1] + V.times[0]))
 
 
 def test_renorm_constant_b_on_constant_state():
@@ -277,8 +275,8 @@ def test_renorm_constant_b_on_constant_state():
     V = assemble([traj])
     tau = float(V.times[-1])
     b = renorm_constant(1.0)
-    for psi in density_family(1.0):
-        assert abs(renorm_continuity_residual(V, b, psi, tau)) < 1e-12
+    assert np.all(np.abs(renorm_continuity_residual(V, b, density_family(1.0), tau))
+                  < 1e-12)
 
 
 def test_renorm_reduces_to_continuity_below_threshold():
@@ -287,20 +285,18 @@ def test_renorm_reduces_to_continuity_below_threshold():
     tau = float(V.times[-1])
     assert float(np.max(V.S)) < 2.5
     b = renorm_identity_truncated(r_b=3.0, width=0.5)
-    for psi in density_family(1.0):
-        plain = continuity_residual(V, psi, tau)
-        renorm = renorm_continuity_residual(V, b, psi, tau)
-        assert abs(plain - renorm) < 1e-12
+    plain = continuity_residual(V, density_family(1.0), tau)
+    renorm = renorm_continuity_residual(V, b, density_family(1.0), tau)
+    assert np.all(np.abs(plain - renorm) < 1e-12)
 
 
 def test_momentum_constant_state_zero():
     traj, _, _ = constant_run()
     V = assemble([traj])
     tau = float(V.times[-1])
-    for phi in momentum_family(1.0):
-        r, slack = momentum_residual(V, LAW, LAM, phi, tau)
-        assert abs(r) < 1e-12
-        assert slack == 0.0
+    r, slack = momentum_residual(V, LAW, LAM, momentum_family(1.0), tau, zero_defect(V))
+    assert np.all(np.abs(r) < 1e-12)
+    assert np.all(slack == 0.0)
 
 
 def test_momentum_rejects_nonvanishing_test_function():
@@ -308,14 +304,13 @@ def test_momentum_rejects_nonvanishing_test_function():
     V = assemble([traj])
     bad = family_member(density_family(1.0), "cos(1pi x/L)*1")
     with pytest.raises(InvalidTestFunctionError):
-        momentum_residual(V, LAW, LAM, bad, float(V.times[-1]))
+        momentum_residual(V, LAW, LAM, [bad], float(V.times[-1]), zero_defect(V))
 
 
 def test_compatibility_zero_fields():
     grid = Grid1D(n=16, length=1.0)
     V = dirac_measure_from_fields(np.zeros(16), grid)
-    for M in compatibility_family(1.0):
-        assert compatibility_residual(V, M) == 0.0
+    assert np.all(compatibility_residual(V, compatibility_family(1.0), 1.0) == 0.0)
 
 
 def test_compatibility_symmetric_pair_degenerates():
@@ -324,8 +319,7 @@ def test_compatibility_symmetric_pair_degenerates():
     V = dirac_measure_from_fields(np.sin(np.pi * grid.centers), grid)
     Msin = family_member(compatibility_family(1.0), "sin(pi x/L)*1")
     Mone = family_member(compatibility_family(1.0), "1*1")
-    assert abs(compatibility_residual(V, Msin)) < 1e-12
-    assert abs(compatibility_residual(V, Mone)) < 1e-12
+    assert np.all(np.abs(compatibility_residual(V, [Msin, Mone], 1.0)) < 1e-12)
 
 
 def test_compatibility_static_refinement_rate():
@@ -341,7 +335,7 @@ def test_compatibility_static_refinement_rate():
         grid = Grid1D(n=n, length=1.0)
         v = np.sin(np.pi * grid.centers) * (1 + 0.5 * grid.centers)
         res.append(abs(compatibility_residual(
-            dirac_measure_from_fields(v, grid), M)))
+            dirac_measure_from_fields(v, grid), [M], 1.0)[0]))
     ratios = [res[i] / res[i + 1] for i in range(3)]
     assert all(3.4 < r < 4.6 for r in ratios), ratios
 
@@ -363,15 +357,14 @@ def refinement_levels():
 def _library_maxima(V):
     tau = float(V.times[-1])
     b = renorm_identity_truncated(r_b=1.05, width=0.2)
+    dens = density_family(V.length)
     return {
-        "cont": max(abs(continuity_residual(V, f, tau))
-                    for f in density_family(V.length)),
-        "renorm": max(abs(renorm_continuity_residual(V, b, f, tau))
-                      for f in density_family(V.length)),
-        "mom": max(abs(momentum_residual(V, LAW, LAM, f, tau)[0])
-                   for f in momentum_family(V.length)),
-        "compat": max(abs(compatibility_residual(V, f, tau))
-                      for f in compatibility_family(V.length)),
+        "cont": float(np.max(np.abs(continuity_residual(V, dens, tau)))),
+        "renorm": float(np.max(np.abs(renorm_continuity_residual(V, b, dens, tau)))),
+        "mom": float(np.max(np.abs(momentum_residual(
+            V, LAW, LAM, momentum_family(V.length), tau, zero_defect(V))[0]))),
+        "compat": float(np.max(np.abs(compatibility_residual(
+            V, compatibility_family(V.length), tau)))),
     }
 
 
@@ -391,9 +384,9 @@ def test_residual_library_refinement(refinement_levels):
 def test_momentum_single_member_refinement(refinement_levels):
     # the high-frequency sine dominates the library max and converges cleanly
     phi = family_member(momentum_family(1.0), "sin(2pi x/L)*1")
-    vals = [abs(momentum_residual(refinement_levels[n], LAW, LAM, phi,
-                                  float(refinement_levels[n].times[-1]))[0])
-            for n in (64, 128, 256)]
+    vals = [abs(momentum_residual(V, LAW, LAM, [phi], float(V.times[-1]),
+                                  zero_defect(V))[0][0])
+            for V in (refinement_levels[n] for n in (64, 128, 256))]
     assert vals[0] > vals[1] > vals[2]
     for a, b in zip(vals, vals[1:]):
         assert 2.2 < a / b < 4.4, vals
@@ -575,31 +568,12 @@ def test_family_residuals_equal_the_per_function_loops(K, n, nt, seed):
         assert np.array_equal(
             compatibility_residual(V, comp, tau),
             [_reference_compatibility_residual(V, f, tau) for f in comp_p])
-        for rep in (None, defect):
+        for rep in (zero_defect(V), defect):
             got = momentum_residual(V, LAW, LAM, mom, tau, defect=rep)
             want = np.array([_reference_momentum_residual(V, LAW, LAM, f, tau, defect=rep)
                              for f in mom_p])
             assert np.array_equal(got[0], want[:, 0])
             assert np.array_equal(got[1], want[:, 1])
-    assert np.array_equal(compatibility_residual(V, comp),
-                          [_reference_compatibility_residual(V, f) for f in comp_p])
-
-
-def test_one_function_is_the_one_row_family():
-    traj, _, _ = small_run(n=64, T=0.08, delta=1e-2, n_samples=9)
-    V = assemble([traj])
-    rep = estimate_defect([traj, traj], V, LAW, LAM)
-    tau = float(V.times[-1])
-    mom = momentum_family(1.0)
-    res, slack = momentum_residual(V, LAW, LAM, mom, tau, defect=rep)
-    assert res.shape == slack.shape == (len(mom),)
-    for j, phi in enumerate(mom):
-        one = momentum_residual(V, LAW, LAM, phi, tau, defect=rep)
-        assert type(one[0]) is float and type(one[1]) is float
-        assert one == (res[j], slack[j])
-    dens = density_family(1.0)
-    assert continuity_residual(V, dens[3:4], tau).shape == (1,)
-    assert continuity_residual(V, dens[3], tau) == continuity_residual(V, dens, tau)[3]
 
 
 def test_momentum_family_names_the_function_not_vanishing_at_the_walls():
@@ -607,7 +581,7 @@ def test_momentum_family_names_the_function_not_vanishing_at_the_walls():
     V = assemble([traj])
     fam = momentum_family(1.0) + [family_member(density_family(1.0), "x/L*t")]
     with pytest.raises(InvalidTestFunctionError, match=r"x/L\*t does not vanish"):
-        momentum_residual(V, LAW, LAM, fam, float(V.times[-1]))
+        momentum_residual(V, LAW, LAM, fam, float(V.times[-1]), zero_defect(V))
 
 
 # -- energy inequality ------------------------------------------------------------
@@ -616,22 +590,23 @@ def test_energy_slack_constant_state():
     traj, cfg, grid = constant_run()
     V = assemble([traj])
     e0 = total_energy(traj.state_at(0), cfg, grid)
-    slack = energy_inequality_slack(V, LAW, LAM, None, e0, float(V.times[-1]),
-                                    cum_dissipation=traj.cum_dissipation)
-    assert abs(slack) < 1e-14
+    slack = energy_inequality_slack(V, LAW, zero_defect(V), e0, traj.cum_dissipation)
+    assert abs(slack[-1]) < 1e-14
 
 
 def test_energy_slack_smooth_run_floor():
     traj, cfg, grid = small_run(n=96, T=0.1, n_samples=9)
     V = assemble([traj])
     e0 = total_energy(traj.state_at(0), cfg, grid)
+    # the measure's own dissipation: the trapezoid integral of lam <(tr D)^2>
+    series = np.sum(moment(V, lambda s, v, D: LAM * D * D), axis=1) * V.dx
+    measure_dis = np.array([np.trapezoid(series[: k + 1], V.times[: k + 1])
+                            for k in range(V.times.size)])
+    s_solver = energy_inequality_slack(V, LAW, zero_defect(V), e0, traj.cum_dissipation)
+    s_measure = energy_inequality_slack(V, LAW, zero_defect(V), e0, measure_dis)
     for k in (4, 8):
-        tau = float(V.times[k])
-        s_solver = energy_inequality_slack(V, LAW, LAM, None, e0, tau,
-                                           cum_dissipation=traj.cum_dissipation)
-        s_measure = energy_inequality_slack(V, LAW, LAM, None, e0, tau)
-        assert s_solver >= -1e-8 * e0
-        assert s_measure >= -1e-8 * e0
+        assert s_solver[k] >= -1e-8 * e0
+        assert s_measure[k] >= -1e-8 * e0
 
 
 def test_energy_slack_delta_run_with_defect():
@@ -639,34 +614,29 @@ def test_energy_slack_delta_run_with_defect():
     # zeta part of the defect, leaving the solver budget
     traj, cfg, grid = small_run(n=96, T=0.1, delta=1e-2, n_samples=9)
     V = assemble([traj])
-    rep = estimate_defect([traj, traj], V, LAW, LAM)
+    rep = estimate_defect([traj, traj], V, LAW, LAM, tail=1)
     e0 = total_energy(traj.state_at(0), cfg, grid)
+    slack = energy_inequality_slack(V, LAW, rep, e0, traj.cum_dissipation)
     for k in (4, 8):
-        slack = energy_inequality_slack(V, LAW, LAM, rep, e0, float(V.times[k]),
-                                        cum_dissipation=traj.cum_dissipation)
-        assert slack >= -1e-8 * e0
+        assert slack[k] >= -1e-8 * e0
         assert rep.zeta[k] > 1e-3
-    # every sample time in one call: each slack the bytes of its own call
-    for dis in (traj.cum_dissipation, None):
-        every = energy_inequality_slack(V, LAW, LAM, rep, e0, V.times,
-                                        cum_dissipation=dis)
-        alone = [energy_inequality_slack(V, LAW, LAM, rep, e0, float(tau),
-                                         cum_dissipation=dis) for tau in V.times]
-        assert every.shape == V.times.shape
-        assert all(type(x) is float for x in alone)
-        assert every.tobytes() == np.array(alone).tobytes()
+    # every sample time in one call: each slack the bytes of its own row
+    energy = moment(V, lambda s, v, D: 0.5 * s * v * v + LAW.P(s))
+    alone = [e0 - np.sum(energy[k]) * V.dx - traj.cum_dissipation[k] - rep.D_total[k]
+             for k in range(V.times.size)]
+    assert slack.shape == V.times.shape
+    assert slack.tobytes() == np.array(alone).tobytes()
 
 
 def test_energy_slack_defect_inflation_linearity():
     traj, cfg, grid = small_run(n=48, T=0.05, delta=1e-3)
     V = assemble([traj])
-    rep = estimate_defect([traj, traj], V, LAW, LAM)
+    rep = estimate_defect([traj, traj], V, LAW, LAM, tail=1)
     inflated = dataclasses.replace(rep, D_total=rep.D_total + 1.0)
     e0 = total_energy(traj.state_at(0), cfg, grid)
-    tau = float(V.times[-1])
-    base = energy_inequality_slack(V, LAW, LAM, rep, e0, tau)
-    more = energy_inequality_slack(V, LAW, LAM, inflated, e0, tau)
-    assert abs((base - more) - 1.0) < 1e-12
+    base = energy_inequality_slack(V, LAW, rep, e0, traj.cum_dissipation)
+    more = energy_inequality_slack(V, LAW, inflated, e0, traj.cum_dissipation)
+    assert abs((base[-1] - more[-1]) - 1.0) < 1e-12
 
 
 # -- defect estimation --------------------------------------------------------------
@@ -686,7 +656,7 @@ def test_prefix_trapezoid_is_each_prefix_trapezoid(n, seed):
 def test_defect_duplicated_sequence_vanishes():
     traj, _, _ = small_run()
     V = assemble([traj])
-    rep = estimate_defect([traj, traj], V, LAW, LAM)
+    rep = estimate_defect([traj, traj], V, LAW, LAM, tail=1)
     np.testing.assert_array_equal(rep.E_inf, 0.0)
     np.testing.assert_array_equal(rep.sigma_inf, 0.0)
     np.testing.assert_array_equal(rep.zeta, 0.0)
@@ -705,7 +675,7 @@ def test_defect_delta_sequence_trend():
                            n_samples=9)
         seq.append(run(cfg, init.sample(grid), grid))
     V = assemble([seq[-1]])
-    rep = estimate_defect(seq, V, LAW, LAM)
+    rep = estimate_defect(seq, V, LAW, LAM, tail=1)
     finals = rep.zeta_by_member[:, -1]
     assert finals[0] > finals[1] > finals[2] > 0.0
     assert np.all(rep.E_inf >= 0.0) and np.all(rep.sigma_inf >= 0.0)
@@ -719,10 +689,10 @@ def test_defect_delta_sequence_trend():
 def test_momentum_slack_with_defect_nonnegative():
     traj, _, _ = small_run(n=64, T=0.08, delta=1e-2, n_samples=9)
     V = assemble([traj])
-    rep = estimate_defect([traj, traj], V, LAW, LAM)
+    rep = estimate_defect([traj, traj], V, LAW, LAM, tail=1)
     phi = family_member(momentum_family(1.0), "sin(1pi x/L)*1+t")
-    _, slack = momentum_residual(V, LAW, LAM, phi, float(V.times[-1]), defect=rep)
-    assert slack >= 0.0
+    _, slack = momentum_residual(V, LAW, LAM, [phi], float(V.times[-1]), rep)
+    assert slack[0] >= 0.0
 
 
 def test_defect_clip_log_records_negative():
@@ -732,7 +702,7 @@ def test_defect_clip_log_records_negative():
     high = synthetic_trajectory(2.0, grid, cfg, times)
     low = synthetic_trajectory(1.0, grid, cfg, times)
     V = assemble([high])
-    rep = estimate_defect([high, low], V, LAW, LAM)
+    rep = estimate_defect([high, low], V, LAW, LAM, tail=1)
     assert "E_inf" in rep.clip_log and rep.clip_log["E_inf"] < 0.0
     np.testing.assert_array_equal(rep.E_inf, 0.0)
 
@@ -741,7 +711,19 @@ def test_defect_rejects_short_sequence():
     traj, _, _ = small_run(n=24, T=0.02)
     V = assemble([traj])
     with pytest.raises(CannotEstimateError):
-        estimate_defect([traj], V, LAW, LAM)
+        estimate_defect([traj], V, LAW, LAM, tail=1)
+
+
+@pytest.mark.parametrize("other, message", [
+    (dict(n=96), r"member 1 grid \(96, 1.0\) differs"),   # one size finer
+    (dict(n=24), r"member 1 grid \(24, 1.0\) differs"),   # one size coarser
+    (dict(T=0.06), "member 1 sample times differ"),
+], ids=["finer", "coarser", "times"])
+def test_defect_rejects_a_member_off_the_measure_sampling(other, message):
+    traj, _, _ = small_run(n=48)
+    V = assemble([traj])
+    with pytest.raises(IncompatibleEnsembleError, match=message):
+        estimate_defect([traj, small_run(**other)[0]], V, LAW, LAM, tail=1)
 
 
 # -- generalized Korn-Poincare ------------------------------------------------------

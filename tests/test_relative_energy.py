@@ -26,11 +26,8 @@ def constant_ref(x, dx, times, r_val, u_val=0.0):
     r = np.full((nt, nx), float(r_val))
     U = np.full((nt, nx), float(u_val))
     Z = np.zeros((nt, nx))
-    norms = {"U_sup": abs(u_val), "dU_dx_sup": 0.0, "dU_dt_sup": 0.0,
-             "U_C1": abs(u_val), "r_sup": float(r_val), "r_inf": float(r_val),
-             "dr_dx_sup": 0.0, "inv_r_sup": 1.0 / r_val}
     return StrongSolutionRef(times=times, x=x, dx=dx, r=r, U=U, dr_dx=Z,
-                             dU_dx=Z, dU_dt=Z, d2U_dx2=Z, norms=norms,
+                             dU_dx=Z, dU_dt=Z, d2U_dx2=Z,
                              refinement=1, min_r=float(r_val))
 
 
@@ -178,30 +175,27 @@ class TestRemainderTerms:
     def test_dirac_at_comparison_flow_all_zero(self, bump_cert):
         cfg, measure, ref, _ = build_family(0.0, K=1)
         rep = rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, bump_cert)
-        for name in ("I2", "I3", "I4", "I5"):
-            assert np.max(np.abs(getattr(rep, name))) == 0.0
-        for name in ("slack2", "slack3", "slack4", "slack5"):
-            assert np.min(getattr(rep, name)) >= 0.0
+        shape = (4, measure.times.size)
+        assert rep.I.shape == rep.bound.shape == rep.slack.shape == shape
+        assert np.max(np.abs(rep.I)) == 0.0
+        assert np.min(rep.slack) >= 0.0
 
     def test_every_bound_holds_on_perturbed_family(self, bump_remainders):
         rep = bump_remainders
-        for i in (2, 3, 4, 5):
-            bound = getattr(rep, f"bound{i}")
-            slack = getattr(rep, f"slack{i}")
+        for i, (bound, slack) in enumerate(zip(rep.bound, rep.slack), start=2):
             assert np.all(slack >= -1e-8 * (1.0 + bound)), f"term {i}"
 
     def test_remainders_are_small_against_bounds(self, bump_remainders):
         # interior growth integrals sit well inside their certified envelopes
         rep = bump_remainders
-        for i in (2, 3, 4, 5):
-            assert np.max(np.abs(getattr(rep, f"I{i}"))) <= \
-                0.5 * float(getattr(rep, f"bound{i}")[-1])
+        for i, (I, bound) in enumerate(zip(rep.I, rep.bound), start=2):
+            assert np.max(np.abs(I)) <= 0.5 * float(bound[-1]), f"term {i}"
 
     def test_no_bump_kills_the_mismatch_term(self, bump_cert):
         cfg, measure, ref, _ = build_family(1e-2, law=LAW_MONO)
         cert = cert_for(LAW_MONO, ref)
         rep = rel.remainder_terms(measure, LAW_MONO, cfg.lam, ref, cert)
-        assert np.all(rep.I5 == 0.0)
+        assert np.all(rep.I[3] == 0.0)
         assert rep.constants["Cq"] == 0.0 and rep.constants["K5"] == 0.0
         # the forcing weight reduces to the viscous part alone
         w3_expected = float(np.max(np.abs(cfg.lam * ref.d2U_dx2 / ref.r)))
@@ -255,7 +249,8 @@ class TestGronwallVerdict:
         rep = rel.remainder_terms(measure, LAW_BUMP, cfg.lam, ref, bump_cert)
         ver = rel.gronwall_verdict(rep, defect, ref, LAW_BUMP)
         assert ver.uniqueness_mode and ver.passed
-        assert float(np.max(rep.E_mv + defect.D_total)) < 1e-8 * (1.0 + ver.E_ref)
+        assert float(np.max(rep.E_mv + defect.D_total)) < \
+            1e-8 * (1.0 + ver.constants["E_ref"])
 
     def test_growth_mode_passes_for_perturbed_family(self, bump_family,
                                                      bump_remainders):
@@ -266,7 +261,7 @@ class TestGronwallVerdict:
         assert ver.passed
         assert ver.lambda_emp <= ver.lambda_cert + 1e-9
         assert ver.lambda_cert == pytest.approx(
-            math.exp(ver.C_total * float(measure.times[-1])), rel=1e-12)
+            math.exp(ver.constants["C_total"] * float(measure.times[-1])), rel=1e-12)
 
     def test_growth_factor_stable_across_perturbation_sizes(self, bump_cert):
         lams, e0s = [], []
@@ -306,7 +301,7 @@ class TestGronwallVerdict:
         v0, v1 = (rel.gronwall_verdict(
             rep, dataclasses.replace(defect, xi=np.full_like(defect.xi, xi)),
             ref, LAW_BUMP) for xi in (0.0, 1.0))
-        assert v1.C_total - v0.C_total == pytest.approx(
+        assert v1.constants["C_total"] - v0.constants["C_total"] == pytest.approx(
             rep.constants["U_C1"], rel=1e-12)
 
     def test_report_rows_and_verdict_line(self, bump_family, bump_remainders):

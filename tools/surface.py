@@ -2,11 +2,12 @@
 
     python3 tools/surface.py [--src DIR]
 
-One line per module of ``DIR/mvflow`` with its line count, then the total
-lines and the settable values: defaulted parameters (every function
-parameter with a default) plus dataclass ``__init__`` fields (annotated
-fields of a ``@dataclass`` class, less those declared ``field(init=False)``),
-counted by an AST walk.  Run it with each checkout's ``--src`` to compare two.
+One line per module of ``DIR/mvflow`` with its line count and its settable
+values, then the total lines and the total settable values.  A module's
+settable values are its defaulted parameters (every function parameter with
+a default) plus its dataclass ``__init__`` fields (annotated fields of a
+``@dataclass`` class, less those declared ``field(init=False)``), counted by
+an AST walk.  Run it with each checkout's ``--src`` to compare two.
 """
 from __future__ import annotations
 
@@ -49,12 +50,13 @@ def main(argv=None) -> int:
                     help="directory holding the mvflow package to measure")
     args = ap.parse_args(argv)
     lines = params = fields = 0
+    print(" lines settable module")
     for path in sorted(glob.glob(os.path.join(args.src, "mvflow", "*.py"))):
         with open(path) as fh:
             source = fh.read()
         n, (p, f) = source.count("\n"), counts(source)
         lines, params, fields = lines + n, params + p, fields + f
-        print(f"{n:6d} {os.path.basename(path)}")
+        print(f"{n:6d} {p + f:8d} {os.path.basename(path)}")
     print(f"{lines:6d} total lines")
     print(f"settable values {params + fields} = {params} defaulted parameters "
           f"+ {fields} dataclass __init__ fields")
