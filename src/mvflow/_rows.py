@@ -21,6 +21,7 @@ class Rows:
     whose difference is the one-sided gradient there; joints, None for rows
     of their own array row, picks the first cell of each row that follows
     another along the axis.  dx is the cell width per row, cell_dx per cell,
+    two_dx is 2 dx (per cell but an array row's first and last if ragged),
     and coupling is -1 per cell but 0 at a row's last cell: kappa times it
     is the viscous off-diagonal, which couples no two rows.
     """
@@ -29,11 +30,17 @@ class Rows:
         """Cell-centered du/dx: central differences, one-sided at the walls.
         The central differences are taken over the rows laid end to end, one
         subtraction, and the wall cells, which straddled two rows, are then
-        overwritten."""
+        overwritten.  Only entries the subtraction wrote are divided (the
+        buffer's first and last never are): all of them on uniform rows,
+        whose two_dx is one number, and on ragged rows, whose two_dx is per
+        cell, each array row's inner cells (its first and last are walls)."""
         g = np.empty(u.shape)
         flat = u.reshape(-1)
-        np.subtract(flat[2:], flat[:-2], out=g.reshape(-1)[1:-1])
-        np.divide(g, self.two_dx, out=g)
+        inner = g.reshape(-1)[1:-1]
+        np.subtract(flat[2:], flat[:-2], out=inner)
+        if self.joints is not None:
+            inner = g[..., 1:-1]
+        np.divide(inner, self.two_dx, out=inner)
         g[..., self.ends] = (u[..., self.hi] - u[..., self.lo]) / self.end_dx
         return g
 
@@ -96,7 +103,7 @@ class RaggedRows(Rows):
         self.lo = np.concatenate([self.first, self.last - 1])
         self.dx_list = [g.dx for g in grids]
         self.dx = np.array(self.dx_list)
-        self.cell_dx, self.two_dx = np.repeat(self.dx, n), np.repeat(2.0 * self.dx, n)
+        self.cell_dx, self.two_dx = np.repeat(self.dx, n), np.repeat(2.0 * self.dx, n)[1:-1]
         self.end_dx = np.concatenate([self.dx, self.dx])
         self.coupling = np.full(n.sum(), -1.0)
         self.coupling[self.last] = 0.0

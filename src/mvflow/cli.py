@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -18,6 +19,7 @@ EXIT_SOLVER = 3
 EXIT_CHECK = 4
 
 
+@functools.cache  # parsing leaves the parser as it was; one build serves every call
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mvflow",

@@ -21,6 +21,7 @@ are all taken in blocks of TABLE_BLOCK cells.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,19 +135,37 @@ class CompactBump:
     def width(self) -> float:
         return self.q2 - self.q1
 
-    # Outside the support t leaves [0, 1]; np.where then discards what the
-    # profile gives there, so t needs no clipping.
+    # Outside the support t leaves [0, 1]; a masked write then zeroes what
+    # the profile gives there, so t needs no clipping.  Each kernel runs in
+    # place on fresh arrays, 0-d for a scalar rho.
     def _profile(self, rho):
-        """t, 1 - t and the support mask t in [0, 1] at rho."""
-        t = (_as_array(rho) - self.q1) / self.width
-        return t, 1.0 - t, (t >= 0.0) & (t <= 1.0)
+        """t, 1 - t and the mask of rho off the support (t outside [0, 1],
+        NaN included) at rho; t and 1 - t are fresh arrays."""
+        rho = _as_array(rho)
+        t = np.subtract(rho, self.q1, out=np.empty(rho.shape))
+        t /= self.width
+        return t, np.subtract(1.0, t, out=np.empty(rho.shape)), ~((t >= 0.0) & (t <= 1.0))
 
-    def _value(self, t, omt, inside) -> np.ndarray:
-        return np.where(inside, self.amp * 16.0 * t * t * omt * omt, 0.0)
+    def _value(self, t, omt, outside) -> np.ndarray:
+        """amp 16 t^2 (1 - t)^2, 0 off the support."""
+        v = np.multiply(t, self.amp * 16.0, out=np.empty(t.shape))
+        v *= t
+        v *= omt
+        v *= omt
+        np.copyto(v, 0.0, where=outside)
+        return v
 
-    def _slope(self, t, omt, inside) -> np.ndarray:
-        dpsi = 32.0 * t * omt * (1.0 - 2.0 * t)
-        return np.where(inside, self.amp * dpsi / self.width, 0.0)
+    def _slope(self, t, omt, outside) -> np.ndarray:
+        """amp 32 t (1 - t) (1 - 2 t) / width, 0 off the support; spends omt."""
+        dv = np.multiply(t, 32.0, out=np.empty(t.shape))
+        dv *= omt
+        np.multiply(t, 2.0, out=omt)
+        np.subtract(1.0, omt, out=omt)
+        dv *= omt
+        dv *= self.amp
+        dv /= self.width
+        np.copyto(dv, 0.0, where=outside)
+        return dv
 
     def value(self, rho) -> np.ndarray:
         return self._value(*self._profile(rho))
@@ -155,20 +174,38 @@ class CompactBump:
         return self._slope(*self._profile(rho))
 
     def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
-        """value(rho) and slope(rho) from one profile."""
+        """value(rho) and slope(rho) from one profile (the value first: the
+        slope spends 1 - t)."""
         prof = self._profile(rho)
         return self._value(*prof), self._slope(*prof)
 
     def _phi(self, z: np.ndarray) -> np.ndarray:
-        """The antiderivative of q(z)/z^2 on the support."""
+        """The antiderivative of q(z)/z^2 on the support, a fresh array (a
+        float64 for a scalar z, whose z**3 numpy rounds as libm's pow, not
+        as its array power); each term is added in place."""
         d = self._coef
-        return (-d[0] / z + d[1] * np.log(z) + d[2] * z
-                + d[3] * z * z / 2.0 + d[4] * z**3 / 3.0)
+        out = -d[0] / z
+        term = np.log(z)
+        term *= d[1]
+        out += term
+        term = z * d[2]
+        out += term
+        term = z * d[3]
+        term *= z
+        term /= 2.0
+        out += term
+        term = z**3
+        term *= d[4]
+        term /= 3.0
+        out += term
+        return out
 
     def integral_over_z2(self, rho) -> np.ndarray:
-        """Exact antiderivative evaluation of int_1^rho q(z)/z^2 dz."""
-        hi = np.minimum(np.maximum(_as_array(rho), self.q1), self.q2)
-        return self._phi(hi) - self._phi_one
+        """Exact antiderivative evaluation of int_1^rho q(z)/z^2 dz, a fresh
+        array (a float64 for a scalar rho)."""
+        out = self._phi(np.minimum(np.maximum(_as_array(rho), self.q1), self.q2))
+        out -= self._phi_one
+        return out
 
 
 @dataclass(frozen=True)
@@ -435,6 +472,12 @@ class TabulatedH:
         return self.slope(rho) / rho
 
 
+def _add_into(fresh, other):
+    """fresh + other, written into fresh, an array the caller owns; a 0-d
+    fresh gives the float64 numpy's sum gives."""
+    return np.add(fresh, other, out=fresh if np.ndim(fresh) else None)
+
+
 @dataclass(frozen=True)
 class PressureLaw:
     """p(rho) = h(rho) + q(rho); bump = None means q = 0."""
@@ -459,16 +502,17 @@ class PressureLaw:
             return np.zeros_like(_as_array(rho))
         return self.bump.slope(rho)
 
-    # p, dp and P skip adding the zero bump of a bump-free law
+    # p, dp and P skip adding the zero bump of a bump-free law, and add h
+    # into the bump's fresh array
     def p(self, rho):
         if self.bump is None:
             return self.h_part.value(rho)
-        return self.h_part.value(rho) + self.bump.value(rho)
+        return _add_into(self.bump.value(rho), self.h_part.value(rho))
 
     def dp(self, rho):
         if self.bump is None:
             return self.h_part.slope(rho)
-        return self.h_part.slope(rho) + self.bump.slope(rho)
+        return _add_into(self.bump.slope(rho), self.h_part.slope(rho))
 
     def p_and_dp(self, rho):
         """(p(rho), dp(rho)) in one pass: each part's value and slope share
@@ -477,7 +521,7 @@ class PressureLaw:
         if self.bump is None:
             return h, dh
         q, dq = self.bump.value_and_slope(rho)
-        return h + q, dh + dq
+        return _add_into(q, h), _add_into(dq, dh)
 
     # -- potential ----------------------------------------------------------
     def H(self, rho):
@@ -494,12 +538,14 @@ class PressureLaw:
         rho = _as_array(rho)
         if self.bump is None:
             return np.zeros_like(rho)
-        return rho * self.bump.integral_over_z2(rho)
+        out = self.bump.integral_over_z2(rho)
+        out *= rho
+        return out
 
     def P(self, rho):
         if self.bump is None:
             return self.h_part.potential(rho)
-        return self.h_part.potential(rho) + self.Q(rho)
+        return _add_into(self.Q(rho), self.h_part.potential(rho))
 
     @property
     def gamma(self) -> float:
@@ -531,12 +577,14 @@ def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np
     the diagonal (a narrow band of a sorted rho grid against nearby r), with
     the other increments in it set to 0: their terms are exactly 0 and pass
     the stopping test, so the loop stops at the term it would stop at on the
-    near entries alone.  np.where then picks each entry's branch.
+    near entries alone.  A masked write then puts the series on the direct
+    formula's table, which is formed in place.
     """
     x = rho / r
     # (rho - r) is exact for rho within [r/2, 2r] (Sterbenz), so forming the
     # increment before dividing keeps d fully accurate in the series branch
-    d = (rho - r) / r
+    d = rho - r
+    d /= r
     near = np.abs(d) <= 0.5
     acc = None
     if np.logical_or.reduce(near, axis=None):
@@ -547,13 +595,13 @@ def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np
         dn = np.where(near[win], d[win], 0.0)
         beta = gamma / 2.0
         acc = beta * dn * dn
-        dk = dn * dn
+        dk = None  # dn^k, first needed at k = 3 (gamma = 2 never needs it)
         k = 2
         while True:
             beta = beta * (gamma - k) / (k + 1.0)
             if beta == 0.0:
                 break
-            dk = dk * dn
+            dk = dn * dn * dn if dk is None else dk * dn
             term = beta * dk
             acc += term
             k += 1
@@ -568,11 +616,17 @@ def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = np.where(x > 0.0, x * np.log(x), 0.0) - (x - 1.0)
         else:
-            out = np.power(x, gamma) - 1.0 - gamma * (x - 1.0)
+            # x^gamma - 1 - gamma (x - 1), x then spent (a float64 for
+            # scalars, which the augmented operators rebind)
+            out = np.power(x, gamma)
+            out -= 1.0
+            x -= 1.0
+            x *= gamma
+            out -= x
             if gamma != 2.0:  # dividing by 1 changes no bit
                 out /= gamma - 1.0
         if acc is not None:
-            out[win] = np.where(near[win], acc, out[win])
+            np.copyto(out[win], acc, where=near[win])
 
     return a * np.power(r, gamma) * out
 
@@ -670,42 +724,58 @@ def _r_values(r_min: float, r_max: float) -> np.ndarray:
     return np.array([r_min])
 
 
-def _lower_block(law: PressureLaw, rho_grid: np.ndarray, middle: np.ndarray,
-                 outer_den: np.ndarray, r: np.ndarray, breg: np.ndarray):
+def _lower_block(law: PressureLaw, middle: np.ndarray, outer_den: np.ndarray,
+                 r: np.ndarray, breg: np.ndarray, gap: np.ndarray):
     """c_middle and c_outer of a block of r rows (an (m, 1) column) from
-    their B table; its temporaries go when it returns."""
-    gap = rho_grid - r
-    mid = middle & (np.abs(gap) > 1e-9 * np.maximum(1.0, r))
+    their B table and gap = |rho - r|; its temporaries go when it returns.
+    Each ratio is divided only where its band keeps it, into one table, and
+    reduced there (min is exact, so the skipped entries change no bit)."""
+    mid = middle & (gap > 1e-9 * np.maximum(1.0, r))
     empty = ~mid.any(axis=1)
     if empty.any():
         raise InsufficientGridError(
             f"no middle-band grid points distinct from r = {r[np.argmax(empty), 0]}; "
             "refine the grid")
-    ratios = np.where(mid, breg / np.where(mid, gap * gap, 1.0), np.inf)
+    ratios = np.multiply(gap, gap)
+    np.divide(breg, ratios, out=ratios, where=mid)
     # the rho -> r limit B/(rho-r)^2 -> H''(r)/2 is a legitimate candidate
-    return (np.minimum(np.min(ratios, axis=1), law.d2H(r[:, 0]) / 2.0),
-            np.min(np.where(middle, np.inf, breg / outer_den), axis=1))
+    c_mid = np.minimum(np.min(ratios, axis=1, where=mid, initial=np.inf),
+                       law.d2H(r[:, 0]) / 2.0)
+    outer = ~middle
+    np.divide(breg, outer_den, out=ratios, where=outer)
+    return c_mid, np.min(ratios, axis=1, where=outer, initial=np.inf)
 
 
 def _h_block(law: PressureLaw, rho_grid: np.ndarray, r: np.ndarray,
-             breg: np.ndarray) -> np.ndarray:
-    """C(r) of a block of r rows (an (m, 1) column) from their B table, -inf
-    where every grid point is excluded; a power law's increment is
-    |(gamma - 1) B| from the same B."""
-    keep = np.abs(rho_grid - r) >= H_BOUND_EXCLUSION
-    if isinstance(law.h_part, PowerLawH) and law.gamma != 1.0:
-        hinc = np.abs((law.gamma - 1.0) * breg)
+             breg: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """C(r) of a block of r rows (an (m, 1) column) from their B table and
+    gap = |rho - r|, -inf where every grid point is excluded; a power law's
+    increment is |(gamma - 1) B| from the same B.
+
+    At gamma = 2 that ratio is |1.0 B| / B, exactly 1 where B > 0 is finite,
+    so with a finite table C(r) is read from the least kept B alone: 1 if
+    it is > 0, inf (a ratio over B <= 0) if not, -inf if no point is kept.
+    """
+    keep = gap >= H_BOUND_EXCLUSION
+    power = isinstance(law.h_part, PowerLawH) and law.gamma != 1.0
+    if power and law.gamma == 2.0 and math.isfinite(np.add.reduce(breg, axis=None)):
+        least = np.min(breg, axis=1, where=keep, initial=np.inf)
+        return np.where(least == np.inf, -np.inf, np.where(least > 0.0, 1.0, np.inf))
+    if power:
+        hinc = np.multiply(breg, law.gamma - 1.0)
+        np.abs(hinc, out=hinc)
     else:
         hinc = np.abs(h_increment(law, rho_grid, r))
     pos = breg > 0.0
-    ratios = np.where(pos, hinc / np.where(pos, breg, 1.0), np.inf)
-    return np.max(np.where(keep, ratios, -np.inf), axis=1)
+    ratios = np.divide(hinc, breg, out=hinc, where=pos)
+    np.copyto(ratios, np.inf, where=np.logical_not(pos, out=pos))
+    return np.max(ratios, axis=1, where=keep, initial=-np.inf)
 
 
 def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid) -> Certificate:
     """Both lemma witnesses of law over r in r_range on rho_grid, from one
     pass over blocks of r rows against the whole grid (row_blocks) with one B
-    table per block.
+    table and one |rho - r| table per block.
 
     The lower bound's band is [r1, r2] = [r_min/2, 2 r_max].  The h bound
     skips a band |rho - r| < H_BOUND_EXCLUSION, where both sides vanish to
@@ -724,9 +794,10 @@ def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid) -> Certifi
     for rows in row_blocks(r_values.size, rho_grid.size):
         r = r_values[rows, None]
         breg = bregman_H(law, rho_grid, r)
-        c_mid[rows], c_out[rows] = _lower_block(law, rho_grid, middle, outer_den,
-                                                r, breg)
-        C[rows] = _h_block(law, rho_grid, r, breg)
+        gap = rho_grid - r
+        np.abs(gap, out=gap)
+        c_mid[rows], c_out[rows] = _lower_block(law, middle, outer_den, r, breg, gap)
+        C[rows] = _h_block(law, rho_grid, r, breg, gap)
 
     empty = C == -np.inf
     if empty.any():

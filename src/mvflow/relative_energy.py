@@ -133,17 +133,23 @@ def _scan_max(law: PressureLaw, s_grid: np.ndarray, r_grid: np.ndarray,
 
     The (r, s) table is taken in blocks of r rows (row_blocks), so its
     working set stays about TABLE_BLOCK cells; the max of the block maxima
-    is the table's.  extra_candidates supplies analytic s -> r limit values
-    where the ratio has a removable singularity.
+    is the table's.  Each block divides into its B table only where the
+    ratio is kept and takes the max there, from a floor of 0, which the
+    excluded entries read as before.  num_fn(s, r) gives a block's
+    numerators, each >= 0, so the floor moves no max; callers form its
+    factors of s alone once per scan, on s_grid.  extra_candidates supplies
+    analytic s -> r limit values where the ratio has a removable
+    singularity.
     """
     s = s_grid[None, :]
     maxima = []
     for rows in row_blocks(r_grid.size, s_grid.size):
         r = r_grid[rows, None]
         B = bregman_H(law, s, r)
-        keep = (np.abs(s - r) > SCAN_EXCLUSION * np.maximum(1.0, r)) & (B > 0.0)
-        ratios = np.where(keep, num_fn(s, r) / np.where(keep, B, 1.0), 0.0)
-        maxima.append(np.max(ratios))
+        keep = np.abs(s - r) > SCAN_EXCLUSION * np.maximum(1.0, r)
+        keep &= B > 0.0
+        ratios = np.divide(num_fn(s, r), B, out=B, where=keep)
+        maxima.append(np.max(ratios, where=keep, initial=0.0))
     best = float(np.max(maxima))
     for c in extra_candidates:
         best = max(best, float(c))
@@ -257,27 +263,28 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     s_cap = max(2.0 * (cutoff.r2 + cutoff.width), 1.2 * s_max)
     s_lo = cutoff.r1 - cutoff.width
 
+    # each scan's factors of s alone, formed once on its grid
     s_psi = np.linspace(s_lo, cutoff.r2 + cutoff.width, SCAN_POINTS)
+    psi, root = cutoff.psi(s_psi), np.sqrt(s_psi)
     alpha_psi = GUARD * _scan_max(
-        law, s_psi, r_grid,
-        lambda s, r: cutoff.psi(s) * (s - r) ** 2 / np.sqrt(s),
+        law, s_psi, r_grid, lambda s, r: psi * (s - r) ** 2 / root,
         extra_candidates=cutoff.psi(r_grid) * 2.0 / (np.sqrt(r_grid) * law.d2H(r_grid)))
 
     s_low = np.linspace(0.0, cutoff.r1, SCAN_POINTS)
-    A_w1 = GUARD * _scan_max(
-        law, s_low, r_grid, lambda s, r: cutoff.w1(s) ** 2 * (s - r) ** 2)
+    w1_sq = cutoff.w1(s_low) ** 2
+    A_w1 = GUARD * _scan_max(law, s_low, r_grid, lambda s, r: w1_sq * (s - r) ** 2)
 
     s_high = np.linspace(cutoff.r2, s_cap, SCAN_POINTS)
-    A_w2 = GUARD * _scan_max(law, s_high, r_grid,
-                                 lambda s, r: cutoff.w2(s) * s)
+    w2_s = cutoff.w2(s_high) * s_high
+    A_w2 = GUARD * _scan_max(law, s_high, r_grid, lambda s, r: w2_s)
 
     if law.bump is None:
         Cq = 0.0
     else:
         s_all = np.linspace(0.0, s_cap, 2 * SCAN_POINTS)
+        q_s = law.q(s_all)
         Cq = GUARD * _scan_max(
-            law, s_all, r_grid,
-            lambda s, r: (law.q(s) - law.q(r)) ** 2,
+            law, s_all, r_grid, lambda s, r: (q_s - law.q(r)) ** 2,
             extra_candidates=2.0 * law.dq(r_grid) ** 2 / law.d2H(r_grid))
 
     w3 = (lam * ref.d2U_dx2 - law.dq(ref.r) * ref.dr_dx) / ref.r

@@ -668,6 +668,9 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
             M = len(rho_t) // rungs  # array rows per rung: L, or 1 if ragged
             at = slice(rung * M, rung * M + M)
             rho, m, u = rho_t[at], m_t[at], u_t[at]
+        elif len(taken) == L and cells.joints is None:  # every row, at mixed rungs
+            idx = np.array(taken)
+            rho, m, u = rho_t.take(idx, 0), m_t.take(idx, 0), u_t.take(idx, 0)
         else:
             for j, i in zip(pos, taken):
                 a, b = cells.at(j), cells.at(i)

@@ -2,17 +2,21 @@
 renormalization function, an all-zero defect report, the Frobenius contraction, the bump potential's
 slope, the gather/scatter Bregman kernel the production one replaced, a
 tabulated law's h and h' evaluated row by row and its h/z^2 integral from
-per-cell gathers, the solver's step on a FluidState, and a state's
-dissipation increment."""
+per-cell gathers, the bump law and the certificate and scan reductions as
+np.where and out-of-place sums formed them, the solver's step on a
+FluidState, and a state's dissipation increment."""
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+import mvflow.pressure
 from mvflow import solver
-from mvflow.errors import SpecParseError
+from mvflow.errors import InsufficientGridError, SpecParseError
 from mvflow.measures import DefectReport, RenormFunction
-from mvflow.pressure import TAIL_SLOPE_RTOL, PowerLawH, _pchip_coefficients
+from mvflow.pressure import (H_BOUND_EXCLUSION, TAIL_SLOPE_RTOL, PowerLawH,
+                             _pchip_coefficients, h_increment)
+from mvflow.relative_energy import SCAN_EXCLUSION
 from mvflow.solver import FluidState
 
 _INT_RE = re.compile(r"^-?\d+$")
@@ -239,6 +243,87 @@ def gathered_integral_over_z2(table, rho):
     rho = np.asarray(rho, dtype=float)
     k = np.searchsorted(anchor[1:], rho, side="right")
     return cum[k] + piece(k, rho)
+
+
+def where_bump_value_and_slope(bump, rho):
+    """A CompactBump's value and slope, each expression kept by np.where
+    on the support and 0 off it (0-d arrays for a scalar rho)."""
+    t = (np.asarray(rho, dtype=float) - bump.q1) / bump.width
+    omt = 1.0 - t
+    inside = (t >= 0.0) & (t <= 1.0)
+    dpsi = 32.0 * t * omt * (1.0 - 2.0 * t)
+    return (np.where(inside, bump.amp * 16.0 * t * t * omt * omt, 0.0),
+            np.where(inside, bump.amp * dpsi / bump.width, 0.0))
+
+
+def summed_bump_integral_over_z2(bump, rho):
+    """A CompactBump's int_1^rho q(z)/z^2 dz, its antiderivative summed out
+    of place (a float64 for a scalar rho)."""
+    d = bump._coef
+
+    def phi(z):
+        return (-d[0] / z + d[1] * np.log(z) + d[2] * z
+                + d[3] * z * z / 2.0 + d[4] * z**3 / 3.0)
+
+    one = np.minimum(np.maximum(np.ones(1), bump.q1), bump.q2)
+    hi = np.minimum(np.maximum(np.asarray(rho, dtype=float), bump.q1), bump.q2)
+    return phi(hi) - phi(one)[0]
+
+
+def summed_law(law, rho) -> dict:
+    """p, dp, p_and_dp, Q and P of a law with a bump, each h term plus the
+    np.where bump term in an out-of-place sum."""
+    rho = np.asarray(rho, dtype=float)
+    q, dq = where_bump_value_and_slope(law.bump, rho)
+    h, dh = law.h_part.value_and_slope(rho)
+    Q = rho * summed_bump_integral_over_z2(law.bump, rho)
+    return {"p": law.h_part.value(rho) + q, "dp": law.h_part.slope(rho) + dq,
+            "p_and_dp": (h + q, dh + dq), "Q": Q, "P": law.h_part.potential(rho) + Q}
+
+
+def where_lower_block(law, rho_grid, middle, outer_den, r, breg):
+    """pressure._lower_block with np.where passes: the ratios filled with
+    inf off each band, then reduced."""
+    gap = rho_grid - r
+    mid = middle & (np.abs(gap) > 1e-9 * np.maximum(1.0, r))
+    empty = ~mid.any(axis=1)
+    if empty.any():
+        raise InsufficientGridError(
+            f"no middle-band grid points distinct from r = {r[np.argmax(empty), 0]}; "
+            "refine the grid")
+    ratios = np.where(mid, breg / np.where(mid, gap * gap, 1.0), np.inf)
+    return (np.minimum(np.min(ratios, axis=1), law.d2H(r[:, 0]) / 2.0),
+            np.min(np.where(middle, np.inf, breg / outer_den), axis=1))
+
+
+def where_h_block(law, rho_grid, r, breg):
+    """pressure._h_block with np.where passes and every ratio formed: inf
+    where B <= 0, -inf where excluded, then reduced."""
+    keep = np.abs(rho_grid - r) >= H_BOUND_EXCLUSION
+    if isinstance(law.h_part, PowerLawH) and law.gamma != 1.0:
+        hinc = np.abs((law.gamma - 1.0) * breg)
+    else:
+        hinc = np.abs(h_increment(law, rho_grid, r))
+    pos = breg > 0.0
+    ratios = np.where(pos, hinc / np.where(pos, breg, 1.0), np.inf)
+    return np.max(np.where(keep, ratios, -np.inf), axis=1)
+
+
+def where_scan_max(law, s_grid, r_grid, num_fn, extra_candidates=()) -> float:
+    """relative_energy._scan_max with np.where passes: excluded ratios set
+    to 0, then reduced; num_fn(s, r) forms every factor in each block."""
+    s = s_grid[None, :]
+    maxima = []
+    for rows in mvflow.pressure.row_blocks(r_grid.size, s_grid.size):
+        r = r_grid[rows, None]
+        B = mvflow.pressure.bregman_H(law, s, r)
+        keep = (np.abs(s - r) > SCAN_EXCLUSION * np.maximum(1.0, r)) & (B > 0.0)
+        ratios = np.where(keep, num_fn(s, r) / np.where(keep, B, 1.0), 0.0)
+        maxima.append(np.max(ratios))
+    best = float(np.max(maxima))
+    for c in extra_candidates:
+        best = max(best, float(c))
+    return best
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,157 @@
+"""The in-place bump law and the where= certificate and scan reductions
+against the np.where and out-of-place forms they replaced: the same bytes,
+types and shapes."""
+import numpy as np
+import pytest
+
+import mvflow.pressure
+from helpers import (summed_bump_integral_over_z2, summed_law,
+                     where_bump_value_and_slope, where_h_block,
+                     where_lower_block, where_scan_max)
+from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw, TabulatedH,
+                             _h_block, _lower_block, _r_values, bregman_H)
+from mvflow.relative_energy import CutoffBand, _scan_max
+
+BUMPS = {"small": CompactBump(q1=1.0, q2=2.0, amp=0.05),
+         "negative": CompactBump(q1=1.0, q2=2.0, amp=-0.05),
+         "non-monotone": CompactBump(q1=1.0, q2=2.0, amp=2.0),
+         "narrow": CompactBump(q1=0.7, q2=0.9, amp=0.3)}
+TABLE = TabulatedH(tuple(np.linspace(0.0, 4.0, 9)),
+                   tuple(np.linspace(0.0, 4.0, 9) ** 2 + 0.1 * np.linspace(0.0, 4.0, 9)))
+H_PARTS = {**{f"power-a{a}-g{g}": PowerLawH(a=a, gamma=g)
+              for a in (1.0, 1.7) for g in (1.0, 1.4, 2.0, 3.5)},
+           "tabulated": TABLE}
+
+
+def _same(got, want, name):
+    assert type(got) is type(want), name
+    assert np.shape(got) == np.shape(want), name
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+def _densities(bump):
+    """rho at, just inside and just outside both support ends, across and
+    beyond the support, at 0 and at random points on it, in every shape a
+    caller passes."""
+    ends = np.array([bump.q1, bump.q2])
+    inside = np.random.default_rng(7).uniform(bump.q1, bump.q2, 500)
+    rho = np.concatenate([[0.0, 0.5, 3.0, 10.0], ends, np.nextafter(ends, 0.0),
+                          np.nextafter(ends, np.inf), np.linspace(0.0, 2.5 * bump.q2, 42),
+                          inside])
+    return {"float": bump.q1, "float-out": 0.3, "float64": np.float64(bump.q2),
+            "0-d": np.asarray(1.5 * bump.q1), "0-d-out": np.asarray(3.0 * bump.q2),
+            "row": rho, "rows": rho.reshape(2, -1), "strided": rho[::3],
+            "broadcast": np.broadcast_to(rho, (3, rho.size))}
+
+
+@pytest.mark.parametrize("bump", list(BUMPS.values()), ids=list(BUMPS))
+def test_bump_kernels_equal_the_where_form(bump):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for name, rho in _densities(bump).items():
+            want_v, want_s = where_bump_value_and_slope(bump, rho)
+            _same(bump.value(rho), want_v, name)
+            _same(bump.slope(rho), want_s, name)
+            v, s = bump.value_and_slope(rho)
+            _same(v, want_v, name)
+            _same(s, want_s, name)
+            _same(bump.integral_over_z2(rho), summed_bump_integral_over_z2(bump, rho), name)
+    # a NaN density lies off the support, as np.where read it
+    rho = np.array([np.nan, 1.5])
+    for got, want in zip(bump.value_and_slope(rho), where_bump_value_and_slope(bump, rho)):
+        _same(got, want, "nan")
+
+
+@pytest.mark.parametrize("h_part", list(H_PARTS.values()), ids=list(H_PARTS))
+@pytest.mark.parametrize("bump", list(BUMPS.values()), ids=list(BUMPS))
+def test_bump_law_equals_out_of_place_sums(h_part, bump):
+    law = PressureLaw(h_part=h_part, bump=bump)
+    with np.errstate(divide="ignore", invalid="ignore"):  # H(0) of gamma = 1
+        for name, rho in _densities(bump).items():
+            want = summed_law(law, rho)
+            _same(law.p(rho), want["p"], name)
+            _same(law.dp(rho), want["dp"], name)
+            for got, w in zip(law.p_and_dp(rho), want["p_and_dp"]):
+                _same(got, w, name)
+            _same(law.Q(rho), want["Q"], name)
+            _same(law.P(rho), want["P"], name)
+
+
+LAWS = {f"{name}-{'bump' if b else 'plain'}": PressureLaw(h_part=h, bump=b)
+        for name, h in H_PARTS.items() for b in (None, BUMPS["small"])}
+
+
+def _blocks(law, r_range, grid):
+    r1, r2 = mvflow.pressure._check_grid(grid, *r_range)
+    middle = (grid >= r1) & (grid <= r2)
+    outer_den = 1.0 + grid ** law.gamma
+    r_values = _r_values(*r_range)
+    for rows in (slice(0, 1), slice(5, 12), slice(None)):
+        r = r_values[rows, None]
+        yield middle, outer_den, r, bregman_H(law, grid, r)
+
+
+@pytest.mark.parametrize("law", list(LAWS.values()), ids=list(LAWS))
+def test_certificate_blocks_equal_the_where_form(law):
+    # the grid holds the bump's ends and each r sample among its points
+    grid = np.unique(np.concatenate([np.linspace(0.0, 10.0, 2001), [1.0, 2.0],
+                                     _r_values(0.5, 2.0)]))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for r_range in ((0.9, 1.15), (0.5, 2.0), (1.0, 1.0)):
+            for middle, outer_den, r, breg in _blocks(law, r_range, grid):
+                gap = np.abs(grid - r)
+                for got, want in zip(_lower_block(law, middle, outer_den, r, breg, gap),
+                                     where_lower_block(law, grid, middle, outer_den, r, breg)):
+                    _same(got, want, "lower")
+                _same(_h_block(law, grid, r, breg, gap), where_h_block(law, grid, r, breg), "h")
+
+
+@pytest.mark.parametrize("a", [1.0, 1.7])
+def test_gamma2_identity_keeps_to_finite_tables(a):
+    # C(r) at gamma = 2 from the least kept B, against every ratio formed:
+    # kept B = 0, -0.0 and < 0, tables holding inf or NaN, which take the
+    # general path, and rows with every grid point excluded
+    law = PressureLaw(h_part=PowerLawH(a=a, gamma=2.0), bump=BUMPS["small"])
+    grid = np.concatenate([np.linspace(0.0, 4e-8, 8), [0.5, 1.5, 2.0, 3.0]])
+    r = np.array([[1e-8], [1.0], [1.5], [2.5]])
+    base = bregman_H(law, grid, r)
+    cases = {"clean": (grid, r, base)}
+    for name, value in (("zero", 0.0), ("minus-zero", -0.0), ("negative", -1e-3),
+                        ("inf", np.inf), ("nan", np.nan)):
+        breg = base.copy()
+        breg[1, 9] = value  # kept: grid point 1.5 against r = 1.0
+        cases[name] = (grid, r, breg)
+    tiny = np.linspace(0.0, 4e-8, 8)  # within H_BOUND_EXCLUSION of every r
+    r_tiny = np.array([[1e-8], [3e-8]])
+    cases["all-excluded"] = (tiny, r_tiny, bregman_H(law, tiny, r_tiny))
+    with np.errstate(invalid="ignore"):  # inf / inf in both forms
+        for name, (g, rc, breg) in cases.items():
+            got = _h_block(law, g, rc, breg, np.abs(g - rc))
+            _same(got, where_h_block(law, g, rc, breg), name)
+    assert _h_block(law, grid, r, base, np.abs(grid - r)).tolist() == [1.0] * 4
+    assert _h_block(law, tiny, r_tiny, cases["all-excluded"][2],
+                    np.abs(tiny - r_tiny)).tolist() == [-np.inf] * 2
+
+
+@pytest.mark.parametrize("law", list(LAWS.values()), ids=list(LAWS))
+@pytest.mark.parametrize("cells", [1, mvflow.pressure.TABLE_BLOCK], ids=["one-row", "shipped"])
+def test_scan_max_equals_the_where_form(monkeypatch, law, cells):
+    # production's scans, their factors of s formed once, against every
+    # factor formed in each block
+    monkeypatch.setattr(mvflow.pressure, "TABLE_BLOCK", cells)
+    cut = CutoffBand(r1=0.45, r2=4.2, width=0.045)
+    r = np.linspace(0.9, 1.2, 41)
+    s_psi, s_low = np.linspace(0.405, 4.245, 2001), np.linspace(0.0, 0.45, 2001)
+    s_high, s_all = np.linspace(4.2, 9.0, 2001), np.linspace(0.0, 9.0, 4002)
+    psi, root = cut.psi(s_psi), np.sqrt(s_psi)
+    w1_sq, w2_s, q_s = cut.w1(s_low) ** 2, cut.w2(s_high) * s_high, law.q(s_all)
+    scans = [
+        (s_psi, lambda s, r: psi * (s - r) ** 2 / root,
+         lambda s, r: cut.psi(s) * (s - r) ** 2 / np.sqrt(s)),
+        (s_low, lambda s, r: w1_sq * (s - r) ** 2, lambda s, r: cut.w1(s) ** 2 * (s - r) ** 2),
+        (s_high, lambda s, r: w2_s, lambda s, r: cut.w2(s) * s),
+        (s_all, lambda s, r: (q_s - law.q(r)) ** 2, lambda s, r: (law.q(s) - law.q(r)) ** 2),
+    ]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for k, (s, num, where_num) in enumerate(scans):
+            got, want = _scan_max(law, s, r, num), where_scan_max(law, s, r, where_num)
+            _same(got, want, f"scan {k}")

@@ -9,6 +9,7 @@ from scipy.linalg.lapack import dgtsv
 import mvflow.solver
 from helpers import (StepStart, dissipation_increment, step, step_start,
                      step_with_terms)
+from mvflow._rows import RaggedRows, UniformRows
 from mvflow.errors import (DomainError, ReferenceInvalidError, SolverFailure,
                            StepRejected)
 from mvflow.pressure import CompactBump, PowerLawH, PressureLaw, TabulatedH
@@ -605,6 +606,21 @@ def test_gradient_rows_match_single_rows():
     g = gradient_1d(u, 0.1)
     for k in range(3):
         assert np.array_equal(g[k], gradient_1d(u[k], 0.1))
+
+
+@pytest.mark.parametrize("layout", ["uniform", "ragged"])
+def test_gradient_divides_no_entry_it_did_not_write(layout):
+    # the gradient's buffer comes from np.empty, and its first and last
+    # entries never hold a difference: dividing what a freed array of 1e308
+    # left there overflowed
+    rows = (UniformRows(256, 1.0 / 256) if layout == "uniform"
+            else RaggedRows([Grid1D(n=128, length=1.0), Grid1D(n=128, length=0.5)]))
+    u = np.zeros((2, 256))
+    junk = np.full((2, 256), 1e308)
+    del junk
+    with np.errstate(all="raise"):
+        g = rows.gradient(u)
+    assert not g.any()
 
 
 # -- stacked runs -------------------------------------------------------------------

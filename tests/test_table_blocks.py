@@ -221,18 +221,20 @@ def test_certify_peak_does_not_grow_with_the_r_grid(monkeypatch):
         return _peak_bytes(lambda: certify(law, (0.9, 1.15), grid))
 
     both = half(real_lower, real_h)
-    lower = half(real_lower, lambda law, rho_grid, r, breg: np.ones(len(r)))
-    upper = half(lambda law, rho_grid, middle, outer_den, r, breg: (np.ones(len(r)),) * 2,
+    lower = half(real_lower, lambda law, rho_grid, r, breg, gap: np.ones(len(r)))
+    upper = half(lambda law, middle, outer_den, r, breg, gap: (np.ones(len(r)),) * 2,
                  real_h)
     # the pass peaks no higher than either half with the other one stubbed out
     assert both <= 1.05 * max(lower, upper)
     # and holds no block-sized table beyond the larger of one lower block's
-    # and one h block's own temporaries (B, the grid's masks and the result
-    # columns stay under half a block)
+    # and one h block's own temporaries, the |rho - r| table each is handed
+    # among them (B, the grid's masks and the result columns stay under half
+    # a block)
     r = r_values[blocks[0], None]
     breg = tables[float(r[0, 0])]
     r1, r2 = mvflow.pressure._check_grid(grid, 0.9, 1.15)
     middle, outer_den = (grid >= r1) & (grid <= r2), 1.0 + grid ** law.gamma
-    own = max(_peak_bytes(lambda: real_lower(law, grid, middle, outer_den, r, breg)),
-              _peak_bytes(lambda: real_h(law, grid, r, breg)))
+    own = max(_peak_bytes(lambda: real_lower(law, middle, outer_den, r, breg,
+                                             np.abs(grid - r))),
+              _peak_bytes(lambda: real_h(law, grid, r, breg, np.abs(grid - r))))
     assert both - own < breg.nbytes / 2

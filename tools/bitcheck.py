@@ -15,6 +15,10 @@ Each line is ``<key> <value>``:
 - ``ensemble-bump.gamma1.4.manifest_hash``: the weak-strong-bump preset
   with ``law.gamma = 1.4``, whose certificates and remainder scans sum the
   Bregman series (gamma = 2 stops after its first term);
+- ``ensemble-bump.A2-base1.6.manifest_hash``: the weak-strong-bump preset
+  with ``law.bump.A = 2.0`` and ``init.base = 1.6``, whose pressure slope is
+  negative on most sampled cells, so the bump runs in the non-monotone
+  regime;
 - ``weak-strong-tabulated.gamma1.4.manifest_hash``: the weak-strong-tabulated
   preset with ``law.gamma = 1.4``, a tail exponent whose potential takes the
   tail's power term c^(gamma - 1) at a power other than 1;
@@ -126,9 +130,13 @@ def main(argv=None) -> int:
 
         bump14 = dict(presets()["weak-strong-bump"], **{"law.gamma": "1.4"})
         tab14 = dict(presets()["weak-strong-tabulated"], **{"law.gamma": "1.4"})
-        for name, cfg in (("ensemble-bump", bump14), ("weak-strong-tabulated", tab14)):
+        bump_a2 = dict(presets()["weak-strong-bump"],
+                       **{"law.bump.A": "2.0", "init.base": "1.6"})
+        for name, cfg in (("ensemble-bump.gamma1.4", bump14),
+                          ("ensemble-bump.A2-base1.6", bump_a2),
+                          ("weak-strong-tabulated.gamma1.4", tab14)):
             m = run_experiment(spec_from_config(cfg), out_dir=fresh_dir())
-            print(f"{name}.gamma1.4.manifest_hash {m.manifest_hash}")
+            print(f"{name}.manifest_hash {m.manifest_hash}")
 
         certify = {"certify.r_min": "0.5", "certify.r_max": "2.0"}
         power1 = dict(presets()["weak-strong-monotone"], **{"law.gamma": "1.0"})
