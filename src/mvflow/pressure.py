@@ -264,8 +264,8 @@ class PowerLawH:
 
 def _local_cubic(c, s, s2) -> np.ndarray:
     """c[0] + c[1] s + c[2] s^2 (+ c[3] s^3) summed from the lowest power up,
-    as scipy's PPoly sums it; s2 = s * s."""
-    out = 0.0 + c[0] + c[1] * s + c[2] * s2
+    as scipy's PPoly sums it from 0.0 (which c[0] already holds); s2 = s * s."""
+    out = c[0] + c[1] * s + c[2] * s2
     if len(c) > 3:
         out = out + c[3] * (s2 * s)
     return out
@@ -288,33 +288,38 @@ class TabulatedH:
     PchipInterpolator and its derivative would give it (scipy serves as the
     test oracle only): importing scipy.interpolate costs a fresh process
     about 0.3 s.  Value and slope evaluate the local cubic in s = rho - knot
-    as scipy's PPoly does, from the lowest power up.
+    as scipy's PPoly does, from the lowest power up.  h and h' share one
+    paired coefficient table, so value_and_slope forms both cubics' terms of
+    each power in one pass.
 
     The potential uses closed forms only: each cubic piece
     A0 + A1 z + A2 z^2 + A3 z^3 integrates against 1/z^2 exactly, and so does
     the tail.  Whatever a piece's integral reads that depends on the piece
     alone is folded into one table at construction, so a potential takes
-    its pieces' constants in one gather.
+    its pieces' constants in one gather.  The tail's power term is formed
+    only when a density lies on the tail, and the vacuum guard of H(0) = 0
+    only when a density is not safely positive (see potential).
     """
 
     rho_samples: tuple
     h_samples: tuple
     gamma_tail: float = 2.0
     # the interior knots (to find a point's piece), and one (8, pieces)
-    # table: the local coefficients of h in s = rho - left knot, lowest power
-    # first, each piece's left knot, then those of h'; _rows views its rows.
-    # value gathers rows 0-4 and slope rows 4-7 row by row (one gather per
-    # row is the fastest on wide tables), value_and_slope all eight in one
-    # take (the fastest on a solver's rows)
+    # paired table of the local coefficients in s = rho - left knot: rows
+    # c0, dc0, c1, dc1, c2, dc2 of h and h' in pairs, c3 of h, then the left
+    # knot.  c0 and dc0 hold 0.0 + c, the sum PPoly starts from (it turns a
+    # -0.0 into 0.0).  value_and_slope takes all eight rows in one gather
+    # and each pair in one pass (the fastest on a solver's rows); value and
+    # slope gather their own rows one by one (the fastest on wide tables)
     _inner: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _local: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _rows: tuple = field(init=False, repr=False, compare=False, default=None)
+    _paired: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     # tail h = _tail_a * rho^gamma_tail + _tail_b beyond rho_max
     _tail_a: float = field(init=False, repr=False, compare=False, default=0.0)
     _tail_b: float = field(init=False, repr=False, compare=False, default=0.0)
     # one (7, pieces) table, the tail the last piece: the global cubic
-    # coefficients A0, A1, A2 and A3/2, the anchor c, the tail's power term
-    # a * c^(gamma_tail - 1) (0 on the cubics) and int_1^c h(z)/z^2 dz
+    # coefficients A0, A1, A2 and A3/2, the anchor c, int_1^c h(z)/z^2 dz
+    # (never -0.0) and the tail's power term a * c^(gamma_tail - 1) (0 on
+    # the cubics)
     _pieces: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -333,8 +338,8 @@ class TabulatedH:
         c = _pchip_coefficients(r, h)
         # the derivative's coefficients, as PPoly.derivative scales them
         dc = c[:-1] * np.array([[3.0], [2.0], [1.0]])
-        local = np.vstack([c[::-1], r[:-1], dc[::-1]])
-        for name, val in (("_inner", r[1:-1]), ("_local", local), ("_rows", tuple(local))):
+        paired = np.vstack([0.0 + c[3], 0.0 + dc[2], c[2], dc[1], c[1], dc[0], c[0], r[:-1]])
+        for name, val in (("_inner", r[1:-1]), ("_paired", paired)):
             object.__setattr__(self, name, val)
         g = float(self.gamma_tail)
         r_max, h_max = float(r[-1]), float(h[-1])
@@ -361,17 +366,19 @@ class TabulatedH:
         power = np.zeros(r.size)
         if g != 1.0:
             power[-1] = a
-        pieces = np.vstack([coef[:3], 0.5 * coef[3], anchor,
-                            power * np.power(anchor, g - 1.0), np.zeros(r.size)])
+        pieces = np.vstack([coef[:3], 0.5 * coef[3], anchor, np.zeros(r.size),
+                            power * np.power(anchor, g - 1.0)])
         for name, val in (("_tail_a", a), ("_tail_b", b), ("_pieces", pieces)):
             object.__setattr__(self, name, val)
 
         # integrals from r[1] to each anchor, then from 1 (which lies on piece j)
-        steps = self._piece_integral(pieces[:, 1:-1], r[2:])
+        steps = self._piece_integral(pieces[:, 1:-1], r[2:], True)
         from_r1 = np.concatenate([[0.0, 0.0], np.cumsum(steps)])
         j = int(np.searchsorted(r[1:], 1.0, side="right"))
-        one = from_r1[j] + float(self._piece_integral(pieces[:, j], np.asarray(1.0)))
-        pieces[6] = from_r1 - one
+        one = from_r1[j] + float(self._piece_integral(pieces[:, j], np.asarray(1.0), True))
+        # adding 0.0 turns a -0.0 into 0.0 and leaves every other value as
+        # it is; x - x is 0.0 already, so at the anchor 1.0 this is no change
+        pieces[5] = from_r1 - one + 0.0
 
     @property
     def a(self) -> float:
@@ -409,57 +416,97 @@ class TabulatedH:
     def value(self, rho) -> np.ndarray:
         rho = _as_array(rho)
         k = self._piece(rho)
-        *c, left = (row[k] for row in self._rows[:5])
+        *c, left = (self._paired[row][k] for row in (0, 2, 4, 6, 7))
         s = rho - left
         return self._with_tails(rho, (_local_cubic(c, s, s * s), self._h_tail))[0]
 
     def slope(self, rho) -> np.ndarray:
         rho = _as_array(rho)
         k = self._piece(rho)
-        left, *c = (row[k] for row in self._rows[4:])
+        *c, left = (self._paired[row][k] for row in (1, 3, 5, 7))
         s = rho - left
         return self._with_tails(rho, (_local_cubic(c, s, s * s), self._dh_tail))[0]
 
     def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
         """value(rho) and slope(rho) from one piece search, one gather, one
-        s^2 and one tail mask."""
+        s^2, one pass per pair of terms and one max.
+
+        The terms are formed in place in the fresh gathered table, in
+        _local_cubic's order, and h and h' are its first two rows; a max
+        that is not <= rho_max (a NaN included) looks for the tail."""
         rho = _as_array(rho)
-        c = self._local.take(self._piece(rho), axis=1)
-        s = rho - c[4]
+        c = self._paired.take(self._piece(rho), axis=1)
+        pair0, pair1, pair2 = c[0:2], c[2:4], c[4:6]
+        s = rho - c[7]
         s2 = s * s
-        h, dh = self._with_tails(rho, (_local_cubic(c[:4], s, s2), self._h_tail),
-                                 (_local_cubic(c[5:], s, s2), self._dh_tail))
+        pair1 *= s
+        pair0 += pair1
+        pair2 *= s2
+        pair0 += pair2
+        s2 *= s
+        c3 = c[6]  # a float64 for a scalar rho, so h adds the local
+        c3 *= s2
+        h, dh = c[0], c[1]
+        h += c3
+        if not rho.max(initial=-np.inf) <= self.rho_max:
+            h, dh = self._with_tails(rho, (h, self._h_tail), (dh, self._dh_tail))
         return h, dh
 
-    def _piece_integral(self, cols: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    def _piece_integral(self, cols: np.ndarray, rho: np.ndarray, tail: bool) -> np.ndarray:
         """int_c^rho h(z)/z^2 dz from each piece's anchor c, rho > 0, where
-        cols holds the pieces' columns of the piece table.
+        cols holds the pieces' columns of the piece table; tail = False
+        leaves out the tail's power term, which is +0.0 on every cubic.
 
         The antiderivative -A0/z + A1 ln z + A2 z + A3 z^2/2 (+ a z^g/g with
         g = gamma_tail - 1 on the tail) is differenced in cancellation-free
         form.
         """
-        A0, A1, A2, half_A3, c, power, _ = cols
+        A0, A1, A2, half_A3, c = cols[:5]
         dz = rho - c
         log_ratio = np.log(rho / c)
         out = dz * (A0 / (c * rho) + A2 + half_A3 * (c + rho)) + A1 * log_ratio
-        if self.gamma_tail != 1.0:
+        if tail and self.gamma_tail != 1.0:
             g = self.gamma_tail - 1.0
-            out = out + power * np.expm1(g * log_ratio) / g
+            out = out + cols[6] * np.expm1(g * log_ratio) / g
         return out
+
+    def _pieces_at(self, rho: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Each rho's column of the piece table (the tail is the last, which
+        rho_max, beyond and NaN take), and whether any rho takes the tail."""
+        k = self._pieces[4, 1:].searchsorted(rho, "right")
+        return k, not k.max(initial=0) < self._pieces.shape[1] - 1
+
+    def _integral(self, rho: np.ndarray, k: np.ndarray, tail: bool) -> np.ndarray:
+        # Off the tail every gathered power term is +0.0, so at rho >= 0 the
+        # term tail = False leaves out is +0.0 times a finite expm1 over g:
+        # +0.0 or -0.0.  Adding a zero changes a nonzero sum not at all and
+        # can only flip the sign of a zero one, and the constant added next
+        # is never -0.0, so const + out cannot see that flip.
+        cols = self._pieces.take(k, axis=1)
+        return cols[5] + self._piece_integral(cols, rho, tail)
 
     def integral_over_z2(self, rho) -> np.ndarray:
         """Exact int_1^rho h(z)/z^2 dz for rho > 0, tail included."""
         rho = _as_array(rho)
-        # piece k covers [knot k, knot k+1); the tail is k = len(knots) - 1
-        cols = self._pieces.take(self._pieces[4, 1:].searchsorted(rho, "right"), axis=1)
-        return cols[6] + self._piece_integral(cols, rho)
+        return self._integral(rho, *self._pieces_at(rho))
 
     def potential(self, rho) -> np.ndarray:
-        """H(rho) = rho * int_1^rho h(z)/z^2 dz, with H(0) = 0 as the limit."""
+        """H(rho) = rho * int_1^rho h(z)/z^2 dz, with H(0) = 0 as the limit.
+
+        The vacuum guard (np.errstate and np.where(rho > 0, ...)) is skipped
+        for a row off the tail whose least rho m is safely positive: with
+        r1 * m > 0 and m / rho_max > 0, every c * rho and rho / c is > 0 (c
+        lies in [r1, rho_max) and rounding is monotone), so no ln 0 or
+        division by 0 arises, and every entry is kept.  A 0-d rho keeps the
+        guard, whose np.where returns a 0-d array."""
         rho = _as_array(rho)
+        k, tail = self._pieces_at(rho)
+        if not tail and rho.ndim:
+            least = rho.min(initial=np.inf)
+            if least * self.rho_samples[1] > 0.0 and least / self.rho_max > 0.0:
+                return rho * self._integral(rho, k, tail)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = rho * self.integral_over_z2(rho)
+            out = rho * self._integral(rho, k, tail)
         return np.where(rho > 0.0, out, 0.0)
 
     def potential_slope(self, rho) -> np.ndarray:
@@ -775,7 +822,8 @@ def _h_block(law: PressureLaw, rho_grid: np.ndarray, r: np.ndarray,
 def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid) -> Certificate:
     """Both lemma witnesses of law over r in r_range on rho_grid, from one
     pass over blocks of r rows against the whole grid (row_blocks) with one B
-    table and one |rho - r| table per block.
+    table and one |rho - r| table per block, each released before the next
+    block's are made.
 
     The lower bound's band is [r1, r2] = [r_min/2, 2 r_max].  The h bound
     skips a band |rho - r| < H_BOUND_EXCLUSION, where both sides vanish to
@@ -798,6 +846,7 @@ def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid) -> Certifi
         np.abs(gap, out=gap)
         c_mid[rows], c_out[rows] = _lower_block(law, middle, outer_den, r, breg, gap)
         C[rows] = _h_block(law, rho_grid, r, breg, gap)
+        del breg, gap  # before the next block's bregman_H builds its B
 
     empty = C == -np.inf
     if empty.any():

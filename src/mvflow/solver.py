@@ -611,7 +611,7 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
             np.shape(s.rho) != (g.n,) or np.shape(s.m) != (g.n,) for s, g in zip(states, grids)):
         raise DomainError("run_stack needs one or more 1D states, each on its grid's cells")
     cfg = cfgs[0]
-    if len(cfgs) != K or any(replace(c, delta=cfg.delta) != cfg for c in cfgs):
+    if len(cfgs) != K or any(replace(c, delta=cfg.delta) != cfg for c in cfgs[1:]):
         raise DomainError("run_stack needs one config per state, differing only in delta")
     deltas = np.array([c.delta for c in cfgs])
     mixed = bool((deltas != cfg.delta).any())

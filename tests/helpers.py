@@ -2,8 +2,9 @@
 renormalization function, an all-zero defect report, the Frobenius contraction, the bump potential's
 slope, the gather/scatter Bregman kernel the production one replaced, a
 tabulated law's h and h' evaluated row by row and its h/z^2 integral from
-per-cell gathers, the bump law and the certificate and scan reductions as
-np.where and out-of-place sums formed them, the solver's step on a
+per-cell gathers, its value_and_slope, integral_over_z2 and potential as
+their split tables, tail masks and guards formed them, the bump law and the
+certificate and scan reductions as np.where and out-of-place sums formed them, the solver's step on a
 FluidState, and a state's dissipation increment."""
 import re
 from dataclasses import dataclass
@@ -205,11 +206,10 @@ def table_value_and_slope(table, rho, tail=True):
     return h, dh
 
 
-def gathered_integral_over_z2(table, rho):
-    """TabulatedH.integral_over_z2 for rho > 0 rebuilt from the table's
-    samples, with separate coefficient, anchor, power and integral arrays
-    gathered one at a time per cell, and 0.5 * A3 and c^(gamma_tail - 1)
-    formed per cell."""
+def _piece_parts(table):
+    """A TabulatedH's global cubic coefficients A0-A3 per piece (the tail
+    the last), anchors, tail power coefficients, per-piece integral from its
+    anchor, and integrals from 1 to each anchor, rebuilt from its samples."""
     r = np.asarray(table.rho_samples, dtype=float)
     d3, d2, d1, d0 = _pchip_coefficients(r, np.asarray(table.h_samples, dtype=float))
     g = float(table.gamma_tail)
@@ -240,9 +240,78 @@ def gathered_integral_over_z2(table, rho):
     from_r1 = np.concatenate([[0.0, 0.0], np.cumsum(piece(np.arange(1, r.size - 1), r[2:]))])
     j = int(np.searchsorted(r[1:], 1.0, side="right"))
     cum = from_r1 - (from_r1[j] + float(piece(j, np.asarray(1.0))))
+    return coef, anchor, pow_coef, piece, cum
+
+
+def gathered_integral_over_z2(table, rho):
+    """TabulatedH.integral_over_z2 for rho > 0 rebuilt from the table's
+    samples, with separate coefficient, anchor, power and integral arrays
+    gathered one at a time per cell, and 0.5 * A3 and c^(gamma_tail - 1)
+    formed per cell."""
+    _, anchor, _, piece, cum = _piece_parts(table)
     rho = np.asarray(rho, dtype=float)
     k = np.searchsorted(anchor[1:], rho, side="right")
     return cum[k] + piece(k, rho)
+
+
+# TabulatedH's value_and_slope, integral_over_z2 and potential as they were
+# written before h and h' shared one paired table: one take of an (8, pieces)
+# table [c0, c1, c2, c3, left knot, dc0, dc1, dc2], each cubic summed from
+# 0.0 on its own, the tail found by a mask; the tail's power term formed on
+# every row; the vacuum guard on every call.
+def _split_local_table(table):
+    r = np.asarray(table.rho_samples, dtype=float)
+    c = _pchip_coefficients(r, np.asarray(table.h_samples, dtype=float))
+    dc = c[:-1] * np.array([[3.0], [2.0], [1.0]])
+    return np.vstack([c[::-1], r[:-1], dc[::-1]])
+
+
+def _summed_cubic(c, s, s2):
+    out = 0.0 + c[0] + c[1] * s + c[2] * s2
+    if len(c) > 3:
+        out = out + c[3] * (s2 * s)
+    return out
+
+
+def split_value_and_slope(table, rho):
+    rho = np.asarray(rho, dtype=float)
+    r = np.asarray(table.rho_samples, dtype=float)
+    c = _split_local_table(table).take(r[1:-1].searchsorted(rho, "right"), axis=1)
+    s = rho - c[4]
+    s2 = s * s
+    h, dh = _summed_cubic(c[:4], s, s2), _summed_cubic(c[5:], s, s2)
+    far = rho > table.rho_max
+    if not far.any():
+        return h, dh
+    a, b = _table_tail(table)
+    g = table.gamma_tail
+    z = np.maximum(rho, table.rho_max)
+    return (np.where(far, a * np.power(z, g) + b, h),
+            np.where(far, a * g * np.power(z, g - 1.0), dh))
+
+
+def taken_integral_over_z2(table, rho):
+    rho = np.asarray(rho, dtype=float)
+    coef, anchor, pow_coef, _, cum = _piece_parts(table)
+    g = float(table.gamma_tail)
+    pieces = np.vstack([coef[:3], 0.5 * coef[3], anchor,
+                        pow_coef * np.power(anchor, g - 1.0), cum])
+    cols = pieces.take(pieces[4, 1:].searchsorted(rho, "right"), axis=1)
+    A0, A1, A2, half_A3, c, power, const = cols
+    dz = rho - c
+    log_ratio = np.log(rho / c)
+    out = dz * (A0 / (c * rho) + A2 + half_A3 * (c + rho)) + A1 * log_ratio
+    if table.gamma_tail != 1.0:
+        g = table.gamma_tail - 1.0
+        out = out + power * np.expm1(g * log_ratio) / g
+    return const + out
+
+
+def guarded_potential(table, rho):
+    rho = np.asarray(rho, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = rho * taken_integral_over_z2(table, rho)
+    return np.where(rho > 0.0, out, 0.0)
 
 
 def where_bump_value_and_slope(bump, rho):

@@ -1,13 +1,14 @@
-"""The in-place bump law and the where= certificate and scan reductions
-against the np.where and out-of-place forms they replaced: the same bytes,
-types and shapes."""
+"""The in-place bump law, the where= certificate and scan reductions and the
+paired-table tabulated law against the np.where, out-of-place and split-table
+forms they replaced: the same bytes, types and shapes."""
 import numpy as np
 import pytest
 
 import mvflow.pressure
-from helpers import (summed_bump_integral_over_z2, summed_law,
-                     where_bump_value_and_slope, where_h_block,
-                     where_lower_block, where_scan_max)
+from helpers import (guarded_potential, split_value_and_slope,
+                     summed_bump_integral_over_z2, summed_law,
+                     taken_integral_over_z2, where_bump_value_and_slope,
+                     where_h_block, where_lower_block, where_scan_max)
 from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw, TabulatedH,
                              _h_block, _lower_block, _r_values, bregman_H)
 from mvflow.relative_energy import CutoffBand, _scan_max
@@ -155,3 +156,64 @@ def test_scan_max_equals_the_where_form(monkeypatch, law, cells):
         for k, (s, num, where_num) in enumerate(scans):
             got, want = _scan_max(law, s, r, num), where_scan_max(law, s, r, where_num)
             _same(got, want, f"scan {k}")
+
+
+# tables whose knots hold the anchor 1.0 (its piece constant is 0.0) and
+# one whose knots miss it, each under three tail exponents, and one whose
+# first sample is (0, -0.0), which h sums from 0.0 into 0.0 at rho = -0.0
+_KNOTS = {"even": np.linspace(0.0, 4.0, 9), "uneven": np.array([0.0, 0.25, 0.6, 1.3, 1.7, 2.2])}
+TABLES = {f"{name}-g{g}": TabulatedH(tuple(r), tuple(r**3 + r), gamma_tail=g)
+          for name, r in _KNOTS.items() for g in (1.0, 1.4, 2.0)}
+TABLES["minus-zero"] = TabulatedH(tuple(_KNOTS["even"]), (-0.0, *(_KNOTS["even"][1:] ** 2)))
+
+
+def _table_densities(table):
+    """Rows that keep each fast path (every rho positive and below rho_max)
+    and rows that leave it: holding 0, rho_max, points past it, NaN or the
+    least subnormal, in every shape a caller passes."""
+    r = np.asarray(table.rho_samples)
+    top = table.rho_max
+    inside = np.concatenate([r[1:-1], [1.0, 1e-300, 1e-320, np.nextafter(top, 0.0)],
+                             np.random.default_rng(3).uniform(0.0, top, 47)])
+    rows = {"inside": inside,
+            "zero": np.append(inside, [0.0, -0.0]),
+            "at-max": np.append(inside, top),
+            "just-past": np.append(inside, np.nextafter(top, np.inf)),
+            "tail": np.append(inside, [1.5 * top, 40.0 * top, 1e6 * top]),
+            "nan": np.append(inside, np.nan),
+            "nan-and-tail": np.append(inside, [np.nan, 2.0 * top]),
+            "least-subnormal": np.append(inside, 5e-324)}
+    out = {}
+    for name, row in rows.items():
+        row = row[:row.size - row.size % 2]  # an even length for the (2, n) view
+        out.update({f"{name}-row": row[None, :], f"{name}-rows": row.reshape(2, -1),
+                    f"{name}-strided": row[::3], f"{name}-strided-rows": row[None, ::2]})
+    for x in (0.0, -0.0, 1.0, 1e-320, 5e-324, top, np.nextafter(top, 0.0),
+              np.nextafter(top, np.inf), 40.0 * top, np.nan, *r[1:-1]):
+        out.update({f"float-{x!r}": float(x), f"0-d-{x!r}": np.asarray(x)})
+    return out
+
+
+@pytest.mark.parametrize("table", list(TABLES.values()), ids=list(TABLES))
+def test_tabulated_kernels_equal_the_split_table_form(table):
+    for name, rho in _table_densities(table).items():
+        # only ln 0 (at rho = 0) and a subnormal's underflows may warn, and
+        # the guarded potential hides those as it did
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _same(table.potential(rho), guarded_potential(table, rho), name)
+            want_v, want_s = split_value_and_slope(table, rho)
+            v, s = table.value_and_slope(rho)
+            _same(v, want_v, name)
+            _same(s, want_s, name)
+            _same(table.value(rho), want_v, name)
+            _same(table.slope(rho), want_s, name)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _same(table.integral_over_z2(rho), taken_integral_over_z2(table, rho), name)
+
+
+def test_paired_table_starts_each_sum_from_zero():
+    # the rows c0 and dc0 hold 0.0 + c, as PPoly's sums start from 0.0: a
+    # first sample (0, -0.0) leaves no -0.0 in them
+    table = TABLES["minus-zero"]
+    assert np.signbit(table.h_samples[0])
+    assert not np.signbit(table._paired[:2]).any()

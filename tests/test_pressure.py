@@ -400,7 +400,7 @@ def test_numpy_pchip_matches_scipy_bit_for_bit(table, inside):
     dspline = spline.derivative()
     law = TabulatedH(tuple(rho), tuple(h))
     assert np.array_equal(mvflow.pressure._pchip_coefficients(rho, h), spline.c)
-    assert np.array_equal(law._local[5:][::-1], dspline.c)
+    assert np.array_equal(law._paired[5::-2], dspline.c)
     # 0, the knots (the last one included), points between them, and beyond
     # the table, where the cubic extrapolates as scipy's does
     table_pts = np.concatenate([[0.0], rho, rho[-1] * np.asarray(inside, dtype=float)])

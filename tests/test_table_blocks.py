@@ -209,6 +209,12 @@ def test_certify_peak_does_not_grow_with_the_r_grid(monkeypatch):
     monkeypatch.setattr(mvflow.pressure, "CERTIFICATE_R_POINTS", 16)
     r_values = mvflow.pressure._r_values(0.9, 1.15)
     blocks = mvflow.pressure.row_blocks(r_values.size, grid.size)
+    # each block's B and |rho - r| tables are gone before the next block's
+    # bregman_H runs: the pass peaks less than one table above that call's
+    # own peak (holding the two stale tables puts it two tables above)
+    r = r_values[blocks[1], None]
+    kernel = _peak_bytes(lambda: mvflow.pressure.bregman_H(law, grid, r))
+    assert _peak_bytes(lambda: certify(law, (0.9, 1.15), grid)) - kernel < r.size * grid.size * 8
     tables = {float(r_values[rows][0]): mvflow.pressure.bregman_H(law, grid, r_values[rows, None])
               for rows in blocks}
     monkeypatch.setattr(mvflow.pressure, "bregman_H",

@@ -42,7 +42,12 @@ Each line is ``<key> <value>``:
   ``budget-solve.a0.7-gamma1.4.seed<S>.*``: the same four lines for the
   ``budget-solve`` inputs run under ``PowerLawH(a=1.5, gamma=2.0)`` and
   ``PowerLawH(a=0.7, gamma=1.4)``, the power-law branches with a != 1 that
-  no preset or workload takes.
+  no preset or workload takes;
+- ``tabulated-solve.rho_max1.1012.seed501.trajectory_sha256``: the
+  ``tabulated-solve`` input at seed 501 under a table whose last sample,
+  rho = 1.1012, lies inside the densities' range: the top of that range
+  falls below it during the run, so the pressure potential takes the
+  tail's terms in the early calls and skips them in the later ones.
 
 mvflow is imported from ``--src`` (default: ``src/`` next to this script's
 directory), so running it on two checkouts and diffing the outputs compares
@@ -84,11 +89,13 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+    import numpy as np
+
     import mvflow.experiments
     from mvflow.configio import format_kv
     from mvflow.experiments import (cmd_certify, cmd_convergence, presets,
                                     run_experiment, spec_from_config)
-    from mvflow.pressure import PowerLawH, PressureLaw
+    from mvflow.pressure import PowerLawH, PressureLaw, TabulatedH
     from workloads import WORKLOADS
 
     stacked = []  # the rows of every run_stack call an experiment makes
@@ -186,6 +193,14 @@ def main(argv=None) -> int:
                 print(f"{key}.n_trials {traj.n_trials}")
                 print(f"{key}.min_step_slack {traj.min_step_slack!r}")
                 print(f"{key}.trajectory_sha256 {_trajectory_sha256(traj)}")
+
+        w = WORKLOADS["tabulated-solve"]()
+        w.prepare(501, tmp)
+        r = np.linspace(0.0, 1.1012, 9)
+        w.cfg = dataclasses.replace(w.cfg, law=PressureLaw(h_part=TabulatedH(
+            tuple(r), tuple(r**2 + 0.1 * r), gamma_tail=1.4)))
+        print("tabulated-solve.rho_max1.1012.seed501.trajectory_sha256 "
+              f"{_trajectory_sha256(w.op(tmp))}")
     return 0
 
 
