@@ -160,7 +160,8 @@ def renorm_identity_truncated(r_b: float, width: float) -> RenormFunction:
 # sums over space along the last axis, integrates each function's (n_t,)
 # series with the trapezoid rule and writes the block's slice of the
 # (n_f,) result.  Every function's value is the one a whole-family table
-# gives, so the working set is a block, not n_f * n_t * n cells.
+# gives, so the working set is a block, not n_f * n_t * n cells.  A block's
+# sums of products are formed in place (_terms, _c1_norm).
 
 def _forms(measure: DiscreteYoungMeasure, fns, tau: float):
     """The index i of tau, the sample times up to it, and the blocks of the
@@ -171,6 +172,28 @@ def _forms(measure: DiscreteYoungMeasure, fns, tau: float):
     blocks = ((rows, tables(fns[rows], times, measure.x))
               for rows in row_blocks(len(fns), times.size * measure.x.size))
     return i, times, blocks
+
+
+def _terms(*pairs) -> np.ndarray:
+    """m0 * t0 + m1 * t1 + ... over (moment, block table) pairs, summed left
+    to right into the first product's fresh table with one spare table:
+    the bits of the expression written out, in two block tables."""
+    (m, t), *rest = pairs
+    acc = np.multiply(m, t)
+    part = np.empty_like(acc)
+    for m, t in rest:
+        acc += np.multiply(m, t, out=part)
+    return acc
+
+
+def _c1_norm(value: np.ndarray, d_t: np.ndarray, d_x: np.ndarray) -> np.ndarray:
+    """Each function's max over its table of |value| + |d_t| + |d_x|, summed
+    left to right in place: the expression's bits, in two block tables."""
+    c1 = np.abs(value)
+    part = np.abs(d_t)
+    c1 += part
+    c1 += np.abs(d_x, out=part)
+    return np.max(c1, axis=(1, 2))
 
 
 def _require_wall_zero(fns, length: float):
@@ -190,7 +213,7 @@ def continuity_residual(measure: DiscreteYoungMeasure, psi, tau: float) -> np.nd
     out = np.empty(len(psi))
     for rows, (value, d_t, d_x) in blocks:
         mass = np.sum(s_mom * value, axis=-1) * measure.dx
-        interior = np.sum(s_mom * d_t + sv_mom * d_x, axis=-1) * measure.dx
+        interior = np.sum(_terms((s_mom, d_t), (sv_mom, d_x)), axis=-1) * measure.dx
         out[rows] = mass[:, i] - mass[:, 0] - np.trapezoid(interior, times, axis=-1)
     return out
 
@@ -206,7 +229,7 @@ def renorm_continuity_residual(measure: DiscreteYoungMeasure, b: RenormFunction,
     out = np.empty(len(psi))
     for rows, (value, d_t, d_x) in blocks:
         mass = np.sum(b_mom * value, axis=-1) * measure.dx
-        interior = np.sum(b_mom * d_t + bv_mom * d_x, axis=-1) * measure.dx
+        interior = np.sum(_terms((b_mom, d_t), (bv_mom, d_x)), axis=-1) * measure.dx
         source = np.sum(src_mom * value, axis=-1) * measure.dx
         out[rows] = (mass[:, i] - mass[:, 0]
                      - np.trapezoid(interior, times, axis=-1)
@@ -233,13 +256,14 @@ def momentum_residual(measure: DiscreteYoungMeasure, law: PressureLaw, lam: floa
     slack = np.empty(len(phi))
     for rows, (value, d_t, d_x) in blocks:
         momentum = np.sum(sv_mom * value, axis=-1) * measure.dx
-        interior = np.sum(sv_mom * d_t + svv_mom * d_x + p_mom * d_x - stress_mom * d_x,
-                          axis=-1) * measure.dx
+        interior = _terms((sv_mom, d_t), (svv_mom, d_x), (p_mom, d_x))
+        interior -= stress_mom * d_x
+        interior = np.sum(interior, axis=-1) * measure.dx
         pairing = np.sum(defect.rM_field[: i + 1] * d_x, axis=-1) * measure.dx
         residual[rows] = (momentum[:, i] - momentum[:, 0]
                           - np.trapezoid(interior, times, axis=-1)
                           - np.trapezoid(pairing, times, axis=-1))
-        phi_c1 = np.max(np.abs(value) + np.abs(d_t) + np.abs(d_x), axis=(1, 2))
+        phi_c1 = _c1_norm(value, d_t, d_x)
         slack[rows] = defect.xi[i] * defect.D_total[i] * phi_c1 - np.abs(pairing[:, i])
     return residual, slack
 
@@ -330,19 +354,33 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
         _require_sampling(j, traj, x.size, finest.length, times)
     deltas = [traj.cfg.delta for traj in trajectories]
 
+    # each field quantity is formed in place, in its expression's operand
+    # order, in at most two (nt, nx) tables beside the law's own
     def field_energy(traj):
-        kin = 0.5 * traj.rho * traj.u**2
-        return np.sum(kin + law.P(traj.rho), axis=1) * traj.grid.dx
+        # 0.5 rho u^2 + P(rho)
+        kin = np.multiply(0.5, traj.rho)
+        kin *= np.square(traj.u)
+        kin += law.P(traj.rho)
+        return np.sum(kin, axis=1) * traj.grid.dx
 
     def field_dissipation_cum(traj):
         g = gradient_1d(traj.u, traj.grid.dx)
-        return _prefix_trapezoid(np.sum(lam * g * g, axis=1) * traj.grid.dx, times)
+        dis = np.multiply(lam, g)
+        dis *= g
+        return _prefix_trapezoid(np.sum(dis, axis=1) * traj.grid.dx, times)
+
+    def delta_term(traj, delta):
+        term = np.power(traj.rho, traj.cfg.Gamma)
+        term *= delta
+        return term
 
     def field_flux(traj, delta):
         # momentum-flux scalar rho u^2 + p + delta rho^Gamma
-        flux = traj.rho * traj.u**2 + law.p(traj.rho)
+        flux = np.square(traj.u)
+        flux *= traj.rho
+        flux += law.p(traj.rho)
         if delta > 0.0:
-            flux = flux + delta * np.power(traj.rho, traj.cfg.Gamma)
+            flux += delta_term(traj, delta)
         return flux
 
     tail_members = trajectories[-tail:]
@@ -355,9 +393,8 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
     dis_mom = moment(finest, lambda s, v, D: lam * D * D)
     sigma_raw = sig_field - _prefix_trapezoid(np.sum(dis_mom, axis=1) * dx, times)
 
-    zeta_by_member = np.array([
-        np.sum(d * np.power(t.rho, t.cfg.Gamma), axis=1) * t.grid.dx
-        for t, d in zip(trajectories, deltas)])
+    zeta_by_member = np.array([np.sum(delta_term(t, d), axis=1) * t.grid.dx
+                               for t, d in zip(trajectories, deltas)])
     zeta_raw = np.mean(zeta_by_member[-tail:], axis=0)
 
     flux_field = np.mean(
@@ -379,7 +416,7 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
     # below the floor the ratio xi is meaningless; zero the pairing field
     # there so the concentration term drops out instead of amplifying noise
     dead = D_total < DEFECT_FLOOR
-    rM_field = np.where(dead[:, None], 0.0, rM_field)
+    np.copyto(rM_field, 0.0, where=dead[:, None])
     rM_abs = np.sum(np.abs(rM_field), axis=1) * dx
     xi = rM_abs / np.maximum(D_total, DEFECT_FLOOR)
     return DefectReport(times=times.copy(), x=x.copy(), E_inf=E_inf,

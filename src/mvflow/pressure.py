@@ -13,9 +13,9 @@ and a tabulated law's power-law tail likewise.  Adaptive quadrature appears
 only in the test suite, as the oracle these closed forms are checked against.
 
 The Bregman divergence of H is the distance notion used by the stability
-machinery.  certify witnesses on a user-supplied grid, from one pass with
-one B table per block, a lower bound on it by (rho - r)^2 or 1 + rho^gamma
-and a bound of the h-increment by it.  Its (r, rho) tables, the
+machinery.  certify witnesses on a user-supplied grid, from one pass that
+writes each block's B into one reused table, a lower bound on it by
+(rho - r)^2 or 1 + rho^gamma and a bound of the h-increment by it.  Its (r, rho) tables, the
 relative-energy ratio scans and the residual families' test-function tables
 are all taken in blocks of TABLE_BLOCK cells.
 """
@@ -55,11 +55,13 @@ TABLE_BLOCK = 2**14
 
 def row_blocks(n_rows: int, row_cells: int):
     """Slices covering range(n_rows) in blocks of about TABLE_BLOCK cells,
-    at least one row each; none when the rows hold no cells."""
+    at least one row each, made as the loop reaches them (a list of them
+    would grow with n_rows); none when the rows hold no cells."""
     if not row_cells:
-        return []
+        return
     step = max(1, TABLE_BLOCK // row_cells)
-    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+    for lo in range(0, n_rows, step):
+        yield slice(lo, lo + step)
 
 
 def _as_array(x) -> np.ndarray:
@@ -611,7 +613,8 @@ def potential(law: PressureLaw, rho):
     return law.P(rho)
 
 
-def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray,
+                   out: np.ndarray | None, inc_out: np.ndarray | None) -> np.ndarray:
     """Cancellation-free Bregman divergence of H for the power-law part.
 
     Writes B(rho, r) = a * r^gamma * g(x), x = rho/r, and sums the binomial
@@ -625,47 +628,41 @@ def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np
     the other increments in it set to 0: their terms are exactly 0 and pass
     the stopping test, so the loop stops at the term it would stop at on the
     near entries alone.  A masked write then puts the series on the direct
-    formula's table, which is formed in place.
+    formula's table, which is formed in place and scaled by a r^gamma in
+    place.  out and inc_out, tables of the result's shape or None, take the
+    result and the increment d (see _bregman).  When every entry is near,
+    the series runs on d itself and the ratio x is never formed.
     """
-    x = rho / r
     # (rho - r) is exact for rho within [r/2, 2r] (Sterbenz), so forming the
     # increment before dividing keeps d fully accurate in the series branch
-    d = rho - r
+    d = np.subtract(rho, r, out=inc_out)
     d /= r
     near = np.abs(d) <= 0.5
+    some = np.logical_or.reduce(near, axis=None)
+    every = some and np.logical_and.reduce(near, axis=None)  # an empty table has none
     acc = None
-    if np.logical_or.reduce(near, axis=None):
+    if some:
         win = ()
         if near.ndim:
             cols = np.flatnonzero(near.any(axis=tuple(range(near.ndim - 1))))
             win = (..., slice(cols[0], cols[-1] + 1))
-        dn = np.where(near[win], d[win], 0.0)
-        beta = gamma / 2.0
-        acc = beta * dn * dn
-        dk = None  # dn^k, first needed at k = 3 (gamma = 2 never needs it)
-        k = 2
-        while True:
-            beta = beta * (gamma - k) / (k + 1.0)
-            if beta == 0.0:
-                break
-            dk = dn * dn * dn if dk is None else dk * dn
-            term = beta * dk
-            acc += term
-            k += 1
-            if k > 200 or np.logical_and.reduce(
-                    np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300), axis=None):
-                break
+        # np.where would copy d entry for entry when every entry is near
+        acc = _bregman_series(d if every else np.where(near[win], d[win], 0.0), gamma)
 
-    if acc is not None and np.logical_and.reduce(near, axis=None):
-        out = acc
+    if every:
+        if out is None:
+            out = acc
+        else:
+            out[...] = acc
     else:
+        x = rho / r
         if gamma == 1.0:
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(x > 0.0, x * np.log(x), 0.0) - (x - 1.0)
+                out = np.subtract(np.where(x > 0.0, x * np.log(x), 0.0), x - 1.0, out=out)
         else:
             # x^gamma - 1 - gamma (x - 1), x then spent (a float64 for
             # scalars, which the augmented operators rebind)
-            out = np.power(x, gamma)
+            out = np.power(x, gamma, out=out)
             out -= 1.0
             x -= 1.0
             x *= gamma
@@ -675,7 +672,48 @@ def _power_bregman(a: float, gamma: float, rho: np.ndarray, r: np.ndarray) -> np
         if acc is not None:
             np.copyto(out[win], acc, where=near[win])
 
-    return a * np.power(r, gamma) * out
+    # (a r^gamma) g by commuted multiplies, once the other tables are gone:
+    # the same bits, in at most one new table
+    del d, near, acc
+    scale = np.power(r, gamma)
+    scale *= a
+    out *= scale
+    return out
+
+
+def _bregman_series(dn: np.ndarray, gamma: float) -> np.ndarray:
+    """sum_k>=2 beta_k dn^k, the binomial series of g(1 + dn), term by term
+    until a term is negligible against the sum everywhere; gamma = 2 stops
+    after its first term."""
+    beta = gamma / 2.0
+    acc = np.multiply(beta, dn)
+    acc *= dn
+    dk = None  # dn^k, first needed at k = 3
+    k = 2
+    while True:
+        beta = beta * (gamma - k) / (k + 1.0)
+        if beta == 0.0:
+            break
+        dk = dn * dn * dn if dk is None else dk * dn
+        term = beta * dk
+        acc += term
+        k += 1
+        if k > 200 or np.logical_and.reduce(
+                np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-300), axis=None):
+            break
+    return acc
+
+
+def _increment(f, df, rho: np.ndarray, r: np.ndarray,
+               out: np.ndarray | None, inc_out: np.ndarray | None) -> np.ndarray:
+    """f(rho) - f(r) - df(r) (rho - r) in the table out (a fresh one if None),
+    the product formed in inc_out (likewise) by the commuted multiply: the
+    bits of the expression, in two tables of the result's shape."""
+    out = np.subtract(f(rho), f(r), out=out)
+    step = np.subtract(rho, r, out=inc_out)
+    step *= df(r)
+    out -= step
+    return out
 
 
 def h_increment(law: PressureLaw, rho, r):
@@ -691,8 +729,10 @@ def h_increment(law: PressureLaw, rho, r):
         g = law.gamma
         if g == 1.0:
             return np.zeros(np.broadcast_shapes(rho.shape, r.shape))
-        return (g - 1.0) * _power_bregman(law.a, g, rho, r)
-    return law.h(rho) - law.h(r) - law.dh(r) * (rho - r)
+        out = _power_bregman(law.a, g, rho, r, None, None)
+        out *= g - 1.0
+        return out
+    return _increment(law.h, law.dh, rho, r, None, None)
 
 
 def bregman_H(law: PressureLaw, rho, r):
@@ -703,15 +743,27 @@ def bregman_H(law: PressureLaw, rho, r):
     """
     rho = np.asarray(rho, dtype=float)
     r = np.asarray(r, dtype=float)
+    _require_bregman_domain(rho, r)
+    out = _bregman(law, rho, r, None, None)
+    return out if out.shape else float(out)
+
+
+def _require_bregman_domain(rho: np.ndarray, r: np.ndarray) -> None:
     if np.any(r <= 0.0):
         raise DomainError("bregman_H requires r > 0")
     if np.any(rho < 0.0):
         raise DomainError("bregman_H requires rho >= 0")
+
+
+def _bregman(law: PressureLaw, rho: np.ndarray, r: np.ndarray,
+             out: np.ndarray | None, inc_out: np.ndarray | None) -> np.ndarray:
+    """bregman_H's kernel on checked arrays.  out, a table of the result's
+    shape or None, receives B; inc_out, likewise, is spent on the increment
+    rho - r.  Given both, neither the result nor the increment takes a
+    fresh table."""
     if isinstance(law.h_part, PowerLawH):
-        out = _power_bregman(law.a, law.gamma, rho, r)
-    else:
-        out = law.H(rho) - law.H(r) - law.dH(r) * (rho - r)
-    return out if out.shape else float(out)
+        return _power_bregman(law.a, law.gamma, rho, r, out, inc_out)
+    return _increment(law.H, law.dH, rho, r, out, inc_out)
 
 
 # -- certificates ------------------------------------------------------------
@@ -808,11 +860,8 @@ def _h_block(law: PressureLaw, rho_grid: np.ndarray, r: np.ndarray,
     if power and law.gamma == 2.0 and math.isfinite(np.add.reduce(breg, axis=None)):
         least = np.min(breg, axis=1, where=keep, initial=np.inf)
         return np.where(least == np.inf, -np.inf, np.where(least > 0.0, 1.0, np.inf))
-    if power:
-        hinc = np.multiply(breg, law.gamma - 1.0)
-        np.abs(hinc, out=hinc)
-    else:
-        hinc = np.abs(h_increment(law, rho_grid, r))
+    hinc = np.multiply(breg, law.gamma - 1.0) if power else h_increment(law, rho_grid, r)
+    np.abs(hinc, out=hinc)
     pos = breg > 0.0
     ratios = np.divide(hinc, breg, out=hinc, where=pos)
     np.copyto(ratios, np.inf, where=np.logical_not(pos, out=pos))
@@ -821,9 +870,12 @@ def _h_block(law: PressureLaw, rho_grid: np.ndarray, r: np.ndarray,
 
 def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid) -> Certificate:
     """Both lemma witnesses of law over r in r_range on rho_grid, from one
-    pass over blocks of r rows against the whole grid (row_blocks) with one B
-    table and one |rho - r| table per block, each released before the next
-    block's are made.
+    pass over blocks of r rows against the whole grid (row_blocks).  The
+    pass keeps one B table and one |rho - r| table, made by the first block
+    and rewritten by each later one (its leading rows for a short last
+    block): _bregman writes B into the first and spends the second on its
+    increment rho - r before |rho - r| is written there, so the pass
+    holds no table beyond a B call's own and frees none between blocks.
 
     The lower bound's band is [r1, r2] = [r_min/2, 2 r_max].  The h bound
     skips a band |rho - r| < H_BOUND_EXCLUSION, where both sides vanish to
@@ -839,14 +891,17 @@ def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid) -> Certifi
     c_mid, c_out, C = (np.empty(r_values.size) for _ in range(3))
     middle = (rho_grid >= r1) & (rho_grid <= r2)
     outer_den = 1.0 + rho_grid ** law.gamma
+    _require_bregman_domain(rho_grid, r_values)
+    breg = gap = None
     for rows in row_blocks(r_values.size, rho_grid.size):
         r = r_values[rows, None]
-        breg = bregman_H(law, rho_grid, r)
-        gap = rho_grid - r
+        if gap is not None:
+            breg, gap = breg[: r.size], gap[: r.size]
+        breg = _bregman(law, rho_grid, r, breg, gap)
+        gap = np.subtract(rho_grid, r, out=gap)
         np.abs(gap, out=gap)
         c_mid[rows], c_out[rows] = _lower_block(law, middle, outer_den, r, breg, gap)
         C[rows] = _h_block(law, rho_grid, r, breg, gap)
-        del breg, gap  # before the next block's bregman_H builds its B
 
     empty = C == -np.inf
     if empty.any():

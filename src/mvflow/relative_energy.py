@@ -43,9 +43,17 @@ def relative_energy_series(measure: DiscreteYoungMeasure, law: PressureLaw,
                            ref: StrongSolutionRef) -> np.ndarray:
     """E(tau_k) = int < 1/2 s (v-U)^2 + B_H(s, r) > dx at every sample time."""
     _check_alignment(measure, ref)
-    kin = 0.5 * measure.S * (measure.V - ref.U) ** 2
-    pot = bregman_H(law, measure.S, ref.r)
-    integrand = np.mean(kin + pot, axis=0)
+    # 1/2 s (v - U)^2 + B_H: B_H first, with no other table alive, then the
+    # kinetic term formed in place in its operand order and added to it
+    # (the sum commutes)
+    integrand = bregman_H(law, measure.S, ref.r)
+    kin = np.multiply(0.5, measure.S)
+    gap = np.subtract(measure.V, ref.U)
+    kin *= np.square(gap, out=gap)
+    del gap
+    integrand += kin
+    del kin
+    integrand = np.mean(integrand, axis=0)
     if not np.all(np.isfinite(integrand)):
         raise DomainError("relative energy integrand is not finite")
     return np.sum(integrand, axis=1) * measure.dx

@@ -28,8 +28,11 @@ delta as an argument: cfg.delta when the rows share it, else the rows'
 deltas spread over their cells.  A row's energy and dissipation are
 np.add.reduce over its own contiguous cells, as the row alone is summed
 (rows of one n together as a (k, n) view; never reduceat, which sums
-sequentially); maxima and minima hold under any grouping.  mvflow
-convergence runs its levels and fine sizes as one such stack.  A
+sequentially); maxima and minima hold under any grouping.  Each row's
+samples are written once, into (n_samples, n) density and velocity arrays
+that become its Trajectory's fields.  mvflow convergence runs its levels
+and fine sizes as one such stack, and reference_from_run restricts a fine
+row one derivative field at a time.  A
 non-finite density or momentum, a negative density, or a non-positive
 viscous diagonal, stops a run with a SolverFailure naming the row and
 that row's own cell.
@@ -500,9 +503,12 @@ def run(cfg: SolverConfig, init_state: FluidState, grid: Grid1D) -> Trajectory:
 class _RowControl:
     """One row's step controller in run_stack, and the samples it keeps, one
     per sample time reached: plan picks a fresh step's dt, judge accepts a
-    trial or halves dt for a retry, record keeps the samples, and
-    trajectory assembles them.  Each decision is taken on Python floats, as
-    for the row alone."""
+    trial or halves dt for a retry, record writes the samples, and
+    trajectory hands them out.  Each decision is taken on Python floats, as
+    for the row alone.  run_stack gives the row its sample arrays (open):
+    (nt, n) density and velocity and (nt,) energy and dissipation, which
+    record fills a row at a time and which become the Trajectory's fields,
+    so each sample is written once and held once."""
 
     e_prev: float                # energy after the last accepted step
     t: float = 0.0
@@ -515,7 +521,16 @@ class _RowControl:
     min_slack: float = np.inf
     n_steps: int = 0
     n_trials: int = 0
-    samples: list = field(default_factory=list)  # (rho, u, energy, dissipation)
+    k: int = field(default=0, init=False)  # samples written so far
+    rho: np.ndarray = field(init=False)
+    u: np.ndarray = field(init=False)
+    energy: np.ndarray = field(init=False)
+    dis: np.ndarray = field(init=False)
+
+    def open(self, n: int, nt: int) -> None:
+        """Allocate the row's sample arrays for nt samples of n cells."""
+        self.rho, self.u = np.empty((nt, n)), np.empty((nt, n))
+        self.energy, self.dis = np.empty(nt), np.empty(nt)
 
     def plan(self, dt_cfl: float, t_next: float) -> bool:
         """Pick a fresh step's dt: the CFL bound dt_cfl, capped at 1.5 dt_prev
@@ -555,20 +570,21 @@ class _RowControl:
         return True
 
     def record(self, rho: np.ndarray, u: np.ndarray, at, t_sample: list, tol: float) -> bool:
-        """Keep copies of the row's density and velocity, rho[at] and u[at],
-        with its energy and dissipation, for each sample time t_sample[k]
-        reached within tol, k the samples kept so far.  True once the row
+        """Write the row's density and velocity, rho[at] and u[at], with its
+        energy and dissipation, as sample k for each sample time t_sample[k]
+        reached within tol, k the samples written so far.  True once the row
         has its last sample."""
-        k, nt = len(self.samples), len(t_sample)
+        k, nt = self.k, len(t_sample)
         while k < nt and not self.t < t_sample[k] - tol:
-            self.samples.append((rho[at].copy(), u[at].copy(), self.e_prev, self.dis_acc))
+            self.rho[k], self.u[k] = rho[at], u[at]
+            self.energy[k], self.dis[k] = self.e_prev, self.dis_acc
             k += 1
+        self.k = k
         return k == nt
 
     def trajectory(self, grid: Grid1D, cfg: SolverConfig, times: np.ndarray) -> Trajectory:
-        rho, u, energy, dis = (np.array(x) for x in zip(*self.samples))
-        return Trajectory(grid=grid, cfg=cfg, times=times.copy(), rho=rho, u=u,
-                          energy=energy, cum_dissipation=dis,
+        return Trajectory(grid=grid, cfg=cfg, times=times.copy(), rho=self.rho, u=self.u,
+                          energy=self.energy, cum_dissipation=self.dis,
                           min_step_slack=float(self.min_slack) if self.n_steps else 0.0,
                           n_steps=self.n_steps, n_trials=self.n_trials)
 
@@ -624,7 +640,8 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     t_sample, tol = times.tolist(), 1e-12 * cfg.T  # tol: sample-time tolerance, dt floor
     budget = [cfg.step_slack_tol * energy_scale(*row) for row in zip(states, cfgs, grids)]
     ctl = [_RowControl(e_prev=total_energy(*row)) for row in zip(states, cfgs, grids)]
-    for r, c in enumerate(ctl):
+    for r, (c, g) in enumerate(zip(ctl, grids)):
+        c.open(g.n, times.size)
         c.record(rho, u, cells.at(r), t_sample, tol)
     live = list(range(K))  # rows with samples left; row j of rho, m, u is live[j]
     start = None  # the step_start of every live row's current state
@@ -641,7 +658,7 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         grown = False  # a fresh row's dt is set by the 1.5x growth cap
         for j in fresh:
             c = ctl[live[j]]
-            grown = c.plan(start[0][j], t_sample[len(c.samples)]) or grown
+            grown = c.plan(start[0][j], t_sample[c.k]) or grown
 
         # A rejected row retries from the state its step_start was taken for.
         # A grown dt is often rejected, so then every row also tries, as
@@ -657,7 +674,7 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         for j, r in enumerate(live):
             c = ctl[r]
             for i in range(j, rungs * L, L):  # row j of each rung up to an accepted one
-                if c.judge(e[i], dI[i], budget[r], tol, r, t_sample[len(c.samples)]):
+                if c.judge(e[i], dI[i], budget[r], tol, r, t_sample[c.k]):
                     pos.append(j)
                     taken.append(i)
                     break
@@ -680,7 +697,7 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         for j in pos:
             done = ctl[live[j]].record(rho, u, cells.at(j), t_sample, tol) or done
         if done:  # lay out the rest anew
-            keep = [j for j, r in enumerate(live) if len(ctl[r].samples) < times.size]
+            keep = [j for j, r in enumerate(live) if ctl[r].k < times.size]
             live = [live[j] for j in keep]
             if not live:
                 break
@@ -804,9 +821,15 @@ def _restrict(field2d: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _laplacian_no_slip(u: np.ndarray, dx: float) -> np.ndarray:
-    """Second difference with mirrored wall ghosts, matching the viscous solve."""
+    """Second difference with mirrored wall ghosts, matching the viscous solve.
+    The inner cells' (u[i+1] - 2 u[i] + u[i-1]) / dx^2 is formed in out, in
+    that operand order."""
     out = np.empty_like(u)
-    out[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dx**2
+    inner = out[:, 1:-1]
+    np.multiply(2.0, u[:, 1:-1], out=inner)
+    np.subtract(u[:, 2:], inner, out=inner)
+    np.add(inner, u[:, :-2], out=inner)
+    np.divide(inner, dx**2, out=inner)
     out[:, 0] = (u[:, 1] - 3.0 * u[:, 0]) / dx**2
     out[:, -1] = (u[:, -2] - 3.0 * u[:, -1]) / dx**2
     return out
@@ -830,7 +853,8 @@ def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
     """Restrict a finished run on a refinement of grid to grid's cells.
 
     Derivative fields are differenced on the run's own grid before
-    restriction.  The result is rejected if the run stopped early or
+    restriction, one at a time: each fine field goes as soon as it is
+    restricted.  The result is rejected if the run stopped early or
     approaches vacuum (min rho < 10 * rho_floor).
     """
     fine = traj.grid
@@ -846,15 +870,11 @@ def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
         raise ReferenceInvalidError(
             f"reference reached near-vacuum density {min_r:.3e}")
 
-    dr_f = gradient_1d(traj.rho, fine.dx)
-    dU_f = gradient_1d(traj.u, fine.dx)
-    d2U_f = _laplacian_no_slip(traj.u, fine.dx)
-
     r = _restrict(traj.rho, factor)
     U = _restrict(traj.u, factor)
-    dr_dx = _restrict(dr_f, factor)
-    dU_dx = _restrict(dU_f, factor)
-    d2U_dx2 = _restrict(d2U_f, factor)
+    dr_dx = _restrict(gradient_1d(traj.rho, fine.dx), factor)
+    dU_dx = _restrict(gradient_1d(traj.u, fine.dx), factor)
+    d2U_dx2 = _restrict(_laplacian_no_slip(traj.u, fine.dx), factor)
     dU_dt = np.gradient(U, traj.times, axis=0)
     return StrongSolutionRef(times=traj.times.copy(), x=grid.centers, dx=grid.dx,
                              r=r, U=U, dr_dx=dr_dx, dU_dx=dU_dx, dU_dt=dU_dt,

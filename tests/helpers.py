@@ -5,7 +5,9 @@ tabulated law's h and h' evaluated row by row and its h/z^2 integral from
 per-cell gathers, its value_and_slope, integral_over_z2 and potential as
 their split tables, tail masks and guards formed them, the bump law and the
 certificate and scan reductions as np.where and out-of-place sums formed them, the solver's step on a
-FluidState, and a state's dissipation increment."""
+FluidState, a state's dissipation increment, and run_stack's samples and
+the fine reference as a list of per-sample copies and all-at-once fields
+formed them."""
 import re
 from dataclasses import dataclass
 
@@ -458,3 +460,55 @@ def dissipation_increment(state: FluidState, cfg, grid, dt):
     cells = solver._cells(grid)
     g = cells.gradient(solver.velocity(state, cfg.rho_floor))
     return solver._per_row(dt * cfg.lam * cells.row_sum(g * g) * cells.dx)
+
+
+class ListedRowControl(solver._RowControl):
+    """solver._RowControl keeping a copy of each sampled row in a list and
+    stacking the list into the Trajectory's fields at the end, as run_stack
+    assembled its samples before each sample was written once."""
+
+    def open(self, n: int, nt: int) -> None:
+        self.samples = []
+
+    def record(self, rho, u, at, t_sample, tol) -> bool:
+        k, nt = len(self.samples), len(t_sample)
+        while k < nt and not self.t < t_sample[k] - tol:
+            self.samples.append((rho[at].copy(), u[at].copy(), self.e_prev, self.dis_acc))
+            k += 1
+        self.k = k
+        return k == nt
+
+    def trajectory(self, grid, cfg, times):
+        rho, u, energy, dis = (np.array(x) for x in zip(*self.samples))
+        return solver.Trajectory(grid=grid, cfg=cfg, times=times.copy(), rho=rho, u=u,
+                                 energy=energy, cum_dissipation=dis,
+                                 min_step_slack=float(self.min_slack) if self.n_steps else 0.0,
+                                 n_steps=self.n_steps, n_trials=self.n_trials)
+
+
+def expression_laplacian(u: np.ndarray, dx: float) -> np.ndarray:
+    """solver._laplacian_no_slip with its inner cells formed as one
+    out-of-place expression."""
+    out = np.empty_like(u)
+    out[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dx**2
+    out[:, 0] = (u[:, 1] - 3.0 * u[:, 0]) / dx**2
+    out[:, -1] = (u[:, -2] - 3.0 * u[:, -1]) / dx**2
+    return out
+
+
+def all_at_once_reference(traj, grid) -> solver.StrongSolutionRef:
+    """solver.reference_from_run on a complete, vacuum-free run, with every
+    fine derivative field formed before any is restricted."""
+    factor = traj.grid.n // grid.n
+    dx = traj.grid.dx
+    dr_f = solver.gradient_1d(traj.rho, dx)
+    dU_f = solver.gradient_1d(traj.u, dx)
+    d2U_f = expression_laplacian(traj.u, dx)
+    r = solver._restrict(traj.rho, factor)
+    U = solver._restrict(traj.u, factor)
+    return solver.StrongSolutionRef(
+        times=traj.times.copy(), x=grid.centers, dx=grid.dx, r=r, U=U,
+        dr_dx=solver._restrict(dr_f, factor), dU_dx=solver._restrict(dU_f, factor),
+        dU_dt=np.gradient(U, traj.times, axis=0),
+        d2U_dx2=solver._restrict(d2U_f, factor), refinement=factor,
+        min_r=float(np.min(traj.rho)))

@@ -204,21 +204,22 @@ def test_certify_peak_does_not_grow_with_the_r_grid(monkeypatch):
     # a few blocks' temporaries, not the (512, 4001) table
     assert long < 512 * grid.size * 8 / 4
     # the lower bound's temporaries are gone before the h bound's exist.
-    # bregman_H hands out each block's B table, made beforehand, so the
-    # pass's peak is set by the lemma blocks and not inside bregman_H
+    # The B kernel hands out each block's B table, made beforehand, so the
+    # pass's peak is set by the lemma blocks and not inside the kernel
     monkeypatch.setattr(mvflow.pressure, "CERTIFICATE_R_POINTS", 16)
     r_values = mvflow.pressure._r_values(0.9, 1.15)
-    blocks = mvflow.pressure.row_blocks(r_values.size, grid.size)
-    # each block's B and |rho - r| tables are gone before the next block's
-    # bregman_H runs: the pass peaks less than one table above that call's
-    # own peak (holding the two stale tables puts it two tables above)
+    blocks = list(mvflow.pressure.row_blocks(r_values.size, grid.size))
+    # each later block's B is written into the pass's B table, and the
+    # kernel spends the |rho - r| table on its increment: the pass peaks less
+    # than one table above a bregman_H call's own peak (holding the two
+    # stale tables beside a fresh call puts it two tables above)
     r = r_values[blocks[1], None]
     kernel = _peak_bytes(lambda: mvflow.pressure.bregman_H(law, grid, r))
     assert _peak_bytes(lambda: certify(law, (0.9, 1.15), grid)) - kernel < r.size * grid.size * 8
     tables = {float(r_values[rows][0]): mvflow.pressure.bregman_H(law, grid, r_values[rows, None])
               for rows in blocks}
-    monkeypatch.setattr(mvflow.pressure, "bregman_H",
-                        lambda law, rho_grid, r: tables[float(r[0, 0])])
+    monkeypatch.setattr(mvflow.pressure, "_bregman",
+                        lambda law, rho_grid, r, out, inc_out: tables[float(r[0, 0])])
     real_lower, real_h = mvflow.pressure._lower_block, mvflow.pressure._h_block
 
     def half(lower_block, h_block):
@@ -244,3 +245,24 @@ def test_certify_peak_does_not_grow_with_the_r_grid(monkeypatch):
                                              np.abs(grid - r))),
               _peak_bytes(lambda: real_h(law, grid, r, breg, np.abs(grid - r))))
     assert both - own < breg.nbytes / 2
+
+
+@pytest.mark.parametrize("kernel", ["bregman_H", "h_increment"])
+def test_tabulated_kernel_holds_one_table_beside_its_result(kernel):
+    # f(rho) - f(r) - f'(r) (rho - r) is formed in the result's table and
+    # one more, so a call peaks about one table above what it returns (plus
+    # the law's grid-sized temporaries and numpy's broadcasting buffers);
+    # formed out of place, the expression holds two tables beside it
+    law = LAWS["tabulated"]
+    grid = np.linspace(0.0, 10.0, 2001)
+    r = np.linspace(0.5, 2.0, 32)[:, None]
+    fn = getattr(mvflow.pressure, kernel)
+    fn(law, grid, r)
+    tracemalloc.start()
+    try:
+        out = fn(law, grid, r)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (r.size, grid.size)
+    assert peak - held < 1.5 * out.nbytes

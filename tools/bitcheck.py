@@ -22,6 +22,10 @@ Each line is ``<key> <value>``:
 - ``weak-strong-tabulated.gamma1.4.manifest_hash``: the weak-strong-tabulated
   preset with ``law.gamma = 1.4``, a tail exponent whose potential takes the
   tail's power term c^(gamma - 1) at a power other than 1;
+- ``preset.weak-strong-monotone.ref2.manifest_hash``: the weak-strong-monotone
+  preset with ``ref.factor = 2``, so ``run_experiment`` takes its reference
+  through ``make_reference``, ``run`` and ``reference_from_run`` on a grid
+  twice as fine, which no preset does;
 - ``certify.<case>.csv_sha256``: ``certificates.csv`` written by
   ``cmd_certify`` for the weak-strong-bump law with ``law.gamma = 1.4``, for
   the weak-strong-tabulated law with ``law.gamma = 1.4`` (its grid reaches
@@ -139,9 +143,11 @@ def main(argv=None) -> int:
         tab14 = dict(presets()["weak-strong-tabulated"], **{"law.gamma": "1.4"})
         bump_a2 = dict(presets()["weak-strong-bump"],
                        **{"law.bump.A": "2.0", "init.base": "1.6"})
+        ref2 = dict(presets()["weak-strong-monotone"], **{"ref.factor": "2"})
         for name, cfg in (("ensemble-bump.gamma1.4", bump14),
                           ("ensemble-bump.A2-base1.6", bump_a2),
-                          ("weak-strong-tabulated.gamma1.4", tab14)):
+                          ("weak-strong-tabulated.gamma1.4", tab14),
+                          ("preset.weak-strong-monotone.ref2", ref2)):
             m = run_experiment(spec_from_config(cfg), out_dir=fresh_dir())
             print(f"{name}.manifest_hash {m.manifest_hash}")
 
