@@ -29,38 +29,36 @@ def _build_parser() -> argparse.ArgumentParser:
                    version=f"mvflow {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment spec and its checks")
-    run_p.add_argument("--spec", required=True, help="path to a spec file")
-    run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the spec seed")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="accepted and ignored: the ensemble runs as one "
-                            "stacked solve")
+    # the options the subcommands share, each declared once
+    spec_out = argparse.ArgumentParser(add_help=False)
+    spec_out.add_argument("--spec", required=True, help="path to a spec file")
+    spec_out.add_argument("--out", help="output directory")
+    runs = argparse.ArgumentParser(add_help=False, parents=[spec_out])
+    runs.add_argument("--seed", type=int, help="override the spec seed")
+    runs.add_argument("--jobs", type=int,
+                      help="accepted and ignored: the ensemble runs as one "
+                           "stacked solve")
 
-    conv_p = sub.add_parser("convergence",
+    sub.add_parser("run", parents=[runs],
+                   help="run an experiment spec and its checks"
+                   ).set_defaults(handler=_do_run)
+    conv_p = sub.add_parser("convergence", parents=[runs],
                             help="refinement table across mesh or delta levels")
-    conv_p.add_argument("--spec", required=True)
-    conv_p.add_argument("--out", default=None)
-    conv_p.add_argument("--seed", type=int, default=None)
-    conv_p.add_argument("--jobs", type=int, default=1,
-                        help="accepted and ignored")
-    conv_p.add_argument("--levels", default=None,
+    conv_p.add_argument("--levels",
                         help="comma-separated mesh sizes, e.g. 64,128,256")
-
-    cert_p = sub.add_parser("certify",
-                            help="grid-witnessed certificates for a pressure law")
-    cert_p.add_argument("--spec", required=True)
-    cert_p.add_argument("--out", default=None)
-
+    conv_p.set_defaults(handler=_do_convergence)
+    sub.add_parser("certify", parents=[spec_out],
+                   help="grid-witnessed certificates for a pressure law"
+                   ).set_defaults(handler=_do_certify)
     pre_p = sub.add_parser("presets", help="list or write built-in specs")
-    pre_p.add_argument("--write", default=None, metavar="DIR",
+    pre_p.add_argument("--write", metavar="DIR",
                        help="write each preset as DIR/<name>.spec")
+    pre_p.set_defaults(handler=_do_presets)
     return p
 
 
 def _do_run(args) -> int:
-    manifest = cmd_run(args.spec, out=args.out, seed=args.seed, jobs=args.jobs)
+    manifest = cmd_run(args.spec, out=args.out, seed=args.seed)
     for r in manifest.results:
         status = "pass" if r.passed else "FAIL"
         print(f"check {r.name}: {status}  ({r.detail})")
@@ -74,8 +72,7 @@ def _do_convergence(args) -> int:
     if args.levels:
         levels = tuple(int(v) for v in args.levels.split(","))
     path, header, rows = cmd_convergence(args.spec, levels=levels,
-                                         out=args.out, seed=args.seed,
-                                         jobs=args.jobs)
+                                         out=args.out, seed=args.seed)
     print("  ".join(header))
     for row in rows:
         print("  ".join(f"{v:.6g}" if isinstance(v, float) else str(v)
@@ -109,10 +106,8 @@ def _do_presets(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"run": _do_run, "convergence": _do_convergence,
-                "certify": _do_certify, "presets": _do_presets}
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (SolverFailure, ReferenceInvalidError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER

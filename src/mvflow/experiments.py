@@ -40,8 +40,6 @@ from .testfuncs import compatibility_family, density_family, momentum_family
 # perfbench/tracer.py wraps these two names; nothing calls certify through them
 certify_lower_bound = certify_h_bound = certify
 
-CHECK_NAMES = ("energy", "continuity", "renorm", "momentum", "compatibility",
-               "korn", "lemmas", "relative-energy", "gronwall")
 ENSEMBLE_MODES = ("none", "density-noise", "delta-sequence")
 
 
@@ -55,68 +53,56 @@ def _tuple_of(cast):
     return lambda raw: tuple(cast(v) for v in raw.split(","))
 
 
-# The settings of a spec, in the order spec_to_config writes them after the
-# head (schema, name and the law.* keys): (key, ExperimentSpec field,
-# default, parse).  spec_from_config reads every key with its default, and
-# spec_to_config writes every field back; an empty list writes no line.
-_SETTINGS = (
-    ("grid.n", "grid_n", 96, int),
-    ("grid.length", "length", 1.0, float),
-    ("solver.lam", "lam", 0.1, float),
-    ("solver.T", "T", 0.1, float),
-    ("solver.delta", "delta", 0.0, float),
-    ("solver.Gamma", "Gamma", 2.0, float),
-    ("solver.cfl", "cfl", 0.4, float),
-    ("solver.n_samples", "n_samples", 17, int),
-    ("init.kind", "init_kind", "pulse-flow", str),
-    ("init.base", "init_base", 1.0, float),
-    ("init.amp", "init_amp", 0.1, float),
-    ("init.u_amp", "init_u_amp", 0.3, float),
-    ("init.width_frac", "init_width_frac", 0.1, float),
-    ("init.center_frac", "init_center_frac", 0.35, float),
-    ("ensemble.k", "members", 1, int),
-    ("ensemble.mode", "mode", "none", str),
-    ("ensemble.eps", "eps", 0.0, float),
-    ("ref.factor", "ref_factor", 1, int),
-    ("checks", "checks", (), _names),
-    ("seed", "seed", 0, int),
-    ("tol.residual", "residual_tol", 1e-10, float),
-    ("convergence.levels", "convergence_levels", (64, 128, 256), _tuple_of(int)),
-    ("ensemble.deltas", "deltas", (), _tuple_of(float)),
-)
-
-# out is read but never written: where a run writes is not part of its spec
-_KNOWN_KEYS = frozenset({"schema", "name", "out"} | {key for key, *_ in _SETTINGS})
+def _setting(key: str, default, parse):
+    """A field set by the spec key `key`: parse reads the key's text, and
+    default stands in when the key is absent."""
+    return dataclasses.field(metadata={"key": key, "default": default,
+                                       "parse": parse})
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A validated spec.  The fields declared with _setting are its settings,
+    in the order spec_to_config writes them after the head (schema, name and
+    the law.* keys); out is read but never written, since where a run writes
+    is not part of its spec."""
+
     name: str
     law: PressureLaw
-    grid_n: int
-    length: float
-    lam: float
-    T: float
-    delta: float
-    Gamma: float
-    cfl: float
-    n_samples: int
-    init_kind: str
-    init_base: float
-    init_amp: float
-    init_u_amp: float
-    init_width_frac: float
-    init_center_frac: float
-    members: int
-    mode: str
-    eps: float
-    deltas: tuple[float, ...]
-    ref_factor: int
-    checks: tuple[str, ...]
-    seed: int
+    grid_n: int = _setting("grid.n", 96, int)
+    length: float = _setting("grid.length", 1.0, float)
+    lam: float = _setting("solver.lam", 0.1, float)
+    T: float = _setting("solver.T", 0.1, float)
+    delta: float = _setting("solver.delta", 0.0, float)
+    Gamma: float = _setting("solver.Gamma", 2.0, float)
+    cfl: float = _setting("solver.cfl", 0.4, float)
+    n_samples: int = _setting("solver.n_samples", 17, int)
+    init_kind: str = _setting("init.kind", "pulse-flow", str)
+    init_base: float = _setting("init.base", 1.0, float)
+    init_amp: float = _setting("init.amp", 0.1, float)
+    init_u_amp: float = _setting("init.u_amp", 0.3, float)
+    init_width_frac: float = _setting("init.width_frac", 0.1, float)
+    init_center_frac: float = _setting("init.center_frac", 0.35, float)
+    members: int = _setting("ensemble.k", 1, int)
+    mode: str = _setting("ensemble.mode", "none", str)
+    eps: float = _setting("ensemble.eps", 0.0, float)
+    ref_factor: int = _setting("ref.factor", 1, int)
+    checks: tuple[str, ...] = _setting("checks", (), _names)
+    seed: int = _setting("seed", 0, int)
+    residual_tol: float = _setting("tol.residual", 1e-10, float)
+    convergence_levels: tuple[int, ...] = _setting(
+        "convergence.levels", (64, 128, 256), _tuple_of(int))
+    deltas: tuple[float, ...] = _setting("ensemble.deltas", (), _tuple_of(float))
     out: str | None
-    residual_tol: float
-    convergence_levels: tuple[int, ...]
+
+
+# (key, field, default, parse) of every setting, in ExperimentSpec's order:
+# spec_from_config reads every key with its default, and spec_to_config
+# writes every field back; an empty list writes no line
+_SETTINGS = tuple((f.metadata["key"], f.name, f.metadata["default"],
+                   f.metadata["parse"])
+                  for f in dataclasses.fields(ExperimentSpec) if f.metadata)
+_KNOWN_KEYS = frozenset({"schema", "name", "out"} | {key for key, *_ in _SETTINGS})
 
 
 def _get(cfg: dict, key: str, default, cast):
@@ -284,10 +270,8 @@ class CheckResult:
 class RunManifest:
     name: str
     spec_hash: str
-    version: str
     results: tuple[CheckResult, ...]
     files: tuple[tuple[str, str], ...]  # (relative name, sha256)
-    out_dir: str
     manifest_hash: str
     manifest_path: str
 
@@ -540,6 +524,7 @@ _CHECKS = {
     "relative-energy": _check_relative_energy,
     "gronwall": _check_gronwall,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def resolve_out_dir(flag_out: str | None, spec_out: str | None, name: str) -> str:
@@ -548,12 +533,10 @@ def resolve_out_dir(flag_out: str | None, spec_out: str | None, name: str) -> st
         or os.path.join("runs", name)
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
-                   jobs: int = 1) -> RunManifest:
+def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> RunManifest:
     """Execute the ensemble and every requested check; write all reports.
 
-    jobs is accepted and ignored: the ensemble runs as one stacked solve and
-    the checks run in order.
+    The ensemble runs as one stacked solve and the checks run in order.
     """
     out_dir = resolve_out_dir(out_dir, spec.out, spec.name)
     resolved = spec_to_config(spec)
@@ -597,8 +580,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None,
         fh.write(f"manifest_hash = {manifest_hash}\n")
 
     return RunManifest(name=spec.name, spec_hash=spec_hash,
-                       version=__version__, results=tuple(results),
-                       files=tuple(file_entries), out_dir=out_dir,
+                       results=tuple(results), files=tuple(file_entries),
                        manifest_hash=manifest_hash, manifest_path=manifest_path)
 
 
@@ -609,9 +591,9 @@ def _load_spec(spec_path: str, seed: int | None) -> ExperimentSpec:
     return spec if seed is None else dataclasses.replace(spec, seed=seed)
 
 
-def cmd_run(spec_path: str, out: str | None = None, seed: int | None = None,
-            jobs: int = 1) -> RunManifest:
-    return run_experiment(_load_spec(spec_path, seed), out_dir=out, jobs=jobs)
+def cmd_run(spec_path: str, out: str | None = None,
+            seed: int | None = None) -> RunManifest:
+    return run_experiment(_load_spec(spec_path, seed), out_dir=out)
 
 
 def _order_cell(a: float, b: float) -> object:
@@ -621,14 +603,14 @@ def _order_cell(a: float, b: float) -> object:
 
 
 def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
-                    out: str | None = None, seed: int | None = None,
-                    jobs: int = 1) -> tuple[str, list[str], list[tuple]]:
+                    out: str | None = None, seed: int | None = None
+                    ) -> tuple[str, list[str], list[tuple]]:
     """Refinement table: residual/defect/energy-gap values and log2 orders.
 
     Every mesh level is compared against a run on 2 * max(levels) cells,
     rounded down to a multiple of the level.  Every level and each distinct
     fine size is one row of a single run_stack call; the table is read from
-    the rows afterwards.  jobs is accepted and ignored.
+    the rows afterwards.
     """
     spec = _load_spec(spec_path, seed)
     if spec.mode == "delta-sequence":

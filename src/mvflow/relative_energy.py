@@ -167,22 +167,22 @@ def _scan_max(law: PressureLaw, s_grid: np.ndarray, r_grid: np.ndarray,
 
 
 def _trace_poincare_constant(measure: DiscreteYoungMeasure,
-                             ref: StrongSolutionRef) -> float:
-    """Witnessed constant with int <(v-U)^2> <= c * int <(D - dU/dx)^2> per time.
+                             ref: StrongSolutionRef, trace_rate: np.ndarray) -> float:
+    """Witnessed constant with int <(v-U)^2> <= c * int <(D - dU/dx)^2> per time,
+    the right-hand integral being trace_rate at each sample time.
 
     Falls back to the closed-form (L/pi)^2 of zero-boundary profiles when the
     data gives no usable quotient (both sides at machine zero).
     """
     num = np.sum(np.mean((measure.V - ref.U) ** 2, axis=0), axis=1) * measure.dx
-    den = np.sum(np.mean((measure.D - ref.dU_dx[None]) ** 2, axis=0), axis=1) * measure.dx
-    usable = den > 1e-14 * np.maximum(1.0, num)
+    usable = trace_rate > 1e-14 * np.maximum(1.0, num)
     if np.any(num[~usable] > 1e-12 * max(1.0, float(np.max(num)))):
         raise DomainError(
             "velocity mismatch with vanishing gradient mismatch; "
             "trace quotient is unbounded on this data")
     if not np.any(usable):
         return (measure.length / math.pi) ** 2
-    return GUARD * float(np.max(num[usable] / den[usable]))
+    return GUARD * float(np.max(num[usable] / trace_rate[usable]))
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,12 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     _require_certificate(cert, r_inf, r_sup, s_max)
     cutoff = build_cutoff(law, ref)
 
+    dx, times = measure.dx, measure.times
+    S, V, D = measure.S, measure.V, measure.D
+    trace_rate = np.sum(np.mean((D - ref.dU_dx[None]) ** 2, axis=0), axis=1) * dx
+
     # witnessed constants ---------------------------------------------------
-    c_tr = _trace_poincare_constant(measure, ref)
+    c_tr = _trace_poincare_constant(measure, ref, trace_rate)
     eps = lam / 2.0
     delta_split = lam / (8.0 * c_tr)
     absorbed = eps + delta_split * c_tr
@@ -309,13 +313,8 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     K5 = Cq / (4.0 * eps)
 
     # remainder integrals ---------------------------------------------------
-    dx, times = measure.dx, measure.times
-    S, V, D = measure.S, measure.V, measure.D
-
     E_mv = relative_energy_series(measure, law, ref)
     cum_E = _cumtrapz(E_mv, times)
-
-    trace_rate = np.sum(np.mean((D - ref.dU_dx[None]) ** 2, axis=0), axis=1) * dx
     cum_trace = _cumtrapz(trace_rate, times)
 
     m2 = np.mean(S * (V - ref.U) ** 2, axis=0)

@@ -168,7 +168,7 @@ def test_06_tensor_identities_and_korn():
 def test_07_remainder_bounds_hold(tmp_path):
     t0 = time.perf_counter()
     spec = spec_from_config(presets()["weak-strong-bump"])
-    man = run_experiment(spec, out_dir=str(tmp_path), jobs=4)
+    man = run_experiment(spec, out_dir=str(tmp_path))
     hdr, rows = read_csv(str(tmp_path / "relative_energy.csv"))
     col = {name: i for i, name in enumerate(hdr)}
     ok = True
@@ -265,8 +265,8 @@ def test_10_manifest_determinism(tmp_path):
     t0 = time.perf_counter()
     p = tmp_path / "ws.spec"
     p.write_text(format_kv(presets()["weak-strong-monotone"]))
-    m1 = cmd_run(str(p), out=str(tmp_path / "a"), jobs=1)
-    m2 = cmd_run(str(p), out=str(tmp_path / "b"), jobs=4)
+    m1 = cmd_run(str(p), out=str(tmp_path / "a"))
+    m2 = cmd_run(str(p), out=str(tmp_path / "b"))
     same = m1.manifest_hash == m2.manifest_hash
     bytes_same = (tmp_path / "a" / "manifest.txt").read_bytes() == \
                  (tmp_path / "b" / "manifest.txt").read_bytes()

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, output routing."""
 
+import argparse
 import os
 
 import pytest
@@ -38,6 +39,47 @@ def test_presets_write_emits_parseable_specs(tmp_path, capsys):
     for p in tmp_path.iterdir():
         cfg = read_spec(str(p))
         assert cfg["schema"] == "1"
+
+
+def _options(command):
+    """The option strings a subcommand accepts, --help aside."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[command]._actions
+            for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_subcommand_takes_its_own_options():
+    shared = {"--spec", "--out", "--seed", "--jobs"}
+    assert _options("run") == shared
+    assert _options("convergence") == shared | {"--levels"}
+    assert _options("certify") == {"--spec", "--out"}
+    assert _options("presets") == {"--write"}
+
+
+@pytest.mark.parametrize("argv", [["certify", "--spec", "s.spec", "--seed", "1"],
+                                  ["run", "--spec", "s.spec", "--levels", "8,16"]])
+def test_an_option_of_another_subcommand_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "convergence"])
+def test_jobs_is_accepted_and_ignored(monkeypatch, capsys, command):
+    # the command gets the same call with and without --jobs
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise CannotBoundError("recorded")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", record)
+    for jobs in ([], ["--jobs", "7"]):
+        assert cli.main([command, "--spec", "s.spec", "--seed", "3", *jobs]) == 4
+    assert calls[0] == calls[1]
+    assert "jobs" not in calls[0][1]
 
 
 def test_run_constant_state_exits_zero(tmp_path, capsys):

@@ -241,7 +241,7 @@ def test_out_dir_precedence(monkeypatch):
 
 def test_constant_state_preset_all_checks_pass(tmp_path):
     spec = spec_from_config(presets()["constant-state"])
-    man = run_experiment(spec, out_dir=str(tmp_path), jobs=2)
+    man = run_experiment(spec, out_dir=str(tmp_path))
     assert man.all_passed
     names = [r.name for r in man.results]
     assert names == list(spec.checks)  # manifest order follows the spec
@@ -263,10 +263,10 @@ def test_emitted_files_exist_and_hashes_match(tmp_path):
     assert resolved == spec_to_config(spec)
 
 
-def test_manifest_deterministic_across_runs_and_thread_counts(tmp_path):
+def test_manifest_deterministic_across_runs(tmp_path):
     spec = spec_from_config(presets()["constant-state"])
-    m1 = run_experiment(spec, out_dir=str(tmp_path / "a"), jobs=1)
-    m2 = run_experiment(spec, out_dir=str(tmp_path / "b"), jobs=4)
+    m1 = run_experiment(spec, out_dir=str(tmp_path / "a"))
+    m2 = run_experiment(spec, out_dir=str(tmp_path / "b"))
     assert m1.manifest_hash == m2.manifest_hash
     assert (tmp_path / "a" / "manifest.txt").read_bytes() == \
            (tmp_path / "b" / "manifest.txt").read_bytes()
@@ -284,7 +284,7 @@ def test_seed_changes_the_manifest(tmp_path):
 
 def test_weak_strong_monotone_preset_passes(tmp_path):
     spec = spec_from_config(presets()["weak-strong-monotone"])
-    man = run_experiment(spec, out_dir=str(tmp_path), jobs=4)
+    man = run_experiment(spec, out_dir=str(tmp_path))
     assert man.all_passed
     hdr, rows = read_csv(str(tmp_path / "gronwall.csv"))
     assert len(hdr) == 15
@@ -382,7 +382,7 @@ def test_factor_one_reference_runs_no_extra_solve(tmp_path, monkeypatch):
 
 def test_delta_sequence_preset_passes(tmp_path):
     spec = spec_from_config(presets()["delta-sequence"])
-    man = run_experiment(spec, out_dir=str(tmp_path), jobs=3)
+    man = run_experiment(spec, out_dir=str(tmp_path))
     assert man.all_passed
     hdr, rows = read_csv(str(tmp_path / "energy.csv"))
     assert hdr == ["tau", "slack"]

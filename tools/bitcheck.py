@@ -51,7 +51,11 @@ Each line is ``<key> <value>``:
   ``tabulated-solve`` input at seed 501 under a table whose last sample,
   rho = 1.1012, lies inside the densities' range: the top of that range
   falls below it during the run, so the pressure potential takes the
-  tail's terms in the early calls and skips them in the later ones.
+  tail's terms in the early calls and skips them in the later ones;
+- ``cli.ensemble-bump.seed501.manifest_hash`` and
+  ``cli.convergence-pulse.seed501.csv_sha256``: one ``op`` of each CLI
+  workload at seed 501, which calls ``cli.main`` with the benchmark's argv,
+  and the manifest hash or the sha256 of ``convergence.csv`` it writes.
 
 mvflow is imported from ``--src`` (default: ``src/`` next to this script's
 directory), so running it on two checkouts and diffing the outputs compares
@@ -207,6 +211,20 @@ def main(argv=None) -> int:
             tuple(r), tuple(r**2 + 0.1 * r), gamma_tail=1.4)))
         print("tabulated-solve.rho_max1.1012.seed501.trajectory_sha256 "
               f"{_trajectory_sha256(w.op(tmp))}")
+
+        for wname in ("ensemble-bump", "convergence-pulse"):
+            w = WORKLOADS[wname]()
+            spec_dir, out = fresh_dir(), fresh_dir()
+            os.makedirs(spec_dir)
+            w.prepare(501, spec_dir)
+            ok, why, record = w.check(w.op(out), out)
+            if not ok:
+                raise SystemExit(f"{wname}: {why}")
+            if wname == "ensemble-bump":
+                print(f"cli.{wname}.seed501.manifest_hash {record['manifest_hash']}")
+            else:
+                print(f"cli.{wname}.seed501.csv_sha256 "
+                      f"{_sha256_file(os.path.join(out, 'convergence.csv'))}")
     return 0
 
 
