@@ -33,8 +33,8 @@ from .relative_energy import (gronwall_verdict, relative_energy_series,
 # run stays a module attribute here: perfbench/tracer.py wraps this name
 from .solver import (Grid1D, InitialData, SolverConfig, Trajectory,
                      constant_init, make_reference, perturb_density,
-                     pulse_flow_init, reference_from_run, run, run_stack,
-                     total_energy)
+                     pulse_flow_init, reference_from_run, restrict_run, run,
+                     run_stack, total_energy)
 from .testfuncs import compatibility_family, density_family, momentum_family
 
 # perfbench/tracer.py wraps these two names; nothing calls certify through them
@@ -641,15 +641,16 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
         stack = list(grids.values())
         runs = dict(zip(grids, run_stack([_solver_config(spec)] * len(stack),
                                          [base.sample(g) for g in stack], stack)))
-        # a level's reference is taken and dropped before its residuals run,
-        # so the two are never alive together (they set the op's peak)
+        # a level's comparison flow is taken and dropped before its
+        # residuals run, so the two are never alive together (they set the
+        # op's peak); the energy gap reads no derivative field
         per_level = []
         for n in levels:
             traj, grid = runs[int(n)], grids[int(n)]
             measure = assemble([traj])
-            ref = reference_from_run(runs[fine[int(n)]], grid)
-            e_gap = float(relative_energy_series(measure, spec.law, ref)[-1])
-            del ref
+            flow = restrict_run(runs[fine[int(n)]], grid)
+            e_gap = float(relative_energy_series(measure, spec.law, flow)[-1])
+            del flow
             defect = estimate_defect([traj, traj], measure, spec.law,
                                      spec.lam, tail=1)
             tau = float(measure.times[-1])

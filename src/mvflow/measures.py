@@ -51,10 +51,6 @@ class DiscreteYoungMeasure:
         if self.times.shape != (nt,) or self.x.shape != (nx,):
             raise IncompatibleEnsembleError("grid arrays disagree with fields")
 
-    @property
-    def n_members(self) -> int:
-        return self.S.shape[0]
-
     def time_index(self, tau: float) -> int:
         idx = int(np.argmin(np.abs(self.times - tau)))
         if abs(self.times[idx] - tau) > 1e-9 * max(1.0, float(self.times[-1])):

@@ -21,7 +21,6 @@ are all taken in blocks of TABLE_BLOCK cells.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -849,17 +848,10 @@ def _h_block(law: PressureLaw, rho_grid: np.ndarray, r: np.ndarray,
              breg: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """C(r) of a block of r rows (an (m, 1) column) from their B table and
     gap = |rho - r|, -inf where every grid point is excluded; a power law's
-    increment is |(gamma - 1) B| from the same B.
-
-    At gamma = 2 that ratio is |1.0 B| / B, exactly 1 where B > 0 is finite,
-    so with a finite table C(r) is read from the least kept B alone: 1 if
-    it is > 0, inf (a ratio over B <= 0) if not, -inf if no point is kept.
-    """
+    increment is |(gamma - 1) B| from the same B.  Each ratio is divided
+    only where B > 0 (inf where not) and reduced where gap keeps it."""
     keep = gap >= H_BOUND_EXCLUSION
     power = isinstance(law.h_part, PowerLawH) and law.gamma != 1.0
-    if power and law.gamma == 2.0 and math.isfinite(np.add.reduce(breg, axis=None)):
-        least = np.min(breg, axis=1, where=keep, initial=np.inf)
-        return np.where(least == np.inf, -np.inf, np.where(least > 0.0, 1.0, np.inf))
     hinc = np.multiply(breg, law.gamma - 1.0) if power else h_increment(law, rho_grid, r)
     np.abs(hinc, out=hinc)
     pos = breg > 0.0

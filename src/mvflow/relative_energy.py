@@ -19,14 +19,14 @@ from .measures import DefectReport, DiscreteYoungMeasure
 # potential stays a module attribute here: perfbench/tracer.py wraps this name
 from .pressure import (Certificate, PressureLaw, bregman_H, h_increment,
                        potential, row_blocks)
-from .solver import StrongSolutionRef
+from .solver import ComparisonFlow, StrongSolutionRef
 
 # Half-width of the band around s = r excluded from ratio scans; both sides
 # of the scanned ratios vanish to second order there.
 SCAN_EXCLUSION = 1e-6
 
 
-def _check_alignment(measure: DiscreteYoungMeasure, ref: StrongSolutionRef) -> None:
+def _check_alignment(measure: DiscreteYoungMeasure, ref: ComparisonFlow) -> None:
     if measure.times.shape != ref.times.shape or \
             not np.allclose(measure.times, ref.times, atol=1e-12, rtol=0.0):
         raise ReferenceInvalidError(
@@ -40,7 +40,7 @@ def _check_alignment(measure: DiscreteYoungMeasure, ref: StrongSolutionRef) -> N
 
 
 def relative_energy_series(measure: DiscreteYoungMeasure, law: PressureLaw,
-                           ref: StrongSolutionRef) -> np.ndarray:
+                           ref: ComparisonFlow) -> np.ndarray:
     """E(tau_k) = int < 1/2 s (v-U)^2 + B_H(s, r) > dx at every sample time."""
     _check_alignment(measure, ref)
     # 1/2 s (v - U)^2 + B_H: B_H first, with no other table alive, then the
@@ -144,9 +144,8 @@ def _scan_max(law: PressureLaw, s_grid: np.ndarray, r_grid: np.ndarray,
     is the table's.  Each block divides into its B table only where the
     ratio is kept and takes the max there, from a floor of 0, which the
     excluded entries read as before.  num_fn(s, r) gives a block's
-    numerators, each >= 0, so the floor moves no max; callers form its
-    factors of s alone once per scan, on s_grid.  extra_candidates supplies
-    analytic s -> r limit values where the ratio has a removable
+    numerators, each >= 0, so the floor moves no max.  extra_candidates
+    supplies analytic s -> r limit values where the ratio has a removable
     singularity.
     """
     s = s_grid[None, :]
@@ -275,28 +274,23 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     s_cap = max(2.0 * (cutoff.r2 + cutoff.width), 1.2 * s_max)
     s_lo = cutoff.r1 - cutoff.width
 
-    # each scan's factors of s alone, formed once on its grid
     s_psi = np.linspace(s_lo, cutoff.r2 + cutoff.width, SCAN_POINTS)
-    psi, root = cutoff.psi(s_psi), np.sqrt(s_psi)
     alpha_psi = GUARD * _scan_max(
-        law, s_psi, r_grid, lambda s, r: psi * (s - r) ** 2 / root,
+        law, s_psi, r_grid, lambda s, r: cutoff.psi(s) * (s - r) ** 2 / np.sqrt(s),
         extra_candidates=cutoff.psi(r_grid) * 2.0 / (np.sqrt(r_grid) * law.d2H(r_grid)))
 
     s_low = np.linspace(0.0, cutoff.r1, SCAN_POINTS)
-    w1_sq = cutoff.w1(s_low) ** 2
-    A_w1 = GUARD * _scan_max(law, s_low, r_grid, lambda s, r: w1_sq * (s - r) ** 2)
+    A_w1 = GUARD * _scan_max(law, s_low, r_grid, lambda s, r: cutoff.w1(s) ** 2 * (s - r) ** 2)
 
     s_high = np.linspace(cutoff.r2, s_cap, SCAN_POINTS)
-    w2_s = cutoff.w2(s_high) * s_high
-    A_w2 = GUARD * _scan_max(law, s_high, r_grid, lambda s, r: w2_s)
+    A_w2 = GUARD * _scan_max(law, s_high, r_grid, lambda s, r: cutoff.w2(s) * s)
 
     if law.bump is None:
         Cq = 0.0
     else:
         s_all = np.linspace(0.0, s_cap, 2 * SCAN_POINTS)
-        q_s = law.q(s_all)
         Cq = GUARD * _scan_max(
-            law, s_all, r_grid, lambda s, r: (q_s - law.q(r)) ** 2,
+            law, s_all, r_grid, lambda s, r: (law.q(s) - law.q(r)) ** 2,
             extra_candidates=2.0 * law.dq(r_grid) ** 2 / law.d2H(r_grid))
 
     w3 = (lam * ref.d2U_dx2 - law.dq(ref.r) * ref.dr_dx) / ref.r

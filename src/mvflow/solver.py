@@ -31,8 +31,8 @@ np.add.reduce over its own contiguous cells, as the row alone is summed
 sequentially); maxima and minima hold under any grouping.  Each row's
 samples are written once, into (n_samples, n) density and velocity arrays
 that become its Trajectory's fields.  mvflow convergence runs its levels
-and fine sizes as one such stack, and reference_from_run restricts a fine
-row one derivative field at a time.  A
+and fine sizes as one such stack, and restrict_run restricts a fine row's
+density and velocity to a level's cells.  A
 non-finite density or momentum, a negative density, or a non-positive
 viscous diagonal, stops a run with a SolverFailure naming the row and
 that row's own cell.
@@ -793,24 +793,28 @@ def perturb_density(init: InitialData, length: float, eps: float,
 # -- refined reference ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class StrongSolutionRef:
-    """Smooth comparison solution (r, U) with derivative fields.
-
-    Fields live on the coarse sample grid (times x cells); derivative fields
-    are finite differences computed on the fine grid before restriction.
-    """
+class ComparisonFlow:
+    """Smooth comparison flow (r, U) on the coarse sample grid (times x
+    cells), restricted from a run on a refinement of that grid."""
 
     times: np.ndarray
     x: np.ndarray
     dx: float
     r: np.ndarray
     U: np.ndarray
+    refinement: int
+    min_r: float
+
+
+@dataclass(frozen=True)
+class StrongSolutionRef(ComparisonFlow):
+    """A comparison flow with derivative fields: finite differences computed
+    on the fine grid before restriction, and dU/dt on the sample times."""
+
     dr_dx: np.ndarray
     dU_dx: np.ndarray
     dU_dt: np.ndarray
     d2U_dx2: np.ndarray
-    refinement: int
-    min_r: float
 
 
 def _restrict(field2d: np.ndarray, factor: int) -> np.ndarray:
@@ -849,13 +853,11 @@ def make_reference(cfg: SolverConfig, init: InitialData, grid: Grid1D,
     return reference_from_run(run(cfg, init.sample(fine), fine), grid)
 
 
-def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
+def restrict_run(traj: Trajectory, grid: Grid1D) -> ComparisonFlow:
     """Restrict a finished run on a refinement of grid to grid's cells.
 
-    Derivative fields are differenced on the run's own grid before
-    restriction, one at a time: each fine field goes as soon as it is
-    restricted.  The result is rejected if the run stopped early or
-    approaches vacuum (min rho < 10 * rho_floor).
+    The result is rejected if the run stopped early or approaches vacuum
+    (min rho < 10 * rho_floor).
     """
     fine = traj.grid
     factor, rest = divmod(fine.n, grid.n)
@@ -869,13 +871,18 @@ def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
     if min_r < 10.0 * traj.cfg.rho_floor:
         raise ReferenceInvalidError(
             f"reference reached near-vacuum density {min_r:.3e}")
+    return ComparisonFlow(times=traj.times.copy(), x=grid.centers, dx=grid.dx,
+                          r=_restrict(traj.rho, factor), U=_restrict(traj.u, factor),
+                          refinement=factor, min_r=min_r)
 
-    r = _restrict(traj.rho, factor)
-    U = _restrict(traj.u, factor)
-    dr_dx = _restrict(gradient_1d(traj.rho, fine.dx), factor)
-    dU_dx = _restrict(gradient_1d(traj.u, fine.dx), factor)
-    d2U_dx2 = _restrict(_laplacian_no_slip(traj.u, fine.dx), factor)
-    dU_dt = np.gradient(U, traj.times, axis=0)
-    return StrongSolutionRef(times=traj.times.copy(), x=grid.centers, dx=grid.dx,
-                             r=r, U=U, dr_dx=dr_dx, dU_dx=dU_dx, dU_dt=dU_dt,
-                             d2U_dx2=d2U_dx2, refinement=factor, min_r=min_r)
+
+def reference_from_run(traj: Trajectory, grid: Grid1D) -> StrongSolutionRef:
+    """restrict_run with the derivative fields, each differenced on the
+    run's own grid and restricted before the next is formed."""
+    flow = restrict_run(traj, grid)
+    factor, dx = flow.refinement, traj.grid.dx
+    return StrongSolutionRef(
+        **vars(flow), dr_dx=_restrict(gradient_1d(traj.rho, dx), factor),
+        dU_dx=_restrict(gradient_1d(traj.u, dx), factor),
+        d2U_dx2=_restrict(_laplacian_no_slip(traj.u, dx), factor),
+        dU_dt=np.gradient(flow.U, flow.times, axis=0))

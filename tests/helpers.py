@@ -1,13 +1,13 @@
 """Helpers only the tests use: reading a written CSV back, a constant
-renormalization function, an all-zero defect report, the Frobenius contraction, the bump potential's
-slope, the gather/scatter Bregman kernel the production one replaced, a
-tabulated law's h and h' evaluated row by row and its h/z^2 integral from
-per-cell gathers, its value_and_slope, integral_over_z2 and potential as
-their split tables, tail masks and guards formed them, the bump law and the
-certificate and scan reductions as np.where and out-of-place sums formed them, the solver's step on a
-FluidState, a state's dissipation increment, and run_stack's samples and
-the fine reference as a list of per-sample copies and all-at-once fields
-formed them."""
+renormalization function, an all-zero defect report, the Frobenius
+contraction, the bump potential's slope, the solver's step on a FluidState
+and a state's dissipation increment; and, as oracles, the plain forms of
+the kernels kept in place or in a smaller working set because each was
+measured to buy a share of a benchmark workload: the gather/scatter Bregman
+kernel, a tabulated law row by row and as split tables, tail masks and
+guards, the bump law and the certificate and scan reductions by np.where
+and out-of-place sums, and run_stack's samples and the fine reference as
+per-sample copies and all-at-once fields."""
 import re
 from dataclasses import dataclass
 
@@ -72,7 +72,7 @@ def zero_defect(measure) -> DefectReport:
     return DefectReport(times=measure.times, x=measure.x, E_inf=zero,
                         sigma_inf=zero, zeta=zero, D_total=zero,
                         rM_field=np.zeros((nt, n)), rM_abs=zero, xi=zero,
-                        zeta_by_member=np.zeros((measure.n_members, nt)))
+                        zeta_by_member=np.zeros((measure.S.shape[0], nt)))
 
 
 def frobenius(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -382,7 +382,7 @@ def where_h_block(law, rho_grid, r, breg):
 
 def where_scan_max(law, s_grid, r_grid, num_fn, extra_candidates=()) -> float:
     """relative_energy._scan_max with np.where passes: excluded ratios set
-    to 0, then reduced; num_fn(s, r) forms every factor in each block."""
+    to 0, then reduced."""
     s = s_grid[None, :]
     maxima = []
     for rows in mvflow.pressure.row_blocks(r_grid.size, s_grid.size):

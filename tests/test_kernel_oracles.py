@@ -1,6 +1,10 @@
-"""The in-place bump law, the where= certificate and scan reductions and the
-paired-table tabulated law against the np.where, out-of-place and split-table
-forms they replaced: the same bytes, types and shapes."""
+"""Kernels written in place against the plain forms they replaced, kept
+in tests/helpers.py: the bump law against np.where and out-of-place sums,
+the certificate blocks and ratio scans against np.where reductions, and
+the paired-table tabulated law against split tables, tail masks and
+guards.  Each pair gives the same bytes, types and shapes.  A form stays
+in place only where it was measured to buy a share of a benchmark workload
+(CHANGES.md)."""
 import numpy as np
 import pytest
 
@@ -107,10 +111,10 @@ def test_certificate_blocks_equal_the_where_form(law):
 
 
 @pytest.mark.parametrize("a", [1.0, 1.7])
-def test_gamma2_identity_keeps_to_finite_tables(a):
-    # C(r) at gamma = 2 from the least kept B, against every ratio formed:
-    # kept B = 0, -0.0 and < 0, tables holding inf or NaN, which take the
-    # general path, and rows with every grid point excluded
+def test_h_block_equals_the_where_form_on_edge_tables(a):
+    # C(r) of a gamma = 2 law, whose ratio |1.0 B| / B is 1 wherever B > 0
+    # is finite, against every ratio formed: kept B = 0, -0.0 and < 0,
+    # tables holding inf or NaN, and rows with every grid point excluded
     law = PressureLaw(h_part=PowerLawH(a=a, gamma=2.0), bump=BUMPS["small"])
     grid = np.concatenate([np.linspace(0.0, 4e-8, 8), [0.5, 1.5, 2.0, 3.0]])
     r = np.array([[1e-8], [1.0], [1.5], [2.5]])
@@ -136,26 +140,19 @@ def test_gamma2_identity_keeps_to_finite_tables(a):
 @pytest.mark.parametrize("law", list(LAWS.values()), ids=list(LAWS))
 @pytest.mark.parametrize("cells", [1, mvflow.pressure.TABLE_BLOCK], ids=["one-row", "shipped"])
 def test_scan_max_equals_the_where_form(monkeypatch, law, cells):
-    # production's scans, their factors of s formed once, against every
-    # factor formed in each block
+    # the four remainder scans' numerators, formed in each block
     monkeypatch.setattr(mvflow.pressure, "TABLE_BLOCK", cells)
     cut = CutoffBand(r1=0.45, r2=4.2, width=0.045)
     r = np.linspace(0.9, 1.2, 41)
-    s_psi, s_low = np.linspace(0.405, 4.245, 2001), np.linspace(0.0, 0.45, 2001)
-    s_high, s_all = np.linspace(4.2, 9.0, 2001), np.linspace(0.0, 9.0, 4002)
-    psi, root = cut.psi(s_psi), np.sqrt(s_psi)
-    w1_sq, w2_s, q_s = cut.w1(s_low) ** 2, cut.w2(s_high) * s_high, law.q(s_all)
     scans = [
-        (s_psi, lambda s, r: psi * (s - r) ** 2 / root,
-         lambda s, r: cut.psi(s) * (s - r) ** 2 / np.sqrt(s)),
-        (s_low, lambda s, r: w1_sq * (s - r) ** 2, lambda s, r: cut.w1(s) ** 2 * (s - r) ** 2),
-        (s_high, lambda s, r: w2_s, lambda s, r: cut.w2(s) * s),
-        (s_all, lambda s, r: (q_s - law.q(r)) ** 2, lambda s, r: (law.q(s) - law.q(r)) ** 2),
+        (np.linspace(0.405, 4.245, 2001), lambda s, r: cut.psi(s) * (s - r) ** 2 / np.sqrt(s)),
+        (np.linspace(0.0, 0.45, 2001), lambda s, r: cut.w1(s) ** 2 * (s - r) ** 2),
+        (np.linspace(4.2, 9.0, 2001), lambda s, r: cut.w2(s) * s),
+        (np.linspace(0.0, 9.0, 4002), lambda s, r: (law.q(s) - law.q(r)) ** 2),
     ]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for k, (s, num, where_num) in enumerate(scans):
-            got, want = _scan_max(law, s, r, num), where_scan_max(law, s, r, where_num)
-            _same(got, want, f"scan {k}")
+        for k, (s, num) in enumerate(scans):
+            _same(_scan_max(law, s, r, num), where_scan_max(law, s, r, num), f"scan {k}")
 
 
 # tables whose knots hold the anchor 1.0 (its piece constant is 0.0) and

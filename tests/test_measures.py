@@ -97,7 +97,7 @@ def synthetic_trajectory(rho_value, grid, cfg, times):
 def test_assemble_single_member_is_dirac():
     traj, cfg, grid = small_run()
     V = assemble([traj])
-    assert V.n_members == 1
+    assert V.S.shape[0] == 1
     assert V.S.shape == (1, 5, grid.n)
     np.testing.assert_array_equal(moment(V, lambda s, v, D: s), traj.rho)
 
@@ -106,7 +106,7 @@ def test_assemble_duplicate_members_keep_moments():
     traj, _, _ = small_run()
     V1 = assemble([traj])
     V2 = assemble([traj, traj])
-    assert V2.n_members == 2
+    assert V2.S.shape[0] == 2
     g = lambda s, v, D: s * v + D
     np.testing.assert_array_equal(moment(V1, g), moment(V2, g))
 
@@ -114,7 +114,7 @@ def test_assemble_duplicate_members_keep_moments():
 def test_assemble_perturbed_ensemble_counts():
     members = [small_run(n=24, T=0.02, seed=k)[0] for k in range(8)]
     V = assemble(members)
-    assert V.n_members == 8
+    assert V.S.shape[0] == 8
 
 
 def test_assemble_rejects_mismatched_grids():

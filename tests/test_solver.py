@@ -1,5 +1,5 @@
 """Solver tests: oracles for energy and dissipation, conservation, convergence."""
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from mvflow.errors import (DomainError, ReferenceInvalidError, SolverFailure,
                            StepRejected)
 from mvflow.pressure import CompactBump, PowerLawH, PressureLaw, TabulatedH
 from mvflow.solver import (
+    ComparisonFlow,
     FluidState,
     Grid1D,
     InitialData,
@@ -27,6 +28,7 @@ from mvflow.solver import (
     perturb_density,
     pulse_flow_init,
     reference_from_run,
+    restrict_run,
     run,
     run_stack,
     smooth_pulse_init,
@@ -1203,14 +1205,28 @@ def test_shared_fine_run_equals_per_level_references():
                                make_reference(cfg, init, grid, factor=128 // n))
 
 
+def test_restriction_is_the_reference_without_its_derivatives():
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.02, n_samples=5)
+    fine = Grid1D(n=64, length=1.0)
+    fine_run = run(cfg, pulse_flow_init(1.0, u_amp=0.3).sample(fine), fine)
+    for n in (16, 64):
+        grid = Grid1D(n=n, length=1.0)
+        flow, ref = restrict_run(fine_run, grid), reference_from_run(fine_run, grid)
+        assert type(flow) is ComparisonFlow
+        for f in fields(flow):
+            a, b = getattr(flow, f.name), getattr(ref, f.name)
+            assert type(a) is type(b) and np.array_equal(a, b), f.name
+
+
 def test_reference_from_run_rejects_a_grid_it_does_not_refine():
     cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.01, n_samples=2)
     coarse = Grid1D(n=24, length=1.0)
     traj = run(cfg, smooth_pulse_init(1.0).sample(coarse), coarse)
     for grid in (Grid1D(n=16, length=1.0), Grid1D(n=48, length=1.0),
                  Grid1D(n=12, length=2.0)):
-        with pytest.raises(DomainError):
-            reference_from_run(traj, grid)
+        for restrict in (reference_from_run, restrict_run):
+            with pytest.raises(DomainError):
+                restrict(traj, grid)
 
 
 def test_reference_from_incomplete_run_rejected():
