@@ -304,7 +304,6 @@ class DefectReport:
     """
 
     times: np.ndarray
-    x: np.ndarray
     E_inf: np.ndarray            # (nt,)
     sigma_inf: np.ndarray        # (nt,), cumulative over [0, tau]
     zeta: np.ndarray             # (nt,)
@@ -345,9 +344,9 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
     if not (1 <= tail <= len(trajectories)):
         raise CannotEstimateError(f"tail {tail} outside sequence length")
 
-    times, x, dx = finest.times, finest.x, finest.dx
+    times, dx = finest.times, finest.dx
     for j, traj in enumerate(trajectories):
-        _require_sampling(j, traj, x.size, finest.length, times)
+        _require_sampling(j, traj, finest.x.size, finest.length, times)
     deltas = [traj.cfg.delta for traj in trajectories]
 
     # each field quantity is formed in place, in its expression's operand
@@ -415,7 +414,7 @@ def estimate_defect(trajectories: list[Trajectory], finest: DiscreteYoungMeasure
     np.copyto(rM_field, 0.0, where=dead[:, None])
     rM_abs = np.sum(np.abs(rM_field), axis=1) * dx
     xi = rM_abs / np.maximum(D_total, DEFECT_FLOOR)
-    return DefectReport(times=times.copy(), x=x.copy(), E_inf=E_inf,
+    return DefectReport(times=times.copy(), E_inf=E_inf,
                         sigma_inf=sigma_inf, zeta=zeta, D_total=D_total,
                         rM_field=rM_field, rM_abs=rM_abs, xi=xi,
                         zeta_by_member=zeta_by_member,

@@ -263,15 +263,6 @@ class PowerLawH:
         return self.a * self.gamma * np.power(rho, self.gamma - 2.0)
 
 
-def _local_cubic(c, s, s2) -> np.ndarray:
-    """c[0] + c[1] s + c[2] s^2 (+ c[3] s^3) summed from the lowest power up,
-    as scipy's PPoly sums it from 0.0 (which c[0] already holds); s2 = s * s."""
-    out = c[0] + c[1] * s + c[2] * s2
-    if len(c) > 3:
-        out = out + c[3] * (s2 * s)
-    return out
-
-
 @dataclass(frozen=True)
 class TabulatedH:
     """Monotone part from strictly increasing samples, with a power-law tail.
@@ -288,10 +279,10 @@ class TabulatedH:
     The interpolant is built and evaluated in numpy, bit for bit as scipy's
     PchipInterpolator and its derivative would give it (scipy serves as the
     test oracle only): importing scipy.interpolate costs a fresh process
-    about 0.3 s.  Value and slope evaluate the local cubic in s = rho - knot
-    as scipy's PPoly does, from the lowest power up.  h and h' share one
-    paired coefficient table, so value_and_slope forms both cubics' terms of
-    each power in one pass.
+    about 0.3 s.  value_and_slope evaluates the local cubic in s = rho - knot
+    as scipy's PPoly does, from the lowest power up; value and slope are its
+    two halves.  h and h' share one paired coefficient table, so both
+    cubics' terms of each power are formed in one pass.
 
     The potential uses closed forms only: each cubic piece
     A0 + A1 z + A2 z^2 + A3 z^3 integrates against 1/z^2 exactly, and so does
@@ -310,8 +301,7 @@ class TabulatedH:
     # c0, dc0, c1, dc1, c2, dc2 of h and h' in pairs, c3 of h, then the left
     # knot.  c0 and dc0 hold 0.0 + c, the sum PPoly starts from (it turns a
     # -0.0 into 0.0).  value_and_slope takes all eight rows in one gather
-    # and each pair in one pass (the fastest on a solver's rows); value and
-    # slope gather their own rows one by one (the fastest on wide tables)
+    # and each pair in one pass
     _inner: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _paired: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     # tail h = _tail_a * rho^gamma_tail + _tail_b beyond rho_max
@@ -415,26 +405,19 @@ class TabulatedH:
         return [np.where(far, tail(z), inside) for inside, tail in parts]
 
     def value(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
-        k = self._piece(rho)
-        *c, left = (self._paired[row][k] for row in (0, 2, 4, 6, 7))
-        s = rho - left
-        return self._with_tails(rho, (_local_cubic(c, s, s * s), self._h_tail))[0]
+        return self.value_and_slope(rho)[0]
 
     def slope(self, rho) -> np.ndarray:
-        rho = _as_array(rho)
-        k = self._piece(rho)
-        *c, left = (self._paired[row][k] for row in (1, 3, 5, 7))
-        s = rho - left
-        return self._with_tails(rho, (_local_cubic(c, s, s * s), self._dh_tail))[0]
+        return self.value_and_slope(rho)[1]
 
     def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
-        """value(rho) and slope(rho) from one piece search, one gather, one
-        s^2, one pass per pair of terms and one max.
+        """h(rho) and h'(rho) from one piece search, one gather, one s^2, one
+        pass per pair of terms and one max.
 
-        The terms are formed in place in the fresh gathered table, in
-        _local_cubic's order, and h and h' are its first two rows; a max
-        that is not <= rho_max (a NaN included) looks for the tail."""
+        The terms are formed in place in the fresh gathered table, summed
+        from the lowest power up as PPoly sums them, and h and h' are its
+        first two rows; a max that is not <= rho_max (a NaN included) looks
+        for the tail."""
         rho = _as_array(rho)
         c = self._paired.take(self._piece(rho), axis=1)
         pair0, pair1, pair2 = c[0:2], c[2:4], c[4:6]
@@ -807,7 +790,7 @@ def _check_grid(rho_grid: np.ndarray, r_min: float, r_max: float) -> tuple[float
     if not (0.0 < r_min <= r_max):
         raise DomainError(f"r range must satisfy 0 < r_min <= r_max, got [{r_min}, {r_max}]")
     r2 = 2.0 * r_max
-    if rho_grid[0] > 1e-12:
+    if not 0.0 <= rho_grid[0] <= 1e-12:
         raise InsufficientGridError("grid must start at rho = 0")
     if rho_grid[-1] < 2.0 * r2:
         raise InsufficientGridError(

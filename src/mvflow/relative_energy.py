@@ -113,8 +113,8 @@ class CutoffBand:
 def build_cutoff(law: PressureLaw, ref: StrongSolutionRef) -> CutoffBand:
     """Density band that strictly brackets the comparison range and the bump.
 
-    The lower edge sits below half the smaller of (bump onset / 2, inf r / 2);
-    the upper edge above twice the larger of (bump end, sup r).
+    The lower edge sits below half the smaller of (bump onset, inf r); the
+    upper edge above twice the larger of (bump end, sup r).
     """
     r_inf = float(np.min(ref.r))
     r_sup = float(np.max(ref.r))
@@ -198,7 +198,6 @@ class RemainderReport:
     bound: np.ndarray
     slack: np.ndarray
     constants: dict
-    cutoff: CutoffBand
 
     def rows(self):
         """CSV header and rows (tau, E_mv, I2..I5, bound2..5, slack2..5)."""
@@ -343,7 +342,7 @@ def remainder_terms(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
     }
     return RemainderReport(
         times=times.copy(), E_mv=E_mv, I=I, bound=bound, slack=bound - np.abs(I),
-        constants=constants, cutoff=cutoff)
+        constants=constants)
 
 
 # -- exponential growth verdict ---------------------------------------------------

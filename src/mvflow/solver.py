@@ -149,6 +149,13 @@ class Grid1D:
         return UniformRows(self.n, self.dx)
 
 
+# Cells at or below this density are near-vacuum: their velocity and kinetic
+# energy are taken as 0.
+RHO_FLOOR = 1e-10
+# The per-step energy budget, relative to the E(0) scale (see run_stack).
+STEP_SLACK_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     law: PressureLaw
@@ -157,15 +164,13 @@ class SolverConfig:
     delta: float = 0.0         # strength of the extra pressure delta * rho^Gamma
     Gamma: float = 2.0
     cfl: float = 0.4
-    rho_floor: float = 1e-10
     n_samples: int = 33
-    step_slack_tol: float = 1e-10  # per-step energy budget, relative to E(0) scale
 
     def __post_init__(self):
-        for name in ("lam", "T", "delta", "Gamma", "step_slack_tol", "rho_floor"):
+        for name in ("lam", "T", "delta", "Gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("lam", "T", "rho_floor"):
+        for name in ("lam", "T"):
             if not (getattr(self, name) > 0.0):
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if self.delta < 0.0:
@@ -178,8 +183,6 @@ class SolverConfig:
             raise DomainError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.n_samples < 2:
             raise DomainError("need at least 2 sample times")
-        if not (self.step_slack_tol >= 0.0):
-            raise DomainError("step_slack_tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -200,14 +203,14 @@ class FluidState:
             raise DomainError("rho and m must be matching 1D or (K, n) arrays")
 
 
-def _vacuum(rho: np.ndarray, rho_floor: float) -> tuple[np.ndarray, np.ndarray]:
+def _vacuum(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The mask of cells above the vacuum floor, and the floored density."""
-    return rho > rho_floor, np.maximum(rho, rho_floor)
+    return rho > RHO_FLOOR, np.maximum(rho, RHO_FLOOR)
 
 
-def velocity(state: FluidState, rho_floor: float) -> np.ndarray:
+def velocity(state: FluidState) -> np.ndarray:
     """u = m / rho with u = 0 on near-vacuum cells."""
-    solid, rho_f = _vacuum(state.rho, rho_floor)
+    solid, rho_f = _vacuum(state.rho)
     return np.where(solid, state.m / rho_f, 0.0)
 
 
@@ -272,13 +275,13 @@ def admissible_dt(state: FluidState | np.ndarray, cfg: SolverConfig, grid: Grid1
     """The CFL bound: a float, or a (K,) array for a stacked state.
 
     The sound speed is the sqrt of the total-pressure slope, floored by dx
-    where the law dips.  u is velocity(state, cfg.rho_floor) and slope is
+    where the law dips.  u is velocity(state) and slope is
     _slope(cfg, rho, cfg.law.dp(rho), delta) when the caller holds them
     (given both, state may be the density alone); else delta is cfg.delta.
     """
     rho = state if isinstance(state, np.ndarray) else state.rho
     if u is None:
-        u = velocity(state, cfg.rho_floor)
+        u = velocity(state)
     if slope is None:
         slope = _slope(cfg, rho, cfg.law.dp(rho), cfg.delta)
     cells = _cells(grid)
@@ -409,13 +412,13 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     u_new = u_new.reshape(rho_new.shape)
 
     # the budget terms of the trials: the vacuum branch is read from lowest,
-    # whose side of rho_floor the clamp to 0 keeps; without a near-vacuum
+    # whose side of RHO_FLOOR the clamp to 0 keeps; without a near-vacuum
     # cell the masks would keep every entry and are skipped
-    if lowest > cfg.rho_floor:
+    if lowest > RHO_FLOOR:
         m_new = np.multiply(rho_new, u_new, out=dpi)  # dpi is spent
         u, kin = m_new / rho_new, 0.5 * m_new**2 / rho_new
     else:
-        solid, rho_f = _vacuum(rho_new, cfg.rho_floor)
+        solid, rho_f = _vacuum(rho_new)
         m_new = np.multiply(rho_new, np.where(solid, u_new, 0.0), out=dpi)
         u, kin = np.where(solid, m_new / rho_f, 0.0), _kinetic(rho_new, m_new, solid, rho_f)
     # the energy density and the squared gradient in one per-row reduction,
@@ -457,7 +460,7 @@ def total_energy(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     Kinetic energy of near-vacuum cells is taken as zero.  A stacked state
     gets one energy per row.
     """
-    kin = _kinetic(state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor))
+    kin = _kinetic(state.rho, state.m, *_vacuum(state.rho))
     return _energy(cfg, grid, state.rho, kin, cfg.law.P(state.rho), cfg.delta)
 
 
@@ -468,7 +471,7 @@ def energy_scale(state: FluidState, cfg: SolverConfig, grid: Grid1D):
     value, so data dipping below the reference density still yields a
     positive scale.
     """
-    kin = _kinetic(state.rho, state.m, *_vacuum(state.rho, cfg.rho_floor))
+    kin = _kinetic(state.rho, state.m, *_vacuum(state.rho))
     e = _energy(cfg, grid, state.rho, kin, np.abs(cfg.law.P(state.rho)), cfg.delta)
     return _per_row(np.maximum(e, 1e-15))
 
@@ -602,7 +605,7 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     bound and additionally controlled so that every accepted step satisfies
     the energy budget
 
-        E(t) - E(t+dt) - dt sum dx lam (du/dx)^2 >= -step_slack_tol * E_scale:
+        E(t) - E(t+dt) - dt sum dx lam (du/dx)^2 >= -STEP_SLACK_TOL * E_scale:
 
     a trial step violating it is halved and retried (the explicit pressure
     force injects kinetic energy at O(dt^2), so halving always converges),
@@ -635,10 +638,10 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     rho, m = cells.join([s.rho for s in states]), cells.join([s.m for s in states])
     _require_finite("initial density", rho, cells)
     _require_finite("initial momentum", m, cells)
-    u = velocity(FluidState(rho=rho, m=m), cfg.rho_floor)
+    u = velocity(FluidState(rho=rho, m=m))
     times = np.linspace(0.0, cfg.T, cfg.n_samples)
     t_sample, tol = times.tolist(), 1e-12 * cfg.T  # tol: sample-time tolerance, dt floor
-    budget = [cfg.step_slack_tol * energy_scale(*row) for row in zip(states, cfgs, grids)]
+    budget = [STEP_SLACK_TOL * energy_scale(*row) for row in zip(states, cfgs, grids)]
     ctl = [_RowControl(e_prev=total_energy(*row)) for row in zip(states, cfgs, grids)]
     for r, (c, g) in enumerate(zip(ctl, grids)):
         c.open(g.n, times.size)
@@ -714,7 +717,6 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
 class InitialData:
     """Smooth initial profiles rho0(x), u0(x) sampled onto any grid."""
 
-    name: str
     rho_fn: object
     u_fn: object
 
@@ -728,8 +730,7 @@ class InitialData:
 
 
 def constant_init(rho0: float = 1.0) -> InitialData:
-    return InitialData(name="constant",
-                       rho_fn=lambda x: np.full_like(np.asarray(x, dtype=float), rho0),
+    return InitialData(rho_fn=lambda x: np.full_like(np.asarray(x, dtype=float), rho0),
                        u_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
@@ -743,7 +744,7 @@ def smooth_pulse_init(length: float, base: float = 1.0, amp: float = 0.1,
         x = np.asarray(x, dtype=float)
         return base + amp * np.exp(-0.5 * ((x - x0) / w) ** 2)
 
-    return InitialData(name="smooth-pulse", rho_fn=rho_fn,
+    return InitialData(rho_fn=rho_fn,
                        u_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
@@ -757,7 +758,7 @@ def pulse_flow_init(length: float, base: float = 1.0, amp: float = 0.1,
         x = np.asarray(x, dtype=float)
         return u_amp * np.sin(np.pi * x / length)
 
-    return InitialData(name="pulse-flow", rho_fn=pulse.rho_fn, u_fn=u_fn)
+    return InitialData(rho_fn=pulse.rho_fn, u_fn=u_fn)
 
 
 # Fourier modes in the density noise of perturb_density.
@@ -787,7 +788,7 @@ def perturb_density(init: InitialData, length: float, eps: float,
     def rho_fn(x):
         return np.asarray(init.rho_fn(x), dtype=float) * (1.0 + eps * xi(x) / scale)
 
-    return InitialData(name=f"{init.name}+noise", rho_fn=rho_fn, u_fn=init.u_fn)
+    return InitialData(rho_fn=rho_fn, u_fn=init.u_fn)
 
 
 # -- refined reference ---------------------------------------------------------
@@ -840,7 +841,7 @@ def _laplacian_no_slip(u: np.ndarray, dx: float) -> np.ndarray:
 
 
 def make_reference(cfg: SolverConfig, init: InitialData, grid: Grid1D,
-                   factor: int = 8) -> StrongSolutionRef:
+                   factor: int) -> StrongSolutionRef:
     """Run on a factor-refined grid and restrict to the coarse sampling.
 
     factor = 1 reuses the coarse resolution: the deterministic unperturbed
@@ -857,7 +858,7 @@ def restrict_run(traj: Trajectory, grid: Grid1D) -> ComparisonFlow:
     """Restrict a finished run on a refinement of grid to grid's cells.
 
     The result is rejected if the run stopped early or approaches vacuum
-    (min rho < 10 * rho_floor).
+    (min rho < 10 * RHO_FLOOR).
     """
     fine = traj.grid
     factor, rest = divmod(fine.n, grid.n)
@@ -868,7 +869,7 @@ def restrict_run(traj: Trajectory, grid: Grid1D) -> ComparisonFlow:
         raise ReferenceInvalidError("reference run did not complete")
 
     min_r = float(np.min(traj.rho))
-    if min_r < 10.0 * traj.cfg.rho_floor:
+    if min_r < 10.0 * RHO_FLOOR:
         raise ReferenceInvalidError(
             f"reference reached near-vacuum density {min_r:.3e}")
     return ComparisonFlow(times=traj.times.copy(), x=grid.centers, dx=grid.dx,

@@ -69,7 +69,7 @@ def zero_defect(measure) -> DefectReport:
     residuals' pairing term and the energy slack's D then vanish."""
     nt, n = measure.times.size, measure.x.size
     zero = np.zeros(nt)
-    return DefectReport(times=measure.times, x=measure.x, E_inf=zero,
+    return DefectReport(times=measure.times, E_inf=zero,
                         sigma_inf=zero, zeta=zero, D_total=zero,
                         rM_field=np.zeros((nt, n)), rM_abs=zero, xi=zero,
                         zeta_by_member=np.zeros((measure.S.shape[0], nt)))
@@ -408,11 +408,11 @@ class StepStart:
 
 
 def step_start(state: FluidState, cfg, grid, u=None, delta=None) -> StepStart:
-    """solver.step_start on one state or a stack; u is velocity(state,
-    cfg.rho_floor) when the caller already holds it, and delta is cfg.delta
-    unless given (a stack's per-row deltas spread over its cells)."""
+    """solver.step_start on one state or a stack; u is velocity(state) when
+    the caller already holds it, and delta is cfg.delta unless given (a
+    stack's per-row deltas spread over its cells)."""
     if u is None:
-        u = solver.velocity(state, cfg.rho_floor)
+        u = solver.velocity(state)
     dt_max, d = solver.step_start(np.atleast_2d(state.rho), np.atleast_2d(u), cfg,
                                   solver._cells(grid), cfg.delta if delta is None else delta)
     if state.rho.ndim == 1:
@@ -458,7 +458,7 @@ def dissipation_increment(state: FluidState, cfg, grid, dt):
     A stacked state takes a (K,) dt and gets one increment per row.
     """
     cells = solver._cells(grid)
-    g = cells.gradient(solver.velocity(state, cfg.rho_floor))
+    g = cells.gradient(solver.velocity(state))
     return solver._per_row(dt * cfg.lam * cells.row_sum(g * g) * cells.dx)
 
 

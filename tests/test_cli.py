@@ -244,7 +244,7 @@ def test_failing_stacked_convergence_exits_three(tmp_path, monkeypatch, capsys, 
 
         monkeypatch.setattr(mvflow.solver, "step", failing_step)
     else:
-        over["init.base"] = "1e-10"  # the fine run's density is below 10 * rho_floor
+        over["init.base"] = "1e-10"  # the fine run's density is below 10 * RHO_FLOOR
     spec = write_preset(tmp_path, "convergence-pulse", **over)
     out = tmp_path / "out"
     assert cli.main(["convergence", "--spec", spec, "--levels", "8,16,32",

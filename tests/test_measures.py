@@ -540,7 +540,7 @@ def _random_defect(rng, measure):
     nt, n = measure.times.size, measure.x.size
     D_total = rng.uniform(0.0, 1.0, nt)
     return DefectReport(
-        times=measure.times, x=measure.x, E_inf=D_total, sigma_inf=np.zeros(nt),
+        times=measure.times, E_inf=D_total, sigma_inf=np.zeros(nt),
         zeta=np.zeros(nt), D_total=D_total, rM_field=rng.normal(size=(nt, n)),
         rM_abs=np.zeros(nt), xi=rng.uniform(0.0, 2.0, nt),
         zeta_by_member=np.zeros((1, nt)))

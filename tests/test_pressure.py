@@ -589,6 +589,13 @@ def test_lower_bound_rejects_degenerate_grid():
         certify(law, (1.0, 1.0), np.linspace(0.0, 3.0, 50))
 
 
+@pytest.mark.parametrize("start", [-1.0, -1e-13, 1e-11])
+def test_certify_names_a_grid_that_does_not_start_at_zero(start):
+    # a negative start is named as the grid's fault, not as bregman_H's domain
+    with pytest.raises(InsufficientGridError, match="grid must start at rho = 0"):
+        certify(power_law(), (0.5, 2.0), np.linspace(start, 10.0, 4001))
+
+
 def test_h_bound_certificate_gamma2_ratio_is_one():
     # for gamma = 2 both sides equal a (rho - r)^2, so C = 1 on any grid
     law = power_law(a=1.0, gamma=2.0)

@@ -79,24 +79,16 @@ def test_config_rejects_bad_cfl_and_horizon():
         SolverConfig(law=gamma2_law(), lam=1.0, T=-1.0)
 
 
-@pytest.mark.parametrize("name", ["lam", "T", "delta", "Gamma", "step_slack_tol",
-                                  "rho_floor"])
+@pytest.mark.parametrize("name", ["lam", "T", "delta", "Gamma"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_config_rejects_non_finite_numbers(name, value):
     with pytest.raises(DomainError, match=name):
         SolverConfig(law=gamma2_law(), **{"lam": 1.0, "T": 1.0, name: value})
 
 
-@pytest.mark.parametrize("rho_floor", [0.0, -1.0])
-def test_config_rejects_nonpositive_rho_floor(rho_floor):
-    with pytest.raises(DomainError, match="rho_floor"):
-        SolverConfig(law=gamma2_law(), lam=1.0, T=1.0, rho_floor=rho_floor)
-
-
 def test_negative_initial_density_rejected():
     grid = Grid1D(n=8)
-    bad = InitialData(name="dip", rho_fn=lambda x: 1.0 - 4.0 * x,
-                      u_fn=np.zeros_like)
+    bad = InitialData(rho_fn=lambda x: 1.0 - 4.0 * x, u_fn=np.zeros_like)
     with pytest.raises(DomainError):
         bad.sample(grid)
 
@@ -104,9 +96,9 @@ def test_negative_initial_density_rejected():
 # -- velocity and vacuum convention ---------------------------------------------
 
 def test_velocity_zeroed_at_vacuum():
-    state = FluidState(rho=np.array([1.0, 1e-10, 2.0]),
+    state = FluidState(rho=np.array([1.0, mvflow.solver.RHO_FLOOR, 2.0]),
                        m=np.array([3.0, 5.0, 4.0]))
-    u = velocity(state, rho_floor=1e-10)
+    u = velocity(state)
     assert u[0] == 3.0
     assert u[1] == 0.0
     assert u[2] == 2.0
@@ -273,10 +265,10 @@ def test_budget_terms_equal_the_public_functions(case):
     # of the step itself; each is what the public function gives of the
     # trial state, bit for bit.  The vacuum branch is chosen from the step's
     # own minimum, taken before the clamp to 0: the min- cases put the trial
-    # minimum exactly at 0, exactly at rho_floor and one ulp above it.
+    # minimum exactly at 0, exactly at RHO_FLOOR and one ulp above it.
     grid = Grid1D(n=40, length=1.0)
     cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
-    floor = cfg.rho_floor
+    floor = mvflow.solver.RHO_FLOOR
     rho, m = _kernel_stack()
     lowest = {"min-zero": 0.0, "min-floor": floor,
               "min-above-floor": np.nextafter(floor, 1.0)}.get(case)
@@ -303,7 +295,7 @@ def test_budget_terms_equal_the_public_functions(case):
         assert trial.rho.min() <= floor
     elif lowest is not None:
         assert trial.rho.min() == lowest
-    assert _same_bits(u, velocity(trial, cfg.rho_floor))
+    assert _same_bits(u, velocity(trial))
     if delta is None:
         assert _same_bits(energy, total_energy(trial, cfg, grid))
     else:  # each row's energy under that row's own config
@@ -331,7 +323,7 @@ def test_step_start_rows_equal_their_own_starts():
     grid = Grid1D(n=40, length=1.0)
     cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
     rho, m = _kernel_stack(K=4)
-    rho[2, 7] = 0.5 * cfg.rho_floor
+    rho[2, 7] = 0.5 * mvflow.solver.RHO_FLOOR
     whole = step_start(FluidState(rho=rho, m=m, t=np.zeros(4)), cfg, grid)
     # the start's CFL bound, from its one law pass, is admissible_dt's
     assert _same_bits(whole.dt_max, admissible_dt(FluidState(rho=rho, m=m), cfg, grid))
@@ -371,7 +363,7 @@ def test_ragged_kernels_equal_each_row_alone():
                 i = r * len(grids) + k
                 assert _same_bits(trial.rho[cells.at(i)], one.rho)
                 assert _same_bits(trial.m[cells.at(i)], one.m)
-                assert _same_bits(u[cells.at(i)], velocity(one, cfg.rho_floor))
+                assert _same_bits(u[cells.at(i)], velocity(one))
                 assert energy[i] == total_energy(one, row_cfg, g)
                 assert dis[i] == dissipation_increment(one, row_cfg, g, float(dt[r, k]))
 
@@ -411,7 +403,7 @@ def test_step_walls_in_place_keep_the_bits(layout, rungs, frac, seed):
         cells, stack = grids[0]._rows, replace(stack, rho=stack.rho.reshape(2, -1),
                                                 m=stack.m.reshape(2, -1))
     cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
-    u = velocity(stack, cfg.rho_floor)
+    u = velocity(stack)
     start = mvflow.solver.step_start(stack.rho, u, cfg, cells, cfg.delta)
     dts = [frac * x / r for r in range(1, rungs + 1) for x in start[0]]
     rho, m, *_ = mvflow.solver.step(stack.rho, stack.m, start, dts, cfg, cells, cfg.delta)
@@ -644,9 +636,9 @@ def _scalar_run_oracle(cfg, init_state, grid, log=None):
     """
     times = np.linspace(0.0, cfg.T, cfg.n_samples)
     state = FluidState(rho=init_state.rho.copy(), m=init_state.m.copy(), t=0.0)
-    rho_out, u_out = [state.rho], [velocity(state, cfg.rho_floor)]
+    rho_out, u_out = [state.rho], [velocity(state)]
     energy, cum_dis = [total_energy(state, cfg, grid)], [0.0]
-    slack_budget = cfg.step_slack_tol * energy_scale(state, cfg, grid)
+    slack_budget = mvflow.solver.STEP_SLACK_TOL * energy_scale(state, cfg, grid)
     dt_floor = 1e-12 * cfg.T
     e_prev, dis_acc, min_slack = energy[0], 0.0, np.inf
     n_steps = n_trials = 0
@@ -688,7 +680,7 @@ def _scalar_run_oracle(cfg, init_state, grid, log=None):
             e_prev = e_new
             n_steps += 1
         rho_out.append(state.rho)
-        u_out.append(velocity(state, cfg.rho_floor))
+        u_out.append(velocity(state))
         energy.append(e_prev)
         cum_dis.append(dis_acc)
     return (np.array(rho_out), np.array(u_out), np.array(energy),
@@ -809,10 +801,10 @@ def test_run_stack_keeps_the_scheme_invariants(law, K, n, n_vacuum, seed):
     for _ in range(K):
         rho = rng.uniform(0.3, 2.5, n)
         vac = rng.choice(n, size=min(n_vacuum, n), replace=False)
-        rho[vac] = rng.choice([0.0, cfg.rho_floor, 1e-6], size=vac.size)
+        rho[vac] = rng.choice([0.0, mvflow.solver.RHO_FLOOR, 1e-6], size=vac.size)
         states.append(FluidState(rho=rho, m=rho * rng.uniform(-1.0, 1.0, n)))
     for state, row in zip(states, run_stack([cfg] * K, states, grid)):
-        budget = cfg.step_slack_tol * energy_scale(state, cfg, grid)
+        budget = mvflow.solver.STEP_SLACK_TOL * energy_scale(state, cfg, grid)
         mass = row.rho.sum(axis=1) * grid.dx
         assert np.all(np.abs(mass - mass[0]) <= 1e-12 * mass[0])
         assert np.all(row.rho >= 0.0)
@@ -919,13 +911,16 @@ def test_rungs_mix_grown_cfl_and_clipped_rows(monkeypatch):
     # a state at rest steps at its CFL bound, and a loose budget lets the
     # pulses grow their dt: one two-rung call holds a grown row, a row at
     # its CFL bound and a row clipped to a sample time
+    # (the oracle runs after _run_against_oracle undoes monkeypatch, so the
+    # loose budget is patched apart from it)
     grid = Grid1D(n=16, length=1.0)
-    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.2, n_samples=5,
-                       step_slack_tol=5e-4)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.2, n_samples=5)
     states = [constant_init(1.0).sample(grid),
               pulse_flow_init(1.0, base=1.1, amp=0.02, u_amp=0.01).sample(grid),
               pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(grid)]
-    _, _, replay = _run_against_oracle(monkeypatch, [cfg] * 3, states, grid)
+    with pytest.MonkeyPatch.context() as loose:
+        loose.setattr(mvflow.solver, "STEP_SLACK_TOL", 5e-4)
+        _, _, replay = _run_against_oracle(monkeypatch, [cfg] * 3, states, grid)
     assert any(R == 2 and {"grown", "cfl", "clipped"} <= {s for s, _ in cols}
                for R, cols in replay)
 
@@ -953,10 +948,10 @@ def test_rungs_with_a_near_vacuum_row(monkeypatch):
     rho[0] = 0.0
     vacuum = FluidState(rho=rho, m=0.5 * rho)
     _, calls, replay = _run_against_oracle(monkeypatch, [cfg] * 2, [pulse, vacuum], grid)
-    assert any(R == 2 and call["lowest"] <= cfg.rho_floor
+    assert any(R == 2 and call["lowest"] <= mvflow.solver.RHO_FLOOR
                for (R, _), call in zip(replay, calls))
     _, calls, replay = _run_against_oracle(monkeypatch, [cfg], [pulse], grid)
-    assert all(call["lowest"] > cfg.rho_floor for call in calls)
+    assert all(call["lowest"] > mvflow.solver.RHO_FLOOR for call in calls)
     assert any(R == 2 for R, _ in replay)
 
 
@@ -1013,7 +1008,7 @@ def test_ragged_stack_rows_equal_single_runs(law, ns, deltas, vacuum, seed):
     states = [perturb_density(init, 1.0, 0.2, rng).sample(g) for g in grids]
     k = vacuum % len(ns)
     rho = states[k].rho.copy()
-    rho[rng.integers(ns[k])] = rng.choice([0.0, base.rho_floor])
+    rho[rng.integers(ns[k])] = rng.choice([0.0, mvflow.solver.RHO_FLOOR])
     states[k] = FluidState(rho=rho, m=0.5 * rho)
     live = []
     real_step = mvflow.solver.step
@@ -1104,7 +1099,7 @@ def test_delta_free_rows_keep_their_bytes():
     state = FluidState(rho=rho, m=0.3 * rho, t=np.zeros(2))
     delta = np.array([[0.0], [0.1]])
     pi = total_pressure(cfg, rho, cfg.law.p(rho), delta)
-    kin = mvflow.solver._kinetic(rho, state.m, *mvflow.solver._vacuum(rho, cfg.rho_floor))
+    kin = mvflow.solver._kinetic(rho, state.m, *mvflow.solver._vacuum(rho))
     e = mvflow.solver._energy(cfg, grid, rho, kin, cfg.law.P(rho), delta)
     assert np.signbit(pi[0, 0])
     for k, d in enumerate((0.0, 0.1)):
@@ -1277,7 +1272,7 @@ def _reference_step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
     dx, n = grid.dx, grid.n
     rho, m = state.rho, state.m
     dtc = np.asarray(dt, dtype=float)[..., None]  # per-row dt as a column
-    u = velocity(state, cfg.rho_floor)
+    u = velocity(state)
     faces = rho.shape[:-1] + (n + 1,)
 
     # interior face velocities; wall faces carry u = 0 (no-slip)
@@ -1339,7 +1334,7 @@ def _reference_step(state: FluidState, cfg: SolverConfig, grid: Grid1D, dt,
         raise SolverFailure("viscous solve failed: non-positive diagonal at "
                             f"{_reference_first_cell(~(rho_new + kappa > 0.0), rows)} "
                             f"(LAPACK gtsv info {info})")
-    u_new = np.where(rho_new > cfg.rho_floor, u_new.reshape(rho.shape), 0.0)
+    u_new = np.where(rho_new > mvflow.solver.RHO_FLOOR, u_new.reshape(rho.shape), 0.0)
 
     return FluidState(rho=rho_new, m=rho_new * u_new, t=state.t + dt)
 
@@ -1380,7 +1375,7 @@ def test_step_equals_reference_step(law, K, held, cfl, at, speed, seed):
     rng = np.random.default_rng(seed)
     grid = Grid1D(n=20, length=1.0)
     cfg = SolverConfig(law=_LAWS[law](), lam=0.2, T=1.0, cfl=cfl)
-    floor = cfg.rho_floor
+    floor = mvflow.solver.RHO_FLOOR
     rho = rng.uniform(0.05, 2.5, size=(K, 20))
     u = speed * rng.uniform(-1.0, 1.0, size=(K, 20))
     rows, i = np.arange(K), rng.integers(1, 19, size=K)
@@ -1443,15 +1438,15 @@ def test_retried_trial_equals_a_fresh_step():
     _assert_same_outcome(retried, _reference_step(state, cfg, grid, 0.5 * dt))
 
 
-def test_run_snaps_t_to_the_sample_time():
+def test_run_snaps_t_to_the_sample_time(monkeypatch):
     # The first trial, at a CFL bound above half the first sample interval h,
     # breaks the loose budget and is halved.  The next step starts below h/2
     # and is clipped to h; t + (h - t) then misses h by an ulp (the
     # difference is not exact below h/2).  Without the snap to h, every later
     # step clipped to a sample time is an ulp off the oracle's.
     grid = Grid1D(n=16, length=1.0)
-    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.0466, n_samples=4,
-                       step_slack_tol=5e-4)
+    monkeypatch.setattr(mvflow.solver, "STEP_SLACK_TOL", 5e-4)
+    cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.0466, n_samples=4)
     state = pulse_flow_init(1.0).sample(grid)
     h = cfg.T / 3.0
     t1 = 0.5 * admissible_dt(state, cfg, grid)

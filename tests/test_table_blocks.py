@@ -135,7 +135,7 @@ def test_residual_families_are_the_same_in_every_block_size(monkeypatch, law):
     V = _measure(rng, K=3, n=40, nt=9)
     nt, n = V.times.size, V.x.size
     defect = DefectReport(
-        times=V.times, x=V.x, E_inf=np.full(nt, 0.1), sigma_inf=np.zeros(nt),
+        times=V.times, E_inf=np.full(nt, 0.1), sigma_inf=np.zeros(nt),
         zeta=np.zeros(nt), D_total=np.full(nt, 0.1), rM_field=rng.normal(size=(nt, n)),
         rM_abs=np.zeros(nt), xi=rng.uniform(0.0, 2.0, nt),
         zeta_by_member=np.zeros((1, nt)))
