@@ -26,8 +26,8 @@ from .measures import (assemble, compatibility_residual, continuity_residual,
                        energy_inequality_slack, estimate_defect,
                        korn_poincare_check, momentum_residual,
                        renorm_continuity_residual, renorm_identity_truncated)
-from .pressure import (Certificate, PressureLaw, certify, law_from_config,
-                       law_to_config)
+from .pressure import (Certificate, CompactBump, PowerLawH, PressureLaw,
+                       TabulatedH, certify)
 from .relative_energy import (gronwall_verdict, relative_energy_series,
                               remainder_terms)
 # run stays a module attribute here: perfbench/tracer.py wraps this name
@@ -64,8 +64,8 @@ def _setting(key: str, default, parse):
 class ExperimentSpec:
     """A validated spec.  The fields declared with _setting are its settings,
     in the order spec_to_config writes them after the head (schema, name and
-    the law.* keys); out is read but never written, since where a run writes
-    is not part of its spec."""
+    the law's keys, see _LAW_PARTS); out is read but never written, since
+    where a run writes is not part of its spec."""
 
     name: str
     law: PressureLaw
@@ -102,7 +102,24 @@ class ExperimentSpec:
 _SETTINGS = tuple((f.metadata["key"], f.name, f.metadata["default"],
                    f.metadata["parse"])
                   for f in dataclasses.fields(ExperimentSpec) if f.metadata)
-_KNOWN_KEYS = frozenset({"schema", "name", "out"} | {key for key, *_ in _SETTINGS})
+
+# law.kind names the law's monotone part h.  Each part of the law is its class
+# and its settings as (key, field, default, parse), None marking a required
+# key; law_to_config writes law.kind, then h's keys, then the bump's, in order.
+_LAW_PARTS = {
+    "power": (PowerLawH, (("law.a", "a", None, float),
+                          ("law.gamma", "gamma", None, float))),
+    "tabulated": (TabulatedH, (("law.rho", "rho_samples", None, _tuple_of(float)),
+                               ("law.h", "h_samples", None, _tuple_of(float)),
+                               ("law.gamma", "gamma_tail", 2.0, float))),
+}
+_BUMP = (CompactBump, (("law.bump.q1", "q1", None, float),
+                       ("law.bump.q2", "q2", None, float),
+                       ("law.bump.A", "amp", None, float)))
+
+# (key, default, parse) of the settings only mvflow certify reads
+_CERTIFY_SETTINGS = (("certify.r_min", None, float), ("certify.r_max", None, float),
+                     ("certify.points", 4001, int))
 
 
 def _get(cfg: dict, key: str, default, cast):
@@ -127,18 +144,49 @@ def _text(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _law_parts(cfg: dict) -> list:
+    """The parts of cfg's law: law.kind's h, then the bump if a key sets it."""
+    kind = _get(cfg, "law.kind", "power", str)
+    if kind not in _LAW_PARTS:
+        raise SpecParseError(f"field 'law.kind': unknown kind '{kind}' "
+                             f"(expected one of {', '.join(_LAW_PARTS)})")
+    bumped = any(key in cfg for key, *_ in _BUMP[1])
+    return [_LAW_PARTS[kind], _BUMP] if bumped else [_LAW_PARTS[kind]]
+
+
+def _refuse_undeclared(cfg: dict, *more: tuple) -> None:
+    """Refuse a key of cfg that no setting, law part or entry of more declares."""
+    declared = {"schema", "name", "out", "law.kind"}
+    for settings in (_SETTINGS, more, *(keys for _, keys in _law_parts(cfg))):
+        declared.update(key for key, *_ in settings)
+    for key in cfg:
+        if key not in declared:
+            raise SpecParseError(f"field '{key}': unknown")
+
+
+def law_from_config(cfg: dict) -> PressureLaw:
+    """The law cfg's law.* keys set."""
+    return PressureLaw(*(cls(**{field: _get(cfg, key, default, parse)
+                                for key, field, default, parse in keys})
+                         for cls, keys in _law_parts(cfg)))
+
+
+def law_to_config(law: PressureLaw) -> dict[str, str]:
+    """Inverse of law_from_config; each number is written as repr(float(v))."""
+    kind = next(k for k, (cls, _) in _LAW_PARTS.items() if isinstance(law.h_part, cls))
+    parts = (law.h_part,) if law.bump is None else (law.h_part, law.bump)
+    cfg = {"law.kind": kind}
+    for part, (_, keys) in zip(parts, (_LAW_PARTS[kind], _BUMP)):
+        for key, field, _, _ in keys:
+            value = getattr(part, field)
+            cfg[key] = _text(tuple(map(float, value)) if np.ndim(value) else float(value))
+    return cfg
+
+
 def spec_from_config(cfg: dict) -> ExperimentSpec:
     """Validate a parsed key/value mapping into an ExperimentSpec."""
-    for key in cfg:
-        if key in _KNOWN_KEYS or key.startswith("law."):
-            continue
-        raise SpecParseError(f"field '{key}': unknown")
-
-    try:
-        law = law_from_config(cfg)
-    except MvflowError as e:
-        raise SpecParseError(f"field 'law.*': {e}") from e
-
+    _refuse_undeclared(cfg)
+    law = law_from_config(cfg)
     spec = ExperimentSpec(
         name=_get(cfg, "name", None, str), law=law, out=cfg.get("out"),
         **{field: _get(cfg, key, default, parse)
@@ -596,6 +644,16 @@ def cmd_run(spec_path: str, out: str | None = None,
     return run_experiment(_load_spec(spec_path, seed), out_dir=out)
 
 
+def _write_table(fname: str, header: list[str], rows: list[tuple], out: str | None,
+                 spec_out: str | None, name: str) -> tuple[str, list[str], list[tuple]]:
+    """Write a command's table to fname in its resolve_out_dir directory."""
+    out_dir = resolve_out_dir(out, spec_out, name)
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, fname)
+    write_csv(path, header, rows)
+    return path, header, rows
+
+
 def _order_cell(a: float, b: float) -> object:
     if abs(a) <= 1e-14 or abs(b) <= 1e-14:
         return "n/a"
@@ -663,24 +721,16 @@ def cmd_convergence(spec_path: str, levels: tuple[int, ...] | None = None,
             rows.append((f"order:{a[0]}->{b[0]}", "n/a",
                          *[_order_cell(a[j], b[j]) for j in range(2, 7)]))
 
-    out_dir = resolve_out_dir(out, spec.out, spec.name)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "convergence.csv")
-    write_csv(path, header, rows)
-    return path, header, rows
+    return _write_table("convergence.csv", header, rows, out, spec.out, spec.name)
 
 
 def cmd_certify(spec_path: str, out: str | None = None
                 ) -> tuple[str, list[str], list[tuple]]:
     """Certify the lemma constants for the law described by the spec file."""
     cfg = read_spec(spec_path)
+    _refuse_undeclared(cfg, *_CERTIFY_SETTINGS)
     law = law_from_config(cfg)
-    r_min = _get(cfg, "certify.r_min", None, float)
-    r_max = _get(cfg, "certify.r_max", None, float)
-    points = _get(cfg, "certify.points", 4001, int)
+    r_min, r_max, points = (_get(cfg, *setting) for setting in _CERTIFY_SETTINGS)
     header, rows = _lemma_certificate(law, r_min, r_max, points).rows()
-    out_dir = resolve_out_dir(out, cfg.get("out"), cfg.get("name", "certify"))
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "certificates.csv")
-    write_csv(path, header, rows)
-    return path, header, rows
+    return _write_table("certificates.csv", header, rows, out, cfg.get("out"),
+                        cfg.get("name", "certify"))

@@ -888,54 +888,3 @@ def certify(law: PressureLaw, r_range: tuple[float, float], rho_grid) -> Certifi
                        c_outer=c_out, C_of_r=C, grid_max=float(rho_grid[-1]),
                        valid=bool(valid))
 
-
-# -- serialization ------------------------------------------------------------
-
-def law_to_config(law: PressureLaw) -> dict:
-    """Flatten a law into dotted key/value pairs for the text config format."""
-    out: dict[str, str] = {}
-    if isinstance(law.h_part, PowerLawH):
-        out["law.kind"] = "power"
-        out["law.a"] = repr(float(law.h_part.a))
-        out["law.gamma"] = repr(float(law.h_part.gamma))
-    else:
-        out["law.kind"] = "tabulated"
-        out["law.rho"] = ",".join(repr(float(v)) for v in law.h_part.rho_samples)
-        out["law.h"] = ",".join(repr(float(v)) for v in law.h_part.h_samples)
-        out["law.gamma"] = repr(float(law.h_part.gamma_tail))
-    if law.bump is not None:
-        out["law.bump.q1"] = repr(float(law.bump.q1))
-        out["law.bump.q2"] = repr(float(law.bump.q2))
-        out["law.bump.A"] = repr(float(law.bump.amp))
-    return out
-
-
-def law_from_config(cfg: dict) -> PressureLaw:
-    """Inverse of law_to_config; raises InvalidLawError on bad parameters."""
-    kind = cfg.get("law.kind", "power")
-    if kind == "power":
-        try:
-            a = float(cfg["law.a"])
-            gamma = float(cfg["law.gamma"])
-        except KeyError as e:
-            raise InvalidLawError(f"power law config missing {e}") from e
-        h_part: PowerLawH | TabulatedH = PowerLawH(a=a, gamma=gamma)
-    elif kind == "tabulated":
-        try:
-            rho = tuple(float(v) for v in cfg["law.rho"].split(","))
-            h = tuple(float(v) for v in cfg["law.h"].split(","))
-        except KeyError as e:
-            raise InvalidLawError(f"tabulated law config missing {e}") from e
-        h_part = TabulatedH(rho_samples=rho, h_samples=h,
-                            gamma_tail=float(cfg.get("law.gamma", 2.0)))
-    else:
-        raise InvalidLawError(f"unknown law kind '{kind}'")
-
-    bump = None
-    if "law.bump.q1" in cfg or "law.bump.q2" in cfg or "law.bump.A" in cfg:
-        try:
-            bump = CompactBump(q1=float(cfg["law.bump.q1"]), q2=float(cfg["law.bump.q2"]),
-                               amp=float(cfg["law.bump.A"]))
-        except KeyError as e:
-            raise InvalidLawError(f"bump config missing {e}") from e
-    return PressureLaw(h_part=h_part, bump=bump)

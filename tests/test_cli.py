@@ -313,10 +313,51 @@ def test_non_finite_spec_value_exits_two(tmp_path, capsys, recwarn, key, value):
     spec = write_preset(tmp_path, "weak-strong-bump", **{key: value})
     rc = cli.main(["run", "--spec", spec, "--out", str(tmp_path / "out")])
     assert rc == 2
-    # a law parameter is named through the law's own message
-    err = capsys.readouterr().err
-    assert f"'{key}'" in err or (key.startswith("law.") and "'law.*'" in err)
+    assert f"field '{key}'" in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+_BUMP_MISSPELT = {"law.bump.Q1": "1.0", "law.bump.Q2": "2.0", "law.bump.amp": "0.05"}
+
+
+@pytest.mark.parametrize("preset, over, key", [
+    ("weak-strong-monotone", _BUMP_MISSPELT, "law.bump.Q1"),
+    ("weak-strong-tabulated", {"law.gamma_tail": "3.0"}, "law.gamma_tail"),
+    ("weak-strong-tabulated", {"law.a": "1.0"}, "law.a"),
+    ("weak-strong-monotone", {"law.rho": "0.0,1.0,2.0"}, "law.rho"),
+], ids=["bump-misspelt", "tabulated-gamma_tail", "tabulated-a", "power-rho"])
+def test_undeclared_law_key_exits_two_and_names_it(tmp_path, capsys, preset, over, key):
+    # a law.* key that neither the spec's law.kind nor the bump declares
+    spec = write_preset(tmp_path, preset, **over)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--spec", spec, "--out", str(out)]) == 2
+    assert f"field '{key}': unknown" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CERTIFY_RANGE = {"certify.r_min": "0.5", "certify.r_max": "2.0"}
+
+
+@pytest.mark.parametrize("over, key", [
+    ({"certify.point": "64"}, "certify.point"),
+    ({"law.gamma_tail": "3.0", "certify.point": "64"}, "law.gamma_tail"),
+], ids=["certify-point", "gamma_tail-and-point"])
+def test_certify_refuses_an_undeclared_key(tmp_path, capsys, over, key):
+    spec = write_preset(tmp_path, "weak-strong-tabulated", **_CERTIFY_RANGE, **over)
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--spec", spec, "--out", str(out)]) == 2
+    assert f"field '{key}': unknown" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_reads_a_preset_spec_with_certify_keys_added(tmp_path, capsys):
+    # the experiment keys stay accepted beside the certify keys
+    spec = write_preset(tmp_path, "weak-strong-bump", **_CERTIFY_RANGE,
+                        **{"certify.points": "801"})
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--spec", spec, "--out", str(out)]) == 0
+    assert "certificates: pass (33 rows)" in capsys.readouterr().out
+    assert (out / "certificates.csv").exists()
 
 
 def test_unbounded_estimate_maps_to_exit_four(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,9 @@ from scipy.integrate import quad
 import mvflow.pressure
 from helpers import (broadcast_bregman_H, broadcast_h_increment, dQ,
                      gathered_integral_over_z2, table_value_and_slope)
-from mvflow.errors import DomainError, InsufficientGridError, InvalidLawError
+from mvflow.errors import (DomainError, InsufficientGridError, InvalidLawError,
+                           SpecParseError)
+from mvflow.experiments import law_from_config, law_to_config
 from mvflow.pressure import (
     CompactBump,
     PowerLawH,
@@ -16,8 +18,6 @@ from mvflow.pressure import (
     bregman_H,
     certify,
     h_increment,
-    law_from_config,
-    law_to_config,
     potential,
 )
 
@@ -649,6 +649,19 @@ def test_law_config_round_trip_tabulated():
     np.testing.assert_allclose(law2.h(x), law.h(x), rtol=1e-12)
 
 
+def test_law_config_writes_its_keys_in_order_and_each_number_as_a_float():
+    # an int or a numpy float is written as the float it reads back as
+    rho = tuple(np.linspace(0.0, 2.0, 5))
+    law = PressureLaw(h_part=TabulatedH(rho, tuple(v**2 for v in rho), gamma_tail=2))
+    assert list(law_to_config(law).items()) == [
+        ("law.kind", "tabulated"), ("law.rho", "0.0,0.5,1.0,1.5,2.0"),
+        ("law.h", "0.0,0.25,1.0,2.25,4.0"), ("law.gamma", "2.0")]
+    law = power_law(a=1, gamma=np.float64(2.0), bump=CompactBump(q1=1, q2=2, amp=0.05))
+    assert list(law_to_config(law).items()) == [
+        ("law.kind", "power"), ("law.a", "1.0"), ("law.gamma", "2.0"),
+        ("law.bump.q1", "1.0"), ("law.bump.q2", "2.0"), ("law.bump.A", "0.05")]
+
+
 def test_law_config_rejects_unknown_kind():
-    with pytest.raises(InvalidLawError):
+    with pytest.raises(SpecParseError, match="field 'law.kind': unknown kind"):
         law_from_config({"law.kind": "polytropic-mystery"})

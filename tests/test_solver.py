@@ -1,4 +1,5 @@
 """Solver tests: oracles for energy and dissipation, conservation, convergence."""
+import contextlib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -695,9 +696,12 @@ def _assert_same_run(a, b):
     assert (a.n_steps, a.n_trials, a.complete) == (b.n_steps, b.n_trials, b.complete)
 
 
-def _record_step_calls(monkeypatch) -> list:
-    """Wrap run_stack's step; each call appends its live rows, its (R, L)
-    trial dts (R = 1 or 2 rungs) and the lowest density of its trial states."""
+@contextlib.contextmanager
+def _record_step_calls():
+    """Wrap run_stack's step inside the block; each call appends its live
+    rows, its (R, L) trial dts (R = 1 or 2 rungs) and the lowest density of
+    its trial states.  Only the wrapper goes on exit: the caller's own
+    patches still hold after the block."""
     calls = []
     real_step = mvflow.solver.step
 
@@ -707,8 +711,9 @@ def _record_step_calls(monkeypatch) -> list:
                       "lowest": float(out[0].min())})
         return out
 
-    monkeypatch.setattr(mvflow.solver, "step", recording_step)
-    return calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mvflow.solver, "step", recording_step)
+        yield calls
 
 
 def _replay(calls, logs) -> list:
@@ -740,12 +745,11 @@ def _replay(calls, logs) -> list:
     return out
 
 
-def _run_against_oracle(monkeypatch, cfgs, states, grid):
+def _run_against_oracle(cfgs, states, grid):
     """run_stack's rows, each asserted equal to its oracle run bit for bit,
     n_trials included, and the replay of the step calls it made."""
-    calls = _record_step_calls(monkeypatch)
-    rows = run_stack(cfgs, states, grid)
-    monkeypatch.undo()
+    with _record_step_calls() as calls:
+        rows = run_stack(cfgs, states, grid)
     logs = []
     for cfg, state, row in zip(cfgs, states, rows):
         logs.append([])
@@ -869,25 +873,25 @@ def test_rung_step_equals_row_steps():
         step(stacked, cfg, grid, dt, start=start)
 
 
-def test_n_trials_counts_the_trials_read_not_the_step_calls(monkeypatch):
+def test_n_trials_counts_the_trials_read_not_the_step_calls():
     # a step call may hold two rungs, and rung 1 is read only when rung 0 is
     # rejected: n_trials is the oracle's count of trials, one step call
     # each, while the rejections make run_stack's step calls fewer
     grid = Grid1D(n=32, length=1.0)
     cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.05, n_samples=4)
     (traj,), calls, _ = _run_against_oracle(
-        monkeypatch, [cfg], [pulse_flow_init(1.0).sample(grid)], grid)
+        [cfg], [pulse_flow_init(1.0).sample(grid)], grid)
     assert traj.n_trials > traj.n_steps > 0
     assert len(calls) < traj.n_trials
 
 
-def test_grown_trial_accepts_rung_one(monkeypatch):
+def test_grown_trial_accepts_rung_one():
     # after an accepted step the dt grows 1.5x and is mostly rejected; the
     # halved dt then rides in the same step call and is accepted there
     grid = Grid1D(n=32, length=1.0)
     cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.05, n_samples=4)
     _, _, replay = _run_against_oracle(
-        monkeypatch, [cfg], [pulse_flow_init(1.0).sample(grid)], grid)
+        [cfg], [pulse_flow_init(1.0).sample(grid)], grid)
     reads = [(R, source, took) for R, cols in replay for source, took in cols]
     assert (2, "grown", 1) in reads and (2, "grown", 0) in reads
     # the gate: two rungs exactly when a row's dt is set by the growth cap
@@ -895,7 +899,7 @@ def test_grown_trial_accepts_rung_one(monkeypatch):
     assert (1, "clipped", 0) in reads and (1, "cfl", None) in reads
 
 
-def test_both_rungs_rejected_row_retries(monkeypatch):
+def test_both_rungs_rejected_row_retries():
     # row 0 grows its dt while row 1 still halves its first CFL-sized trial:
     # row 1 rides the two-rung calls at its halved and quarter dt, is
     # rejected at both and retries in a later call
@@ -903,7 +907,7 @@ def test_both_rungs_rejected_row_retries(monkeypatch):
     cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.02, n_samples=3)
     states = [pulse_flow_init(1.0, base=1.1, amp=0.02, u_amp=0.01).sample(grid),
               pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(grid)]
-    _, _, replay = _run_against_oracle(monkeypatch, [cfg] * 2, states, grid)
+    _, _, replay = _run_against_oracle([cfg] * 2, states, grid)
     assert any(R == 2 and took is None for R, cols in replay for _, took in cols)
 
 
@@ -911,33 +915,30 @@ def test_rungs_mix_grown_cfl_and_clipped_rows(monkeypatch):
     # a state at rest steps at its CFL bound, and a loose budget lets the
     # pulses grow their dt: one two-rung call holds a grown row, a row at
     # its CFL bound and a row clipped to a sample time
-    # (the oracle runs after _run_against_oracle undoes monkeypatch, so the
-    # loose budget is patched apart from it)
     grid = Grid1D(n=16, length=1.0)
     cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.2, n_samples=5)
     states = [constant_init(1.0).sample(grid),
               pulse_flow_init(1.0, base=1.1, amp=0.02, u_amp=0.01).sample(grid),
               pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(grid)]
-    with pytest.MonkeyPatch.context() as loose:
-        loose.setattr(mvflow.solver, "STEP_SLACK_TOL", 5e-4)
-        _, _, replay = _run_against_oracle(monkeypatch, [cfg] * 3, states, grid)
+    monkeypatch.setattr(mvflow.solver, "STEP_SLACK_TOL", 5e-4)
+    _, _, replay = _run_against_oracle([cfg] * 3, states, grid)
     assert any(R == 2 and {"grown", "cfl", "clipped"} <= {s for s, _ in cols}
                for R, cols in replay)
 
 
-def test_rungs_on_a_mixed_delta_stack(monkeypatch):
+def test_rungs_on_a_mixed_delta_stack():
     # each rung's rows take their own delta, with every row live and with
     # some rows done
     grid = Grid1D(n=32, length=1.0)
     base = SolverConfig(law=bump_law(), lam=0.1, T=0.03, n_samples=4)
     cfgs = [replace(base, delta=d) for d in (0.5, 0.0, 0.05)]
     state = pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(grid)
-    _, _, replay = _run_against_oracle(monkeypatch, cfgs, [state] * 3, grid)
+    _, _, replay = _run_against_oracle(cfgs, [state] * 3, grid)
     assert any(R == 2 and len(cols) == 3 for R, cols in replay)
     assert any(R == 2 and len(cols) < 3 for R, cols in replay)
 
 
-def test_rungs_with_a_near_vacuum_row(monkeypatch):
+def test_rungs_with_a_near_vacuum_row():
     # a vacuum cell in one row sends the stack's two-rung calls through the
     # masked velocity and kinetic energy; the other row alone takes the
     # unmasked path throughout.  Both equal the oracle, which always masks.
@@ -947,10 +948,10 @@ def test_rungs_with_a_near_vacuum_row(monkeypatch):
     rho = np.ones(16)
     rho[0] = 0.0
     vacuum = FluidState(rho=rho, m=0.5 * rho)
-    _, calls, replay = _run_against_oracle(monkeypatch, [cfg] * 2, [pulse, vacuum], grid)
+    _, calls, replay = _run_against_oracle([cfg] * 2, [pulse, vacuum], grid)
     assert any(R == 2 and call["lowest"] <= mvflow.solver.RHO_FLOOR
                for (R, _), call in zip(replay, calls))
-    _, calls, replay = _run_against_oracle(monkeypatch, [cfg], [pulse], grid)
+    _, calls, replay = _run_against_oracle([cfg], [pulse], grid)
     assert all(call["lowest"] > mvflow.solver.RHO_FLOOR for call in calls)
     assert any(R == 2 for R, _ in replay)
 
@@ -1036,15 +1037,14 @@ def test_ragged_stack_rows_equal_single_runs(law, ns, deltas, vacuum, seed):
             (min_slack, n_steps, n_trials)
 
 
-def test_ragged_rows_finish_apart_and_the_rest_run_on(monkeypatch):
+def test_ragged_rows_finish_apart_and_the_rest_run_on():
     # the coarse rows finish first; the stack drops them call by call until
     # the finest row runs alone on its (1, n) arrays
     grids = [Grid1D(n=n, length=1.0) for n in (8, 24, 64)]
     cfg = SolverConfig(law=bump_law(), lam=0.1, T=0.02, n_samples=3)
     states = [pulse_flow_init(1.0, base=1.1, u_amp=0.3).sample(g) for g in grids]
-    calls = _record_step_calls(monkeypatch)
-    rows = run_stack([cfg] * 3, states, grids)
-    monkeypatch.undo()
+    with _record_step_calls() as calls:
+        rows = run_stack([cfg] * 3, states, grids)
     seen = [c["rows"] for c in calls]
     assert [0, 1, 2] in seen and [1, 2] in seen and seen[-1] == [2]
     for state, grid, row in zip(states, grids, rows):
@@ -1440,10 +1440,12 @@ def test_retried_trial_equals_a_fresh_step():
 
 def test_run_snaps_t_to_the_sample_time(monkeypatch):
     # The first trial, at a CFL bound above half the first sample interval h,
-    # breaks the loose budget and is halved.  The next step starts below h/2
-    # and is clipped to h; t + (h - t) then misses h by an ulp (the
-    # difference is not exact below h/2).  Without the snap to h, every later
-    # step clipped to a sample time is an ulp off the oracle's.
+    # breaks the budget and is halved; under the loose budget the halved
+    # trial is accepted.  The next step starts below h/2 and is clipped to h;
+    # t + (h - t) then misses h by an ulp (the difference is not exact below
+    # h/2).  Without the snap to h, every later step clipped to a sample time
+    # is an ulp off the oracle's.  At the default budget the halved trial is
+    # rejected too, no step is clipped to h, and the case is lost.
     grid = Grid1D(n=16, length=1.0)
     monkeypatch.setattr(mvflow.solver, "STEP_SLACK_TOL", 5e-4)
     cfg = SolverConfig(law=gamma2_law(), lam=0.1, T=0.0466, n_samples=4)
@@ -1452,8 +1454,11 @@ def test_run_snaps_t_to_the_sample_time(monkeypatch):
     t1 = 0.5 * admissible_dt(state, cfg, grid)
     assert t1 < 0.5 * h < 1.5 * t1 and t1 + (h - t1) != h
     traj = run(cfg, state, grid)
+    log = []
     rho, u, energy, cum_dis, min_slack, n_steps, n_trials = \
-        _scalar_run_oracle(cfg, state, grid)
+        _scalar_run_oracle(cfg, state, grid, log=log)
+    assert [(source, ok) for _, ok, source in log[:3]] == \
+        [("cfl", False), ("halved", True), ("clipped", True)]
     assert traj.n_trials > traj.n_steps
     assert np.array_equal(traj.rho, rho)
     assert np.array_equal(traj.u, u)
