@@ -26,6 +26,10 @@ Each line is ``<key> <value>``:
   preset with ``ref.factor = 2``, so ``run_experiment`` takes its reference
   through ``make_reference``, ``run`` and ``reference_from_run`` on a grid
   twice as fine, which no preset does;
+- ``residuals.weak-strong-monotone.manifest_hash``: the weak-strong-monotone
+  preset with ``checks = continuity,renorm,momentum,compatibility``, so the
+  residual checks run on a noisy four-member ensemble (constant-state's two
+  members are identical);
 - ``certify.<case>.csv_sha256``: ``certificates.csv`` written by
   ``cmd_certify`` for the weak-strong-bump law with ``law.gamma = 1.4``, for
   the weak-strong-tabulated law with ``law.gamma = 1.4`` (its grid reaches
@@ -148,10 +152,13 @@ def main(argv=None) -> int:
         bump_a2 = dict(presets()["weak-strong-bump"],
                        **{"law.bump.A": "2.0", "init.base": "1.6"})
         ref2 = dict(presets()["weak-strong-monotone"], **{"ref.factor": "2"})
+        residuals = dict(presets()["weak-strong-monotone"],
+                         checks="continuity,renorm,momentum,compatibility")
         for name, cfg in (("ensemble-bump.gamma1.4", bump14),
                           ("ensemble-bump.A2-base1.6", bump_a2),
                           ("weak-strong-tabulated.gamma1.4", tab14),
-                          ("preset.weak-strong-monotone.ref2", ref2)):
+                          ("preset.weak-strong-monotone.ref2", ref2),
+                          ("residuals.weak-strong-monotone", residuals)):
             m = run_experiment(spec_from_config(cfg), out_dir=fresh_dir())
             print(f"{name}.manifest_hash {m.manifest_hash}")
 
