@@ -729,6 +729,8 @@ def cmd_certify(spec_path: str, out: str | None = None
     """Certify the lemma constants for the law described by the spec file."""
     cfg = read_spec(spec_path)
     _refuse_undeclared(cfg, *_CERTIFY_SETTINGS)
+    for key, _, default, parse in _SETTINGS:  # certify reads none of them
+        _get(cfg, key, default, parse)
     law = law_from_config(cfg)
     r_min, r_max, points = (_get(cfg, *setting) for setting in _CERTIFY_SETTINGS)
     header, rows = _lemma_certificate(law, r_min, r_max, points).rows()

@@ -6,8 +6,9 @@ atom per member, with the gradient surrogate taken by the same
 finite-difference operator the solver uses for its dissipation bookkeeping.
 
 The weak-form residual evaluators integrate with midpoint sums in space and
-the trapezoid rule in time.  Each takes a family of test functions and is
-one array program over blocks of its tables of values and derivatives.
+the trapezoid rule in time.  Each takes a family of test functions f(x) g(t)
+and sums each moment over space once per distinct space factor f; each
+function's series are those sums times its own g or g'.
 Defects are estimated as tail differences along an explicit regularization
 sequence on the measure's grid, clipped at zero with the pre-clip values
 logged; they are estimators of limit objects, not limits.
@@ -26,7 +27,7 @@ from .errors import (
     ObservableDomainError,
     UnsupportedDimensionError,
 )
-from .pressure import PressureLaw, row_blocks
+from .pressure import PressureLaw
 from .solver import Trajectory, gradient_1d
 from .tensors import traceless
 from .testfuncs import tables
@@ -149,52 +150,41 @@ def renorm_identity_truncated(r_b: float, width: float) -> RenormFunction:
 # -- weak-form residuals -----------------------------------------------------------
 #
 # Each residual takes a sequence of test functions (a family) and gives one
-# value per function as an (n_f,) array.  A call takes each moment once over
-# the sample times up to tau, then walks the family in blocks of functions
-# (row_blocks, about TABLE_BLOCK table cells each, at least one function):
-# it forms the moments' products with the block's (n_block, n_t, n) tables,
-# sums over space along the last axis, integrates each function's (n_t,)
-# series with the trapezoid rule and writes the block's slice of the
-# (n_f,) result.  Every function's value is the one a whole-family table
-# gives, so the working set is a block, not n_f * n_t * n cells.  A block's
-# sums of products are formed in place (_terms, _c1_norm).
+# value per function as an (n_f,) array.  Every function is f(x) g(t), so its
+# space integral against a moment m is g(t) * sum_x m f dx.  A call takes each
+# moment once over the sample times up to tau and sums it over space against
+# each distinct space factor of the family once (_space_sums, one (n_t, n)
+# product at a time); each function's series are those (n_t,) sums times its
+# own g or g', and the trapezoid rule integrates them in time.  The space sums
+# are np.add.reduce, not BLAS (np.dot, matmul): BLAS picks its kernel, and so
+# its order of summation, by CPU, and the manifests must be the same bytes on
+# every machine.
 
-def _forms(measure: DiscreteYoungMeasure, fns, tau: float):
-    """The index i of tau, the sample times up to it, and the blocks of the
-    family fns: (slice of fns, their tables at those times) pairs, each
-    built when the loop reaches it."""
-    i = measure.time_index(tau)
-    times = measure.times[: i + 1]
-    blocks = ((rows, tables(fns[rows], times, measure.x))
-              for rows in row_blocks(len(fns), times.size * measure.x.size))
-    return i, times, blocks
+def _space_sums(m: np.ndarray, factors: np.ndarray, index: np.ndarray,
+                dx: float) -> np.ndarray:
+    """sum_x m f dx at each sample time for each distinct space factor f of
+    factors, one np.add.reduce per factor, as each function's (n_f, n_t)
+    row (index maps a function to its factor)."""
+    return (np.array([np.add.reduce(m * f, axis=-1) for f in factors]) * dx)[index]
 
 
-def _terms(*pairs) -> np.ndarray:
-    """m0 * t0 + m1 * t1 + ... over (moment, block table) pairs, summed left
-    to right into the first product's fresh table with one spare table:
-    the bits of the expression written out, in two block tables."""
-    (m, t), *rest = pairs
-    acc = np.multiply(m, t)
-    part = np.empty_like(acc)
-    for m, t in rest:
-        acc += np.multiply(m, t, out=part)
-    return acc
-
-
-def _c1_norm(value: np.ndarray, d_t: np.ndarray, d_x: np.ndarray) -> np.ndarray:
-    """Each function's max over its table of |value| + |d_t| + |d_x|, summed
-    left to right in place: the expression's bits, in two block tables."""
-    c1 = np.abs(value)
-    part = np.abs(d_t)
-    c1 += part
-    c1 += np.abs(d_x, out=part)
-    return np.max(c1, axis=(1, 2))
+def _c1_norm(f: np.ndarray, df: np.ndarray, g: np.ndarray, dg: np.ndarray) -> float:
+    """|psi|_C1 of psi = f g from |f|, |f'| at the points and |g|, |g'| at the
+    sample times: the max of |f||g| + |f||g'| + |f'||g|, the bits of |f g| +
+    |f g'| + |f' g|.  Each step of that sum, rounding included, does not fall
+    as |g| or |g'| grows, so only the times whose (|g|, |g'|) no other time's
+    pair meets or passes in both are read (one time for g = 1, t or 1 + t)."""
+    order = np.lexsort((dg, g))
+    g, dg = g[order], dg[order]
+    later = np.append(np.maximum.accumulate(dg[::-1])[::-1][1:], -np.inf)
+    front = dg > later
+    g, dg = g[front, None], dg[front, None]
+    return float(np.max(f * g + f * dg + df * g))
 
 
 def _require_wall_zero(fns, length: float):
-    value = tables(fns, np.array([0.0, 0.5, 1.0]), np.array([0.0, length]))[0]
-    bad = np.max(np.abs(value), axis=(1, 2)) > 1e-12
+    F, _, index, _, _ = tables(fns, (), np.array([0.0, length]))
+    bad = np.max(np.abs(F), axis=1)[index] > 1e-12
     if bad.any():
         raise InvalidTestFunctionError(
             f"test function {fns[int(np.argmax(bad))].id} does not vanish at the walls")
@@ -203,34 +193,36 @@ def _require_wall_zero(fns, length: float):
 def continuity_residual(measure: DiscreteYoungMeasure, psi, tau: float) -> np.ndarray:
     """Mass form: [integral <s> psi]_0^tau - iint (<s> dpsi/dt + <s v> dpsi/dx)
     for each function of the family psi."""
-    i, times, blocks = _forms(measure, psi, tau)
-    s_mom = moment(measure, lambda s, v, D: s)[: i + 1]
-    sv_mom = moment(measure, lambda s, v, D: s * v)[: i + 1]
-    out = np.empty(len(psi))
-    for rows, (value, d_t, d_x) in blocks:
-        mass = np.sum(s_mom * value, axis=-1) * measure.dx
-        interior = np.sum(_terms((s_mom, d_t), (sv_mom, d_x)), axis=-1) * measure.dx
-        out[rows] = mass[:, i] - mass[:, 0] - np.trapezoid(interior, times, axis=-1)
-    return out
+    i = measure.time_index(tau)
+    times = measure.times[: i + 1]
+    F, dF, index, G, dG = tables(psi, times, measure.x)
+    s = _space_sums(moment(measure, lambda s, v, D: s)[: i + 1], F, index, measure.dx)
+    sv = _space_sums(moment(measure, lambda s, v, D: s * v)[: i + 1], dF, index,
+                     measure.dx)
+    mass = G * s
+    interior = dG * s + G * sv
+    return mass[:, i] - mass[:, 0] - np.trapezoid(interior, times, axis=-1)
 
 
 def renorm_continuity_residual(measure: DiscreteYoungMeasure, b: RenormFunction,
                                psi, tau: float) -> np.ndarray:
     """Renormalized mass form, including the <(s b' - b) tr D> psi source, for
     each function of the family psi."""
-    i, times, blocks = _forms(measure, psi, tau)
-    b_mom = moment(measure, lambda s, v, D: b.b(s))[: i + 1]
-    bv_mom = moment(measure, lambda s, v, D: b.b(s) * v)[: i + 1]
-    src_mom = moment(measure, lambda s, v, D: (s * b.db(s) - b.b(s)) * D)[: i + 1]
-    out = np.empty(len(psi))
-    for rows, (value, d_t, d_x) in blocks:
-        mass = np.sum(b_mom * value, axis=-1) * measure.dx
-        interior = np.sum(_terms((b_mom, d_t), (bv_mom, d_x)), axis=-1) * measure.dx
-        source = np.sum(src_mom * value, axis=-1) * measure.dx
-        out[rows] = (mass[:, i] - mass[:, 0]
-                     - np.trapezoid(interior, times, axis=-1)
-                     + np.trapezoid(source, times, axis=-1))
-    return out
+    i = measure.time_index(tau)
+    times = measure.times[: i + 1]
+    F, dF, index, G, dG = tables(psi, times, measure.x)
+    with np.errstate(all="ignore"):
+        bs = b.b(measure.S)
+    b_mom = moment(measure, lambda s, v, D: bs)[: i + 1]
+    bv_mom = moment(measure, lambda s, v, D: bs * v)[: i + 1]
+    src_mom = moment(measure, lambda s, v, D: (s * b.db(s) - bs) * D)[: i + 1]
+    bsum = _space_sums(b_mom, F, index, measure.dx)
+    mass = G * bsum
+    interior = dG * bsum + G * _space_sums(bv_mom, dF, index, measure.dx)
+    source = G * _space_sums(src_mom, F, index, measure.dx)
+    return (mass[:, i] - mass[:, 0]
+            - np.trapezoid(interior, times, axis=-1)
+            + np.trapezoid(source, times, axis=-1))
 
 
 def momentum_residual(measure: DiscreteYoungMeasure, law: PressureLaw, lam: float,
@@ -239,43 +231,39 @@ def momentum_residual(measure: DiscreteYoungMeasure, law: PressureLaw, lam: floa
 
     Returns (residual, slack) arrays over the family phi, where slack =
     xi(tau) D(tau) |phi|_C1 minus the actual |<rM; dphi/dx>| at tau; slack
-    must be nonnegative for a valid defect report.
+    must be nonnegative for a valid defect report.  The interior integrand's
+    dphi/dx part is the one moment <s v v + p(s) - lam tr D>.
     """
-    i, times, blocks = _forms(measure, phi, tau)
+    i = measure.time_index(tau)
+    times = measure.times[: i + 1]
     _require_wall_zero(phi, measure.length)
+    F, dF, index, G, dG = tables(phi, times, measure.x)
     sv_mom = moment(measure, lambda s, v, D: s * v)[: i + 1]
-    svv_mom = moment(measure, lambda s, v, D: s * v * v)[: i + 1]
-    p_mom = moment(measure, lambda s, v, D: law.p(s))[: i + 1]
-    stress_mom = moment(measure, lambda s, v, D: lam * D)[: i + 1]
+    flux_mom = moment(measure, lambda s, v, D: s * v * v + law.p(s) - lam * D)[: i + 1]
 
-    residual = np.empty(len(phi))
-    slack = np.empty(len(phi))
-    for rows, (value, d_t, d_x) in blocks:
-        momentum = np.sum(sv_mom * value, axis=-1) * measure.dx
-        interior = _terms((sv_mom, d_t), (svv_mom, d_x), (p_mom, d_x))
-        interior -= stress_mom * d_x
-        interior = np.sum(interior, axis=-1) * measure.dx
-        pairing = np.sum(defect.rM_field[: i + 1] * d_x, axis=-1) * measure.dx
-        residual[rows] = (momentum[:, i] - momentum[:, 0]
-                          - np.trapezoid(interior, times, axis=-1)
-                          - np.trapezoid(pairing, times, axis=-1))
-        phi_c1 = _c1_norm(value, d_t, d_x)
-        slack[rows] = defect.xi[i] * defect.D_total[i] * phi_c1 - np.abs(pairing[:, i])
+    sv = _space_sums(sv_mom, F, index, measure.dx)
+    momentum = G * sv
+    interior = dG * sv + G * _space_sums(flux_mom, dF, index, measure.dx)
+    pairing = G * _space_sums(defect.rM_field[: i + 1], dF, index, measure.dx)
+    residual = (momentum[:, i] - momentum[:, 0]
+                - np.trapezoid(interior, times, axis=-1)
+                - np.trapezoid(pairing, times, axis=-1))
+    aF, adF = np.abs(F), np.abs(dF)
+    phi_c1 = np.array([_c1_norm(aF[k], adF[k], g, dg)
+                       for k, g, dg in zip(index, np.abs(G), np.abs(dG))])
+    slack = defect.xi[i] * defect.D_total[i] * phi_c1 - np.abs(pairing[:, i])
     return residual, slack
 
 
 def compatibility_residual(measure: DiscreteYoungMeasure, M, tau: float) -> np.ndarray:
     """Gradient compatibility: -iint <v> dM/dx - iint <D> M for each field of
     the family M."""
-    i, times, blocks = _forms(measure, M, tau)
-    v_mom = moment(measure, lambda s, v, D: v)[: i + 1]
-    d_mom = moment(measure, lambda s, v, D: D)[: i + 1]
-    out = np.empty(len(M))
-    for rows, (value, _, d_x) in blocks:
-        series = (-np.sum(v_mom * d_x, axis=-1) * measure.dx
-                  - np.sum(d_mom * value, axis=-1) * measure.dx)
-        out[rows] = np.trapezoid(series, times, axis=-1)
-    return out
+    i = measure.time_index(tau)
+    times = measure.times[: i + 1]
+    F, dF, index, G, _ = tables(M, times, measure.x)
+    v = _space_sums(moment(measure, lambda s, v, D: v)[: i + 1], dF, index, measure.dx)
+    d = _space_sums(moment(measure, lambda s, v, D: D)[: i + 1], F, index, measure.dx)
+    return np.trapezoid(-(G * v) - G * d, times, axis=-1)
 
 
 def energy_inequality_slack(measure: DiscreteYoungMeasure, law: PressureLaw,

@@ -15,9 +15,8 @@ only in the test suite, as the oracle these closed forms are checked against.
 The Bregman divergence of H is the distance notion used by the stability
 machinery.  certify witnesses on a user-supplied grid, from one pass that
 writes each block's B into one reused table, a lower bound on it by
-(rho - r)^2 or 1 + rho^gamma and a bound of the h-increment by it.  Its (r, rho) tables, the
-relative-energy ratio scans and the residual families' test-function tables
-are all taken in blocks of TABLE_BLOCK cells.
+(rho - r)^2 or 1 + rho^gamma and a bound of the h-increment by it.  Its (r, rho) tables and
+the relative-energy ratio scans are taken in blocks of TABLE_BLOCK cells.
 """
 from __future__ import annotations
 
@@ -45,10 +44,9 @@ H_BOUND_EXCLUSION = 1e-6
 # Comparison densities r sampled across [r_min, r_max] by a certificate.
 CERTIFICATE_R_POINTS = 33
 
-# Cells per block of every wide (rho, r) or test-function table: the
-# certificates and ratio scans take B over blocks of r rows, the residual
-# families their tables over blocks of functions, so a table's working set
-# stays this size (at least one row) whatever its length.
+# Cells per block of every wide (rho, r) table: the certificates and ratio
+# scans take B over blocks of r rows, so a table's working set stays this
+# size (at least one row) whatever its length.
 TABLE_BLOCK = 2**14
 
 

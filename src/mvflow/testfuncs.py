@@ -2,10 +2,10 @@
 
 Families are tensor products of a spatial factor and a time factor.  Spatial
 factors for momentum tests vanish at both walls; the generic family used for
-the density equations does not need to.  tables gives the (n_f, n_t, n) arrays
-of the value and of both derivatives of a run of a family's functions over
-sample times and points, so residual quadrature never differentiates
-numerically; the residuals ask for them one block of functions at a time.
+the density equations does not need to.  tables gives a family's distinct
+space factors and their slopes at the points, and each function's time factor
+and its slope at the sample times, so residual quadrature never
+differentiates numerically and never forms a function's space-time table.
 """
 from __future__ import annotations
 
@@ -28,23 +28,31 @@ class SpaceTimeFunction:
     dg: object
 
 
-def tables(family, times, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi, dpsi/dt and dpsi/dx of every function of family at the times
-    and points, as (n_f, n_t, n) arrays: the products F G, F G' and F' G.
-
-    The residuals in mvflow.measures pass one block of a family at a time
-    (about TABLE_BLOCK cells, at least one function), so n_f is the block's
-    length; each function's rows are the same whatever the block holds."""
+def tables(family, times, x):
+    """The factors of every function of family: the distinct space factors'
+    values F and slopes F' at the points x, as (n_s, n) arrays, each
+    function's index into them, (n_f,), and its time factor's values G and
+    slopes G' at the times, as (n_f, n_t) arrays, so that function j is
+    F[index[j]] G[j].  Factors are told apart by the identity of their
+    callables (f and df, g and dg), and each distinct one is evaluated once:
+    a family made by _combine has one per factor it was built from."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
 
-    def factors(name, at):
-        return np.stack([np.broadcast_to(np.asarray(getattr(fn, name)(at), dtype=float),
-                                         at.shape) for fn in family])
+    def distinct(value, slope, at):
+        seen = {}
+        index = np.array([seen.setdefault((id(getattr(fn, value)), id(getattr(fn, slope))),
+                                          (len(seen), fn))[0] for fn in family],
+                         dtype=np.intp)
+        tab = np.empty((2, len(seen), at.size))
+        for k, (_, fn) in enumerate(seen.values()):
+            tab[0, k] = getattr(fn, value)(at)
+            tab[1, k] = getattr(fn, slope)(at)
+        return tab, index
 
-    F, dF = factors("f", x)[:, None, :], factors("df", x)[:, None, :]
-    G, dG = factors("g", times)[:, :, None], factors("dg", times)[:, :, None]
-    return F * G, F * dG, dF * G
+    (F, dF), index = distinct("f", "df", x)
+    (G, dG), when = distinct("g", "dg", times)
+    return F, dF, index, G[when], dG[when]
 
 
 _TIME_FACTORS = (

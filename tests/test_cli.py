@@ -350,6 +350,21 @@ def test_certify_refuses_an_undeclared_key(tmp_path, capsys, over, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("over, key", [
+    ({"grid.n": "banana"}, "grid.n"),
+    ({"solver.T": "nan"}, "solver.T"),
+    ({"convergence.levels": "64,x,256"}, "convergence.levels"),
+], ids=["grid-n", "solver-T", "convergence-levels"])
+def test_certify_parses_the_experiment_keys_it_accepts(tmp_path, capsys, over, key):
+    # certify reads none of these, but a value that would not parse in a run
+    # is refused here as well
+    spec = write_preset(tmp_path, "weak-strong-bump", **_CERTIFY_RANGE, **over)
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--spec", spec, "--out", str(out)]) == 2
+    assert f"field '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_reads_a_preset_spec_with_certify_keys_added(tmp_path, capsys):
     # the experiment keys stay accepted beside the certify keys
     spec = write_preset(tmp_path, "weak-strong-bump", **_CERTIFY_RANGE,

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -394,58 +395,45 @@ def test_momentum_single_member_refinement(refinement_levels):
 
 # -- family residuals against the per-function loops, as oracles --------------------
 
-# The bodies of the four residuals and of their helpers from before a family
-# became one array program: a Python loop over the sample times, one test
-# function per call, copied unchanged apart from the names.  _Pointwise gives
-# them the per-time evaluators that test functions no longer carry.
-
-@dataclasses.dataclass(frozen=True)
-class _Pointwise:
-    fn: SpaceTimeFunction
-
-    @property
-    def id(self) -> str:
-        return self.fn.id
-
-    def value(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn.f(x), dtype=float) * float(self.fn.g(t))
-
-    def dt(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn.f(x), dtype=float) * float(self.fn.dg(t))
-
-    def dx(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn.df(x), dtype=float) * float(self.fn.g(t))
-
+# One test function per call and a Python loop over the sample times, summed
+# in the separable order: at each sample time t_k, g(t_k) (or g'(t_k)) times
+# the space sum sum_x m_k f dx of a moment against the function's own space
+# factor.  A family's residual must be each function's own value, bit for bit,
+# whatever else the family holds.
 
 def _reference_space_sum(field_1d: np.ndarray, dx: float) -> float:
     return float(np.sum(field_1d) * dx)
 
 
-def _reference_time_trapz(series: np.ndarray, times: np.ndarray) -> float:
-    return float(np.trapezoid(series, times))
+def _reference_time_trapz(series, times: np.ndarray) -> float:
+    return float(np.trapezoid(np.array(series), times))
+
+
+def _reference_factors(fn, x, times):
+    """f and f' at the points, g and g' at each sample time."""
+    f = np.broadcast_to(np.asarray(fn.f(x), dtype=float), x.shape)
+    df = np.broadcast_to(np.asarray(fn.df(x), dtype=float), x.shape)
+    return (f, df, [float(fn.g(t)) for t in times],
+            [float(fn.dg(t)) for t in times])
 
 
 def _reference_require_wall_zero(fn, length: float):
-    walls = np.array([0.0, length])
-    for t in (0.0, 0.5, 1.0):
-        if np.max(np.abs(fn.value(t, walls))) > 1e-12:
-            raise InvalidTestFunctionError(
-                f"test function {fn.id} does not vanish at the walls")
+    if np.max(np.abs(fn.f(np.array([0.0, length])))) > 1e-12:
+        raise InvalidTestFunctionError(
+            f"test function {fn.id} does not vanish at the walls")
 
 
 def _reference_continuity_residual(measure: DiscreteYoungMeasure, psi, tau: float) -> float:
     """Mass form: [integral <s> psi]_0^tau - iint (<s> dpsi/dt + <s v> dpsi/dx)."""
     i = measure.time_index(tau)
     x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
+    f, df, g, dg = _reference_factors(psi, x, times)
     s_mom = moment(measure, lambda s, v, D: s)
     sv_mom = moment(measure, lambda s, v, D: s * v)
-    boundary = (_reference_space_sum(s_mom[i] * psi.value(tau, x), dx)
-                - _reference_space_sum(s_mom[0] * psi.value(times[0], x), dx))
-    interior = np.array([
-        _reference_space_sum(s_mom[k] * psi.dt(times[k], x)
-                             + sv_mom[k] * psi.dx(times[k], x), dx)
-        for k in range(i + 1)])
-    return boundary - _reference_time_trapz(interior, times)
+    s = [_reference_space_sum(s_mom[k] * f, dx) for k in range(i + 1)]
+    sv = [_reference_space_sum(sv_mom[k] * df, dx) for k in range(i + 1)]
+    interior = [dg[k] * s[k] + g[k] * sv[k] for k in range(i + 1)]
+    return g[i] * s[i] - g[0] * s[0] - _reference_time_trapz(interior, times)
 
 
 def _reference_renorm_continuity_residual(measure: DiscreteYoungMeasure,
@@ -453,76 +441,57 @@ def _reference_renorm_continuity_residual(measure: DiscreteYoungMeasure,
     """Renormalized mass form, including the <(s b' - b) tr D> psi source."""
     i = measure.time_index(tau)
     x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
+    f, df, g, dg = _reference_factors(psi, x, times)
     b_mom = moment(measure, lambda s, v, D: b.b(s))
     bv_mom = moment(measure, lambda s, v, D: b.b(s) * v)
     src_mom = moment(measure, lambda s, v, D: (s * b.db(s) - b.b(s)) * D)
-    boundary = (_reference_space_sum(b_mom[i] * psi.value(tau, x), dx)
-                - _reference_space_sum(b_mom[0] * psi.value(times[0], x), dx))
-    interior = np.array([
-        _reference_space_sum(b_mom[k] * psi.dt(times[k], x)
-                             + bv_mom[k] * psi.dx(times[k], x), dx)
-        for k in range(i + 1)])
-    source = np.array([
-        _reference_space_sum(src_mom[k] * psi.value(times[k], x), dx)
-        for k in range(i + 1)])
-    return (boundary - _reference_time_trapz(interior, times)
+    bs = [_reference_space_sum(b_mom[k] * f, dx) for k in range(i + 1)]
+    bv = [_reference_space_sum(bv_mom[k] * df, dx) for k in range(i + 1)]
+    src = [_reference_space_sum(src_mom[k] * f, dx) for k in range(i + 1)]
+    interior = [dg[k] * bs[k] + g[k] * bv[k] for k in range(i + 1)]
+    source = [g[k] * src[k] for k in range(i + 1)]
+    return (g[i] * bs[i] - g[0] * bs[0] - _reference_time_trapz(interior, times)
             + _reference_time_trapz(source, times))
 
 
 def _reference_momentum_residual(measure: DiscreteYoungMeasure, law: PressureLaw,
                                  lam: float, phi, tau: float,
-                                 defect=None) -> tuple[float, float]:
+                                 defect) -> tuple[float, float]:
     """Momentum form residual and the defect-pairing inequality slack.
 
     Returns (residual, slack) where slack = xi(tau) D(tau) |phi|_C1 minus the
-    actual |<rM; dphi/dx>| at tau; slack must be nonnegative for a valid
-    defect report.  With defect=None the concentration term is zero and the
-    slack is reported as 0.
+    actual |<rM; dphi/dx>| at tau, and |phi|_C1 is the max of |phi| +
+    |dphi/dt| + |dphi/dx| over every sample time's (n,) table.
     """
     _reference_require_wall_zero(phi, measure.length)
     i = measure.time_index(tau)
     x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
+    f, df, g, dg = _reference_factors(phi, x, times)
     sv_mom = moment(measure, lambda s, v, D: s * v)
-    svv_mom = moment(measure, lambda s, v, D: s * v * v)
-    p_mom = moment(measure, lambda s, v, D: law.p(s))
-    stress_mom = moment(measure, lambda s, v, D: lam * D)
-
-    boundary = (_reference_space_sum(sv_mom[i] * phi.value(tau, x), dx)
-                - _reference_space_sum(sv_mom[0] * phi.value(times[0], x), dx))
-    interior = np.array([
-        _reference_space_sum(sv_mom[k] * phi.dt(times[k], x)
-                             + svv_mom[k] * phi.dx(times[k], x)
-                             + p_mom[k] * phi.dx(times[k], x)
-                             - stress_mom[k] * phi.dx(times[k], x), dx)
-        for k in range(i + 1)])
-    residual = boundary - _reference_time_trapz(interior, times)
-
-    slack = 0.0
-    if defect is not None:
-        pairing = np.array([
-            _reference_space_sum(defect.rM_field[k] * phi.dx(times[k], x), dx)
-            for k in range(i + 1)])
-        residual -= _reference_time_trapz(pairing, times)
-        phi_c1 = max(
-            float(np.max(np.abs(phi.value(t, x))
-                         + np.abs(phi.dt(t, x)) + np.abs(phi.dx(t, x))))
-            for t in times)
-        slack = float(defect.xi[i] * defect.D_total[i] * phi_c1
-                      - abs(pairing[i]))
+    flux_mom = moment(measure, lambda s, v, D: s * v * v + law.p(s) - lam * D)
+    sv = [_reference_space_sum(sv_mom[k] * f, dx) for k in range(i + 1)]
+    flux = [_reference_space_sum(flux_mom[k] * df, dx) for k in range(i + 1)]
+    pair = [_reference_space_sum(defect.rM_field[k] * df, dx) for k in range(i + 1)]
+    interior = [dg[k] * sv[k] + g[k] * flux[k] for k in range(i + 1)]
+    pairing = [g[k] * pair[k] for k in range(i + 1)]
+    residual = (g[i] * sv[i] - g[0] * sv[0] - _reference_time_trapz(interior, times)
+                - _reference_time_trapz(pairing, times))
+    phi_c1 = max(float(np.max(np.abs(f * g[k]) + np.abs(f * dg[k]) + np.abs(df * g[k])))
+                 for k in range(i + 1))
+    slack = float(defect.xi[i] * defect.D_total[i] * phi_c1 - abs(pairing[i]))
     return residual, slack
 
 
 def _reference_compatibility_residual(measure: DiscreteYoungMeasure, M,
-                                      tau: float | None = None) -> float:
+                                      tau: float) -> float:
     """Gradient compatibility: -iint <v> dM/dx - iint <D> M."""
-    i = measure.time_index(tau) if tau is not None else measure.times.size - 1
+    i = measure.time_index(tau)
     x, dx, times = measure.x, measure.dx, measure.times[: i + 1]
+    f, df, g, _ = _reference_factors(M, x, times)
     v_mom = moment(measure, lambda s, v, D: v)
     d_mom = moment(measure, lambda s, v, D: D)
-    series = np.array([
-        -_reference_space_sum(v_mom[k] * M.dx(times[k], x), dx)
-        - _reference_space_sum(d_mom[k] * M.value(times[k], x), dx)
-        for k in range(i + 1)])
+    series = [-(g[k] * _reference_space_sum(v_mom[k] * df, dx))
+              - g[k] * _reference_space_sum(d_mom[k] * f, dx) for k in range(i + 1)]
     return _reference_time_trapz(series, times)
 
 
@@ -546,34 +515,141 @@ def _random_defect(rng, measure):
         zeta_by_member=np.zeros((1, nt)))
 
 
+def _wavy_family(length: float) -> list[SpaceTimeFunction]:
+    """Wall-vanishing functions whose |g| and |g'| peak at different times,
+    so |phi|_C1 is not read at the last sample time."""
+    w = np.pi / length
+    return [SpaceTimeFunction(id=f"sin(pi x/L)*{name}", f=lambda x: np.sin(w * x),
+                              df=lambda x: w * np.cos(w * x), g=g, dg=dg)
+            for name, g, dg in (
+                ("cos(7t)", lambda t: np.cos(7.0 * t), lambda t: -7.0 * np.sin(7.0 * t)),
+                ("(t-0.4)^2", lambda t: (t - 0.4) ** 2, lambda t: 2.0 * (t - 0.4)))]
+
+
+def _random_case(K, n, nt, seed):
+    rng = np.random.default_rng(seed)
+    V = _random_measure(rng, K, n, nt)
+    b = renorm_identity_truncated(r_b=rng.uniform(0.5, 3.0), width=0.4)
+    return V, b, _random_defect(rng, V)
+
+
 @given(K=st.integers(1, 4), n=st.integers(8, 48), nt=st.integers(2, 9),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_family_residuals_equal_the_per_function_loops(K, n, nt, seed):
-    rng = np.random.default_rng(seed)
-    V = _random_measure(rng, K, n, nt)
-    b = renorm_identity_truncated(r_b=rng.uniform(0.5, 3.0), width=0.4)
-    defect = _random_defect(rng, V)
-    dens, mom, comp = (density_family(V.length), momentum_family(V.length),
+    V, b, defect = _random_case(K, n, nt, seed)
+    dens, mom, comp = (density_family(V.length),
+                       momentum_family(V.length) + _wavy_family(V.length),
                        compatibility_family(V.length))
-    dens_p, mom_p, comp_p = ([_Pointwise(f) for f in fam] for fam in (dens, mom, comp))
-
     for tau in V.times.tolist():
         assert np.array_equal(
             continuity_residual(V, dens, tau),
-            [_reference_continuity_residual(V, f, tau) for f in dens_p])
+            [_reference_continuity_residual(V, f, tau) for f in dens])
         assert np.array_equal(
             renorm_continuity_residual(V, b, dens, tau),
-            [_reference_renorm_continuity_residual(V, b, f, tau) for f in dens_p])
+            [_reference_renorm_continuity_residual(V, b, f, tau) for f in dens])
         assert np.array_equal(
             compatibility_residual(V, comp, tau),
-            [_reference_compatibility_residual(V, f, tau) for f in comp_p])
+            [_reference_compatibility_residual(V, f, tau) for f in comp])
         for rep in (zero_defect(V), defect):
             got = momentum_residual(V, LAW, LAM, mom, tau, defect=rep)
             want = np.array([_reference_momentum_residual(V, LAW, LAM, f, tau, defect=rep)
-                             for f in mom_p])
+                             for f in mom])
             assert np.array_equal(got[0], want[:, 0])
             assert np.array_equal(got[1], want[:, 1])
+
+
+# -- family residuals against an exactly summed table form ---------------------------
+
+# An independent reference: each residual written out as one list of terms
+# over the whole (n_t, n) tables of psi, dpsi/dt and dpsi/dx (the products
+# F G, F G' and F' G), each interior term weighted by its trapezoid weight,
+# and summed by math.fsum.  The residuals sum in another order, so they may
+# differ from it only by rounding: at most c (n + n_t) eps sum |terms|, the
+# bound of a recursive sum over n cells and then n_t times.
+
+EPS = np.finfo(float).eps
+
+
+def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    w = np.zeros(times.size)
+    w[1:] += np.diff(times) / 2.0
+    w[:-1] += np.diff(times) / 2.0
+    return w
+
+
+def _table_form(V, fn, i):
+    times = V.times[: i + 1]
+    f, df = (np.broadcast_to(np.asarray(h(V.x), dtype=float), V.x.shape)
+             for h in (fn.f, fn.df))
+    g, dg = (np.broadcast_to(np.asarray(h(times), dtype=float), times.shape)
+             for h in (fn.g, fn.dg))
+    w = _trapezoid_weights(times)[:, None] * V.dx
+    return g[:, None] * f, dg[:, None] * f, g[:, None] * df, w
+
+
+def _fsum(*terms):
+    """The exact sum of the terms, rounded once, and the sum of their sizes."""
+    flat = np.concatenate([np.ravel(t) for t in terms])
+    return math.fsum(flat.tolist()), math.fsum(np.abs(flat).tolist())
+
+
+def _table_residuals(V, b, defect, tau):
+    """{name: [(value, sum |terms|), ...]} over each family, and the momentum
+    slack's reference and its size."""
+    i = V.time_index(tau)
+    m = {name: moment(V, g)[: i + 1] for name, g in (
+        ("s", lambda s, v, D: s), ("sv", lambda s, v, D: s * v),
+        ("svv", lambda s, v, D: s * v * v), ("p", lambda s, v, D: LAW.p(s)),
+        ("stress", lambda s, v, D: LAM * D), ("v", lambda s, v, D: v),
+        ("D", lambda s, v, D: D), ("b", lambda s, v, D: b.b(s)),
+        ("bv", lambda s, v, D: b.b(s) * v),
+        ("src", lambda s, v, D: (s * b.db(s) - b.b(s)) * D))}
+    rM = defect.rM_field[: i + 1]
+    out = {"continuity": [], "renorm": [], "momentum": [], "slack": [],
+           "compatibility": []}
+    for fn in density_family(V.length):
+        val, d_t, d_x, w = _table_form(V, fn, i)
+        out["continuity"].append(_fsum(
+            m["s"][i] * val[i] * V.dx, -m["s"][0] * val[0] * V.dx,
+            -w * m["s"] * d_t, -w * m["sv"] * d_x))
+        out["renorm"].append(_fsum(
+            m["b"][i] * val[i] * V.dx, -m["b"][0] * val[0] * V.dx,
+            -w * m["b"] * d_t, -w * m["bv"] * d_x, w * m["src"] * val))
+    for fn in momentum_family(V.length):
+        val, d_t, d_x, w = _table_form(V, fn, i)
+        out["momentum"].append(_fsum(
+            m["sv"][i] * val[i] * V.dx, -m["sv"][0] * val[0] * V.dx,
+            -w * m["sv"] * d_t, -w * m["svv"] * d_x, -w * m["p"] * d_x,
+            w * m["stress"] * d_x, -w * rM * d_x))
+        pairing, size = _fsum(rM[i] * d_x[i] * V.dx)
+        c1 = float(np.max(np.abs(val) + np.abs(d_t) + np.abs(d_x)))
+        bound = defect.xi[i] * defect.D_total[i] * c1
+        out["slack"].append((bound - abs(pairing), bound + size))
+    for fn in compatibility_family(V.length):
+        val, _, d_x, w = _table_form(V, fn, i)
+        out["compatibility"].append(_fsum(-w * m["v"] * d_x, -w * m["D"] * val))
+    return out
+
+
+@given(K=st.integers(1, 4), n=st.integers(8, 48), nt=st.integers(2, 9),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_family_residuals_match_the_exactly_summed_table_form(K, n, nt, seed):
+    V, b, defect = _random_case(K, n, nt, seed)
+    assert np.max(np.abs(defect.rM_field)) > 0.0
+    dens, mom, comp = (density_family(V.length), momentum_family(V.length),
+                       compatibility_family(V.length))
+    for tau in (float(V.times[1]), float(V.times[-1])):
+        residual, slack = momentum_residual(V, LAW, LAM, mom, tau, defect=defect)
+        got = {"continuity": continuity_residual(V, dens, tau),
+               "renorm": renorm_continuity_residual(V, b, dens, tau),
+               "momentum": residual, "slack": slack,
+               "compatibility": compatibility_residual(V, comp, tau)}
+        bound = 4 * (n + V.time_index(tau) + 1) * EPS
+        for name, want in _table_residuals(V, b, defect, tau).items():
+            for value, (exact, size) in zip(got[name], want):
+                assert abs(value - exact) <= bound * size, (name, value, exact, size)
 
 
 def test_momentum_family_names_the_function_not_vanishing_at_the_walls():

@@ -1,10 +1,12 @@
 """Wide tables in blocks of TABLE_BLOCK cells: same bytes, bounded memory.
 
-The ratio scans and the certificates take B over blocks of r rows, and the
-residual families take their tables over blocks of test functions.  Every
+The ratio scans and the certificates take B over blocks of r rows.  Every
 result must be the bytes of the one-block (whole table) evaluation, whatever
 the block size, and a table's traced peak must not grow with its length.
 certify's one pass raises the lower bound's grid error before the h bound's.
+The residual families form no table per function: a family passed in blocks
+of functions gives each function's bytes, and a call's peak does not grow
+with the family.
 """
 import dataclasses
 import tracemalloc
@@ -130,7 +132,10 @@ def _measure(rng, K, n, nt):
 
 
 @pytest.mark.parametrize("law", list(LAWS.values()), ids=list(LAWS))
-def test_residual_families_are_the_same_in_every_block_size(monkeypatch, law):
+def test_residual_families_are_the_same_in_every_block_size(law):
+    # a family passed whole, in blocks of two functions (which split the
+    # three functions of each space factor) and one function at a time: the
+    # blocks share fewer space factors, and every function's bytes stay
     rng = np.random.default_rng(11)
     V = _measure(rng, K=3, n=40, nt=9)
     nt, n = V.times.size, V.x.size
@@ -143,20 +148,23 @@ def test_residual_families_are_the_same_in_every_block_size(monkeypatch, law):
     dens, mom, comp = density_family(1.0), momentum_family(1.0), compatibility_family(1.0)
     for tau in (float(V.times[4]), float(V.times[-1])):
         calls = {
-            "continuity": lambda: continuity_residual(V, dens, tau),
-            "renorm": lambda: renorm_continuity_residual(V, b, dens, tau),
-            "momentum": lambda: np.concatenate(
-                momentum_residual(V, law, 0.1, mom, tau, defect=defect)),
-            "momentum-no-defect": lambda: np.concatenate(
-                momentum_residual(V, law, 0.1, mom, tau, zero_defect(V))),
-            "compatibility": lambda: compatibility_residual(V, comp, tau),
+            "continuity": (dens, lambda fam: continuity_residual(V, fam, tau)),
+            "renorm": (dens, lambda fam: renorm_continuity_residual(V, b, fam, tau)),
+            "momentum": (mom, lambda fam: np.stack(
+                momentum_residual(V, law, 0.1, fam, tau, defect=defect))),
+            "momentum-no-defect": (mom, lambda fam: np.stack(
+                momentum_residual(V, law, 0.1, fam, tau, zero_defect(V)))),
+            "compatibility": (comp, lambda fam: compatibility_residual(V, fam, tau)),
         }
-        for name, call in calls.items():
-            got = _under_each_block(monkeypatch, call)
+        for name, (fam, call) in calls.items():
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = {size: np.concatenate([call(fam[k:k + size])
+                                             for k in range(0, len(fam), size)], axis=-1)
+                       for size in (1, 2, len(fam))}
             assert _same_bytes(got), name
 
 
-def test_residual_family_peak_is_blocks_not_the_family_table():
+def test_residual_family_peak_is_moments_not_the_family_table():
     # n = 1024 cells and 65 samples: one function's (n_t, n) table is one
     # moment's size, the whole family's tables are n_f times that, three times
     rng = np.random.default_rng(5)
@@ -168,7 +176,8 @@ def test_residual_family_peak_is_blocks_not_the_family_table():
     tau = float(V.times[-1])
 
     peak = _peak_bytes(lambda: continuity_residual(V, family, tau))
-    # the moments and their K-member integrands, plus a few blocks
+    # the moments and their K-member integrands, plus a few moment-sized
+    # products
     assert peak <= 2 * K * moment_bytes + 6 * block_bytes
     assert peak < len(family) * moment_bytes
     # and it does not grow with the number of functions
