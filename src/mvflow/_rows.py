@@ -21,28 +21,23 @@ class Rows:
     whose difference is the one-sided gradient there; joints, None for rows
     of their own array row, picks the first cell of each row that follows
     another along the axis.  dx is the cell width per row, cell_dx per cell,
-    two_dx is 2 dx (per cell but an array row's first and last if ragged),
-    and coupling is -1 per cell but 0 at a row's last cell: kappa times it
-    is the viscous off-diagonal, which couples no two rows.
+    grad_dx per cell the width a gradient divides by (2 dx, but dx at a
+    row's wall cells), and coupling is -1 per cell but 0 at a row's last
+    cell: kappa times it is the viscous off-diagonal, which couples no two
+    rows.
     """
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Cell-centered du/dx: central differences, one-sided at the walls.
         The central differences are taken over the rows laid end to end, one
-        subtraction, and the wall cells, which straddled two rows, are then
-        overwritten.  Only entries the subtraction wrote are divided (the
-        buffer's first and last never are): all of them on uniform rows,
-        whose two_dx is one number, and on ragged rows, whose two_dx is per
-        cell, each array row's inner cells (its first and last are walls)."""
+        subtraction, and the wall cells, which straddled two rows (or were
+        never written), then take their one-sided differences; one division
+        by grad_dx ends every cell."""
         g = np.empty(u.shape)
         flat = u.reshape(-1)
-        inner = g.reshape(-1)[1:-1]
-        np.subtract(flat[2:], flat[:-2], out=inner)
-        if self.joints is not None:
-            inner = g[..., 1:-1]
-        np.divide(inner, self.two_dx, out=inner)
-        g[..., self.ends] = (u[..., self.hi] - u[..., self.lo]) / self.end_dx
-        return g
+        np.subtract(flat[2:], flat[:-2], out=g.reshape(-1)[1:-1])
+        g[..., self.ends] = u[..., self.hi] - u[..., self.lo]
+        return np.divide(g, self.grad_dx, out=g)
 
 
 class UniformRows(Rows):
@@ -54,9 +49,10 @@ class UniformRows(Rows):
 
     def __init__(self, n: int, dx: float):
         self.coupling = np.append(np.full(n - 1, -1.0), 0.0)
-        self.dx = self.cell_dx = self.end_dx = dx
-        self.two_dx = 2.0 * dx
         self.ends, self.hi, self.lo = slice(None, None, n - 1), slice(1, None, n - 2), slice(None, -1, n - 2)
+        self.dx = self.cell_dx = dx
+        self.grad_dx = np.full(n, 2.0 * dx)
+        self.grad_dx[self.ends] = dx
 
     def spread(self, x):
         """Per-row values (..., K), an array or numpy scalar, as (..., K, 1)
@@ -68,9 +64,6 @@ class UniformRows(Rows):
 
     def row_max(self, a: np.ndarray) -> np.ndarray:
         return np.maximum.reduce(a, axis=-1)
-
-    def row_dx(self, count: int) -> list:
-        return [self.dx] * count
 
     def locate(self, r: int, c: int) -> tuple[int, int]:
         return r, c
@@ -86,7 +79,8 @@ class UniformRows(Rows):
 class RaggedRows(Rows):
     """Rows of different grids, laid end to end along the last axis of
     (1, N) arrays, N the rows' total cell count; a trial of R rungs is
-    (R, N).  A per-row value is repeated over its row's cells.  A per-row
+    (R, N).  A per-row value is repeated over its row's cells (dx_list is
+    dx as a list of Python floats, for per-trial scalars).  A per-row
     sum reduces each row's contiguous cells with np.add.reduce, as the row
     alone would be summed, consecutive rows of one n together as a (k, n)
     view; max and min are exact under any grouping and use reduceat."""
@@ -103,8 +97,8 @@ class RaggedRows(Rows):
         self.lo = np.concatenate([self.first, self.last - 1])
         self.dx_list = [g.dx for g in grids]
         self.dx = np.array(self.dx_list)
-        self.cell_dx, self.two_dx = np.repeat(self.dx, n), np.repeat(2.0 * self.dx, n)[1:-1]
-        self.end_dx = np.concatenate([self.dx, self.dx])
+        self.cell_dx, self.grad_dx = np.repeat(self.dx, n), np.repeat(2.0 * self.dx, n)
+        self.grad_dx[self.ends] = np.concatenate([self.dx, self.dx])
         self.coupling = np.full(n.sum(), -1.0)
         self.coupling[self.last] = 0.0
         self.segs = [slice(f, f + k) for f, k in zip(self.first.tolist(), ns)]
@@ -127,9 +121,6 @@ class RaggedRows(Rows):
 
     def row_max(self, a: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(a, self.first, axis=-1).reshape(a.shape[:-2] + (-1,))
-
-    def row_dx(self, count: int) -> list:
-        return self.dx_list * (count // self.K)
 
     def locate(self, r: int, c: int) -> tuple[int, int]:
         j = int(np.searchsorted(self.first, c, side="right")) - 1

@@ -235,8 +235,16 @@ class PowerLawH:
         return self.a * self.gamma * np.power(rho, self.gamma - 1.0)
 
     def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
-        # the two powers share no work
-        return self.value(rho), self.slope(rho)
+        """value(rho) and slope(rho), the same operations in one frame (the
+        two powers share no work)."""
+        rho = np.asarray(rho, dtype=float)
+        a, gamma = self.a, self.gamma
+        h = np.power(rho, gamma)
+        if a != 1.0:
+            h = a * h
+        if gamma == 2.0:
+            return h, a * gamma * rho
+        return h, a * gamma * np.power(rho, gamma - 1.0)
 
     def potential(self, rho) -> np.ndarray:
         """H(rho); closed form, with H(0) = 0 taken as the limit value."""
@@ -546,9 +554,9 @@ class PressureLaw:
     def p_and_dp(self, rho):
         """(p(rho), dp(rho)) in one pass: each part's value and slope share
         their intermediates."""
-        h, dh = self.h_part.value_and_slope(rho)
         if self.bump is None:
-            return h, dh
+            return self.h_part.value_and_slope(rho)
+        h, dh = self.h_part.value_and_slope(rho)
         q, dq = self.bump.value_and_slope(rho)
         return _add_into(q, h), _add_into(dq, dh)
 

@@ -54,19 +54,20 @@ per call, in fewer calls.  A dt set by the CFL bound or a sample time keeps
 one rung; a second made the never-rejecting tabulated-law benchmark 11-17%
 slower.
 
-A trial's cost is numpy call overhead on small arrays, not arithmetic, so
-the kernels make few calls: the three face quantities share one buffer and
-one difference, dt/dx scales all three in one multiply, the trial buffer is
-reshaped once, the wall cells' diagonal of uniform rows is updated in place
-on its strided view, the energy density and the squared gradient share one
-reduction, the kernels take and return arrays and Python floats (no state
-object per call), and run_stack binds its state to views of the accepted
-trial rows.  A power law skips the operations that change no bit (see
-PowerLawH).  Without a near-vacuum cell in a trial, step skips the vacuum
-masks; it reads that from its own minimum before the clamp to 0.  step,
-admissible_dt, total_energy and PressureLaw.P are looked up at call time,
-the seams where perfbench's tracer counts and times a run: one solver.step
-span per stack trial, one solver.admissible_dt span per fresh step.
+A trial's cost is numpy call overhead on small arrays and the Python
+around it, not arithmetic, so the kernels make few calls: the three face
+quantities share one buffer and one difference, dt/dx scales all three in
+one multiply, the trial buffer is reshaped once, uniform rows' wall
+diagonal is updated in place, the energy density and the squared gradient
+share one reduction, and run_stack binds its state to views of the
+accepted trial rows.  What no trial changes is fixed once: run_stack sets
+per layout each row's controller, budget and cells and each rung's trial
+rows (the rows that accept are the next fresh rows), the kernels add delta
+terms only if a delta is set, and step scales uniform rows by their one
+dx.  A power law skips the operations that change no bit (see PowerLawH),
+and step skips the vacuum masks without a near-vacuum cell.  step,
+admissible_dt (once per step_start), total_energy and PressureLaw.P stay
+looked up at call time, where perfbench's tracer counts them.
 
 The donor-cell update needs no positivity limiter.  A cell's outflow is at
 most rho_i max|u| (each face velocity is the mean of two cell velocities),
@@ -311,8 +312,11 @@ def step_start(rho: np.ndarray, u: np.ndarray, cfg: SolverConfig, cells: Rows, d
     donor_hi = u_face > 0.0
     F = np.multiply(np.where(donor_hi, rho[..., :-1], rho[..., 1:]), u_face, out=inner[0])
     np.multiply(F, np.where(donor_hi, u_lo, u_hi), out=inner[1])
-    p, dp = cfg.law.p_and_dp(rho)  # one law pass for the pressure and the CFL bound
-    pi = total_pressure(cfg, rho, p, delta)
+    # one law pass for the pressure and the CFL bound's slope; the delta
+    # terms only where there are any
+    pi, slope = cfg.law.p_and_dp(rho)
+    if isinstance(delta, np.ndarray) or delta > 0.0:
+        pi, slope = total_pressure(cfg, rho, pi, delta), _slope(cfg, rho, slope, delta)
     np.multiply(pi[..., :-1] + pi[..., 1:], 0.5, out=inner[2])
     faces[2, ..., ::C] = pi[..., ::C - 1]
     joints = cells.joints
@@ -326,7 +330,7 @@ def step_start(rho: np.ndarray, u: np.ndarray, cfg: SolverConfig, cells: Rows, d
     d = d.reshape(faces.shape)[..., :C]
     if joints is not None:
         d[2][..., joints - 1] = pi[..., joints - 1] - faces[2][..., joints - 1]
-    return admissible_dt(rho, cfg, cells, u=u, slope=_slope(cfg, rho, dp, delta)).tolist(), d
+    return admissible_dt(rho, cfg, cells, u=u, slope=slope).tolist(), d
 
 
 def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
@@ -358,10 +362,17 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     # the rungs broadcasting against the start; then the new density and the
     # momentum before viscosity take their place in the same buffer, which
     # is then taken as (3, R L, n), or (3, R, N), in one reshape
-    lam, dxs = cfg.lam, cells.row_dx(len(dts))
-    coef = cells.spread(np.array(
-        [x / dx for x, dx in zip(dts, dxs)] + [lam * x / dx**2 for x, dx in zip(dts, dxs)]
-    ).reshape(2, -1, L))
+    # (uniform rows share one dx: their columns are (2, R, L, 1) unspread)
+    lam, uniform = cfg.lam, cells.joints is None
+    if uniform:
+        dx = cells.dx
+        dx2 = dx**2
+        coef = np.array([x / dx for x in dts] + [lam * x / dx2 for x in dts]).reshape(2, -1, L, 1)
+    else:
+        dxs = cells.dx_list * (len(dts) // L)  # each trial's dx
+        coef = cells.spread(np.array(
+            [x / dx for x, dx in zip(dts, dxs)] + [lam * x / dx**2 for x, dx in zip(dts, dxs)]
+        ).reshape(2, -1, L))
     new = coef[0] * d[:, None]
     rho_new, m_star, dpi = new[0], new[1], new[2]
     np.subtract(rho, rho_new, out=rho_new)
@@ -395,7 +406,7 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     diag = rho_new + 2.0 * kappa
     # the first and last cell of each row: a strided view of uniform rows,
     # updated in place
-    if cells.joints is None:
+    if uniform:
         walls = diag[:, cells.ends]
         np.add(walls, kappa, out=walls)
     else:
@@ -422,14 +433,19 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
         m_new = np.multiply(rho_new, np.where(solid, u_new, 0.0), out=dpi)
         u, kin = np.where(solid, m_new / rho_f, 0.0), _kinetic(rho_new, m_new, solid, rho_f)
     # the energy density and the squared gradient in one per-row reduction,
-    # each row summed as alone
+    # each row summed as alone; without a delta term the density is kin + P
     dens = np.empty((2,) + rho_new.shape)
-    if isinstance(delta, np.ndarray):
-        delta = np.tile(delta, (len(dts) // L, 1))
-    _energy_density(cfg, rho_new, kin, cfg.law.P(rho_new), delta, out=dens[0])
+    if isinstance(delta, np.ndarray) or delta > 0.0:
+        if isinstance(delta, np.ndarray):  # repeated over the rungs
+            delta = np.tile(delta, (len(dts) // L, 1))
+        _energy_density(cfg, rho_new, kin, cfg.law.P(rho_new), delta, out=dens[0])
+    else:
+        np.add(kin, cfg.law.P(rho_new), out=dens[0])
     g = cells.gradient(u)
     np.multiply(g, g, out=dens[1])
     e, g2 = cells.row_sum(dens).tolist()
+    if uniform:
+        return rho_new, m_new, u, [x * dx for x in e], [t * lam * x * dx for t, x in zip(dts, g2)]
     return rho_new, m_new, u, [x * dx for x, dx in zip(e, dxs)], \
         [t * lam * x * dx for t, x, dx in zip(dts, g2, dxs)]
 
@@ -650,62 +666,64 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
     start = None  # the step_start of every live row's current state
 
     while live:
-        L = len(live)
-        if start is None:  # the first call on this layout
+        if start is None:  # the first call on this layout: what it fixes
+            L = len(live)
+            ctls = [ctl[r] for r in live]  # row j's controller, budget and cells
+            budgets = [budget[r] for r in live]
+            ats = [cells.at(j) for j in range(L)]
+            M = len(rho)  # array rows per rung: L, or 1 if ragged
+            rungs = [(list(range(r * L, r * L + L)), slice(r * M, r * M + M)) for r in (0, 1)]
             delta = cells.spread(deltas[live]) if mixed else cfg.delta
-        # rows that are not retrying a rejected trial start a new step; the
-        # retrying rows' states are unchanged, and so are their starts
-        fresh = [j for j, r in enumerate(live) if not ctl[r].retry]
+            # rows that are not retrying a rejected trial start a new step;
+            # the retrying rows' states are unchanged, and so are their starts
+            fresh = [j for j, c in enumerate(ctls) if not c.retry]
         if fresh or start is None:
             start = step_start(rho, u, cfg, cells, delta)
         grown = False  # a fresh row's dt is set by the 1.5x growth cap
         for j in fresh:
-            c = ctl[live[j]]
+            c = ctls[j]
             grown = c.plan(start[0][j], t_sample[c.k]) or grown
 
         # A rejected row retries from the state its step_start was taken for.
         # A grown dt is often rejected, so then every row also tries, as
         # rung 1 of the same step call, the dt that a rejection of rung 0
         # retries (a dt at the floor has no retry).
-        flat = [ctl[r].dt for r in live]  # the trial dts, rung by rung
+        flat = [c.dt for c in ctls]  # the trial dts, rung by rung
         if grown:
             flat += [max(0.5 * x, tol) if x > tol else x for x in flat]
-        rungs = 2 if grown else 1
         rho_t, m_t, u_t, e, dI = step(rho, m, start, flat, cfg, cells, delta, live)
 
-        pos, taken = [], []  # the rows that step, and their trial rows
-        for j, r in enumerate(live):
-            c = ctl[r]
-            for i in range(j, rungs * L, L):  # row j of each rung up to an accepted one
-                if c.judge(e[i], dI[i], budget[r], tol, r, t_sample[c.k]):
-                    pos.append(j)
+        fresh, taken = [], []  # the rows that step (and start anew), and their trial rows
+        for j in range(L):
+            c = ctls[j]
+            for i in range(j, len(flat), L):  # row j of each rung up to an accepted one
+                if c.judge(e[i], dI[i], budgets[j], tol, live[j], t_sample[c.k]):
+                    fresh.append(j)
                     taken.append(i)
                     break
         if not taken:
             continue
-        rung = taken[0] // L
-        if taken == list(range(rung * L, rung * L + L)):  # all at one rung: its rows
-            M = len(rho_t) // rungs  # array rows per rung: L, or 1 if ragged
-            at = slice(rung * M, rung * M + M)
+        trials, at = rungs[taken[0] // L]  # a rung's trial numbers and array rows
+        if taken == trials:  # all at one rung: its rows
             rho, m, u = rho_t[at], m_t[at], u_t[at]
         elif len(taken) == L and cells.joints is None:  # every row, at mixed rungs
             idx = np.array(taken)
             rho, m, u = rho_t.take(idx, 0), m_t.take(idx, 0), u_t.take(idx, 0)
         else:
-            for j, i in zip(pos, taken):
-                a, b = cells.at(j), cells.at(i)
+            for j, i in zip(fresh, taken):
+                a, b = ats[j], cells.at(i)
                 rho[a], m[a], u[a] = rho_t[b], m_t[b], u_t[b]
 
         done = False  # a row has its last sample
-        for j in pos:
-            done = ctl[live[j]].record(rho, u, cells.at(j), t_sample, tol) or done
+        for j in fresh:
+            done = ctls[j].record(rho, u, ats[j], t_sample, tol) or done
         if done:  # lay out the rest anew
-            keep = [j for j, r in enumerate(live) if ctl[r].k < times.size]
+            keep = [j for j in range(L) if ctls[j].k < times.size]
             live = [live[j] for j in keep]
             if not live:
                 break
             kept = _layout([grids[r] for r in live])
-            rho, m, u = (kept.join([a[cells.at(j)] for j in keep]) for a in (rho, m, u))
+            rho, m, u = (kept.join([a[ats[j]] for j in keep]) for a in (rho, m, u))
             cells, start = kept, None
 
     return [c.trajectory(g, f, times) for c, f, g in zip(ctl, cfgs, grids)]

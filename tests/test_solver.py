@@ -374,7 +374,7 @@ def _trial_by_setitem(rho, m, start, dts, cfg, cells):
     reshaped on its own and the wall cells' diagonal updated through
     diag[:, ends] += kappa[:, ends], which copies back for uniform rows."""
     dt_max, d = start
-    L, dxs = len(dt_max), cells.row_dx(len(dts))
+    L, dxs = len(dt_max), np.resize(cells.dx, len(dts)).tolist()  # each trial's dx
     scale, kappa = cells.spread(np.array(
         [x / dx for x, dx in zip(dts, dxs)] + [cfg.lam * x / dx**2 for x, dx in zip(dts, dxs)]
     ).reshape(2, -1, L))
@@ -410,6 +410,36 @@ def test_step_walls_in_place_keep_the_bits(layout, rungs, frac, seed):
     rho, m, *_ = mvflow.solver.step(stack.rho, stack.m, start, dts, cfg, cells, cfg.delta)
     want_rho, want_m = _trial_by_setitem(stack.rho, stack.m, start, dts, cfg, cells)
     assert _same_bits(rho, want_rho) and _same_bits(m, want_m)
+
+
+@pytest.mark.parametrize("layout", ["uniform", "ragged"])
+def test_kernels_neither_alias_nor_write_their_inputs(layout):
+    # step_start and a two-rung step leave rho, m, u and the start as they
+    # were, and no array they return shares memory with those inputs, with
+    # another returned array or with what a second call on the same inputs
+    # returns: a buffer kept across calls would show here
+    ns = (24, 24) if layout == "uniform" else (16, 24)
+    grids, cells, _, stack = _ragged_stack(ns, seed=5)
+    if layout == "uniform":
+        cells, stack = grids[0]._rows, replace(stack, rho=stack.rho.reshape(2, -1),
+                                                m=stack.m.reshape(2, -1))
+    cfg = SolverConfig(law=bump_law(), lam=0.3, T=1.0)
+    rho, m, u = stack.rho, stack.m, velocity(stack)
+    inputs = [rho, m, u]
+    kept = [a.copy() for a in inputs]
+    starts = [mvflow.solver.step_start(rho, u, cfg, cells, cfg.delta) for _ in range(2)]
+    dt_max, d = starts[0]
+    kept_start = (list(dt_max), d.copy())
+    dts = [0.5 * x / r for r in (1, 2) for x in dt_max]
+    trials = [mvflow.solver.step(rho, m, starts[0], dts, cfg, cells, cfg.delta)
+              for _ in range(2)]
+    assert all(_same_bits(a, b) for a, b in zip(inputs, kept))
+    assert dt_max == kept_start[0] and _same_bits(d, kept_start[1])
+    returned = [s[1] for s in starts] + [a for t in trials for a in t[:3]]
+    assert all(isinstance(t[3], list) and isinstance(t[4], list) for t in trials)
+    for i, a in enumerate(returned):
+        for b in inputs + returned[:i]:
+            assert not np.shares_memory(a, b)
 
 
 # -- full runs -------------------------------------------------------------------

@@ -69,6 +69,17 @@ def test_one_run_calls_the_traced_seams(monkeypatch):
     assert traj.n_steps <= calls["step"] <= traj.n_trials  # one call per trial or two
     assert calls["total_energy"] > 0 and calls["P"] > 0
 
+    # a ragged two-row stack reaches every seam too: one step call serves
+    # every live row (and both rungs), and each call after a retry-only one
+    # reuses its CFL bounds
+    calls.clear()
+    grids = [solver.Grid1D(n=n, length=1.0) for n in (32, 48)]
+    trajs = solver.run_stack([cfg, cfg], [solver.pulse_flow_init(1.0).sample(g) for g in grids],
+                             grids)
+    assert all(calls[name] > 0 for name in ("step", "admissible_dt", "total_energy", "P"))
+    assert max(t.n_steps for t in trajs) <= calls["step"] <= sum(t.n_trials for t in trajs)
+    assert calls["admissible_dt"] <= calls["step"]
+
 
 def test_the_certificate_names_are_aliases_of_certify():
     # the tracer wraps these two names; each must stay the one certify pass,
