@@ -56,6 +56,12 @@ Each line is ``<key> <value>``:
   rho = 1.1012, lies inside the densities' range: the top of that range
   falls below it during the run, so the pressure potential takes the
   tail's terms in the early calls and skips them in the later ones;
+- ``ragged-groups.bump.rows_sha256``: one ragged ``run_stack`` on the
+  weak-strong-bump law with mixed deltas, its rows on grids of
+  n = 48, 48, 32, 96, 96, 32, so rows of one n lie side by side in groups
+  out of sorted order (the convergence stacks' rows all differ in n): a
+  sha256 over one text line per row, holding that row's trajectory sha256,
+  ``n_steps``, ``n_trials`` and ``min_step_slack``;
 - ``cli.ensemble-bump.seed501.manifest_hash`` and
   ``cli.convergence-pulse.seed501.csv_sha256``: one ``op`` of each CLI
   workload at seed 501, which calls ``cli.main`` with the benchmark's argv,
@@ -105,9 +111,11 @@ def main(argv=None) -> int:
 
     import mvflow.experiments
     from mvflow.configio import format_kv
-    from mvflow.experiments import (cmd_certify, cmd_convergence, presets,
-                                    run_experiment, spec_from_config)
+    from mvflow.experiments import (cmd_certify, cmd_convergence, law_from_config,
+                                    presets, run_experiment, spec_from_config)
     from mvflow.pressure import PowerLawH, PressureLaw, TabulatedH
+    from mvflow.solver import (Grid1D, SolverConfig, perturb_density,
+                               pulse_flow_init, run_stack)
     from workloads import WORKLOADS
 
     stacked = []  # the rows of every run_stack call an experiment makes
@@ -218,6 +226,22 @@ def main(argv=None) -> int:
             tuple(r), tuple(r**2 + 0.1 * r), gamma_tail=1.4)))
         print("tabulated-solve.rho_max1.1012.seed501.trajectory_sha256 "
               f"{_trajectory_sha256(w.op(tmp))}")
+
+        # rows of one n side by side, in groups out of sorted order, under
+        # deltas that differ: the rows finish apart, so the stack is laid
+        # out anew from ragged groups down to uniform rows
+        ns, deltas = (48, 48, 32, 96, 96, 32), (0.0, 1e-3, 0.05, 0.0, 0.05, 1e-3)
+        base = SolverConfig(law=law_from_config(presets()["weak-strong-bump"]),
+                            lam=0.1, T=0.02, n_samples=5)
+        init = pulse_flow_init(1.0, base=1.1, u_amp=0.3)
+        rng = np.random.default_rng(7)
+        grids = [Grid1D(n=n, length=1.0) for n in ns]
+        states = [perturb_density(init, 1.0, 0.2, rng).sample(g) for g in grids]
+        rows = run_stack([dataclasses.replace(base, delta=d) for d in deltas], states, grids)
+        text = "".join(f"row{k} {_trajectory_sha256(t)} {t.n_steps} {t.n_trials} "
+                       f"{t.min_step_slack!r}\n" for k, t in enumerate(rows))
+        print("ragged-groups.bump.rows_sha256 "
+              f"{hashlib.sha256(text.encode()).hexdigest()}")
 
         for wname in ("ensemble-bump", "convergence-pulse"):
             w = WORKLOADS[wname]()
