@@ -21,12 +21,13 @@ grid and with its own time, time step and config (the configs differ at
 most in delta), with run as its one-row case; each row equals the run of
 that state alone, bit for bit.  Rows on one grid are the rows of (K, n)
 arrays.  Rows of different n lie end to end in flat (1, N) arrays (RaggedRows):
-first- and last-cell index arrays do the wall fix-ups that strides do for
-(K, n) rows, and each row's dt/dx and lam dt/dx^2 are spread over its own
-cells, so the kernels serve both through the same code.  The kernels take
-delta as an argument: cfg.delta when the rows share it, else the rows'
-deltas spread over their cells.  A row's energy and dissipation are
-np.add.reduce over its own contiguous cells, as the row alone is summed
+flat indices of each row's wall cells and of the cells where two rows meet,
+which the layout fixes once per count of array rows, do the fix-ups that
+strides do for (K, n) rows, and each row's dt/dx and lam dt/dx^2 are spread
+over its own cells, so the kernels serve both through the same code.  The
+kernels take delta as an argument: cfg.delta when the rows share it, else
+the rows' deltas spread over their cells.  A row's energy and dissipation
+are np.add.reduce over its own contiguous cells, as the row alone is summed
 (rows of one n together as a (k, n) view; never reduceat, which sums
 sequentially); maxima and minima hold under any grouping.  Each row's
 samples are written once, into (n_samples, n) density and velocity arrays
@@ -319,17 +320,17 @@ def step_start(rho: np.ndarray, u: np.ndarray, cfg: SolverConfig, cells: Rows, d
         pi, slope = total_pressure(cfg, rho, pi, delta), _slope(cfg, rho, slope, delta)
     np.multiply(pi[..., :-1] + pi[..., 1:], 0.5, out=inner[2])
     faces[2, ..., ::C] = pi[..., ::C - 1]
-    joints = cells.joints
-    if joints is not None:
-        faces[:2, ..., joints] = 0.0
-        faces[2][..., joints] = pi[..., joints]
-    # one contiguous difference; the one across each array row's end is dropped
     flat = faces.reshape(-1)
-    d = np.empty_like(flat)
-    np.subtract(flat[1:], flat[:-1], out=d[:-1])
-    d = d.reshape(faces.shape)[..., :C]
-    if joints is not None:
-        d[2][..., joints - 1] = pi[..., joints - 1] - faces[2][..., joints - 1]
+    if cells.joints is not None:  # the joints' faces by their flat indices
+        plan, p_flat = cells.plan(pi.size // C), pi.reshape(-1)
+        flat[plan.open_faces] = 0.0
+        flat[plan.joint_faces] = p_flat[plan.joints]
+    # one contiguous difference; the one across each array row's end is dropped
+    diff = np.empty_like(flat)
+    np.subtract(flat[1:], flat[:-1], out=diff[:-1])
+    if cells.joints is not None:
+        diff[plan.last_faces] = p_flat[plan.lasts] - flat[plan.last_faces]
+    d = diff.reshape(faces.shape)[..., :C]
     return admissible_dt(rho, cfg, cells, u=u, slope=slope).tolist(), d
 
 
@@ -405,12 +406,13 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     kappa = coef[1].reshape(-1, coef.shape[-1])  # (R L, 1), or (R, N)
     diag = rho_new + 2.0 * kappa
     # the first and last cell of each row: a strided view of uniform rows,
-    # updated in place
+    # updated in place; ragged rows' by flat index
     if uniform:
         walls = diag[:, cells.ends]
         np.add(walls, kappa, out=walls)
     else:
-        diag[:, cells.ends] += kappa[:, cells.ends]
+        walls = cells.plan(len(diag)).walls
+        diag.reshape(-1)[walls] += kappa.reshape(-1)[walls]
     off = np.multiply(kappa, cells.coupling).reshape(-1)[:-1]
     *_, u_new, info = dgtsv(off, diag.reshape(-1), off, m_star.reshape(-1),
                             False, True, True, True)

@@ -6,12 +6,14 @@ the kernels kept in place or in a smaller working set because each was
 measured to buy a share of a benchmark workload: the gather/scatter Bregman
 kernel, a tabulated law row by row and as split tables, tail masks and
 guards, the bump law and the certificate and scan reductions by np.where
-and out-of-place sums, and run_stack's samples and the fine reference as
-per-sample copies and all-at-once fields."""
+and out-of-place sums, run_stack's samples and the fine reference as
+per-sample copies and all-at-once fields, and a ragged layout's wall and
+joint cells by 2-D fancy indexing."""
 import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 import mvflow.pressure
 from mvflow import solver
@@ -512,3 +514,81 @@ def all_at_once_reference(traj, grid) -> solver.StrongSolutionRef:
         dU_dt=np.gradient(U, traj.times, axis=0),
         d2U_dx2=solver._restrict(d2U_f, factor), refinement=factor,
         min_r=float(np.min(traj.rho)))
+
+
+# A ragged layout's cells as the kernels reached them before each layout
+# fixed their flat indices once: 2-D fancy indexing with index arrays of
+# each row's first and last cell, and joints - 1 formed per use.
+def wall_cells(cells):
+    """Each row's two wall cells, and the cells whose difference is the
+    one-sided gradient there: UniformRows' slices, or RaggedRows' index
+    arrays of each row's first cells, then its last cells."""
+    if cells.joints is None:
+        return cells.ends, cells.hi, cells.lo
+    first, last = cells.first, cells.last
+    return (np.concatenate([first, last]), np.concatenate([first + 1, last]),
+            np.concatenate([first, last - 1]))
+
+
+def fancy_gradient(cells, u: np.ndarray) -> np.ndarray:
+    """Rows.gradient with the wall cells written through g[..., ends]."""
+    ends, hi, lo = wall_cells(cells)
+    g = np.empty(u.shape)
+    flat = u.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=g.reshape(-1)[1:-1])
+    g[..., ends] = u[..., hi] - u[..., lo]
+    return np.divide(g, cells.grad_dx, out=g)
+
+
+def indexed_step_start(rho, u, cfg, cells, delta):
+    """solver.step_start with the joints' faces written through
+    faces[..., joints] and the last pressure difference before each joint
+    through d[2][..., joints - 1]."""
+    C = rho.shape[-1]
+    faces = np.zeros((3,) + rho.shape[:-1] + (C + 1,))
+    inner = faces[..., 1:-1]
+    u_lo, u_hi = u[..., :-1], u[..., 1:]
+    u_face = 0.5 * (u_lo + u_hi)
+    donor_hi = u_face > 0.0
+    F = np.multiply(np.where(donor_hi, rho[..., :-1], rho[..., 1:]), u_face, out=inner[0])
+    np.multiply(F, np.where(donor_hi, u_lo, u_hi), out=inner[1])
+    pi, slope = cfg.law.p_and_dp(rho)
+    if isinstance(delta, np.ndarray) or delta > 0.0:
+        pi = solver.total_pressure(cfg, rho, pi, delta)
+        slope = solver._slope(cfg, rho, slope, delta)
+    np.multiply(pi[..., :-1] + pi[..., 1:], 0.5, out=inner[2])
+    faces[2, ..., ::C] = pi[..., ::C - 1]
+    joints = cells.joints
+    if joints is not None:
+        faces[:2, ..., joints] = 0.0
+        faces[2][..., joints] = pi[..., joints]
+    flat = faces.reshape(-1)
+    d = np.empty_like(flat)
+    np.subtract(flat[1:], flat[:-1], out=d[:-1])
+    d = d.reshape(faces.shape)[..., :C]
+    if joints is not None:
+        d[2][..., joints - 1] = pi[..., joints - 1] - faces[2][..., joints - 1]
+    return solver.admissible_dt(rho, cfg, cells, u=u, slope=slope).tolist(), d
+
+
+def setitem_trial(rho, m, start, dts, cfg, cells):
+    """A trial's density and momentum as solver.step formed them with each
+    array reshaped on its own and the wall cells' diagonal updated through
+    diag[:, ends] += kappa[:, ends], which copies back for uniform rows."""
+    dt_max, d = start
+    L, dxs = len(dt_max), np.resize(cells.dx, len(dts)).tolist()  # each trial's dx
+    scale, kappa = cells.spread(np.array(
+        [x / dx for x, dx in zip(dts, dxs)] + [cfg.lam * x / dx**2 for x, dx in zip(dts, dxs)]
+    ).reshape(2, -1, L))
+    new = scale * d[:, None]
+    C = rho.shape[-1]
+    rho_new = (rho - new[0]).reshape(-1, C)
+    m_star = ((m - new[1]) - new[2]).reshape(-1, C)
+    kappa = kappa.reshape(-1, kappa.shape[-1])
+    diag = rho_new + 2.0 * kappa
+    ends = wall_cells(cells)[0]
+    diag[:, ends] += kappa[:, ends]
+    off = np.multiply(kappa, cells.coupling).reshape(-1)[:-1]
+    *_, u_new, info = dgtsv(off, diag.reshape(-1), off, m_star.reshape(-1))
+    assert info == 0
+    return rho_new, rho_new * u_new.reshape(rho_new.shape)

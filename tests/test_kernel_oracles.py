@@ -2,20 +2,25 @@
 in tests/helpers.py: the bump law against np.where and out-of-place sums,
 the certificate blocks and ratio scans against np.where reductions, and
 the paired-table tabulated law against split tables, tail masks and
-guards.  Each pair gives the same bytes, types and shapes.  A form stays
-in place only where it was measured to buy a share of a benchmark workload
-(CHANGES.md)."""
+guards; and a ragged layout's kernels, whose cells' flat indices each
+layout fixes once, against 2-D fancy indexing.  Each pair gives the same
+bytes, types and shapes.  A form stays in place only where it was measured
+to buy a share of a benchmark workload (CHANGES.md)."""
 import numpy as np
 import pytest
 
 import mvflow.pressure
-from helpers import (guarded_potential, split_value_and_slope,
+import mvflow.solver
+from helpers import (fancy_gradient, guarded_potential, indexed_step_start,
+                     setitem_trial, split_value_and_slope,
                      summed_bump_integral_over_z2, summed_law,
                      taken_integral_over_z2, where_bump_value_and_slope,
                      where_h_block, where_lower_block, where_scan_max)
+from mvflow._rows import RaggedRows
 from mvflow.pressure import (CompactBump, PowerLawH, PressureLaw, TabulatedH,
                              _h_block, _lower_block, _r_values, bregman_H)
 from mvflow.relative_energy import CutoffBand, _scan_max
+from mvflow.solver import Grid1D, SolverConfig
 
 BUMPS = {"small": CompactBump(q1=1.0, q2=2.0, amp=0.05),
          "negative": CompactBump(q1=1.0, q2=2.0, amp=-0.05),
@@ -214,3 +219,57 @@ def test_paired_table_starts_each_sum_from_zero():
     table = TABLES["minus-zero"]
     assert np.signbit(table.h_samples[0])
     assert not np.signbit(table._paired[:2]).any()
+
+
+# ragged layouts: runs of rows of one n out of sorted order, rows that all
+# differ in n, two rows of one n on grids of different length (one run),
+# and rows of the fewest cells a gradient takes
+RAGGED = {"groups": [(n, 1.0) for n in (12, 12, 8, 24, 24, 8)],
+          "distinct": [(n, 1.0) for n in (16, 32, 64, 128)],
+          "one-run": [(24, 1.0), (24, 0.5)],
+          "short": [(4, 1.0), (5, 1.0), (4, 0.5)]}
+
+
+def _ragged(name):
+    return RaggedRows([Grid1D(n=n, length=length) for n, length in RAGGED[name]])
+
+
+def _cell_arrays(cells, lead, seed):
+    """Random (lead..., N) cells, contiguous and as a strided view."""
+    rng = np.random.default_rng(seed)
+    N = int(cells.n.sum())
+    wide = rng.uniform(-1.0, 1.0, lead + (2 * N,))
+    return {"contiguous": np.ascontiguousarray(wide[..., ::2]), "strided": wide[..., 1::2]}
+
+
+@pytest.mark.parametrize("name", list(RAGGED))
+def test_ragged_gradient_equals_the_fancy_form(name):
+    cells = _ragged(name)
+    for lead in ((), (1,), (2,), (2, 1), (2, 2)):
+        for kind, u in _cell_arrays(cells, lead, seed=len(lead)).items():
+            _same(cells.gradient(u), fancy_gradient(cells, u), f"{lead} {kind}")
+
+
+@pytest.mark.parametrize("name", list(RAGGED))
+@pytest.mark.parametrize("mixed", [False, True], ids=["delta0", "mixed-delta"])
+def test_ragged_kernels_equal_the_indexed_forms(name, mixed):
+    # step_start's joint fix-ups, with a contiguous and a strided velocity,
+    # and a trial's wall diagonal at one and two rungs
+    cells = _ragged(name)
+    law = PressureLaw(h_part=PowerLawH(a=1.0, gamma=2.0), bump=BUMPS["small"])
+    cfg = SolverConfig(law=law, lam=0.3, T=1.0, Gamma=3.0)
+    rng = np.random.default_rng(len(name))
+    N = int(cells.n.sum())
+    rho = rng.uniform(0.5, 2.0, (1, N))
+    m = rho * rng.uniform(-0.5, 0.5, (1, N))
+    delta = cells.spread(rng.choice([0.0, 1e-3, 0.05], cells.K)) if mixed else 0.0
+    for kind, u in (("contiguous", m / rho), ("strided", np.repeat(m / rho, 2, -1)[:, ::2])):
+        start = mvflow.solver.step_start(rho, u, cfg, cells, delta)
+        want = indexed_step_start(rho, u, cfg, cells, delta)
+        assert start[0] == want[0], kind
+        _same(start[1], want[1], kind)
+    for rungs in (1, 2):
+        dts = [0.5 * x / r for r in range(1, rungs + 1) for x in start[0]]
+        trial = mvflow.solver.step(rho, m, start, dts, cfg, cells, delta)
+        for got, want in zip(trial[:2], setitem_trial(rho, m, start, dts, cfg, cells)):
+            _same(got, want, f"{rungs} rungs")

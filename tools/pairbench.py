@@ -18,8 +18,14 @@ quartiles, the pairs the change won (better in the direction
 BENCHMARK.json gives the metric; lower when it names none) and whether the
 gain rule holds: the change wins at least 9 of every 10 pairs and its
 median is better than the base's by more than the base's interquartile
-range.  A run that fails, or an op that fails its gates, stops the script.
-Only the standard library is used; nothing under perfbench/ is changed.
+range.  For a metric BENCHMARK.json gives a ``bound``, taken as a share of
+the base's median, the line ends with a regression verdict: ``within`` when
+the change's median is worse than the base's by no more than the bound,
+``worse`` when by more, and ``unresolved`` when the base's interquartile
+range is wider than the bound, unless every run of the change is better
+than every run of the base (then ``within``).  A run that fails, or an op
+that fails its gates, stops the script.  Only the standard library is
+used; nothing under perfbench/ is changed.
 """
 from __future__ import annotations
 
@@ -69,15 +75,17 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
-def directions() -> dict:
-    """+1 where a metric is better higher, -1 where lower (BENCHMARK.json)."""
+def metrics() -> tuple[dict, dict]:
+    """From BENCHMARK.json: +1 where a metric is better higher and -1 where
+    lower, and each end-to-end metric's regression bound."""
     try:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
             spec = json.load(fh)
     except OSError:
-        return {}
-    return {m["name"]: 1 if m.get("better") == "higher" else -1
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+        return {}, {}
+    listed = spec.get("end_to_end", []) + spec.get("per_layer", [])
+    return ({m["name"]: 1 if m.get("better") == "higher" else -1 for m in listed},
+            {m["name"]: float(m["bound"]) for m in listed if "bound" in m})
 
 
 def quartiles(xs: list) -> tuple[float, float, float]:
@@ -87,16 +95,34 @@ def quartiles(xs: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(name: str, base: list, change: list, sign: int) -> str:
-    """One line: both sides' quartiles, the pairs the change won and the rule."""
+def verdict(base: list, change: list, sign: int, bound: float) -> str:
+    """Whether the change's median stays within bound, a share of the
+    base's median: within, worse, or unresolved where the base's own
+    spread is wider than the bound and the change does not beat every
+    base run in every run."""
+    b1, b2, b3 = quartiles(base)
+    allowed = bound * abs(b2)
+    if min(sign * c for c in change) > max(sign * b for b in base):
+        return "within"
+    if b3 - b1 > allowed:
+        return "unresolved"
+    return "worse" if sign * (b2 - quartiles(change)[1]) > allowed else "within"
+
+
+def summary(name: str, base: list, change: list, sign: int, bound=None) -> str:
+    """One line: both sides' quartiles, the pairs the change won, the gain
+    rule and, given a bound, the regression verdict."""
     b1, b2, b3 = quartiles(base)
     c1, c2, c3 = quartiles(change)
     wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     gap = sign * (c2 - b2)
     holds = wins * 10 >= 9 * len(base) and gap > b3 - b1
-    return (f"{name}: base {b2:.6g} [{b1:.6g}, {b3:.6g}]  change {c2:.6g} [{c1:.6g}, {c3:.6g}]"
+    line = (f"{name}: base {b2:.6g} [{b1:.6g}, {b3:.6g}]  change {c2:.6g} [{c1:.6g}, {c3:.6g}]"
             f"  {100 * (c2 / b2 - 1) if b2 else 0.0:+.1f}%  won {wins}/{len(base)}"
             f"  rule {'holds' if holds else 'fails'}")
+    if bound is not None:
+        line += f"  bound {bound:g} {verdict(base, change, sign, bound)}"
+    return line
 
 
 def main(argv=None) -> int:
@@ -108,7 +134,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=8.0)
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
-    sign = directions()
+    sign, bound = metrics()
     with tempfile.TemporaryDirectory(prefix="pairbench-") as tmp:
         trees = (export(args.base, os.path.join(tmp, "base")),
                  export(args.change, os.path.join(tmp, "change")))
@@ -123,7 +149,8 @@ def main(argv=None) -> int:
                         flush=True)
                 for key in runs[0][0]:
                     print(summary(f"{workload} seed {seed} {key}", [r[key] for r in runs[0]],
-                                  [r[key] for r in runs[1]], sign.get(key, -1)), flush=True)
+                                  [r[key] for r in runs[1]], sign.get(key, -1),
+                                  bound.get(key)), flush=True)
     return 0
 
 
