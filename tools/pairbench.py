@@ -96,10 +96,10 @@ def quartiles(xs: list) -> tuple[float, float, float]:
 
 
 def verdict(base: list, change: list, sign: int, bound: float) -> str:
-    """Whether the change's median stays within bound, a share of the
-    base's median: within, worse, or unresolved where the base's own
-    spread is wider than the bound and the change does not beat every
-    base run in every run."""
+    """Whether the change's median is worse than the base's by no more
+    than bound, a share of the base's median: within or worse, and
+    unresolved where the base's IQR is wider than the bound, unless every
+    change run is better than every base run."""
     b1, b2, b3 = quartiles(base)
     allowed = bound * abs(b2)
     if min(sign * c for c in change) > max(sign * b for b in base):
