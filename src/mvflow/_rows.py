@@ -7,7 +7,6 @@ names, so one set of kernels serves both.
 """
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -83,16 +82,16 @@ class UniformRows(Rows):
 
 class RaggedRows(Rows):
     """Rows of different grids, laid end to end along the last axis of
-    (1, N) arrays, N the rows' total cell count; a trial of R rungs is
-    (R, N).  A per-row value is repeated over its row's cells (dx_list is
-    dx as a list of Python floats, for per-trial scalars).  A per-row
-    sum reduces each row's contiguous cells with np.add.reduce, as the row
-    alone would be summed, consecutive rows of one n together as a (k, n)
-    view; max and min are exact under any grouping and use reduceat.
-    first and last are each row's first and last cell.  The flat indices
-    of the wall cells and the joints in (M, N) arrays, M one for a state
-    and one per rung for a trial, are fixed once per layout and M:
-    plan(M).
+    (1, N) arrays, N the rows' total cell count: a ragged state is one
+    array row, and a trial of R rungs is (R, N).  A per-row value is
+    repeated over its row's cells (dx_list is dx as a list of Python
+    floats, for per-trial scalars).  A per-row sum reduces each row's
+    contiguous cells (segs) with its own np.add.reduce, as the row alone
+    would be summed; max and min are exact under any grouping and use
+    reduceat.  first and last are each row's first and last cell.  The
+    flat indices of the wall cells and the joints in (M, N) arrays, M one
+    for a state and one per rung for a trial, are fixed once per layout
+    and M: plan(M).
     """
 
     def __init__(self, grids: Sequence):
@@ -109,12 +108,6 @@ class RaggedRows(Rows):
         self.coupling = np.full(n.sum(), -1.0)
         self.coupling[self.last] = 0.0
         self.segs = [slice(f, f + k) for f, k in zip(self.first.tolist(), ns)]
-        self.groups = []  # (start, stop, rows, n) of each run of rows sharing n
-        start = 0
-        for k, same in itertools.groupby(ns):
-            rows = len(list(same))
-            self.groups.append((start, start + rows * k, rows, k))
-            start += rows * k
         self._plans = {}
 
     def plan(self, M: int) -> CellPlan:
@@ -133,10 +126,8 @@ class RaggedRows(Rows):
         return np.repeat(x, self.n, axis=-1)[..., None, :]
 
     def row_sum(self, a: np.ndarray) -> np.ndarray:
-        parts = [np.add.reduce(a[..., i:j].reshape(a.shape[:-1] + (k, n)), axis=-1)
-                 for i, j, k, n in self.groups]
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        return out.reshape(a.shape[:-2] + (-1,))
+        parts = [np.add.reduce(a[..., s], axis=-1) for s in self.segs]
+        return np.stack(parts, axis=-1).reshape(a.shape[:-2] + (-1,))
 
     def row_max(self, a: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(a, self.first, axis=-1).reshape(a.shape[:-2] + (-1,))

@@ -170,15 +170,9 @@ def _space_sums(m: np.ndarray, factors: np.ndarray, index: np.ndarray,
 
 def _c1_norm(f: np.ndarray, df: np.ndarray, g: np.ndarray, dg: np.ndarray) -> float:
     """|psi|_C1 of psi = f g from |f|, |f'| at the points and |g|, |g'| at the
-    sample times: the max of |f||g| + |f||g'| + |f'||g|, the bits of |f g| +
-    |f g'| + |f' g|.  Each step of that sum, rounding included, does not fall
-    as |g| or |g'| grows, so only the times whose (|g|, |g'|) no other time's
-    pair meets or passes in both are read (one time for g = 1, t or 1 + t)."""
-    order = np.lexsort((dg, g))
-    g, dg = g[order], dg[order]
-    later = np.append(np.maximum.accumulate(dg[::-1])[::-1][1:], -np.inf)
-    front = dg > later
-    g, dg = g[front, None], dg[front, None]
+    sample times: the max over the points and sample times of |f||g| +
+    |f||g'| + |f'||g|, the bits of |f g| + |f g'| + |f' g|."""
+    g, dg = g[:, None], dg[:, None]
     return float(np.max(f * g + f * dg + df * g))
 
 

@@ -222,7 +222,9 @@ class PowerLawH:
 
     # value, slope and potential skip the operations that change no bit: the
     # multiply by a = 1, rho^1 at gamma = 2, and the divide by gamma - 1 = 1.
-    # Each returns a fresh array (callers add into it), never rho itself.
+    # Always multiplying by a and dividing by gamma - 1 cost budget-solve's
+    # op 6.3% (tools/pairbench.py, 10 pairs).  Each returns a fresh array
+    # (callers add into it), never rho itself.
     def value(self, rho) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
         out = np.power(rho, self.gamma)
@@ -235,16 +237,8 @@ class PowerLawH:
         return self.a * self.gamma * np.power(rho, self.gamma - 1.0)
 
     def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
-        """value(rho) and slope(rho), the same operations in one frame (the
-        two powers share no work)."""
-        rho = np.asarray(rho, dtype=float)
-        a, gamma = self.a, self.gamma
-        h = np.power(rho, gamma)
-        if a != 1.0:
-            h = a * h
-        if gamma == 2.0:
-            return h, a * gamma * rho
-        return h, a * gamma * np.power(rho, gamma - 1.0)
+        """value(rho) and slope(rho): the two powers share no work."""
+        return self.value(rho), self.slope(rho)
 
     def potential(self, rho) -> np.ndarray:
         """H(rho); closed form, with H(0) = 0 taken as the limit value."""

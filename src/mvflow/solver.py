@@ -28,10 +28,10 @@ over its own cells, so the kernels serve both through the same code.  The
 kernels take delta as an argument: cfg.delta when the rows share it, else
 the rows' deltas spread over their cells.  A row's energy and dissipation
 are np.add.reduce over its own contiguous cells, as the row alone is summed
-(rows of one n together as a (k, n) view; never reduceat, which sums
-sequentially); maxima and minima hold under any grouping.  Each row's
-samples are written once, into (n_samples, n) density and velocity arrays
-that become its Trajectory's fields.  mvflow convergence runs its levels
+(one reduce per row; never reduceat, which sums sequentially); maxima
+and minima hold under any grouping.  Each row's samples are written once,
+into (n_samples, n) density and velocity arrays that become its
+Trajectory's fields.  mvflow convergence runs its levels
 and fine sizes as one such stack, and restrict_run restricts a fine row's
 density and velocity to a level's cells.  A
 non-finite density or momentum, a negative density, or a non-positive
@@ -66,7 +66,13 @@ per layout each row's controller, budget and cells and each rung's trial
 rows (the rows that accept are the next fresh rows), the kernels add delta
 terms only if a delta is set, and step scales uniform rows by their one
 dx.  A power law skips the operations that change no bit (see PowerLawH),
-and step skips the vacuum masks without a near-vacuum cell.  step,
+and step skips the clamp to 0 when every density is positive and the
+vacuum masks without a near-vacuum cell.  Each of these shortcuts stays on
+its own measured share of budget-solve's op, its plain form alone put
+back: the delta skips 5.4%, the one dx 2.6%, the vacuum masks 12%
+(tools/pairbench.py, 10 pairs; CHANGES.md).  The clamp skip alone read as
+a tie, but with the other plain forms budget-solve ran 4.7-6.6% slower
+without it.  step,
 admissible_dt (once per step_start), total_energy and PressureLaw.P stay
 looked up at call time, where perfbench's tracer counts them.
 
@@ -280,6 +286,8 @@ def admissible_dt(state: FluidState | np.ndarray, cfg: SolverConfig, grid: Grid1
     where the law dips.  u is velocity(state) and slope is
     _slope(cfg, rho, cfg.law.dp(rho), delta) when the caller holds them
     (given both, state may be the density alone); else delta is cfg.delta.
+    On a ragged layout the state is one array row, (1, N) (see RaggedRows):
+    its K bounds divide the K rows' dx.
     """
     rho = state if isinstance(state, np.ndarray) else state.rho
     if u is None:
@@ -352,11 +360,9 @@ def step(rho: np.ndarray, m: np.ndarray, start, dts: list, cfg: SolverConfig,
     """
     dt_max, d = start
     L = len(dt_max)
-    # no dt above the smallest bound is above its own: only then compare rows
-    if max(dts) > min(dt_max) * (1.0 + 1e-12):
-        for i, x in enumerate(dts):
-            if x > dt_max[i % L] * (1.0 + 1e-12):
-                raise StepRejected(x, dt_max[i % L])
+    for i, x in enumerate(dts):
+        if x > dt_max[i % L] * (1.0 + 1e-12):
+            raise StepRejected(x, dt_max[i % L])
 
     # dt/dx and lam dt/dx^2 of every trial in one array, spread over its
     # row's cells; dt/dx times the three face differences in one multiply,
@@ -708,9 +714,6 @@ def run_stack(cfgs: Sequence[SolverConfig], states: Sequence[FluidState],
         trials, at = rungs[taken[0] // L]  # a rung's trial numbers and array rows
         if taken == trials:  # all at one rung: its rows
             rho, m, u = rho_t[at], m_t[at], u_t[at]
-        elif len(taken) == L and cells.joints is None:  # every row, at mixed rungs
-            idx = np.array(taken)
-            rho, m, u = rho_t.take(idx, 0), m_t.take(idx, 0), u_t.take(idx, 0)
         else:
             for j, i in zip(fresh, taken):
                 a, b = ats[j], cells.at(i)
